@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import __version__, diophantine, experiments, propagators, snapshots, sphere
 from .fields import (
-    field_from_json,
+    SymbolUndefined,
     field_to_json,
     load_field,
     symbol_constant,
@@ -32,7 +32,7 @@ from .fields import (
 from .propagators import symbol_Psi, symbol_S, symbol_Sprime
 from .sphere import load_sphere_field, sphere_field_to_json
 
-_DOMAIN_ERRORS = (ValueError, OSError, KeyError, ZeroDivisionError, diophantine.PrecisionExhausted)
+_DOMAIN_ERRORS = (ValueError, OSError, KeyError, ZeroDivisionError, diophantine.PrecisionExhausted, SymbolUndefined)
 
 
 # -- parsing helpers --------------------------------------------------------
@@ -120,25 +120,14 @@ def _number_payload(x: diophantine.NumberClass) -> dict:
     }
 
 
-def _solve_payload(rep: snapshots.SolveReport) -> dict:
+def _solve_payload(rep: snapshots.SolveReport, to_json=field_to_json, kernel_name: str = "kernel_modes") -> dict:
     return {
         "status": rep.status,
         "residual": rep.residual,
         "conditioning": rep.conditioning,
-        "kernel_modes": [list(xi) for xi in rep.kernel_modes],
+        kernel_name: [list(key) for key in rep.kernel_modes],
         "note": rep.note,
-        "solution": field_to_json(rep.solution) if rep.solution is not None else None,
-    }
-
-
-def _sphere_solve_payload(rep: sphere.SphereSolveReport) -> dict:
-    return {
-        "status": rep.status,
-        "residual": rep.residual,
-        "conditioning": rep.conditioning,
-        "kernel_coeffs": [list(k) for k in rep.kernel_coeffs],
-        "note": rep.note,
-        "solution": sphere_field_to_json(rep.solution) if rep.solution is not None else None,
+        "solution": to_json(rep.solution) if rep.solution is not None else None,
     }
 
 
@@ -174,51 +163,30 @@ def _emit_csv(
         sys.stdout.write(buf.getvalue())
 
 
-def _save_field_out(args: argparse.Namespace, verb: str, obj: dict) -> None:
-    doc = {"tool": "wavesnap", "version": __version__, "verb": verb, "seed": args.seed}
-    doc.update(obj)
-    text = json.dumps(_jsonable(doc), indent=2) + "\n"
-    if args.out:
-        write_text_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load_any_field(path: str):
-    # field files written by this tool may carry the header keys; ignore them
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return field_from_json(obj)
-
-
 # -- wave verbs --------------------------------------------------------------
 
 
 def _wave_evolve(args) -> int:
-    u = snapshots.evolve(snapshots.CauchyData(_load_any_field(args.field), _load_any_field(args.velocity)), args.t)
-    _save_field_out(args, "wave evolve", field_to_json(u))
+    u = snapshots.evolve(snapshots.CauchyData(load_field(args.field), load_field(args.velocity)), args.t)
+    _emit_json(args, "wave evolve", field_to_json(u))
     return 0
 
 
 def _wave_snapshot(args) -> int:
-    ua, ub = _load_any_field(args.ua), _load_any_field(args.ub)
-    if args.a == 0.0 and args.b == 1.0:
-        u = snapshots.integer_snapshot(ua, ub, args.m)
-    else:
-        u = snapshots.general_integer_snapshot(ua, ub, args.a, args.b, args.m)
-    _save_field_out(args, "wave snapshot", field_to_json(u))
+    u = snapshots.general_integer_snapshot(load_field(args.ua), load_field(args.ub), args.a, args.b, args.m)
+    _emit_json(args, "wave snapshot", field_to_json(u))
     return 0
 
 
 def _wave_two_solve(args) -> int:
-    rep = snapshots.two_snapshot_solve(_load_any_field(args.f0), _load_any_field(args.f1))
+    rep = snapshots.two_snapshot_solve(load_field(args.f0), load_field(args.f1))
     _emit_json(args, "wave two-solve", _solve_payload(rep))
     return 0
 
 
 def _wave_compat(args) -> int:
-    r = snapshots.compatibility_residual(
-        _load_any_field(args.f0), _load_any_field(args.f1), _load_any_field(args.falpha), args.alpha
+    r = snapshots.compatibility_residual_general(
+        load_field(args.f0), load_field(args.f1), load_field(args.falpha), 0.0, 1.0, args.alpha
     )
     _emit_json(args, "wave compat", {"alpha": args.alpha, "residual": r})
     return 0
@@ -229,7 +197,7 @@ def _wave_three_solve(args) -> int:
     if alpha is None:
         raise ValueError("three-solve needs --alpha or --alpha-frac")
     rep = snapshots.three_snapshot_solve(
-        _load_any_field(args.f0), _load_any_field(args.f1), _load_any_field(args.falpha), alpha
+        load_field(args.f0), load_field(args.f1), load_field(args.falpha), alpha
     )
     payload = {"alpha": alpha, **_solve_payload(rep)}
     _emit_json(args, "wave three-solve", payload)
@@ -239,7 +207,7 @@ def _wave_three_solve(args) -> int:
 def _wave_rational_solve(args) -> int:
     try:
         rep = snapshots.rational_reconstruct(
-            _load_any_field(args.f0), _load_any_field(args.fp), _load_any_field(args.fq), args.p, args.q
+            load_field(args.f0), load_field(args.fp), load_field(args.fq), args.p, args.q
         )
         payload = {"p": args.p, "q": args.q, **_solve_payload(rep)}
     except snapshots.IncompatibleData as exc:
@@ -410,14 +378,14 @@ def _sphere_time(args) -> float:
 
 
 def _sphere_evolve(args) -> int:
-    u = sphere.sphere_evolve(load_sphere_field(args.f0), load_sphere_field(args.g), _sphere_time(args))
-    _save_field_out(args, "sphere evolve", sphere_field_to_json(u))
+    data = snapshots.CauchyData(load_sphere_field(args.f0), load_sphere_field(args.g))
+    _emit_json(args, "sphere evolve", sphere_field_to_json(snapshots.evolve(data, _sphere_time(args))))
     return 0
 
 
 def _sphere_snapshot(args) -> int:
     u = sphere.sphere_snapshot(load_sphere_field(args.ua), load_sphere_field(args.ualpha), args.alpha, args.m)
-    _save_field_out(args, "sphere snapshot", sphere_field_to_json(u))
+    _emit_json(args, "sphere snapshot", sphere_field_to_json(u))
     return 0
 
 
@@ -434,7 +402,7 @@ def _sphere_solve(args) -> int:
     rep = sphere.sphere_two_snapshot_solve(
         load_sphere_field(args.f0), load_sphere_field(args.falpha), alpha, max_degree=args.max_degree
     )
-    _emit_json(args, "sphere solve", {"alpha": alpha, **_sphere_solve_payload(rep)})
+    _emit_json(args, "sphere solve", {"alpha": alpha, **_solve_payload(rep, sphere_field_to_json, "kernel_coeffs")})
     return 0
 
 

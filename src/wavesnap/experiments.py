@@ -78,7 +78,7 @@ def recursion_roundtrip(seed: int = 0) -> dict:
         snaps = {m: evolve(data, float(m)) for m in range(-21, 22)}
         cos1 = symbol_Sprime(1.0)
         for m in range(-20, 21):
-            via = snapshots.integer_snapshot(u0, u1, m)
+            via = snapshots.general_integer_snapshot(u0, u1, 0.0, 1.0, m)
             worst_closed = max(worst_closed, max_abs_amp(subtract(via, snaps[m])))
         for m in range(-20, 20):
             lhs = linear_combine([1.0, 1.0], [snaps[m + 2], snaps[m]])
@@ -188,7 +188,7 @@ def three_snapshot_suite(seed: int = 0) -> dict:
         data = CauchyData(u0, g)
         worst_compat = max(
             worst_compat,
-            snapshots.compatibility_residual(u0, evolve(data, 1.0), evolve(data, alpha), alpha),
+            snapshots.compatibility_residual_general(u0, evolve(data, 1.0), evolve(data, alpha), 0.0, 1.0, alpha),
         )
     checks.append(f"compatibility residual on genuine triples: {worst_compat:.2e} (tol 1e-12)")
     ok = ok and worst_compat <= 1e-12
@@ -333,8 +333,8 @@ def sphere_suite(seed: int = 0) -> dict:
         f0 = sphere.sphere_field(n, [(l, 1, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for l in range(12)])
         g = sphere.sphere_field(n, [(l, 1, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for l in range(12)])
         for t in (0.0, 0.35, 1.7, 5.0):
-            u = sphere.sphere_evolve(f0, g, t)
-            v = sphere.sphere_evolve(f0, g, t + period)
+            u = evolve(CauchyData(f0, g), t)
+            v = evolve(CauchyData(f0, g), t + period)
             worst_period = max(
                 worst_period,
                 max(abs(u.amplitude_at(l, m) - v.amplitude_at(l, m)) for l, m, _ in u.coeffs),
@@ -357,7 +357,7 @@ def sphere_suite(seed: int = 0) -> dict:
         f0 = sphere.sphere_field(n, entries)
         entries = [(l, m, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for l in range(8) for m in (1, sphere.dim_Hl(n, l))]
         g = sphere.sphere_field(n, entries)
-        rep = sphere.sphere_two_snapshot_solve(f0, sphere.sphere_evolve(f0, g, alpha), alpha)
+        rep = sphere.sphere_two_snapshot_solve(f0, evolve(CauchyData(f0, g), alpha), alpha)
         err = max(
             (abs(rep.solution.amplitude_at(l, m) - amp) for l, m, amp in g.coeffs),
             default=math.inf,
@@ -370,7 +370,7 @@ def sphere_suite(seed: int = 0) -> dict:
 
     beta_l = Fraction(110001, 10**6)  # the depth-3 factorial series, exactly
     f0 = sphere.sphere_field(3, [(99, 1, 1.0)])
-    fa = sphere.sphere_evolve(f0, sphere.sphere_field(3, [(99, 1, 0.5)]), math.pi * float(beta_l))
+    fa = evolve(CauchyData(f0, sphere.sphere_field(3, [(99, 1, 0.5)])), math.pi * float(beta_l))
     rep = sphere.sphere_two_snapshot_solve(f0, fa, beta_l, max_degree=256)
     checks.append(f"conditioning at the q=100 convergent degree: {rep.conditioning:.3e}")
     ok = ok and rep.conditioning >= 1e5

@@ -1,9 +1,11 @@
 """Band-limited spectral fields and the multiplier operators that act on them.
 
-A field is a finite sum of plane-wave modes c * exp(i xi . x).  Every operator
-in this package is a Fourier multiplier, so it acts diagonally: the amplitude
-at frequency xi is multiplied by a symbol value at the spectral radius
-lambda = |xi|.  Keeping fields as explicit mode lists makes each operator
+A field is a sparse vector over a basis with a known frequency per key (the
+`Field` interface).  Here the basis is the plane waves exp(i xi . x), keyed
+by xi with frequency lambda = |xi|; `wavesnap.sphere` supplies the spherical
+harmonics.  Every operator in this package is a multiplier, so it acts
+diagonally: the amplitude at each key is multiplied by a symbol value at that
+key's frequency.  Keeping fields as explicit mode lists makes each operator
 identity checkable mode by mode, with no discretization error beyond the
 symbol evaluations themselves.
 """
@@ -17,6 +19,7 @@ import os
 import tempfile
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from typing import Any, NamedTuple, Protocol
 
 
 class DimensionMismatch(ValueError):
@@ -28,8 +31,19 @@ class SymbolUndefined(RuntimeError):
     singularity, which is a programming error rather than bad data."""
 
 
-@dataclass(frozen=True)
-class Mode:
+class Field(Protocol):
+    """What the generic operators need of a field kind: its canonical
+    (key, amplitude) items sorted by key, the frequency at which symbols are
+    evaluated for a key, a canonical field over the same basis built from
+    (key, amplitude) entries, and a typed error unless `other` shares the basis."""
+
+    def items(self) -> Iterable[tuple[Any, complex]]: ...
+    def frequency(self, key: Any) -> float: ...
+    def with_items(self, entries: Iterable[tuple[Any, complex]]) -> Field: ...
+    def check_same_basis(self, other: object) -> None: ...
+
+
+class Mode(NamedTuple):
     xi: tuple[float, ...]
     amp: complex
 
@@ -41,7 +55,7 @@ class Mode:
 @dataclass(frozen=True)
 class SpectralField:
     """Canonical finite mode sum: frequencies sorted, exact duplicates merged,
-    zero amplitudes dropped.  Construct through `field` or `canonicalize`."""
+    zero amplitudes dropped.  Construct through `field`."""
 
     dim: int
     modes: tuple[Mode, ...]
@@ -52,8 +66,21 @@ class SpectralField:
                 return m.amp
         return 0j
 
-    def frequencies(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(m.xi for m in self.modes)
+    def items(self) -> tuple[Mode, ...]:
+        return self.modes  # each Mode is an (xi, amp) pair
+
+    @staticmethod
+    def frequency(xi: tuple[float, ...]) -> float:
+        return math.hypot(*xi)
+
+    def with_items(self, entries: Iterable[tuple[Sequence[float], complex]]) -> SpectralField:
+        return field(self.dim, entries)
+
+    def check_same_basis(self, other: object) -> None:
+        if not isinstance(other, SpectralField):
+            raise DimensionMismatch(f"cannot mix a flat field with a {type(other).__name__}")
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"mixed dimensions {self.dim} and {other.dim}")
 
 
 def _clean_xi(dim: int, xi: Sequence[float]) -> tuple[float, ...]:
@@ -81,10 +108,6 @@ def field(dim: int, entries: Iterable[tuple[Sequence[float], complex]]) -> Spect
         merged[key] = merged.get(key, 0j) + amp
     modes = tuple(Mode(xi, amp) for xi, amp in sorted(merged.items()) if amp != 0)
     return SpectralField(dim, modes)
-
-
-def canonicalize(f: SpectralField) -> SpectralField:
-    return field(f.dim, ((m.xi, m.amp) for m in f.modes))
 
 
 def evaluate(f: SpectralField, x: Sequence[float]) -> complex:
@@ -121,41 +144,42 @@ def symbol_constant(c: complex, label: str | None = None) -> MultiplierSymbol:
     return MultiplierSymbol(label if label is not None else f"{c:g}", lambda lam: c)
 
 
-def apply_multiplier(f: SpectralField, symbol: MultiplierSymbol) -> SpectralField:
+def apply_multiplier(f: Field, symbol: MultiplierSymbol) -> Field:
+    """Multiply each amplitude by the symbol at its key's frequency."""
     out = []
-    for m in f.modes:
+    for key, amp in f.items():
+        lam = f.frequency(key)
         try:
-            value = complex(symbol(m.radius))
+            value = complex(symbol(lam))
         except (ArithmeticError, ValueError) as exc:
-            raise SymbolUndefined(f"symbol {symbol.label} failed at lambda={m.radius!r}") from exc
+            raise SymbolUndefined(f"symbol {symbol.label} failed at lambda={lam!r}") from exc
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise SymbolUndefined(f"symbol {symbol.label} returned {value!r} at lambda={m.radius!r}")
-        out.append((m.xi, value * m.amp))
-    return field(f.dim, out)
+            raise SymbolUndefined(f"symbol {symbol.label} returned {value!r} at lambda={lam!r}")
+        out.append((key, value * amp))
+    return f.with_items(out)
 
 
-def linear_combine(coeffs: Sequence[complex], fields: Sequence[SpectralField]) -> SpectralField:
+def linear_combine(coeffs: Sequence[complex], fields: Sequence[Field]) -> Field:
+    """sum_i coeffs[i] fields[i], over one basis."""
     if len(coeffs) != len(fields):
         raise ValueError(f"{len(coeffs)} coefficients for {len(fields)} fields")
     if not fields:
         raise ValueError("need at least one field")
-    dim = fields[0].dim
-    for f in fields:
-        if f.dim != dim:
-            raise DimensionMismatch(f"mixed dimensions {dim} and {f.dim}")
-    entries: list[tuple[tuple[float, ...], complex]] = []
+    for f in fields[1:]:
+        fields[0].check_same_basis(f)
+    entries = []
     for c, f in zip(coeffs, fields):
-        for m in f.modes:
-            entries.append((m.xi, complex(c) * m.amp))
-    return field(dim, entries)
+        c = complex(c)
+        entries.extend((key, c * amp) for key, amp in f.items())
+    return fields[0].with_items(entries)
 
 
-def subtract(a: SpectralField, b: SpectralField) -> SpectralField:
+def subtract(a: Field, b: Field) -> Field:
     return linear_combine([1.0, -1.0], [a, b])
 
 
-def max_abs_amp(f: SpectralField) -> float:
-    return max((abs(m.amp) for m in f.modes), default=0.0)
+def max_abs_amp(f: Field) -> float:
+    return max((abs(amp) for _, amp in f.items()), default=0.0)
 
 
 def zero_field(dim: int) -> SpectralField:

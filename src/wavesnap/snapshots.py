@@ -13,6 +13,7 @@ modes, minimal-norm representative returned), "Obstructed" (no wave fits).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,9 +21,8 @@ import mpmath
 
 from . import diophantine
 from .fields import (
-    SpectralField,
+    Field,
     apply_multiplier,
-    field,
     linear_combine,
     max_abs_amp,
     subtract,
@@ -58,31 +58,37 @@ class IncompatibleData(ValueError):
 
 @dataclass(frozen=True)
 class CauchyData:
-    position: SpectralField
-    velocity: SpectralField
+    """Position and velocity over one basis: flat plane waves or sphere harmonics."""
+
+    position: Field
+    velocity: Field
 
     def __post_init__(self) -> None:
-        if self.position.dim != self.velocity.dim:
-            raise ValueError(
-                f"position dim {self.position.dim} != velocity dim {self.velocity.dim}"
-            )
+        self.position.check_same_basis(self.velocity)
 
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of `diagonal_solve`.  `kernel_modes` lists the free keys:
+    frequencies for flat fields, (l, m) pairs on the sphere."""
+
     status: str
-    solution: SpectralField | None
+    solution: Field | None
     residual: float
     conditioning: float
-    kernel_modes: tuple[tuple[float, ...], ...]
+    kernel_modes: tuple
     note: str = ""
 
     @property
     def solvable(self) -> bool:
         return self.status != STATUS_OBSTRUCTED
 
+    @property
+    def kernel_coeffs(self) -> tuple:
+        return self.kernel_modes  # the sphere's name for the kernel keys, kept for the benchmark
 
-def evolve(data: CauchyData, t: float) -> SpectralField:
+
+def evolve(data: CauchyData, t: float) -> Field:
     """u_t = S'_t u0 + S_t g."""
     return linear_combine(
         [1.0, 1.0],
@@ -111,34 +117,22 @@ def wave_residual(data: CauchyData, t: float, h: float) -> float:
     return max_abs_amp(r)
 
 
-def kernel_modes(f: SpectralField, t: float) -> tuple[tuple[float, ...], ...]:
-    """Frequencies of f annihilated by S_t: radius in (pi/t) Z, excluding 0
+def _is_kernel(t: float, lam: float) -> bool:
+    """lam is a kernel frequency of S_t: radius in (pi/t) Z, excluding 0
     where the symbol continues to t != 0."""
+    return lam > 0 and abs(math.sin(t * lam)) < KERNEL_SIN_TOL
+
+
+def kernel_modes(f: Field, t: float) -> tuple:
+    """Keys of f annihilated by S_t."""
     if t == 0:
         raise InvalidTime("S_0 = 0: every frequency is in the kernel")
-    out = []
-    for m in f.modes:
-        lam = m.radius
-        if lam > 0 and abs(math.sin(t * lam)) < KERNEL_SIN_TOL:
-            out.append(m.xi)
-    return tuple(out)
-
-
-def integer_snapshot(u0: SpectralField, u1: SpectralField, m: int) -> SpectralField:
-    """u_m = Psi_m u1 - Psi_{m-1} u0: the closed form of the integer-time
-    snapshot recursion, valid for every integer m."""
-    return linear_combine(
-        [1.0, -1.0],
-        [
-            apply_multiplier(u1, symbol_Psi(m, 1.0)),
-            apply_multiplier(u0, symbol_Psi(m - 1, 1.0)),
-        ],
-    )
+    return tuple(key for key, _ in f.items() if _is_kernel(t, f.frequency(key)))
 
 
 def general_integer_snapshot(
-    ua: SpectralField, ub: SpectralField, a: float, b: float, m: int
-) -> SpectralField:
+    ua: Field, ub: Field, a: float, b: float, m: int
+) -> Field:
     """u at time a + m (b - a), from the snapshots at a < b."""
     if not b > a:
         raise InvalidTimes(f"need a < b, got a={a}, b={b}")
@@ -156,15 +150,8 @@ def general_integer_snapshot(
 # compatibility residuals
 
 
-def compatibility_residual(
-    f0: SpectralField, f1: SpectralField, falpha: SpectralField, alpha: float
-) -> float:
-    """Residual of the three-time identity at times (0, 1, alpha)."""
-    return compatibility_residual_general(f0, f1, falpha, 0.0, 1.0, float(alpha))
-
-
 def compatibility_residual_general(
-    fa: SpectralField, fb: SpectralField, fc: SpectralField, a: float, b: float, c: float
+    fa: Field, fb: Field, fc: Field, a: float, b: float, c: float
 ) -> float:
     """Residual of S_{c-b} fa + S_{a-c} fb + S_{b-a} fc, which vanishes on
     genuine snapshot triples at times (a, b, c)."""
@@ -180,7 +167,7 @@ def compatibility_residual_general(
 
 
 def rational_compatibility_residual(
-    f0: SpectralField, fp: SpectralField, fq: SpectralField, p: int, q: int
+    f0: Field, fp: Field, fq: Field, p: int, q: int
 ) -> float:
     """Residual of Psi_q (fp - S'_p f0) = Psi_p (fq - S'_q f0) for integer
     snapshot times 0, p, q."""
@@ -198,7 +185,7 @@ def _validate_pq(p: int, q: int) -> None:
 
 
 def _psi_gate_residual(
-    f0: SpectralField, fa: SpectralField, fb: SpectralField, p: int, q: int, unit: float
+    f0: Field, fa: Field, fb: Field, p: int, q: int, unit: float
 ) -> float:
     va = subtract(fa, apply_multiplier(f0, symbol_Sprime(p * unit)))
     vb = subtract(fb, apply_multiplier(f0, symbol_Sprime(q * unit)))
@@ -210,49 +197,96 @@ def _psi_gate_residual(
 # ---------------------------------------------------------------------------
 # solvers
 
+# One scalar equation s g = r at a key; s counts as zero when the flag is set.
+Equation = tuple[float, bool, complex]
 
-def two_snapshot_solve(f0: SpectralField, f1: SpectralField) -> SolveReport:
+
+def diagonal_solve(
+    support: Sequence[Field],
+    rhs: Sequence[Field],
+    row: Callable[..., tuple[Sequence[Equation], float]],
+    kernel_note: str,
+    verify: Callable[[Field], tuple[float, str]] | None = None,
+) -> SolveReport:
+    """Solve for g key by key over the union of the keys of `support`.
+
+    `row(key, *amps)` gets the key's amplitudes in the `rhs` fields and
+    returns the key's equations and a gain; the key's conditioning is
+    gain / |s| over its nonzero symbols.  Where every symbol is zero the key
+    is in the kernel: g is free (0 is returned) and the data is Obstructed
+    unless every right side is within OBSTRUCTION_AMP_TOL of 0.  Elsewhere
+    g = r / s from the first nonzero equation, and the other equations must
+    agree within CONSISTENCY_TOL (1 + conditioning).  `verify(g)` gives a
+    post-check residual and a note, held to the same bound; without it the
+    residual is the cross-equation inconsistency.
+    """
+    for f in support[1:]:
+        support[0].check_same_basis(f)
+    tables = [dict(f.items()) for f in rhs]
+    keys = sorted({key for f in support for key, _ in f.items()})
+    entries = []
+    kernel = []
+    obstruction = conditioning = inconsistency = 0.0
+    for key in keys:
+        eqs, gain = row(key, *(t.get(key, 0j) for t in tables))
+        i = next((i for i, (_, zero, _) in enumerate(eqs) if not zero), None)
+        if i is None:
+            kernel.append(key)
+            obstruction = max(obstruction, *(abs(r) for _, _, r in eqs))
+            continue
+        g = eqs[i][2] / eqs[i][0]
+        for j, (s, zero, r) in enumerate(eqs):
+            if not zero:
+                conditioning = max(conditioning, gain / abs(s))
+            if j != i:
+                inconsistency = max(inconsistency, abs(g * s - r))
+        entries.append((key, g))
+    kernel = tuple(kernel)
+    if obstruction > OBSTRUCTION_AMP_TOL:
+        return SolveReport(STATUS_OBSTRUCTED, None, obstruction, conditioning, kernel, kernel_note)
+    tol = CONSISTENCY_TOL * (1.0 + conditioning)
+    if inconsistency > tol:
+        note = f"cross-equation inconsistency {inconsistency:.3e} exceeds {tol:.3e}"
+        return SolveReport(STATUS_OBSTRUCTED, None, inconsistency, conditioning, kernel, note)
+    g = support[0].with_items(entries)
+    residual, note = verify(g) if verify is not None else (inconsistency, "")
+    if residual > tol:
+        note = "post-verification failed" + (": " + note if note else "")
+        return SolveReport(STATUS_OBSTRUCTED, None, residual, conditioning, kernel, note)
+    return SolveReport(STATUS_NONUNIQUE if kernel else STATUS_UNIQUE, g, residual, conditioning, kernel, note)
+
+
+def _sine_equation(t: float) -> Callable[[float, complex], Equation]:
+    """(lam, r) -> the equation S_t g = r at frequency lam."""
+    s = symbol_S(t)
+    return lambda lam, r: (s(lam), _is_kernel(t, lam), r)
+
+
+def two_snapshot_solve(f0: Field, f1: Field) -> SolveReport:
     """Velocity g from snapshots at times 0 and 1.
 
     Modes with radius in pi Z (0 excluded) lie in the kernel of S_1: data
     there either obstructs (nonzero right side) or is free (minimal-norm
     g = 0 returned, mode listed)."""
     rhs = subtract(f1, apply_multiplier(f0, symbol_Sprime(1.0)))
-    union = sorted({m.xi for m in f0.modes} | {m.xi for m in f1.modes})
-    s1 = symbol_S(1.0)
-    kernel: list[tuple[float, ...]] = []
-    entries: list[tuple[tuple[float, ...], complex]] = []
-    obstruction = 0.0
-    conditioning = 0.0
-    for xi in union:
-        lam = math.hypot(*xi)
-        amp = rhs.amplitude_at(xi)
-        if lam > 0 and abs(math.sin(lam)) < KERNEL_SIN_TOL:
-            kernel.append(xi)
-            obstruction = max(obstruction, abs(amp))
-            continue
-        s = s1(lam)
-        conditioning = max(conditioning, 1.0 / abs(s))
-        entries.append((xi, amp / s))
-    if obstruction > OBSTRUCTION_AMP_TOL:
-        return SolveReport(
-            STATUS_OBSTRUCTED,
-            None,
-            residual=obstruction,
-            conditioning=conditioning,
-            kernel_modes=tuple(kernel),
-            note="data at kernel frequencies of S_1 has no preimage",
-        )
-    g = field(f0.dim, entries)
-    residual = max_abs_amp(subtract(f1, evolve(CauchyData(f0, g), 1.0)))
-    status = STATUS_NONUNIQUE if kernel else STATUS_UNIQUE
-    return SolveReport(status, g, residual, conditioning, tuple(kernel))
+    eq1 = _sine_equation(1.0)
+
+    def verify(g: Field) -> tuple[float, str]:
+        return max_abs_amp(subtract(f1, evolve(CauchyData(f0, g), 1.0))), ""
+
+    return diagonal_solve(
+        (f0, f1),
+        (rhs,),
+        lambda xi, v: ((eq1(f0.frequency(xi), v),), 1.0),
+        "data at kernel frequencies of S_1 has no preimage",
+        verify,
+    )
 
 
 def three_snapshot_solve(
-    f0: SpectralField,
-    f1: SpectralField,
-    falpha: SpectralField,
+    f0: Field,
+    f1: Field,
+    falpha: Field,
     alpha: float | Fraction,
 ) -> SolveReport:
     """Velocity g from snapshots at times 0, 1, alpha.
@@ -284,65 +318,17 @@ def three_snapshot_solve(
 
     rhs1 = subtract(f1, apply_multiplier(f0, symbol_Sprime(1.0)))
     rhsa = subtract(falpha, apply_multiplier(f0, symbol_Sprime(alpha)))
-    union = sorted(
-        {m.xi for m in f0.modes} | {m.xi for m in f1.modes} | {m.xi for m in falpha.modes}
-    )
-    s1 = symbol_S(1.0)
-    sa = symbol_S(alpha)
-    entries: list[tuple[tuple[float, ...], complex]] = []
-    kernel: list[tuple[float, ...]] = []
-    conditioning = 0.0
-    inconsistency = 0.0
-    obstruction = 0.0
-    for xi in union:
-        lam = math.hypot(*xi)
-        v = rhs1.amplitude_at(xi)
-        w = rhsa.amplitude_at(xi)
-        z1 = lam > 0 and abs(math.sin(lam)) < KERNEL_SIN_TOL
-        za = lam > 0 and abs(math.sin(alpha * lam)) < KERNEL_SIN_TOL
-        if z1 and za:
-            kernel.append(xi)
-            obstruction = max(obstruction, abs(v), abs(w))
-            continue
-        if not z1:
-            s1v = s1(lam)
-            g = v / s1v
-            conditioning = max(conditioning, 1.0 / abs(s1v))
-            if not za:
-                conditioning = max(conditioning, 1.0 / abs(sa(lam)))
-            inconsistency = max(inconsistency, abs(g * sa(lam) - w))
-        else:
-            sav = sa(lam)
-            g = w / sav
-            conditioning = max(conditioning, 1.0 / abs(sav))
-            inconsistency = max(inconsistency, abs(g * s1(lam) - v))
-        entries.append((xi, g))
-    if obstruction > OBSTRUCTION_AMP_TOL:
-        return SolveReport(
-            STATUS_OBSTRUCTED,
-            None,
-            residual=obstruction,
-            conditioning=conditioning,
-            kernel_modes=tuple(kernel),
-            note="data at shared kernel frequencies has no preimage",
-        )
-    tol = CONSISTENCY_TOL * (1.0 + conditioning)
-    if inconsistency > tol:
-        return SolveReport(
-            STATUS_OBSTRUCTED,
-            None,
-            residual=inconsistency,
-            conditioning=conditioning,
-            kernel_modes=tuple(kernel),
-            note=f"cross-equation inconsistency {inconsistency:.3e} exceeds {tol:.3e}",
-        )
-    g = field(f0.dim, entries)
-    status = STATUS_NONUNIQUE if kernel else STATUS_UNIQUE
-    return SolveReport(status, g, inconsistency, conditioning, tuple(kernel))
+    eq1, eqa = _sine_equation(1.0), _sine_equation(alpha)
+
+    def row(xi: tuple[float, ...], v: complex, w: complex) -> tuple[tuple[Equation, ...], float]:
+        lam = f0.frequency(xi)
+        return (eq1(lam, v), eqa(lam, w)), 1.0
+
+    return diagonal_solve((f0, f1, falpha), (rhs1, rhsa), row, "data at shared kernel frequencies has no preimage")
 
 
 def rational_reconstruct(
-    f0: SpectralField, fp: SpectralField, fq: SpectralField, p: int, q: int
+    f0: Field, fp: Field, fq: Field, p: int, q: int
 ) -> SolveReport:
     """Velocity from integer-time snapshots 0, p, q with gcd(p, q) = 1.
 
@@ -356,9 +342,9 @@ def rational_reconstruct(
 
 
 def _bezout_solve(
-    f0: SpectralField,
-    fa: SpectralField,
-    fb: SpectralField,
+    f0: Field,
+    fa: Field,
+    fb: Field,
     p: int,
     q: int,
     unit: float,
@@ -383,47 +369,23 @@ def _bezout_solve(
     sym_b = symbol_product(symbol_Psi(l, q * unit), symbol_Sprime(k * p * unit))
     num = linear_combine([1.0, 1.0], [apply_multiplier(va, sym_a), apply_multiplier(vb, sym_b)])
     su = symbol_S(unit)
-    union = sorted({m.xi for m in f0.modes} | {m.xi for m in fa.modes} | {m.xi for m in fb.modes})
-    kernel: list[tuple[float, ...]] = []
-    entries: list[tuple[tuple[float, ...], complex]] = []
-    obstruction = 0.0
-    conditioning = 0.0
-    for xi in union:
-        lam = math.hypot(*xi)
-        if lam > 0 and abs(math.sin(unit * lam)) < KERNEL_SIN_TOL:
-            kernel.append(xi)
-            obstruction = max(obstruction, abs(va.amplitude_at(xi)), abs(vb.amplitude_at(xi)))
-            continue
-        suv = su(lam)
-        amplification = (abs(sym_a(lam)) + abs(sym_b(lam))) / abs(suv)
-        conditioning = max(conditioning, amplification)
-        entries.append((xi, num.amplitude_at(xi) / suv))
-    if obstruction > OBSTRUCTION_AMP_TOL:
-        return SolveReport(
-            STATUS_OBSTRUCTED,
-            None,
-            residual=obstruction,
-            conditioning=conditioning,
-            kernel_modes=tuple(kernel),
-            note="kernel-mode data admits no wave through all three snapshots",
-        )
-    g = field(f0.dim, entries)
-    data = CauchyData(f0, g)
-    ra = max_abs_amp(subtract(fa, evolve(data, p * unit)))
-    rb = max_abs_amp(subtract(fb, evolve(data, q * unit)))
-    residual = max(ra, rb)
-    note = f"bezout k={k}, l={l}; residual at t={p * unit:g}: {ra:.3e}, t={q * unit:g}: {rb:.3e}"
-    if residual > CONSISTENCY_TOL * (1.0 + conditioning):
-        return SolveReport(
-            STATUS_OBSTRUCTED,
-            None,
-            residual=residual,
-            conditioning=conditioning,
-            kernel_modes=tuple(kernel),
-            note="post-verification failed: " + note,
-        )
-    status = STATUS_NONUNIQUE if kernel else STATUS_UNIQUE
-    return SolveReport(status, g, residual, conditioning, tuple(kernel), note)
+
+    def row(xi: tuple[float, ...], a: complex, b: complex, c: complex) -> tuple[tuple[Equation, ...], float]:
+        lam = f0.frequency(xi)
+        if _is_kernel(unit, lam):
+            # S_{pu} and S_{qu} vanish with S_u, so neither window sees g here
+            return ((0.0, True, a), (0.0, True, b)), 1.0
+        return ((su(lam), False, c),), abs(sym_a(lam)) + abs(sym_b(lam))
+
+    def verify(g: Field) -> tuple[float, str]:
+        data = CauchyData(f0, g)
+        ra = max_abs_amp(subtract(fa, evolve(data, p * unit)))
+        rb = max_abs_amp(subtract(fb, evolve(data, q * unit)))
+        return max(ra, rb), f"bezout k={k}, l={l}; residual at t={p * unit:g}: {ra:.3e}, t={q * unit:g}: {rb:.3e}"
+
+    return diagonal_solve(
+        (f0, fa, fb), (va, vb, num), row, "kernel-mode data admits no wave through all three snapshots", verify
+    )
 
 
 # ---------------------------------------------------------------------------

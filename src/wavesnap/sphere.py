@@ -9,9 +9,13 @@ beta (n odd) or beta/2 (n even) is approximable by rationals, which is why
 the solvers below accept `alpha` either as a float (generic time) or as an
 exact Fraction beta meaning beta * pi (arithmetically pinned time).
 
-Fields live as finite coefficient lists over an orthonormal basis Y_{l,m},
-m = 1 .. dim_Hl(n, l), with m = 1 the zonal direction: Y_{l,1} = sqrt(d_l) phi_l
-for the normalized Gegenbauer zonal polynomial phi_l.
+A field is a sparse vector over a basis with a known frequency per key, as
+in `wavesnap.fields`: here the basis is an orthonormal Y_{l,m},
+m = 1 .. dim_Hl(n, l), keyed by (l, m) with frequency w = l + (n-1)/2, and
+m = 1 the zonal direction: Y_{l,1} = sqrt(d_l) phi_l for the normalized
+Gegenbauer zonal polynomial phi_l.  `SphereField` has the same interface as
+`SpectralField`, so evolution, snapshots and the diagonal solver of
+`wavesnap.snapshots` serve both.
 """
 
 from __future__ import annotations
@@ -31,16 +35,15 @@ from .diophantine import (
     Unclassifiable,
     slow_decay_check,
 )
-from .fields import write_text_atomic
-from .propagators import symbol_Psi
+from .fields import DimensionMismatch, max_abs_amp, subtract, write_text_atomic
 from .snapshots import (
     KERNEL_SIN_TOL,
-    OBSTRUCTION_AMP_TOL,
-    CONSISTENCY_TOL,
-    STATUS_NONUNIQUE,
-    STATUS_OBSTRUCTED,
-    STATUS_UNIQUE,
-    InvalidTime,
+    CauchyData,
+    Equation,
+    SolveReport,
+    diagonal_solve,
+    evolve,
+    general_integer_snapshot,
 )
 
 
@@ -94,8 +97,20 @@ class SphereField:
                 return amp
         return 0j
 
-    def keys(self) -> tuple[tuple[int, int], ...]:
-        return tuple((l, m) for l, m, _ in self.coeffs)
+    def items(self) -> list[tuple[tuple[int, int], complex]]:
+        return [((l, m), amp) for l, m, amp in self.coeffs]
+
+    def frequency(self, key: tuple[int, int]) -> float:
+        return frequency(self.n, key[0])
+
+    def with_items(self, entries: Iterable[tuple[tuple[int, int], complex]]) -> SphereField:
+        return sphere_field(self.n, ((l, m, amp) for (l, m), amp in entries))
+
+    def check_same_basis(self, other: object) -> None:
+        if not isinstance(other, SphereField):
+            raise DimensionMismatch(f"cannot mix a sphere field with a {type(other).__name__}")
+        if other.n != self.n:
+            raise ParamsMismatch(f"sphere dimensions differ: {self.n} vs {other.n}")
 
     @property
     def max_degree(self) -> int:
@@ -121,15 +136,6 @@ def sphere_field(n: int, entries: Iterable[tuple[int, int, complex]]) -> SphereF
         merged[(l, m)] = merged.get((l, m), 0j) + amp
     coeffs = tuple((l, m, amp) for (l, m), amp in sorted(merged.items()) if amp != 0)
     return SphereField(n, coeffs)
-
-
-def max_abs_coeff(f: SphereField) -> float:
-    return max((abs(amp) for _, _, amp in f.coeffs), default=0.0)
-
-
-def _check_same_sphere(a: SphereField, b: SphereField) -> None:
-    if a.n != b.n:
-        raise ParamsMismatch(f"sphere dimensions differ: {a.n} vs {b.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -200,48 +206,21 @@ def schur_cos(n: int, l: int, alpha: float | Fraction) -> float:
     return math.cos(0.5 * w2 * float(alpha))
 
 
-def schur_psi(n: int, l: int, m: int, alpha: float) -> float:
-    """The snapshot quotient sin(m w alpha)/sin(w alpha) at w = l + (n-1)/2,
-    through the same guarded evaluation as the flat symbols."""
-    if alpha == 0:
-        raise InvalidTime("snapshot step alpha must be nonzero")
-    return float(symbol_Psi(m, float(alpha))(l + 0.5 * (n - 1)).real)
-
-
 # ---------------------------------------------------------------------------
 # evolution and snapshots
 
 
 def sphere_evolve(f0: SphereField, g: SphereField, t: float) -> SphereField:
-    """Coefficient-wise a cos(w t) + b sin(w t)/w."""
-    _check_same_sphere(f0, g)
-    t = float(t)
-    keys = sorted(set(f0.keys()) | set(g.keys()))
-    out = []
-    for l, m in keys:
-        w = frequency(f0.n, l)
-        a = f0.amplitude_at(l, m)
-        b = g.amplitude_at(l, m)
-        out.append((l, m, a * math.cos(w * t) + b * math.sin(w * t) / w))
-    return sphere_field(f0.n, out)
+    return evolve(CauchyData(f0, g), t)  # kept under this name for the benchmark
 
 
 def sphere_snapshot(u0: SphereField, ualpha: SphereField, alpha: float, m: int) -> SphereField:
-    """Snapshot at time m alpha from the pair at times 0 and alpha:
-    coefficient-wise u0 cos(m w alpha) + (ualpha - u0 cos(w alpha)) Psi_m."""
-    _check_same_sphere(u0, ualpha)
+    """Snapshot at time m alpha from the pair at times 0 and alpha != 0; a
+    negative alpha reads the pair as (alpha, 0), the snapshot as step 1 - m."""
     alpha = float(alpha)
-    if alpha == 0:
-        raise InvalidTime("snapshot step alpha must be nonzero")
-    keys = sorted(set(u0.keys()) | set(ualpha.keys()))
-    out = []
-    for l, mm in keys:
-        w = frequency(u0.n, l)
-        a = u0.amplitude_at(l, mm)
-        fa = ualpha.amplitude_at(l, mm)
-        psi = schur_psi(u0.n, l, m, alpha)
-        out.append((l, mm, a * math.cos(m * w * alpha) + (fa - a * math.cos(w * alpha)) * psi))
-    return sphere_field(u0.n, out)
+    if alpha > 0:
+        return general_integer_snapshot(u0, ualpha, 0.0, alpha, m)
+    return general_integer_snapshot(ualpha, u0, alpha, 0.0, 1 - m)
 
 
 def huygens_antipodal_check(
@@ -250,7 +229,7 @@ def huygens_antipodal_check(
     """Max residual of u(-x, t + pi) = (-1)^((n-1)/2) u(x, t) over zonal
     evaluation points and the given times.  Odd n only; this is the clean
     Huygens statement the shifted equation satisfies."""
-    _check_same_sphere(f0, g)
+    data = CauchyData(f0, g)
     n = f0.n
     if n % 2 == 0:
         raise RequiresOddDimension(f"antipodal identity needs odd n, got {n}")
@@ -262,8 +241,8 @@ def huygens_antipodal_check(
     cs = [math.cos(math.pi * j / (c_count - 1)) for j in range(c_count)]
     worst = 0.0
     for t in times:
-        u_here = sphere_evolve(f0, g, t)
-        u_there = sphere_evolve(f0, g, t + math.pi)
+        u_here = evolve(data, t)
+        u_there = evolve(data, t + math.pi)
         for c in cs:
             r = abs(zonal_value(u_there, -c) - sign * zonal_value(u_here, c))
             worst = max(worst, r)
@@ -274,26 +253,12 @@ def huygens_antipodal_check(
 # the two-snapshot problem on the sphere
 
 
-@dataclass(frozen=True)
-class SphereSolveReport:
-    status: str
-    solution: SphereField | None
-    residual: float
-    conditioning: float
-    kernel_coeffs: tuple[tuple[int, int], ...]
-    note: str = ""
-
-    @property
-    def solvable(self) -> bool:
-        return self.status != STATUS_OBSTRUCTED
-
-
 def sphere_two_snapshot_solve(
     f0: SphereField,
     falpha: SphereField,
     alpha: float | Fraction,
     max_degree: int = 256,
-) -> SphereSolveReport:
+) -> SolveReport:
     """Velocity g from u at times 0 and alpha, coefficient by coefficient:
     g_{l,m} = (falpha_{l,m} - cos(w alpha) f0_{l,m}) / (sin(w alpha)/w).
 
@@ -301,51 +266,19 @@ def sphere_two_snapshot_solve(
     multiples of pi report their kernel exactly; float alpha uses the 1e-14
     sine threshold.  Data on a zero Schur constant either obstructs or is
     free, as in the flat case."""
-    _check_same_sphere(f0, falpha)
     top = max(f0.max_degree, falpha.max_degree)
     if top > max_degree:
         raise ValueError(f"data degree {top} exceeds max_degree {max_degree}")
-    keys = sorted(set(f0.keys()) | set(falpha.keys()))
-    entries = []
-    kernel: list[tuple[int, int]] = []
-    obstruction = 0.0
-    conditioning = 0.0
-    for l, m in keys:
-        a = f0.amplitude_at(l, m)
-        b = falpha.amplitude_at(l, m)
-        s, is_zero = schur_sin(f0.n, l, alpha)
-        rhs = b - schur_cos(f0.n, l, alpha) * a
-        if is_zero:
-            kernel.append((l, m))
-            obstruction = max(obstruction, abs(rhs))
-            continue
-        conditioning = max(conditioning, 1.0 / abs(s))
-        entries.append((l, m, rhs / s))
-    if obstruction > OBSTRUCTION_AMP_TOL:
-        return SphereSolveReport(
-            STATUS_OBSTRUCTED,
-            None,
-            residual=obstruction,
-            conditioning=conditioning,
-            kernel_coeffs=tuple(kernel),
-            note="data on zero Schur constants has no preimage",
-        )
-    g = sphere_field(f0.n, entries)
-    verify = sphere_evolve(f0, g, _alpha_to_float(alpha))
-    residual = 0.0
-    for l, m in keys:
-        residual = max(residual, abs(verify.amplitude_at(l, m) - falpha.amplitude_at(l, m)))
-    status = STATUS_NONUNIQUE if kernel else STATUS_UNIQUE
-    if residual > CONSISTENCY_TOL * (1.0 + conditioning):
-        return SphereSolveReport(
-            STATUS_OBSTRUCTED,
-            None,
-            residual=residual,
-            conditioning=conditioning,
-            kernel_coeffs=tuple(kernel),
-            note="post-verification failed",
-        )
-    return SphereSolveReport(status, g, residual, conditioning, tuple(kernel))
+    n = f0.n
+
+    def row(key: tuple[int, int], a: complex, b: complex) -> tuple[tuple[Equation], float]:
+        s, is_zero = schur_sin(n, key[0], alpha)
+        return ((s, is_zero, b - schur_cos(n, key[0], alpha) * a),), 1.0
+
+    def verify(g: SphereField) -> tuple[float, str]:
+        return max_abs_amp(subtract(falpha, evolve(CauchyData(f0, g), _alpha_to_float(alpha)))), ""
+
+    return diagonal_solve((f0, falpha), (f0, falpha), row, "data on zero Schur constants has no preimage", verify)
 
 
 def surjectivity_margin(

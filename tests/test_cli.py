@@ -185,6 +185,12 @@ def test_exit_codes(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     # domain error: unclassifiable input
     assert cli.run(["sphere", "classify", "--number", "liouville:10:3", "--n", "2"]) == 1
+    # domain error: a time so large that the symbols overflow
+    pf = tmp_path / "f.json"
+    save_field(field(1, [((10.0,), 1.0)]), str(pf))
+    capsys.readouterr()
+    assert cli.run(["wave", "evolve", "--field", str(pf), "--velocity", str(pf), "--t", "1e308"]) == 1
+    assert "error" in capsys.readouterr().err
     # usage error: malformed fraction
     assert cli.run(["dio", "cfrac", "--value", "abc"]) == 2
 

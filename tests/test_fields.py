@@ -8,7 +8,6 @@ from wavesnap.fields import (
     DimensionMismatch,
     SymbolUndefined,
     apply_multiplier,
-    canonicalize,
     evaluate,
     field,
     field_from_json,
@@ -70,7 +69,8 @@ finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 )
 def test_canonicalize_idempotent(entries):
     f = field(2, [(xi, amp) for xi, amp in entries])
-    assert canonicalize(f) == f
+    assert field(f.dim, f.modes) == f
+    assert f.with_items(f.items()) == f
 
 
 def test_evaluate_is_plane_wave_sum():

@@ -42,9 +42,10 @@ def test_wave_residual_second_order_in_h():
 
 def test_integer_snapshot_endpoints_exact():
     data = wave(1, [((1.1,), 1.0)], [((1.1,), -2j)])
-    u0, u1 = evolve(data, 0.0), evolve(data, 1.0)
-    assert snap.integer_snapshot(u0, u1, 0) == u0
-    assert snap.integer_snapshot(u0, u1, 1) == u1
+    for a, b in ((0.0, 1.0), (0.3, 1.15)):
+        ua, ub = evolve(data, a), evolve(data, b)
+        assert snap.general_integer_snapshot(ua, ub, a, b, 0) == ua
+        assert snap.general_integer_snapshot(ua, ub, a, b, 1) == ub
 
 
 def test_general_snapshot_validates_times():
@@ -101,16 +102,17 @@ def test_kernel_modes_lists_sine_zeros():
 
 def test_compatibility_vanishes_on_genuine_waves():
     data = wave(2, [((1.0, 0.3), 1.0), ((0.4, 0.4), 1j)], [((1.0, 0.3), -0.5), ((0.4, 0.4), 2.0)])
-    alpha = 0.618
-    r = snap.compatibility_residual(evolve(data, 0.0), evolve(data, 1.0), evolve(data, alpha), alpha)
-    assert r < 1e-13
+    for a, b, c in ((0.0, 1.0, 0.618), (-0.4, 0.9, 2.2)):
+        r = snap.compatibility_residual_general(evolve(data, a), evolve(data, b), evolve(data, c), a, b, c)
+        assert r < 1e-13
 
 
 def test_compatibility_detects_perturbation():
     data = wave(1, [((1.0,), 1.0)], [((1.0,), 1.0)])
-    falpha = linear_combine([1.0, 1.0], [evolve(data, 0.618), field(1, [((1.0,), 1e-3)])])
-    r = snap.compatibility_residual(evolve(data, 0.0), evolve(data, 1.0), falpha, 0.618)
-    assert r > 1e-4
+    for a, b, c in ((0.0, 1.0, 0.618), (0.25, 1.5, 0.618)):
+        fc = linear_combine([1.0, 1.0], [evolve(data, c), field(1, [((1.0,), 1e-3)])])
+        r = snap.compatibility_residual_general(evolve(data, a), evolve(data, b), fc, a, b, c)
+        assert r > 1e-4
 
 
 def test_compatibility_symmetric_under_role_swap():

@@ -5,7 +5,9 @@ import pytest
 import scipy.special
 
 from wavesnap import diophantine as dio, sphere as sph
-from wavesnap.snapshots import STATUS_NONUNIQUE, STATUS_OBSTRUCTED, STATUS_UNIQUE
+from wavesnap.fields import DimensionMismatch, field, linear_combine
+from wavesnap.propagators import symbol_Psi
+from wavesnap.snapshots import STATUS_NONUNIQUE, STATUS_OBSTRUCTED, STATUS_UNIQUE, CauchyData, evolve
 
 
 def test_harmonic_dimensions():
@@ -107,7 +109,7 @@ def test_schur_cos_and_psi_consistent():
             want = 0.0
             if math.sin(w * alpha) != 0:
                 want = math.sin(m * w * alpha) / math.sin(w * alpha)
-            assert sph.schur_psi(n, l, m, alpha) == pytest.approx(want, abs=1e-9)
+            assert symbol_Psi(m, alpha)(w) == pytest.approx(want, abs=1e-9)
 
 
 # -- evolution and snapshots --------------------------------------------------
@@ -118,20 +120,36 @@ def test_sphere_evolve_mode_closed_form():
     g = sph.sphere_field(3, [(2, 3, 1.0)])
     w = 3.0  # l=2, n=3
     t = 0.9
-    u = sph.sphere_evolve(f0, g, t)
+    u = evolve(CauchyData(f0, g), t)
     assert u.amplitude_at(2, 3) == pytest.approx(math.cos(w * t) + math.sin(w * t) / w, abs=1e-15)
 
 
 def test_sphere_snapshot_matches_direct_evolution():
-    f0 = sph.sphere_field(2, [(l, 1, 0.7**l) for l in range(6)])
-    g = sph.sphere_field(2, [(l, 1, (-0.5) ** l * 1j) for l in range(6)])
-    alpha = 0.41
-    ua = sph.sphere_evolve(f0, g, alpha)
-    for m in (-3, 2, 5):
-        via = sph.sphere_snapshot(f0, ua, alpha, m)
-        direct = sph.sphere_evolve(f0, g, m * alpha)
-        worst = max(abs(via.amplitude_at(l, 1) - direct.amplitude_at(l, 1)) for l in range(6))
-        assert worst < 1e-12
+    # a negative alpha puts the snapshot pair at (alpha, 0)
+    for n, alpha in ((2, 0.41), (3, -0.45)):
+        data = CauchyData(
+            sph.sphere_field(n, [(l, 1, 0.7**l) for l in range(6)]),
+            sph.sphere_field(n, [(l, 1, (-0.5) ** l * 1j) for l in range(6)]),
+        )
+        ua = evolve(data, alpha)
+        for m in (-3, 0, 1, 2, 5):
+            via = sph.sphere_snapshot(data.position, ua, alpha, m)
+            direct = evolve(data, m * alpha)
+            worst = max(abs(via.amplitude_at(l, 1) - direct.amplitude_at(l, 1)) for l in range(6))
+            assert worst < 1e-12
+
+
+def test_mixed_bases_rejected():
+    flat = field(1, [((1.0,), 1.0)])
+    s2 = sph.sphere_field(2, [(1, 1, 1.0)])
+    s3 = sph.sphere_field(3, [(1, 1, 1.0)])
+    for a, b, err in ((flat, s2, DimensionMismatch), (s2, flat, DimensionMismatch), (s2, s3, sph.ParamsMismatch)):
+        with pytest.raises(err):
+            linear_combine([1.0, 1.0], [a, b])
+        with pytest.raises(err):
+            CauchyData(a, b)
+    with pytest.raises(sph.ParamsMismatch):
+        sph.sphere_two_snapshot_solve(s2, s3, 0.5)
 
 
 def test_huygens_needs_odd_sphere_and_zonal_data():
@@ -159,7 +177,7 @@ def test_sphere_solve_roundtrip_float_alpha():
     f0 = sph.sphere_field(2, [(l, 1, 1.0 / (1 + l)) for l in range(9)])
     g = sph.sphere_field(2, [(l, 1, complex(l, -l) / 9) for l in range(9)])
     alpha = 0.77
-    rep = sph.sphere_two_snapshot_solve(f0, sph.sphere_evolve(f0, g, alpha), alpha)
+    rep = sph.sphere_two_snapshot_solve(f0, evolve(CauchyData(f0, g), alpha), alpha)
     assert rep.status == STATUS_UNIQUE
     worst = max(abs(rep.solution.amplitude_at(l, 1) - g.amplitude_at(l, 1)) for l in range(9))
     assert worst <= 1e-9 * (1 + rep.conditioning)
@@ -169,7 +187,7 @@ def test_sphere_solve_alpha_pi_kernel():
     # alpha = pi on S^3: every frequency is an integer, so nothing of g survives
     f0 = sph.sphere_field(3, [(2, 1, 1.0)])
     g = sph.sphere_field(3, [(2, 1, 4.0)])
-    falpha = sph.sphere_evolve(f0, g, math.pi)
+    falpha = evolve(CauchyData(f0, g), math.pi)
     rep = sph.sphere_two_snapshot_solve(f0, falpha, Fraction(1, 1))
     assert rep.status == STATUS_NONUNIQUE
     assert (2, 1) in rep.kernel_coeffs
