@@ -457,17 +457,18 @@ def slow_decay_check(
 ) -> tuple[bool, float]:
     """Whether the rows admit a bound value >= C (1+l)^(-exponent) with C > 0.
     Returns (passes, C) where C is the best constant; an exact zero row
-    forces (False, 0)."""
+    forces (False, 0).  The rows are read once, so a generator serves."""
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
-    rows = table.rows if isinstance(table, SmallDenominatorTable) else tuple(table)
-    if not rows:
-        raise ValueError("no rows")
+    rows = table.rows if isinstance(table, SmallDenominatorTable) else table
     best = math.inf
+    l = None
     for l, v in rows:
         if v == 0.0:
             return False, 0.0
         best = min(best, v * float(1 + l) ** exponent)
+    if l is None:
+        raise ValueError("no rows")
     return best > 0.0, best
 
 

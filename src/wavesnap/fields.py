@@ -5,19 +5,24 @@ A field is a sparse vector over a basis with a known frequency per key (the
 by xi with frequency lambda = |xi|; `wavesnap.sphere` supplies the spherical
 harmonics.  Every operator in this package is a multiplier, so it acts
 diagonally: the amplitude at each key is multiplied by a symbol value at that
-key's frequency.  Keeping fields as explicit mode lists makes each operator
-identity checkable mode by mode, with no discretization error beyond the
-symbol evaluations themselves.
+key's frequency.  Keeping fields as explicit columns of keys, frequencies and
+amplitudes makes each operator identity checkable mode by mode, with no
+discretization error beyond the symbol evaluations themselves.  A multiplier
+never moves a key, so its result shares the key and frequency columns of its
+input, and keys that come out of a canonical field are never validated again.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import itertools
 import json
 import math
+import operator
 import os
 import tempfile
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Protocol
 
@@ -32,14 +37,18 @@ class SymbolUndefined(RuntimeError):
 
 
 class Field(Protocol):
-    """What the generic operators need of a field kind: its canonical
-    (key, amplitude) items sorted by key, the frequency at which symbols are
-    evaluated for a key, a canonical field over the same basis built from
-    (key, amplitude) entries, and a typed error unless `other` shares the basis."""
+    """What the generic operators need of a field kind: three parallel,
+    canonical columns -- `keys` sorted and distinct, `freqs` the frequency of
+    each key (at which symbols are evaluated), `amps` finite and nonzero --
+    a field over the same basis built from canonical columns, and a typed
+    error unless `other` shares the basis.  Operators trust keys taken from a
+    canonical field and never validate them again."""
 
-    def items(self) -> Iterable[tuple[Any, complex]]: ...
-    def frequency(self, key: Any) -> float: ...
-    def with_items(self, entries: Iterable[tuple[Any, complex]]) -> Field: ...
+    keys: tuple[Any, ...]
+    freqs: tuple[float, ...]
+    amps: tuple[complex, ...]
+
+    def with_columns(self, keys: tuple, freqs: tuple, amps: tuple) -> Field: ...
     def check_same_basis(self, other: object) -> None: ...
 
 
@@ -54,33 +63,55 @@ class Mode(NamedTuple):
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Canonical finite mode sum: frequencies sorted, exact duplicates merged,
-    zero amplitudes dropped.  Construct through `field`."""
+    """Canonical finite mode sum as parallel columns: frequency vectors `keys`
+    (sorted, distinct, -0.0 folded to +0.0), their radii `freqs` and the
+    amplitudes `amps` (finite, nonzero).  Construct through `field`."""
 
     dim: int
-    modes: tuple[Mode, ...]
+    keys: tuple[tuple[float, ...], ...]
+    freqs: tuple[float, ...]
+    amps: tuple[complex, ...]
+
+    @property
+    def modes(self) -> tuple[Mode, ...]:
+        return tuple(map(Mode, self.keys, self.amps))
 
     def amplitude_at(self, xi: tuple[float, ...]) -> complex:
-        for m in self.modes:
-            if m.xi == xi:
-                return m.amp
-        return 0j
+        return lookup_amplitude(self.keys, self.amps, tuple(xi))
 
-    def items(self) -> tuple[Mode, ...]:
-        return self.modes  # each Mode is an (xi, amp) pair
-
-    @staticmethod
-    def frequency(xi: tuple[float, ...]) -> float:
-        return math.hypot(*xi)
-
-    def with_items(self, entries: Iterable[tuple[Sequence[float], complex]]) -> SpectralField:
-        return field(self.dim, entries)
+    def with_columns(self, keys: tuple, freqs: tuple, amps: tuple) -> SpectralField:
+        return SpectralField(self.dim, keys, freqs, amps)
 
     def check_same_basis(self, other: object) -> None:
         if not isinstance(other, SpectralField):
             raise DimensionMismatch(f"cannot mix a flat field with a {type(other).__name__}")
         if other.dim != self.dim:
             raise DimensionMismatch(f"mixed dimensions {self.dim} and {other.dim}")
+
+
+Columns = tuple[tuple[Any, ...], tuple[float, ...], tuple[complex, ...]]
+
+
+def canonical_columns(entries: Iterable[tuple[Any, float, complex]]) -> Columns:
+    """The one canonicalizer: (key, frequency, amplitude) entries with valid
+    keys become canonical columns.  Every amplitude must be finite.  Equal
+    keys sum in entry order, starting from 0j so that -0.0 folds to +0.0;
+    keys come out sorted, and zero sums are dropped."""
+    merged: dict[Any, complex] = {}
+    freq: dict[Any, float] = {}
+    for key, lam, amp in entries:
+        if not cmath.isfinite(amp):
+            raise ValueError(f"non-finite amplitude {amp!r}")
+        merged[key] = merged.get(key, 0j) + amp
+        freq[key] = lam
+    keys = tuple(key for key in sorted(merged) if merged[key] != 0)
+    return keys, tuple(map(freq.__getitem__, keys)), tuple(map(merged.__getitem__, keys))
+
+
+def lookup_amplitude(keys: Sequence[Any], amps: Sequence[complex], key: Any) -> complex:
+    """Amplitude at `key` by bisection on the sorted keys, 0j off the support."""
+    i = bisect.bisect_left(keys, key)
+    return amps[i] if i < len(keys) and keys[i] == key else 0j
 
 
 def _clean_xi(dim: int, xi: Sequence[float]) -> tuple[float, ...]:
@@ -99,24 +130,22 @@ def field(dim: int, entries: Iterable[tuple[Sequence[float], complex]]) -> Spect
     """Build a canonical field from (frequency, amplitude) pairs."""
     if dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim}")
-    merged: dict[tuple[float, ...], complex] = {}
-    for xi, amp in entries:
-        key = _clean_xi(dim, xi)
-        amp = complex(amp)
-        if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-            raise ValueError(f"non-finite amplitude {amp!r}")
-        merged[key] = merged.get(key, 0j) + amp
-    modes = tuple(Mode(xi, amp) for xi, amp in sorted(merged.items()) if amp != 0)
-    return SpectralField(dim, modes)
+
+    def validated() -> Iterator[tuple[tuple[float, ...], float, complex]]:
+        for xi, amp in entries:
+            key = _clean_xi(dim, xi)
+            yield key, math.hypot(*key), complex(amp)
+
+    return SpectralField(dim, *canonical_columns(validated()))
 
 
 def evaluate(f: SpectralField, x: Sequence[float]) -> complex:
     if len(x) != f.dim:
         raise DimensionMismatch(f"point of length {len(x)} in dim {f.dim}")
     total = 0j
-    for m in f.modes:
-        phase = sum(a * b for a, b in zip(m.xi, x))
-        total += m.amp * cmath.exp(1j * phase)
+    for xi, amp in zip(f.keys, f.amps):
+        phase = sum(a * b for a, b in zip(xi, x))
+        total += amp * cmath.exp(1j * phase)
     return total
 
 
@@ -145,33 +174,78 @@ def symbol_constant(c: complex, label: str | None = None) -> MultiplierSymbol:
 
 
 def apply_multiplier(f: Field, symbol: MultiplierSymbol) -> Field:
-    """Multiply each amplitude by the symbol at its key's frequency."""
-    out = []
-    for key, amp in f.items():
-        lam = f.frequency(key)
+    """Multiply each amplitude by the symbol at its key's frequency.  The
+    result shares f's key and frequency columns unless a product is zero."""
+    fn = symbol.fn
+    products = []
+    for lam, amp in zip(f.freqs, f.amps):
         try:
-            value = complex(symbol(lam))
+            value = complex(fn(lam))
         except (ArithmeticError, ValueError) as exc:
             raise SymbolUndefined(f"symbol {symbol.label} failed at lambda={lam!r}") from exc
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        if not cmath.isfinite(value):
             raise SymbolUndefined(f"symbol {symbol.label} returned {value!r} at lambda={lam!r}")
-        out.append((key, value * amp))
-    return f.with_items(out)
+        products.append(value * amp)
+    check_finite(products)
+    return _with_amps(f, f.keys, f.freqs, products)
 
 
 def linear_combine(coeffs: Sequence[complex], fields: Sequence[Field]) -> Field:
-    """sum_i coeffs[i] fields[i], over one basis."""
+    """sum_i coeffs[i] fields[i], over one basis.  The amplitudes add
+    position by position over the union of the supports, each key's sum
+    starting from 0j and taking the fields in order."""
     if len(coeffs) != len(fields):
         raise ValueError(f"{len(coeffs)} coefficients for {len(fields)} fields")
     if not fields:
         raise ValueError("need at least one field")
     for f in fields[1:]:
         fields[0].check_same_basis(f)
-    entries = []
+    keys, freqs = union_support(fields)
+    sums = [0j] * len(keys)
     for c, f in zip(coeffs, fields):
-        c = complex(c)
-        entries.extend((key, c * amp) for key, amp in f.items())
-    return fields[0].with_items(entries)
+        products = list(map(complex(c).__mul__, f.amps))
+        check_finite(products)
+        sums = list(map(operator.add, sums, aligned(f.keys, products, keys)))
+    return _with_amps(fields[0], keys, freqs, sums)
+
+
+def union_support(fields: Sequence[Field]) -> tuple[tuple[Any, ...], tuple[float, ...]]:
+    """The sorted union of the fields' keys and its frequency column: the
+    first field's own columns when every field has the same keys."""
+    first = fields[0]
+    if all(f.keys is first.keys or f.keys == first.keys for f in fields[1:]):
+        return first.keys, first.freqs
+    freq: dict[Any, float] = {}
+    for f in fields:
+        freq.update(zip(f.keys, f.freqs))
+    keys = tuple(sorted(freq))
+    return keys, tuple(map(freq.__getitem__, keys))
+
+
+def aligned(own_keys: tuple[Any, ...], values: Sequence[complex], keys: tuple[Any, ...]) -> Sequence[complex]:
+    """`values`, given at `own_keys`, read at `keys` (a superset), 0j elsewhere."""
+    if own_keys is keys or own_keys == keys:
+        return values
+    return list(map(dict(zip(own_keys, values)).get, keys, itertools.repeat(0j)))
+
+
+def check_finite(amps: Sequence[complex]) -> None:
+    if not all(map(cmath.isfinite, amps)):
+        bad = next(amp for amp in amps if not cmath.isfinite(amp))
+        raise ValueError(f"non-finite amplitude {bad!r}")
+
+
+def _with_amps(like: Field, keys: tuple[Any, ...], freqs: tuple[float, ...], amps: Sequence[complex]) -> Field:
+    """A field of like's basis on canonical keys and freqs, with finite
+    amplitudes folded by 0j + amp (so -0.0 reads +0.0) and zero ones dropped.
+    When none drops, the result shares the key and frequency tuples."""
+    amps = tuple(map((0j).__add__, amps))
+    if all(amps):
+        return like.with_columns(keys, freqs, amps)
+    keep = [i for i, amp in enumerate(amps) if amp]
+    return like.with_columns(
+        tuple(keys[i] for i in keep), tuple(freqs[i] for i in keep), tuple(amps[i] for i in keep)
+    )
 
 
 def subtract(a: Field, b: Field) -> Field:
@@ -179,11 +253,11 @@ def subtract(a: Field, b: Field) -> Field:
 
 
 def max_abs_amp(f: Field) -> float:
-    return max((abs(amp) for _, amp in f.items()), default=0.0)
+    return max(map(abs, f.amps), default=0.0)
 
 
 def zero_field(dim: int) -> SpectralField:
-    return SpectralField(dim, ())
+    return SpectralField(dim, (), (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +267,7 @@ def zero_field(dim: int) -> SpectralField:
 def field_to_json(f: SpectralField) -> dict:
     return {
         "dim": f.dim,
-        "modes": [{"xi": list(m.xi), "amp": [m.amp.real, m.amp.imag]} for m in f.modes],
+        "modes": [{"xi": list(xi), "amp": [amp.real, amp.imag]} for xi, amp in zip(f.keys, f.amps)],
     }
 
 

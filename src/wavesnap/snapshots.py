@@ -22,11 +22,14 @@ import mpmath
 from . import diophantine
 from .fields import (
     Field,
+    aligned,
     apply_multiplier,
+    canonical_columns,
     linear_combine,
     max_abs_amp,
     subtract,
     symbol_product,
+    union_support,
 )
 from .propagators import MultiplierSymbol, symbol_Psi, symbol_S, symbol_Sprime
 
@@ -34,7 +37,8 @@ STATUS_UNIQUE = "Unique"
 STATUS_NONUNIQUE = "NonUniqueKernel"
 STATUS_OBSTRUCTED = "Obstructed"
 
-KERNEL_SIN_TOL = 1e-14  # |sin(t lam)| below this marks a kernel frequency
+KERNEL_SIN_TOL = 1e-14  # |sin(t lam)| below this marks a kernel frequency,
+KERNEL_ULPS = 4  # as does |sin(t lam)| below this many ulp(t lam)
 OBSTRUCTION_AMP_TOL = 1e-12  # kernel-mode data above this has no preimage
 CONSISTENCY_TOL = 1e-9  # scaled by (1 + conditioning)
 RATIONAL_GATE_TOL = 1e-9
@@ -119,15 +123,20 @@ def wave_residual(data: CauchyData, t: float, h: float) -> float:
 
 def _is_kernel(t: float, lam: float) -> bool:
     """lam is a kernel frequency of S_t: radius in (pi/t) Z, excluding 0
-    where the symbol continues to t != 0."""
-    return lam > 0 and abs(math.sin(t * lam)) < KERNEL_SIN_TOL
+    where the symbol continues to t != 0.  A float u = t lam at k pi is off
+    by up to ~2 ulp(u) from rounding lam and the product, and a radius from
+    hypot adds another ulp or two, so the threshold is the larger of
+    KERNEL_SIN_TOL and KERNEL_ULPS ulp(u); the latter wins from |u| = 16 on."""
+    u = t * lam
+    x = abs(math.sin(u))
+    return lam > 0 and (x < KERNEL_SIN_TOL or x < KERNEL_ULPS * math.ulp(u))
 
 
 def kernel_modes(f: Field, t: float) -> tuple:
     """Keys of f annihilated by S_t."""
     if t == 0:
         raise InvalidTime("S_0 = 0: every frequency is in the kernel")
-    return tuple(key for key, _ in f.items() if _is_kernel(t, f.frequency(key)))
+    return tuple(key for key, lam in zip(f.keys, f.freqs) if _is_kernel(t, lam))
 
 
 def general_integer_snapshot(
@@ -210,25 +219,24 @@ def diagonal_solve(
 ) -> SolveReport:
     """Solve for g key by key over the union of the keys of `support`.
 
-    `row(key, *amps)` gets the key's amplitudes in the `rhs` fields and
-    returns the key's equations and a gain; the key's conditioning is
-    gain / |s| over its nonzero symbols.  Where every symbol is zero the key
-    is in the kernel: g is free (0 is returned) and the data is Obstructed
-    unless every right side is within OBSTRUCTION_AMP_TOL of 0.  Elsewhere
-    g = r / s from the first nonzero equation, and the other equations must
-    agree within CONSISTENCY_TOL (1 + conditioning).  `verify(g)` gives a
-    post-check residual and a note, held to the same bound; without it the
-    residual is the cross-equation inconsistency.
+    `row(key, lam, *amps)` gets the key, its frequency and its amplitudes in
+    the `rhs` fields, and returns the key's equations and a gain; the key's
+    conditioning is gain / |s| over its nonzero symbols.  Where every symbol
+    is zero the key is in the kernel: g is free (0 is returned) and the data
+    is Obstructed unless every right side is within OBSTRUCTION_AMP_TOL of 0.
+    Elsewhere g = r / s from the first nonzero equation, and the other
+    equations must agree within CONSISTENCY_TOL (1 + conditioning).
+    `verify(g)` gives a post-check residual and a note, held to the same
+    bound; without it the residual is the cross-equation inconsistency.
     """
     for f in support[1:]:
         support[0].check_same_basis(f)
-    tables = [dict(f.items()) for f in rhs]
-    keys = sorted({key for f in support for key, _ in f.items()})
+    keys, freqs = union_support(support)
     entries = []
     kernel = []
     obstruction = conditioning = inconsistency = 0.0
-    for key in keys:
-        eqs, gain = row(key, *(t.get(key, 0j) for t in tables))
+    for key, lam, *amps in zip(keys, freqs, *(aligned(f.keys, f.amps, keys) for f in rhs)):
+        eqs, gain = row(key, lam, *amps)
         i = next((i for i, (_, zero, _) in enumerate(eqs) if not zero), None)
         if i is None:
             kernel.append(key)
@@ -240,7 +248,7 @@ def diagonal_solve(
                 conditioning = max(conditioning, gain / abs(s))
             if j != i:
                 inconsistency = max(inconsistency, abs(g * s - r))
-        entries.append((key, g))
+        entries.append((key, lam, g))
     kernel = tuple(kernel)
     if obstruction > OBSTRUCTION_AMP_TOL:
         return SolveReport(STATUS_OBSTRUCTED, None, obstruction, conditioning, kernel, kernel_note)
@@ -248,7 +256,7 @@ def diagonal_solve(
     if inconsistency > tol:
         note = f"cross-equation inconsistency {inconsistency:.3e} exceeds {tol:.3e}"
         return SolveReport(STATUS_OBSTRUCTED, None, inconsistency, conditioning, kernel, note)
-    g = support[0].with_items(entries)
+    g = support[0].with_columns(*canonical_columns(entries))
     residual, note = verify(g) if verify is not None else (inconsistency, "")
     if residual > tol:
         note = "post-verification failed" + (": " + note if note else "")
@@ -277,7 +285,7 @@ def two_snapshot_solve(f0: Field, f1: Field) -> SolveReport:
     return diagonal_solve(
         (f0, f1),
         (rhs,),
-        lambda xi, v: ((eq1(f0.frequency(xi), v),), 1.0),
+        lambda xi, lam, v: ((eq1(lam, v),), 1.0),
         "data at kernel frequencies of S_1 has no preimage",
         verify,
     )
@@ -320,8 +328,7 @@ def three_snapshot_solve(
     rhsa = subtract(falpha, apply_multiplier(f0, symbol_Sprime(alpha)))
     eq1, eqa = _sine_equation(1.0), _sine_equation(alpha)
 
-    def row(xi: tuple[float, ...], v: complex, w: complex) -> tuple[tuple[Equation, ...], float]:
-        lam = f0.frequency(xi)
+    def row(xi: tuple[float, ...], lam: float, v: complex, w: complex) -> tuple[tuple[Equation, ...], float]:
         return (eq1(lam, v), eqa(lam, w)), 1.0
 
     return diagonal_solve((f0, f1, falpha), (rhs1, rhsa), row, "data at shared kernel frequencies has no preimage")
@@ -370,8 +377,9 @@ def _bezout_solve(
     num = linear_combine([1.0, 1.0], [apply_multiplier(va, sym_a), apply_multiplier(vb, sym_b)])
     su = symbol_S(unit)
 
-    def row(xi: tuple[float, ...], a: complex, b: complex, c: complex) -> tuple[tuple[Equation, ...], float]:
-        lam = f0.frequency(xi)
+    def row(
+        xi: tuple[float, ...], lam: float, a: complex, b: complex, c: complex
+    ) -> tuple[tuple[Equation, ...], float]:
         if _is_kernel(unit, lam):
             # S_{pu} and S_{qu} vanish with S_u, so neither window sees g here
             return ((0.0, True, a), (0.0, True, b)), 1.0

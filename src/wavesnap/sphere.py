@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,9 +35,17 @@ from .diophantine import (
     Unclassifiable,
     slow_decay_check,
 )
-from .fields import DimensionMismatch, max_abs_amp, subtract, write_text_atomic
+from .fields import (
+    DimensionMismatch,
+    canonical_columns,
+    lookup_amplitude,
+    max_abs_amp,
+    subtract,
+    write_text_atomic,
+)
 from .snapshots import (
     KERNEL_SIN_TOL,
+    KERNEL_ULPS,
     CauchyData,
     Equation,
     SolveReport,
@@ -85,26 +93,25 @@ def frequency(n: int, l: int) -> float:
 
 @dataclass(frozen=True)
 class SphereField:
-    """Canonical coefficient list: entries (l, m, amp) sorted, merged,
-    zero amplitudes dropped, 1 <= m <= dim_Hl(n, l)."""
+    """Canonical coefficients as parallel columns: keys (l, m) with
+    1 <= m <= dim_Hl(n, l) (sorted, distinct), their frequencies
+    l + (n-1)/2 and the amplitudes (finite, nonzero).  Construct through
+    `sphere_field`."""
 
     n: int
-    coeffs: tuple[tuple[int, int, complex], ...]
+    keys: tuple[tuple[int, int], ...]
+    freqs: tuple[float, ...]
+    amps: tuple[complex, ...]
+
+    @property
+    def coeffs(self) -> tuple[tuple[int, int, complex], ...]:
+        return tuple((l, m, amp) for (l, m), amp in zip(self.keys, self.amps))
 
     def amplitude_at(self, l: int, m: int) -> complex:
-        for cl, cm, amp in self.coeffs:
-            if cl == l and cm == m:
-                return amp
-        return 0j
+        return lookup_amplitude(self.keys, self.amps, (l, m))
 
-    def items(self) -> list[tuple[tuple[int, int], complex]]:
-        return [((l, m), amp) for l, m, amp in self.coeffs]
-
-    def frequency(self, key: tuple[int, int]) -> float:
-        return frequency(self.n, key[0])
-
-    def with_items(self, entries: Iterable[tuple[tuple[int, int], complex]]) -> SphereField:
-        return sphere_field(self.n, ((l, m, amp) for (l, m), amp in entries))
+    def with_columns(self, keys: tuple, freqs: tuple, amps: tuple) -> SphereField:
+        return SphereField(self.n, keys, freqs, amps)
 
     def check_same_basis(self, other: object) -> None:
         if not isinstance(other, SphereField):
@@ -114,28 +121,26 @@ class SphereField:
 
     @property
     def max_degree(self) -> int:
-        return max((l for l, _, _ in self.coeffs), default=0)
+        return self.keys[-1][0] if self.keys else 0
 
     @property
     def is_zonal(self) -> bool:
-        return all(m == 1 for _, m, _ in self.coeffs)
+        return all(m == 1 for _, m in self.keys)
 
 
 def sphere_field(n: int, entries: Iterable[tuple[int, int, complex]]) -> SphereField:
     if n < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {n}")
-    merged: dict[tuple[int, int], complex] = {}
-    for l, m, amp in entries:
-        l, m = int(l), int(m)
-        d = dim_Hl(n, l)
-        if not 1 <= m <= d:
-            raise ValueError(f"order m={m} outside [1, {d}] for degree l={l}, n={n}")
-        amp = complex(amp)
-        if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-            raise ValueError(f"non-finite amplitude {amp!r}")
-        merged[(l, m)] = merged.get((l, m), 0j) + amp
-    coeffs = tuple((l, m, amp) for (l, m), amp in sorted(merged.items()) if amp != 0)
-    return SphereField(n, coeffs)
+
+    def validated() -> Iterator[tuple[tuple[int, int], float, complex]]:
+        for l, m, amp in entries:
+            l, m = int(l), int(m)
+            d = dim_Hl(n, l)
+            if not 1 <= m <= d:
+                raise ValueError(f"order m={m} outside [1, {d}] for degree l={l}, n={n}")
+            yield (l, m), frequency(n, l), complex(amp)
+
+    return SphereField(n, *canonical_columns(validated()))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +167,7 @@ def zonal_value(f: SphereField, c: float) -> complex:
     if not f.is_zonal:
         raise RequiresZonal("field has coefficients outside the zonal line m = 1")
     total = 0j
-    for l, _, amp in f.coeffs:
+    for (l, _), amp in zip(f.keys, f.amps):
         total += amp * math.sqrt(dim_Hl(f.n, l)) * gegenbauer_phi(f.n, l, c)
     return total
 
@@ -182,8 +187,8 @@ def schur_sin(n: int, l: int, alpha: float | Fraction) -> tuple[float, bool]:
 
     A Fraction alpha means the time beta pi with beta = alpha exact; zeros
     are then decided by integer arithmetic: sin(w beta pi) = 0 iff
-    2q divides (2l + n - 1) p.  For float alpha, |sin| < 1e-14 counts as
-    zero, matching the kernel threshold of the flat solvers."""
+    2q divides (2l + n - 1) p.  For float alpha, |sin| counts as zero below
+    the kernel threshold of the flat solvers, max(1e-14, 4 ulp(w alpha))."""
     w2 = 2 * l + n - 1  # = 2w, always a positive integer
     w = 0.5 * w2
     if isinstance(alpha, Fraction):
@@ -192,8 +197,10 @@ def schur_sin(n: int, l: int, alpha: float | Fraction) -> tuple[float, bool]:
         if r % (2 * q) == 0:
             return 0.0, True
         return math.sin(math.pi * (r / (2 * q))) / w, False
-    x = math.sin(w * float(alpha))
-    return x / w, abs(x) < KERNEL_SIN_TOL
+    u = w * float(alpha)
+    x = math.sin(u)
+    # the kernel test of snapshots._is_kernel, inline for the 1e6-degree margin scans
+    return x / w, abs(x) < KERNEL_SIN_TOL or abs(x) < KERNEL_ULPS * math.ulp(u)
 
 
 def schur_cos(n: int, l: int, alpha: float | Fraction) -> float:
@@ -263,15 +270,15 @@ def sphere_two_snapshot_solve(
     g_{l,m} = (falpha_{l,m} - cos(w alpha) f0_{l,m}) / (sin(w alpha)/w).
 
     Fraction alpha (meaning alpha pi) gets exact zero detection, so rational
-    multiples of pi report their kernel exactly; float alpha uses the 1e-14
-    sine threshold.  Data on a zero Schur constant either obstructs or is
-    free, as in the flat case."""
+    multiples of pi report their kernel exactly; float alpha uses the flat
+    solvers' kernel threshold.  Data on a zero Schur constant either obstructs
+    or is free, as in the flat case."""
     top = max(f0.max_degree, falpha.max_degree)
     if top > max_degree:
         raise ValueError(f"data degree {top} exceeds max_degree {max_degree}")
     n = f0.n
 
-    def row(key: tuple[int, int], a: complex, b: complex) -> tuple[tuple[Equation], float]:
+    def row(key: tuple[int, int], lam: float, a: complex, b: complex) -> tuple[tuple[Equation], float]:
         s, is_zero = schur_sin(n, key[0], alpha)
         return ((s, is_zero, b - schur_cos(n, key[0], alpha) * a),), 1.0
 
@@ -290,11 +297,13 @@ def surjectivity_margin(
     dim_Hl(n, 0)
     if not 1 <= max_degree <= 10**6:
         raise ValueError(f"max_degree must be in [1, 1e6], got {max_degree}")
-    rows = []
-    for l in range(max_degree + 1):
-        v, is_zero = schur_sin(n, l, alpha)
-        rows.append((l, 0.0 if is_zero else abs(v)))
-    passes, c = slow_decay_check(rows, exponent)
+
+    def rows() -> Iterator[tuple[int, float]]:
+        for l in range(max_degree + 1):
+            v, is_zero = schur_sin(n, l, alpha)
+            yield l, 0.0 if is_zero else abs(v)
+
+    passes, c = slow_decay_check(rows(), exponent)
     return c, passes
 
 
@@ -396,7 +405,7 @@ def classify_alpha(beta: NumberClass, n: int) -> Classification:
 def sphere_field_to_json(f: SphereField) -> dict:
     return {
         "n": f.n,
-        "coeffs": [{"l": l, "m": m, "amp": [amp.real, amp.imag]} for l, m, amp in f.coeffs],
+        "coeffs": [{"l": l, "m": m, "amp": [amp.real, amp.imag]} for (l, m), amp in zip(f.keys, f.amps)],
     }
 
 

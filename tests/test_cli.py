@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -172,6 +175,16 @@ def test_reproduce_suite(capsys):
     assert cli.run(["reproduce", "sdprobe"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS sdprobe:")
+
+
+def test_module_entry_point_runs_from_checkout():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "wavesnap", "reproduce", "sdprobe"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("PASS sdprobe:")
 
 
 def test_exit_codes(tmp_path, capsys):

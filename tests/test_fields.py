@@ -4,8 +4,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from wavesnap import fields as fields_module, sphere as sph
 from wavesnap.fields import (
     DimensionMismatch,
+    MultiplierSymbol,
     SymbolUndefined,
     apply_multiplier,
     evaluate,
@@ -22,7 +24,8 @@ from wavesnap.fields import (
     write_text_atomic,
     zero_field,
 )
-from wavesnap.propagators import symbol_S
+from wavesnap.propagators import symbol_Psi, symbol_S, symbol_Sprime
+from wavesnap.snapshots import CauchyData, evolve
 
 
 def test_field_merges_repeated_frequencies():
@@ -70,7 +73,9 @@ finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 def test_canonicalize_idempotent(entries):
     f = field(2, [(xi, amp) for xi, amp in entries])
     assert field(f.dim, f.modes) == f
-    assert f.with_items(f.items()) == f
+    assert list(f.keys) == sorted(set(f.keys))
+    assert f.freqs == tuple(math.hypot(*xi) for xi in f.keys)
+    assert all(f.amps)
 
 
 def test_evaluate_is_plane_wave_sum():
@@ -92,8 +97,6 @@ def test_symbol_product_and_constant():
 
 
 def test_symbol_undefined_surfaces():
-    from wavesnap.fields import MultiplierSymbol
-
     bad = MultiplierSymbol("bad", lambda lam: float("nan"))
     with pytest.raises(SymbolUndefined):
         apply_multiplier(field(1, [((1.0,), 1.0)]), bad)
@@ -128,3 +131,141 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     write_text_atomic(str(p), "second\n")
     assert p.read_text() == "second\n"
     assert list(tmp_path.iterdir()) == [p]  # no temp litter
+
+
+# -- column layout: operators keep canonical form -----------------------------
+#
+# The references rebuild each result through `field` from the same entries,
+# the way the operators did before fields kept their columns: symbol values
+# times amplitudes, then coefficient times amplitude, field by field.
+
+
+def _signed(z):
+    return (z.real, math.copysign(1.0, z.real), z.imag, math.copysign(1.0, z.imag))
+
+
+def assert_same_field(got, want):
+    """Exact equality, telling -0.0 from +0.0 in keys and amplitudes."""
+    assert type(got) is type(want)
+    assert got.keys == want.keys
+    for a, b in zip(got.keys, want.keys):
+        assert [math.copysign(1.0, v) for v in a] == [math.copysign(1.0, v) for v in b]
+    assert got.freqs == want.freqs
+    assert [_signed(a) for a in got.amps] == [_signed(b) for b in want.amps]
+
+
+def ref_apply(f, symbol, freq, rebuild):
+    return rebuild([(key, complex(symbol(freq(key))) * amp) for key, amp in zip(f.keys, f.amps)])
+
+
+def ref_combine(coeffs, fs, rebuild):
+    return rebuild([(key, complex(c) * amp) for c, f in zip(coeffs, fs) for key, amp in zip(f.keys, f.amps)])
+
+
+# A small pool of components and amplitudes, so supports overlap, keys carry
+# -0.0 and sums cancel exactly.
+component = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0])
+amplitude = st.sampled_from([1.0, -1.0, 0.5j, -0.5j, 1 - 2j, complex(-0.0, 1.0), complex(2.0, -0.0), 0.0])
+coefficient = st.sampled_from([1.0, -1.0, 2.0, 0.5j, -0.0])
+FLIP_AT_TWO = MultiplierSymbol("flip", lambda lam: 0.0 if lam == 2.0 else -1.0)  # drops |xi| = 2
+SYMBOLS = [symbol_S(1.0), symbol_Sprime(0.7), symbol_Psi(3, 0.9), FLIP_AT_TWO, symbol_constant(-1.0)]
+
+
+@st.composite
+def flat_fields(draw, dim, shift=0.0):
+    keys = st.tuples(*[component] * dim).map(lambda xi: (xi[0] + shift, *xi[1:]))
+    return field(dim, draw(st.lists(st.tuples(keys, amplitude), max_size=6)))
+
+
+@st.composite
+def sphere_fields(draw, n, first_degree=0):
+    entries = []
+    for _ in range(draw(st.integers(0, 6))):
+        l = draw(st.integers(first_degree, first_degree + 3))
+        entries.append((l, draw(st.integers(1, sph.dim_Hl(n, l))), draw(amplitude)))
+    return sph.sphere_field(n, entries)
+
+
+@st.composite
+def field_cases(draw):
+    """(f, g overlapping f, h disjoint from f, key -> frequency, rebuild) on one basis."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        fs = [draw(flat_fields(dim)), draw(flat_fields(dim)), draw(flat_fields(dim, shift=10.0))]
+        return (*fs, lambda xi: math.hypot(*xi), lambda entries: field(dim, entries))
+    n = draw(st.sampled_from([2, 3]))
+    fs = [draw(sphere_fields(n)), draw(sphere_fields(n)), draw(sphere_fields(n, first_degree=5))]
+    return (
+        *fs,
+        lambda key: sph.frequency(n, key[0]),
+        lambda entries: sph.sphere_field(n, [(l, m, amp) for (l, m), amp in entries]),
+    )
+
+
+@given(field_cases(), st.sampled_from(SYMBOLS), st.lists(coefficient, min_size=3, max_size=3), finite)
+def test_operators_match_rebuilt_reference(case, symbol, coeffs, t):
+    f, g, h, freq, rebuild = case
+    applied = apply_multiplier(f, symbol)
+    assert_same_field(applied, ref_apply(f, symbol, freq, rebuild))
+    for fs in ([f, applied], [f, applied, f], [f, g], [f, h], [f, g, h]):  # shared, overlapping, disjoint
+        cs = coeffs[: len(fs)]
+        assert_same_field(linear_combine(cs, fs), ref_combine(cs, fs, rebuild))
+    want = ref_combine(
+        [1.0, 1.0], [ref_apply(f, symbol_Sprime(t), freq, rebuild), ref_apply(g, symbol_S(t), freq, rebuild)], rebuild
+    )
+    assert_same_field(evolve(CauchyData(f, g), t), want)
+
+
+def test_multipliers_and_shared_combine_trust_canonical_keys(monkeypatch):
+    flat = field(2, [((0.0, 1.0), 1.0), ((3.0, 4.0), 2j), ((-1.0, 0.5), 0.5)])
+    on_sphere = sph.sphere_field(3, [(0, 1, 1.0), (2, 5, 1j), (4, 3, -2.0)])
+    calls = {"clean": 0, "dim": 0}
+    clean, dim_Hl = fields_module._clean_xi, sph.dim_Hl
+
+    def counted_clean(*args):
+        calls["clean"] += 1
+        return clean(*args)
+
+    def counted_dim(*args):
+        calls["dim"] += 1
+        return dim_Hl(*args)
+
+    monkeypatch.setattr(fields_module, "_clean_xi", counted_clean)
+    monkeypatch.setattr(sph, "dim_Hl", counted_dim)
+    for f in (flat, on_sphere):
+        g = apply_multiplier(f, symbol_S(0.3))
+        h = linear_combine([1.0, -2.0, 0.5j], [f, g, f])
+        for out in (g, h):
+            assert out.keys is f.keys
+            assert out.freqs is f.freqs
+    assert calls == {"clean": 0, "dim": 0}
+    # the counters do see validation
+    field(2, [((1.0, 1.0), 1.0)])
+    sph.sphere_field(3, [(1, 1, 1.0)])
+    assert calls == {"clean": 1, "dim": 1}
+
+
+def test_operator_checks_kept():
+    f = field(1, [((1.0,), 1e308), ((2.0,), 1.0)])
+    with pytest.raises(ValueError):
+        linear_combine([10.0], [f])  # c * amp overflows
+    with pytest.raises(ValueError):
+        linear_combine([1.0, 1e10], [f, field(1, [((3.0,), 1e300)])])  # on a disjoint support too
+    with pytest.raises(ValueError):
+        apply_multiplier(f, symbol_constant(10.0))
+    g = apply_multiplier(f, MultiplierSymbol("zero at 1", lambda lam: 0.0 if lam == 1.0 else 3.0))
+    assert g.keys == ((2.0,),) and g.amps == (3.0,)
+    with pytest.raises(SymbolUndefined):
+        apply_multiplier(f, MultiplierSymbol("inf", lambda lam: math.inf))
+    with pytest.raises(SymbolUndefined, match="lambda=2.0"):
+        apply_multiplier(f, MultiplierSymbol("raises at 2", lambda lam: 1.0 / (lam - 2.0)))
+
+
+def test_amplitude_at_bisects_with_equality_semantics():
+    f = field(2, [((0.0, 1.0), 2.0), ((-3.0, 0.0), 1j), ((5.0, 5.0), -1.0)])
+    assert f.amplitude_at((-0.0, 1.0)) == 2.0
+    assert f.amplitude_at((-3.0, -0.0)) == 1j
+    assert f.amplitude_at((5.0, 5.0)) == -1.0
+    for missing in ((-9.0, 0.0), (0.0, 0.5), (9.0, 9.0)):
+        assert f.amplitude_at(missing) == 0j
+    assert zero_field(2).amplitude_at((0.0, 0.0)) == 0j

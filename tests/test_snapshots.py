@@ -92,6 +92,25 @@ def test_two_snapshot_obstructed_by_inconsistent_kernel_data():
     assert not rep.solvable
 
 
+@pytest.mark.parametrize("k", [1e3, 1e5])
+def test_kernel_found_at_large_radius(k):
+    # at radius k pi, sin(t lam) is off zero by the rounding of t lam (about
+    # 3e-13 at 1e3 pi and 3e-11 at 1e5 pi), far above an absolute 1e-14
+    lam = k * math.pi
+    data = wave(1, [((lam,), 1.0), ((2.5,), 0.5)], [((lam,), 0.3 - 0.2j), ((2.5,), 1j)])
+    f0, f1 = evolve(data, 0.0), evolve(data, 1.0)
+    reports = [
+        snap.two_snapshot_solve(f0, f1),
+        snap.three_snapshot_solve(f0, f1, evolve(data, 2.0), 2.0),  # float alpha: both sines vanish
+    ]
+    for rep in reports:
+        assert rep.status == snap.STATUS_NONUNIQUE
+        assert rep.kernel_modes == ((lam,),)
+        assert rep.conditioning < 10.0
+        assert abs(rep.solution.amplitude_at((2.5,)) - 1j) < 1e-9 * (1 + rep.conditioning)
+    assert snap.kernel_modes(f0, 1.0) == ((lam,),)
+
+
 def test_kernel_modes_lists_sine_zeros():
     f = field(1, [((math.pi,), 1.0), ((1.0,), 1.0), ((2.0 * math.pi,), 1.0)])
     assert snap.kernel_modes(f, 1.0) == ((math.pi,), (2.0 * math.pi,))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,17 @@ def test_sphere_solve_alpha_pi_kernel():
     assert rep.solution.amplitude_at(2, 1) == 0
 
 
+def test_sphere_solve_float_kernel_at_high_degree():
+    # alpha = pi as a float on S^3: w = l + 1 = 1000 puts w alpha at 1000 pi,
+    # where sin is 3e-13 from rounding alone
+    f0 = sph.sphere_field(3, [(999, 1, 1.0), (3, 2, 0.5)])
+    g = sph.sphere_field(3, [(999, 1, 4.0), (3, 2, 1j)])
+    assert sph.schur_sin(3, 999, math.pi)[1]
+    rep = sph.sphere_two_snapshot_solve(f0, evolve(CauchyData(f0, g), math.pi), math.pi, max_degree=1000)
+    assert rep.status == STATUS_NONUNIQUE
+    assert rep.kernel_coeffs == ((3, 2), (999, 1))
+
+
 def test_sphere_solve_obstructed_at_exact_zero():
     # tampered kernel coefficient: cos((l+1)pi) f0 is the only reachable value
     f0 = sph.sphere_field(3, [(2, 1, 1.0)])
@@ -219,6 +231,26 @@ def test_margin_positive_for_third_of_pi_on_even_sphere():
 def test_margin_zero_on_exact_resonance():
     c, passes = sph.surjectivity_margin(Fraction(1, 2), 3, 500, 3)
     assert not passes and c == 0.0
+
+
+def test_margin_scan_streams():
+    tracemalloc.start()
+    try:
+        c, passes = sph.surjectivity_margin(Fraction(1, 3), 2, 10**5, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert passes and c > 0
+    assert peak < 1_000_000  # a list of 1e5 rows alone would take ~10 MB
+
+
+def test_slow_decay_check_reads_any_iterable_once():
+    rows = iter([(0, 1.0), (1, 0.5), (3, 0.0), (4, 1.0)])
+    assert dio.slow_decay_check(rows, 2) == (False, 0.0)
+    assert next(rows) == (4, 1.0)  # stopped at the exact zero
+    assert dio.slow_decay_check(((l, 1.0 / (1 + l)) for l in range(5)), 1) == (True, 1.0)
+    with pytest.raises(ValueError, match="no rows"):
+        dio.slow_decay_check(iter(()), 1)
 
 
 def test_margin_float_alpha_smoke():
