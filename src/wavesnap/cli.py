@@ -32,7 +32,8 @@ from .fields import (
 from .propagators import symbol_Psi, symbol_S, symbol_Sprime
 from .sphere import load_sphere_field, sphere_field_to_json
 
-_DOMAIN_ERRORS = (ValueError, OSError, KeyError, ZeroDivisionError, diophantine.PrecisionExhausted, SymbolUndefined)
+# ArithmeticError: ZeroDivisionError, and OverflowError from results beyond the float range
+_DOMAIN_ERRORS = (ValueError, OSError, KeyError, ArithmeticError, diophantine.PrecisionExhausted, SymbolUndefined)
 
 
 # -- parsing helpers --------------------------------------------------------
@@ -155,8 +156,8 @@ def _emit_csv(
     for line in comments:
         buf.write(f"# {line}\n")
     buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(str(v) for v in row) + "\n")
+    line = ",".join(["%s"] * len(columns)) + "\n"  # %s formats with str(), as a join of str()s would
+    buf.writelines(line % tuple(row) for row in rows)
     if args.out:
         write_text_atomic(args.out, buf.getvalue())
     else:
@@ -296,8 +297,7 @@ def _dio_smallden(args) -> int:
         f"exact zeros at l: {list(table.zero_rows) if table.zero_rows else 'none'}",
         f"fitted lower-envelope exponent: {table.fitted_exponent}",
     ]
-    rows = [(l, repr(v)) for l, v in table.rows]
-    _emit_csv(args, "dio smallden", ("l", "value"), rows, comments)
+    _emit_csv(args, "dio smallden", ("l", "value"), table.rows, comments)
     return 0
 
 
@@ -667,3 +667,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -634,20 +634,24 @@ def odd_type_verifier(qmax: int) -> OddTypeReport:
         raise PrecisionExhausted(f"no truncation within depth cap certifies qmax={qmax}")
     beta = binary_factorial_class(depth)
     tail = beta.err
+    # beta = N/D and tail = 1/T with D | T, both powers of two, so the certified
+    # margin (|q beta - nearest| - q tail) q^3 is the integer num over T.
+    big_n, d, t = beta.value.numerator, beta.value.denominator, tail.denominator
+    assert tail.numerator == 1 and t % d == 0
+    scale = t // d
     min_ratio = math.inf
     worst_q = 0
     violations: list[int] = []
     count = 0
     for q in range(65, qmax + 1, 2):
         count += 1
-        x = q * beta.value
-        margin = abs(x - nearest_integer(x))
-        lo = margin - q * tail
-        ratio = float(lo * q**3)
+        r = q * big_n % d
+        num = (min(r, d - r) * scale - q) * q**3
+        ratio = num / t  # int / int rounds correctly, as Fraction.__float__ does
         if ratio < min_ratio:
             min_ratio = ratio
             worst_q = q
-        if lo * q**3 <= 1:
+        if num <= t:
             violations.append(q)
     return OddTypeReport(
         qmax=qmax,

@@ -125,11 +125,16 @@ def _is_kernel(t: float, lam: float) -> bool:
     """lam is a kernel frequency of S_t: radius in (pi/t) Z, excluding 0
     where the symbol continues to t != 0.  A float u = t lam at k pi is off
     by up to ~2 ulp(u) from rounding lam and the product, and a radius from
-    hypot adds another ulp or two, so the threshold is the larger of
-    KERNEL_SIN_TOL and KERNEL_ULPS ulp(u); the latter wins from |u| = 16 on."""
+    hypot adds another ulp or two, hence `kernel_threshold`."""
     u = t * lam
     x = abs(math.sin(u))
-    return lam > 0 and (x < KERNEL_SIN_TOL or x < KERNEL_ULPS * math.ulp(u))
+    return lam > 0 and x < kernel_threshold(u)
+
+
+def kernel_threshold(u: float) -> float:
+    """|sin(u)| below this counts as zero: the larger of KERNEL_SIN_TOL and
+    KERNEL_ULPS ulp(u); the latter wins from |u| = 16 on."""
+    return max(KERNEL_SIN_TOL, KERNEL_ULPS * math.ulp(u))
 
 
 def kernel_modes(f: Field, t: float) -> tuple:

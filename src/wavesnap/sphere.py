@@ -52,7 +52,11 @@ from .snapshots import (
     diagonal_solve,
     evolve,
     general_integer_snapshot,
+    kernel_threshold,
 )
+
+MARGIN_BLOCK = 4096  # degrees the margin screen scores per numpy pass
+MARGIN_WINDOW = 1e-9  # relative; rows this close to the best score get the exact recheck
 
 
 class ParamsMismatch(ValueError):
@@ -188,7 +192,7 @@ def schur_sin(n: int, l: int, alpha: float | Fraction) -> tuple[float, bool]:
     A Fraction alpha means the time beta pi with beta = alpha exact; zeros
     are then decided by integer arithmetic: sin(w beta pi) = 0 iff
     2q divides (2l + n - 1) p.  For float alpha, |sin| counts as zero below
-    the kernel threshold of the flat solvers, max(1e-14, 4 ulp(w alpha))."""
+    the kernel threshold of the flat solvers, `kernel_threshold(w alpha)`."""
     w2 = 2 * l + n - 1  # = 2w, always a positive integer
     w = 0.5 * w2
     if isinstance(alpha, Fraction):
@@ -199,8 +203,7 @@ def schur_sin(n: int, l: int, alpha: float | Fraction) -> tuple[float, bool]:
         return math.sin(math.pi * (r / (2 * q))) / w, False
     u = w * float(alpha)
     x = math.sin(u)
-    # the kernel test of snapshots._is_kernel, inline for the 1e6-degree margin scans
-    return x / w, abs(x) < KERNEL_SIN_TOL or abs(x) < KERNEL_ULPS * math.ulp(u)
+    return x / w, abs(x) < kernel_threshold(u)
 
 
 def schur_cos(n: int, l: int, alpha: float | Fraction) -> float:
@@ -293,18 +296,59 @@ def surjectivity_margin(
 ) -> tuple[float, bool]:
     """Best constant C with |schur sin| >= C (1+l)^(-exponent) up to
     max_degree, and whether it is positive.  An exact zero (rational
-    multiples of pi with the divisibility hit) forces (0, False)."""
+    multiples of pi with the divisibility hit) forces (0, False); a weight
+    (1+l)^exponent beyond the float range raises OverflowError."""
     dim_Hl(n, 0)
     if not 1 <= max_degree <= 10**6:
         raise ValueError(f"max_degree must be in [1, 1e6], got {max_degree}")
-
-    def rows() -> Iterator[tuple[int, float]]:
-        for l in range(max_degree + 1):
-            v, is_zero = schur_sin(n, l, alpha)
-            yield l, 0.0 if is_zero else abs(v)
-
-    passes, c = slow_decay_check(rows(), exponent)
+    passes, c = slow_decay_check(_margin_rows(alpha, n, max_degree, exponent), exponent)
     return c, passes
+
+
+def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int) -> Iterator[tuple[int, float]]:
+    """The rows (l, |schur sin|) that decide `slow_decay_check`, in increasing l.
+
+    numpy picks the rows, the scalar code decides.  Each block of degrees
+    gets an approximate score |sin(w alpha)/w| (1+l)^exponent; only three
+    kinds of row are yielded, each recomputed by `schur_sin`:
+
+    - rows scoring within MARGIN_WINDOW of the best score so far;
+    - near-zero rows: 2q | (2l+n-1)p for exact alpha, or |sin| below twice
+      the kernel threshold for float alpha, so `schur_sin` decides the zero;
+    - rows whose weight nears the float range, so `slow_decay_check` raises
+      OverflowError on the first row that overflows, as it would in a full scan.
+
+    The screen reproduces `schur_sin`'s arguments bit for bit and differs
+    only in np.sin and the power, each a few ulp off at most; a row left out
+    scores more than MARGIN_WINDOW above a yielded one, so it can be neither the
+    minimum nor tie it, and the returned constant is the full scan's."""
+    import numpy as np
+
+    best = math.inf
+    for lo in range(0, max_degree + 1, MARGIN_BLOCK):
+        l = np.arange(lo, min(lo + MARGIN_BLOCK, max_degree + 1))
+        w = l + 0.5 * (n - 1)  # schur_sin's w, bit for bit while n < 2^52
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(alpha, Fraction):
+                p, q = alpha.numerator, alpha.denominator
+                m = 4 * q  # schur_sin's residue (2l + n - 1) p mod 4q; exact in int64 for m < 2^42, l < 2^20
+                r = ((l if m < 2**42 else l.astype(object)) * (2 * p % m) + (n - 1) * p % m) % m
+                x = np.sin(np.pi * (r / (2 * q)).astype(float))
+                near_zero = r % (2 * q) == 0
+            else:
+                u = w * float(alpha)
+                x = np.sin(u)
+                near_zero = np.abs(x) < 2 * np.maximum(KERNEL_SIN_TOL, KERNEL_ULPS * np.spacing(np.abs(u)))
+            weight = (1.0 + l) ** exponent
+            score = np.abs(x) / w * weight
+        edge = ~(weight < 2.0**1023)  # float(1+l)**exponent overflows from 2^1024 on
+        usable = ~(near_zero | edge)
+        if usable.any():
+            best = min(best, float(score[usable].min()))
+        pick = near_zero | edge | ~(score > best * (1 + MARGIN_WINDOW))  # nan scores get the recheck too
+        for k in np.flatnonzero(pick).tolist():
+            v, is_zero = schur_sin(n, lo + k, alpha)
+            yield lo + k, 0.0 if is_zero else abs(v)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,15 @@ def test_dio_verbs_smoke(tmp_path, capsys):
     assert any("exact zeros at l: [3, 6, 9]" in ln for ln in lines)
 
 
+def test_smallden_csv_values_parse_back(tmp_path):
+    out = tmp_path / "sd.csv"
+    assert cli.run(["dio", "smallden", "--number", "golden", "--count", "500", "--out", str(out)]) == 0
+    body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert body[0] == "l,value"
+    table = dio.small_denominator_sequence(dio.golden_class(), 0, 500)
+    assert [(int(l), float(v)) for l, v in (ln.split(",") for ln in body[1:])] == list(table.rows)
+
+
 def test_sphere_verbs_smoke(tmp_path, capsys):
     f0 = sphere_field(2, [(l, 1, 0.5**l) for l in range(4)])
     g = sphere_field(2, [(l, 1, 1.0) for l in range(4)])
@@ -187,6 +196,21 @@ def test_module_entry_point_runs_from_checkout():
     assert done.stdout.startswith("PASS sdprobe:")
 
 
+def test_cli_module_runs_as_script(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = tmp_path / "sdprobe.txt"
+    done = subprocess.run(
+        [sys.executable, "-m", "wavesnap.cli", "reproduce", "sdprobe", "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert out.exists() and out.stat().st_size > 0
+
+
 def test_exit_codes(tmp_path, capsys):
     assert cli.run(["no-such-group"]) == 2
     assert cli.run(["wave", "no-such-verb"]) == 2
@@ -204,6 +228,9 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert cli.run(["wave", "evolve", "--field", str(pf), "--velocity", str(pf), "--t", "1e308"]) == 1
     assert "error" in capsys.readouterr().err
+    # domain error: a margin weight (1+l)^200 beyond the float range
+    assert cli.run(["sphere", "margin", "--alpha", "0.7", "--n", "3", "--max-degree", "100", "--exponent", "200"]) == 1
+    assert "wavesnap: error:" in capsys.readouterr().err
     # usage error: malformed fraction
     assert cli.run(["dio", "cfrac", "--value", "abc"]) == 2
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wavesnap import diophantine as dio
 
@@ -286,6 +286,34 @@ def test_odd_type_verifier_small_scan():
     assert rep.worst_q == 81
     assert rep.min_ratio > 1e3
     assert rep.violations == ()
+
+
+def _odd_type_reference(qmax):
+    """The Fraction scan odd_type_verifier replaced: margins via nearest_integer."""
+    depth = next(
+        j for j in range(1, dio.FACTORIAL_DEPTH_CAP + 1)
+        if qmax * Fraction(1, 2 ** (math.factorial(j + 1) - 1)) * 2 * qmax**3 <= 1
+    )
+    beta = dio.binary_factorial_class(depth)
+    tail = beta.err
+    min_ratio, worst_q, violations, count = math.inf, 0, [], 0
+    for q in range(65, qmax + 1, 2):
+        count += 1
+        x = q * beta.value
+        lo = abs(x - dio.nearest_integer(x)) - q * tail
+        ratio = float(lo * q**3)
+        if ratio < min_ratio:
+            min_ratio, worst_q = ratio, q
+        if lo * q**3 <= 1:
+            violations.append(q)
+    return dio.OddTypeReport(qmax, depth, float(tail), count, min_ratio, worst_q, tuple(violations))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(65, 4000))
+@example(10**4)
+def test_odd_type_verifier_matches_fraction_scan(qmax):
+    assert dio.odd_type_verifier(qmax) == _odd_type_reference(qmax)
 
 
 def test_odd_type_margin_definition():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import scipy.special
+from hypothesis import example, given, settings, strategies as st
 
 from wavesnap import diophantine as dio, sphere as sph
 from wavesnap.fields import DimensionMismatch, field, linear_combine
@@ -256,6 +257,84 @@ def test_slow_decay_check_reads_any_iterable_once():
 def test_margin_float_alpha_smoke():
     c, passes = sph.surjectivity_margin(math.sqrt(2.0) * math.pi, 3, 2000, 3)
     assert passes and c > 0
+
+
+def _margin_reference(alpha, n, max_degree, exponent):
+    """The full scan: every degree through schur_sin, in increasing l."""
+
+    def rows():
+        for l in range(max_degree + 1):
+            v, is_zero = sph.schur_sin(n, l, alpha)
+            yield l, 0.0 if is_zero else abs(v)
+
+    passes, c = dio.slow_decay_check(rows(), exponent)
+    return c, passes
+
+
+def _outcome(margin, *args):
+    try:
+        return margin(*args)
+    except OverflowError:
+        return OverflowError
+
+
+_exact_times = st.builds(
+    lambda q, p: Fraction(p, q), st.integers(1, 60), st.integers(-240, 240)
+).filter(lambda b: b != 0)
+_float_times = st.one_of(
+    st.floats(0.01, 100.0),
+    st.builds(lambda k, m: k * math.pi / m, st.integers(1, 30), st.integers(1, 12)),
+    st.just(1000 * math.pi),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.one_of(_exact_times, _float_times),
+    n=st.integers(2, 6),
+    max_degree=st.integers(1, 20_000),
+    exponent=st.sampled_from([0, 1, 2, 3, 4, 60, 200]),
+)
+@example(alpha=math.sqrt(2.0) * math.pi, n=3, max_degree=20_000, exponent=1)  # weight 1 up to rounding
+@example(alpha=Fraction(1, 3), n=2, max_degree=20_000, exponent=1)  # periodic sines: ties across blocks
+@example(alpha=Fraction(2, 3), n=2, max_degree=20_000, exponent=60)  # exact zero at l = 1, weight 2^60
+@example(alpha=math.pi / 3, n=3, max_degree=20_000, exponent=60)  # float zero at l = 2
+@example(alpha=Fraction(7, 31), n=2, max_degree=20_000, exponent=200)  # overflow at l = 34
+@example(alpha=Fraction(1, 10**13), n=2, max_degree=20_000, exponent=3)  # 4q > 2^42: residues on Python ints
+def test_margin_matches_full_scan(alpha, n, max_degree, exponent):
+    got = _outcome(sph.surjectivity_margin, alpha, n, max_degree, exponent)
+    assert got == _outcome(_margin_reference, alpha, n, max_degree, exponent)
+
+
+@pytest.mark.parametrize(
+    "alpha, n, exponent",
+    [(Fraction(1, 3), 2, 1), (math.pi / 3, 2, 1), (math.sqrt(2.0) * math.pi, 3, 3)],
+)
+def test_margin_screen_absorbs_inexact_sines(monkeypatch, alpha, n, exponent):
+    # a screen whose sines are off by up to 4e-10 relative, well inside the
+    # 1e-9 window, still yields the rows that decide the minimum
+    import numpy as np
+
+    sin = np.sin
+    monkeypatch.setattr(np, "sin", lambda x: sin(x) * (1 + 4e-10 * sin(1e3 * x)))
+    assert sph.surjectivity_margin(alpha, n, 200_000, exponent) == _margin_reference(alpha, n, 200_000, exponent)
+
+
+def test_margin_rechecks_few_rows(monkeypatch):
+    calls = 0
+    schur_sin = sph.schur_sin
+
+    def counted(n, l, alpha):
+        nonlocal calls
+        calls += 1
+        return schur_sin(n, l, alpha)
+
+    monkeypatch.setattr(sph, "schur_sin", counted)
+    for alpha, n in ((Fraction(7, 31), 2), (math.sqrt(2.0) * math.pi, 3)):
+        calls = 0
+        c, passes = sph.surjectivity_margin(alpha, n, 10**6, 3)
+        assert passes and c > 0
+        assert 0 < calls <= 2_000
 
 
 def test_classification_odd_sphere():
