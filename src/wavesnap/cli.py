@@ -14,8 +14,8 @@ usage errors, which print the grammar to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
-import json
 import math
 import sys
 from fractions import Fraction
@@ -24,13 +24,14 @@ from typing import Sequence
 from . import __version__, diophantine, experiments, propagators, snapshots, sphere
 from .fields import (
     SymbolUndefined,
-    field_to_json,
+    json_members,
+    json_text,
     load_field,
     symbol_constant,
     write_text_atomic,
 )
 from .propagators import symbol_Psi, symbol_S, symbol_Sprime
-from .sphere import load_sphere_field, sphere_field_to_json
+from .sphere import load_sphere_field
 
 # ArithmeticError: ZeroDivisionError, and OverflowError from results beyond the float range
 _DOMAIN_ERRORS = (ValueError, OSError, KeyError, ArithmeticError, diophantine.PrecisionExhausted, SymbolUndefined)
@@ -94,20 +95,6 @@ def _number_spec(text: str) -> diophantine.NumberClass:
 # -- serialization ----------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
-
-
 def _number_payload(x: diophantine.NumberClass) -> dict:
     return {
         "label": x.label,
@@ -121,25 +108,26 @@ def _number_payload(x: diophantine.NumberClass) -> dict:
     }
 
 
-def _solve_payload(rep: snapshots.SolveReport, to_json=field_to_json, kernel_name: str = "kernel_modes") -> dict:
+def _solve_payload(rep: snapshots.SolveReport, kernel_name: str = "kernel_modes") -> dict:
     return {
         "status": rep.status,
         "residual": rep.residual,
         "conditioning": rep.conditioning,
         kernel_name: [list(key) for key in rep.kernel_modes],
         "note": rep.note,
-        "solution": to_json(rep.solution) if rep.solution is not None else None,
+        "solution": rep.solution,
     }
 
 
-def _emit_json(args: argparse.Namespace, verb: str, payload: dict) -> None:
-    doc = {"tool": "wavesnap", "version": __version__, "verb": verb, "seed": args.seed}
-    doc.update(payload)
-    text = json.dumps(_jsonable(doc), indent=2) + "\n"
+def _write(args: argparse.Namespace, text: str) -> None:
     if args.out:
         write_text_atomic(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(args: argparse.Namespace, verb: str, payload: dict) -> None:
+    _write(args, json_text({"tool": "wavesnap", "version": __version__, "verb": verb, "seed": args.seed, **payload}))
 
 
 def _emit_csv(
@@ -158,10 +146,7 @@ def _emit_csv(
     buf.write(",".join(columns) + "\n")
     line = ",".join(["%s"] * len(columns)) + "\n"  # %s formats with str(), as a join of str()s would
     buf.writelines(line % tuple(row) for row in rows)
-    if args.out:
-        write_text_atomic(args.out, buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(args, buf.getvalue())
 
 
 # -- wave verbs --------------------------------------------------------------
@@ -169,13 +154,13 @@ def _emit_csv(
 
 def _wave_evolve(args) -> int:
     u = snapshots.evolve(snapshots.CauchyData(load_field(args.field), load_field(args.velocity)), args.t)
-    _emit_json(args, "wave evolve", field_to_json(u))
+    _emit_json(args, "wave evolve", json_members(u))
     return 0
 
 
 def _wave_snapshot(args) -> int:
     u = snapshots.general_integer_snapshot(load_field(args.ua), load_field(args.ub), args.a, args.b, args.m)
-    _emit_json(args, "wave snapshot", field_to_json(u))
+    _emit_json(args, "wave snapshot", json_members(u))
     return 0
 
 
@@ -303,20 +288,7 @@ def _dio_smallden(args) -> int:
 
 def _dio_oddtype(args) -> int:
     rep = diophantine.odd_type_verifier(args.qmax)
-    _emit_json(
-        args,
-        "dio oddtype",
-        {
-            "qmax": rep.qmax,
-            "depth": rep.depth,
-            "tail": rep.tail,
-            "count": rep.count,
-            "min_ratio": rep.min_ratio,
-            "worst_q": rep.worst_q,
-            "violations": list(rep.violations),
-            "passes": rep.passes,
-        },
-    )
+    _emit_json(args, "dio oddtype", {**dataclasses.asdict(rep), "passes": rep.passes})
     return 0
 
 
@@ -349,20 +321,7 @@ def _dio_sdprobe(args) -> int:
 
 def _dio_doubled_bound(args) -> int:
     w = diophantine.doubled_liouville_bound(args.number, args.exponent)
-    _emit_json(
-        args,
-        "dio doubled-bound",
-        {
-            "number": args.number.label,
-            "exponent": w.exponent,
-            "p": w.p,
-            "q": w.q,
-            "gap_lo": w.gap_lo,
-            "gap_hi": w.gap_hi,
-            "bound": w.bound,
-            "ok": w.ok,
-        },
-    )
+    _emit_json(args, "dio doubled-bound", {"number": args.number.label, **dataclasses.asdict(w), "ok": w.ok})
     return 0
 
 
@@ -379,13 +338,13 @@ def _sphere_time(args) -> float:
 
 def _sphere_evolve(args) -> int:
     data = snapshots.CauchyData(load_sphere_field(args.f0), load_sphere_field(args.g))
-    _emit_json(args, "sphere evolve", sphere_field_to_json(snapshots.evolve(data, _sphere_time(args))))
+    _emit_json(args, "sphere evolve", json_members(snapshots.evolve(data, _sphere_time(args))))
     return 0
 
 
 def _sphere_snapshot(args) -> int:
     u = sphere.sphere_snapshot(load_sphere_field(args.ua), load_sphere_field(args.ualpha), args.alpha, args.m)
-    _emit_json(args, "sphere snapshot", sphere_field_to_json(u))
+    _emit_json(args, "sphere snapshot", json_members(u))
     return 0
 
 
@@ -402,7 +361,7 @@ def _sphere_solve(args) -> int:
     rep = sphere.sphere_two_snapshot_solve(
         load_sphere_field(args.f0), load_sphere_field(args.falpha), alpha, max_degree=args.max_degree
     )
-    _emit_json(args, "sphere solve", {"alpha": alpha, **_solve_payload(rep, sphere_field_to_json, "kernel_coeffs")})
+    _emit_json(args, "sphere solve", {"alpha": alpha, **_solve_payload(rep, "kernel_coeffs")})
     return 0
 
 

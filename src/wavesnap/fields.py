@@ -24,6 +24,7 @@ import os
 import tempfile
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, NamedTuple, Protocol
 
 
@@ -47,6 +48,7 @@ class Field(Protocol):
     keys: tuple[Any, ...]
     freqs: tuple[float, ...]
     amps: tuple[complex, ...]
+    json_schema: tuple[str, str, Callable[[Any, list], dict]]  # see `json_members`
 
     def with_columns(self, keys: tuple, freqs: tuple, amps: tuple) -> Field: ...
     def check_same_basis(self, other: object) -> None: ...
@@ -71,6 +73,7 @@ class SpectralField:
     keys: tuple[tuple[float, ...], ...]
     freqs: tuple[float, ...]
     amps: tuple[complex, ...]
+    json_schema = ("dim", "modes", lambda key, amp: {"xi": list(key), "amp": amp})
 
     @property
     def modes(self) -> tuple[Mode, ...]:
@@ -263,12 +266,80 @@ def zero_field(dim: int) -> SpectralField:
 # ---------------------------------------------------------------------------
 # serialization
 
+_string = json.encoder.encode_basestring_ascii
+_SLOT = "\0"  # a number's place in a row template
 
-def field_to_json(f: SpectralField) -> dict:
-    return {
-        "dim": f.dim,
-        "modes": [{"xi": list(xi), "amp": [amp.real, amp.imag]} for xi, amp in zip(f.keys, f.amps)],
-    }
+
+@dataclass(frozen=True)
+class _Rows:
+    field: Field
+
+
+def json_members(f: Field, rows: Any = None) -> dict:
+    """A field's JSON members, as its kind's `json_schema` (header, name, row)
+    says: the attribute `header`, then under `name` one `row(key, [re, im])`
+    per key, the key's numbers first.  By default the rows are left for
+    `json_text` to write straight from the columns."""
+    header, name, _ = f.json_schema
+    return {header: getattr(f, header), name: _Rows(f) if rows is None else rows}
+
+
+def field_to_json(f: Field) -> dict:
+    row = f.json_schema[2]
+    return json_members(f, [row(key, [amp.real, amp.imag]) for key, amp in zip(f.keys, f.amps)])
+
+
+def json_text(obj: Any) -> str:
+    """The one JSON emitter: `json.dumps(obj, indent=2)` plus a newline, where
+    obj may also hold fields (written as `field_to_json`), `Fraction`s ("p/q"),
+    complex numbers ([re, im]) and non-finite floats (their repr, as a string).
+    It raises TypeError wherever `json.dumps` would."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj: Any, pad: str) -> str:
+    """obj as JSON text whose lines start with `pad` (a newline and the
+    indentation), checking plain values in the order `json` does."""
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else _string(repr(obj))
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in obj]) + pad + "]" if obj else "[]"
+    if isinstance(obj, dict):
+        members = [_key(k) + ": " + _encode(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(members) + pad + "}" if obj else "{}"
+    if isinstance(obj, Fraction):
+        return f'"{obj.numerator}/{obj.denominator}"'
+    if isinstance(obj, complex):  # json's own float text: non-finite parts read NaN, Infinity
+        return "[" + inner + json.dumps(obj.real) + "," + inner + json.dumps(obj.imag) + pad + "]"
+    if isinstance(obj, _Rows):
+        return _rows(obj.field, pad)
+    if hasattr(obj, "json_schema"):
+        return _encode(json_members(obj), pad)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key(k: Any) -> str:
+    """A member name; json's own rules turn number, bool and None keys into text."""
+    return _string(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+
+
+def _rows(f: Field, pad: str) -> str:
+    """f's rows through one `%r` template built from its row: the repr of a
+    float is what `json` writes, and canonical columns hold finite Python
+    floats and ints, so no row needs a check."""
+    if not f.keys:
+        return "[]"
+    inner = pad + "  "
+    row = _encode(f.json_schema[2]((_SLOT,) * len(f.keys[0]), [_SLOT, _SLOT]), inner)
+    template = inner + row.replace("%", "%%").replace(_string(_SLOT), "%r")
+    return "[" + ",".join([template % (key + (amp.real, amp.imag)) for key, amp in zip(f.keys, f.amps)]) + pad + "]"
 
 
 def field_from_json(obj: dict) -> SpectralField:
@@ -283,8 +354,8 @@ def field_from_json(obj: dict) -> SpectralField:
     return field(dim, entries)
 
 
-def save_field(f: SpectralField, path: str) -> None:
-    write_text_atomic(path, json.dumps(field_to_json(f), indent=2) + "\n")
+def save_field(f: Field, path: str) -> None:
+    write_text_atomic(path, json_text(f))
 
 
 def load_field(path: str) -> SpectralField:

@@ -38,16 +38,18 @@ from .diophantine import (
 from .fields import (
     DimensionMismatch,
     canonical_columns,
+    field_to_json,
     lookup_amplitude,
     max_abs_amp,
+    save_field,
     subtract,
-    write_text_atomic,
 )
 from .snapshots import (
     KERNEL_SIN_TOL,
     KERNEL_ULPS,
     CauchyData,
     Equation,
+    InvalidTime,
     SolveReport,
     diagonal_solve,
     evolve,
@@ -106,6 +108,7 @@ class SphereField:
     keys: tuple[tuple[int, int], ...]
     freqs: tuple[float, ...]
     amps: tuple[complex, ...]
+    json_schema = ("n", "coeffs", lambda key, amp: {"l": key[0], "m": key[1], "amp": amp})
 
     @property
     def coeffs(self) -> tuple[tuple[int, int, complex], ...]:
@@ -297,7 +300,10 @@ def surjectivity_margin(
     """Best constant C with |schur sin| >= C (1+l)^(-exponent) up to
     max_degree, and whether it is positive.  An exact zero (rational
     multiples of pi with the divisibility hit) forces (0, False); a weight
-    (1+l)^exponent beyond the float range raises OverflowError."""
+    (1+l)^exponent beyond the float range raises OverflowError, a NaN alpha
+    InvalidTime."""
+    if alpha != alpha:
+        raise InvalidTime(f"alpha must be a number, got {alpha!r}")
     dim_Hl(n, 0)
     if not 1 <= max_degree <= 10**6:
         raise ValueError(f"max_degree must be in [1, 1e6], got {max_degree}")
@@ -443,14 +449,10 @@ def classify_alpha(beta: NumberClass, n: int) -> Classification:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: flat and sphere fields share the writers; SphereField holds its schema
 
-
-def sphere_field_to_json(f: SphereField) -> dict:
-    return {
-        "n": f.n,
-        "coeffs": [{"l": l, "m": m, "amp": [amp.real, amp.imag]} for (l, m), amp in zip(f.keys, f.amps)],
-    }
+sphere_field_to_json = field_to_json
+save_sphere_field = save_field
 
 
 def sphere_field_from_json(obj: dict) -> SphereField:
@@ -463,10 +465,6 @@ def sphere_field_from_json(obj: dict) -> SphereField:
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed sphere field object: {exc}") from exc
     return sphere_field(n, entries)
-
-
-def save_sphere_field(f: SphereField, path: str) -> None:
-    write_text_atomic(path, json.dumps(sphere_field_to_json(f), indent=2) + "\n")
 
 
 def load_sphere_field(path: str) -> SphereField:

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from wavesnap import cli, diophantine as dio
-from wavesnap.fields import field, save_field
-from wavesnap.sphere import save_sphere_field, sphere_field
+from wavesnap.fields import field, load_field, save_field
+from wavesnap.snapshots import CauchyData, evolve
+from wavesnap.sphere import load_sphere_field, save_sphere_field, sphere_field
 
 
 @pytest.fixture()
@@ -180,6 +181,42 @@ def test_sphere_verbs_smoke(tmp_path, capsys):
     assert doc["passes"] is False and doc["C"] == 0.0
 
 
+def test_json_verbs_write_what_json_dumps_writes(wave_files):
+    """Every JSON verb run above writes the text `json.dumps(doc, indent=2)`
+    writes for its own parse; a field output loads back as the field written."""
+    tmp, pf, pg = wave_files
+    s0 = sphere_field(2, [(l, 1, 0.5**l) for l in range(4)])
+    sg = sphere_field(2, [(l, 1, 1.0) for l in range(4)])
+    ps0, psg = str(tmp / "s0.json"), str(tmp / "sg.json")
+    save_sphere_field(s0, ps0)
+    save_sphere_field(sg, psg)
+    f1, fa, sa = str(tmp / "f1.json"), str(tmp / "fa.json"), str(tmp / "sa.json")
+    runs = [
+        ["wave", "evolve", "--field", pf, "--velocity", pg, "--t", "1.0", "--out", f1],
+        ["wave", "evolve", "--field", pf, "--velocity", pg, "--t", "0.4", "--out", fa],
+        ["wave", "two-solve", "--f0", pf, "--f1", f1],
+        ["wave", "three-solve", "--f0", pf, "--f1", f1, "--falpha", fa, "--alpha-frac", "2/5"],
+        ["wave", "rational-solve", "--f0", pf, "--fp", pg, "--fq", f1, "--p", "2", "--q", "3"],
+        ["dio", "cfrac", "--value", "415/93"],
+        ["dio", "class", "--number", "liouville:10:3"],
+        ["dio", "oddtype", "--qmax", "200"],
+        ["sphere", "evolve", "--f0", ps0, "--g", psg, "--t-pi", "1/3", "--out", sa],
+        ["sphere", "solve", "--f0", ps0, "--falpha", sa, "--alpha-pi", "1/3"],
+        ["sphere", "classify", "--number", "golden", "--n", "3"],
+        ["sphere", "margin", "--alpha-pi", "1/2", "--n", "3", "--max-degree", "100", "--exponent", "3"],
+        ["reproduce", "sdprobe"],
+    ]
+    for i, argv in enumerate(runs):
+        out = argv[-1] if argv[-2] == "--out" else str(tmp / f"out{i}.json")
+        assert cli.run(argv if argv[-2] == "--out" else argv + ["--out", out]) == 0, argv
+        with open(out, encoding="utf-8") as fh:
+            text = fh.read()
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text, argv
+    for t, path in ((1.0, f1), (0.4, fa)):
+        assert load_field(path) == evolve(CauchyData(load_field(pf), load_field(pg)), t)
+    assert load_sphere_field(sa) == evolve(CauchyData(s0, sg), math.pi * (1 / 3))
+
+
 def test_reproduce_suite(capsys):
     assert cli.run(["reproduce", "sdprobe"]) == 0
     out = capsys.readouterr().out
@@ -231,6 +268,14 @@ def test_exit_codes(tmp_path, capsys):
     # domain error: a margin weight (1+l)^200 beyond the float range
     assert cli.run(["sphere", "margin", "--alpha", "0.7", "--n", "3", "--max-degree", "100", "--exponent", "200"]) == 1
     assert "wavesnap: error:" in capsys.readouterr().err
+    # domain error: a NaN time, which no margin scan can score
+    out = tmp_path / "margin.json"
+    assert cli.run(["sphere", "margin", "--alpha", "nan", "--n", "3", "--max-degree", "100", "--out", str(out)]) == 1
+    assert "wavesnap: error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.run(["sphere", "margin", "--alpha", "inf", "--n", "3", "--max-degree", "100", "--out", str(out)]) == 1
+    assert "wavesnap: error:" in capsys.readouterr().err
+    assert not out.exists()
     # usage error: malformed fraction
     assert cli.run(["dio", "cfrac", "--value", "abc"]) == 2
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from wavesnap import diophantine as dio, sphere as sph
 from wavesnap.fields import DimensionMismatch, field, linear_combine
 from wavesnap.propagators import symbol_Psi
-from wavesnap.snapshots import STATUS_NONUNIQUE, STATUS_OBSTRUCTED, STATUS_UNIQUE, CauchyData, evolve
+from wavesnap.snapshots import STATUS_NONUNIQUE, STATUS_OBSTRUCTED, STATUS_UNIQUE, CauchyData, InvalidTime, evolve
 
 
 def test_harmonic_dimensions():
@@ -252,6 +252,15 @@ def test_slow_decay_check_reads_any_iterable_once():
     assert dio.slow_decay_check(((l, 1.0 / (1 + l)) for l in range(5)), 1) == (True, 1.0)
     with pytest.raises(ValueError, match="no rows"):
         dio.slow_decay_check(iter(()), 1)
+
+
+def test_margin_rejects_nan_time():
+    """Every row of a NaN time is NaN, which no constant bounds; the scan used
+    to skip them all and report C = inf as a pass."""
+    with pytest.raises(InvalidTime):
+        sph.surjectivity_margin(math.nan, 3, 100, 3)
+    with pytest.raises(ValueError):
+        sph.surjectivity_margin(math.inf, 3, 100, 3)
 
 
 def test_margin_float_alpha_smoke():
