@@ -17,10 +17,8 @@ from .fields import (
     SpectralField,
     SymbolUndefined,
     apply_multiplier,
-    evaluate,
     field,
     field_from_json,
-    field_to_json,
     linear_combine,
     load_field,
     max_abs_amp,
@@ -28,13 +26,15 @@ from .fields import (
     subtract,
     symbol_constant,
     symbol_product,
-    zero_field,
 )
 from .propagators import (
     IdentityReport,
     InvalidScale,
+    as_radians,
     chebyshev_U,
+    cos_at,
     fundamental_identities_check,
+    sine_at,
     symbol_Psi,
     symbol_S,
     symbol_Sprime,
@@ -55,11 +55,9 @@ from .snapshots import (
     general_integer_snapshot,
     kernel_modes,
     liouville_obstruction_demo,
-    rational_compatibility_residual,
     rational_reconstruct,
     three_snapshot_solve,
     two_snapshot_solve,
-    wave_residual,
 )
 from .diophantine import (
     ContinuedFraction,
@@ -81,7 +79,6 @@ from .diophantine import (
     irrationality_exponent_probe,
     joint_sine_lower_bound_check,
     liouville_truncation,
-    nearest_integer,
     odd_type_verifier,
     rational_number,
     slow_decay_check,
@@ -100,15 +97,10 @@ from .sphere import (
     dim_Hl,
     gegenbauer_phi,
     huygens_antipodal_check,
-    laplace_eigenvalue,
     load_sphere_field,
     save_sphere_field,
-    schur_cos,
-    schur_sin,
     sphere_evolve,
     sphere_field,
-    sphere_field_from_json,
-    sphere_field_to_json,
     sphere_snapshot,
     sphere_two_snapshot_solve,
     surjectivity_margin,

@@ -23,6 +23,7 @@ from typing import Sequence
 
 from . import __version__, diophantine, experiments, propagators, snapshots, sphere
 from .fields import (
+    SpectralField,
     SymbolUndefined,
     json_members,
     json_text,
@@ -31,7 +32,6 @@ from .fields import (
     write_text_atomic,
 )
 from .propagators import symbol_Psi, symbol_S, symbol_Sprime
-from .sphere import load_sphere_field
 
 # ArithmeticError: ZeroDivisionError, and OverflowError from results beyond the float range
 _DOMAIN_ERRORS = (ValueError, OSError, KeyError, ArithmeticError, diophantine.PrecisionExhausted, SymbolUndefined)
@@ -88,8 +88,35 @@ def number_class(spec: str) -> diophantine.NumberClass:
 def _number_spec(text: str) -> diophantine.NumberClass:
     try:
         return number_class(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError, diophantine.PrecisionExhausted) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+_KINDS = {"wave": SpectralField, "sphere": sphere.SphereField}
+
+
+def _load(args: argparse.Namespace, *names: str) -> list:
+    """The fields in the files that args' `names` give, each of the kind its
+    verb group reads."""
+    kind = _KINDS[args.group]
+    loaded = []
+    for name in names:
+        path = getattr(args, name)
+        f = load_field(path)
+        if not isinstance(f, kind):
+            raise ValueError(f"{path} holds a {type(f).__name__}; {args.group} verbs read a {kind.__name__}")
+        loaded.append(f)
+    return loaded
+
+
+def _time(args: argparse.Namespace, name: str) -> float | Fraction:
+    """The time given as --NAME in radians or as --NAME-pi P/Q, meaning P/Q of pi."""
+    exact = getattr(args, f"{name}_pi", None)
+    if exact is not None:
+        return exact
+    if getattr(args, name) is None:
+        raise ValueError(f"need --{name} (radians) or --{name}-pi P/Q (multiple of pi)")
+    return getattr(args, name)
 
 
 # -- serialization ----------------------------------------------------------
@@ -152,28 +179,26 @@ def _emit_csv(
 # -- wave verbs --------------------------------------------------------------
 
 
-def _wave_evolve(args) -> int:
-    u = snapshots.evolve(snapshots.CauchyData(load_field(args.field), load_field(args.velocity)), args.t)
-    _emit_json(args, "wave evolve", json_members(u))
+def _evolve(args) -> int:
+    u = snapshots.evolve(snapshots.CauchyData(*_load(args, "f0", "g")), _time(args, "t"))
+    _emit_json(args, f"{args.group} {args.verb}", json_members(u))
     return 0
 
 
 def _wave_snapshot(args) -> int:
-    u = snapshots.general_integer_snapshot(load_field(args.ua), load_field(args.ub), args.a, args.b, args.m)
+    u = snapshots.general_integer_snapshot(*_load(args, "ua", "ub"), args.a, args.b, args.m)
     _emit_json(args, "wave snapshot", json_members(u))
     return 0
 
 
 def _wave_two_solve(args) -> int:
-    rep = snapshots.two_snapshot_solve(load_field(args.f0), load_field(args.f1))
+    rep = snapshots.two_snapshot_solve(*_load(args, "f0", "f1"))
     _emit_json(args, "wave two-solve", _solve_payload(rep))
     return 0
 
 
 def _wave_compat(args) -> int:
-    r = snapshots.compatibility_residual_general(
-        load_field(args.f0), load_field(args.f1), load_field(args.falpha), 0.0, 1.0, args.alpha
-    )
+    r = snapshots.compatibility_residual_general(*_load(args, "f0", "f1", "falpha"), 0.0, 1.0, args.alpha)
     _emit_json(args, "wave compat", {"alpha": args.alpha, "residual": r})
     return 0
 
@@ -182,9 +207,7 @@ def _wave_three_solve(args) -> int:
     alpha = args.alpha_frac if args.alpha_frac is not None else args.alpha
     if alpha is None:
         raise ValueError("three-solve needs --alpha or --alpha-frac")
-    rep = snapshots.three_snapshot_solve(
-        load_field(args.f0), load_field(args.f1), load_field(args.falpha), alpha
-    )
+    rep = snapshots.three_snapshot_solve(*_load(args, "f0", "f1", "falpha"), alpha)
     payload = {"alpha": alpha, **_solve_payload(rep)}
     _emit_json(args, "wave three-solve", payload)
     return 0
@@ -192,9 +215,7 @@ def _wave_three_solve(args) -> int:
 
 def _wave_rational_solve(args) -> int:
     try:
-        rep = snapshots.rational_reconstruct(
-            load_field(args.f0), load_field(args.fp), load_field(args.fq), args.p, args.q
-        )
+        rep = snapshots.rational_reconstruct(*_load(args, "f0", "fp", "fq"), args.p, args.q)
         payload = {"p": args.p, "q": args.q, **_solve_payload(rep)}
     except snapshots.IncompatibleData as exc:
         payload = {
@@ -328,39 +349,15 @@ def _dio_doubled_bound(args) -> int:
 # -- sphere verbs ------------------------------------------------------------
 
 
-def _sphere_time(args) -> float:
-    if getattr(args, "t_pi", None) is not None:
-        return math.pi * float(args.t_pi)
-    if args.t is None:
-        raise ValueError("need --t or --t-pi")
-    return args.t
-
-
-def _sphere_evolve(args) -> int:
-    data = snapshots.CauchyData(load_sphere_field(args.f0), load_sphere_field(args.g))
-    _emit_json(args, "sphere evolve", json_members(snapshots.evolve(data, _sphere_time(args))))
-    return 0
-
-
 def _sphere_snapshot(args) -> int:
-    u = sphere.sphere_snapshot(load_sphere_field(args.ua), load_sphere_field(args.ualpha), args.alpha, args.m)
+    u = sphere.sphere_snapshot(*_load(args, "ua", "ualpha"), args.alpha, args.m)
     _emit_json(args, "sphere snapshot", json_members(u))
     return 0
 
 
-def _sphere_alpha(args) -> float | Fraction:
-    if args.alpha_pi is not None:
-        return args.alpha_pi
-    if args.alpha is None:
-        raise ValueError("need --alpha (radians) or --alpha-pi P/Q (multiple of pi)")
-    return args.alpha
-
-
 def _sphere_solve(args) -> int:
-    alpha = _sphere_alpha(args)
-    rep = sphere.sphere_two_snapshot_solve(
-        load_sphere_field(args.f0), load_sphere_field(args.falpha), alpha, max_degree=args.max_degree
-    )
+    alpha = _time(args, "alpha")
+    rep = sphere.sphere_two_snapshot_solve(*_load(args, "f0", "falpha"), alpha, max_degree=args.max_degree)
     _emit_json(args, "sphere solve", {"alpha": alpha, **_solve_payload(rep, "kernel_coeffs")})
     return 0
 
@@ -369,9 +366,7 @@ def _sphere_huygens(args) -> int:
     if args.t_count < 2:
         raise ValueError("--t-count must be at least 2")
     times = [args.tmax * j / (args.t_count - 1) for j in range(args.t_count)]
-    r = sphere.huygens_antipodal_check(
-        load_sphere_field(args.f0), load_sphere_field(args.g), times, c_count=args.c_count
-    )
+    r = sphere.huygens_antipodal_check(*_load(args, "f0", "g"), times, c_count=args.c_count)
     _emit_json(args, "sphere huygens", {"t_count": args.t_count, "c_count": args.c_count, "max_residual": r})
     return 0
 
@@ -387,7 +382,7 @@ def _sphere_classify(args) -> int:
 
 
 def _sphere_margin(args) -> int:
-    alpha = _sphere_alpha(args)
+    alpha = _time(args, "alpha")
     c, passes = sphere.surjectivity_margin(alpha, args.n, args.max_degree, args.exponent)
     _emit_json(
         args,
@@ -434,11 +429,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = wave.add_parser("evolve", help="evolve Cauchy data to time t")
-    p.add_argument("--field", required=True, help="position snapshot JSON")
-    p.add_argument("--velocity", required=True, help="velocity field JSON")
+    p.add_argument("--field", dest="f0", metavar="FIELD", required=True, help="position snapshot JSON")
+    p.add_argument("--velocity", dest="g", metavar="VELOCITY", required=True, help="velocity field JSON")
     p.add_argument("--t", type=float, required=True)
     _add_common(p)
-    p.set_defaults(handler=_wave_evolve)
+    p.set_defaults(handler=_evolve)
 
     p = wave.add_parser("snapshot", help="snapshot at time a+m(b-a) from the pair at a, b")
     p.add_argument("--ua", required=True)
@@ -529,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_dio_oddtype)
 
     p = dio.add_parser("jointbound", help="joint sine lower bound sweep")
-    p.add_argument("--number", type=_number_spec, default=None, help="default sqrt2")
+    p.add_argument("--number", type=_number_spec, default="sqrt2", help="default sqrt2")
     p.add_argument("--exponent", type=int, default=3)
     p.add_argument("--xmax", type=float, default=1e4)
     _add_common(p)
@@ -557,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--t-pi", type=_fraction, default=None, help="time as P/Q of pi")
     _add_common(p)
-    p.set_defaults(handler=_sphere_evolve)
+    p.set_defaults(handler=_evolve)
 
     p = sph.add_parser("snapshot", help="snapshot at m*alpha from the pair at 0, alpha")
     p.add_argument("--ua", required=True)
@@ -615,8 +610,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "handler", None) is _dio_jointbound and args.number is None:
-        args.number = diophantine.sqrt2_class()
     try:
         return args.handler(args)
     except _DOMAIN_ERRORS as exc:

@@ -297,18 +297,6 @@ def convergent_pair(x: NumberClass, k: int) -> tuple[int, int, Fraction, Fractio
 # exact range reduction and sine enclosures
 
 
-def nearest_integer(x: Fraction | int) -> int:
-    """Nearest integer, ties to even."""
-    x = Fraction(x)
-    n = x.numerator // x.denominator
-    rem = x - n
-    if rem > Fraction(1, 2):
-        return n + 1
-    if rem < Fraction(1, 2):
-        return n
-    return n if n % 2 == 0 else n + 1
-
-
 @dataclass(frozen=True)
 class SineInterval:
     """Certified enclosure of |sin(pi r)| for exact rational r."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import diophantine, propagators, snapshots, sphere
 from .fields import SpectralField, apply_multiplier, field, linear_combine, max_abs_amp, subtract
-from .propagators import symbol_Psi, symbol_S, symbol_Sprime
+from .propagators import as_radians, symbol_Psi, symbol_S, symbol_Sprime
 from .snapshots import CauchyData, evolve
 
 GUARD_SIN = 5e-3
@@ -316,7 +316,7 @@ def sphere_suite(seed: int = 0) -> dict:
 
     margin_cases = [
         (Fraction(1, 3), 2, 3, True),
-        (math.pi * float(golden.value), 3, 3, True),
+        (as_radians(golden.value), 3, 3, True),
         (math.sqrt(2.0) * math.pi, 3, 3, True),
         (Fraction(1, 2), 3, 3, False),
         (Fraction(2, 5), 2, 3, False),
@@ -370,7 +370,7 @@ def sphere_suite(seed: int = 0) -> dict:
 
     beta_l = Fraction(110001, 10**6)  # the depth-3 factorial series, exactly
     f0 = sphere.sphere_field(3, [(99, 1, 1.0)])
-    fa = evolve(CauchyData(f0, sphere.sphere_field(3, [(99, 1, 0.5)])), math.pi * float(beta_l))
+    fa = evolve(CauchyData(f0, sphere.sphere_field(3, [(99, 1, 0.5)])), beta_l)
     rep = sphere.sphere_two_snapshot_solve(f0, fa, beta_l, max_degree=256)
     checks.append(f"conditioning at the q=100 convergent degree: {rep.conditioning:.3e}")
     ok = ok and rep.conditioning >= 1e5

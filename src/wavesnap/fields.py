@@ -43,12 +43,13 @@ class Field(Protocol):
     each key (at which symbols are evaluated), `amps` finite and nonzero --
     a field over the same basis built from canonical columns, and a typed
     error unless `other` shares the basis.  Operators trust keys taken from a
-    canonical field and never validate them again."""
+    canonical field and never validate them again.  `json_schema` is how the
+    kind is written and read; see `json_members` and `field_from_json`."""
 
     keys: tuple[Any, ...]
     freqs: tuple[float, ...]
     amps: tuple[complex, ...]
-    json_schema: tuple[str, str, Callable[[Any, list], dict]]  # see `json_members`
+    json_schema: tuple[str, str, Callable[[Any, list], dict], Callable[[int, list], Field]]
 
     def with_columns(self, keys: tuple, freqs: tuple, amps: tuple) -> Field: ...
     def check_same_basis(self, other: object) -> None: ...
@@ -73,7 +74,12 @@ class SpectralField:
     keys: tuple[tuple[float, ...], ...]
     freqs: tuple[float, ...]
     amps: tuple[complex, ...]
-    json_schema = ("dim", "modes", lambda key, amp: {"xi": list(key), "amp": amp})
+    json_schema = (
+        "dim",
+        "modes",
+        lambda key, amp: {"xi": list(key), "amp": amp},
+        lambda dim, rows: field(dim, [(m["xi"], complex_from_json(m["amp"])) for m in rows]),
+    )
 
     @property
     def modes(self) -> tuple[Mode, ...]:
@@ -140,16 +146,6 @@ def field(dim: int, entries: Iterable[tuple[Sequence[float], complex]]) -> Spect
             yield key, math.hypot(*key), complex(amp)
 
     return SpectralField(dim, *canonical_columns(validated()))
-
-
-def evaluate(f: SpectralField, x: Sequence[float]) -> complex:
-    if len(x) != f.dim:
-        raise DimensionMismatch(f"point of length {len(x)} in dim {f.dim}")
-    total = 0j
-    for xi, amp in zip(f.keys, f.amps):
-        phase = sum(a * b for a, b in zip(xi, x))
-        total += amp * cmath.exp(1j * phase)
-    return total
 
 
 @dataclass(frozen=True)
@@ -259,10 +255,6 @@ def max_abs_amp(f: Field) -> float:
     return max(map(abs, f.amps), default=0.0)
 
 
-def zero_field(dim: int) -> SpectralField:
-    return SpectralField(dim, (), (), ())
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -275,23 +267,18 @@ class _Rows:
     field: Field
 
 
-def json_members(f: Field, rows: Any = None) -> dict:
-    """A field's JSON members, as its kind's `json_schema` (header, name, row)
-    says: the attribute `header`, then under `name` one `row(key, [re, im])`
-    per key, the key's numbers first.  By default the rows are left for
-    `json_text` to write straight from the columns."""
-    header, name, _ = f.json_schema
-    return {header: getattr(f, header), name: _Rows(f) if rows is None else rows}
-
-
-def field_to_json(f: Field) -> dict:
-    row = f.json_schema[2]
-    return json_members(f, [row(key, [amp.real, amp.imag]) for key, amp in zip(f.keys, f.amps)])
+def json_members(f: Field) -> dict:
+    """A field's JSON members, as its kind's `json_schema` (header, name, row,
+    reader) says: the attribute `header`, then under `name` one
+    `row(key, [re, im])` per key, the key's numbers first.  The rows are left
+    for `json_text` to write straight from the columns."""
+    header, name = f.json_schema[:2]
+    return {header: getattr(f, header), name: _Rows(f)}
 
 
 def json_text(obj: Any) -> str:
     """The one JSON emitter: `json.dumps(obj, indent=2)` plus a newline, where
-    obj may also hold fields (written as `field_to_json`), `Fraction`s ("p/q"),
+    obj may also hold fields (written as `json_members` says), `Fraction`s ("p/q"),
     complex numbers ([re, im]) and non-finite floats (their repr, as a string).
     It raises TypeError wherever `json.dumps` would."""
     return _encode(obj, "\n") + "\n"
@@ -342,23 +329,35 @@ def _rows(f: Field, pad: str) -> str:
     return "[" + ",".join([template % (key + (amp.real, amp.imag)) for key, amp in zip(f.keys, f.amps)]) + pad + "]"
 
 
-def field_from_json(obj: dict) -> SpectralField:
+def complex_from_json(pair: Sequence[Any]) -> complex:
+    """An amplitude as a row holds it, [re, im]."""
+    return complex(float(pair[0]), float(pair[1]))
+
+
+def field_from_json(obj: Any) -> Field:
+    """The field a JSON document holds, the inverse of `json_text`.  The
+    document's kind is the one whose `json_schema` header is a member; its
+    reader builds the field through the kind's constructor, which converts
+    each number once.  A malformed document raises ValueError."""
+    from .sphere import SphereField  # sphere builds on this module
+
+    kinds = (SpectralField, SphereField)
     try:
-        dim = int(obj["dim"])
-        entries = [
-            (tuple(float(v) for v in m["xi"]), complex(float(m["amp"][0]), float(m["amp"][1])))
-            for m in obj["modes"]
-        ]
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed field object: {exc}") from exc
-    return field(dim, entries)
+        found = [kind for kind in kinds if kind.json_schema[0] in obj]
+        if len(found) != 1:
+            headers = " and ".join(repr(kind.json_schema[0]) for kind in kinds)
+            raise ValueError(f"a field document has exactly one of the members {headers}")
+        header, name, _, read = found[0].json_schema
+        return read(int(obj[header]), obj[name])
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"malformed field document: {exc}") from exc
 
 
 def save_field(f: Field, path: str) -> None:
     write_text_atomic(path, json_text(f))
 
 
-def load_field(path: str) -> SpectralField:
+def load_field(path: str) -> Field:
     with open(path, encoding="utf-8") as fh:
         return field_from_json(json.load(fh))
 

@@ -14,17 +14,26 @@ near them:
 
 The switch thresholds are part of the contract; tests pin agreement of the
 two branches across the handover window.
+
+A time is a float in radians or an exact Fraction beta meaning beta pi.
+`sine_at` and `cos_at` evaluate the sine and cosine propagators at one
+frequency for either kind of time, and `sine_at` also decides whether the
+sine vanishes there, which is what every snapshot solver divides by.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .fields import MultiplierSymbol
 
 SERIES_SWITCH = 1e-6  # |t lam| below this: series branch of sin(t lam)/lam
 SIN_SWITCH = 1e-6  # |sin(s lam)| below this: Chebyshev branch of Psi
+KERNEL_SIN_TOL = 1e-14  # |sin(t lam)| below this marks a kernel frequency,
+KERNEL_ULPS = 4  # as does |sin(t lam)| below this many ulp(t lam)
 
 IDENTITY_TOL = 1e-10
 
@@ -48,22 +57,72 @@ def chebyshev_U(m: int, x: float) -> float:
     return cur
 
 
-def symbol_S(t: float) -> MultiplierSymbol:
+def as_radians(time: float | Fraction) -> float:
+    """A time as a float in radians: a Fraction beta is beta pi."""
+    if isinstance(time, Fraction):
+        return math.pi * (time.numerator / time.denominator)
+    return float(time)
+
+
+def _sine_over(t: float, lam: float) -> float:
+    """sin(t lam)/lam, by its Taylor series where |t lam| < SERIES_SWITCH."""
+    u = t * lam
+    if abs(u) < SERIES_SWITCH:
+        return t * (1.0 - u * u / 6.0 + u * u * u * u / 120.0)
+    return math.sin(u) / lam
+
+
+def kernel_threshold(u: float) -> float:
+    """|sin(u)| below this counts as zero: the larger of KERNEL_SIN_TOL and
+    KERNEL_ULPS ulp(u); the latter wins from |u| = 16 on.  A float u = t lam
+    at k pi is off by up to ~2 ulp(u) from rounding lam and the product, and
+    a radius from hypot adds another ulp or two."""
+    return max(KERNEL_SIN_TOL, KERNEL_ULPS * math.ulp(u))
+
+
+def _residue(beta: Fraction, w: float) -> tuple[int, int]:
+    """(r, 2q) with w beta = r / 2q modulo 2, in integers, for beta = p/q
+    and a positive half-integer w."""
+    w2 = 2 * w
+    if not (w2 > 0 and w2 == int(w2)):
+        raise ValueError(f"an exact time beta pi needs a positive half-integer frequency, got {w!r}")
+    p, q = beta.numerator, beta.denominator
+    return int(w2) * p % (4 * q), 2 * q  # sin(pi x) and cos(pi x) have period 2
+
+
+def sine_at(time: float | Fraction, w: float) -> tuple[float, bool]:
+    """(sin(w t)/w, exactly_zero) at frequency w >= 0 and time t.
+
+    For a Fraction t = beta pi the zero is decided in integers: sin(w beta pi)
+    = 0 iff 2q divides 2w p.  For a float t, w = 0 is never a zero (the
+    value continues to t) and |sin(w t)| below `kernel_threshold(w t)` is."""
+    if isinstance(time, Fraction):
+        r, q2 = _residue(time, w)
+        if r % q2 == 0:
+            return 0.0, True
+        return math.sin(math.pi * (r / q2)) / w, False
+    t = float(time)
+    u = t * w
+    return _sine_over(t, w), w > 0 and abs(math.sin(u)) < kernel_threshold(u)
+
+
+def cos_at(time: float | Fraction, w: float) -> float:
+    """cos(w t) at frequency w and time t, reduced exactly for a Fraction t."""
+    if isinstance(time, Fraction):
+        r, q2 = _residue(time, w)
+        return math.cos(math.pi * (r / q2))
+    return math.cos(float(time) * w)
+
+
+def symbol_S(t: float | Fraction) -> MultiplierSymbol:
     """Symbol of S_t: lam -> sin(t lam)/lam, with value t at lam = 0."""
-    t = float(t)
-
-    def fn(lam: float) -> float:
-        u = t * lam
-        if abs(u) < SERIES_SWITCH:
-            return t * (1.0 - u * u / 6.0 + u * u * u * u / 120.0)
-        return math.sin(u) / lam
-
-    return MultiplierSymbol(f"S[{t:g}]", fn, singular_note="lam=0 -> t")
+    t = as_radians(t)
+    return MultiplierSymbol(f"S[{t:g}]", functools.partial(_sine_over, t), singular_note="lam=0 -> t")
 
 
-def symbol_Sprime(t: float) -> MultiplierSymbol:
+def symbol_Sprime(t: float | Fraction) -> MultiplierSymbol:
     """Symbol of S'_t: lam -> cos(t lam).  Entire, no singular points."""
-    t = float(t)
+    t = as_radians(t)
     return MultiplierSymbol(f"S'[{t:g}]", lambda lam: math.cos(t * lam))
 
 

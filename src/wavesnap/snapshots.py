@@ -31,14 +31,12 @@ from .fields import (
     symbol_product,
     union_support,
 )
-from .propagators import MultiplierSymbol, symbol_Psi, symbol_S, symbol_Sprime
+from .propagators import as_radians, cos_at, sine_at, symbol_Psi, symbol_S, symbol_Sprime
 
 STATUS_UNIQUE = "Unique"
 STATUS_NONUNIQUE = "NonUniqueKernel"
 STATUS_OBSTRUCTED = "Obstructed"
 
-KERNEL_SIN_TOL = 1e-14  # |sin(t lam)| below this marks a kernel frequency,
-KERNEL_ULPS = 4  # as does |sin(t lam)| below this many ulp(t lam)
 OBSTRUCTION_AMP_TOL = 1e-12  # kernel-mode data above this has no preimage
 CONSISTENCY_TOL = 1e-9  # scaled by (1 + conditioning)
 RATIONAL_GATE_TOL = 1e-9
@@ -92,8 +90,8 @@ class SolveReport:
         return self.kernel_modes  # the sphere's name for the kernel keys, kept for the benchmark
 
 
-def evolve(data: CauchyData, t: float) -> Field:
-    """u_t = S'_t u0 + S_t g."""
+def evolve(data: CauchyData, t: float | Fraction) -> Field:
+    """u_t = S'_t u0 + S_t g; a Fraction t means t pi."""
     return linear_combine(
         [1.0, 1.0],
         [
@@ -103,45 +101,11 @@ def evolve(data: CauchyData, t: float) -> Field:
     )
 
 
-_LAPLACIAN = MultiplierSymbol("-lam^2", lambda lam: -(lam * lam))
-
-
-def wave_residual(data: CauchyData, t: float, h: float) -> float:
-    """Max-amplitude residual of the centered second time difference of the
-    evolved field against its Laplacian."""
-    if h <= 0:
-        raise ValueError(f"h must be > 0, got {h}")
-    up = evolve(data, t + h)
-    u0 = evolve(data, t)
-    um = evolve(data, t - h)
-    lap = apply_multiplier(u0, _LAPLACIAN)
-    r = linear_combine(
-        [1.0 / (h * h), -2.0 / (h * h), 1.0 / (h * h), -1.0], [up, u0, um, lap]
-    )
-    return max_abs_amp(r)
-
-
-def _is_kernel(t: float, lam: float) -> bool:
-    """lam is a kernel frequency of S_t: radius in (pi/t) Z, excluding 0
-    where the symbol continues to t != 0.  A float u = t lam at k pi is off
-    by up to ~2 ulp(u) from rounding lam and the product, and a radius from
-    hypot adds another ulp or two, hence `kernel_threshold`."""
-    u = t * lam
-    x = abs(math.sin(u))
-    return lam > 0 and x < kernel_threshold(u)
-
-
-def kernel_threshold(u: float) -> float:
-    """|sin(u)| below this counts as zero: the larger of KERNEL_SIN_TOL and
-    KERNEL_ULPS ulp(u); the latter wins from |u| = 16 on."""
-    return max(KERNEL_SIN_TOL, KERNEL_ULPS * math.ulp(u))
-
-
-def kernel_modes(f: Field, t: float) -> tuple:
-    """Keys of f annihilated by S_t."""
+def kernel_modes(f: Field, t: float | Fraction) -> tuple:
+    """Keys of f annihilated by S_t: those where `sine_at` finds a zero."""
     if t == 0:
         raise InvalidTime("S_0 = 0: every frequency is in the kernel")
-    return tuple(key for key, lam in zip(f.keys, f.freqs) if _is_kernel(t, lam))
+    return tuple(key for key, lam in zip(f.keys, f.freqs) if sine_at(t, lam)[1])
 
 
 def general_integer_snapshot(
@@ -178,15 +142,6 @@ def compatibility_residual_general(
         ],
     )
     return max_abs_amp(r)
-
-
-def rational_compatibility_residual(
-    f0: Field, fp: Field, fq: Field, p: int, q: int
-) -> float:
-    """Residual of Psi_q (fp - S'_p f0) = Psi_p (fq - S'_q f0) for integer
-    snapshot times 0, p, q."""
-    _validate_pq(p, q)
-    return _psi_gate_residual(f0, fp, fq, p, q, 1.0)
 
 
 def _validate_pq(p: int, q: int) -> None:
@@ -269,30 +224,29 @@ def diagonal_solve(
     return SolveReport(STATUS_NONUNIQUE if kernel else STATUS_UNIQUE, g, residual, conditioning, kernel, note)
 
 
-def _sine_equation(t: float) -> Callable[[float, complex], Equation]:
-    """(lam, r) -> the equation S_t g = r at frequency lam."""
-    s = symbol_S(t)
-    return lambda lam, r: (s(lam), _is_kernel(t, lam), r)
+def _snapshot_equation(t: float | Fraction, w: float, f0_amp: complex, ft_amp: complex) -> Equation:
+    """The equation at a key of frequency w that the snapshots at 0 and t
+    give the velocity g: sin(w t)/w g = ft - cos(w t) f0."""
+    s, zero = sine_at(t, w)
+    return s, zero, ft_amp - cos_at(t, w) * f0_amp
 
 
-def two_snapshot_solve(f0: Field, f1: Field) -> SolveReport:
-    """Velocity g from snapshots at times 0 and 1.
+def two_snapshot_solve(f0: Field, ft: Field, t: float | Fraction = 1.0) -> SolveReport:
+    """Velocity g from snapshots at times 0 and t, on either field kind.
 
-    Modes with radius in pi Z (0 excluded) lie in the kernel of S_1: data
-    there either obstructs (nonzero right side) or is free (minimal-norm
-    g = 0 returned, mode listed)."""
-    rhs = subtract(f1, apply_multiplier(f0, symbol_Sprime(1.0)))
-    eq1 = _sine_equation(1.0)
+    Keys where sin(w t) vanishes (w > 0) lie in the kernel of S_t: data there
+    either obstructs (nonzero right side) or is free (minimal-norm g = 0
+    returned, key listed).  A Fraction t means t pi and finds its zeros
+    exactly; see `sine_at`."""
+    return _two_snapshot_solve(f0, ft, t, f"data at kernel frequencies of S_{as_radians(t):g} has no preimage")
 
+
+def _two_snapshot_solve(f0: Field, ft: Field, t: float | Fraction, kernel_note: str) -> SolveReport:
     def verify(g: Field) -> tuple[float, str]:
-        return max_abs_amp(subtract(f1, evolve(CauchyData(f0, g), 1.0))), ""
+        return max_abs_amp(subtract(ft, evolve(CauchyData(f0, g), t))), ""
 
     return diagonal_solve(
-        (f0, f1),
-        (rhs,),
-        lambda xi, lam, v: ((eq1(lam, v),), 1.0),
-        "data at kernel frequencies of S_1 has no preimage",
-        verify,
+        (f0, ft), (f0, ft), lambda key, w, a, b: ((_snapshot_equation(t, w, a, b),), 1.0), kernel_note, verify
     )
 
 
@@ -307,9 +261,11 @@ def three_snapshot_solve(
     Exact rational alpha = p/q routes through the Bezout reconstruction on
     the rescaled integer times (0, p, q) with step 1/q, which handles the
     shared kernel exactly; its compatibility gate failing comes back as an
-    Obstructed report.  Generic float alpha is solved mode by mode: the
-    time-1 equation where sin(lam) is usable, the time-alpha equation
-    otherwise, the unused equation cross-checked at 1e-9 (1 + conditioning).
+    Obstructed report.  Here, unlike elsewhere, a Fraction is the time p/q
+    itself, not p/q of pi, so it never reaches `sine_at`.  Generic float
+    alpha is solved mode by mode: the time-1 equation where sin(lam) is
+    usable, the time-alpha equation otherwise, the unused equation
+    cross-checked at 1e-9 (1 + conditioning).
     """
     if isinstance(alpha, Fraction):
         if alpha <= 0 or alpha == 1:
@@ -329,14 +285,11 @@ def three_snapshot_solve(
     if alpha in (0.0, 1.0):
         raise InvalidTime(f"alpha must differ from both snapshot times, got {alpha}")
 
-    rhs1 = subtract(f1, apply_multiplier(f0, symbol_Sprime(1.0)))
-    rhsa = subtract(falpha, apply_multiplier(f0, symbol_Sprime(alpha)))
-    eq1, eqa = _sine_equation(1.0), _sine_equation(alpha)
+    def row(key: object, w: float, a: complex, b: complex, c: complex) -> tuple[tuple[Equation, ...], float]:
+        return (_snapshot_equation(1.0, w, a, b), _snapshot_equation(alpha, w, a, c)), 1.0
 
-    def row(xi: tuple[float, ...], lam: float, v: complex, w: complex) -> tuple[tuple[Equation, ...], float]:
-        return (eq1(lam, v), eqa(lam, w)), 1.0
-
-    return diagonal_solve((f0, f1, falpha), (rhs1, rhsa), row, "data at shared kernel frequencies has no preimage")
+    support = (f0, f1, falpha)
+    return diagonal_solve(support, support, row, "data at shared kernel frequencies has no preimage")
 
 
 def rational_reconstruct(
@@ -380,15 +333,15 @@ def _bezout_solve(
     sym_a = symbol_product(symbol_Psi(k, p * unit), symbol_Sprime(l * q * unit))
     sym_b = symbol_product(symbol_Psi(l, q * unit), symbol_Sprime(k * p * unit))
     num = linear_combine([1.0, 1.0], [apply_multiplier(va, sym_a), apply_multiplier(vb, sym_b)])
-    su = symbol_S(unit)
 
     def row(
         xi: tuple[float, ...], lam: float, a: complex, b: complex, c: complex
     ) -> tuple[tuple[Equation, ...], float]:
-        if _is_kernel(unit, lam):
+        su, zero = sine_at(unit, lam)
+        if zero:
             # S_{pu} and S_{qu} vanish with S_u, so neither window sees g here
             return ((0.0, True, a), (0.0, True, b)), 1.0
-        return ((su(lam), False, c),), abs(sym_a(lam)) + abs(sym_b(lam))
+        return ((su, False, c),), abs(sym_a(lam)) + abs(sym_b(lam))
 
     def verify(g: Field) -> tuple[float, str]:
         data = CauchyData(f0, g)

@@ -6,21 +6,21 @@ cos(w t) and sin(w t)/w.  For n odd the w are integers (or the dynamics is
 2 pi periodic and antipodally symmetric); for n even they are half-integers.
 Snapshot solvability at time alpha = beta pi therefore hinges on how well
 beta (n odd) or beta/2 (n even) is approximable by rationals, which is why
-the solvers below accept `alpha` either as a float (generic time) or as an
-exact Fraction beta meaning beta * pi (arithmetically pinned time).
+a time, here as everywhere (`wavesnap.propagators.sine_at`), is either a
+float (generic time) or an exact Fraction beta meaning beta * pi
+(arithmetically pinned time).
 
 A field is a sparse vector over a basis with a known frequency per key, as
 in `wavesnap.fields`: here the basis is an orthonormal Y_{l,m},
 m = 1 .. dim_Hl(n, l), keyed by (l, m) with frequency w = l + (n-1)/2, and
 m = 1 the zonal direction: Y_{l,1} = sqrt(d_l) phi_l for the normalized
 Gegenbauer zonal polynomial phi_l.  `SphereField` has the same interface as
-`SpectralField`, so evolution, snapshots and the diagonal solver of
-`wavesnap.snapshots` serve both.
+`SpectralField`, so evolution, snapshots, the solvers of
+`wavesnap.snapshots` and the field files of `wavesnap.fields` serve both.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -38,23 +38,19 @@ from .diophantine import (
 from .fields import (
     DimensionMismatch,
     canonical_columns,
-    field_to_json,
+    complex_from_json,
+    load_field,
     lookup_amplitude,
-    max_abs_amp,
     save_field,
-    subtract,
 )
+from .propagators import KERNEL_SIN_TOL, KERNEL_ULPS, as_radians, sine_at
 from .snapshots import (
-    KERNEL_SIN_TOL,
-    KERNEL_ULPS,
     CauchyData,
-    Equation,
     InvalidTime,
     SolveReport,
-    diagonal_solve,
+    _two_snapshot_solve,
     evolve,
     general_integer_snapshot,
-    kernel_threshold,
 )
 
 MARGIN_BLOCK = 4096  # degrees the margin screen scores per numpy pass
@@ -86,12 +82,6 @@ def dim_Hl(n: int, l: int) -> int:
     return num // (n - 1)
 
 
-def laplace_eigenvalue(n: int, l: int) -> int:
-    """Eigenvalue of the (unshifted) Laplacian on degree-l harmonics."""
-    dim_Hl(n, l)  # validates arguments
-    return -l * (l + n - 1)
-
-
 def frequency(n: int, l: int) -> float:
     """The shifted frequency w = l + (n-1)/2; integer iff n is odd."""
     return l + 0.5 * (n - 1)
@@ -108,7 +98,12 @@ class SphereField:
     keys: tuple[tuple[int, int], ...]
     freqs: tuple[float, ...]
     amps: tuple[complex, ...]
-    json_schema = ("n", "coeffs", lambda key, amp: {"l": key[0], "m": key[1], "amp": amp})
+    json_schema = (
+        "n",
+        "coeffs",
+        lambda key, amp: {"l": key[0], "m": key[1], "amp": amp},
+        lambda n, rows: sphere_field(n, [(c["l"], c["m"], complex_from_json(c["amp"])) for c in rows]),
+    )
 
     @property
     def coeffs(self) -> tuple[tuple[int, int, complex], ...]:
@@ -180,46 +175,6 @@ def zonal_value(f: SphereField, c: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Schur constants of the propagators
-
-
-def _alpha_to_float(alpha: float | Fraction) -> float:
-    if isinstance(alpha, Fraction):
-        return math.pi * (alpha.numerator / alpha.denominator)
-    return float(alpha)
-
-
-def schur_sin(n: int, l: int, alpha: float | Fraction) -> tuple[float, bool]:
-    """(sin(w alpha)/w, exactly_zero) for w = l + (n-1)/2.
-
-    A Fraction alpha means the time beta pi with beta = alpha exact; zeros
-    are then decided by integer arithmetic: sin(w beta pi) = 0 iff
-    2q divides (2l + n - 1) p.  For float alpha, |sin| counts as zero below
-    the kernel threshold of the flat solvers, `kernel_threshold(w alpha)`."""
-    w2 = 2 * l + n - 1  # = 2w, always a positive integer
-    w = 0.5 * w2
-    if isinstance(alpha, Fraction):
-        p, q = alpha.numerator, alpha.denominator
-        r = (w2 * p) % (4 * q)  # sin(pi x) has period 2 in x = w2 p / (2 q)
-        if r % (2 * q) == 0:
-            return 0.0, True
-        return math.sin(math.pi * (r / (2 * q))) / w, False
-    u = w * float(alpha)
-    x = math.sin(u)
-    return x / w, abs(x) < kernel_threshold(u)
-
-
-def schur_cos(n: int, l: int, alpha: float | Fraction) -> float:
-    """cos(w alpha) for w = l + (n-1)/2, with exact reduction for Fraction alpha."""
-    w2 = 2 * l + n - 1
-    if isinstance(alpha, Fraction):
-        p, q = alpha.numerator, alpha.denominator
-        r = (w2 * p) % (4 * q)
-        return math.cos(math.pi * (r / (2 * q)))
-    return math.cos(0.5 * w2 * float(alpha))
-
-
-# ---------------------------------------------------------------------------
 # evolution and snapshots
 
 
@@ -227,10 +182,10 @@ def sphere_evolve(f0: SphereField, g: SphereField, t: float) -> SphereField:
     return evolve(CauchyData(f0, g), t)  # kept under this name for the benchmark
 
 
-def sphere_snapshot(u0: SphereField, ualpha: SphereField, alpha: float, m: int) -> SphereField:
+def sphere_snapshot(u0: SphereField, ualpha: SphereField, alpha: float | Fraction, m: int) -> SphereField:
     """Snapshot at time m alpha from the pair at times 0 and alpha != 0; a
     negative alpha reads the pair as (alpha, 0), the snapshot as step 1 - m."""
-    alpha = float(alpha)
+    alpha = as_radians(alpha)
     if alpha > 0:
         return general_integer_snapshot(u0, ualpha, 0.0, alpha, m)
     return general_integer_snapshot(ualpha, u0, alpha, 0.0, 1 - m)
@@ -272,32 +227,22 @@ def sphere_two_snapshot_solve(
     alpha: float | Fraction,
     max_degree: int = 256,
 ) -> SolveReport:
-    """Velocity g from u at times 0 and alpha, coefficient by coefficient:
+    """`two_snapshot_solve` on sphere data of degree at most max_degree:
     g_{l,m} = (falpha_{l,m} - cos(w alpha) f0_{l,m}) / (sin(w alpha)/w).
 
     Fraction alpha (meaning alpha pi) gets exact zero detection, so rational
-    multiples of pi report their kernel exactly; float alpha uses the flat
-    solvers' kernel threshold.  Data on a zero Schur constant either obstructs
-    or is free, as in the flat case."""
+    multiples of pi report their kernel exactly.  Data on a zero Schur
+    constant either obstructs or is free, as in the flat case."""
     top = max(f0.max_degree, falpha.max_degree)
     if top > max_degree:
         raise ValueError(f"data degree {top} exceeds max_degree {max_degree}")
-    n = f0.n
-
-    def row(key: tuple[int, int], lam: float, a: complex, b: complex) -> tuple[tuple[Equation], float]:
-        s, is_zero = schur_sin(n, key[0], alpha)
-        return ((s, is_zero, b - schur_cos(n, key[0], alpha) * a),), 1.0
-
-    def verify(g: SphereField) -> tuple[float, str]:
-        return max_abs_amp(subtract(falpha, evolve(CauchyData(f0, g), _alpha_to_float(alpha)))), ""
-
-    return diagonal_solve((f0, falpha), (f0, falpha), row, "data on zero Schur constants has no preimage", verify)
+    return _two_snapshot_solve(f0, falpha, alpha, "data on zero Schur constants has no preimage")
 
 
 def surjectivity_margin(
     alpha: float | Fraction, n: int, max_degree: int, exponent: int
 ) -> tuple[float, bool]:
-    """Best constant C with |schur sin| >= C (1+l)^(-exponent) up to
+    """Best constant C with |sin(w alpha)/w| >= C (1+l)^(-exponent) up to
     max_degree, and whether it is positive.  An exact zero (rational
     multiples of pi with the divisibility hit) forces (0, False); a weight
     (1+l)^exponent beyond the float range raises OverflowError, a NaN alpha
@@ -312,19 +257,19 @@ def surjectivity_margin(
 
 
 def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int) -> Iterator[tuple[int, float]]:
-    """The rows (l, |schur sin|) that decide `slow_decay_check`, in increasing l.
+    """The rows (l, |sin(w alpha)/w|) that decide `slow_decay_check`, in increasing l.
 
     numpy picks the rows, the scalar code decides.  Each block of degrees
     gets an approximate score |sin(w alpha)/w| (1+l)^exponent; only three
-    kinds of row are yielded, each recomputed by `schur_sin`:
+    kinds of row are yielded, each recomputed by `sine_at`:
 
     - rows scoring within MARGIN_WINDOW of the best score so far;
     - near-zero rows: 2q | (2l+n-1)p for exact alpha, or |sin| below twice
-      the kernel threshold for float alpha, so `schur_sin` decides the zero;
+      the kernel threshold for float alpha, so `sine_at` decides the zero;
     - rows whose weight nears the float range, so `slow_decay_check` raises
       OverflowError on the first row that overflows, as it would in a full scan.
 
-    The screen reproduces `schur_sin`'s arguments bit for bit and differs
+    The screen reproduces `sine_at`'s arguments bit for bit and differs
     only in np.sin and the power, each a few ulp off at most; a row left out
     scores more than MARGIN_WINDOW above a yielded one, so it can be neither the
     minimum nor tie it, and the returned constant is the full scan's."""
@@ -333,11 +278,11 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
     best = math.inf
     for lo in range(0, max_degree + 1, MARGIN_BLOCK):
         l = np.arange(lo, min(lo + MARGIN_BLOCK, max_degree + 1))
-        w = l + 0.5 * (n - 1)  # schur_sin's w, bit for bit while n < 2^52
+        w = l + 0.5 * (n - 1)  # sine_at's w = frequency(n, l), bit for bit while n < 2^52
         with np.errstate(over="ignore", invalid="ignore"):
             if isinstance(alpha, Fraction):
                 p, q = alpha.numerator, alpha.denominator
-                m = 4 * q  # schur_sin's residue (2l + n - 1) p mod 4q; exact in int64 for m < 2^42, l < 2^20
+                m = 4 * q  # sine_at's residue (2l + n - 1) p mod 4q; exact in int64 for m < 2^42, l < 2^20
                 r = ((l if m < 2**42 else l.astype(object)) * (2 * p % m) + (n - 1) * p % m) % m
                 x = np.sin(np.pi * (r / (2 * q)).astype(float))
                 near_zero = r % (2 * q) == 0
@@ -353,7 +298,7 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
             best = min(best, float(score[usable].min()))
         pick = near_zero | edge | ~(score > best * (1 + MARGIN_WINDOW))  # nan scores get the recheck too
         for k in np.flatnonzero(pick).tolist():
-            v, is_zero = schur_sin(n, lo + k, alpha)
+            v, is_zero = sine_at(alpha, frequency(n, lo + k))
             yield lo + k, 0.0 if is_zero else abs(v)
 
 
@@ -448,25 +393,5 @@ def classify_alpha(beta: NumberClass, n: int) -> Classification:
     )
 
 
-# ---------------------------------------------------------------------------
-# serialization: flat and sphere fields share the writers; SphereField holds its schema
-
-sphere_field_to_json = field_to_json
-save_sphere_field = save_field
-
-
-def sphere_field_from_json(obj: dict) -> SphereField:
-    try:
-        n = int(obj["n"])
-        entries = [
-            (int(c["l"]), int(c["m"]), complex(float(c["amp"][0]), float(c["amp"][1])))
-            for c in obj["coeffs"]
-        ]
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed sphere field object: {exc}") from exc
-    return sphere_field(n, entries)
-
-
-def load_sphere_field(path: str) -> SphereField:
-    with open(path, encoding="utf-8") as fh:
-        return sphere_field_from_json(json.load(fh))
+# the benchmark's names for the one reader and writer of field files
+load_sphere_field, save_sphere_field = load_field, save_field

@@ -276,8 +276,20 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.run(["sphere", "margin", "--alpha", "inf", "--n", "3", "--max-degree", "100", "--out", str(out)]) == 1
     assert "wavesnap: error:" in capsys.readouterr().err
     assert not out.exists()
+    # domain error: a field file of the other kind
+    s0 = tmp_path / "s0.json"
+    save_sphere_field(sphere_field(3, [(1, 1, 1.0)]), str(s0))
+    for argv in (["wave", "two-solve", "--f0", str(s0), "--f1", str(s0)],
+                 ["sphere", "solve", "--f0", str(pf), "--falpha", str(pf), "--alpha", "0.5"]):
+        assert cli.run(argv) == 1, argv
+        assert "wavesnap: error:" in capsys.readouterr().err
     # usage error: malformed fraction
     assert cli.run(["dio", "cfrac", "--value", "abc"]) == 2
+    # usage error: number specs beyond the stored precision, or with a zero denominator
+    for spec in ("liouville:10:9", "oddtype:8", "rational:1/0"):
+        assert cli.run(["dio", "class", "--number", spec]) == 2, spec
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--number" in err and "Traceback" not in err
 
 
 def test_help_exits_zero(capsys):

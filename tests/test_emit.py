@@ -1,7 +1,8 @@
 """The one JSON emitter, `fields.json_text`, against the encoder it replaced:
 `json.dumps(_jsonable(doc), indent=2)` on payloads that held fields as
 `field_to_json` dicts.  The old converter and the old field dicts are copied
-here as the reference, and every comparison is `==` on the text."""
+here as the reference, and every comparison is `==` on the text; the field
+dicts are also what `fields.field_from_json` reads back."""
 
 import json
 import math
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wavesnap.fields import SpectralField, field, field_to_json, json_members, json_text, save_field
-from wavesnap.sphere import SphereField, dim_Hl, save_sphere_field, sphere_field, sphere_field_to_json
+from wavesnap.fields import SpectralField, field, field_from_json, json_members, json_text, save_field
+from wavesnap.sphere import SphereField, dim_Hl, save_sphere_field, sphere_field
 
 
 def _jsonable(obj):
@@ -159,7 +160,7 @@ def test_field_document_matches_old_encoder(f):
     old = _old_field_to_json(f) if isinstance(f, SpectralField) else _old_sphere_field_to_json(f)
     assert json_text({**head, **json_members(f)}) == json.dumps(_jsonable({**head, **old}), indent=2) + "\n"
     assert json_text(f) == json.dumps(old, indent=2) + "\n"
-    assert field_to_json(f) == old
+    assert field_from_json(old) == f
 
 
 @pytest.mark.parametrize(
@@ -207,4 +208,4 @@ def test_save_writes_what_json_dumps_wrote(tmp_path):
         path = tmp_path / "s.json"
         save_sphere_field(f, str(path))
         assert path.read_text() == json.dumps(_old_sphere_field_to_json(f), indent=2) + "\n"
-        assert sphere_field_to_json(f) == _old_sphere_field_to_json(f)
+        assert field_from_json(_old_sphere_field_to_json(f)) == f

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -10,10 +11,9 @@ from wavesnap.fields import (
     MultiplierSymbol,
     SymbolUndefined,
     apply_multiplier,
-    evaluate,
     field,
     field_from_json,
-    field_to_json,
+    json_text,
     linear_combine,
     load_field,
     max_abs_amp,
@@ -22,7 +22,6 @@ from wavesnap.fields import (
     symbol_constant,
     symbol_product,
     write_text_atomic,
-    zero_field,
 )
 from wavesnap.propagators import symbol_Psi, symbol_S, symbol_Sprime
 from wavesnap.snapshots import CauchyData, evolve
@@ -78,6 +77,17 @@ def test_canonicalize_idempotent(entries):
     assert all(f.amps)
 
 
+def evaluate(f, x):
+    """The plane-wave sum of a flat field at the point x."""
+    if len(x) != f.dim:
+        raise DimensionMismatch(f"point of length {len(x)} in dim {f.dim}")
+    total = 0j
+    for xi, amp in zip(f.keys, f.amps):
+        phase = sum(a * b for a, b in zip(xi, x))
+        total += amp * cmath.exp(1j * phase)
+    return total
+
+
 def test_evaluate_is_plane_wave_sum():
     f = field(2, [((1.0, 0.0), 2.0), ((0.0, 3.0), 1j)])
     x = (0.7, -0.2)
@@ -107,12 +117,12 @@ def test_linear_combine_and_zero():
     g = field(1, [((1.0,), -0.5)])
     h = linear_combine([1.0, 2.0], [f, g])
     assert max_abs_amp(h) == 0.0
-    assert h == zero_field(1)
+    assert h == field(1, [])
 
 
 def test_json_roundtrip(tmp_path):
     f = field(3, [((1.0, -2.0, 0.5), 1 - 1j), ((0.0, 0.0, 0.0), 0.25)])
-    assert field_from_json(field_to_json(f)) == f
+    assert field_from_json(json.loads(json_text(f))) == f
     p = tmp_path / "f.json"
     save_field(f, str(p))
     assert load_field(str(p)) == f
@@ -120,9 +130,56 @@ def test_json_roundtrip(tmp_path):
     json.loads(p.read_text())
 
 
+def _malformed(header, count, name, row, key_members):
+    """Documents of one kind that `field_from_json` must reject: the header
+    `header: count` is well formed, and `row` is a well-formed row, with
+    `key_members` naming its key members."""
+    docs = [
+        {header: count},
+        {header: count, name: 5},
+        {header: "x", name: []},
+        {header: None, name: []},
+        {header: math.inf, name: []},
+        {header: 0, name: []},
+        {header: count, name: [{**row, "amp": [1.0]}]},
+        {header: count, name: [{**row, "amp": 1.0}]},
+        {header: count, name: [{**row, "amp": [math.nan, 0.0]}]},
+        {header: count, name: [{**row, "amp": [10**400, 0.0]}]},
+        {header: count, name: [{k: v for k, v in row.items() if k != "amp"}]},
+        {header: count, name: ["row"]},
+    ]
+    for member in key_members:
+        for bad in (None, "x", [[1.0]], math.inf, math.nan, 10**400):
+            docs.append({header: count, name: [{**row, member: bad}]})
+        docs.append({header: count, name: [{k: v for k, v in row.items() if k != member}]})
+    return docs
+
+
 def test_malformed_json_rejected():
-    with pytest.raises(ValueError):
-        field_from_json({"dim": 2})
+    flat_row = {"xi": [1.0, 2.0], "amp": [1.0, 0.0]}
+    sphere_row = {"l": 1, "m": 2, "amp": [1.0, 0.0]}
+    assert field_from_json({"dim": 2, "modes": [flat_row]}) == field(2, [((1.0, 2.0), 1.0)])
+    assert field_from_json({"n": 3, "coeffs": [sphere_row]}) == sph.sphere_field(3, [(1, 2, 1.0)])
+    docs = [
+        *_malformed("dim", 2, "modes", flat_row, ["xi"]),
+        {"dim": 2, "modes": [{**flat_row, "xi": [1.0]}]},  # wrong dimension
+        *_malformed("n", 3, "coeffs", sphere_row, ["l", "m"]),
+        {"n": 3, "coeffs": [{**sphere_row, "m": 5}]},  # beyond dim H_1 = 4
+        {"n": 3, "coeffs": [{**sphere_row, "l": -1}]},
+        # both headers, or neither
+        {"dim": 2, "modes": [flat_row], "n": 3, "coeffs": [sphere_row]},
+        {"dim": 2, "modes": [], "n": 3},
+        {"modes": [flat_row]},
+        {"coeffs": [sphere_row]},
+        {},
+        [],
+        None,
+        5,
+        "dim",
+    ]
+    for doc in docs:
+        with pytest.raises(ValueError):
+            field_from_json(doc)
 
 
 def test_atomic_write_replaces_whole_file(tmp_path):
@@ -268,4 +325,4 @@ def test_amplitude_at_bisects_with_equality_semantics():
     assert f.amplitude_at((5.0, 5.0)) == -1.0
     for missing in ((-9.0, 0.0), (0.0, 0.5), (9.0, 9.0)):
         assert f.amplitude_at(missing) == 0j
-    assert zero_field(2).amplitude_at((0.0, 0.0)) == 0j
+    assert field(2, []).amplitude_at((0.0, 0.0)) == 0j

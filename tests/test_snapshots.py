@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from wavesnap import diophantine, snapshots as snap
-from wavesnap.fields import field, linear_combine, max_abs_amp, subtract, zero_field
+from wavesnap.fields import MultiplierSymbol, apply_multiplier, field, linear_combine, max_abs_amp, subtract
+from wavesnap.propagators import symbol_Psi, symbol_Sprime
 from wavesnap.snapshots import CauchyData, evolve
 
 
@@ -32,10 +33,19 @@ def test_evolve_zero_frequency_moves_linearly():
     assert abs(evolve(data, 3.0).amplitude_at((0.0, 0.0)) - 7.0) < 1e-15
 
 
+def wave_residual(data, t, h):
+    """Max-amplitude residual of the centered second time difference of the
+    evolved field against its Laplacian."""
+    laplacian = MultiplierSymbol("-lam^2", lambda lam: -(lam * lam))
+    up, u0, um = evolve(data, t + h), evolve(data, t), evolve(data, t - h)
+    lap = apply_multiplier(u0, laplacian)
+    return max_abs_amp(linear_combine([1.0 / (h * h), -2.0 / (h * h), 1.0 / (h * h), -1.0], [up, u0, um, lap]))
+
+
 def test_wave_residual_second_order_in_h():
     data = wave(2, [((1.0, 1.5), 1.0), ((0.5, -0.2), 1j)], [((1.0, 1.5), 0.3), ((0.5, -0.2), -0.8)])
-    r1 = snap.wave_residual(data, 0.7, 0.1)
-    r2 = snap.wave_residual(data, 0.7, 0.05)
+    r1 = wave_residual(data, 0.7, 0.1)
+    r2 = wave_residual(data, 0.7, 0.05)
     assert r1 > 0
     assert 3.5 < r1 / r2 < 4.5  # centered difference converges at order 2
 
@@ -81,6 +91,21 @@ def test_two_snapshot_kernel_mode_free_when_consistent():
     assert rep.status == snap.STATUS_NONUNIQUE
     assert rep.kernel_modes == ((lam,),)
     assert rep.solution.amplitude_at((lam,)) == 0  # free part set to zero
+
+
+def test_two_snapshot_kernel_at_time_half():
+    # at t = 1/2 the kernel of S_t sits at radius 2 pi, not pi
+    data = wave(
+        1,
+        [((2 * math.pi,), 1.0), ((math.pi,), 1j), ((2.5,), 0.5)],
+        [((2 * math.pi,), 5.0), ((math.pi,), -2.0), ((2.5,), 1j)],
+    )
+    rep = snap.two_snapshot_solve(evolve(data, 0.0), evolve(data, 0.5), 0.5)
+    assert rep.status == snap.STATUS_NONUNIQUE
+    assert rep.kernel_modes == ((2 * math.pi,),)
+    assert rep.solution.amplitude_at((2 * math.pi,)) == 0
+    for lam, g in ((math.pi, -2.0), (2.5, 1j)):
+        assert abs(rep.solution.amplitude_at((lam,)) - g) < 1e-9 * (1 + rep.conditioning)
 
 
 def test_two_snapshot_obstructed_by_inconsistent_kernel_data():
@@ -144,14 +169,22 @@ def test_compatibility_symmetric_under_role_swap():
     assert r1 == pytest.approx(r2, abs=1e-16)
 
 
+def rational_compatibility_residual(f0, fp, fq, p, q):
+    """Residual of Psi_q (fp - S'_p f0) = Psi_p (fq - S'_q f0) for integer
+    snapshot times 0, p, q."""
+    vp = subtract(fp, apply_multiplier(f0, symbol_Sprime(p)))
+    vq = subtract(fq, apply_multiplier(f0, symbol_Sprime(q)))
+    return max_abs_amp(subtract(apply_multiplier(vp, symbol_Psi(q, 1.0)), apply_multiplier(vq, symbol_Psi(p, 1.0))))
+
+
 def test_integer_compatibility_forms_consistent():
     # the (0,1,2) identity is the (0,p,q) identity composed with S_1; on
     # genuine data both vanish, on perturbed data they flag together
     data = wave(1, [((0.8,), 1.0)], [((0.8,), -1.0)])
     f0, f1, f2 = evolve(data, 0.0), evolve(data, 1.0), evolve(data, 2.0)
-    assert snap.rational_compatibility_residual(f0, f1, f2, 1, 2) < 1e-13
+    assert rational_compatibility_residual(f0, f1, f2, 1, 2) < 1e-13
     bad = linear_combine([1.0, 1.0], [f2, field(1, [((0.8,), 0.01)])])
-    assert snap.rational_compatibility_residual(f0, f1, bad, 1, 2) > 1e-3
+    assert rational_compatibility_residual(f0, f1, bad, 1, 2) > 1e-3
 
 
 # -- three snapshots ---------------------------------------------------------

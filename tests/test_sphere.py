@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,8 +8,8 @@ import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
 from wavesnap import diophantine as dio, sphere as sph
-from wavesnap.fields import DimensionMismatch, field, linear_combine
-from wavesnap.propagators import symbol_Psi
+from wavesnap.fields import DimensionMismatch, field, field_from_json, json_text, linear_combine
+from wavesnap.propagators import cos_at, sine_at, symbol_Psi
 from wavesnap.snapshots import STATUS_NONUNIQUE, STATUS_OBSTRUCTED, STATUS_UNIQUE, CauchyData, InvalidTime, evolve
 
 
@@ -19,16 +20,21 @@ def test_harmonic_dimensions():
     assert sph.dim_Hl(5, 3) == 50
 
 
+def laplace_eigenvalue(n, l):
+    """Eigenvalue of the (unshifted) Laplacian on degree-l harmonics."""
+    return -l * (l + n - 1)
+
+
 def test_eigenvalue_and_frequency():
     # Delta acts by -l(l+n-1); the shifted frequency is l + (n-1)/2
-    assert sph.laplace_eigenvalue(3, 4) == -24
+    assert laplace_eigenvalue(3, 4) == -24
     assert sph.frequency(3, 4) == 5.0
     assert sph.frequency(2, 4) == 4.5
     # shift closes the square: w^2 = -eigenvalue + ((n-1)/2)^2
     for n in (2, 3, 4, 5):
         for l in (0, 1, 7):
             w = sph.frequency(n, l)
-            assert w * w == pytest.approx(-sph.laplace_eigenvalue(n, l) + ((n - 1) / 2) ** 2)
+            assert w * w == pytest.approx(-laplace_eigenvalue(n, l) + ((n - 1) / 2) ** 2)
 
 
 def test_gegenbauer_phi_matches_scipy():
@@ -69,7 +75,7 @@ def test_sphere_field_merges_and_validates():
 
 def test_sphere_json_roundtrip(tmp_path):
     f = sph.sphere_field(3, [(0, 1, 1j), (5, 7, 0.25)])
-    assert sph.sphere_field_from_json(sph.sphere_field_to_json(f)) == f
+    assert field_from_json(json.loads(json_text(f))) == f
     p = tmp_path / "s.json"
     sph.save_sphere_field(f, str(p))
     assert sph.load_sphere_field(str(p)) == f
@@ -81,7 +87,7 @@ def test_sphere_json_roundtrip(tmp_path):
 def test_schur_sin_exact_zero_pattern():
     # n = 3, beta = 1/2: frequency l+1, sin((l+1) pi / 2) vanishes iff l odd
     for l in range(8):
-        value, exact_zero = sph.schur_sin(3, l, Fraction(1, 2))
+        value, exact_zero = sine_at(Fraction(1, 2), sph.frequency(3, l))
         assert exact_zero == (l % 2 == 1)
         if not exact_zero:
             assert value != 0.0
@@ -90,22 +96,26 @@ def test_schur_sin_exact_zero_pattern():
 def test_schur_sin_never_zero_for_odd_numerator_even_sphere():
     # n = 2: frequency l + 1/2; (2l+1) p odd*odd never divisible by 2q
     for l in range(50):
-        _, exact_zero = sph.schur_sin(2, l, Fraction(1, 3))
+        _, exact_zero = sine_at(Fraction(1, 3), sph.frequency(2, l))
         assert not exact_zero
 
 
 def test_schur_sin_fraction_matches_float():
     for n, l, p, q in ((3, 5, 2, 7), (2, 9, 3, 5), (5, 2, 1, 4)):
-        exact, _ = sph.schur_sin(n, l, Fraction(p, q))
         w = sph.frequency(n, l)
+        exact, _ = sine_at(Fraction(p, q), w)
         assert exact == pytest.approx(math.sin(w * math.pi * p / q) / w, abs=1e-12)
+    # the exact reduction needs 2w a positive integer
+    for w in (0.0, 0.3, -1.5):
+        with pytest.raises(ValueError):
+            sine_at(Fraction(1, 2), w)
 
 
 def test_schur_cos_and_psi_consistent():
     alpha = 0.83
     for n, l in ((3, 4), (2, 6)):
         w = sph.frequency(n, l)
-        assert sph.schur_cos(n, l, alpha) == pytest.approx(math.cos(w * alpha), abs=1e-14)
+        assert cos_at(alpha, w) == pytest.approx(math.cos(w * alpha), abs=1e-14)
         # Psi recursion in m at fixed degree
         for m in range(-3, 7):
             want = 0.0
@@ -201,7 +211,7 @@ def test_sphere_solve_float_kernel_at_high_degree():
     # where sin is 3e-13 from rounding alone
     f0 = sph.sphere_field(3, [(999, 1, 1.0), (3, 2, 0.5)])
     g = sph.sphere_field(3, [(999, 1, 4.0), (3, 2, 1j)])
-    assert sph.schur_sin(3, 999, math.pi)[1]
+    assert sine_at(math.pi, sph.frequency(3, 999))[1]
     rep = sph.sphere_two_snapshot_solve(f0, evolve(CauchyData(f0, g), math.pi), math.pi, max_degree=1000)
     assert rep.status == STATUS_NONUNIQUE
     assert rep.kernel_coeffs == ((3, 2), (999, 1))
@@ -269,11 +279,11 @@ def test_margin_float_alpha_smoke():
 
 
 def _margin_reference(alpha, n, max_degree, exponent):
-    """The full scan: every degree through schur_sin, in increasing l."""
+    """The full scan: every degree through sine_at, in increasing l."""
 
     def rows():
         for l in range(max_degree + 1):
-            v, is_zero = sph.schur_sin(n, l, alpha)
+            v, is_zero = sine_at(alpha, sph.frequency(n, l))
             yield l, 0.0 if is_zero else abs(v)
 
     passes, c = dio.slow_decay_check(rows(), exponent)
@@ -331,14 +341,13 @@ def test_margin_screen_absorbs_inexact_sines(monkeypatch, alpha, n, exponent):
 
 def test_margin_rechecks_few_rows(monkeypatch):
     calls = 0
-    schur_sin = sph.schur_sin
 
-    def counted(n, l, alpha):
+    def counted(time, w):
         nonlocal calls
         calls += 1
-        return schur_sin(n, l, alpha)
+        return sine_at(time, w)
 
-    monkeypatch.setattr(sph, "schur_sin", counted)
+    monkeypatch.setattr(sph, "sine_at", counted)
     for alpha, n in ((Fraction(7, 31), 2), (math.sqrt(2.0) * math.pi, 3)):
         calls = 0
         c, passes = sph.surjectivity_margin(alpha, n, 10**6, 3)
