@@ -53,7 +53,6 @@ from .snapshots import (
     diagonal_solve,
     evolve,
     general_integer_snapshot,
-    kernel_modes,
     liouville_obstruction_demo,
     rational_reconstruct,
     three_snapshot_solve,

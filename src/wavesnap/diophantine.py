@@ -11,12 +11,14 @@ classification never has to guess from a float.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import MultiplierSymbol
+from .propagators import exact_residue
 
 KIND_RATIONAL = "rational"
 KIND_MEASURE_BOUNDED = "measure-bounded"
@@ -94,41 +96,40 @@ def rational_number(x: Fraction | int | str) -> NumberClass:
     return NumberClass(KIND_RATIONAL, value, label=str(value))
 
 
-def sqrt2_class(depth: int = 40) -> NumberClass:
-    """sqrt(2) via its continued fraction [1; 2, 2, ...].  Convergents p/q of
-    a continued fraction satisfy |x - p/q| < 1/q^2, and quadratic irrationals
-    have irrationality measure exactly 2."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+def _convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The convergents (p_k, q_k) of [a_0; a_1, ...]: p_k = a_k p_{k-1} + p_{k-2},
+    and the same for q, from p_{-1}/q_{-1} = 1/0 and p_{-2}/q_{-2} = 0/1."""
     p2, p1, q2, q1 = 0, 1, 1, 0
-    for k in range(depth + 1):
-        a = 1 if k == 0 else 2
+    for a in quotients:
         p2, p1 = p1, a * p1 + p2
         q2, q1 = q1, a * q1 + q2
+        yield p1, q1
+
+
+def _quadratic_class(a0: int, a: int, depth: int, label: str) -> NumberClass:
+    """The quadratic irrational [a0; a, a, ...] at convergent `depth`.
+    Convergents p/q of a continued fraction satisfy |x - p/q| < 1/q^2, and
+    quadratic irrationals have irrationality measure exactly 2."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    *_, (p, q) = _convergents([a0] + [a] * depth)
     return NumberClass(
         KIND_MEASURE_BOUNDED,
-        Fraction(p1, q1),
-        err_bound=Fraction(1, q1 * q1),
+        Fraction(p, q),
+        err_bound=Fraction(1, q * q),
         measure_bound=2.0,
-        label="sqrt2",
+        label=label,
     )
+
+
+def sqrt2_class(depth: int = 40) -> NumberClass:
+    """sqrt(2) via its continued fraction [1; 2, 2, ...]."""
+    return _quadratic_class(1, 2, depth, "sqrt2")
 
 
 def golden_class(depth: int = 45) -> NumberClass:
     """The golden ratio via [1; 1, 1, ...] (ratios of Fibonacci numbers)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    p2, p1, q2, q1 = 0, 1, 1, 0
-    for _ in range(depth + 1):
-        p2, p1 = p1, p1 + p2
-        q2, q1 = q1, q1 + q2
-    return NumberClass(
-        KIND_MEASURE_BOUNDED,
-        Fraction(p1, q1),
-        err_bound=Fraction(1, q1 * q1),
-        measure_bound=2.0,
-        label="golden",
-    )
+    return _quadratic_class(1, 1, depth, "golden")
 
 
 def liouville_truncation(base: int, coeffs: Sequence[int], depth: int) -> NumberClass:
@@ -210,21 +211,17 @@ def continued_fraction(x: Fraction | int, max_terms: int) -> ContinuedFraction:
     Rational input terminates exactly."""
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
-    r = Fraction(x)
-    quots: list[int] = []
-    convs: list[Fraction] = []
-    p2, p1, q2, q1 = 0, 1, 1, 0
-    while len(quots) < max_terms:
-        a = r.numerator // r.denominator
-        quots.append(a)
-        p2, p1 = p1, a * p1 + p2
-        q2, q1 = q1, a * q1 + q2
-        convs.append(Fraction(p1, q1))
-        rem = r - a
-        if rem == 0:
-            break
-        r = 1 / rem
-    return ContinuedFraction(tuple(quots), tuple(convs))
+
+    def quotients(r: Fraction) -> Iterator[int]:
+        while True:
+            a = r.numerator // r.denominator
+            yield a
+            if r == a:
+                return
+            r = 1 / (r - a)
+
+    quots = tuple(itertools.islice(quotients(Fraction(x)), max_terms))
+    return ContinuedFraction(quots, tuple(Fraction(p, q) for p, q in _convergents(quots)))
 
 
 @dataclass(frozen=True)
@@ -304,18 +301,6 @@ class SineInterval:
     lo: float
     hi: float
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def is_zero(self) -> bool:
-        return self.hi == 0.0
-
 
 def exact_sine_abs(theta_over_pi: Fraction | int) -> SineInterval:
     """|sin(pi r)| for exact rational r.
@@ -382,7 +367,13 @@ def small_denominator_sequence(beta: NumberClass, shift: Fraction | int, count: 
     of even-dimensional spheres).  For shift 0 the trivial l = 0 row is
     skipped.  Raises PrecisionExhausted when beta's certified error, scaled
     by pi (count + shift), could move any row by more than 1e-12.
+
+    Each row reduces (l + shift) beta exactly to the residue r / 2q of
+    `exact_residue`, folds r into [0, q] and takes math.sin of pi r / 2q;
+    the row is an exact zero iff r = 0.
     """
+    import numpy as np
+
     shift = Fraction(shift)
     if shift.denominator not in (1, 2) or not 0 <= shift < 1:
         raise ValueError(f"shift must be 0 or 1/2, got {shift}")
@@ -393,45 +384,30 @@ def small_denominator_sequence(beta: NumberClass, shift: Fraction | int, count: 
         raise PrecisionExhausted(
             f"certified error {float(beta.err):.3e} cannot support {count} rows at 1e-12 resolution"
         )
-    num = beta.value.numerator * shift.denominator
-    den = beta.value.denominator * shift.denominator
-    base_num = beta.value.numerator * shift.numerator  # (shift * beta) numerator over den
-    rows: list[tuple[int, float]] = []
-    zeros: list[int] = []
     start = 1 if shift == 0 else 0
-    for l in range(start, count + 1):
-        r = (l * num + base_num) % den
-        if 2 * r > den:
-            r = den - r
-        if r == 0:
-            rows.append((l, 0.0))
-            zeros.append(l)
-            continue
-        arg = math.pi * (r / den)
-        rows.append((l, math.sin(arg)))
+    l = np.arange(start, count + 1)
+    r, q2 = exact_residue(beta.value, 2 * l + int(2 * shift))
+    r = np.minimum(r % q2, -r % q2)  # |sin(pi r / 2q)| has period 2q and mirrors about q
+    values = list(map(math.sin, (math.pi * (r / q2)).tolist()))
+    zeros = tuple(l[r == 0].tolist())
     return SmallDenominatorTable(
         beta_label=str(beta),
         shift=shift,
-        rows=tuple(rows),
-        zero_rows=tuple(zeros),
-        fitted_exponent=_envelope_exponent(rows, zeros),
+        rows=tuple(list(zip(l.tolist(), values))),  # a tuple grown from zip is rescanned by each gc pass
+        zero_rows=zeros,
+        fitted_exponent=math.inf if zeros else _envelope_exponent(values[1 - start :]),
         slack=float(slack_fr),
     )
 
 
-def _envelope_exponent(rows: Sequence[tuple[int, float]], zeros: Sequence[int]) -> float | None:
-    if zeros:
-        return math.inf
-    blocks: dict[int, float] = {}
-    for l, v in rows:
-        if l < 1:
-            continue
-        j = l.bit_length() - 1
-        blocks[j] = min(blocks.get(j, math.inf), v)
-    if len(blocks) < 2:
+def _envelope_exponent(values: Sequence[float]) -> float | None:
+    """Least-squares decay exponent of the minima of `values`, the rows
+    l = 1, 2, ... in order, over the dyadic blocks [2^j, 2^(j+1))."""
+    if len(values) < 2:
         return None
-    xs = [j * math.log(2.0) for j in sorted(blocks)]
-    ys = [math.log(blocks[j]) for j in sorted(blocks)]
+    mins = [min(values[2**j - 1 : 2 ** (j + 1) - 1]) for j in range(len(values).bit_length())]
+    xs = [j * math.log(2.0) for j in range(len(mins))]
+    ys = [math.log(v) for v in mins]
     n = len(xs)
     mx = sum(xs) / n
     my = sum(ys) / n
@@ -440,15 +416,12 @@ def _envelope_exponent(rows: Sequence[tuple[int, float]], zeros: Sequence[int]) 
     return -sxy / sxx
 
 
-def slow_decay_check(
-    table: SmallDenominatorTable | Iterable[tuple[int, float]], exponent: int
-) -> tuple[bool, float]:
+def slow_decay_check(rows: Iterable[tuple[int, float]], exponent: int) -> tuple[bool, float]:
     """Whether the rows admit a bound value >= C (1+l)^(-exponent) with C > 0.
     Returns (passes, C) where C is the best constant; an exact zero row
     forces (False, 0).  The rows are read once, so a generator serves."""
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
-    rows = table.rows if isinstance(table, SmallDenominatorTable) else table
     best = math.inf
     l = None
     for l, v in rows:

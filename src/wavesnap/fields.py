@@ -151,14 +151,10 @@ def field(dim: int, entries: Iterable[tuple[Sequence[float], complex]]) -> Spect
 @dataclass(frozen=True)
 class MultiplierSymbol:
     """Radial Fourier multiplier: a function of the spectral radius lambda >= 0.
-
-    `singular_note` records removable singularities and how they are filled,
-    purely as documentation; `fn` must already return the continued value.
-    """
+    At a removable singularity `fn` returns the continued value."""
 
     label: str
     fn: Callable[[float], complex]
-    singular_note: str = ""
 
     def __call__(self, lam: float) -> complex:
         return self.fn(lam)
@@ -168,8 +164,8 @@ def symbol_product(a: MultiplierSymbol, b: MultiplierSymbol) -> MultiplierSymbol
     return MultiplierSymbol(f"({a.label})*({b.label})", lambda lam: a.fn(lam) * b.fn(lam))
 
 
-def symbol_constant(c: complex, label: str | None = None) -> MultiplierSymbol:
-    return MultiplierSymbol(label if label is not None else f"{c:g}", lambda lam: c)
+def symbol_constant(c: complex) -> MultiplierSymbol:
+    return MultiplierSymbol(f"{c:g}", lambda lam: c)
 
 
 def apply_multiplier(f: Field, symbol: MultiplierSymbol) -> Field:

@@ -19,6 +19,9 @@ A time is a float in radians or an exact Fraction beta meaning beta pi.
 `sine_at` and `cos_at` evaluate the sine and cosine propagators at one
 frequency for either kind of time, and `sine_at` also decides whether the
 sine vanishes there, which is what every snapshot solver divides by.
+`exact_residue` reduces an exact time to integers, for one frequency or a
+numpy array of them; the small-denominator tables and the sphere margin
+screen read their exact times through it too.
 """
 
 from __future__ import annotations
@@ -80,36 +83,53 @@ def kernel_threshold(u: float) -> float:
     return max(KERNEL_SIN_TOL, KERNEL_ULPS * math.ulp(u))
 
 
-def _residue(beta: Fraction, w: float) -> tuple[int, int]:
-    """(r, 2q) with w beta = r / 2q modulo 2, in integers, for beta = p/q
-    and a positive half-integer w."""
+def exact_residue(beta: Fraction, w2):
+    """(r, 2q) = (2w p mod 4q, 2q) for the exact time beta pi, beta = p/q, and
+    the doubled frequency 2w: w beta = r / 2q modulo 2, the period of sin(pi x)
+    and cos(pi x), so sin(w beta pi) = 0 iff 2q divides r.
+
+    `w2` is an int or an integer numpy array.  An array stays int64 while
+    every product is below 2^63 and every residue converts to float exactly;
+    otherwise it holds Python ints."""
+    p, q = beta.numerator, beta.denominator
+    m = 4 * q
+    if isinstance(w2, int):
+        return w2 * p % m, 2 * q
+    if not (m <= 2**53 and int(abs(w2).max(initial=0)) * m < 2**63):
+        w2 = w2.astype(object)
+    return w2 * (p % m) % m, 2 * q
+
+
+def _doubled(w: float) -> int:
+    """2w for a positive half-integer frequency w, the frequencies an exact time accepts."""
     w2 = 2 * w
     if not (w2 > 0 and w2 == int(w2)):
         raise ValueError(f"an exact time beta pi needs a positive half-integer frequency, got {w!r}")
-    p, q = beta.numerator, beta.denominator
-    return int(w2) * p % (4 * q), 2 * q  # sin(pi x) and cos(pi x) have period 2
+    return int(w2)
 
 
 def sine_at(time: float | Fraction, w: float) -> tuple[float, bool]:
     """(sin(w t)/w, exactly_zero) at frequency w >= 0 and time t.
 
     For a Fraction t = beta pi the zero is decided in integers: sin(w beta pi)
-    = 0 iff 2q divides 2w p.  For a float t, w = 0 is never a zero (the
-    value continues to t) and |sin(w t)| below `kernel_threshold(w t)` is."""
+    = 0 iff 2q divides 2w p (see `exact_residue`).  For a float t every w is
+    a zero at t = 0, where S_t vanishes; elsewhere a zero is |w t| >= 1 with
+    |sin(w t)| below `kernel_threshold(w t)`, so only a nonzero multiple of
+    pi counts, never a small w t where sin(w t)/w is near t."""
     if isinstance(time, Fraction):
-        r, q2 = _residue(time, w)
+        r, q2 = exact_residue(time, _doubled(w))
         if r % q2 == 0:
             return 0.0, True
         return math.sin(math.pi * (r / q2)) / w, False
     t = float(time)
     u = t * w
-    return _sine_over(t, w), w > 0 and abs(math.sin(u)) < kernel_threshold(u)
+    return _sine_over(t, w), t == 0.0 or (abs(u) >= 1.0 and abs(math.sin(u)) < kernel_threshold(u))
 
 
 def cos_at(time: float | Fraction, w: float) -> float:
     """cos(w t) at frequency w and time t, reduced exactly for a Fraction t."""
     if isinstance(time, Fraction):
-        r, q2 = _residue(time, w)
+        r, q2 = exact_residue(time, _doubled(w))
         return math.cos(math.pi * (r / q2))
     return math.cos(float(time) * w)
 
@@ -117,7 +137,7 @@ def cos_at(time: float | Fraction, w: float) -> float:
 def symbol_S(t: float | Fraction) -> MultiplierSymbol:
     """Symbol of S_t: lam -> sin(t lam)/lam, with value t at lam = 0."""
     t = as_radians(t)
-    return MultiplierSymbol(f"S[{t:g}]", functools.partial(_sine_over, t), singular_note="lam=0 -> t")
+    return MultiplierSymbol(f"S[{t:g}]", functools.partial(_sine_over, t))
 
 
 def symbol_Sprime(t: float | Fraction) -> MultiplierSymbol:
@@ -145,7 +165,7 @@ def symbol_Psi(m: int, s: float) -> MultiplierSymbol:
             return chebyshev_U(m - 1, math.cos(u))
         return math.sin(m * u) / d
 
-    return MultiplierSymbol(f"Psi[{m},{s:g}]", fn, singular_note="sin(s lam)=0 -> U_{m-1}(+-1)")
+    return MultiplierSymbol(f"Psi[{m},{s:g}]", fn)
 
 
 @dataclass(frozen=True)
@@ -155,7 +175,6 @@ class IdentityReport:
 
     residuals: dict[str, float]
     grid_size: int
-    index_range: tuple[int, int]
 
     @property
     def max_residual(self) -> float:
@@ -166,25 +185,18 @@ class IdentityReport:
         return self.max_residual <= IDENTITY_TOL
 
 
-def fundamental_identities_check(
-    t: float,
-    lam_grid: list[float],
-    m_lo: int = -10,
-    m_hi: int = 10,
-) -> IdentityReport:
+def fundamental_identities_check(t: float, lam_grid: list[float]) -> IdentityReport:
     """Check the recurrences Psi_{m+2} + Psi_m = 2 cos(lam) Psi_{m+1} and
-    S_{m+2} + S_m = 2 S'_1 S_m+1, plus the shift rule
+    S_{m+2} + S_m = 2 S'_1 S_m+1 for -10 <= m <= 10, plus the shift rule
     S_t S'_1 - S'_t S_1 = S_{t-1}, pointwise on `lam_grid`.
     """
     if not lam_grid:
         raise ValueError("empty grid")
     if any(lam < 0 or not math.isfinite(lam) for lam in lam_grid):
         raise ValueError("grid entries must be finite and >= 0")
-    if m_hi < m_lo:
-        raise ValueError(f"empty index range [{m_lo}, {m_hi}]")
 
-    psis = {m: symbol_Psi(m, 1.0) for m in range(m_lo - 1, m_hi + 3)}
-    sins = {m: symbol_S(float(m)) for m in range(m_lo - 1, m_hi + 3)}
+    psis = {m: symbol_Psi(m, 1.0) for m in range(-10, 13)}
+    sins = {m: symbol_S(float(m)) for m in range(-10, 13)}
     s_t = symbol_S(t)
     s_t1 = symbol_S(t - 1.0)
     cos_t = symbol_Sprime(t)
@@ -195,7 +207,7 @@ def fundamental_identities_check(
     r_shift = 0.0
     for lam in lam_grid:
         two_cos = 2.0 * math.cos(lam)
-        for m in range(m_lo, m_hi + 1):
+        for m in range(-10, 11):
             r_psi = max(r_psi, abs(psis[m + 2](lam) + psis[m](lam) - two_cos * psis[m + 1](lam)))
             r_s = max(r_s, abs(sins[m + 2](lam) + sins[m](lam) - two_cos * sins[m + 1](lam)))
         r_shift = max(r_shift, abs(s_t(lam) * math.cos(lam) - cos_t(lam) * s_1(lam) - s_t1(lam)))
@@ -203,5 +215,4 @@ def fundamental_identities_check(
     return IdentityReport(
         residuals={"snapshot_recurrence": r_psi, "sine_recurrence": r_s, "time_shift": r_shift},
         grid_size=len(lam_grid),
-        index_range=(m_lo, m_hi),
     )

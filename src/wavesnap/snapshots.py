@@ -43,7 +43,7 @@ RATIONAL_GATE_TOL = 1e-9
 
 
 class InvalidTime(ValueError):
-    """A time at which the operation is undefined (t = 0 kernel, alpha in {0, 1})."""
+    """A time at which the operation is undefined (alpha in {0, 1}, a NaN alpha)."""
 
 
 class InvalidTimes(ValueError):
@@ -101,13 +101,6 @@ def evolve(data: CauchyData, t: float | Fraction) -> Field:
     )
 
 
-def kernel_modes(f: Field, t: float | Fraction) -> tuple:
-    """Keys of f annihilated by S_t: those where `sine_at` finds a zero."""
-    if t == 0:
-        raise InvalidTime("S_0 = 0: every frequency is in the kernel")
-    return tuple(key for key, lam in zip(f.keys, f.freqs) if sine_at(t, lam)[1])
-
-
 def general_integer_snapshot(
     ua: Field, ub: Field, a: float, b: float, m: int
 ) -> Field:
@@ -153,11 +146,9 @@ def _validate_pq(p: int, q: int) -> None:
         raise InvalidTimes(f"need coprime times, gcd({p}, {q}) = {math.gcd(p, q)}")
 
 
-def _psi_gate_residual(
-    f0: Field, fa: Field, fb: Field, p: int, q: int, unit: float
-) -> float:
-    va = subtract(fa, apply_multiplier(f0, symbol_Sprime(p * unit)))
-    vb = subtract(fb, apply_multiplier(f0, symbol_Sprime(q * unit)))
+def _psi_gate_residual(va: Field, vb: Field, p: int, q: int, unit: float) -> float:
+    """Residual of Psi_{q,u} va - Psi_{p,u} vb on the windows va = fa - S'_{pu} f0
+    and vb = fb - S'_{qu} f0, which vanishes on genuine snapshots at 0, pu, qu."""
     lhs = apply_multiplier(va, symbol_Psi(q, unit))
     rhs = apply_multiplier(vb, symbol_Psi(p, unit))
     return max_abs_amp(subtract(lhs, rhs))
@@ -322,14 +313,14 @@ def _bezout_solve(
     = sin(x) for x = u lam.  One division by the symbol of S_u finishes; its
     kernel (lam in pi Z / u) is the only non-uniqueness.
     """
-    gate = _psi_gate_residual(f0, fa, fb, p, q, unit)
+    va = subtract(fa, apply_multiplier(f0, symbol_Sprime(p * unit)))
+    vb = subtract(fb, apply_multiplier(f0, symbol_Sprime(q * unit)))
+    gate = _psi_gate_residual(va, vb, p, q, unit)
     if gate > RATIONAL_GATE_TOL:
         raise IncompatibleData(
             f"snapshot compatibility residual {gate:.3e} exceeds {RATIONAL_GATE_TOL:.1e}", gate
         )
     k, l = diophantine.bezout(p, q)
-    va = subtract(fa, apply_multiplier(f0, symbol_Sprime(p * unit)))
-    vb = subtract(fb, apply_multiplier(f0, symbol_Sprime(q * unit)))
     sym_a = symbol_product(symbol_Psi(k, p * unit), symbol_Sprime(l * q * unit))
     sym_b = symbol_product(symbol_Psi(l, q * unit), symbol_Sprime(k * p * unit))
     num = linear_combine([1.0, 1.0], [apply_multiplier(va, sym_a), apply_multiplier(vb, sym_b)])
@@ -371,8 +362,6 @@ class LiouvilleRow:
 
 @dataclass(frozen=True)
 class LiouvilleDemoReport:
-    alpha_label: str
-    depth: int
     rows: tuple[LiouvilleRow, ...]
 
     @property
@@ -414,4 +403,4 @@ def liouville_obstruction_demo(k_max: int) -> LiouvilleDemoReport:
                     certified=bool(certified),
                 )
             )
-    return LiouvilleDemoReport(alpha.label, depth, tuple(rows))
+    return LiouvilleDemoReport(tuple(rows))

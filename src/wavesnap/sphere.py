@@ -43,7 +43,7 @@ from .fields import (
     lookup_amplitude,
     save_field,
 )
-from .propagators import KERNEL_SIN_TOL, KERNEL_ULPS, as_radians, sine_at
+from .propagators import KERNEL_SIN_TOL, KERNEL_ULPS, as_radians, exact_residue, sine_at
 from .snapshots import (
     CauchyData,
     InvalidTime,
@@ -281,11 +281,10 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
         w = l + 0.5 * (n - 1)  # sine_at's w = frequency(n, l), bit for bit while n < 2^52
         with np.errstate(over="ignore", invalid="ignore"):
             if isinstance(alpha, Fraction):
-                p, q = alpha.numerator, alpha.denominator
-                m = 4 * q  # sine_at's residue (2l + n - 1) p mod 4q; exact in int64 for m < 2^42, l < 2^20
-                r = ((l if m < 2**42 else l.astype(object)) * (2 * p % m) + (n - 1) * p % m) % m
-                x = np.sin(np.pi * (r / (2 * q)).astype(float))
-                near_zero = r % (2 * q) == 0
+                w2 = 2 * (l if n < 2**62 else l.astype(object)) + (n - 1)  # sine_at's 2w, in int64 if it fits
+                r, q2 = exact_residue(alpha, w2)
+                x = np.sin(np.pi * (r / q2).astype(float))
+                near_zero = r % q2 == 0
             else:
                 u = w * float(alpha)
                 x = np.sin(u)

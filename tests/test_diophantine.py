@@ -27,6 +27,45 @@ def test_cfrac_determinant_identity(x):
         assert p * q0 - p0 * q == (-1) ** (k - 1)
 
 
+def convergents_by_loop(quotients):
+    """Reference: the last convergent (p, q) of the quotients, as a plain loop."""
+    p2, p1, q2, q1 = 0, 1, 1, 0
+    for a in quotients:
+        p2, p1 = p1, a * p1 + p2
+        q2, q1 = q1, a * q1 + q2
+    return p1, q1
+
+
+def cfrac_by_loop(x, max_terms):
+    """Reference: `continued_fraction` as one loop that extracts quotients and
+    convergents together."""
+    r = Fraction(x)
+    quots, convs = [], []
+    p2, p1, q2, q1 = 0, 1, 1, 0
+    while len(quots) < max_terms:
+        a = r.numerator // r.denominator
+        quots.append(a)
+        p2, p1 = p1, a * p1 + p2
+        q2, q1 = q1, a * q1 + q2
+        convs.append(Fraction(p1, q1))
+        rem = r - a
+        if rem == 0:
+            break
+        r = 1 / rem
+    return tuple(quots), tuple(convs)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 7, 40, 45, 120])
+def test_convergent_recurrence_matches_loops(depth):
+    for make, rest in ((dio.sqrt2_class, 2), (dio.golden_class, 1)):
+        p, q = convergents_by_loop([1] + [rest] * depth)
+        x = make(depth)
+        assert (x.value, x.err_bound) == (Fraction(p, q), Fraction(1, q * q))
+    for value in (Fraction(415, 93), Fraction(-355, 113), Fraction(7), dio.sqrt2_class(60).value):
+        cf = dio.continued_fraction(value, depth)
+        assert (cf.partial_quotients, cf.convergents) == cfrac_by_loop(value, depth)
+
+
 def test_cfrac_golden_is_fibonacci():
     cf = dio.continued_fraction(dio.golden_class().value, 12)
     fib = [1, 1, 2, 3, 5, 8, 13, 21]
@@ -215,7 +254,7 @@ def test_probe_mu_liouville_grows():
 def test_smallden_rational_has_periodic_zeros():
     t = dio.small_denominator_sequence(dio.rational_number(Fraction(2, 3)), 0, 30)
     assert set(t.zero_rows) == {3, 6, 9, 12, 15, 18, 21, 24, 27, 30}
-    passes, c = dio.slow_decay_check(t, 2)
+    passes, c = dio.slow_decay_check(t.rows, 2)
     assert not passes and c == 0.0
 
 
@@ -223,7 +262,7 @@ def test_smallden_golden_stays_positive():
     t = dio.small_denominator_sequence(dio.golden_class(), 0, 2000)
     assert not t.zero_rows
     assert all(v > 0 for _, v in t.rows)
-    passes, c = dio.slow_decay_check(t, 2)
+    passes, c = dio.slow_decay_check(t.rows, 2)
     assert passes and c > 0
     # lower envelope of |sin(pi l phi)| decays like 1/l for a bounded-type number
     assert 0.5 <= t.fitted_exponent <= 1.5
@@ -241,8 +280,62 @@ def test_smallden_liouville_exact_zero_at_factorial_denominator():
     t = dio.small_denominator_sequence(x, 0, 10**6)
     assert 10**6 in t.zero_rows  # q_3 = 10^6 kills the truncated series exactly
     for m in range(1, 6):
-        passes, _ = dio.slow_decay_check(t, m)
+        passes, _ = dio.slow_decay_check(t.rows, m)
         assert not passes
+
+
+def smallden_by_loop(beta, shift, count):
+    """Reference for the array code: the table's rows, zero rows and envelope
+    exponent, computed one row at a time."""
+    num, den = beta.numerator * shift.denominator, beta.denominator * shift.denominator
+    base_num = beta.numerator * shift.numerator
+    rows, zeros = [], []
+    for l in range(1 if shift == 0 else 0, count + 1):
+        r = (l * num + base_num) % den
+        if 2 * r > den:
+            r = den - r
+        if r == 0:
+            rows.append((l, 0.0))
+            zeros.append(l)
+            continue
+        rows.append((l, math.sin(math.pi * (r / den))))
+    if zeros:
+        return rows, zeros, math.inf
+    blocks = {}
+    for l, v in rows:
+        if l >= 1:
+            j = l.bit_length() - 1
+            blocks[j] = min(blocks.get(j, math.inf), v)
+    if len(blocks) < 2:
+        return rows, zeros, None
+    xs = [j * math.log(2.0) for j in sorted(blocks)]
+    ys = [math.log(blocks[j]) for j in sorted(blocks)]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    return rows, zeros, -sxy / sxx
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(min_value=-(10**20), max_value=10**20).filter(bool),
+    q=st.one_of(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=10**18)),
+    shift=st.sampled_from((Fraction(0), Fraction(1, 2))),
+    count=st.integers(min_value=1, max_value=300),
+)
+@example(p=2, q=3, shift=Fraction(1, 2), count=40)  # exact zeros at l = 1, 4, 7, ...
+@example(p=-7, q=12, shift=Fraction(0), count=100)
+@example(p=123456789123, q=10**13 + 7, shift=Fraction(1, 2), count=300)  # int64 residues
+@example(p=-(10**17) - 3, q=10**18 - 1, shift=Fraction(0), count=200)  # Python ints: 4q > 2^53
+@example(p=3, q=2**51 - 1, shift=Fraction(1, 2), count=1000)  # Python ints: 2w 4q >= 2^63
+def test_smallden_matches_per_row_loop(p, q, shift, count):
+    beta = Fraction(p, q)
+    t = dio.small_denominator_sequence(dio.rational_number(beta), shift, count)
+    rows, zeros, exponent = smallden_by_loop(beta, shift, count)
+    assert t.zero_rows == tuple(zeros)
+    assert [(l, v.hex()) for l, v in t.rows] == [(l, v.hex()) for l, v in rows]
+    assert all(type(l) is int and type(v) is float for l, v in t.rows)
+    assert t.fitted_exponent == exponent
 
 
 def test_smallden_row_values_match_float_sine():

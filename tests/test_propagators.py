@@ -9,6 +9,7 @@ from wavesnap.propagators import (
     InvalidScale,
     chebyshev_U,
     fundamental_identities_check,
+    sine_at,
     symbol_Psi,
     symbol_S,
     symbol_Sprime,
@@ -130,3 +131,15 @@ def test_identity_report_flags_nothing_at_zero():
     # lam = 0 sits on every branch boundary and must still satisfy the identities
     rep = fundamental_identities_check(0.5, [0.0])
     assert rep.passes
+
+
+def test_float_time_zeros_are_nonzero_multiples_of_pi():
+    # S_0 = 0: at t = 0 every frequency is a zero, w = 0 included
+    assert sine_at(0.0, 0.0) == (0.0, True)
+    assert sine_at(0.0, 2.5) == (0.0, True)
+    # elsewhere a small w t is never a zero: sin(w t)/w continues to t
+    assert sine_at(1.0, 0.0) == (1.0, False)
+    assert sine_at(1.0, 1e-15) == (1.0, False)
+    assert sine_at(-2.0, 1e-15) == (-2.0, False)
+    assert sine_at(1.0, math.pi)[1]
+    assert sine_at(-1.0, 1e3 * math.pi)[1]

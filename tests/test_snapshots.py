@@ -5,8 +5,13 @@ import pytest
 
 from wavesnap import diophantine, snapshots as snap
 from wavesnap.fields import MultiplierSymbol, apply_multiplier, field, linear_combine, max_abs_amp, subtract
-from wavesnap.propagators import symbol_Psi, symbol_Sprime
+from wavesnap.propagators import sine_at, symbol_Psi, symbol_Sprime
 from wavesnap.snapshots import CauchyData, evolve
+
+
+def kernel_modes(f, t):
+    """Keys of f annihilated by S_t: those where `sine_at` finds a zero."""
+    return tuple(key for key, lam in zip(f.keys, f.freqs) if sine_at(t, lam)[1])
 
 
 def wave(dim, entries_u0, entries_g):
@@ -93,6 +98,26 @@ def test_two_snapshot_kernel_mode_free_when_consistent():
     assert rep.solution.amplitude_at((lam,)) == 0  # free part set to zero
 
 
+def test_two_snapshot_tiny_frequency_is_determined():
+    # at |w t| = 1e-15, sin(w t)/w is t itself, far from zero: not a kernel mode
+    data = wave(1, [((1e-15,), 1.0), ((2.5,), 0.5)], [((1e-15,), 0.3), ((2.5,), 1j)])
+    rep = snap.two_snapshot_solve(evolve(data, 0.0), evolve(data, 1.0))
+    assert rep.status == snap.STATUS_UNIQUE
+    assert abs(rep.solution.amplitude_at((1e-15,)) - 0.3) < 1e-12
+    assert abs(rep.solution.amplitude_at((2.5,)) - 1j) < 1e-12
+
+
+def test_two_snapshot_at_time_zero_frees_every_mode():
+    # S_0 = 0 annihilates every frequency, the zero frequency included
+    data = wave(2, [((0.0, 0.0), 1.0), ((1.0, 0.3), 2j)], [((0.0, 0.0), 0.5), ((1.0, 0.3), 1.0)])
+    f0 = evolve(data, 0.0)
+    rep = snap.two_snapshot_solve(f0, f0, 0.0)
+    assert rep.status == snap.STATUS_NONUNIQUE
+    assert rep.kernel_modes == f0.keys
+    moved = snap.two_snapshot_solve(f0, evolve(data, 0.5), 0.0)
+    assert moved.status == snap.STATUS_OBSTRUCTED
+
+
 def test_two_snapshot_kernel_at_time_half():
     # at t = 1/2 the kernel of S_t sits at radius 2 pi, not pi
     data = wave(
@@ -133,12 +158,12 @@ def test_kernel_found_at_large_radius(k):
         assert rep.kernel_modes == ((lam,),)
         assert rep.conditioning < 10.0
         assert abs(rep.solution.amplitude_at((2.5,)) - 1j) < 1e-9 * (1 + rep.conditioning)
-    assert snap.kernel_modes(f0, 1.0) == ((lam,),)
+    assert kernel_modes(f0, 1.0) == ((lam,),)
 
 
 def test_kernel_modes_lists_sine_zeros():
     f = field(1, [((math.pi,), 1.0), ((1.0,), 1.0), ((2.0 * math.pi,), 1.0)])
-    assert snap.kernel_modes(f, 1.0) == ((math.pi,), (2.0 * math.pi,))
+    assert kernel_modes(f, 1.0) == ((math.pi,), (2.0 * math.pi,))
 
 
 # -- compatibility -----------------------------------------------------------
