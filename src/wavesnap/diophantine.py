@@ -427,7 +427,9 @@ def slow_decay_check(rows: Iterable[tuple[int, float]], exponent: int) -> tuple[
     for l, v in rows:
         if v == 0.0:
             return False, 0.0
-        best = min(best, v * float(1 + l) ** exponent)
+        y = v * float(1 + l) ** exponent
+        if y < best:
+            best = y
     if l is None:
         raise ValueError("no rows")
     return best > 0.0, best

@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import diophantine, propagators, snapshots, sphere
 from .fields import SpectralField, apply_multiplier, field, linear_combine, max_abs_amp, subtract
 from .propagators import as_radians, symbol_Psi, symbol_S, symbol_Sprime
-from .snapshots import CauchyData, evolve
+from .snapshots import CauchyData, evolve, evolve_series
 
 GUARD_SIN = 5e-3
 
@@ -74,21 +74,17 @@ def recursion_roundtrip(seed: int = 0) -> dict:
         u0 = _random_field(rng, dim, rng.randint(4, 16), steps)
         g = _random_field(rng, dim, rng.randint(4, 16), steps)
         data = CauchyData(u0, g)
-        u1 = evolve(data, 1.0)
-        snaps = {m: evolve(data, float(m)) for m in range(-21, 22)}
-        cos1 = symbol_Sprime(1.0)
-        for m in range(-20, 21):
-            via = snapshots.general_integer_snapshot(u0, u1, 0.0, 1.0, m)
+        snaps = dict(zip(range(-21, 22), evolve_series(data, [float(m) for m in range(-21, 22)])))
+        closed = snapshots.snapshot_series(u0, snaps[1], 0.0, 1.0, range(-20, 21))
+        for m, via in zip(range(-20, 21), closed):
             worst_closed = max(worst_closed, max_abs_amp(subtract(via, snaps[m])))
+        cos1 = symbol_Sprime(1.0)
         for m in range(-20, 20):
-            lhs = linear_combine([1.0, 1.0], [snaps[m + 2], snaps[m]])
-            rhs = apply_multiplier(snaps[m + 1], cos1)
-            worst_recur = max(worst_recur, max_abs_amp(linear_combine([1.0, -2.0], [lhs, rhs])))
-        ua, ub = evolve(data, a), evolve(data, b)
-        for m in range(-8, 9):
-            via = snapshots.general_integer_snapshot(ua, ub, a, b, m)
-            direct = evolve(data, a + m * (b - a))
-            worst_general = max(worst_general, max_abs_amp(subtract(via, direct)))
+            residual = linear_combine([1.0, 1.0, -2.0], [snaps[m + 2], snaps[m], apply_multiplier(snaps[m + 1], cos1)])
+            worst_recur = max(worst_recur, max_abs_amp(residual))
+        ua, ub, *direct = evolve_series(data, [a, b] + [a + m * (b - a) for m in range(-8, 9)])
+        for via, want in zip(snapshots.snapshot_series(ua, ub, a, b, range(-8, 9)), direct):
+            worst_general = max(worst_general, max_abs_amp(subtract(via, want)))
     passed = worst_closed <= 1e-10 and worst_general <= 1e-10 and worst_recur <= 1e-11
     return _result(
         "recursion",

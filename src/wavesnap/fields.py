@@ -168,19 +168,30 @@ def symbol_constant(c: complex) -> MultiplierSymbol:
     return MultiplierSymbol(f"{c:g}", lambda lam: c)
 
 
+def symbol_values(symbol: MultiplierSymbol, freqs: Sequence[float]) -> list[complex]:
+    """The symbol at each frequency, as `fn` returns it: a float multiplies a
+    complex amplitude bit for bit as complex(value) does.  A value that fails
+    or is not finite raises SymbolUndefined, naming the first such frequency."""
+    fn = symbol.fn
+    try:
+        values = list(map(fn, freqs))
+    except (ArithmeticError, ValueError):
+        values = None
+    if values is None or not all(map(cmath.isfinite, values)):
+        for lam in freqs:
+            try:
+                value = complex(fn(lam))
+            except (ArithmeticError, ValueError) as exc:
+                raise SymbolUndefined(f"symbol {symbol.label} failed at lambda={lam!r}") from exc
+            if not cmath.isfinite(value):
+                raise SymbolUndefined(f"symbol {symbol.label} returned {value!r} at lambda={lam!r}")
+    return values
+
+
 def apply_multiplier(f: Field, symbol: MultiplierSymbol) -> Field:
     """Multiply each amplitude by the symbol at its key's frequency.  The
     result shares f's key and frequency columns unless a product is zero."""
-    fn = symbol.fn
-    products = []
-    for lam, amp in zip(f.freqs, f.amps):
-        try:
-            value = complex(fn(lam))
-        except (ArithmeticError, ValueError) as exc:
-            raise SymbolUndefined(f"symbol {symbol.label} failed at lambda={lam!r}") from exc
-        if not cmath.isfinite(value):
-            raise SymbolUndefined(f"symbol {symbol.label} returned {value!r} at lambda={lam!r}")
-        products.append(value * amp)
+    products = list(map(operator.mul, symbol_values(symbol, f.freqs), f.amps))
     check_finite(products)
     return _with_amps(f, f.keys, f.freqs, products)
 

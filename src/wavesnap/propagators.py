@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,7 +101,7 @@ def exact_residue(beta: Fraction, w2):
     return w2 * (p % m) % m, 2 * q
 
 
-def _doubled(w: float) -> int:
+def _doubled(w: float | Fraction) -> int:
     """2w for a positive half-integer frequency w, the frequencies an exact time accepts."""
     w2 = 2 * w
     if not (w2 > 0 and w2 == int(w2)):
@@ -108,11 +109,12 @@ def _doubled(w: float) -> int:
     return int(w2)
 
 
-def sine_at(time: float | Fraction, w: float) -> tuple[float, bool]:
+def sine_at(time: float | Fraction, w: float | Fraction) -> tuple[float, bool]:
     """(sin(w t)/w, exactly_zero) at frequency w >= 0 and time t.
 
     For a Fraction t = beta pi the zero is decided in integers: sin(w beta pi)
-    = 0 iff 2q divides 2w p (see `exact_residue`).  For a float t every w is
+    = 0 iff 2q divides 2w p (see `exact_residue`); a Fraction w keeps 2w
+    exact where a float would round it (2w >= 2^53).  For a float t every w is
     a zero at t = 0, where S_t vanishes; elsewhere a zero is |w t| >= 1 with
     |sin(w t)| below `kernel_threshold(w t)`, so only a nonzero multiple of
     pi counts, never a small w t where sin(w t)/w is near t."""
@@ -194,23 +196,23 @@ def fundamental_identities_check(t: float, lam_grid: list[float]) -> IdentityRep
         raise ValueError("empty grid")
     if any(lam < 0 or not math.isfinite(lam) for lam in lam_grid):
         raise ValueError("grid entries must be finite and >= 0")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
 
-    psis = {m: symbol_Psi(m, 1.0) for m in range(-10, 13)}
-    sins = {m: symbol_S(float(m)) for m in range(-10, 13)}
-    s_t = symbol_S(t)
-    s_t1 = symbol_S(t - 1.0)
-    cos_t = symbol_Sprime(t)
-    s_1 = symbol_S(1.0)
+    two_cos = [2.0 * math.cos(lam) for lam in lam_grid]
 
-    r_psi = 0.0
-    r_s = 0.0
-    r_shift = 0.0
-    for lam in lam_grid:
-        two_cos = 2.0 * math.cos(lam)
-        for m in range(-10, 11):
-            r_psi = max(r_psi, abs(psis[m + 2](lam) + psis[m](lam) - two_cos * psis[m + 1](lam)))
-            r_s = max(r_s, abs(sins[m + 2](lam) + sins[m](lam) - two_cos * sins[m + 1](lam)))
-        r_shift = max(r_shift, abs(s_t(lam) * math.cos(lam) - cos_t(lam) * s_1(lam) - s_t1(lam)))
+    def recurrence_residual(column: Callable[[int], MultiplierSymbol]) -> float:
+        values = {m: list(map(column(m).fn, lam_grid)) for m in range(-10, 13)}
+        return max(
+            abs(hi + lo - tc * mid)
+            for m in range(-10, 11)
+            for hi, lo, mid, tc in zip(values[m + 2], values[m], values[m + 1], two_cos)
+        )
+
+    s_t, s_t1, cos_t, s_1 = (f.fn for f in (symbol_S(t), symbol_S(t - 1.0), symbol_Sprime(t), symbol_S(1.0)))
+    r_shift = max(abs(s_t(lam) * math.cos(lam) - cos_t(lam) * s_1(lam) - s_t1(lam)) for lam in lam_grid)
+    r_psi = recurrence_residual(lambda m: symbol_Psi(m, 1.0))
+    r_s = recurrence_residual(lambda m: symbol_S(float(m)))
 
     return IdentityReport(
         residuals={"snapshot_recurrence": r_psi, "sine_recurrence": r_s, "time_shift": r_shift},

@@ -13,7 +13,7 @@ modes, minimal-norm representative returned), "Obstructed" (no wave fits).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,13 +22,16 @@ import mpmath
 from . import diophantine
 from .fields import (
     Field,
+    _with_amps,
     aligned,
     apply_multiplier,
     canonical_columns,
+    check_finite,
     linear_combine,
     max_abs_amp,
     subtract,
     symbol_product,
+    symbol_values,
     union_support,
 )
 from .propagators import as_radians, cos_at, sine_at, symbol_Psi, symbol_S, symbol_Sprime
@@ -92,29 +95,59 @@ class SolveReport:
 
 def evolve(data: CauchyData, t: float | Fraction) -> Field:
     """u_t = S'_t u0 + S_t g; a Fraction t means t pi."""
-    return linear_combine(
-        [1.0, 1.0],
-        [
-            apply_multiplier(data.position, symbol_Sprime(t)),
-            apply_multiplier(data.velocity, symbol_S(t)),
-        ],
-    )
+    return evolve_series(data, (t,))[0]
+
+
+def evolve_series(data: CauchyData, times: Iterable[float | Fraction]) -> list[Field]:
+    """u_t for each t in `times`, in one pass over the union of the data's keys.
+
+    Each amplitude is cos(t lam) u0 + sin(t lam)/lam g at the key, so the
+    results share one key and frequency column unless an amplitude vanishes."""
+    u0, g = data.position, data.velocity
+    keys, freqs = union_support((u0, g))
+    pos = aligned(u0.keys, u0.amps, keys)
+    vel = aligned(g.keys, g.amps, keys)
+    out = []
+    for t in times:
+        cos_t = symbol_values(symbol_Sprime(t), freqs)
+        sin_t = symbol_values(symbol_S(t), freqs)
+        amps = [c * x + s * y for c, x, s, y in zip(cos_t, pos, sin_t, vel)]
+        check_finite(amps)
+        out.append(_with_amps(u0, keys, freqs, amps))
+    return out
 
 
 def general_integer_snapshot(
     ua: Field, ub: Field, a: float, b: float, m: int
 ) -> Field:
     """u at time a + m (b - a), from the snapshots at a < b."""
+    return snapshot_series(ua, ub, a, b, (m,))[0]
+
+
+def snapshot_series(ua: Field, ub: Field, a: float, b: float, ms: Iterable[int]) -> list[Field]:
+    """u at each time a + m (b - a), m in `ms`, from the snapshots at a < b.
+
+    Each amplitude is Psi_{m,s} ub - Psi_{m-1,s} ua at the key, s = b - a.
+    Every Psi column is evaluated once over the union of the snapshots'
+    keys, so for consecutive m the column of m serves as the Psi_{m-1}
+    column of the next."""
     if not b > a:
         raise InvalidTimes(f"need a < b, got a={a}, b={b}")
+    ub.check_same_basis(ua)
     s = b - a
-    return linear_combine(
-        [1.0, -1.0],
-        [
-            apply_multiplier(ub, symbol_Psi(m, s)),
-            apply_multiplier(ua, symbol_Psi(m - 1, s)),
-        ],
-    )
+    keys, freqs = union_support((ub, ua))
+    later = aligned(ub.keys, ub.amps, keys)
+    earlier = aligned(ua.keys, ua.amps, keys)
+    columns: dict[int, list[complex]] = {}
+    out = []
+    for m in ms:
+        for k in (m, m - 1):
+            if k not in columns:
+                columns[k] = symbol_values(symbol_Psi(k, s), freqs)
+        amps = [p * y - q * x for p, y, q, x in zip(columns[m], later, columns[m - 1], earlier)]
+        check_finite(amps)
+        out.append(_with_amps(ub, keys, freqs, amps))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +368,9 @@ def _bezout_solve(
         return ((su, False, c),), abs(sym_a(lam)) + abs(sym_b(lam))
 
     def verify(g: Field) -> tuple[float, str]:
-        data = CauchyData(f0, g)
-        ra = max_abs_amp(subtract(fa, evolve(data, p * unit)))
-        rb = max_abs_amp(subtract(fb, evolve(data, q * unit)))
+        ua, ub = evolve_series(CauchyData(f0, g), (p * unit, q * unit))
+        ra = max_abs_amp(subtract(fa, ua))
+        rb = max_abs_amp(subtract(fb, ub))
         return max(ra, rb), f"bezout k={k}, l={l}; residual at t={p * unit:g}: {ra:.3e}, t={q * unit:g}: {rb:.3e}"
 
     return diagonal_solve(

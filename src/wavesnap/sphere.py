@@ -261,7 +261,8 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
 
     numpy picks the rows, the scalar code decides.  Each block of degrees
     gets an approximate score |sin(w alpha)/w| (1+l)^exponent; only three
-    kinds of row are yielded, each recomputed by `sine_at`:
+    kinds of row are yielded, each recomputed by `sine_at` (at the exact
+    w = (2l + n - 1)/2 for exact alpha, which a float rounds once n >= 2^53):
 
     - rows scoring within MARGIN_WINDOW of the best score so far;
     - near-zero rows: 2q | (2l+n-1)p for exact alpha, or |sin| below twice
@@ -297,8 +298,10 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
             best = min(best, float(score[usable].min()))
         pick = near_zero | edge | ~(score > best * (1 + MARGIN_WINDOW))  # nan scores get the recheck too
         for k in np.flatnonzero(pick).tolist():
-            v, is_zero = sine_at(alpha, frequency(n, lo + k))
-            yield lo + k, 0.0 if is_zero else abs(v)
+            l = lo + k
+            w = Fraction(2 * l + n - 1, 2) if isinstance(alpha, Fraction) else frequency(n, l)  # exact for any n
+            v, is_zero = sine_at(alpha, w)
+            yield l, 0.0 if is_zero else abs(v)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,17 @@ def test_sphere_verbs_smoke(tmp_path, capsys):
     assert doc["passes"] is False and doc["C"] == 0.0
 
 
+def test_sphere_margin_reads_2w_exactly_beyond_float_precision(capsys):
+    # for even n, 2w = 2l + n - 1 is odd, so no sin(w pi/2) vanishes however
+    # large n is; for odd n every even w is a zero.  A float w rounds n - 1
+    # from n = 2^53 on, which made 2^53 + 2 and 10^23 look odd.
+    for n, passes in ((10**23, True), (2**53 + 2, True), (100, True), (10**23 + 1, False), (2**53 + 1, False)):
+        assert cli.run(["sphere", "margin", "--alpha-pi", "1/2", "--n", str(n), "--max-degree", "10"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passes"] is passes, n
+        assert (doc["C"] > 0) is passes, n
+
+
 def test_json_verbs_write_what_json_dumps_writes(wave_files):
     """Every JSON verb run above writes the text `json.dumps(doc, indent=2)`
     writes for its own parse; a field output loads back as the field written."""

@@ -1,11 +1,12 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from wavesnap import fields as fields_module, sphere as sph
+from wavesnap import fields as fields_module, snapshots, sphere as sph
 from wavesnap.fields import (
     DimensionMismatch,
     MultiplierSymbol,
@@ -271,6 +272,63 @@ def test_operators_match_rebuilt_reference(case, symbol, coeffs, t):
         [1.0, 1.0], [ref_apply(f, symbol_Sprime(t), freq, rebuild), ref_apply(g, symbol_S(t), freq, rebuild)], rebuild
     )
     assert_same_field(evolve(CauchyData(f, g), t), want)
+
+
+# -- series operators: one pass per time grid ----------------------------------
+#
+# Test-local copies of the per-time operators that the series replace: two
+# multiplier applications and a combine for each time t, or each m.
+
+
+def per_time_evolve(data, t):
+    return linear_combine(
+        [1.0, 1.0], [apply_multiplier(data.position, symbol_Sprime(t)), apply_multiplier(data.velocity, symbol_S(t))]
+    )
+
+
+def per_m_snapshot(ua, ub, a, b, m):
+    s = b - a
+    return linear_combine(
+        [1.0, -1.0], [apply_multiplier(ub, symbol_Psi(m, s)), apply_multiplier(ua, symbol_Psi(m - 1, s))]
+    )
+
+
+def hexed(f):
+    """Keys, frequencies and amplitudes, each float part by its exact bits."""
+    return type(f), f.keys, f.freqs, [(amp.real.hex(), amp.imag.hex()) for amp in f.amps]
+
+
+def assert_shared_columns(results, f, g):
+    """Results with no dropped amplitude share one key and one frequency tuple."""
+    full = len(f.keys + tuple(k for k in g.keys if k not in f.keys))
+    whole = [r for r in results if len(r.keys) == full]
+    assert all(r.keys is whole[0].keys and r.freqs is whole[0].freqs for r in whole)
+    if whole and f.keys == g.keys:
+        assert whole[0].keys is f.keys
+
+
+times = st.one_of(
+    st.just(0.0),
+    finite,
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+
+
+@given(field_cases(), st.lists(times, min_size=1, max_size=5), st.integers(-6, -1), st.integers(1, 6))
+def test_series_match_per_time_operators(case, ts, lo, hi):
+    f, g, h, _, _ = case
+    for u0, v in ((f, g), (f, h), (f, f)):  # overlapping, disjoint, shared supports
+        data = CauchyData(u0, v)
+        series = snapshots.evolve_series(data, ts)
+        assert [hexed(u) for u in series] == [hexed(per_time_evolve(data, t)) for t in ts]
+        assert_shared_columns(series, u0, v)
+        for a, b in ((0.0, 1.0), (-0.3, 0.85), (1.25, 3.5)):
+            for ms in (range(lo, hi), (hi, lo, 0, hi)):  # consecutive, then out of order and repeated
+                series = snapshots.snapshot_series(u0, v, a, b, ms)
+                assert [hexed(u) for u in series] == [hexed(per_m_snapshot(u0, v, a, b, m)) for m in ms]
+                assert_shared_columns(series, v, u0)
+            assert hexed(snapshots.general_integer_snapshot(u0, v, a, b, lo)) == hexed(series[1])
+        assert hexed(evolve(data, ts[0])) == hexed(per_time_evolve(data, ts[0]))
 
 
 def test_multipliers_and_shared_combine_trust_canonical_keys(monkeypatch):

@@ -127,10 +127,49 @@ def test_identity_report_on_sound_grid():
     assert rep.grid_size == len(grid)
 
 
+def test_identity_check_rejects_a_nonfinite_time():
+    # a NaN time once scored NaN shift residuals, which max() skipped, and passed
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            fundamental_identities_check(t, [0.5, 1.0])
+
+
 def test_identity_report_flags_nothing_at_zero():
     # lam = 0 sits on every branch boundary and must still satisfy the identities
     rep = fundamental_identities_check(0.5, [0.0])
     assert rep.passes
+
+
+def per_point_identities(t, lam_grid):
+    """A test-local copy of the identity check that evaluates every symbol
+    value where it is used, point by point."""
+    psis = {m: symbol_Psi(m, 1.0) for m in range(-10, 13)}
+    sins = {m: symbol_S(float(m)) for m in range(-10, 13)}
+    s_t, s_t1, cos_t, s_1 = symbol_S(t), symbol_S(t - 1.0), symbol_Sprime(t), symbol_S(1.0)
+    r_psi = r_s = r_shift = 0.0
+    for lam in lam_grid:
+        two_cos = 2.0 * math.cos(lam)
+        for m in range(-10, 11):
+            r_psi = max(r_psi, abs(psis[m + 2](lam) + psis[m](lam) - two_cos * psis[m + 1](lam)))
+            r_s = max(r_s, abs(sins[m + 2](lam) + sins[m](lam) - two_cos * sins[m + 1](lam)))
+        r_shift = max(r_shift, abs(s_t(lam) * math.cos(lam) - cos_t(lam) * s_1(lam) - s_t1(lam)))
+    return {"snapshot_recurrence": r_psi, "sine_recurrence": r_s, "time_shift": r_shift}
+
+
+# radii on both sides of the branch switches: |m lam| < 1e-6 for the series
+# branch of S_m, |sin(lam)| < 1e-6 for the Chebyshev branch of Psi_m
+BRANCH_RADII = [0.0, 1e-9, 5e-8, 9.9e-7, 1.01e-6]
+BRANCH_RADII += [math.pi - 5e-7, math.pi + 2e-6, 2 * math.pi + 1e-7, 7 * math.pi - 9e-7]
+
+
+@settings(max_examples=60)
+@given(
+    t=st.floats(min_value=-5.0, max_value=5.0),
+    grid=st.lists(st.sampled_from(BRANCH_RADII) | st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=40),
+)
+def test_identity_check_matches_per_point_evaluation(t, grid):
+    for lam_grid in (grid, [0.0] + grid, BRANCH_RADII):
+        assert fundamental_identities_check(t, lam_grid).residuals == per_point_identities(t, lam_grid)
 
 
 def test_float_time_zeros_are_nonzero_multiples_of_pi():
