@@ -16,11 +16,23 @@ invariant covers the window itself at its own tolerance.
 from __future__ import annotations
 
 import math
+import operator
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 from . import diophantine, propagators, snapshots, sphere
-from .fields import SpectralField, apply_multiplier, field, linear_combine, max_abs_amp, subtract
+from .fields import (
+    Field,
+    SpectralField,
+    aligned,
+    field,
+    linear_combine,
+    max_abs_amp,
+    subtract,
+    symbol_values,
+    union_support,
+)
 from .propagators import as_radians, symbol_Psi, symbol_S, symbol_Sprime
 from .snapshots import CauchyData, evolve, evolve_series
 
@@ -62,29 +74,7 @@ def recursion_roundtrip(seed: int = 0) -> dict:
     """Integer-time snapshots from the Chebyshev closed form match direct
     evolution for |m| <= 20 (tolerance 1e-10), and consecutive snapshots
     satisfy u_{m+2} + u_m = 2 S'_1 u_{m+1} (tolerance 1e-11)."""
-    rng = random.Random(seed)
-    worst_closed = 0.0
-    worst_recur = 0.0
-    worst_general = 0.0
-    for _ in range(100):
-        a = rng.uniform(0.0, 1.0)
-        b = a + rng.uniform(0.3, 1.2)
-        steps = (1.0, b - a)
-        dim = rng.randint(1, 3)
-        u0 = _random_field(rng, dim, rng.randint(4, 16), steps)
-        g = _random_field(rng, dim, rng.randint(4, 16), steps)
-        data = CauchyData(u0, g)
-        snaps = dict(zip(range(-21, 22), evolve_series(data, [float(m) for m in range(-21, 22)])))
-        closed = snapshots.snapshot_series(u0, snaps[1], 0.0, 1.0, range(-20, 21))
-        for m, via in zip(range(-20, 21), closed):
-            worst_closed = max(worst_closed, max_abs_amp(subtract(via, snaps[m])))
-        cos1 = symbol_Sprime(1.0)
-        for m in range(-20, 20):
-            residual = linear_combine([1.0, 1.0, -2.0], [snaps[m + 2], snaps[m], apply_multiplier(snaps[m + 1], cos1)])
-            worst_recur = max(worst_recur, max_abs_amp(residual))
-        ua, ub, *direct = evolve_series(data, [a, b] + [a + m * (b - a) for m in range(-8, 9)])
-        for via, want in zip(snapshots.snapshot_series(ua, ub, a, b, range(-8, 9)), direct):
-            worst_general = max(worst_general, max_abs_amp(subtract(via, want)))
+    worst_closed, worst_general, worst_recur = recursion_residuals(seed)
     passed = worst_closed <= 1e-10 and worst_general <= 1e-10 and worst_recur <= 1e-11
     return _result(
         "recursion",
@@ -93,6 +83,57 @@ def recursion_roundtrip(seed: int = 0) -> dict:
         f"general step: {worst_general:.2e} (tol 1e-10); "
         f"three-term recursion: {worst_recur:.2e} (tol 1e-11)",
     )
+
+
+def recursion_residuals(seed: int) -> tuple[float, float, float]:
+    """The worst closed-form, general-step and three-term residuals of
+    `recursion_roundtrip` over its 100 random trials."""
+    rng = random.Random(seed)
+    worst = (0.0, 0.0, 0.0)
+    for _ in range(100):
+        a = rng.uniform(0.0, 1.0)
+        b = a + rng.uniform(0.3, 1.2)
+        steps = (1.0, b - a)
+        dim = rng.randint(1, 3)
+        u0 = _random_field(rng, dim, rng.randint(4, 16), steps)
+        g = _random_field(rng, dim, rng.randint(4, 16), steps)
+        worst = tuple(map(max, worst, recursion_trial(CauchyData(u0, g), a, b)))
+    return worst
+
+
+def recursion_trial(data: CauchyData, a: float, b: float) -> tuple[float, float, float]:
+    """One trial's worst residuals against evolution of the closed form from
+    the snapshots at 0 and 1 (|m| <= 20) and of the general step from those
+    at a < b (|m| <= 8), and of u_{m+2} + u_m - 2 S'_1 u_{m+1}.  They are read
+    off the series' amplitude columns aligned to the union of the data's
+    keys, since a row drops its zero amplitudes (u_0 has no velocity-only key)."""
+    keys, freqs = union_support((data.position, data.velocity))
+
+    def column(f: Field) -> Sequence[complex]:
+        return aligned(f.keys, f.amps, keys)
+
+    snaps = dict(zip(range(-20, 22), evolve_series(data, [float(m) for m in range(-20, 22)])))
+    amps = {m: column(f) for m, f in snaps.items()}
+    closed = snapshots.snapshot_series(data.position, snaps[1], 0.0, 1.0, range(-20, 21))
+    worst_closed = max(_worst_gap(column(via), amps[m]) for m, via in zip(range(-20, 21), closed))
+    cos1 = symbol_values(symbol_Sprime(1.0), freqs)
+    worst_recur = max(
+        (
+            abs(hi + lo + -2.0 * (c * mid))
+            for m in range(-20, 20)
+            for hi, lo, c, mid in zip(amps[m + 2], amps[m], cos1, amps[m + 1])
+        ),
+        default=0.0,
+    )
+    ua, ub, *direct = evolve_series(data, [a, b] + [a + m * (b - a) for m in range(-8, 9)])
+    general = snapshots.snapshot_series(ua, ub, a, b, range(-8, 9))
+    worst_general = max(_worst_gap(column(via), column(want)) for via, want in zip(general, direct))
+    return worst_closed, worst_general, worst_recur
+
+
+def _worst_gap(xs: Sequence[complex], ys: Sequence[complex]) -> float:
+    """max |x - y| over paired amplitudes, 0.0 for none."""
+    return max(map(abs, map(operator.sub, xs, ys)), default=0.0)
 
 
 def identity_suite(seed: int = 0) -> dict:

@@ -199,7 +199,9 @@ def apply_multiplier(f: Field, symbol: MultiplierSymbol) -> Field:
 def linear_combine(coeffs: Sequence[complex], fields: Sequence[Field]) -> Field:
     """sum_i coeffs[i] fields[i], over one basis.  The amplitudes add
     position by position over the union of the supports, each key's sum
-    starting from 0j and taking the fields in order."""
+    starting from 0j and taking the fields in order.  The sums are checked
+    once: a product that overflows leaves its sum non-finite, and so does a
+    sum of finite products that overflows."""
     if len(coeffs) != len(fields):
         raise ValueError(f"{len(coeffs)} coefficients for {len(fields)} fields")
     if not fields:
@@ -210,8 +212,8 @@ def linear_combine(coeffs: Sequence[complex], fields: Sequence[Field]) -> Field:
     sums = [0j] * len(keys)
     for c, f in zip(coeffs, fields):
         products = list(map(complex(c).__mul__, f.amps))
-        check_finite(products)
         sums = list(map(operator.add, sums, aligned(f.keys, products, keys)))
+    check_finite(sums)
     return _with_amps(fields[0], keys, freqs, sums)
 
 

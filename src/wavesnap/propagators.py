@@ -27,6 +27,7 @@ screen read their exact times through it too.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -68,12 +69,18 @@ def as_radians(time: float | Fraction) -> float:
     return float(time)
 
 
-def _sine_over(t: float, lam: float) -> float:
-    """sin(t lam)/lam, by its Taylor series where |t lam| < SERIES_SWITCH."""
+def sine_over(t: float, lam: float) -> float:
+    """sin(t lam)/lam, by its Taylor series where |t lam| < SERIES_SWITCH:
+    the symbol of S_t at a time t in radians."""
     u = t * lam
     if abs(u) < SERIES_SWITCH:
         return t * (1.0 - u * u / 6.0 + u * u * u * u / 120.0)
     return math.sin(u) / lam
+
+
+def cosine(t: float, lam: float) -> float:
+    """cos(t lam): the symbol of S'_t at a time t in radians."""
+    return math.cos(t * lam)
 
 
 def kernel_threshold(u: float) -> float:
@@ -125,7 +132,7 @@ def sine_at(time: float | Fraction, w: float | Fraction) -> tuple[float, bool]:
         return math.sin(math.pi * (r / q2)) / w, False
     t = float(time)
     u = t * w
-    return _sine_over(t, w), t == 0.0 or (abs(u) >= 1.0 and abs(math.sin(u)) < kernel_threshold(u))
+    return sine_over(t, w), t == 0.0 or (abs(u) >= 1.0 and abs(math.sin(u)) < kernel_threshold(u))
 
 
 def cos_at(time: float | Fraction, w: float) -> float:
@@ -139,13 +146,13 @@ def cos_at(time: float | Fraction, w: float) -> float:
 def symbol_S(t: float | Fraction) -> MultiplierSymbol:
     """Symbol of S_t: lam -> sin(t lam)/lam, with value t at lam = 0."""
     t = as_radians(t)
-    return MultiplierSymbol(f"S[{t:g}]", functools.partial(_sine_over, t))
+    return MultiplierSymbol(f"S[{t:g}]", functools.partial(sine_over, t))
 
 
 def symbol_Sprime(t: float | Fraction) -> MultiplierSymbol:
     """Symbol of S'_t: lam -> cos(t lam).  Entire, no singular points."""
     t = as_radians(t)
-    return MultiplierSymbol(f"S'[{t:g}]", lambda lam: math.cos(t * lam))
+    return MultiplierSymbol(f"S'[{t:g}]", functools.partial(cosine, t))
 
 
 def symbol_Psi(m: int, s: float) -> MultiplierSymbol:
@@ -162,12 +169,19 @@ def symbol_Psi(m: int, s: float) -> MultiplierSymbol:
 
     def fn(lam: float) -> float:
         u = s * lam
-        d = math.sin(u)
-        if abs(d) < SIN_SWITCH:
-            return chebyshev_U(m - 1, math.cos(u))
-        return math.sin(m * u) / d
+        return psi_at(m, u, math.sin(u))
 
     return MultiplierSymbol(f"Psi[{m},{s:g}]", fn)
+
+
+def psi_at(m: int, u: float, sin_u: float) -> float:
+    """sin(m u)/sin(u) given sin_u = sin(u), by U_{m-1}(cos u) where
+    |sin u| < SIN_SWITCH: the one branch rule of Psi.  `symbol_Psi` calls it
+    per frequency; `snapshots.snapshot_series` and the identity check compute
+    u and sin(u) once per frequency for all their Psi columns."""
+    if abs(sin_u) < SIN_SWITCH:
+        return chebyshev_U(m - 1, math.cos(u))
+    return math.sin(m * u) / sin_u
 
 
 @dataclass(frozen=True)
@@ -200,9 +214,10 @@ def fundamental_identities_check(t: float, lam_grid: list[float]) -> IdentityRep
         raise ValueError(f"t must be finite, got {t!r}")
 
     two_cos = [2.0 * math.cos(lam) for lam in lam_grid]
+    sins = list(map(math.sin, lam_grid))  # sin(s lam) at the step s = 1, for every Psi column
 
-    def recurrence_residual(column: Callable[[int], MultiplierSymbol]) -> float:
-        values = {m: list(map(column(m).fn, lam_grid)) for m in range(-10, 13)}
+    def recurrence_residual(column: Callable[[int], list[float]]) -> float:
+        values = {m: column(m) for m in range(-10, 13)}
         return max(
             abs(hi + lo - tc * mid)
             for m in range(-10, 11)
@@ -211,8 +226,8 @@ def fundamental_identities_check(t: float, lam_grid: list[float]) -> IdentityRep
 
     s_t, s_t1, cos_t, s_1 = (f.fn for f in (symbol_S(t), symbol_S(t - 1.0), symbol_Sprime(t), symbol_S(1.0)))
     r_shift = max(abs(s_t(lam) * math.cos(lam) - cos_t(lam) * s_1(lam) - s_t1(lam)) for lam in lam_grid)
-    r_psi = recurrence_residual(lambda m: symbol_Psi(m, 1.0))
-    r_s = recurrence_residual(lambda m: symbol_S(float(m)))
+    r_psi = recurrence_residual(lambda m: list(map(psi_at, itertools.repeat(m), lam_grid, sins)))
+    r_s = recurrence_residual(lambda m: list(map(symbol_S(float(m)).fn, lam_grid)))
 
     return IdentityReport(
         residuals={"snapshot_recurrence": r_psi, "sine_recurrence": r_s, "time_shift": r_shift},

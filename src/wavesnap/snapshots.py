@@ -16,6 +16,7 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import mpmath
 
@@ -34,7 +35,7 @@ from .fields import (
     symbol_values,
     union_support,
 )
-from .propagators import as_radians, cos_at, sine_at, symbol_Psi, symbol_S, symbol_Sprime
+from .propagators import as_radians, cos_at, cosine, psi_at, sine_at, sine_over, symbol_Psi, symbol_S, symbol_Sprime
 
 STATUS_UNIQUE = "Unique"
 STATUS_NONUNIQUE = "NonUniqueKernel"
@@ -102,17 +103,24 @@ def evolve_series(data: CauchyData, times: Iterable[float | Fraction]) -> list[F
     """u_t for each t in `times`, in one pass over the union of the data's keys.
 
     Each amplitude is cos(t lam) u0 + sin(t lam)/lam g at the key, so the
-    results share one key and frequency column unless an amplitude vanishes."""
+    results share one key and frequency column unless an amplitude vanishes.
+    Each row is checked once; the symbols S'_t and S_t are built only to
+    name a failure."""
     u0, g = data.position, data.velocity
     keys, freqs = union_support((u0, g))
     pos = aligned(u0.keys, u0.amps, keys)
     vel = aligned(g.keys, g.amps, keys)
     out = []
     for t in times:
-        cos_t = symbol_values(symbol_Sprime(t), freqs)
-        sin_t = symbol_values(symbol_S(t), freqs)
-        amps = [c * x + s * y for c, x, s, y in zip(cos_t, pos, sin_t, vel)]
-        check_finite(amps)
+        r = as_radians(t)
+        try:
+            cos_t, sin_t = map(cosine, repeat(r), freqs), map(sine_over, repeat(r), freqs)
+            amps = [c * x + s * y for c, x, s, y in zip(cos_t, pos, sin_t, vel)]
+            check_finite(amps)
+        except (ArithmeticError, ValueError):
+            for symbol in (symbol_Sprime(t), symbol_S(t)):
+                symbol_values(symbol, freqs)  # SymbolUndefined at a bad symbol value
+            raise
         out.append(_with_amps(u0, keys, freqs, amps))
     return out
 
@@ -128,9 +136,9 @@ def snapshot_series(ua: Field, ub: Field, a: float, b: float, ms: Iterable[int])
     """u at each time a + m (b - a), m in `ms`, from the snapshots at a < b.
 
     Each amplitude is Psi_{m,s} ub - Psi_{m-1,s} ua at the key, s = b - a.
-    Every Psi column is evaluated once over the union of the snapshots'
-    keys, so for consecutive m the column of m serves as the Psi_{m-1}
-    column of the next."""
+    Over the union of the snapshots' keys, u = s lam and sin(u) are computed
+    once and every Psi column once from them, so for consecutive m the
+    column of m serves as the Psi_{m-1} column of the next."""
     if not b > a:
         raise InvalidTimes(f"need a < b, got a={a}, b={b}")
     ub.check_same_basis(ua)
@@ -138,14 +146,23 @@ def snapshot_series(ua: Field, ub: Field, a: float, b: float, ms: Iterable[int])
     keys, freqs = union_support((ub, ua))
     later = aligned(ub.keys, ub.amps, keys)
     earlier = aligned(ua.keys, ua.amps, keys)
-    columns: dict[int, list[complex]] = {}
+    us = [s * lam for lam in freqs]
+    sins = None  # sin(u), at the first row: an infinite u fails there
+    columns: dict[int, list[float]] = {}
     out = []
-    for m in ms:
-        for k in (m, m - 1):
-            if k not in columns:
-                columns[k] = symbol_values(symbol_Psi(k, s), freqs)
-        amps = [p * y - q * x for p, y, q, x in zip(columns[m], later, columns[m - 1], earlier)]
-        check_finite(amps)
+    for m in map(int, ms):  # as symbol_Psi reads its index
+        try:
+            if sins is None:
+                sins = list(map(math.sin, us))
+            for k in (m, m - 1):
+                if k not in columns:
+                    columns[k] = list(map(psi_at, repeat(k), us, sins))
+            amps = [p * y - q * x for p, y, q, x in zip(columns[m], later, columns[m - 1], earlier)]
+            check_finite(amps)
+        except (ArithmeticError, ValueError):
+            for symbol in (symbol_Psi(m, s), symbol_Psi(m - 1, s)):
+                symbol_values(symbol, freqs)  # SymbolUndefined at a bad symbol value
+            raise
         out.append(_with_amps(ub, keys, freqs, amps))
     return out
 
@@ -411,16 +428,19 @@ def liouville_obstruction_demo(k_max: int) -> LiouvilleDemoReport:
     against data of sup norm q_k^(1-k) the recovered amplitude
     pi / (sin(pi delta_k) q_k^(k-1)) stays above 1, certified in exact
     arithmetic through sin x < x.  Display strings come from 30-digit
-    arithmetic since the values leave double range around k = 5.
+    arithmetic since the values leave double range around k = 5.  Rows are
+    computed from k = k_max down, so a k_max beyond the series' precision
+    raises PrecisionExhausted before any exact sum is formed, and returned
+    in ascending k.
     """
     if not 1 <= k_max <= 25:
         raise ValueError(f"k_max must be in [1, 25], got {k_max}")
     depth = diophantine.FACTORIAL_DEPTH_CAP
     alpha = diophantine.liouville_truncation(10, (1,) * depth, depth)
     rows = []
-    for k in range(1, k_max + 1):
+    for k in range(k_max, 0, -1):
         qk, _, dlo, dhi = diophantine.convergent_pair(alpha, k)
-        certified = dhi * qk ** (k - 1) < 1
+        certified = dhi.numerator * qk ** (k - 1) < dhi.denominator  # dhi q_k^(k-1) < 1, without a gcd
         with mpmath.workdps(30):
             delta = mpmath.mpf(dlo.numerator) / mpmath.mpf(dlo.denominator)
             sin_val = mpmath.sin(mpmath.pi * delta)
@@ -436,4 +456,4 @@ def liouville_obstruction_demo(k_max: int) -> LiouvilleDemoReport:
                     certified=bool(certified),
                 )
             )
-    return LiouvilleDemoReport(tuple(rows))
+    return LiouvilleDemoReport(tuple(reversed(rows)))

@@ -1,0 +1,114 @@
+"""The recursion experiment's residuals, against the field-by-field loop it
+replaces, and its gate's negative controls."""
+
+import random
+
+import pytest
+
+from wavesnap import experiments, snapshots
+from wavesnap.fields import apply_multiplier, field, linear_combine, max_abs_amp, subtract, union_support
+from wavesnap.propagators import symbol_Sprime
+from wavesnap.snapshots import CauchyData, evolve_series
+
+
+def reference_trial(data, a, b):
+    """One trial as a residual field per m: `subtract` for the closed form
+    and the general step, `linear_combine` of `apply_multiplier` for the
+    three-term recursion, each field's largest amplitude taken."""
+    snaps = dict(zip(range(-21, 22), evolve_series(data, [float(m) for m in range(-21, 22)])))
+    closed = snapshots.snapshot_series(data.position, snaps[1], 0.0, 1.0, range(-20, 21))
+    worst_closed = 0.0
+    for m, via in zip(range(-20, 21), closed):
+        worst_closed = max(worst_closed, max_abs_amp(subtract(via, snaps[m])))
+    cos1 = symbol_Sprime(1.0)
+    worst_recur = 0.0
+    for m in range(-20, 20):
+        residual = linear_combine([1.0, 1.0, -2.0], [snaps[m + 2], snaps[m], apply_multiplier(snaps[m + 1], cos1)])
+        worst_recur = max(worst_recur, max_abs_amp(residual))
+    ua, ub, *direct = evolve_series(data, [a, b] + [a + m * (b - a) for m in range(-8, 9)])
+    worst_general = 0.0
+    for via, want in zip(snapshots.snapshot_series(ua, ub, a, b, range(-8, 9)), direct):
+        worst_general = max(worst_general, max_abs_amp(subtract(via, want)))
+    return worst_closed, worst_general, worst_recur
+
+
+def reference_residuals(seed):
+    rng = random.Random(seed)
+    worst = (0.0, 0.0, 0.0)
+    for _ in range(100):
+        a = rng.uniform(0.0, 1.0)
+        b = a + rng.uniform(0.3, 1.2)
+        steps = (1.0, b - a)
+        dim = rng.randint(1, 3)
+        u0 = experiments._random_field(rng, dim, rng.randint(4, 16), steps)
+        g = experiments._random_field(rng, dim, rng.randint(4, 16), steps)
+        worst = tuple(map(max, worst, reference_trial(CauchyData(u0, g), a, b)))
+    return worst
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_recursion_residuals_match_field_reference(seed):
+    assert hexes(experiments.recursion_residuals(seed)) == hexes(reference_residuals(seed))
+
+
+def test_recursion_trial_matches_reference_where_rows_drop_keys():
+    # a position-only, a velocity-only, a shared and a zero-frequency key
+    u0 = field(2, [((0.6, 0.8), 0.3 - 0.2j), ((1.5, -2.0), 0.7j), ((0.0, 0.0), -0.4)])
+    g = field(2, [((0.6, 0.8), 0.5), ((-2.2, 0.1), 1.0 + 0.25j), ((0.0, 0.0), 0.9j)])
+    data = CauchyData(u0, g)
+    keys = union_support((u0, g))[0]
+    a, b = 0.25, 1.1
+    # the rows the residuals read drop keys: u_0 and the closed form at m = 0
+    # have no velocity-only key, the general step at m = 0 is u_a
+    assert snapshots.evolve(data, 0.0).keys == u0.keys != keys
+    assert snapshots.general_integer_snapshot(u0, snapshots.evolve(data, 1.0), 0.0, 1.0, 0).keys == u0.keys
+    assert hexes(experiments.recursion_trial(data, a, b)) == hexes(reference_trial(data, a, b))
+    # and a trial whose data share no key at all
+    data = CauchyData(field(1, [((1.3,), 1.0)]), field(1, [((2.9,), -1j)]))
+    assert hexes(experiments.recursion_trial(data, a, b)) == hexes(reference_trial(data, a, b))
+
+
+def nudged(f):
+    """f with its first amplitude moved by 1e-9."""
+    return f.with_columns(f.keys, f.freqs, (f.amps[0] + 1e-9,) + f.amps[1:])
+
+
+@pytest.mark.parametrize("which", ["closed-form", "general step", "three-term"])
+def test_recursion_gate_fails_on_a_perturbed_amplitude(monkeypatch, which):
+    series, evolve_rows = snapshots.snapshot_series, experiments.evolve_series
+    residuals = experiments.recursion_residuals
+
+    def snapshot_series(ua, ub, a, b, ms):
+        out = series(ua, ub, a, b, ms)
+        if which == ("closed-form" if (a, b) == (0.0, 1.0) else "general step"):
+            out[len(out) // 2] = nudged(out[len(out) // 2])
+        return out
+
+    def evolve_series(data, times):
+        out = evolve_rows(data, times)
+        if which == "three-term" and 21.0 in times:
+            # u_21 enters only the three-term residual at m = 19
+            out[times.index(21.0)] = nudged(out[times.index(21.0)])
+        return out
+
+    seen = []
+
+    def recursion_residuals(seed):
+        seen.append(residuals(seed))
+        return seen[-1]
+
+    monkeypatch.setattr(snapshots, "snapshot_series", snapshot_series)
+    monkeypatch.setattr(experiments, "evolve_series", evolve_series)
+    monkeypatch.setattr(experiments, "recursion_residuals", recursion_residuals)
+    r = experiments.recursion_roundtrip(seed=1)
+    assert not r["passed"], r["details"]
+    (closed, general, recur), = seen
+    assert (closed > 1e-10, general > 1e-10, recur > 1e-11) == (
+        which == "closed-form",
+        which == "general step",
+        which == "three-term",
+    )

@@ -376,6 +376,30 @@ def test_operator_checks_kept():
         apply_multiplier(f, MultiplierSymbol("raises at 2", lambda lam: 1.0 / (lam - 2.0)))
 
 
+def test_linear_combine_checks_its_sums():
+    f = field(1, [((1.0,), 1e308), ((2.0,), 1.0)])
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        linear_combine([1.0, 1.0], [f, f])  # each product is finite, the sum is not
+    with pytest.raises(ValueError):
+        linear_combine([1.0, -1.0], [f, linear_combine([-1.0], [f])])
+    # so nothing reaches the emitter that JSON cannot hold
+    assert json.loads(json_text(linear_combine([0.5, 0.5], [f, f]))) == json.loads(json_text(f))
+
+
+def test_series_name_an_undefined_symbol_and_reject_an_overflow():
+    f = field(1, [((0.5,), 1.5e308), ((1.0,), 1.0)])
+    data = CauchyData(f, f)
+    for t in (math.inf, math.nan):
+        with pytest.raises(SymbolUndefined, match=r"S'\["):
+            snapshots.evolve_series(data, [0.0, t])
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        evolve(data, 0.5)  # (cos(1/4) + 2 sin(1/4)) 1.5e308 overflows; the symbols are fine
+    with pytest.raises(SymbolUndefined, match=r"Psi\[3,inf\]"):
+        snapshots.snapshot_series(f, f, -1e308, 1e308, [3])  # s lam = inf
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        snapshots.snapshot_series(field(1, []), f, 0.0, 1.0, [1, 2])  # Psi_2 = 2 cos(1/2) at radius 1/2
+
+
 def test_amplitude_at_bisects_with_equality_semantics():
     f = field(2, [((0.0, 1.0), 2.0), ((-3.0, 0.0), 1j), ((5.0, 5.0), -1.0)])
     assert f.amplitude_at((-0.0, 1.0)) == 2.0

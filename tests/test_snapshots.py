@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from wavesnap import diophantine, snapshots as snap
@@ -336,3 +337,48 @@ def test_liouville_demo_bounds():
         snap.liouville_obstruction_demo(0)
     with pytest.raises(diophantine.PrecisionExhausted):
         snap.liouville_obstruction_demo(7)
+
+
+def reference_liouville_rows(k_max):
+    """The demo's rows computed in ascending k, one row after another."""
+    depth = diophantine.FACTORIAL_DEPTH_CAP
+    alpha = diophantine.liouville_truncation(10, (1,) * depth, depth)
+    rows = []
+    for k in range(1, k_max + 1):
+        qk, _, dlo, dhi = diophantine.convergent_pair(alpha, k)
+        with mpmath.workdps(30):
+            delta = mpmath.mpf(dlo.numerator) / mpmath.mpf(dlo.denominator)
+            sin_val = mpmath.sin(mpmath.pi * delta)
+            amp = mpmath.pi / (sin_val * mpmath.mpf(qk) ** (k - 1))
+            rows.append(
+                snap.LiouvilleRow(
+                    k=k,
+                    q=qk,
+                    data_sup=mpmath.nstr(mpmath.mpf(qk) ** (1 - k), 8),
+                    sin_abs=mpmath.nstr(sin_val, 8),
+                    amplitude=mpmath.nstr(amp, 8),
+                    amplitude_log10=float(mpmath.log10(amp)),
+                    certified=bool(dhi * qk ** (k - 1) < 1),
+                )
+            )
+    return tuple(rows)
+
+
+def test_liouville_demo_deepest_row_first(monkeypatch):
+    calls = []
+    convergent_pair = diophantine.convergent_pair
+
+    def counted(x, k):
+        calls.append(k)
+        return convergent_pair(x, k)
+
+    monkeypatch.setattr(diophantine, "convergent_pair", counted)
+    with pytest.raises(diophantine.PrecisionExhausted):
+        snap.liouville_obstruction_demo(7)
+    assert calls == [7]  # no exact sum for k <= 6 before the deepest row fails
+    calls.clear()
+    demo = snap.liouville_obstruction_demo(6)
+    assert calls == [6, 5, 4, 3, 2, 1]
+    monkeypatch.undo()
+    assert demo.rows == reference_liouville_rows(6)
+    assert [r.k for r in demo.rows] == [1, 2, 3, 4, 5, 6]
