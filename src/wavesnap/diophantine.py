@@ -16,6 +16,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fields import MultiplierSymbol
 from .propagators import exact_residue
@@ -26,6 +27,7 @@ KIND_LIOUVILLE = "liouville"
 KIND_ODD_TYPE = "odd-type-liouville"
 
 FACTORIAL_DEPTH_CAP = 7  # 8! exponents already exceed 1e40000; deeper is pointless
+JOINT_X_CAP = 1e6  # x_max max(1, |alpha|) in the joint sine bound: at most ~6e6 grid points
 
 # Enclosure of pi: math.pi undershoots by about 1.22e-16.
 PI_LO = Fraction(math.pi)
@@ -263,11 +265,26 @@ def irrationality_exponent_probe(x: NumberClass, depth: int) -> tuple[MuEstimate
     return tuple(out)
 
 
-def convergent_pair(x: NumberClass, k: int) -> tuple[int, int, Fraction, Fraction]:
+class Convergent(NamedTuple):
+    """The convergent p / q = p_k / q_k of a factorial series, q = base^(k!),
+    and exact bounds lo / den <= delta <= hi / den on the fractional residue
+    delta = q x - p of the untruncated number, 0 < lo.  The bounds share one
+    denominator, a power of the base times the truncation error's, so they
+    are built and compared in integers, never reduced by a gcd."""
+
+    q: int
+    p: int
+    lo: int
+    hi: int
+    den: int
+
+
+def convergent_pair(x: NumberClass, k: int) -> Convergent:
     """For a factorial-series construction, the canonical convergent
     p_k / q_k with q_k = base^(k!), plus exact bounds on the fractional
     residue delta_k = q_k x - p_k of the untruncated number:
-    delta in [delta_lo, delta_hi], 0 < delta_lo."""
+    delta_lo = sum_{j > k} c_j base^(k! - j!) and delta_hi = delta_lo + q_k err,
+    each over den = base^(depth! - k!) times the denominator of err."""
     if x.base is None or x.depth is None:
         raise ValueError("convergent_pair needs a factorial-series construction")
     if k < 1:
@@ -277,17 +294,15 @@ def convergent_pair(x: NumberClass, k: int) -> tuple[int, int, Fraction, Fractio
             f"residue at k={k} needs series depth > {k}, have {x.depth}; "
             f"deepening past {FACTORIAL_DEPTH_CAP} is not supported"
         )
-    b = x.base
-    qk = b ** math.factorial(k)
-    pk = sum(c * b ** (math.factorial(k) - math.factorial(j)) for j, c in enumerate(x.coeffs[:k], start=1))
-    delta_lo = sum(
-        Fraction(c, b ** (math.factorial(j) - math.factorial(k)))
-        for j, c in enumerate(x.coeffs[k : x.depth], start=k + 1)
-    )
-    delta_hi = delta_lo + qk * x.err
-    if delta_lo <= 0:
+    b, err = x.base, x.err
+    kf, top = math.factorial(k), math.factorial(x.depth)
+    qk = b**kf
+    pk = sum(c * b ** (kf - math.factorial(j)) for j, c in enumerate(x.coeffs[:k], start=1))
+    tail = sum(c * b ** (top - math.factorial(j)) for j, c in enumerate(x.coeffs[k : x.depth], start=k + 1))
+    if tail <= 0:
         raise PrecisionExhausted(f"all stored digits beyond k={k} vanish; residue not certified positive")
-    return qk, pk, delta_lo, delta_hi
+    lo = tail * err.denominator
+    return Convergent(qk, pk, lo, lo + err.numerator * b**top, b ** (top - kf) * err.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +463,20 @@ def joint_sine_lower_bound_check(
     Requires a certified irrationality measure: for rational or Liouville
     alpha no such positive constant exists, so those classes are rejected.
     The grid is refined near the zeros of both sines, where the minimum
-    must occur.
+    must occur.  The grid has about x_max (1 + |alpha|) / pi zeros, nine
+    points each, so x_max max(1, |alpha|) is capped at JOINT_X_CAP, checked
+    before any array is built.
     """
-    import numpy as np
-
     if alpha.kind != KIND_MEASURE_BOUNDED or alpha.measure_bound is None:
         raise ValueError(f"joint lower bound needs a certified irrationality measure, got kind={alpha.kind}")
-    if x_max <= 0 or exponent < 0 or samples < 16:
-        raise ValueError("x_max must be > 0, exponent >= 0, samples >= 16")
     a = float(alpha.value)
+    cap = JOINT_X_CAP / max(1.0, abs(a))
+    if not 0 < x_max <= cap:  # a NaN fails too
+        raise ValueError(f"x_max must be in (0, {cap:g}] for alpha = {a:g}, got {x_max!r}")
+    if exponent < 0 or samples < 16:
+        raise ValueError("exponent must be >= 0, samples >= 16")
+    import numpy as np
+
     xs = [np.linspace(x_max / samples, x_max, samples)]
     offsets = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.05, -0.05])
     for period in (math.pi, math.pi / a):
@@ -652,9 +672,9 @@ def doubled_liouville_bound(x: NumberClass, exponent: int) -> DoubledFractionWit
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
     k = 2 * exponent
-    qk, pk, delta_lo, delta_hi = convergent_pair(x, k)
-    # |2x - 2 pk / (2 qk)| = 2 delta / qk, delta in [delta_lo, delta_hi]
-    gap_lo = 2 * delta_lo / qk
-    gap_hi = 2 * delta_hi / qk
+    qk, pk, lo, hi, den = convergent_pair(x, k)
+    # |2x - 2 pk / (2 qk)| = 2 delta / qk, delta in [lo / den, hi / den]
+    gap_lo = Fraction(2 * lo, qk * den)
+    gap_hi = Fraction(2 * hi, qk * den)
     bound = Fraction(1, (2 * qk) ** exponent)
     return DoubledFractionWitness(exponent, 2 * pk, 2 * qk, gap_lo, gap_hi, bound)

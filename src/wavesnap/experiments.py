@@ -16,25 +16,13 @@ invariant covers the window itself at its own tolerance.
 from __future__ import annotations
 
 import math
-import operator
 import random
-from collections.abc import Sequence
 from fractions import Fraction
 
 from . import diophantine, propagators, snapshots, sphere
-from .fields import (
-    Field,
-    SpectralField,
-    aligned,
-    field,
-    linear_combine,
-    max_abs_amp,
-    subtract,
-    symbol_values,
-    union_support,
-)
-from .propagators import as_radians, symbol_Psi, symbol_S, symbol_Sprime
-from .snapshots import CauchyData, evolve, evolve_series
+from .fields import SpectralField, field, linear_combine, max_abs_amp, subtract
+from .propagators import as_radians, symbol_S
+from .snapshots import CauchyData, evolve
 
 GUARD_SIN = 5e-3
 
@@ -105,41 +93,53 @@ def recursion_trial(data: CauchyData, a: float, b: float) -> tuple[float, float,
     """One trial's worst residuals against evolution of the closed form from
     the snapshots at 0 and 1 (|m| <= 20) and of the general step from those
     at a < b (|m| <= 8), and of u_{m+2} + u_m - 2 S'_1 u_{m+1}.  They are read
-    off the series' amplitude columns aligned to the union of the data's
-    keys, since a row drops its zero amplitudes (u_0 has no velocity-only key)."""
-    keys, freqs = union_support((data.position, data.velocity))
+    off one evolve grid and two snapshot grids, the latter aligned to the
+    former's keys (a snapshot's key column drops keys where u_1, u_a and u_b
+    all vanish), with np.hypot on the real and imaginary differences in the
+    order complex arithmetic takes them."""
+    import numpy as np
 
-    def column(f: Field) -> Sequence[complex]:
-        return aligned(f.keys, f.amps, keys)
+    integers = [float(m) for m in range(-20, 22)]  # row m + 20 is u_m
+    general = [a + m * (b - a) for m in range(-8, 9)]
+    keys, freqs, re, im = snapshots.evolve_grid(data, integers + [a, b] + general)
+    u1, ua, ub = snapshots.grid_rows(data.position, (keys, freqs, re[[21, 42, 43]], im[[21, 42, 43]]))
 
-    snaps = dict(zip(range(-20, 22), evolve_series(data, [float(m) for m in range(-20, 22)])))
-    amps = {m: column(f) for m, f in snaps.items()}
-    closed = snapshots.snapshot_series(data.position, snaps[1], 0.0, 1.0, range(-20, 21))
-    worst_closed = max(_worst_gap(column(via), amps[m]) for m, via in zip(range(-20, 21), closed))
-    cos1 = symbol_values(symbol_Sprime(1.0), freqs)
-    worst_recur = max(
-        (
-            abs(hi + lo + -2.0 * (c * mid))
-            for m in range(-20, 20)
-            for hi, lo, c, mid in zip(amps[m + 2], amps[m], cos1, amps[m + 1])
-        ),
-        default=0.0,
-    )
-    ua, ub, *direct = evolve_series(data, [a, b] + [a + m * (b - a) for m in range(-8, 9)])
-    general = snapshots.snapshot_series(ua, ub, a, b, range(-8, 9))
-    worst_general = max(_worst_gap(column(via), column(want)) for via, want in zip(general, direct))
-    return worst_closed, worst_general, worst_recur
+    def gap(snapshot: snapshots.Grid, rows: slice) -> float:
+        """max |x - y| between a snapshot grid and the evolve rows it should equal."""
+        x_re, x_im = _on_keys(keys, snapshot)
+        return float(np.hypot(x_re - re[rows], x_im - im[rows]).max(initial=0.0))
+
+    worst_closed = gap(snapshots.snapshot_grid(data.position, u1, 0.0, 1.0, range(-20, 21)), slice(0, 41))
+    worst_general = gap(snapshots.snapshot_grid(ua, ub, a, b, range(-8, 9)), slice(44, 61))
+    with np.errstate(all="ignore"):
+        c = np.cos(np.asarray(freqs, dtype=float))  # S'_1
+        recur = np.hypot(
+            re[2:42] + re[0:40] + -2.0 * (c * re[1:41]), im[2:42] + im[0:40] + -2.0 * (c * im[1:41])
+        )
+    return worst_closed, worst_general, float(recur.max(initial=0.0))
 
 
-def _worst_gap(xs: Sequence[complex], ys: Sequence[complex]) -> float:
-    """max |x - y| over paired amplitudes, 0.0 for none."""
-    return max(map(abs, map(operator.sub, xs, ys)), default=0.0)
+def _on_keys(keys: tuple, grid: snapshots.Grid):
+    """A grid's real and imaginary parts read at `keys`, a superset of its
+    own keys, 0.0 elsewhere."""
+    import numpy as np
+
+    own, _, re, im = grid
+    if own is keys or own == keys:
+        return re, im
+    where = dict(zip(keys, range(len(keys))))
+    cols = np.array([where[k] for k in own], dtype=np.intp)
+    out_re, out_im = np.zeros((len(re), len(keys))), np.zeros((len(re), len(keys)))
+    out_re[:, cols], out_im[:, cols] = re, im
+    return out_re, out_im
 
 
 def identity_suite(seed: int = 0) -> dict:
     """Propagator identities hold to 1e-10 on a 1000-point random grid:
     the two three-term recurrences, the time-shift rule, Psi_m S_1 = S_m,
     and the symmetric snapshot-pair identity."""
+    import numpy as np
+
     rng = random.Random(seed)
     grid = [_guarded_radius(rng, (1.0,), 50.0) for _ in range(1000)]
     worst_check = 0.0
@@ -147,22 +147,19 @@ def identity_suite(seed: int = 0) -> dict:
         rep = propagators.fundamental_identities_check(alpha, grid)
         worst_check = max(worst_check, rep.max_residual)
 
-    s1 = symbol_S(1.0)
-    sins = {m: symbol_S(float(m)) for m in range(-10, 11)}
-    psis = {m: symbol_Psi(m, 1.0) for m in range(-10, 11)}
-    worst_product = 0.0
-    for lam in grid[:300]:
-        v1 = s1(lam)
-        for m in range(-10, 11):
-            worst_product = max(worst_product, abs(psis[m](lam) * v1 - sins[m](lam)))
+    lam = np.array(grid[:300])  # u = s lam at the step s = 1
+    ms = range(-10, 11)
+    psi, s_1, s_m = propagators.psi_grid(ms, lam), propagators.sine_over_grid([1.0], lam), propagators.sine_over_grid(
+        [float(m) for m in ms], lam
+    )
+    worst_product = float(np.abs(psi * s_1 - s_m).max())
 
     worst_pair = 0.0
     for p, q in ((2, 3), (3, 5), (4, 7), (5, 2)):
-        pp = {j: symbol_Psi(j, 1.0) for j in (p, q, p - 1, q - 1)}
-        for lam in grid[:300]:
-            lhs = (pp[p - 1](lam) + math.cos(p * lam)) * pp[q](lam)
-            rhs = (pp[q - 1](lam) + math.cos(q * lam)) * pp[p](lam)
-            worst_pair = max(worst_pair, abs(lhs - rhs))
+        psi_p, psi_q, psi_p1, psi_q1 = propagators.psi_grid((p, q, p - 1, q - 1), lam)
+        lhs = (psi_p1 + np.cos(p * lam)) * psi_q
+        rhs = (psi_q1 + np.cos(q * lam)) * psi_p
+        worst_pair = max(worst_pair, float(np.abs(lhs - rhs).max()))
 
     worst = max(worst_check, worst_product, worst_pair)
     return _result(

@@ -22,14 +22,18 @@ sine vanishes there, which is what every snapshot solver divides by.
 `exact_residue` reduces an exact time to integers, for one frequency or a
 numpy array of them; the small-denominator tables and the sphere margin
 screen read their exact times through it too.
+
+`sine_over_grid` and `psi_grid` are the two ratio rules over a whole grid
+as float64 arrays.  Only the ratio branch runs in numpy, whose sin and cos
+return math.sin and math.cos bit for bit; every element inside a switch
+window goes to the scalar rule, so each branch rule is written once.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -184,6 +188,43 @@ def psi_at(m: int, u: float, sin_u: float) -> float:
     return math.sin(m * u) / sin_u
 
 
+def sine_over_grid(ts: Sequence[float], lams: Sequence[float]):
+    """`sine_over` at every time in `ts` (rows) and frequency in `lams`
+    (columns), as a float64 array.  The ratio branch sin(u)/lam runs in
+    numpy; every element with |u| < SERIES_SWITCH, t = 0 and lam = 0 among
+    them, takes `sine_over` itself.  Where the scalar rule would raise (an
+    infinite u) the element is nan."""
+    import numpy as np
+
+    lam = np.asarray(lams, dtype=float)
+    with np.errstate(all="ignore"):
+        u = np.asarray(ts, dtype=float).reshape(-1, 1) * lam
+        out = np.sin(u) / lam
+    for i, j in zip(*np.nonzero(np.abs(u) < SERIES_SWITCH)):
+        out[i, j] = sine_over(float(ts[i]), float(lam[j]))
+    return out
+
+
+def psi_grid(ms: Sequence[int], us: Sequence[float]):
+    """`psi_at` at every index in `ms` (rows) and every u = s lam in `us`
+    (columns), as a float64 array, with sin(u) computed once per column.
+    The ratio branch sin(m u)/sin(u) runs in numpy; every column with
+    |sin u| < SIN_SWITCH takes `psi_at` itself.  Each m is read as float(m),
+    as m * u reads it, so an index past the float range raises OverflowError;
+    where the scalar rule would raise (an infinite u) the element is nan."""
+    import numpy as np
+
+    u = np.asarray(us, dtype=float)
+    m = np.array([float(k) for k in ms]).reshape(-1, 1)
+    with np.errstate(all="ignore"):
+        sin_u = np.sin(u)
+        out = np.sin(m * u) / sin_u
+    for j in np.flatnonzero(np.abs(sin_u) < SIN_SWITCH):
+        for i, k in enumerate(ms):
+            out[i, j] = psi_at(k, float(u[j]), float(sin_u[j]))
+    return out
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """Max absolute residuals of the defining propagator identities over a
@@ -204,8 +245,11 @@ class IdentityReport:
 def fundamental_identities_check(t: float, lam_grid: list[float]) -> IdentityReport:
     """Check the recurrences Psi_{m+2} + Psi_m = 2 cos(lam) Psi_{m+1} and
     S_{m+2} + S_m = 2 S'_1 S_m+1 for -10 <= m <= 10, plus the shift rule
-    S_t S'_1 - S'_t S_1 = S_{t-1}, pointwise on `lam_grid`.
+    S_t S'_1 - S'_t S_1 = S_{t-1}, pointwise on `lam_grid`.  Each of the 23
+    Psi and S columns is one row of `psi_grid` and `sine_over_grid`.
     """
+    import numpy as np
+
     if not lam_grid:
         raise ValueError("empty grid")
     if any(lam < 0 or not math.isfinite(lam) for lam in lam_grid):
@@ -213,23 +257,17 @@ def fundamental_identities_check(t: float, lam_grid: list[float]) -> IdentityRep
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
 
-    two_cos = [2.0 * math.cos(lam) for lam in lam_grid]
-    sins = list(map(math.sin, lam_grid))  # sin(s lam) at the step s = 1, for every Psi column
-
-    def recurrence_residual(column: Callable[[int], list[float]]) -> float:
-        values = {m: column(m) for m in range(-10, 13)}
-        return max(
-            abs(hi + lo - tc * mid)
-            for m in range(-10, 11)
-            for hi, lo, mid, tc in zip(values[m + 2], values[m], values[m + 1], two_cos)
+    lam = np.array(lam_grid, dtype=float)
+    ms = range(-10, 13)
+    with np.errstate(all="ignore"):
+        two_cos = 2.0 * np.cos(lam)
+        s_t, s_t1, s_1 = sine_over_grid([float(t), t - 1.0, 1.0], lam)
+        r_shift = np.abs(s_t * np.cos(lam) - np.cos(float(t) * lam) * s_1 - s_t1).max()
+        r_psi, r_s = (
+            np.abs(v[2:] + v[:-2] - two_cos * v[1:-1]).max()
+            for v in (psi_grid(ms, lam), sine_over_grid([float(m) for m in ms], lam))
         )
-
-    s_t, s_t1, cos_t, s_1 = (f.fn for f in (symbol_S(t), symbol_S(t - 1.0), symbol_Sprime(t), symbol_S(1.0)))
-    r_shift = max(abs(s_t(lam) * math.cos(lam) - cos_t(lam) * s_1(lam) - s_t1(lam)) for lam in lam_grid)
-    r_psi = recurrence_residual(lambda m: list(map(psi_at, itertools.repeat(m), lam_grid, sins)))
-    r_s = recurrence_residual(lambda m: list(map(symbol_S(float(m)).fn, lam_grid)))
-
-    return IdentityReport(
-        residuals={"snapshot_recurrence": r_psi, "sine_recurrence": r_s, "time_shift": r_shift},
-        grid_size=len(lam_grid),
-    )
+    residuals = {"snapshot_recurrence": float(r_psi), "sine_recurrence": float(r_s), "time_shift": float(r_shift)}
+    if not all(map(math.isfinite, residuals.values())):
+        raise ValueError(f"t lam overflows on the grid at t={t!r}")
+    return IdentityReport(residuals=residuals, grid_size=len(lam_grid))

@@ -16,13 +16,14 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from typing import Any
 
 import mpmath
 
 from . import diophantine
 from .fields import (
     Field,
+    MultiplierSymbol,
     _with_amps,
     aligned,
     apply_multiplier,
@@ -35,7 +36,19 @@ from .fields import (
     symbol_values,
     union_support,
 )
-from .propagators import as_radians, cos_at, cosine, psi_at, sine_at, sine_over, symbol_Psi, symbol_S, symbol_Sprime
+from .propagators import (
+    as_radians,
+    cos_at,
+    cosine,
+    psi_at,
+    psi_grid,
+    sine_at,
+    sine_over,
+    sine_over_grid,
+    symbol_Psi,
+    symbol_S,
+    symbol_Sprime,
+)
 
 STATUS_UNIQUE = "Unique"
 STATUS_NONUNIQUE = "NonUniqueKernel"
@@ -94,77 +107,169 @@ class SolveReport:
         return self.kernel_modes  # the sphere's name for the kernel keys, kept for the benchmark
 
 
+# A grid: (keys, freqs, re, im), the real and imaginary parts of a series of
+# amplitude rows over one key column as two float64 arrays, row by row.
+#
+# One time or one index at a time, `evolve` and `general_integer_snapshot`
+# apply the scalar symbol rules in plain floats, so a process that never asks
+# for a series never loads numpy.  The grids apply the array forms of the
+# same rules, part by part in the order complex arithmetic takes them, so
+# each grid value is the scalar operator's up to the sign of a zero.
+Grid = tuple[tuple, tuple, Any, Any]
+
+
 def evolve(data: CauchyData, t: float | Fraction) -> Field:
-    """u_t = S'_t u0 + S_t g; a Fraction t means t pi."""
-    return evolve_series(data, (t,))[0]
+    """u_t = S'_t u0 + S_t g; a Fraction t means t pi.  Each amplitude is
+    cos(t lam) u0 + sin(t lam)/lam g at its key, over the union of the data's
+    keys; a failing or non-finite amplitude names S'_t or S_t where a symbol
+    value is bad, else raises ValueError 'non-finite amplitude'."""
+    u0, g = data.position, data.velocity
+    keys, freqs = union_support((u0, g))
+    r = as_radians(t)
+    try:
+        amps = [
+            cosine(r, lam) * x + sine_over(r, lam) * y
+            for lam, x, y in zip(freqs, aligned(u0.keys, u0.amps, keys), aligned(g.keys, g.amps, keys))
+        ]
+        check_finite(amps)
+    except (ArithmeticError, ValueError):
+        _name_bad_symbol((symbol_Sprime(t), symbol_S(t)), freqs)
+        raise
+    return _with_amps(u0, keys, freqs, amps)
 
 
 def evolve_series(data: CauchyData, times: Iterable[float | Fraction]) -> list[Field]:
-    """u_t for each t in `times`, in one pass over the union of the data's keys.
+    """u_t for each t in `times`: the rows of `evolve_grid`, sharing one key
+    and frequency column unless an amplitude vanishes."""
+    return grid_rows(data.position, evolve_grid(data, times))
 
-    Each amplitude is cos(t lam) u0 + sin(t lam)/lam g at the key, so the
-    results share one key and frequency column unless an amplitude vanishes.
-    Each row is checked once; the symbols S'_t and S_t are built only to
-    name a failure."""
+
+def evolve_grid(data: CauchyData, times: Iterable[float | Fraction]) -> Grid:
+    """`evolve` at each t in `times` as one grid over the union of the data's
+    keys, through `sine_over_grid`.  The first row that is not finite raises
+    what `evolve` raises at its time."""
+    import numpy as np
+
+    times = list(times)
+    radians = [as_radians(t) for t in times]
     u0, g = data.position, data.velocity
     keys, freqs = union_support((u0, g))
-    pos = aligned(u0.keys, u0.amps, keys)
-    vel = aligned(g.keys, g.amps, keys)
-    out = []
-    for t in times:
-        r = as_radians(t)
-        try:
-            cos_t, sin_t = map(cosine, repeat(r), freqs), map(sine_over, repeat(r), freqs)
-            amps = [c * x + s * y for c, x, s, y in zip(cos_t, pos, sin_t, vel)]
-            check_finite(amps)
-        except (ArithmeticError, ValueError):
-            for symbol in (symbol_Sprime(t), symbol_S(t)):
-                symbol_values(symbol, freqs)  # SymbolUndefined at a bad symbol value
-            raise
-        out.append(_with_amps(u0, keys, freqs, amps))
-    return out
+    xr, xi = _parts(aligned(u0.keys, u0.amps, keys))
+    yr, yi = _parts(aligned(g.keys, g.amps, keys))
+    with np.errstate(all="ignore"):
+        cos_t = np.cos(np.reshape(radians, (-1, 1)) * np.asarray(freqs, dtype=float))
+        sin_t = sine_over_grid(radians, freqs)
+        re = cos_t * xr + sin_t * yr
+        im = cos_t * xi + sin_t * yi
+    _check_rows(re, im, freqs, lambda i: (symbol_Sprime(times[i]), symbol_S(times[i])))
+    return keys, freqs, re, im
 
 
-def general_integer_snapshot(
-    ua: Field, ub: Field, a: float, b: float, m: int
-) -> Field:
-    """u at time a + m (b - a), from the snapshots at a < b."""
-    return snapshot_series(ua, ub, a, b, (m,))[0]
+def general_integer_snapshot(ua: Field, ub: Field, a: float, b: float, m: int) -> Field:
+    """u at time a + m (b - a), from the snapshots at a < b.  Each amplitude
+    is Psi_{m,s} ub - Psi_{m-1,s} ua at its key, s = b - a, over the union of
+    the snapshots' keys; failures are named as in `evolve`."""
+    s = _step(ua, ub, a, b)
+    m = int(m)  # as symbol_Psi reads its index
+    keys, freqs = union_support((ub, ua))
+    try:
+        amps = []
+        for lam, y, x in zip(freqs, aligned(ub.keys, ub.amps, keys), aligned(ua.keys, ua.amps, keys)):
+            u = s * lam
+            sin_u = math.sin(u)
+            amps.append(psi_at(m, u, sin_u) * y - psi_at(m - 1, u, sin_u) * x)
+        check_finite(amps)
+    except (ArithmeticError, ValueError):
+        _name_bad_symbol((symbol_Psi(m, s), symbol_Psi(m - 1, s)), freqs)
+        raise
+    return _with_amps(ub, keys, freqs, amps)
 
 
 def snapshot_series(ua: Field, ub: Field, a: float, b: float, ms: Iterable[int]) -> list[Field]:
-    """u at each time a + m (b - a), m in `ms`, from the snapshots at a < b.
+    """u at each time a + m (b - a), m in `ms`, from the snapshots at a < b:
+    the rows of `snapshot_grid`, sharing one key and frequency column unless
+    an amplitude vanishes."""
+    return grid_rows(ub, snapshot_grid(ua, ub, a, b, ms))
 
-    Each amplitude is Psi_{m,s} ub - Psi_{m-1,s} ua at the key, s = b - a.
-    Over the union of the snapshots' keys, u = s lam and sin(u) are computed
-    once and every Psi column once from them, so for consecutive m the
-    column of m serves as the Psi_{m-1} column of the next."""
+
+def snapshot_grid(ua: Field, ub: Field, a: float, b: float, ms: Iterable[int]) -> Grid:
+    """`general_integer_snapshot` at each m in `ms` as one grid over the union
+    of the snapshots' keys.  Every Psi column the rows need is one row of a
+    single `psi_grid` call, so u = s lam and sin(u) are computed once per key.
+    The first row that is not finite raises what `general_integer_snapshot`
+    raises at its index."""
+    import numpy as np
+
+    s = _step(ua, ub, a, b)
+    ms = list(map(int, ms))
+
+    def symbols(i: int) -> tuple[MultiplierSymbol, MultiplierSymbol]:
+        return symbol_Psi(ms[i], s), symbol_Psi(ms[i] - 1, s)
+
+    keys, freqs = union_support((ub, ua))
+    yr, yi = _parts(aligned(ub.keys, ub.amps, keys))
+    xr, xi = _parts(aligned(ua.keys, ua.amps, keys))
+    index = sorted({k for m in ms for k in (m, m - 1)})
+    try:
+        psi = psi_grid(index, s * np.asarray(freqs, dtype=float))
+    except (ArithmeticError, ValueError):
+        for i in range(len(ms)):
+            _name_bad_symbol(symbols(i), freqs)
+        raise
+    row = {k: i for i, k in enumerate(index)}
+    p = psi[np.array([row[m] for m in ms], dtype=np.intp)]
+    q = psi[np.array([row[m - 1] for m in ms], dtype=np.intp)]
+    with np.errstate(all="ignore"):
+        re = p * yr - q * xr
+        im = p * yi - q * xi
+    _check_rows(re, im, freqs, symbols)
+    return keys, freqs, re, im
+
+
+def _step(ua: Field, ub: Field, a: float, b: float) -> float:
+    """The step s = b - a between two snapshots at a < b over one basis."""
     if not b > a:
         raise InvalidTimes(f"need a < b, got a={a}, b={b}")
     ub.check_same_basis(ua)
-    s = b - a
-    keys, freqs = union_support((ub, ua))
-    later = aligned(ub.keys, ub.amps, keys)
-    earlier = aligned(ua.keys, ua.amps, keys)
-    us = [s * lam for lam in freqs]
-    sins = None  # sin(u), at the first row: an infinite u fails there
-    columns: dict[int, list[float]] = {}
-    out = []
-    for m in map(int, ms):  # as symbol_Psi reads its index
-        try:
-            if sins is None:
-                sins = list(map(math.sin, us))
-            for k in (m, m - 1):
-                if k not in columns:
-                    columns[k] = list(map(psi_at, repeat(k), us, sins))
-            amps = [p * y - q * x for p, y, q, x in zip(columns[m], later, columns[m - 1], earlier)]
-            check_finite(amps)
-        except (ArithmeticError, ValueError):
-            for symbol in (symbol_Psi(m, s), symbol_Psi(m - 1, s)):
-                symbol_values(symbol, freqs)  # SymbolUndefined at a bad symbol value
-            raise
-        out.append(_with_amps(ub, keys, freqs, amps))
-    return out
+    return b - a
+
+
+def grid_rows(like: Field, grid: Grid) -> list[Field]:
+    """The rows of a grid as fields of like's basis, through `_with_amps`: they
+    share the grid's key and frequency tuples unless an amplitude vanishes."""
+    import numpy as np
+
+    keys, freqs, re, im = grid
+    amps = np.empty(re.shape, dtype=complex)
+    amps.real, amps.imag = re, im
+    return [_with_amps(like, keys, freqs, row) for row in amps.tolist()]
+
+
+def _parts(amps: Sequence[complex]):
+    """The real and imaginary parts of a column of amplitudes, as float64 arrays."""
+    import numpy as np
+
+    z = np.array(amps, dtype=complex).reshape(-1)
+    return z.real, z.imag
+
+
+def _name_bad_symbol(symbols: Iterable[MultiplierSymbol], freqs: Sequence[float]) -> None:
+    """SymbolUndefined from `symbol_values` at the first bad symbol value."""
+    for symbol in symbols:
+        symbol_values(symbol, freqs)
+
+
+def _check_rows(re, im, freqs: Sequence[float], symbols: Callable[[int], Iterable[MultiplierSymbol]]) -> None:
+    """Raise at the first row of a grid that is not finite: SymbolUndefined
+    where one of the row's `symbols(i)` is bad, else ValueError 'non-finite
+    amplitude'."""
+    import numpy as np
+
+    bad = ~(np.isfinite(re).all(axis=1) & np.isfinite(im).all(axis=1))
+    if bad.any():
+        i = int(bad.argmax())
+        _name_bad_symbol(symbols(i), freqs)
+        check_finite(list(map(complex, re[i].tolist(), im[i].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +490,9 @@ def _bezout_solve(
         return ((su, False, c),), abs(sym_a(lam)) + abs(sym_b(lam))
 
     def verify(g: Field) -> tuple[float, str]:
-        ua, ub = evolve_series(CauchyData(f0, g), (p * unit, q * unit))
-        ra = max_abs_amp(subtract(fa, ua))
-        rb = max_abs_amp(subtract(fb, ub))
+        data = CauchyData(f0, g)
+        ra = max_abs_amp(subtract(fa, evolve(data, p * unit)))
+        rb = max_abs_amp(subtract(fb, evolve(data, q * unit)))
         return max(ra, rb), f"bezout k={k}, l={l}; residual at t={p * unit:g}: {ra:.3e}, t={q * unit:g}: {rb:.3e}"
 
     return diagonal_solve(
@@ -439,10 +544,11 @@ def liouville_obstruction_demo(k_max: int) -> LiouvilleDemoReport:
     alpha = diophantine.liouville_truncation(10, (1,) * depth, depth)
     rows = []
     for k in range(k_max, 0, -1):
-        qk, _, dlo, dhi = diophantine.convergent_pair(alpha, k)
-        certified = dhi.numerator * qk ** (k - 1) < dhi.denominator  # dhi q_k^(k-1) < 1, without a gcd
+        qk, _, lo, hi, den = diophantine.convergent_pair(alpha, k)
+        certified = hi * qk ** (k - 1) < den  # delta_hi q_k^(k-1) < 1
+        shift = max(lo.bit_length() - 256, 0)  # mpf of a ~10^5-bit integer is slow; 256 bits are plenty
         with mpmath.workdps(30):
-            delta = mpmath.mpf(dlo.numerator) / mpmath.mpf(dlo.denominator)
+            delta = mpmath.mpf(lo >> shift) / mpmath.mpf(den >> shift)
             sin_val = mpmath.sin(mpmath.pi * delta)
             amp = mpmath.pi / (sin_val * mpmath.mpf(qk) ** (k - 1))
             rows.append(

@@ -287,6 +287,11 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.run(["sphere", "margin", "--alpha", "inf", "--n", "3", "--max-degree", "100", "--out", str(out)]) == 1
     assert "wavesnap: error:" in capsys.readouterr().err
     assert not out.exists()
+    # domain error: a joint-bound sweep with no finite grid, or too large a one
+    for xmax in ("inf", "nan", "1e7"):
+        assert cli.run(["dio", "jointbound", "--xmax", xmax]) == 1, xmax
+        err = capsys.readouterr().err
+        assert err.startswith("wavesnap: error: x_max must be in") and "Warning" not in err, err
     # domain error: a field file of the other kind
     s0 = tmp_path / "s0.json"
     save_sphere_field(sphere_field(3, [(1, 1, 1.0)]), str(s0))

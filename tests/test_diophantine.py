@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -219,13 +220,30 @@ def test_factorial_depth_cap():
 
 def test_convergent_pair_of_factorial_series():
     x = dio.liouville_truncation(10, (1, 1, 1), 3)
-    q, p, lo, hi = dio.convergent_pair(x, 2)
+    q, p, lo, hi, den = dio.convergent_pair(x, 2)
+    lo, hi = Fraction(lo, den), Fraction(hi, den)
     assert (q, p) == (100, 11)
     assert 0 < lo <= hi
     # delta = q_k x - p_k up to the tail
     assert abs(Fraction(100) * x.value - 11) >= lo - x.err_bound * 100
     with pytest.raises(dio.PrecisionExhausted):
         dio.convergent_pair(x, 3)
+
+
+@pytest.mark.parametrize(
+    "base, digits", [(10, (1,) * 7), (2, (1,) * 5), (3, (2, 0, 1, 0, 2)), (7, (6, 3, 1, 5, 2))]
+)
+def test_convergent_pair_bounds_equal_the_fraction_sums(base, digits):
+    # the bounds share one power-of-base denominator and equal the Fraction sums
+    depth = len(digits)
+    x = dio.liouville_truncation(base, digits, depth)
+    for k in range(1, depth):
+        q, p, lo, hi, den = dio.convergent_pair(x, k)
+        delta_lo = sum(
+            Fraction(c, base ** (math.factorial(j) - math.factorial(k))) for j, c in enumerate(digits[k:], start=k + 1)
+        )
+        assert (Fraction(lo, den), Fraction(hi, den)) == (delta_lo, delta_lo + q * x.err_bound)
+        assert den == base ** (math.factorial(depth + 1) - 1 + math.factorial(depth) - math.factorial(k))
 
 
 # -- irrationality probes ----------------------------------------------------
@@ -352,6 +370,17 @@ def test_smallden_row_values_match_float_sine():
 def test_jointbound_requires_measure_bounded():
     with pytest.raises(ValueError):
         dio.joint_sine_lower_bound_check(dio.liouville_truncation(10, (1,) * 4, 4), 3, 100.0)
+
+
+def test_jointbound_rejects_a_nonfinite_or_oversized_x_max():
+    # checked before any array is built: no grid of x_max / pi points, no numpy warning
+    root2, doubled_root2 = dio.sqrt2_class(), dio.doubled(dio.doubled(dio.sqrt2_class()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, x_max in ((root2, math.inf), (root2, math.nan), (root2, -1.0), (root2, 0.0), (root2, 1e300),
+                             (root2, dio.JOINT_X_CAP / math.sqrt(2.0) * 1.01), (doubled_root2, dio.JOINT_X_CAP / 5)):
+            with pytest.raises(ValueError, match="x_max must be in"):
+                dio.joint_sine_lower_bound_check(alpha, 3, x_max)
 
 
 def test_jointbound_sqrt2_positive():

@@ -70,30 +70,38 @@ def test_recursion_trial_matches_reference_where_rows_drop_keys():
     # and a trial whose data share no key at all
     data = CauchyData(field(1, [((1.3,), 1.0)]), field(1, [((2.9,), -1j)]))
     assert hexes(experiments.recursion_trial(data, a, b)) == hexes(reference_trial(data, a, b))
+    # a velocity-only amplitude that underflows at t = 1, a and b: u_1, u_a and u_b
+    # drop its key, so both snapshot grids are narrower than the evolve grid
+    data = CauchyData(u0, field(2, [((0.6, 0.8), 0.5), ((-2.2, 0.1), 5e-324)]))
+    assert snapshots.evolve(data, 1.0).keys == snapshots.evolve(data, a).keys == u0.keys
+    assert hexes(experiments.recursion_trial(data, a, b)) == hexes(reference_trial(data, a, b))
 
 
-def nudged(f):
-    """f with its first amplitude moved by 1e-9."""
-    return f.with_columns(f.keys, f.freqs, (f.amps[0] + 1e-9,) + f.amps[1:])
+def nudged(grid, row):
+    """A copy of a grid with the real part of one amplitude in `row` moved by 1e-9."""
+    keys, freqs, re, im = grid
+    re = re.copy()
+    re[row, 0] += 1e-9
+    return keys, freqs, re, im
 
 
 @pytest.mark.parametrize("which", ["closed-form", "general step", "three-term"])
 def test_recursion_gate_fails_on_a_perturbed_amplitude(monkeypatch, which):
-    series, evolve_rows = snapshots.snapshot_series, experiments.evolve_series
+    snapshot_grid, evolve_grid = snapshots.snapshot_grid, snapshots.evolve_grid
     residuals = experiments.recursion_residuals
 
-    def snapshot_series(ua, ub, a, b, ms):
-        out = series(ua, ub, a, b, ms)
+    def nudged_snapshot_grid(ua, ub, a, b, ms):
+        grid = snapshot_grid(ua, ub, a, b, ms)
         if which == ("closed-form" if (a, b) == (0.0, 1.0) else "general step"):
-            out[len(out) // 2] = nudged(out[len(out) // 2])
-        return out
+            grid = nudged(grid, len(grid[2]) // 2)
+        return grid
 
-    def evolve_series(data, times):
-        out = evolve_rows(data, times)
-        if which == "three-term" and 21.0 in times:
+    def nudged_evolve_grid(data, times):
+        grid = evolve_grid(data, times)
+        if which == "three-term":
             # u_21 enters only the three-term residual at m = 19
-            out[times.index(21.0)] = nudged(out[times.index(21.0)])
-        return out
+            grid = nudged(grid, times.index(21.0))
+        return grid
 
     seen = []
 
@@ -101,8 +109,8 @@ def test_recursion_gate_fails_on_a_perturbed_amplitude(monkeypatch, which):
         seen.append(residuals(seed))
         return seen[-1]
 
-    monkeypatch.setattr(snapshots, "snapshot_series", snapshot_series)
-    monkeypatch.setattr(experiments, "evolve_series", evolve_series)
+    monkeypatch.setattr(snapshots, "snapshot_grid", nudged_snapshot_grid)
+    monkeypatch.setattr(snapshots, "evolve_grid", nudged_evolve_grid)
     monkeypatch.setattr(experiments, "recursion_residuals", recursion_residuals)
     r = experiments.recursion_roundtrip(seed=1)
     assert not r["passed"], r["details"]

@@ -400,6 +400,40 @@ def test_series_name_an_undefined_symbol_and_reject_an_overflow():
         snapshots.snapshot_series(field(1, []), f, 0.0, 1.0, [1, 2])  # Psi_2 = 2 cos(1/2) at radius 1/2
 
 
+def test_series_errors_raise_without_a_numpy_warning():
+    # the grids run numpy under errstate: each error is the typed one, not a RuntimeWarning
+    import warnings
+
+    f = field(1, [((0.5,), 1.5e308), ((1.0,), 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SymbolUndefined):
+            snapshots.evolve_series(CauchyData(f, f), [math.inf])
+        with pytest.raises(ValueError, match="non-finite amplitude"):
+            evolve(CauchyData(f, f), 0.5)
+        with pytest.raises(SymbolUndefined):
+            snapshots.snapshot_series(f, f, -1e308, 1e308, [3])
+
+
+def test_grids_are_the_series_rows():
+    # one key column for every row; a row's zero amplitudes stay in the grid
+    u0 = field(2, [((0.6, 0.8), 0.3 - 0.2j), ((1.5, -2.0), 0.7j), ((0.0, 0.0), -0.4)])
+    g = field(2, [((0.6, 0.8), 0.5), ((-2.2, 0.1), 1.0 + 0.25j)])
+    data = CauchyData(u0, g)
+    times = [0.0, 1.0, Fraction(1, 3), -2.5]
+    keys, freqs, re, im = snapshots.evolve_grid(data, times)
+    assert (keys, freqs) == fields_module.union_support((u0, g)) and re.shape == im.shape == (4, 4)
+    for t, r, i in zip(times, re.tolist(), im.tolist()):
+        u = evolve(data, t)
+        assert [complex(x, y) for x, y in zip(r, i)] == [u.amplitude_at(k) for k in keys]
+    assert re[0, keys.index((-2.2, 0.1))] == im[0, keys.index((-2.2, 0.1))] == 0.0  # u_0 has no velocity-only key
+    ua, ub = evolve(data, 0.25), evolve(data, 1.0)
+    keys, freqs, re, im = snapshots.snapshot_grid(ua, ub, 0.25, 1.0, [3, -1, 3])
+    for m, r, i in zip([3, -1, 3], re.tolist(), im.tolist()):
+        u = snapshots.general_integer_snapshot(ua, ub, 0.25, 1.0, m)
+        assert [complex(x, y) for x, y in zip(r, i)] == [u.amplitude_at(k) for k in keys]
+
+
 def test_amplitude_at_bisects_with_equality_semantics():
     f = field(2, [((0.0, 1.0), 2.0), ((-3.0, 0.0), 1j), ((5.0, 5.0), -1.0)])
     assert f.amplitude_at((-0.0, 1.0)) == 2.0

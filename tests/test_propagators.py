@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -7,9 +8,14 @@ from hypothesis import given, settings, strategies as st
 from wavesnap.propagators import (
     IDENTITY_TOL,
     InvalidScale,
+    as_radians,
     chebyshev_U,
     fundamental_identities_check,
+    psi_at,
+    psi_grid,
     sine_at,
+    sine_over,
+    sine_over_grid,
     symbol_Psi,
     symbol_S,
     symbol_Sprime,
@@ -182,3 +188,56 @@ def test_float_time_zeros_are_nonzero_multiples_of_pi():
     assert sine_at(-2.0, 1e-15) == (-2.0, False)
     assert sine_at(1.0, math.pi)[1]
     assert sine_at(-1.0, 1e3 * math.pi)[1]
+
+
+# -- array forms: every element is the scalar rule's, bit for bit ---------------
+
+# radii at zero, inside and around both 1e-6 windows, and at kernel radii k pi
+# where sin(u) is ~1e-16 and Psi takes its Chebyshev branch
+GRID_RADII = [0.0, 5e-324, 1e-12, 3e-7, 9.9e-7, 1e-6, 1.01e-6, 2e-6, 0.5, 1.0, 2.75, 41.3]
+GRID_RADII += [k * math.pi for k in (1, 2, 3, 7, 1000)]
+GRID_RADII += [math.pi - 5e-7, math.pi + 9e-7, 2 * math.pi + 2e-6, 7 * math.pi - 1.1e-6]
+FRACTION_TIMES = [Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2)]
+
+
+def hex_rows(values):
+    return [[float(v).hex() for v in row] for row in values]
+
+
+def test_sine_over_grid_is_the_scalar_rule():
+    # t = 0 and lam = 0 sit in the series window, as do t lam below 1e-6
+    ts = [0.0, -0.0, 1e-7, 0.5, 1.0, -1.0, 3.0, -20.0, 1e5] + [as_radians(b) for b in FRACTION_TIMES]
+    got = sine_over_grid(ts, GRID_RADII)
+    assert got.shape == (len(ts), len(GRID_RADII))
+    assert hex_rows(got) == hex_rows([[sine_over(t, lam) for lam in GRID_RADII] for t in ts])
+
+
+def test_psi_grid_is_the_scalar_rule():
+    # negative and large indices; u = s lam for a few steps s, the kernel radii included
+    ms = [-12, -3, -2, -1, 0, 1, 2, 3, 5, 40]
+    for s in (1.0, 0.35, 2.0):
+        us = [s * lam for lam in GRID_RADII] + [-1.3, -math.pi]
+        got = psi_grid(ms, us)
+        want = [[psi_at(m, u, math.sin(u)) for u in us] for m in ms]
+        assert hex_rows(got) == hex_rows(want)
+    # the Chebyshev window is where the scalar rule says it is
+    assert abs(math.sin(math.pi)) < 1e-6 and psi_grid([3], [math.pi])[0, 0] == chebyshev_U(2, math.cos(math.pi))
+
+
+def test_grid_forms_mark_where_the_scalar_rule_raises():
+    # an infinite u: math.sin raises, the grids hold nan and never warn
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(sine_over_grid([math.inf], [2.0])[0, 0])
+        assert math.isnan(psi_grid([2], [math.inf])[0, 0])
+        assert sine_over_grid([], [1.0]).shape == (0, 1) and psi_grid([], [1.0]).shape == (0, 1)
+    with pytest.raises(OverflowError):
+        psi_grid([10**400], [1.0])  # m * u reads m as a float
+
+
+def test_identity_check_rejects_an_overflowing_product():
+    # t lam = inf, where math.sin raised before the check ran on arrays
+    with pytest.raises(ValueError):
+        fundamental_identities_check(1e300, [0.5, 1e10])

@@ -340,12 +340,14 @@ def test_liouville_demo_bounds():
 
 
 def reference_liouville_rows(k_max):
-    """The demo's rows computed in ascending k, one row after another."""
+    """The demo's rows computed in ascending k, one row after another, each
+    delta from its bounds in lowest terms."""
     depth = diophantine.FACTORIAL_DEPTH_CAP
     alpha = diophantine.liouville_truncation(10, (1,) * depth, depth)
     rows = []
     for k in range(1, k_max + 1):
-        qk, _, dlo, dhi = diophantine.convergent_pair(alpha, k)
+        qk, _, lo, hi, den = diophantine.convergent_pair(alpha, k)
+        dlo, dhi = Fraction(lo, den), Fraction(hi, den)  # in lowest terms
         with mpmath.workdps(30):
             delta = mpmath.mpf(dlo.numerator) / mpmath.mpf(dlo.denominator)
             sin_val = mpmath.sin(mpmath.pi * delta)
