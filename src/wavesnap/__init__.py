@@ -52,11 +52,9 @@ from .snapshots import (
     compatibility_residual_general,
     diagonal_solve,
     evolve,
-    evolve_series,
     general_integer_snapshot,
     liouville_obstruction_demo,
     rational_reconstruct,
-    snapshot_series,
     three_snapshot_solve,
     two_snapshot_solve,
 )

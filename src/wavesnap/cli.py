@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import math
 import sys
@@ -419,6 +420,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+@functools.cache  # built once per process, on the first run
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="wavesnap", description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version=f"wavesnap {__version__}")

@@ -22,7 +22,7 @@ import math
 import operator
 import os
 import tempfile
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, NamedTuple, Protocol
@@ -78,7 +78,7 @@ class SpectralField:
         "dim",
         "modes",
         lambda key, amp: {"xi": list(key), "amp": amp},
-        lambda dim, rows: field(dim, [(m["xi"], complex_from_json(m["amp"])) for m in rows]),
+        lambda dim, rows: _spectral_field(dim, *json_columns(rows, "xi"), amps_from_json(rows)),
     )
 
     @property
@@ -101,16 +101,19 @@ class SpectralField:
 Columns = tuple[tuple[Any, ...], tuple[float, ...], tuple[complex, ...]]
 
 
-def canonical_columns(entries: Iterable[tuple[Any, float, complex]]) -> Columns:
-    """The one canonicalizer: (key, frequency, amplitude) entries with valid
-    keys become canonical columns.  Every amplitude must be finite.  Equal
-    keys sum in entry order, starting from 0j so that -0.0 folds to +0.0;
-    keys come out sorted, and zero sums are dropped."""
+def canonical_columns(keys: Sequence[Any], freqs: Sequence[float], amps: Sequence[complex]) -> Columns:
+    """The one canonicalizer: parallel columns of valid keys, their
+    frequencies and amplitudes become canonical columns.  Every amplitude
+    must be finite.  Equal keys sum in entry order, starting from 0j so that
+    -0.0 folds to +0.0; keys come out sorted, and zero sums are dropped.
+    Columns already in that form, keys strictly increasing and amplitudes
+    nonzero (every file `json_text` writes), skip the merge and the sort."""
+    check_finite(amps)
+    if all(amps) and all(map(operator.lt, keys, keys[1:])):
+        return tuple(keys), tuple(freqs), tuple(map((0j).__add__, amps))
     merged: dict[Any, complex] = {}
     freq: dict[Any, float] = {}
-    for key, lam, amp in entries:
-        if not cmath.isfinite(amp):
-            raise ValueError(f"non-finite amplitude {amp!r}")
+    for key, lam, amp in zip(keys, freqs, amps):
         merged[key] = merged.get(key, 0j) + amp
         freq[key] = lam
     keys = tuple(key for key in sorted(merged) if merged[key] != 0)
@@ -123,29 +126,33 @@ def lookup_amplitude(keys: Sequence[Any], amps: Sequence[complex], key: Any) -> 
     return amps[i] if i < len(keys) and keys[i] == key else 0j
 
 
-def _clean_xi(dim: int, xi: Sequence[float]) -> tuple[float, ...]:
-    if len(xi) != dim:
-        raise DimensionMismatch(f"frequency {tuple(xi)} does not have dim {dim}")
-    out = []
-    for v in xi:
-        v = float(v) + 0.0  # fold -0.0 into +0.0 so merging and sorting agree
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite frequency component {v!r}")
-        out.append(v)
-    return tuple(out)
+def _clean_keys(dim: int, xis: Sequence[Sequence[float]]) -> list[list[float]]:
+    """The `dim` component columns of the frequency vectors `xis`, each
+    component read as float(v) + 0.0, so -0.0 folds into +0.0 and merging
+    and sorting agree."""
+    if set(map(len, xis)) - {dim}:
+        bad = next(xi for xi in xis if len(xi) != dim)
+        raise DimensionMismatch(f"frequency {tuple(bad)} does not have dim {dim}")
+    flat = list(map((0.0).__add__, map(float, itertools.chain.from_iterable(xis))))
+    if not all(map(math.isfinite, flat)):
+        bad = next(v for v in flat if not math.isfinite(v))
+        raise ValueError(f"non-finite frequency component {bad!r}")
+    return [flat[j::dim] for j in range(dim)]
+
+
+def _spectral_field(dim: int, xis: Sequence[Sequence[float]], amps: Sequence[complex]) -> SpectralField:
+    """The canonical field of the parallel columns `xis` (frequency vectors)
+    and `amps` (complex amplitudes), converted a column at a time."""
+    if dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim}")
+    components = _clean_keys(dim, xis)
+    return SpectralField(dim, *canonical_columns(list(zip(*components)), list(map(math.hypot, *components)), amps))
 
 
 def field(dim: int, entries: Iterable[tuple[Sequence[float], complex]]) -> SpectralField:
     """Build a canonical field from (frequency, amplitude) pairs."""
-    if dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim}")
-
-    def validated() -> Iterator[tuple[tuple[float, ...], float, complex]]:
-        for xi, amp in entries:
-            key = _clean_xi(dim, xi)
-            yield key, math.hypot(*key), complex(amp)
-
-    return SpectralField(dim, *canonical_columns(validated()))
+    entries = list(entries)
+    return _spectral_field(dim, [xi for xi, _ in entries], [complex(amp) for _, amp in entries])
 
 
 @dataclass(frozen=True)
@@ -338,9 +345,16 @@ def _rows(f: Field, pad: str) -> str:
     return "[" + ",".join([template % (key + (amp.real, amp.imag)) for key, amp in zip(f.keys, f.amps)]) + pad + "]"
 
 
-def complex_from_json(pair: Sequence[Any]) -> complex:
-    """An amplitude as a row holds it, [re, im]."""
-    return complex(float(pair[0]), float(pair[1]))
+def json_columns(rows: Sequence[dict], *names: str) -> list[list]:
+    """The members `names` of a document's rows, one column per name."""
+    return [list(map(operator.itemgetter(name), rows)) for name in names]
+
+
+def amps_from_json(rows: Sequence[dict]) -> list[complex]:
+    """The rows' amplitudes, each held as [re, im], converted a column at a time."""
+    (pairs,) = json_columns(rows, "amp")
+    re, im = (map(float, map(operator.itemgetter(i), pairs)) for i in (0, 1))
+    return list(map(complex, re, im))
 
 
 def field_from_json(obj: Any) -> Field:

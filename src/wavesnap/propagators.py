@@ -181,7 +181,7 @@ def symbol_Psi(m: int, s: float) -> MultiplierSymbol:
 def psi_at(m: int, u: float, sin_u: float) -> float:
     """sin(m u)/sin(u) given sin_u = sin(u), by U_{m-1}(cos u) where
     |sin u| < SIN_SWITCH: the one branch rule of Psi.  `symbol_Psi` calls it
-    per frequency; `snapshots.snapshot_series` and the identity check compute
+    per frequency; `snapshots.general_integer_snapshot` and `psi_grid` compute
     u and sin(u) once per frequency for all their Psi columns."""
     if abs(sin_u) < SIN_SWITCH:
         return chebyshev_U(m - 1, math.cos(u))

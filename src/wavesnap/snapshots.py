@@ -12,7 +12,9 @@ modes, minimal-norm representative returned), "Obstructed" (no wave fits).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +29,6 @@ from .fields import (
     _with_amps,
     aligned,
     apply_multiplier,
-    canonical_columns,
     check_finite,
     linear_combine,
     max_abs_amp,
@@ -138,12 +139,6 @@ def evolve(data: CauchyData, t: float | Fraction) -> Field:
     return _with_amps(u0, keys, freqs, amps)
 
 
-def evolve_series(data: CauchyData, times: Iterable[float | Fraction]) -> list[Field]:
-    """u_t for each t in `times`: the rows of `evolve_grid`, sharing one key
-    and frequency column unless an amplitude vanishes."""
-    return grid_rows(data.position, evolve_grid(data, times))
-
-
 def evolve_grid(data: CauchyData, times: Iterable[float | Fraction]) -> Grid:
     """`evolve` at each t in `times` as one grid over the union of the data's
     keys, through `sine_over_grid`.  The first row that is not finite raises
@@ -183,13 +178,6 @@ def general_integer_snapshot(ua: Field, ub: Field, a: float, b: float, m: int) -
         _name_bad_symbol((symbol_Psi(m, s), symbol_Psi(m - 1, s)), freqs)
         raise
     return _with_amps(ub, keys, freqs, amps)
-
-
-def snapshot_series(ua: Field, ub: Field, a: float, b: float, ms: Iterable[int]) -> list[Field]:
-    """u at each time a + m (b - a), m in `ms`, from the snapshots at a < b:
-    the rows of `snapshot_grid`, sharing one key and frequency column unless
-    an amplitude vanishes."""
-    return grid_rows(ub, snapshot_grid(ua, ub, a, b, ms))
 
 
 def snapshot_grid(ua: Field, ub: Field, a: float, b: float, ms: Iterable[int]) -> Grid:
@@ -312,49 +300,51 @@ def _psi_gate_residual(va: Field, vb: Field, p: int, q: int, unit: float) -> flo
 # ---------------------------------------------------------------------------
 # solvers
 
-# One scalar equation s g = r at a key; s counts as zero when the flag is set.
-Equation = tuple[float, bool, complex]
+# One scalar equation s g = r per key, as three columns over the solve's keys:
+# the symbol s, whether it counts as zero, and the right side r.
+Equation = tuple[Sequence[float], Sequence[bool], Sequence[complex]]
 
 
 def diagonal_solve(
-    support: Sequence[Field],
-    rhs: Sequence[Field],
-    row: Callable[..., tuple[Sequence[Equation], float]],
+    like: Field,
+    keys: tuple,
+    freqs: tuple[float, ...],
+    equations: Sequence[Equation],
     kernel_note: str,
+    gains: Sequence[float] | None = None,
     verify: Callable[[Field], tuple[float, str]] | None = None,
 ) -> SolveReport:
-    """Solve for g key by key over the union of the keys of `support`.
+    """Solve for g, a field of like's basis, key by key over canonical `keys`
+    and `freqs`, in one pass over the columns of `equations`, taken in order.
 
-    `row(key, lam, *amps)` gets the key, its frequency and its amplitudes in
-    the `rhs` fields, and returns the key's equations and a gain; the key's
-    conditioning is gain / |s| over its nonzero symbols.  Where every symbol
-    is zero the key is in the kernel: g is free (0 is returned) and the data
-    is Obstructed unless every right side is within OBSTRUCTION_AMP_TOL of 0.
-    Elsewhere g = r / s from the first nonzero equation, and the other
-    equations must agree within CONSISTENCY_TOL (1 + conditioning).
-    `verify(g)` gives a post-check residual and a note, held to the same
-    bound; without it the residual is the cross-equation inconsistency.
+    A key's conditioning is its gain (default 1.0) / |s| over its nonzero
+    symbols.  Where every symbol is zero the key is in the kernel: g is free
+    (0 is returned) and the data is Obstructed unless every right side is
+    within OBSTRUCTION_AMP_TOL of 0.  Elsewhere g = r / s from the first
+    nonzero equation, and the other equations must agree within
+    CONSISTENCY_TOL (1 + conditioning).  `verify(g)` gives a post-check
+    residual and a note, held to the same bound; without it the residual is
+    the cross-equation inconsistency.
     """
-    for f in support[1:]:
-        support[0].check_same_basis(f)
-    keys, freqs = union_support(support)
-    entries = []
-    kernel = []
+    kernel, gs = [], []
     obstruction = conditioning = inconsistency = 0.0
-    for key, lam, *amps in zip(keys, freqs, *(aligned(f.keys, f.amps, keys) for f in rhs)):
-        eqs, gain = row(key, lam, *amps)
-        i = next((i for i, (_, zero, _) in enumerate(eqs) if not zero), None)
-        if i is None:
+    rows = zip(*[zip(*eq) for eq in equations])
+    for key, gain, eqs in zip(keys, itertools.repeat(1.0) if gains is None else gains, rows):
+        for first in eqs:
+            if not first[1]:
+                break
+        else:
             kernel.append(key)
             obstruction = max(obstruction, *(abs(r) for _, _, r in eqs))
+            gs.append(0j)
             continue
-        g = eqs[i][2] / eqs[i][0]
-        for j, (s, zero, r) in enumerate(eqs):
-            if not zero:
-                conditioning = max(conditioning, gain / abs(s))
-            if j != i:
-                inconsistency = max(inconsistency, abs(g * s - r))
-        entries.append((key, lam, g))
+        g = first[2] / first[0]
+        for e in eqs:
+            if not e[1]:
+                conditioning = max(conditioning, gain / abs(e[0]))
+            if e is not first:
+                inconsistency = max(inconsistency, abs(g * e[0] - e[2]))
+        gs.append(g)
     kernel = tuple(kernel)
     if obstruction > OBSTRUCTION_AMP_TOL:
         return SolveReport(STATUS_OBSTRUCTED, None, obstruction, conditioning, kernel, kernel_note)
@@ -362,7 +352,8 @@ def diagonal_solve(
     if inconsistency > tol:
         note = f"cross-equation inconsistency {inconsistency:.3e} exceeds {tol:.3e}"
         return SolveReport(STATUS_OBSTRUCTED, None, inconsistency, conditioning, kernel, note)
-    g = support[0].with_columns(*canonical_columns(entries))
+    check_finite(gs)
+    g = _with_amps(like, keys, freqs, gs)  # drops the kernel keys' zeros
     residual, note = verify(g) if verify is not None else (inconsistency, "")
     if residual > tol:
         note = "post-verification failed" + (": " + note if note else "")
@@ -370,11 +361,27 @@ def diagonal_solve(
     return SolveReport(STATUS_NONUNIQUE if kernel else STATUS_UNIQUE, g, residual, conditioning, kernel, note)
 
 
-def _snapshot_equation(t: float | Fraction, w: float, f0_amp: complex, ft_amp: complex) -> Equation:
-    """The equation at a key of frequency w that the snapshots at 0 and t
-    give the velocity g: sin(w t)/w g = ft - cos(w t) f0."""
-    s, zero = sine_at(t, w)
-    return s, zero, ft_amp - cos_at(t, w) * f0_amp
+def _solve_columns(support: Sequence[Field], rhs: Sequence[Field]) -> tuple[tuple, tuple, list]:
+    """The union of the keys of `support` (one basis), its frequencies, and
+    the amplitudes of each `rhs` field read at those keys."""
+    for f in support[1:]:
+        support[0].check_same_basis(f)
+    keys, freqs = union_support(support)
+    return keys, freqs, [aligned(f.keys, f.amps, keys) for f in rhs]
+
+
+def _sines(t: float | Fraction, freqs: Sequence[float]) -> tuple[Sequence[float], Sequence[bool]]:
+    """The columns of `sine_at(t, w)` over the frequencies: the values and the zero flags."""
+    return tuple(zip(*map(sine_at, itertools.repeat(t), freqs))) or ((), ())
+
+
+def _snapshot_equation(
+    t: float | Fraction, freqs: Sequence[float], f0: Sequence[complex], ft: Sequence[complex]
+) -> Equation:
+    """The equation that the snapshots at 0 and t give the velocity g at each
+    frequency w: sin(w t)/w g = ft - cos(w t) f0."""
+    cos = map(cos_at, itertools.repeat(t), freqs)
+    return (*_sines(t, freqs), list(map(operator.sub, ft, map(operator.mul, cos, f0))))
 
 
 def two_snapshot_solve(f0: Field, ft: Field, t: float | Fraction = 1.0) -> SolveReport:
@@ -391,17 +398,11 @@ def _two_snapshot_solve(f0: Field, ft: Field, t: float | Fraction, kernel_note: 
     def verify(g: Field) -> tuple[float, str]:
         return max_abs_amp(subtract(ft, evolve(CauchyData(f0, g), t))), ""
 
-    return diagonal_solve(
-        (f0, ft), (f0, ft), lambda key, w, a, b: ((_snapshot_equation(t, w, a, b),), 1.0), kernel_note, verify
-    )
+    keys, freqs, (a, b) = _solve_columns((f0, ft), (f0, ft))
+    return diagonal_solve(f0, keys, freqs, [_snapshot_equation(t, freqs, a, b)], kernel_note, verify=verify)
 
 
-def three_snapshot_solve(
-    f0: Field,
-    f1: Field,
-    falpha: Field,
-    alpha: float | Fraction,
-) -> SolveReport:
+def three_snapshot_solve(f0: Field, f1: Field, falpha: Field, alpha: float | Fraction) -> SolveReport:
     """Velocity g from snapshots at times 0, 1, alpha.
 
     Exact rational alpha = p/q routes through the Bezout reconstruction on
@@ -419,28 +420,16 @@ def three_snapshot_solve(
         try:
             return _bezout_solve(f0, falpha, f1, alpha.numerator, alpha.denominator, 1.0 / alpha.denominator)
         except IncompatibleData as exc:
-            return SolveReport(
-                STATUS_OBSTRUCTED,
-                None,
-                residual=exc.residual,
-                conditioning=0.0,
-                kernel_modes=(),
-                note=str(exc),
-            )
+            return SolveReport(STATUS_OBSTRUCTED, None, exc.residual, 0.0, (), str(exc))
     alpha = float(alpha)
     if alpha in (0.0, 1.0):
         raise InvalidTime(f"alpha must differ from both snapshot times, got {alpha}")
-
-    def row(key: object, w: float, a: complex, b: complex, c: complex) -> tuple[tuple[Equation, ...], float]:
-        return (_snapshot_equation(1.0, w, a, b), _snapshot_equation(alpha, w, a, c)), 1.0
-
-    support = (f0, f1, falpha)
-    return diagonal_solve(support, support, row, "data at shared kernel frequencies has no preimage")
+    keys, freqs, (a, b, c) = _solve_columns((f0, f1, falpha), (f0, f1, falpha))
+    equations = [_snapshot_equation(1.0, freqs, a, b), _snapshot_equation(alpha, freqs, a, c)]
+    return diagonal_solve(f0, keys, freqs, equations, "data at shared kernel frequencies has no preimage")
 
 
-def rational_reconstruct(
-    f0: Field, fp: Field, fq: Field, p: int, q: int
-) -> SolveReport:
+def rational_reconstruct(f0: Field, fp: Field, fq: Field, p: int, q: int) -> SolveReport:
     """Velocity from integer-time snapshots 0, p, q with gcd(p, q) = 1.
 
     Gates on the Psi compatibility identity (IncompatibleData beyond 1e-9),
@@ -452,42 +441,33 @@ def rational_reconstruct(
     return _bezout_solve(f0, fp, fq, p, q, 1.0)
 
 
-def _bezout_solve(
-    f0: Field,
-    fa: Field,
-    fb: Field,
-    p: int,
-    q: int,
-    unit: float,
-) -> SolveReport:
+def _bezout_solve(f0: Field, fa: Field, fb: Field, p: int, q: int, unit: float) -> SolveReport:
     """Solve for g from snapshots at times (0, p*unit, q*unit), gcd(p, q) = 1.
 
     With k p + l q = 1, the combination
         Psi_{k, p u} S'_{l q u} (fa - S'_{p u} f0) + Psi_{l, q u} S'_{k p u} (fb - S'_{q u} f0)
     equals S_u g identically, because sin(k p x) cos(l q x) + sin(l q x) cos(k p x)
     = sin(x) for x = u lam.  One division by the symbol of S_u finishes; its
-    kernel (lam in pi Z / u) is the only non-uniqueness.
+    kernel (lam in pi Z / u) is the only non-uniqueness.  Each of the two
+    product symbols is evaluated once per key, for the combination and the gain.
     """
     va = subtract(fa, apply_multiplier(f0, symbol_Sprime(p * unit)))
     vb = subtract(fb, apply_multiplier(f0, symbol_Sprime(q * unit)))
     gate = _psi_gate_residual(va, vb, p, q, unit)
     if gate > RATIONAL_GATE_TOL:
-        raise IncompatibleData(
-            f"snapshot compatibility residual {gate:.3e} exceeds {RATIONAL_GATE_TOL:.1e}", gate
-        )
+        raise IncompatibleData(f"snapshot compatibility residual {gate:.3e} exceeds {RATIONAL_GATE_TOL:.1e}", gate)
     k, l = diophantine.bezout(p, q)
-    sym_a = symbol_product(symbol_Psi(k, p * unit), symbol_Sprime(l * q * unit))
-    sym_b = symbol_product(symbol_Psi(l, q * unit), symbol_Sprime(k * p * unit))
-    num = linear_combine([1.0, 1.0], [apply_multiplier(va, sym_a), apply_multiplier(vb, sym_b)])
-
-    def row(
-        xi: tuple[float, ...], lam: float, a: complex, b: complex, c: complex
-    ) -> tuple[tuple[Equation, ...], float]:
-        su, zero = sine_at(unit, lam)
-        if zero:
-            # S_{pu} and S_{qu} vanish with S_u, so neither window sees g here
-            return ((0.0, True, a), (0.0, True, b)), 1.0
-        return ((su, False, c),), abs(sym_a(lam)) + abs(sym_b(lam))
+    keys, freqs, (a, b) = _solve_columns((f0, fa, fb), (va, vb))
+    sym_a = symbol_values(symbol_product(symbol_Psi(k, p * unit), symbol_Sprime(l * q * unit)), freqs)
+    sym_b = symbol_values(symbol_product(symbol_Psi(l, q * unit), symbol_Sprime(k * p * unit)), freqs)
+    # the combination as linear_combine sums it, up to the sign of a zero sum, whose quotient the solution drops
+    num = list(map(operator.add, map(operator.mul, sym_a, a), map(operator.mul, sym_b, b)))
+    check_finite(num)
+    su, zero = _sines(unit, freqs)
+    # S_{pu} and S_{qu} vanish with S_u, so at a kernel key neither window sees
+    # g and both must vanish: the larger one is the right side
+    rhs = [max(x, y, key=abs) if z else n for z, n, x, y in zip(zero, num, a, b)]
+    gains = list(map(operator.add, map(abs, sym_a), map(abs, sym_b)))
 
     def verify(g: Field) -> tuple[float, str]:
         data = CauchyData(f0, g)
@@ -495,9 +475,8 @@ def _bezout_solve(
         rb = max_abs_amp(subtract(fb, evolve(data, q * unit)))
         return max(ra, rb), f"bezout k={k}, l={l}; residual at t={p * unit:g}: {ra:.3e}, t={q * unit:g}: {rb:.3e}"
 
-    return diagonal_solve(
-        (f0, fa, fb), (va, vb, num), row, "kernel-mode data admits no wave through all three snapshots", verify
-    )
+    note = "kernel-mode data admits no wave through all three snapshots"
+    return diagonal_solve(f0, keys, freqs, [(su, zero, rhs)], note, gains, verify)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ Gegenbauer zonal polynomial phi_l.  `SphereField` has the same interface as
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,8 +38,9 @@ from .diophantine import (
 )
 from .fields import (
     DimensionMismatch,
+    amps_from_json,
     canonical_columns,
-    complex_from_json,
+    json_columns,
     load_field,
     lookup_amplitude,
     save_field,
@@ -102,7 +104,7 @@ class SphereField:
         "n",
         "coeffs",
         lambda key, amp: {"l": key[0], "m": key[1], "amp": amp},
-        lambda n, rows: sphere_field(n, [(c["l"], c["m"], complex_from_json(c["amp"])) for c in rows]),
+        lambda n, rows: _sphere_field(n, *json_columns(rows, "l", "m"), amps_from_json(rows)),
     )
 
     @property
@@ -131,18 +133,23 @@ class SphereField:
 
 
 def sphere_field(n: int, entries: Iterable[tuple[int, int, complex]]) -> SphereField:
+    entries = list(entries)
+    return _sphere_field(n, [l for l, _, _ in entries], [m for _, m, _ in entries], [complex(a) for *_, a in entries])
+
+
+def _sphere_field(n: int, ls: Sequence[int], ms: Sequence[int], amps: Sequence[complex]) -> SphereField:
+    """The canonical field of the parallel columns of degrees, orders and
+    amplitudes, with dim_Hl and the frequency computed once per degree."""
     if n < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {n}")
-
-    def validated() -> Iterator[tuple[tuple[int, int], float, complex]]:
-        for l, m, amp in entries:
-            l, m = int(l), int(m)
-            d = dim_Hl(n, l)
-            if not 1 <= m <= d:
-                raise ValueError(f"order m={m} outside [1, {d}] for degree l={l}, n={n}")
-            yield (l, m), frequency(n, l), complex(amp)
-
-    return SphereField(n, *canonical_columns(validated()))
+    ls, ms = list(map(int, ls)), list(map(int, ms))
+    dims = {l: dim_Hl(n, l) for l in dict.fromkeys(ls)}
+    bounds = list(map(dims.__getitem__, ls))
+    if not (min(ms, default=1) >= 1 and all(map(operator.le, ms, bounds))):
+        m, d, l = next((m, d, l) for m, d, l in zip(ms, bounds, ls) if not 1 <= m <= d)
+        raise ValueError(f"order m={m} outside [1, {d}] for degree l={l}, n={n}")
+    freq = {l: frequency(n, l) for l in dims}
+    return SphereField(n, *canonical_columns(list(zip(ls, ms)), list(map(freq.__getitem__, ls)), amps))
 
 
 # ---------------------------------------------------------------------------

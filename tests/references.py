@@ -1,0 +1,249 @@
+"""Reference forms that the library's faster code is pinned against.
+
+Each is the plain per-key or per-entry form of a rule the library now runs
+a column at a time: the grid rows as fields, the row-callback solve loop and
+the solvers written on it, and the entry-by-entry field loaders.  Tests
+compare the library with these bit for bit.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from fractions import Fraction
+
+from wavesnap import diophantine, snapshots
+from wavesnap.fields import (
+    DimensionMismatch,
+    SpectralField,
+    aligned,
+    apply_multiplier,
+    linear_combine,
+    max_abs_amp,
+    subtract,
+    symbol_product,
+    union_support,
+)
+from wavesnap.propagators import as_radians, cos_at, sine_at, symbol_Psi, symbol_Sprime
+from wavesnap.snapshots import (
+    CONSISTENCY_TOL,
+    OBSTRUCTION_AMP_TOL,
+    RATIONAL_GATE_TOL,
+    STATUS_NONUNIQUE,
+    STATUS_OBSTRUCTED,
+    STATUS_UNIQUE,
+    CauchyData,
+    IncompatibleData,
+    InvalidTime,
+    SolveReport,
+    evolve,
+    evolve_grid,
+    grid_rows,
+    snapshot_grid,
+)
+from wavesnap.sphere import SphereField, dim_Hl, frequency
+
+# ---------------------------------------------------------------------------
+# the grids' rows as fields
+
+
+def evolve_series(data, times):
+    """u_t for each t in `times`: the rows of `evolve_grid`."""
+    return grid_rows(data.position, evolve_grid(data, times))
+
+
+def snapshot_series(ua, ub, a, b, ms):
+    """u at each time a + m (b - a), m in `ms`: the rows of `snapshot_grid`."""
+    return grid_rows(ub, snapshot_grid(ua, ub, a, b, ms))
+
+
+# ---------------------------------------------------------------------------
+# entry-by-entry canonicalization and loading
+
+
+def entry_columns(entries):
+    """(key, frequency, amplitude) entries merged through a dict: equal keys
+    sum in entry order from 0j, keys come out sorted, zero sums dropped."""
+    merged, freq = {}, {}
+    for key, lam, amp in entries:
+        if not cmath.isfinite(amp):
+            raise ValueError(f"non-finite amplitude {amp!r}")
+        merged[key] = merged.get(key, 0j) + amp
+        freq[key] = lam
+    keys = tuple(key for key in sorted(merged) if merged[key] != 0)
+    return keys, tuple(map(freq.__getitem__, keys)), tuple(map(merged.__getitem__, keys))
+
+
+def _clean_xi(dim, xi):
+    if len(xi) != dim:
+        raise DimensionMismatch(f"frequency {tuple(xi)} does not have dim {dim}")
+    out = []
+    for v in xi:
+        v = float(v) + 0.0
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite frequency component {v!r}")
+        out.append(v)
+    return tuple(out)
+
+
+def _amp(pair):
+    return complex(float(pair[0]), float(pair[1]))
+
+
+def _flat(dim, rows):
+    entries = [(m["xi"], _amp(m["amp"])) for m in rows]
+    if dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim}")
+
+    def validated():
+        for xi, amp in entries:
+            key = _clean_xi(dim, xi)
+            yield key, math.hypot(*key), complex(amp)
+
+    return SpectralField(dim, *entry_columns(validated()))
+
+
+def _sphere(n, rows):
+    entries = [(c["l"], c["m"], _amp(c["amp"])) for c in rows]
+    if n < 2:
+        raise ValueError(f"sphere dimension must be >= 2, got {n}")
+
+    def validated():
+        for l, m, amp in entries:
+            l, m = int(l), int(m)
+            d = dim_Hl(n, l)
+            if not 1 <= m <= d:
+                raise ValueError(f"order m={m} outside [1, {d}] for degree l={l}, n={n}")
+            yield (l, m), frequency(n, l), complex(amp)
+
+    return SphereField(n, *entry_columns(validated()))
+
+
+def field_from_json_by_entry(obj):
+    """`field_from_json`, reading the document one entry at a time."""
+    try:
+        if ("dim" in obj) == ("n" in obj):
+            raise ValueError("a field document has exactly one of the members 'dim' and 'n'")
+        if "dim" in obj:
+            return _flat(int(obj["dim"]), obj["modes"])
+        return _sphere(int(obj["n"]), obj["coeffs"])
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"malformed field document: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# the row-callback solve loop and the solvers on it
+
+
+def row_diagonal_solve(support, rhs, row, kernel_note, verify=None):
+    """Solve for g key by key over the union of the keys of `support`;
+    `row(key, lam, *amps)` returns the key's (s, zero, r) equations and a gain."""
+    for f in support[1:]:
+        support[0].check_same_basis(f)
+    keys, freqs = union_support(support)
+    entries = []
+    kernel = []
+    obstruction = conditioning = inconsistency = 0.0
+    for key, lam, *amps in zip(keys, freqs, *(aligned(f.keys, f.amps, keys) for f in rhs)):
+        eqs, gain = row(key, lam, *amps)
+        i = next((i for i, (_, zero, _) in enumerate(eqs) if not zero), None)
+        if i is None:
+            kernel.append(key)
+            obstruction = max(obstruction, *(abs(r) for _, _, r in eqs))
+            continue
+        g = eqs[i][2] / eqs[i][0]
+        for j, (s, zero, r) in enumerate(eqs):
+            if not zero:
+                conditioning = max(conditioning, gain / abs(s))
+            if j != i:
+                inconsistency = max(inconsistency, abs(g * s - r))
+        entries.append((key, lam, g))
+    kernel = tuple(kernel)
+    if obstruction > OBSTRUCTION_AMP_TOL:
+        return SolveReport(STATUS_OBSTRUCTED, None, obstruction, conditioning, kernel, kernel_note)
+    tol = CONSISTENCY_TOL * (1.0 + conditioning)
+    if inconsistency > tol:
+        note = f"cross-equation inconsistency {inconsistency:.3e} exceeds {tol:.3e}"
+        return SolveReport(STATUS_OBSTRUCTED, None, inconsistency, conditioning, kernel, note)
+    g = support[0].with_columns(*entry_columns(entries))
+    residual, note = verify(g) if verify is not None else (inconsistency, "")
+    if residual > tol:
+        note = "post-verification failed" + (": " + note if note else "")
+        return SolveReport(STATUS_OBSTRUCTED, None, residual, conditioning, kernel, note)
+    return SolveReport(STATUS_NONUNIQUE if kernel else STATUS_UNIQUE, g, residual, conditioning, kernel, note)
+
+
+def _equation(t, w, f0_amp, ft_amp):
+    s, zero = sine_at(t, w)
+    return s, zero, ft_amp - cos_at(t, w) * f0_amp
+
+
+def two_snapshot_solve(f0, ft, t=1.0, kernel_note=None):
+    if kernel_note is None:
+        kernel_note = f"data at kernel frequencies of S_{as_radians(t):g} has no preimage"
+
+    def verify(g):
+        return max_abs_amp(subtract(ft, evolve(CauchyData(f0, g), t))), ""
+
+    return row_diagonal_solve(
+        (f0, ft), (f0, ft), lambda key, w, a, b: ((_equation(t, w, a, b),), 1.0), kernel_note, verify
+    )
+
+
+def sphere_two_snapshot_solve(f0, falpha, alpha, max_degree=256):
+    top = max(f0.max_degree, falpha.max_degree)
+    if top > max_degree:
+        raise ValueError(f"data degree {top} exceeds max_degree {max_degree}")
+    return two_snapshot_solve(f0, falpha, alpha, "data on zero Schur constants has no preimage")
+
+
+def three_snapshot_solve(f0, f1, falpha, alpha):
+    if isinstance(alpha, Fraction):
+        if alpha <= 0 or alpha == 1:
+            raise InvalidTime(f"rational alpha must be positive and != 1, got {alpha}")
+        try:
+            return bezout_solve(f0, falpha, f1, alpha.numerator, alpha.denominator, 1.0 / alpha.denominator)
+        except IncompatibleData as exc:
+            return SolveReport(STATUS_OBSTRUCTED, None, exc.residual, 0.0, (), str(exc))
+    alpha = float(alpha)
+    if alpha in (0.0, 1.0):
+        raise InvalidTime(f"alpha must differ from both snapshot times, got {alpha}")
+
+    def row(key, w, a, b, c):
+        return (_equation(1.0, w, a, b), _equation(alpha, w, a, c)), 1.0
+
+    support = (f0, f1, falpha)
+    return row_diagonal_solve(support, support, row, "data at shared kernel frequencies has no preimage")
+
+
+def rational_reconstruct(f0, fp, fq, p, q):
+    snapshots._validate_pq(p, q)
+    return bezout_solve(f0, fp, fq, p, q, 1.0)
+
+
+def bezout_solve(f0, fa, fb, p, q, unit):
+    va = subtract(fa, apply_multiplier(f0, symbol_Sprime(p * unit)))
+    vb = subtract(fb, apply_multiplier(f0, symbol_Sprime(q * unit)))
+    gate = snapshots._psi_gate_residual(va, vb, p, q, unit)
+    if gate > RATIONAL_GATE_TOL:
+        raise IncompatibleData(f"snapshot compatibility residual {gate:.3e} exceeds {RATIONAL_GATE_TOL:.1e}", gate)
+    k, l = diophantine.bezout(p, q)
+    sym_a = symbol_product(symbol_Psi(k, p * unit), symbol_Sprime(l * q * unit))
+    sym_b = symbol_product(symbol_Psi(l, q * unit), symbol_Sprime(k * p * unit))
+    num = linear_combine([1.0, 1.0], [apply_multiplier(va, sym_a), apply_multiplier(vb, sym_b)])
+
+    def row(xi, lam, a, b, c):
+        su, zero = sine_at(unit, lam)
+        if zero:
+            return ((0.0, True, a), (0.0, True, b)), 1.0
+        return ((su, False, c),), abs(sym_a(lam)) + abs(sym_b(lam))
+
+    def verify(g):
+        data = CauchyData(f0, g)
+        ra = max_abs_amp(subtract(fa, evolve(data, p * unit)))
+        rb = max_abs_amp(subtract(fb, evolve(data, q * unit)))
+        return max(ra, rb), f"bezout k={k}, l={l}; residual at t={p * unit:g}: {ra:.3e}, t={q * unit:g}: {rb:.3e}"
+
+    return row_diagonal_solve(
+        (f0, fa, fb), (va, vb, num), row, "kernel-mode data admits no wave through all three snapshots", verify
+    )

@@ -311,3 +311,78 @@ def test_exit_codes(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert cli.run(["--help"]) == 0
     assert "wave" in capsys.readouterr().out
+
+
+SOLVE_VERBS_WITHOUT_NUMPY = r"""
+import math, os, sys
+from wavesnap import cli
+from wavesnap.fields import field, save_field
+from wavesnap.snapshots import CauchyData, evolve
+from wavesnap.sphere import sphere_field
+
+d = sys.argv[1]
+flat = CauchyData(field(2, [((0.9, 0.2), 1.0), ((math.pi, 0.0), 0.5j), ((2.2, -1.0), 1j)]),
+                  field(2, [((0.9, 0.2), 0.5), ((2.2, -1.0), -1.0)]))
+on_sphere = CauchyData(sphere_field(3, [(0, 1, 1.0), (2, 3, 0.5j)]), sphere_field(3, [(1, 2, 1.0), (2, 3, -1.0)]))
+files = {"f0": flat.position, "g": flat.velocity, "s0": on_sphere.position,
+         "salpha": evolve(on_sphere, 0.7), **{f"f{t}": evolve(flat, t) for t in (1, 2, 3)}, "f2_3": evolve(flat, 2 / 3)}
+for name, f in files.items():
+    save_field(f, os.path.join(d, name + ".json"))
+p = {name: os.path.join(d, name + ".json") for name in files}
+runs = [
+    ["wave", "evolve", "--field", p["f0"], "--velocity", p["g"], "--t", "0.5"],
+    ["wave", "two-solve", "--f0", p["f0"], "--f1", p["f1"]],
+    ["wave", "three-solve", "--f0", p["f0"], "--f1", p["f1"], "--falpha", p["f2_3"], "--alpha-frac", "2/3"],
+    ["wave", "rational-solve", "--f0", p["f0"], "--fp", p["f2"], "--fq", p["f3"], "--p", "2", "--q", "3"],
+    ["sphere", "solve", "--f0", p["s0"], "--falpha", p["salpha"], "--alpha", "0.7"],
+]
+codes = [cli.run(argv + ["--out", os.path.join(d, "out.json")]) for argv in runs]
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def test_solve_verbs_leave_numpy_unloaded(tmp_path):
+    # the field verbs run in plain floats: numpy's import would add ~10 MB to their peak memory
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", SOLVE_VERBS_WITHOUT_NUMPY, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "False"], done.stdout + done.stderr
+
+
+def test_parser_reuse_is_stateless(tmp_path, capsys, monkeypatch):
+    # one process, one parser: each call writes what it writes first in a fresh process
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    data = CauchyData(field(1, [((0.9,), 1.0), ((2.2,), 1j)]), field(1, [((0.9,), 0.5), ((2.2,), -1.0)]))
+    paths = {}
+    for name, t in (("f0", 0.0), ("f1", 1.0), ("fa", 2 / 3), ("fb", 1.41)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_field(evolve(data, t), paths[name])
+    on_sphere = CauchyData(sphere_field(3, [(0, 1, 1.0), (2, 3, 0.5j)]), sphere_field(3, [(2, 3, -1.0)]))
+    for name, f in (("s0", on_sphere.position), ("sa", evolve(on_sphere, Fraction(1, 3)))):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_sphere_field(f, paths[name])
+    three = ["wave", "three-solve", "--f0", paths["f0"], "--f1", paths["f1"]]
+    runs = [
+        three + ["--falpha", paths["fa"], "--alpha-frac", "2/3"],
+        three + ["--falpha", paths["fb"], "--alpha", "1.41"],
+        ["wave", "three-solve", "--f0", paths["f0"], "--alpha", "1.41"],
+        ["sphere", "solve", "--f0", paths["s0"], "--falpha", paths["sa"], "--alpha-pi", "1/3"],
+    ]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for argv, want_code in zip(runs, (0, 0, 2, 0)):
+        code = cli.run(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "wavesnap", *argv],
+            env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr) and code == want_code, argv

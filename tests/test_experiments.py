@@ -8,7 +8,9 @@ import pytest
 from wavesnap import experiments, snapshots
 from wavesnap.fields import apply_multiplier, field, linear_combine, max_abs_amp, subtract, union_support
 from wavesnap.propagators import symbol_Sprime
-from wavesnap.snapshots import CauchyData, evolve_series
+from wavesnap.snapshots import CauchyData
+
+from references import evolve_series, snapshot_series
 
 
 def reference_trial(data, a, b):
@@ -16,7 +18,7 @@ def reference_trial(data, a, b):
     and the general step, `linear_combine` of `apply_multiplier` for the
     three-term recursion, each field's largest amplitude taken."""
     snaps = dict(zip(range(-21, 22), evolve_series(data, [float(m) for m in range(-21, 22)])))
-    closed = snapshots.snapshot_series(data.position, snaps[1], 0.0, 1.0, range(-20, 21))
+    closed = snapshot_series(data.position, snaps[1], 0.0, 1.0, range(-20, 21))
     worst_closed = 0.0
     for m, via in zip(range(-20, 21), closed):
         worst_closed = max(worst_closed, max_abs_amp(subtract(via, snaps[m])))
@@ -27,7 +29,7 @@ def reference_trial(data, a, b):
         worst_recur = max(worst_recur, max_abs_amp(residual))
     ua, ub, *direct = evolve_series(data, [a, b] + [a + m * (b - a) for m in range(-8, 9)])
     worst_general = 0.0
-    for via, want in zip(snapshots.snapshot_series(ua, ub, a, b, range(-8, 9)), direct):
+    for via, want in zip(snapshot_series(ua, ub, a, b, range(-8, 9)), direct):
         worst_general = max(worst_general, max_abs_amp(subtract(via, want)))
     return worst_closed, worst_general, worst_recur
 

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wavesnap import fields as fields_module, snapshots, sphere as sph
 from wavesnap.fields import (
@@ -26,6 +26,8 @@ from wavesnap.fields import (
 )
 from wavesnap.propagators import symbol_Psi, symbol_S, symbol_Sprime
 from wavesnap.snapshots import CauchyData, evolve
+
+from references import evolve_series, field_from_json_by_entry, snapshot_series
 
 
 def test_field_merges_repeated_frequencies():
@@ -319,12 +321,12 @@ def test_series_match_per_time_operators(case, ts, lo, hi):
     f, g, h, _, _ = case
     for u0, v in ((f, g), (f, h), (f, f)):  # overlapping, disjoint, shared supports
         data = CauchyData(u0, v)
-        series = snapshots.evolve_series(data, ts)
+        series = evolve_series(data, ts)
         assert [hexed(u) for u in series] == [hexed(per_time_evolve(data, t)) for t in ts]
         assert_shared_columns(series, u0, v)
         for a, b in ((0.0, 1.0), (-0.3, 0.85), (1.25, 3.5)):
             for ms in (range(lo, hi), (hi, lo, 0, hi)):  # consecutive, then out of order and repeated
-                series = snapshots.snapshot_series(u0, v, a, b, ms)
+                series = snapshot_series(u0, v, a, b, ms)
                 assert [hexed(u) for u in series] == [hexed(per_m_snapshot(u0, v, a, b, m)) for m in ms]
                 assert_shared_columns(series, v, u0)
             assert hexed(snapshots.general_integer_snapshot(u0, v, a, b, lo)) == hexed(series[1])
@@ -335,7 +337,7 @@ def test_multipliers_and_shared_combine_trust_canonical_keys(monkeypatch):
     flat = field(2, [((0.0, 1.0), 1.0), ((3.0, 4.0), 2j), ((-1.0, 0.5), 0.5)])
     on_sphere = sph.sphere_field(3, [(0, 1, 1.0), (2, 5, 1j), (4, 3, -2.0)])
     calls = {"clean": 0, "dim": 0}
-    clean, dim_Hl = fields_module._clean_xi, sph.dim_Hl
+    clean, dim_Hl = fields_module._clean_keys, sph.dim_Hl
 
     def counted_clean(*args):
         calls["clean"] += 1
@@ -345,7 +347,7 @@ def test_multipliers_and_shared_combine_trust_canonical_keys(monkeypatch):
         calls["dim"] += 1
         return dim_Hl(*args)
 
-    monkeypatch.setattr(fields_module, "_clean_xi", counted_clean)
+    monkeypatch.setattr(fields_module, "_clean_keys", counted_clean)
     monkeypatch.setattr(sph, "dim_Hl", counted_dim)
     for f in (flat, on_sphere):
         g = apply_multiplier(f, symbol_S(0.3))
@@ -391,13 +393,13 @@ def test_series_name_an_undefined_symbol_and_reject_an_overflow():
     data = CauchyData(f, f)
     for t in (math.inf, math.nan):
         with pytest.raises(SymbolUndefined, match=r"S'\["):
-            snapshots.evolve_series(data, [0.0, t])
+            evolve_series(data, [0.0, t])
     with pytest.raises(ValueError, match="non-finite amplitude"):
         evolve(data, 0.5)  # (cos(1/4) + 2 sin(1/4)) 1.5e308 overflows; the symbols are fine
     with pytest.raises(SymbolUndefined, match=r"Psi\[3,inf\]"):
-        snapshots.snapshot_series(f, f, -1e308, 1e308, [3])  # s lam = inf
+        snapshot_series(f, f, -1e308, 1e308, [3])  # s lam = inf
     with pytest.raises(ValueError, match="non-finite amplitude"):
-        snapshots.snapshot_series(field(1, []), f, 0.0, 1.0, [1, 2])  # Psi_2 = 2 cos(1/2) at radius 1/2
+        snapshot_series(field(1, []), f, 0.0, 1.0, [1, 2])  # Psi_2 = 2 cos(1/2) at radius 1/2
 
 
 def test_series_errors_raise_without_a_numpy_warning():
@@ -408,11 +410,11 @@ def test_series_errors_raise_without_a_numpy_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SymbolUndefined):
-            snapshots.evolve_series(CauchyData(f, f), [math.inf])
+            evolve_series(CauchyData(f, f), [math.inf])
         with pytest.raises(ValueError, match="non-finite amplitude"):
             evolve(CauchyData(f, f), 0.5)
         with pytest.raises(SymbolUndefined):
-            snapshots.snapshot_series(f, f, -1e308, 1e308, [3])
+            snapshot_series(f, f, -1e308, 1e308, [3])
 
 
 def test_grids_are_the_series_rows():
@@ -442,3 +444,78 @@ def test_amplitude_at_bisects_with_equality_semantics():
     for missing in ((-9.0, 0.0), (0.0, 0.5), (9.0, 9.0)):
         assert f.amplitude_at(missing) == 0j
     assert field(2, []).amplitude_at((0.0, 0.0)) == 0j
+
+
+components = st.one_of(st.floats(-50, 50), st.sampled_from([0.0, -0.0, 1e308, -1e308]), st.integers(-5, 5))
+amp_parts = st.one_of(st.floats(-2, 2), st.sampled_from([0.0, -0.0]), st.integers(-2, 2))
+nonfinite = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def documents(draw):
+    """A flat or sphere field document, and the kinds of defect planted in it:
+    keys unsorted or repeated, -0.0 and integer components, zero and -0.0
+    amplitudes; then possibly a wrong-length xi, a non-finite or a too large
+    component, a non-finite amplitude, an order m or a degree out of range,
+    or a bad dimension."""
+    flat = draw(st.booleans())
+    if flat:
+        dim = draw(st.integers(1, 3))
+        pool = draw(st.lists(st.lists(components, min_size=dim, max_size=dim), min_size=1, max_size=5))
+        keys = [{"xi": list(draw(st.sampled_from(pool)))} for _ in range(draw(st.integers(0, 10)))]
+        kinds = ("length", "nonfinite", "huge", "amp", "header")
+    else:
+        dim = draw(st.integers(2, 4))
+        lm = [(l, draw(st.integers(1, sph.dim_Hl(dim, l)))) for l in draw(st.lists(st.integers(0, 4), max_size=10))]
+        keys = [{"l": draw(st.sampled_from([l, float(l)])), "m": m} for l, m in lm]
+        kinds = ("order", "degree", "amp", "header")
+    rows = [{**key, "amp": [draw(amp_parts), draw(amp_parts)]} for key in keys]
+    if draw(st.booleans()):  # the form json_text writes: sorted, distinct, nonzero
+        rows = [row for row in rows if any(row["amp"])]
+        rows = list({json.dumps(row, sort_keys=True): row for row in rows}.values())
+        rows.sort(key=lambda row: row["xi"] if flat else (row["l"], row["m"]))
+    planted = []
+    count = draw(st.sampled_from([0, 1, 1, 2]))  # a defect alone decides the error, a pair one of two
+    defects = draw(st.lists(st.sampled_from(kinds), min_size=count, max_size=count, unique=True))
+    for defect in sorted(defects, key=kinds.index):
+        if defect != "header" and not rows:
+            continue
+        planted.append(defect)
+        if defect == "header":  # last, so that an order is drawn below its degree's true bound
+            dim = draw(st.integers(-1, 0 if flat else 1))
+        else:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            if defect == "length":
+                row["xi"] = row["xi"] + [1.0] if draw(st.booleans()) else row["xi"][1:]
+            elif defect in ("nonfinite", "huge"):
+                row["xi"] = [draw(nonfinite) if defect == "nonfinite" else 10**400] + row["xi"][1:]
+            elif defect == "amp":
+                row["amp"] = [row["amp"][0], draw(nonfinite)]
+            elif defect == "order":
+                row["m"] = draw(st.sampled_from([0, sph.dim_Hl(dim, int(row["l"])) + 1]))
+            else:
+                row["l"] = -1
+    return ({"dim": dim, "modes": rows} if flat else {"n": dim, "coeffs": rows}), planted
+
+
+def load_outcome(read, doc):
+    """The field a reader builds, every column as repr or hex, or the exception it raised."""
+    try:
+        f = read(doc)
+    except Exception as exc:  # the reference must raise the same
+        return type(exc), str(exc)
+    return type(f), repr(f.keys), [w.hex() for w in f.freqs], [(a.real.hex(), a.imag.hex()) for a in f.amps]
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents())
+def test_column_loader_matches_the_entry_reference(case):
+    doc, defects = case
+    got, want = load_outcome(field_from_json, doc), load_outcome(field_from_json_by_entry, doc)
+    if len(defects) <= 1:
+        assert got == want
+    else:  # each loader names one of the defects, the first of its own check order
+        assert issubclass(got[0], ValueError) and issubclass(want[0], ValueError), (got, want)
+    if not defects and "modes" in doc:  # the constructor reads the same columns
+        entries = [(row["xi"], complex(*row["amp"])) for row in doc["modes"]]
+        assert load_outcome(lambda d: field(d["dim"], entries), doc) == want

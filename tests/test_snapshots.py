@@ -1,13 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wavesnap import diophantine, snapshots as snap
+from wavesnap import diophantine, snapshots as snap, sphere as sph
 from wavesnap.fields import MultiplierSymbol, apply_multiplier, field, linear_combine, max_abs_amp, subtract
 from wavesnap.propagators import sine_at, symbol_Psi, symbol_Sprime
 from wavesnap.snapshots import CauchyData, evolve
+
+import references as ref
 
 
 def kernel_modes(f, t):
@@ -384,3 +388,97 @@ def test_liouville_demo_deepest_row_first(monkeypatch):
     monkeypatch.undo()
     assert demo.rows == reference_liouville_rows(6)
     assert [r.k for r in demo.rows] == [1, 2, 3, 4, 5, 6]
+
+
+def solve_outcome(solve, *args):
+    """A solve's report with every float as hex (signs of zeros included),
+    or the exception it raised."""
+    try:
+        rep = solve(*args)
+    except Exception as exc:  # the reference must raise the same
+        return type(exc), str(exc), getattr(exc, "residual", None)
+    sol = rep.solution
+    columns = None
+    if sol is not None:
+        amps = [(a.real.hex(), a.imag.hex()) for a in sol.amps]
+        columns = (type(sol), sol.keys, [w.hex() for w in sol.freqs], amps)
+    return rep.status, rep.note, rep.kernel_modes, rep.residual.hex(), rep.conditioning.hex(), columns
+
+
+def planted_wave(rng, keys, kernel_keys, near_keys):
+    """Random Cauchy data on `keys`, plus kernel and near-kernel keys in both
+    fields; some random keys carry only a position, some only a velocity."""
+    def amp():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    shared = list(kernel_keys) + list(near_keys)
+    u0 = [(k, amp()) for k in keys[: 2 * len(keys) // 3] + shared]
+    g = [(k, amp()) for k in keys[len(keys) // 3 :] + shared]
+    return u0, g
+
+
+def perturbed(f, key, by=1e-6):
+    return linear_combine([1.0, 1.0], [f, f.with_columns((key,), (f.freqs[f.keys.index(key)],), (by,))])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_column_solvers_match_the_row_loop(seed):
+    # every solver's report equals the row-callback loop's in every field, bit
+    # for bit, on kernel (radius k pi), near-kernel and obstructed data
+    rng = random.Random(seed)
+    pi = math.pi
+    radii = [rng.uniform(0.05, 30.0) for _ in range(12)]
+    angles = [rng.uniform(0.0, 2.0 * pi) for _ in radii]
+    keys = [(r * math.cos(th) + 0.0, r * math.sin(th) + 0.0) for r, th in zip(radii, angles)]
+    kernel = [(k * pi, 0.0) for k in (1, 2, 3, 6)] + [(0.0, 3 * pi)]
+    near = [(k * pi * (1 + d), 0.0) for k, d in ((1, 1e-15), (2, -3e-13), (3, 1e-10), (4, 2e-16))]
+    half = (0.0, pi / 2)  # in the kernel of S_2, not of S_1
+    u0, g = planted_wave(rng, keys, kernel + [half], near)
+    data = CauchyData(field(2, u0), field(2, g))
+    f0 = data.position
+    snaps = {t: evolve(data, t) for t in (1.0, 0.5, 2.0, 3.0, math.sqrt(2.0), 2.0 / 3.0)}
+    cases = [
+        (snap.two_snapshot_solve, ref.two_snapshot_solve, (f0, snaps[1.0])),
+        (snap.two_snapshot_solve, ref.two_snapshot_solve, (f0, snaps[0.5], 0.5)),
+        (snap.two_snapshot_solve, ref.two_snapshot_solve, (f0, perturbed(snaps[1.0], kernel[0]))),
+        (snap.two_snapshot_solve, ref.two_snapshot_solve, (f0, perturbed(snaps[1.0], keys[0]))),
+    ]
+    # at radius pi, Psi_3 = 3 and Psi_2 = -2: windows d and -1.5 d pass the
+    # compatibility gate but are kernel data, so the larger one obstructs
+    for fp, fq in (
+        (snaps[2.0], snaps[3.0]),
+        (perturbed(snaps[2.0], kernel[1], 1e-13), snaps[3.0]),
+        (perturbed(snaps[2.0], keys[-1]), snaps[3.0]),
+        (perturbed(snaps[2.0], kernel[0]), perturbed(snaps[3.0], kernel[0], -1.5e-6)),
+    ):
+        cases.append((snap.rational_reconstruct, ref.rational_reconstruct, (f0, fp, fq, 2, 3)))
+    for alpha in (math.sqrt(2.0), 0.5, 2.0, Fraction(2, 3)):
+        falpha = snaps[float(alpha)]
+        for fa in (falpha, perturbed(falpha, kernel[2]), perturbed(falpha, keys[1], 1e-3), perturbed(falpha, half)):
+            cases.append((snap.three_snapshot_solve, ref.three_snapshot_solve, (f0, snaps[1.0], fa, alpha)))
+    # the same at radius 3 pi for alpha = 2/3, whose Bezout step is 1/3
+    f1 = perturbed(snaps[1.0], kernel[2], -1.5e-6)
+    cases.append((snap.three_snapshot_solve, ref.three_snapshot_solve, (f0, f1, perturbed(falpha, kernel[2]), alpha)))
+    # without near-kernel modes the conditioning is moderate, so a perturbed
+    # third snapshot fails the cross-equation check
+    plain = CauchyData(*(field(2, [(k, a) for k, a in entries if k not in near]) for entries in (u0, g)))
+    fa = perturbed(evolve(plain, math.sqrt(2.0)), keys[1], 1e-3)
+    args = (plain.position, evolve(plain, 1.0), fa, math.sqrt(2.0))
+    cases.append((snap.three_snapshot_solve, ref.three_snapshot_solve, args))
+    # integer frequencies on the line, at exact times beta pi
+    u0, g = planted_wave(rng, [(float(k),) for k in rng.sample(range(1, 40), 12)], [(3.0,), (6.0,)], [])
+    line = CauchyData(field(1, u0), field(1, g))
+    for beta in (Fraction(1, 3), Fraction(2, 5)):
+        cases.append((snap.two_snapshot_solve, ref.two_snapshot_solve, (line.position, evolve(line, beta), beta)))
+    # S^3: frequency w = l + 1, so pi/2 and exact pi/2, pi/3 have kernels at even w and at w in 3Z
+    lm = sorted({(l, rng.randint(1, (l + 1) ** 2)) for l in (rng.randint(0, 30) for _ in range(14))})
+    u0, g = planted_wave(rng, lm, [(1, 2), (2, 5), (5, 30)], [])
+    on_sphere = CauchyData(*(sph.sphere_field(3, [(l, m, a) for (l, m), a in entries]) for entries in (u0, g)))
+    for alpha in (0.7, pi / 2, Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)):
+        fa = evolve(on_sphere, alpha)
+        for falpha in (fa, perturbed(fa, (5, 30))):
+            args = (on_sphere.position, falpha, alpha)
+            cases.append((sph.sphere_two_snapshot_solve, ref.sphere_two_snapshot_solve, args))
+    for solve, reference, args in cases:
+        assert solve_outcome(solve, *args) == solve_outcome(reference, *args), (solve.__name__, args[-1])
