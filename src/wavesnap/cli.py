@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import io
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -34,6 +35,7 @@ from .fields import (
 )
 from .propagators import symbol_Psi, symbol_S, symbol_Sprime
 
+CSV_BLOCK = 1024  # rows formatted per % in CSV output
 # ArithmeticError: ZeroDivisionError, and OverflowError from results beyond the float range
 _DOMAIN_ERRORS = (ValueError, OSError, KeyError, ArithmeticError, diophantine.PrecisionExhausted, SymbolUndefined)
 
@@ -166,14 +168,13 @@ def _emit_csv(
     comments: Sequence[str] = (),
 ) -> None:
     buf = io.StringIO()
-    buf.write(f"# wavesnap {__version__}\n")
-    buf.write(f"# verb: {verb}\n")
-    buf.write(f"# seed: {args.seed}\n")
-    for line in comments:
-        buf.write(f"# {line}\n")
+    buf.write(f"# wavesnap {__version__}\n# verb: {verb}\n# seed: {args.seed}\n")
+    buf.writelines(f"# {line}\n" for line in comments)
     buf.write(",".join(columns) + "\n")
     line = ",".join(["%s"] * len(columns)) + "\n"  # %s formats with str(), as a join of str()s would
-    buf.writelines(line % tuple(row) for row in rows)
+    cells = itertools.chain.from_iterable(rows)
+    while chunk := tuple(itertools.islice(cells, CSV_BLOCK * len(columns))):  # one % per block of rows
+        buf.write(line * (len(chunk) // len(columns)) % chunk)
     _write(args, buf.getvalue())
 
 

@@ -27,6 +27,7 @@ KIND_LIOUVILLE = "liouville"
 KIND_ODD_TYPE = "odd-type-liouville"
 
 FACTORIAL_DEPTH_CAP = 7  # 8! exponents already exceed 1e40000; deeper is pointless
+ODD_TYPE_WINDOW = 1e-9  # relative; odd q scoring this close to the best get the exact recheck
 JOINT_X_CAP = 1e6  # x_max max(1, |alpha|) in the joint sine bound: at most ~6e6 grid points
 
 # Enclosure of pi: math.pi undershoots by about 1.22e-16.
@@ -607,44 +608,49 @@ def odd_type_verifier(qmax: int) -> OddTypeReport:
     """
     if not 65 <= qmax <= 10**5:
         raise ValueError(f"qmax must be in [65, 1e5], got {qmax}")
-    depth = None
-    for j in range(1, FACTORIAL_DEPTH_CAP + 1):
-        tail = Fraction(1, 2 ** (math.factorial(j + 1) - 1))
-        if qmax * tail * 2 * qmax**3 <= 1:
-            depth = j
-            break
+    fits = (j for j in range(1, FACTORIAL_DEPTH_CAP + 1) if 2 * qmax**4 <= 2 ** (math.factorial(j + 1) - 1))
+    depth = next(fits, None)
     if depth is None:
         raise PrecisionExhausted(f"no truncation within depth cap certifies qmax={qmax}")
     beta = binary_factorial_class(depth)
-    tail = beta.err
-    # beta = N/D and tail = 1/T with D | T, both powers of two, so the certified
-    # margin (|q beta - nearest| - q tail) q^3 is the integer num over T.
-    big_n, d, t = beta.value.numerator, beta.value.denominator, tail.denominator
-    assert tail.numerator == 1 and t % d == 0
-    scale = t // d
-    min_ratio = math.inf
-    worst_q = 0
-    violations: list[int] = []
-    count = 0
-    for q in range(65, qmax + 1, 2):
-        count += 1
+    assert beta.err.numerator == 1 and beta.err.denominator % beta.value.denominator == 0
+    scan = _odd_type_scan(beta.value.numerator, beta.value.denominator, beta.err.denominator, qmax)
+    return OddTypeReport(qmax, depth, float(beta.err), *scan)
+
+
+def _odd_type_scan(big_n: int, d: int, t: int, qmax: int) -> tuple[int, float, int, tuple[int, ...]]:
+    """(count, min_ratio, worst_q, violations) over odd q in [65, qmax] for
+    beta = N/d and tail 1/t, d | t.  q's certified margin (|q beta - nearest|
+    - q/t) q^3 is num / t, num = (m t/d - q) q^3 with m = min(r, d - r) and
+    r = q N mod d; q violates where num <= t.
+
+    numpy picks the rows, exact integers decide them.  r, m and q^3 are exact
+    in int64 (Python ints past 2^63); the float score m q^3/d is a few ulp
+    from m q^3/d, which exceeds num / t by q^4/t <= qmax^4/t.  Rows scoring at
+    most (1 + ODD_TYPE_WINDOW) max(best, 1) + 2 qmax^4/t get the recheck, in
+    ascending q with its strict `<`.  Any other row's num / t exceeds 1 and
+    exceeds the best-scoring row's by a relative ODD_TYPE_WINDOW/2 (or is
+    positive where that is <= 0), so it is no violation and its float ratio
+    can neither be the minimum nor tie it: the result is the full loop's."""
+    import numpy as np
+
+    q = np.arange(65, qmax + 1, 2)
+    if qmax * max(d, qmax * qmax) >= 2**63:
+        q = q.astype(object)
+    r = q * (big_n % d) % d
+    score = np.minimum(r, d - r).astype(float) * (q * q * q).astype(float) / d
+    cut = (1 + ODD_TYPE_WINDOW) * max(float(score.min(initial=math.inf)), 1.0) + 2 * qmax**4 / t
+    min_ratio, worst_q, violations = math.inf, 0, []
+    rows = q[score <= cut].tolist()  # ascending, as Python ints
+    for q in rows:
         r = q * big_n % d
-        num = (min(r, d - r) * scale - q) * q**3
+        num = (min(r, d - r) * (t // d) - q) * q**3
         ratio = num / t  # int / int rounds correctly, as Fraction.__float__ does
         if ratio < min_ratio:
-            min_ratio = ratio
-            worst_q = q
+            min_ratio, worst_q = ratio, q
         if num <= t:
             violations.append(q)
-    return OddTypeReport(
-        qmax=qmax,
-        depth=depth,
-        tail=float(tail),
-        count=count,
-        min_ratio=min_ratio,
-        worst_q=worst_q,
-        violations=tuple(violations),
-    )
+    return len(score), min_ratio, worst_q, tuple(violations)
 
 
 @dataclass(frozen=True)

@@ -129,19 +129,22 @@ def sine_at(time: float | Fraction, w: float | Fraction) -> tuple[float, bool]:
     a zero at t = 0, where S_t vanishes; elsewhere a zero is |w t| >= 1 with
     |sin(w t)| below `kernel_threshold(w t)`, so only a nonzero multiple of
     pi counts, never a small w t where sin(w t)/w is near t."""
-    if isinstance(time, Fraction):
+    if type(time) is not float and isinstance(time, Fraction):  # a float skips the ABC check
         r, q2 = exact_residue(time, _doubled(w))
         if r % q2 == 0:
             return 0.0, True
         return math.sin(math.pi * (r / q2)) / w, False
     t = float(time)
     u = t * w
-    return sine_over(t, w), t == 0.0 or (abs(u) >= 1.0 and abs(math.sin(u)) < kernel_threshold(u))
+    if abs(u) < SERIES_SWITCH:
+        return sine_over(t, w), t == 0.0
+    s = math.sin(u)  # sine_over's ratio branch, with sin(u) kept for the kernel test
+    return s / w, t == 0.0 or (abs(u) >= 1.0 and abs(s) < kernel_threshold(u))
 
 
 def cos_at(time: float | Fraction, w: float) -> float:
     """cos(w t) at frequency w and time t, reduced exactly for a Fraction t."""
-    if isinstance(time, Fraction):
+    if type(time) is not float and isinstance(time, Fraction):
         r, q2 = exact_residue(time, _doubled(w))
         return math.cos(math.pi * (r / q2))
     return math.cos(float(time) * w)

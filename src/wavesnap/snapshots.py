@@ -322,11 +322,11 @@ def diagonal_solve(
     (0 is returned) and the data is Obstructed unless every right side is
     within OBSTRUCTION_AMP_TOL of 0.  Elsewhere g = r / s from the first
     nonzero equation, and the other equations must agree within
-    CONSISTENCY_TOL (1 + conditioning).  `verify(g)` gives a post-check
-    residual and a note, held to the same bound; without it the residual is
-    the cross-equation inconsistency.
+    CONSISTENCY_TOL (1 + the key's own conditioning).  `verify(g)` gives a
+    post-check residual and a note, held to CONSISTENCY_TOL (1 + the worst
+    conditioning); without it the residual is the worst inconsistency.
     """
-    kernel, gs = [], []
+    kernel, gs, failed = [], [], ""  # failed: the note on the first key over its own bound
     obstruction = conditioning = inconsistency = 0.0
     rows = zip(*[zip(*eq) for eq in equations])
     for key, gain, eqs in zip(keys, itertools.repeat(1.0) if gains is None else gains, rows):
@@ -339,19 +339,24 @@ def diagonal_solve(
             gs.append(0j)
             continue
         g = first[2] / first[0]
+        cond = inc = 0.0
         for e in eqs:
             if not e[1]:
-                conditioning = max(conditioning, gain / abs(e[0]))
+                cond = max(cond, gain / abs(e[0]))
             if e is not first:
-                inconsistency = max(inconsistency, abs(g * e[0] - e[2]))
+                inc = max(inc, abs(g * e[0] - e[2]))
+        key_tol = CONSISTENCY_TOL * (1.0 + cond)
+        if inc > key_tol and not failed:
+            failed = f"cross-equation inconsistency {inc:.3e} at key {key} exceeds {key_tol:.3e}"
+        conditioning = max(conditioning, cond)
+        inconsistency = max(inconsistency, inc)
         gs.append(g)
     kernel = tuple(kernel)
     if obstruction > OBSTRUCTION_AMP_TOL:
         return SolveReport(STATUS_OBSTRUCTED, None, obstruction, conditioning, kernel, kernel_note)
+    if failed:
+        return SolveReport(STATUS_OBSTRUCTED, None, inconsistency, conditioning, kernel, failed)
     tol = CONSISTENCY_TOL * (1.0 + conditioning)
-    if inconsistency > tol:
-        note = f"cross-equation inconsistency {inconsistency:.3e} exceeds {tol:.3e}"
-        return SolveReport(STATUS_OBSTRUCTED, None, inconsistency, conditioning, kernel, note)
     check_finite(gs)
     g = _with_amps(like, keys, freqs, gs)  # drops the kernel keys' zeros
     residual, note = verify(g) if verify is not None else (inconsistency, "")

@@ -1,9 +1,10 @@
 """Reference forms that the library's faster code is pinned against.
 
-Each is the plain per-key or per-entry form of a rule the library now runs
-a column at a time: the grid rows as fields, the row-callback solve loop and
-the solvers written on it, and the entry-by-entry field loaders.  Tests
-compare the library with these bit for bit.
+Each is the plain per-key, per-entry or per-row form of a rule the library
+now runs a column at a time: the grid rows as fields, the row-callback solve
+loop and the solvers written on it, the entry-by-entry field loaders, the
+per-q odd-type scan and the per-row CSV writer.  Tests compare the library
+with these bit for bit.
 """
 
 from __future__ import annotations
@@ -141,8 +142,7 @@ def row_diagonal_solve(support, rhs, row, kernel_note, verify=None):
     for f in support[1:]:
         support[0].check_same_basis(f)
     keys, freqs = union_support(support)
-    entries = []
-    kernel = []
+    entries, kernel, failures = [], [], []
     obstruction = conditioning = inconsistency = 0.0
     for key, lam, *amps in zip(keys, freqs, *(aligned(f.keys, f.amps, keys) for f in rhs)):
         eqs, gain = row(key, lam, *amps)
@@ -152,19 +152,20 @@ def row_diagonal_solve(support, rhs, row, kernel_note, verify=None):
             obstruction = max(obstruction, *(abs(r) for _, _, r in eqs))
             continue
         g = eqs[i][2] / eqs[i][0]
-        for j, (s, zero, r) in enumerate(eqs):
-            if not zero:
-                conditioning = max(conditioning, gain / abs(s))
-            if j != i:
-                inconsistency = max(inconsistency, abs(g * s - r))
+        cond = max((gain / abs(s) for s, zero, _ in eqs if not zero), default=0.0)
+        inc = max((abs(g * s - r) for j, (s, _, r) in enumerate(eqs) if j != i), default=0.0)
+        key_tol = CONSISTENCY_TOL * (1.0 + cond)
+        if inc > key_tol:
+            failures.append(f"cross-equation inconsistency {inc:.3e} at key {key} exceeds {key_tol:.3e}")
+        conditioning = max(conditioning, cond)
+        inconsistency = max(inconsistency, inc)
         entries.append((key, lam, g))
     kernel = tuple(kernel)
     if obstruction > OBSTRUCTION_AMP_TOL:
         return SolveReport(STATUS_OBSTRUCTED, None, obstruction, conditioning, kernel, kernel_note)
+    if failures:
+        return SolveReport(STATUS_OBSTRUCTED, None, inconsistency, conditioning, kernel, failures[0])
     tol = CONSISTENCY_TOL * (1.0 + conditioning)
-    if inconsistency > tol:
-        note = f"cross-equation inconsistency {inconsistency:.3e} exceeds {tol:.3e}"
-        return SolveReport(STATUS_OBSTRUCTED, None, inconsistency, conditioning, kernel, note)
     g = support[0].with_columns(*entry_columns(entries))
     residual, note = verify(g) if verify is not None else (inconsistency, "")
     if residual > tol:
@@ -247,3 +248,29 @@ def bezout_solve(f0, fa, fb, p, q, unit):
     return row_diagonal_solve(
         (f0, fa, fb), (va, vb, num), row, "kernel-mode data admits no wave through all three snapshots", verify
     )
+
+
+# ---------------------------------------------------------------------------
+# the per-q odd-type scan and the per-row CSV writer
+
+
+def odd_type_scan(big_n, d, t, qmax):
+    """`diophantine._odd_type_scan` as one exact integer step per odd q."""
+    scale = t // d
+    min_ratio, worst_q, violations, count = math.inf, 0, [], 0
+    for q in range(65, qmax + 1, 2):
+        count += 1
+        r = q * big_n % d
+        num = (min(r, d - r) * scale - q) * q**3
+        ratio = num / t
+        if ratio < min_ratio:
+            min_ratio, worst_q = ratio, q
+        if num <= t:
+            violations.append(q)
+    return count, min_ratio, worst_q, tuple(violations)
+
+
+def csv_body(columns, rows):
+    """The header line and rows of `cli._emit_csv`, one `%` per row."""
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + "".join(line % tuple(row) for row in rows)

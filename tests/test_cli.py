@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,6 +12,8 @@ from wavesnap import cli, diophantine as dio
 from wavesnap.fields import field, load_field, save_field
 from wavesnap.snapshots import CauchyData, evolve
 from wavesnap.sphere import load_sphere_field, save_sphere_field, sphere_field
+
+import references as ref
 
 
 @pytest.fixture()
@@ -155,6 +158,29 @@ def test_smallden_csv_values_parse_back(tmp_path):
     assert body[0] == "l,value"
     table = dio.small_denominator_sequence(dio.golden_class(), 0, 500)
     assert [(int(l), float(v)) for l, v in (ln.split(",") for ln in body[1:])] == list(table.rows)
+
+
+CSV_CELLS = [True, False, 0, -7, 2**70, 0.1, -0.0, 1e-300, 5e-324, math.inf, "50%", "%s", "%%d", "a,b", ""]
+
+
+@pytest.mark.parametrize("width", [2, 4, 5])
+@pytest.mark.parametrize("nrows", [0, 1, cli.CSV_BLOCK - 1, cli.CSV_BLOCK, cli.CSV_BLOCK + 1, 2 * cli.CSV_BLOCK + 3])
+def test_block_csv_writer_matches_the_per_row_writer(capsys, width, nrows):
+    columns = tuple(f"c{j}" for j in range(width))
+    rows = [tuple(CSV_CELLS[(i * width + j) % len(CSV_CELLS)] for j in range(width)) for i in range(nrows)]
+    cli._emit_csv(argparse.Namespace(out=None, seed=3), "a verb", columns, rows, ["one % comment"])
+    header = f"# wavesnap {cli.__version__}\n# verb: a verb\n# seed: 3\n# one % comment\n"
+    assert capsys.readouterr().out == header + ref.csv_body(columns, rows)
+
+
+@pytest.mark.parametrize("shift", ["0", "1/2"])
+def test_smallden_file_matches_the_per_row_writer(tmp_path, shift):
+    out = tmp_path / "sd.csv"
+    argv = ["dio", "smallden", "--number", "golden", "--count", "100000", "--shift", shift, "--out", str(out)]
+    assert cli.run(argv) == 0
+    text = out.read_text()
+    table = dio.small_denominator_sequence(dio.golden_class(), Fraction(shift), 100000)
+    assert text[text.index("l,value\n") :] == ref.csv_body(("l", "value"), table.rows)
 
 
 def test_sphere_verbs_smoke(tmp_path, capsys):

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from wavesnap import diophantine as dio
 
+import references as ref
+
 
 # -- continued fractions -----------------------------------------------------
 
@@ -448,6 +450,67 @@ def _odd_type_reference(qmax):
 @example(10**4)
 def test_odd_type_verifier_matches_fraction_scan(qmax):
     assert dio.odd_type_verifier(qmax) == _odd_type_reference(qmax)
+
+
+D24, T119 = 2**24, 2**119  # beta's denominator and 1/tail at every allowed qmax
+J = 11220525585634377725
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(65, 10**5))
+@example(65)
+@example(66)
+@example(10**5)
+def test_odd_type_screen_matches_the_per_q_loop(qmax):
+    beta = dio.binary_factorial_class(4).value
+    assert beta.denominator == D24
+    assert dio._odd_type_scan(beta.numerator, D24, T119, qmax) == ref.odd_type_scan(beta.numerator, D24, T119, qmax)
+
+
+@pytest.mark.parametrize(
+    "big_n, d, t, qmax",
+    [
+        # mislabelled dyadics: a margin below q^-3 at q = 81, and at its odd multiples
+        (round(D24 / 81), D24, T119, 10**5),
+        (round(2**40 / 81), 2**40, 2**130, 2000),
+        (round(2**62 / 81), 2**62, 2**200, 2000),
+        (round(D24 / 81) + 1, D24, T119, 4000),
+        (round(3 * D24 / 243), D24, T119, 2000),
+        # m = 0 at every q, and at the multiples of 81
+        (0, D24, T119, 3000),
+        (1, 81, 81 * 2**100, 3000),
+        (5, 81, 81 * 2**40, 1000),
+        # q = 65 (m = 135) and q = 195 (m = 5) tie for the least m q^3/d; -q^4/t
+        # parts their ratios by nothing, about an ulp, or far more
+        *((199, 400, 400 * 2**k, 195) for k in (100, 58, 57, 56, 10)),
+        # the same pair a rounding apart in the wrong order: m q^3/d is least at
+        # q = 65, its float score at q = 195, and their float ratios tie
+        (199 * J + 1, 400 * J, 400 * J * 2**200, 195),
+        # qmax d at 2^63 and beyond: Python ints instead of int64
+        (2**61 + 12345, 2**62, 2**200, 500),
+        (3**40, 2**56, 2**120, 1001),
+    ],
+)
+def test_odd_type_screen_negative_controls(big_n, d, t, qmax):
+    got = dio._odd_type_scan(big_n, d, t, qmax)
+    assert got == ref.odd_type_scan(big_n, d, t, qmax)
+    assert got[0] == (qmax - 65) // 2 + 1
+
+
+def test_odd_type_screen_finds_the_planted_violations():
+    count, min_ratio, worst_q, violations = dio._odd_type_scan(round(D24 / 81), D24, T119, 10**5)
+    assert worst_q == 81 and min_ratio < 1.0
+    assert 81 in violations
+    _, _, worst_q, violations = dio._odd_type_scan(round(2**40 / 81), 2**40, 2**130, 2000)
+    assert worst_q == 81 and violations == tuple(81 * k for k in range(1, 20, 2))
+    _, _, worst_q, violations = dio._odd_type_scan(0, D24, T119, 1000)
+    assert worst_q == 999 and violations == tuple(range(65, 1001, 2))  # -q^4/t is least at the top
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2**40), st.integers(0, 2**80), st.integers(0, 130), st.integers(60, 3000))
+def test_odd_type_screen_matches_on_random_dyadic_data(d, big_n, k, qmax):
+    assert dio._odd_type_scan(big_n, d, d * 2**k, qmax) == ref.odd_type_scan(big_n, d, d * 2**k, qmax)
 
 
 def test_odd_type_margin_definition():

@@ -10,7 +10,9 @@ from wavesnap.propagators import (
     InvalidScale,
     as_radians,
     chebyshev_U,
+    cos_at,
     fundamental_identities_check,
+    kernel_threshold,
     psi_at,
     psi_grid,
     sine_at,
@@ -190,6 +192,17 @@ def test_float_time_zeros_are_nonzero_multiples_of_pi():
     assert sine_at(-1.0, 1e3 * math.pi)[1]
 
 
+def test_time_kinds_reach_their_branch():
+    # a Fraction subclass is an exact time beta pi, an int a time in radians
+    class Beta(Fraction):
+        pass
+
+    assert sine_at(Beta(1), 1.0) == sine_at(Fraction(1), 1.0) == (0.0, True)
+    assert cos_at(Beta(1, 3), 1.5) == cos_at(Fraction(1, 3), 1.5) == math.cos(math.pi / 2)
+    assert sine_at(3, 1.25) == sine_at(3.0, 1.25) == (math.sin(3.75) / 1.25, False)
+    assert cos_at(3, 1.25) == math.cos(3.75)
+
+
 # -- array forms: every element is the scalar rule's, bit for bit ---------------
 
 # radii at zero, inside and around both 1e-6 windows, and at kernel radii k pi
@@ -198,6 +211,15 @@ GRID_RADII = [0.0, 5e-324, 1e-12, 3e-7, 9.9e-7, 1e-6, 1.01e-6, 2e-6, 0.5, 1.0, 2
 GRID_RADII += [k * math.pi for k in (1, 2, 3, 7, 1000)]
 GRID_RADII += [math.pi - 5e-7, math.pi + 9e-7, 2 * math.pi + 2e-6, 7 * math.pi - 1.1e-6]
 FRACTION_TIMES = [Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2)]
+
+
+def test_float_time_sine_at_is_sine_over_and_the_kernel_test():
+    # sine_at computes sin(w t) once; its pair is sine_over's value and the kernel rule, bit for bit
+    for t in (0.0, 1.0, -2.5, 3e-7, 1e3):
+        for w in GRID_RADII:
+            u = t * w
+            zero = t == 0.0 or (abs(u) >= 1.0 and abs(math.sin(u)) < kernel_threshold(u))
+            assert sine_at(t, w) == (sine_over(t, w), zero)
 
 
 def hex_rows(values):

@@ -251,6 +251,22 @@ def test_three_snapshot_obstructed_on_fabricated_data():
     assert rep.solution is None
 
 
+def test_three_snapshot_holds_each_mode_to_its_own_conditioning():
+    # a third snapshot off by 1e-3 at one well-conditioned mode obstructs, and
+    # one near-kernel mode elsewhere (conditioning ~3e12) must not hide it
+    alpha = math.sqrt(2.0)
+    plain = [((0.7,), 1.0), ((1.9,), 0.5j), ((3.4,), -0.8)]
+    near = ((2 * math.pi * (1 - 3e-13),), 0.3)
+    for modes in (plain, plain + [near]):
+        data = wave(1, modes, [(k, 0.2 - 0.1j * i) for i, (k, _) in enumerate(modes)])
+        fa = perturbed(evolve(data, alpha), (1.9,), 1e-3)
+        rep = snap.three_snapshot_solve(data.position, evolve(data, 1.0), fa, alpha)
+        assert rep.status == snap.STATUS_OBSTRUCTED and rep.solution is None
+        assert "at key (1.9,)" in rep.note
+        assert rep.residual == pytest.approx(1e-3)
+    assert rep.conditioning > 1e12  # still the worst over all modes
+
+
 def test_three_snapshot_rejects_degenerate_alpha():
     f = field(1, [((1.0,), 1.0)])
     for alpha in (0.0, 1.0, Fraction(1)):
