@@ -25,7 +25,6 @@ from .fields import (
     save_field,
     subtract,
     symbol_constant,
-    symbol_product,
 )
 from .propagators import (
     IdentityReport,

@@ -167,10 +167,6 @@ class MultiplierSymbol:
         return self.fn(lam)
 
 
-def symbol_product(a: MultiplierSymbol, b: MultiplierSymbol) -> MultiplierSymbol:
-    return MultiplierSymbol(f"({a.label})*({b.label})", lambda lam: a.fn(lam) * b.fn(lam))
-
-
 def symbol_constant(c: complex) -> MultiplierSymbol:
     return MultiplierSymbol(f"{c:g}", lambda lam: c)
 

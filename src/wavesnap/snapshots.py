@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-import mpmath
-
 from . import diophantine
 from .fields import (
     Field,
@@ -33,7 +31,6 @@ from .fields import (
     linear_combine,
     max_abs_amp,
     subtract,
-    symbol_product,
     symbol_values,
     union_support,
 )
@@ -289,14 +286,6 @@ def _validate_pq(p: int, q: int) -> None:
         raise InvalidTimes(f"need coprime times, gcd({p}, {q}) = {math.gcd(p, q)}")
 
 
-def _psi_gate_residual(va: Field, vb: Field, p: int, q: int, unit: float) -> float:
-    """Residual of Psi_{q,u} va - Psi_{p,u} vb on the windows va = fa - S'_{pu} f0
-    and vb = fb - S'_{qu} f0, which vanishes on genuine snapshots at 0, pu, qu."""
-    lhs = apply_multiplier(va, symbol_Psi(q, unit))
-    rhs = apply_multiplier(vb, symbol_Psi(p, unit))
-    return max_abs_amp(subtract(lhs, rhs))
-
-
 # ---------------------------------------------------------------------------
 # solvers
 
@@ -453,19 +442,35 @@ def _bezout_solve(f0: Field, fa: Field, fb: Field, p: int, q: int, unit: float) 
         Psi_{k, p u} S'_{l q u} (fa - S'_{p u} f0) + Psi_{l, q u} S'_{k p u} (fb - S'_{q u} f0)
     equals S_u g identically, because sin(k p x) cos(l q x) + sin(l q x) cos(k p x)
     = sin(x) for x = u lam.  One division by the symbol of S_u finishes; its
-    kernel (lam in pi Z / u) is the only non-uniqueness.  Each of the two
-    product symbols is evaluated once per key, for the combination and the gain.
+    kernel (lam in pi Z / u) is the only non-uniqueness.  The windows, the Psi
+    gate and both product symbols are columns over the keys, built in one pass.
     """
-    va = subtract(fa, apply_multiplier(f0, symbol_Sprime(p * unit)))
-    vb = subtract(fb, apply_multiplier(f0, symbol_Sprime(q * unit)))
-    gate = _psi_gate_residual(va, vb, p, q, unit)
+    pu, qu = p * unit, q * unit
+    for f in (fa, fb):
+        f.check_same_basis(f0)
+    keys, freqs = union_support((f0, fa, fb))
+    k, l = diophantine.bezout(p, q)
+    a, b, psi_a, psi_b, sym_a, sym_b = [], [], [], [], [], []  # a, b: the windows fa - S'_{pu} f0, fb - S'_{qu} f0
+    try:
+        for lam, x, y, z in zip(freqs, *(aligned(f.keys, f.amps, keys) for f in (f0, fa, fb))):
+            u, ua, ub = unit * lam, pu * lam, qu * lam
+            sin_u = math.sin(u)
+            a.append(y - math.cos(ua) * x)
+            b.append(z - math.cos(ub) * x)
+            psi_a.append(psi_at(q, u, sin_u) * a[-1])
+            psi_b.append(psi_at(p, u, sin_u) * b[-1])
+            sym_a.append(psi_at(k, ua, math.sin(ua)) * math.cos(l * q * unit * lam))
+            sym_b.append(psi_at(l, ub, math.sin(ub)) * math.cos(k * p * unit * lam))
+    except (ArithmeticError, ValueError):
+        symbols = (symbol_Sprime(pu), symbol_Sprime(qu), symbol_Psi(q, unit), symbol_Psi(p, unit), symbol_Psi(k, pu))
+        _name_bad_symbol(symbols + (symbol_Sprime(l * q * unit), symbol_Psi(l, qu), symbol_Sprime(k * p * unit)), freqs)
+        raise
+    check_finite(a + b + psi_a + psi_b)
+    diffs = list(map(operator.sub, psi_a, psi_b))  # Psi_{q,u} va - Psi_{p,u} vb, zero on genuine snapshots
+    check_finite(diffs)
+    gate = max(map(abs, diffs), default=0.0)
     if gate > RATIONAL_GATE_TOL:
         raise IncompatibleData(f"snapshot compatibility residual {gate:.3e} exceeds {RATIONAL_GATE_TOL:.1e}", gate)
-    k, l = diophantine.bezout(p, q)
-    keys, freqs, (a, b) = _solve_columns((f0, fa, fb), (va, vb))
-    sym_a = symbol_values(symbol_product(symbol_Psi(k, p * unit), symbol_Sprime(l * q * unit)), freqs)
-    sym_b = symbol_values(symbol_product(symbol_Psi(l, q * unit), symbol_Sprime(k * p * unit)), freqs)
-    # the combination as linear_combine sums it, up to the sign of a zero sum, whose quotient the solution drops
     num = list(map(operator.add, map(operator.mul, sym_a, a), map(operator.mul, sym_b, b)))
     check_finite(num)
     su, zero = _sines(unit, freqs)
@@ -522,6 +527,8 @@ def liouville_obstruction_demo(k_max: int) -> LiouvilleDemoReport:
     raises PrecisionExhausted before any exact sum is formed, and returned
     in ascending k.
     """
+    import mpmath  # only this demo needs it
+
     if not 1 <= k_max <= 25:
         raise ValueError(f"k_max must be in [1, 25], got {k_max}")
     depth = diophantine.FACTORIAL_DEPTH_CAP

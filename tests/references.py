@@ -2,9 +2,10 @@
 
 Each is the plain per-key, per-entry or per-row form of a rule the library
 now runs a column at a time: the grid rows as fields, the row-callback solve
-loop and the solvers written on it, the entry-by-entry field loaders, the
-per-q odd-type scan and the per-row CSV writer.  Tests compare the library
-with these bit for bit.
+loop and the solvers written on it (the Bezout solve on fields), the
+entry-by-entry field loaders, the per-q odd-type scan, the per-row CSV
+writer and the zonal sums with a recurrence restarted per degree.  Tests
+compare the library with these bit for bit.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from fractions import Fraction
 from wavesnap import diophantine, snapshots
 from wavesnap.fields import (
     DimensionMismatch,
+    MultiplierSymbol,
     SpectralField,
     aligned,
     apply_multiplier,
     linear_combine,
     max_abs_amp,
     subtract,
-    symbol_product,
     union_support,
 )
 from wavesnap.propagators import as_radians, cos_at, sine_at, symbol_Psi, symbol_Sprime
@@ -42,7 +43,7 @@ from wavesnap.snapshots import (
     grid_rows,
     snapshot_grid,
 )
-from wavesnap.sphere import SphereField, dim_Hl, frequency
+from wavesnap.sphere import RequiresOddDimension, RequiresZonal, SphereField, dim_Hl, frequency
 
 # ---------------------------------------------------------------------------
 # the grids' rows as fields
@@ -222,10 +223,22 @@ def rational_reconstruct(f0, fp, fq, p, q):
     return bezout_solve(f0, fp, fq, p, q, 1.0)
 
 
+def symbol_product(a, b):
+    return MultiplierSymbol(f"({a.label})*({b.label})", lambda lam: a.fn(lam) * b.fn(lam))
+
+
+def psi_gate_residual(va, vb, p, q, unit):
+    """Residual of Psi_{q,u} va - Psi_{p,u} vb on the windows va = fa - S'_{pu} f0
+    and vb = fb - S'_{qu} f0, which vanishes on genuine snapshots at 0, pu, qu."""
+    lhs = apply_multiplier(va, symbol_Psi(q, unit))
+    rhs = apply_multiplier(vb, symbol_Psi(p, unit))
+    return max_abs_amp(subtract(lhs, rhs))
+
+
 def bezout_solve(f0, fa, fb, p, q, unit):
     va = subtract(fa, apply_multiplier(f0, symbol_Sprime(p * unit)))
     vb = subtract(fb, apply_multiplier(f0, symbol_Sprime(q * unit)))
-    gate = snapshots._psi_gate_residual(va, vb, p, q, unit)
+    gate = psi_gate_residual(va, vb, p, q, unit)
     if gate > RATIONAL_GATE_TOL:
         raise IncompatibleData(f"snapshot compatibility residual {gate:.3e} exceeds {RATIONAL_GATE_TOL:.1e}", gate)
     k, l = diophantine.bezout(p, q)
@@ -248,6 +261,55 @@ def bezout_solve(f0, fa, fb, p, q, unit):
     return row_diagonal_solve(
         (f0, fa, fb), (va, vb, num), row, "kernel-mode data admits no wave through all three snapshots", verify
     )
+
+
+# ---------------------------------------------------------------------------
+# zonal evaluation, one recurrence per degree
+
+
+def gegenbauer_phi(n, l, c):
+    """phi_l(c), the recurrence run from degree 0 to l."""
+    if not -1.0 <= c <= 1.0:
+        raise ValueError(f"argument must lie in [-1, 1], got {c}")
+    dim_Hl(n, l)
+    if l == 0:
+        return 1.0
+    nu = 0.5 * (n - 1)
+    prev, cur = 1.0, 2.0 * nu * c
+    for j in range(1, l):
+        prev, cur = cur, (2.0 * (j + nu) * c * cur - (j + 2.0 * nu - 1.0) * prev) / (j + 1)
+    return cur / math.comb(l + n - 2, l)
+
+
+def zonal_value(f, c):
+    """sum amp sqrt(dim_Hl) phi_l(c) over the keys, each phi_l on its own."""
+    if not f.is_zonal:
+        raise RequiresZonal("field has coefficients outside the zonal line m = 1")
+    total = 0j
+    for (l, _), amp in zip(f.keys, f.amps):
+        total += amp * math.sqrt(dim_Hl(f.n, l)) * gegenbauer_phi(f.n, l, c)
+    return total
+
+
+def huygens_antipodal_check(f0, g, times, c_count=20):
+    """`sphere.huygens_antipodal_check` with one `zonal_value` per point and field."""
+    data = CauchyData(f0, g)
+    n = f0.n
+    if n % 2 == 0:
+        raise RequiresOddDimension(f"antipodal identity needs odd n, got {n}")
+    if not (f0.is_zonal and g.is_zonal):
+        raise RequiresZonal("pointwise check runs on zonal data")
+    if not times:
+        raise ValueError("need at least one time")
+    sign = -1.0 if ((n - 1) // 2) % 2 else 1.0
+    cs = [math.cos(math.pi * j / (c_count - 1)) for j in range(c_count)]
+    worst = 0.0
+    for t in times:
+        u_here = evolve(data, t)
+        u_there = evolve(data, t + math.pi)
+        for c in cs:
+            worst = max(worst, abs(zonal_value(u_there, -c) - sign * zonal_value(u_here, c)))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -363,12 +363,13 @@ runs = [
     ["sphere", "solve", "--f0", p["s0"], "--falpha", p["salpha"], "--alpha", "0.7"],
 ]
 codes = [cli.run(argv + ["--out", os.path.join(d, "out.json")]) for argv in runs]
-print(codes, "numpy" in sys.modules)
+print(codes, "numpy" in sys.modules, "mpmath" in sys.modules)
 """
 
 
 def test_solve_verbs_leave_numpy_unloaded(tmp_path):
-    # the field verbs run in plain floats: numpy's import would add ~10 MB to their peak memory
+    # the field verbs run in plain floats: numpy's import would add ~10 MB to their
+    # peak memory, and mpmath's (needed by the Liouville demo alone) a few more
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     done = subprocess.run(
         [sys.executable, "-c", SOLVE_VERBS_WITHOUT_NUMPY, str(tmp_path)],
@@ -378,7 +379,7 @@ def test_solve_verbs_leave_numpy_unloaded(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "False"], done.stdout + done.stderr
+    assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "False", "False"], done.stdout + done.stderr
 
 
 def test_parser_reuse_is_stateless(tmp_path, capsys, monkeypatch):

@@ -21,13 +21,12 @@ from wavesnap.fields import (
     save_field,
     subtract,
     symbol_constant,
-    symbol_product,
     write_text_atomic,
 )
 from wavesnap.propagators import symbol_Psi, symbol_S, symbol_Sprime
 from wavesnap.snapshots import CauchyData, evolve
 
-from references import evolve_series, field_from_json_by_entry, snapshot_series
+from references import evolve_series, field_from_json_by_entry, snapshot_series, symbol_product
 
 
 def test_field_merges_repeated_frequencies():

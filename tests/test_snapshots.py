@@ -496,5 +496,15 @@ def test_column_solvers_match_the_row_loop(seed):
         for falpha in (fa, perturbed(fa, (5, 30))):
             args = (on_sphere.position, falpha, alpha)
             cases.append((sph.sphere_two_snapshot_solve, ref.sphere_two_snapshot_solve, args))
+    # the Bezout path on S^3, at integer times (2, 3) and at alpha = 2/3; a
+    # perturbed snapshot fails the compatibility gate
+    s0 = on_sphere.position
+    s1, s2, s3, s23 = (evolve(on_sphere, t) for t in (1.0, 2.0, 3.0, 2.0 / 3.0))
+    bad = perturbed(s2, (5, 30))
+    assert solve_outcome(snap.rational_reconstruct, s0, bad, s3, 2, 3)[0] is snap.IncompatibleData
+    for fp in (s2, bad):
+        cases.append((snap.rational_reconstruct, ref.rational_reconstruct, (s0, fp, s3, 2, 3)))
+    for fa in (s23, perturbed(s23, (5, 30))):
+        cases.append((snap.three_snapshot_solve, ref.three_snapshot_solve, (s0, s1, fa, Fraction(2, 3))))
     for solve, reference, args in cases:
         assert solve_outcome(solve, *args) == solve_outcome(reference, *args), (solve.__name__, args[-1])

@@ -7,10 +7,12 @@ import pytest
 import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
-from wavesnap import diophantine as dio, sphere as sph
+from wavesnap import diophantine as dio, experiments, sphere as sph
 from wavesnap.fields import DimensionMismatch, field, field_from_json, json_text, linear_combine
 from wavesnap.propagators import cos_at, sine_at, symbol_Psi
 from wavesnap.snapshots import STATUS_NONUNIQUE, STATUS_OBSTRUCTED, STATUS_UNIQUE, CauchyData, InvalidTime, evolve
+
+import references as ref
 
 
 def test_harmonic_dimensions():
@@ -180,6 +182,73 @@ def test_huygens_antipodal_focusing():
     g = sph.sphere_field(3, [(l, 1, -(0.4**l)) for l in range(8)])
     times = [0.1 + 0.3 * k for k in range(15)]
     assert sph.huygens_antipodal_check(f0, g, times) < 1e-11
+
+
+def hex_or_error(fn, *args):
+    """fn(*args), a float or complex, as the hex of its parts, or the type and
+    text of what it raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the reference must raise the same
+        return type(exc), str(exc)
+    return tuple(float.hex(x) for x in (value.real, value.imag))
+
+
+ZONAL_TERMS = st.lists(
+    st.tuples(st.integers(0, 60), st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)),
+    max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 7), ZONAL_TERMS, st.lists(st.floats(-1.0, 1.0), max_size=4))
+def test_zonal_value_matches_the_per_degree_sums(n, terms, cs):
+    # one recurrence per point gives every degree's phi_l, and every sum, bit for bit
+    f = sph.sphere_field(n, [(l, 1, a) for l, a in terms])
+    points = [1.0, -1.0, 0.0, -0.0, *cs]
+    for c in points + [1.0 + 2**-52, -1.5, math.nan]:  # the last three are out of range
+        assert hex_or_error(sph.zonal_value, f, c) == hex_or_error(ref.zonal_value, f, c), c
+    for l in {l for l, _ in terms}:
+        for c in points:
+            assert sph.gegenbauer_phi(n, l, c).hex() == ref.gegenbauer_phi(n, l, c).hex(), (l, c)
+    off_zonal = sph.sphere_field(n, [(l, 1, a) for l, a in terms] + [(1, 2, 1.0)])
+    assert hex_or_error(sph.zonal_value, off_zonal, 0.5)[0] is sph.RequiresZonal
+    assert hex_or_error(ref.zonal_value, off_zonal, 0.5)[0] is sph.RequiresZonal
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 5, 7]), ZONAL_TERMS, ZONAL_TERMS, st.lists(st.floats(0.0, 7.0), min_size=1, max_size=3),
+       st.integers(2, 21))
+def test_huygens_check_matches_the_per_point_reference(n, u0, g, times, c_count):
+    f0, g = (sph.sphere_field(n, [(l, 1, a) for l, a in terms]) for terms in (u0, g))
+    got = hex_or_error(sph.huygens_antipodal_check, f0, g, times, c_count)
+    assert got == hex_or_error(ref.huygens_antipodal_check, f0, g, times, c_count)
+
+
+def test_zonal_errors_match_the_reference():
+    z3, z2 = sph.sphere_field(3, [(2, 1, 1.0)]), sph.sphere_field(2, [(1, 1, 1.0)])
+    empty, off = sph.sphere_field(3, []), sph.sphere_field(3, [(1, 2, 1.0)])
+    for f, c in ((z3, 1.5), (z3, math.nan), (off, 0.5), (empty, 0.5), (empty, 7.0)):
+        assert hex_or_error(sph.zonal_value, f, c) == hex_or_error(ref.zonal_value, f, c), (f, c)
+    assert sph.zonal_value(empty, 7.0) == 0j  # an empty field is zero everywhere, without a range check
+    for n, l, c in ((1, 3, 2.0), (1, 3, 0.5), (3, -1, 0.5), (3, -1, math.nan)):  # c is checked first, then n, then l
+        assert hex_or_error(sph.gegenbauer_phi, n, l, c) == hex_or_error(ref.gegenbauer_phi, n, l, c), (n, l, c)
+    for args in ((z2, z2, [0.5]), (off, z3, [0.5]), (z3, off, [0.5]), (z3, z3, []), (z3, empty, [0.5], 1)):
+        got = hex_or_error(sph.huygens_antipodal_check, *args)
+        assert got == hex_or_error(ref.huygens_antipodal_check, *args) and isinstance(got[0], type), args
+
+
+def test_antipodal_gate_fails_on_a_late_snapshot(monkeypatch):
+    # negative control for the sphere experiment's 1e-10 gate: u(t + pi)
+    # evolved 1e-3 too late (for t < pi) breaks the identity far above it
+    evolve_now = sph.evolve
+    monkeypatch.setattr(sph, "evolve", lambda data, t: evolve_now(data, t + 1e-3 if t >= math.pi else t))
+    f0 = sph.sphere_field(3, [(l, 1, 0.6**l) for l in range(8)])
+    g = sph.sphere_field(3, [(l, 1, -(0.4**l)) for l in range(8)])
+    assert sph.huygens_antipodal_check(f0, g, [0.1, 1.3, 2.9]) > 1e-6
+    result = experiments.sphere_suite(1)
+    (line,) = [c for c in result["details"].split("; ") if c.startswith("antipodal residual")]
+    assert not result["passed"] and float(line.split()[2]) > 1e-6, line
 
 
 # -- the solver ---------------------------------------------------------------
