@@ -355,13 +355,12 @@ def diagonal_solve(
     return SolveReport(STATUS_NONUNIQUE if kernel else STATUS_UNIQUE, g, residual, conditioning, kernel, note)
 
 
-def _solve_columns(support: Sequence[Field], rhs: Sequence[Field]) -> tuple[tuple, tuple, list]:
-    """The union of the keys of `support` (one basis), its frequencies, and
-    the amplitudes of each `rhs` field read at those keys."""
-    for f in support[1:]:
-        support[0].check_same_basis(f)
-    keys, freqs = union_support(support)
-    return keys, freqs, [aligned(f.keys, f.amps, keys) for f in rhs]
+def _solve_columns(fields: Sequence[Field]) -> tuple[tuple, tuple, list]:
+    """The union of the keys of `fields` (one basis), its frequencies, and each field's amplitudes there."""
+    for f in fields[1:]:
+        fields[0].check_same_basis(f)
+    keys, freqs = union_support(fields)
+    return keys, freqs, [aligned(f.keys, f.amps, keys) for f in fields]
 
 
 def _sines(t: float | Fraction, freqs: Sequence[float]) -> tuple[Sequence[float], Sequence[bool]]:
@@ -392,7 +391,7 @@ def _two_snapshot_solve(f0: Field, ft: Field, t: float | Fraction, kernel_note: 
     def verify(g: Field) -> tuple[float, str]:
         return max_abs_amp(subtract(ft, evolve(CauchyData(f0, g), t))), ""
 
-    keys, freqs, (a, b) = _solve_columns((f0, ft), (f0, ft))
+    keys, freqs, (a, b) = _solve_columns((f0, ft))
     return diagonal_solve(f0, keys, freqs, [_snapshot_equation(t, freqs, a, b)], kernel_note, verify=verify)
 
 
@@ -416,9 +415,9 @@ def three_snapshot_solve(f0: Field, f1: Field, falpha: Field, alpha: float | Fra
         except IncompatibleData as exc:
             return SolveReport(STATUS_OBSTRUCTED, None, exc.residual, 0.0, (), str(exc))
     alpha = float(alpha)
-    if alpha in (0.0, 1.0):
-        raise InvalidTime(f"alpha must differ from both snapshot times, got {alpha}")
-    keys, freqs, (a, b, c) = _solve_columns((f0, f1, falpha), (f0, f1, falpha))
+    if alpha in (0.0, 1.0) or not math.isfinite(alpha):
+        raise InvalidTime(f"alpha must be finite and differ from both snapshot times, got {alpha}")
+    keys, freqs, (a, b, c) = _solve_columns((f0, f1, falpha))
     equations = [_snapshot_equation(1.0, freqs, a, b), _snapshot_equation(alpha, freqs, a, c)]
     return diagonal_solve(f0, keys, freqs, equations, "data at shared kernel frequencies has no preimage")
 

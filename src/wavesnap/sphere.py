@@ -212,8 +212,8 @@ def sphere_snapshot(u0: SphereField, ualpha: SphereField, alpha: float | Fractio
 def huygens_antipodal_check(
     f0: SphereField, g: SphereField, times: Sequence[float], c_count: int = 20
 ) -> float:
-    """Max residual of u(-x, t + pi) = (-1)^((n-1)/2) u(x, t) over zonal
-    evaluation points and the given times.  Odd n only; this is the clean
+    """Max residual of u(-x, t + pi) = (-1)^((n-1)/2) u(x, t) over c_count >= 2
+    zonal evaluation points and the given times.  Odd n only; this is the clean
     Huygens statement the shifted equation satisfies.  Each evolved field
     costs one O(L) recurrence per point, L its top degree."""
     data = CauchyData(f0, g)
@@ -224,6 +224,8 @@ def huygens_antipodal_check(
         raise RequiresZonal("pointwise check runs on zonal data")
     if not times:
         raise ValueError("need at least one time")
+    if c_count < 2:
+        raise ValueError(f"c_count must be at least 2, got {c_count}")
     sign = -1.0 if ((n - 1) // 2) % 2 else 1.0
     cs = [math.cos(math.pi * j / (c_count - 1)) for j in range(c_count)]
     worst = 0.0

@@ -208,8 +208,8 @@ def three_snapshot_solve(f0, f1, falpha, alpha):
         except IncompatibleData as exc:
             return SolveReport(STATUS_OBSTRUCTED, None, exc.residual, 0.0, (), str(exc))
     alpha = float(alpha)
-    if alpha in (0.0, 1.0):
-        raise InvalidTime(f"alpha must differ from both snapshot times, got {alpha}")
+    if alpha in (0.0, 1.0) or not math.isfinite(alpha):
+        raise InvalidTime(f"alpha must be finite and differ from both snapshot times, got {alpha}")
 
     def row(key, w, a, b, c):
         return (_equation(1.0, w, a, b), _equation(alpha, w, a, c)), 1.0
@@ -301,6 +301,8 @@ def huygens_antipodal_check(f0, g, times, c_count=20):
         raise RequiresZonal("pointwise check runs on zonal data")
     if not times:
         raise ValueError("need at least one time")
+    if c_count < 2:
+        raise ValueError(f"c_count must be at least 2, got {c_count}")
     sign = -1.0 if ((n - 1) // 2) % 2 else 1.0
     cs = [math.cos(math.pi * j / (c_count - 1)) for j in range(c_count)]
     worst = 0.0

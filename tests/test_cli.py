@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,8 +11,8 @@ import pytest
 
 from wavesnap import cli, diophantine as dio
 from wavesnap.fields import field, load_field, save_field
-from wavesnap.snapshots import CauchyData, evolve
-from wavesnap.sphere import load_sphere_field, save_sphere_field, sphere_field
+from wavesnap.snapshots import CauchyData, evolve, general_integer_snapshot
+from wavesnap.sphere import load_sphere_field, save_sphere_field, sphere_field, sphere_snapshot
 
 import references as ref
 
@@ -218,7 +219,7 @@ def test_sphere_margin_reads_2w_exactly_beyond_float_precision(capsys):
         assert (doc["C"] > 0) is passes, n
 
 
-def test_json_verbs_write_what_json_dumps_writes(wave_files):
+def test_json_verbs_write_what_json_dumps_writes(wave_files, capsys):
     """Every JSON verb run above writes the text `json.dumps(doc, indent=2)`
     writes for its own parse; a field output loads back as the field written."""
     tmp, pf, pg = wave_files
@@ -228,9 +229,11 @@ def test_json_verbs_write_what_json_dumps_writes(wave_files):
     save_sphere_field(s0, ps0)
     save_sphere_field(sg, psg)
     f1, fa, sa = str(tmp / "f1.json"), str(tmp / "fa.json"), str(tmp / "sa.json")
+    w3, sneg, s3 = str(tmp / "w3.json"), str(tmp / "sneg.json"), str(tmp / "s3.json")
     runs = [
         ["wave", "evolve", "--field", pf, "--velocity", pg, "--t", "1.0", "--out", f1],
         ["wave", "evolve", "--field", pf, "--velocity", pg, "--t", "0.4", "--out", fa],
+        ["wave", "snapshot", "--ua", pf, "--ub", f1, "--m", "3", "--out", w3],
         ["wave", "two-solve", "--f0", pf, "--f1", f1],
         ["wave", "three-solve", "--f0", pf, "--f1", f1, "--falpha", fa, "--alpha-frac", "2/5"],
         ["wave", "rational-solve", "--f0", pf, "--fp", pg, "--fq", f1, "--p", "2", "--q", "3"],
@@ -238,6 +241,8 @@ def test_json_verbs_write_what_json_dumps_writes(wave_files):
         ["dio", "class", "--number", "liouville:10:3"],
         ["dio", "oddtype", "--qmax", "200"],
         ["sphere", "evolve", "--f0", ps0, "--g", psg, "--t-pi", "1/3", "--out", sa],
+        ["sphere", "evolve", "--f0", ps0, "--g", psg, "--t", "-0.7", "--out", sneg],
+        ["sphere", "snapshot", "--ua", ps0, "--ualpha", sneg, "--alpha", "-0.7", "--m", "3", "--out", s3],
         ["sphere", "solve", "--f0", ps0, "--falpha", sa, "--alpha-pi", "1/3"],
         ["sphere", "classify", "--number", "golden", "--n", "3"],
         ["sphere", "margin", "--alpha-pi", "1/2", "--n", "3", "--max-degree", "100", "--exponent", "3"],
@@ -252,6 +257,11 @@ def test_json_verbs_write_what_json_dumps_writes(wave_files):
     for t, path in ((1.0, f1), (0.4, fa)):
         assert load_field(path) == evolve(CauchyData(load_field(pf), load_field(pg)), t)
     assert load_sphere_field(sa) == evolve(CauchyData(s0, sg), math.pi * (1 / 3))
+    assert load_field(w3) == general_integer_snapshot(load_field(pf), load_field(f1), 0.0, 1.0, 3)
+    assert load_sphere_field(s3) == sphere_snapshot(s0, load_sphere_field(sneg), -0.7, 3)
+    capsys.readouterr()
+    assert cli.run(["wave", "snapshot", "--ua", pf, "--ub", f1, "--m", "3", "--a", "2", "--b", "1"]) == 1
+    assert capsys.readouterr().err.startswith("wavesnap: error: need a < b")
 
 
 def test_reproduce_suite(capsys):
@@ -313,6 +323,22 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.run(["sphere", "margin", "--alpha", "inf", "--n", "3", "--max-degree", "100", "--out", str(out)]) == 1
     assert "wavesnap: error:" in capsys.readouterr().err
     assert not out.exists()
+    # domain error: a non-finite third time, which no three-snapshot solve can check
+    f1 = tmp_path / "f1.json"
+    save_field(evolve(CauchyData(field(1, [((10.0,), 1.0)]), field(1, [((10.0,), 1.0)])), 1.0), str(f1))
+    for alpha in ("nan", "inf", "-inf"):
+        argv = ["wave", "three-solve", "--f0", str(pf), "--f1", str(f1), "--falpha", str(f1), f"--alpha={alpha}"]
+        assert cli.run(argv + ["--out", str(out)]) == 1, alpha
+        assert capsys.readouterr().err.startswith("wavesnap: error: alpha must be finite"), alpha
+        assert not out.exists()
+    # domain error: fewer than two antipodal evaluation points
+    z = tmp_path / "z.json"
+    save_sphere_field(sphere_field(3, [(1, 1, 1.0)]), str(z))
+    for count in ("1", "0", "-3"):
+        argv = ["sphere", "huygens", "--f0", str(z), "--g", str(z), f"--c-count={count}", "--out", str(out)]
+        assert cli.run(argv) == 1, count
+        assert capsys.readouterr().err.startswith(f"wavesnap: error: c_count must be at least 2, got {count}"), count
+        assert not out.exists()
     # domain error: a joint-bound sweep with no finite grid, or too large a one
     for xmax in ("inf", "nan", "1e7"):
         assert cli.run(["dio", "jointbound", "--xmax", xmax]) == 1, xmax
@@ -350,16 +376,19 @@ d = sys.argv[1]
 flat = CauchyData(field(2, [((0.9, 0.2), 1.0), ((math.pi, 0.0), 0.5j), ((2.2, -1.0), 1j)]),
                   field(2, [((0.9, 0.2), 0.5), ((2.2, -1.0), -1.0)]))
 on_sphere = CauchyData(sphere_field(3, [(0, 1, 1.0), (2, 3, 0.5j)]), sphere_field(3, [(1, 2, 1.0), (2, 3, -1.0)]))
-files = {"f0": flat.position, "g": flat.velocity, "s0": on_sphere.position,
+files = {"f0": flat.position, "g": flat.velocity, "s0": on_sphere.position, "sg": on_sphere.velocity,
          "salpha": evolve(on_sphere, 0.7), **{f"f{t}": evolve(flat, t) for t in (1, 2, 3)}, "f2_3": evolve(flat, 2 / 3)}
 for name, f in files.items():
     save_field(f, os.path.join(d, name + ".json"))
 p = {name: os.path.join(d, name + ".json") for name in files}
 runs = [
     ["wave", "evolve", "--field", p["f0"], "--velocity", p["g"], "--t", "0.5"],
+    ["wave", "snapshot", "--ua", p["f0"], "--ub", p["f1"], "--m", "5"],
     ["wave", "two-solve", "--f0", p["f0"], "--f1", p["f1"]],
     ["wave", "three-solve", "--f0", p["f0"], "--f1", p["f1"], "--falpha", p["f2_3"], "--alpha-frac", "2/3"],
     ["wave", "rational-solve", "--f0", p["f0"], "--fp", p["f2"], "--fq", p["f3"], "--p", "2", "--q", "3"],
+    ["sphere", "evolve", "--f0", p["s0"], "--g", p["sg"], "--t", "0.7"],
+    ["sphere", "snapshot", "--ua", p["s0"], "--ualpha", p["salpha"], "--alpha", "0.7", "--m", "4"],
     ["sphere", "solve", "--f0", p["s0"], "--falpha", p["salpha"], "--alpha", "0.7"],
 ]
 codes = [cli.run(argv + ["--out", os.path.join(d, "out.json")]) for argv in runs]
@@ -379,7 +408,42 @@ def test_solve_verbs_leave_numpy_unloaded(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "False", "False"], done.stdout + done.stderr
+    expected = ["[0,", "0,", "0,", "0,", "0,", "0,", "0,", "0]", "False", "False"]
+    assert done.stdout.split() == expected, done.stdout + done.stderr
+
+
+EACH_MODULE_ALONE = r"""
+import importlib, sys
+
+def purge():
+    for name in [name for name in sys.modules if name == "wavesnap" or name.startswith("wavesnap.")]:
+        del sys.modules[name]
+
+for module in ("fields", "propagators", "diophantine", "snapshots", "sphere", "experiments", "cli"):
+    purge()
+    importlib.import_module("wavesnap." + module)
+    assert "numpy" not in sys.modules and "mpmath" not in sys.modules, module
+purge()
+import wavesnap
+print(wavesnap.__version__, sorted(name for name in sys.modules if name.startswith("wavesnap")))
+"""
+
+
+def test_each_submodule_imports_alone():
+    # `import wavesnap` defines only __version__, so no submodule may lean on
+    # another having been imported first, and none may pull in numpy or mpmath
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", EACH_MODULE_ALONE],
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        version = re.search(r'^version = "([^"]+)"$', fh.read(), re.M).group(1)
+    assert done.stdout.split() == [version, "['wavesnap']"], done.stdout
 
 
 def test_parser_reuse_is_stateless(tmp_path, capsys, monkeypatch):

@@ -269,7 +269,8 @@ def test_three_snapshot_holds_each_mode_to_its_own_conditioning():
 
 def test_three_snapshot_rejects_degenerate_alpha():
     f = field(1, [((1.0,), 1.0)])
-    for alpha in (0.0, 1.0, Fraction(1)):
+    # a non-finite alpha made the time-alpha equation NaN, which max() dropped: Unique whatever falpha held
+    for alpha in (0.0, 1.0, Fraction(1), math.nan, math.inf, -math.inf):
         with pytest.raises(snap.InvalidTime):
             snap.three_snapshot_solve(f, f, f, alpha)
 

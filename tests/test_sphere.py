@@ -176,6 +176,14 @@ def test_huygens_needs_odd_sphere_and_zonal_data():
         sph.huygens_antipodal_check(ef, ef, [0.5])
 
 
+@pytest.mark.parametrize("c_count", [1, 0, -3])
+def test_huygens_needs_two_evaluation_points(c_count):
+    # one point divided by zero, and no points at all passed with a residual of 0.0
+    f = sph.sphere_field(3, [(1, 1, 1.0)])
+    with pytest.raises(ValueError, match=f"c_count must be at least 2, got {c_count}"):
+        sph.huygens_antipodal_check(f, f, [0.5], c_count)
+
+
 def test_huygens_antipodal_focusing():
     # u(pole, t + pi) = -u(antipode, t) on S^3 for odd zonal data
     f0 = sph.sphere_field(3, [(l, 1, 0.6**l) for l in range(8)])
