@@ -112,30 +112,7 @@ def _load(args: argparse.Namespace, *names: str) -> list:
     return loaded
 
 
-def _time(args: argparse.Namespace, name: str) -> float | Fraction:
-    """The time given as --NAME in radians or as --NAME-pi P/Q, meaning P/Q of pi."""
-    exact = getattr(args, f"{name}_pi", None)
-    if exact is not None:
-        return exact
-    if getattr(args, name) is None:
-        raise ValueError(f"need --{name} (radians) or --{name}-pi P/Q (multiple of pi)")
-    return getattr(args, name)
-
-
 # -- serialization ----------------------------------------------------------
-
-
-def _number_payload(x: diophantine.NumberClass) -> dict:
-    return {
-        "label": x.label,
-        "kind": x.kind,
-        "value": x.value,
-        "err_bound": x.err_bound,
-        "measure_bound": x.measure_bound,
-        "base": x.base,
-        "depth": x.depth,
-        "half": x.half.label if x.half is not None else None,
-    }
 
 
 def _solve_payload(rep: snapshots.SolveReport, kernel_name: str = "kernel_modes") -> dict:
@@ -181,66 +158,44 @@ def _emit_csv(
 # -- wave verbs --------------------------------------------------------------
 
 
-def _evolve(args) -> int:
-    u = snapshots.evolve(snapshots.CauchyData(*_load(args, "f0", "g")), _time(args, "t"))
-    _emit_json(args, f"{args.group} {args.verb}", json_members(u))
-    return 0
+def _evolve(args) -> dict:
+    return json_members(snapshots.evolve(snapshots.CauchyData(*_load(args, "f0", "g")), args.t))
 
 
-def _wave_snapshot(args) -> int:
-    u = snapshots.general_integer_snapshot(*_load(args, "ua", "ub"), args.a, args.b, args.m)
-    _emit_json(args, "wave snapshot", json_members(u))
-    return 0
+def _wave_snapshot(args) -> dict:
+    return json_members(snapshots.general_integer_snapshot(*_load(args, "ua", "ub"), args.a, args.b, args.m))
 
 
-def _wave_two_solve(args) -> int:
-    rep = snapshots.two_snapshot_solve(*_load(args, "f0", "f1"))
-    _emit_json(args, "wave two-solve", _solve_payload(rep))
-    return 0
+def _wave_two_solve(args) -> dict:
+    return _solve_payload(snapshots.two_snapshot_solve(*_load(args, "f0", "f1")))
 
 
-def _wave_compat(args) -> int:
+def _wave_compat(args) -> dict:
     r = snapshots.compatibility_residual_general(*_load(args, "f0", "f1", "falpha"), 0.0, 1.0, args.alpha)
-    _emit_json(args, "wave compat", {"alpha": args.alpha, "residual": r})
-    return 0
+    return {"alpha": args.alpha, "residual": r}
 
 
-def _wave_three_solve(args) -> int:
-    alpha = args.alpha_frac if args.alpha_frac is not None else args.alpha
-    if alpha is None:
-        raise ValueError("three-solve needs --alpha or --alpha-frac")
-    rep = snapshots.three_snapshot_solve(*_load(args, "f0", "f1", "falpha"), alpha)
-    payload = {"alpha": alpha, **_solve_payload(rep)}
-    _emit_json(args, "wave three-solve", payload)
-    return 0
+def _wave_three_solve(args) -> dict:
+    rep = snapshots.three_snapshot_solve(*_load(args, "f0", "f1", "falpha"), args.alpha)
+    return {"alpha": args.alpha, **_solve_payload(rep)}
 
 
-def _wave_rational_solve(args) -> int:
+def _wave_rational_solve(args) -> dict:
     try:
-        rep = snapshots.rational_reconstruct(*_load(args, "f0", "fp", "fq"), args.p, args.q)
-        payload = {"p": args.p, "q": args.q, **_solve_payload(rep)}
+        payload = _solve_payload(snapshots.rational_reconstruct(*_load(args, "f0", "fp", "fq"), args.p, args.q))
     except snapshots.IncompatibleData as exc:
-        payload = {
-            "p": args.p,
-            "q": args.q,
-            "status": "IncompatibleData",
-            "residual": exc.residual,
-            "note": str(exc),
-            "solution": None,
-        }
-    _emit_json(args, "wave rational-solve", payload)
-    return 0
+        payload = {"status": "IncompatibleData", "residual": exc.residual, "note": str(exc), "solution": None}
+    return {"p": args.p, "q": args.q, **payload}
 
 
-def _wave_liouville_demo(args) -> int:
+def _wave_liouville_demo(args) -> tuple:
     demo = snapshots.liouville_obstruction_demo(args.kmax)
     rows = [(r.k, r.q, r.sin_abs, r.amplitude) for r in demo.rows]
     comments = [
         f"alpha: base-10 factorial series, depth {args.kmax}",
         f"data_sup at step k: q_k^(1-k); certified: {demo.all_certified}",
     ]
-    _emit_csv(args, "wave liouville-demo", ("k", "q_k", "sin_abs", "amplitude"), rows, comments)
-    return 0
+    return ("k", "q_k", "sin_abs", "amplitude"), rows, comments
 
 
 _SYMBOLS = {
@@ -250,7 +205,7 @@ _SYMBOLS = {
 }
 
 
-def _wave_symbol(args) -> int:
+def _wave_symbol(args) -> tuple:
     sym = _SYMBOLS[args.kind](args)
     if args.count < 2:
         raise ValueError("--count must be at least 2")
@@ -259,70 +214,54 @@ def _wave_symbol(args) -> int:
     for i in range(args.count):
         lam = args.min + i * step
         rows.append((repr(lam), repr(sym(lam))))
-    _emit_csv(args, "wave symbol", ("lam", "value"), rows, [f"symbol: {sym.label}"])
-    return 0
+    return ("lam", "value"), rows, [f"symbol: {sym.label}"]
 
 
 # -- dio verbs ---------------------------------------------------------------
 
 
-def _dio_cfrac(args) -> int:
+def _dio_cfrac(args) -> dict:
     cf = diophantine.continued_fraction(args.value, args.max_terms)
-    _emit_json(
-        args,
-        "dio cfrac",
-        {
-            "value": args.value,
-            "partial_quotients": list(cf.partial_quotients),
-            "convergents": list(cf.convergents),
-        },
-    )
-    return 0
+    return {"value": args.value, "partial_quotients": list(cf.partial_quotients), "convergents": list(cf.convergents)}
 
 
-def _dio_class(args) -> int:
-    _emit_json(args, "dio class", _number_payload(args.number))
-    return 0
+def _dio_class(args) -> dict:
+    x = args.number
+    return {
+        "label": x.label,
+        "kind": x.kind,
+        "value": x.value,
+        "err_bound": x.err_bound,
+        "measure_bound": x.measure_bound,
+        "base": x.base,
+        "depth": x.depth,
+        "half": x.half.label if x.half is not None else None,
+    }
 
 
-def _dio_probe_mu(args) -> int:
+def _dio_probe_mu(args) -> dict:
     rows = diophantine.irrationality_exponent_probe(args.number, args.depth)
-    _emit_json(
-        args,
-        "dio probe-mu",
-        {
-            "number": args.number.label,
-            "rows": [{"index": r.index, "q": r.q, "mu": r.mu} for r in rows],
-        },
-    )
-    return 0
+    return {"number": args.number.label, "rows": [{"index": r.index, "q": r.q, "mu": r.mu} for r in rows]}
 
 
-def _dio_smallden(args) -> int:
+def _dio_smallden(args) -> tuple:
     table = diophantine.small_denominator_sequence(args.number, args.shift, args.count)
     comments = [
         f"beta: {table.beta_label}, shift: {table.shift}",
         f"exact zeros at l: {list(table.zero_rows) if table.zero_rows else 'none'}",
         f"fitted lower-envelope exponent: {table.fitted_exponent}",
     ]
-    _emit_csv(args, "dio smallden", ("l", "value"), table.rows, comments)
-    return 0
+    return ("l", "value"), table.rows, comments
 
 
-def _dio_oddtype(args) -> int:
+def _dio_oddtype(args) -> dict:
     rep = diophantine.odd_type_verifier(args.qmax)
-    _emit_json(args, "dio oddtype", {**dataclasses.asdict(rep), "passes": rep.passes})
-    return 0
+    return {**dataclasses.asdict(rep), "passes": rep.passes}
 
 
-def _dio_jointbound(args) -> int:
+def _dio_jointbound(args) -> dict:
     c, passes = diophantine.joint_sine_lower_bound_check(args.number, args.exponent, args.xmax)
-    _emit_json(
-        args,
-        "dio jointbound",
-        {"number": args.number.label, "exponent": args.exponent, "x_max": args.xmax, "C": c, "passes": passes},
-    )
-    return 0
+    return {"number": args.number.label, "exponent": args.exponent, "x_max": args.xmax, "C": c, "passes": passes}
 
 
 _PROBE_SYMBOLS = {
@@ -332,73 +271,55 @@ _PROBE_SYMBOLS = {
 }
 
 
-def _dio_sdprobe(args) -> int:
+def _dio_sdprobe(args) -> tuple:
     rep = diophantine.slowly_decreasing_probe(
         _PROBE_SYMBOLS[args.symbol](), args.a_const, args.ximax, samples=args.samples
     )
     rows = [(repr(r.xi), repr(r.threshold), repr(r.eta), repr(r.value), r.ok) for r in rep.rows]
     comments = [f"symbol: {args.symbol}, window constant A: {args.a_const}", f"all windows pass: {rep.all_pass}"]
-    _emit_csv(args, "dio sdprobe", ("xi", "threshold", "eta", "value", "ok"), rows, comments)
-    return 0
+    return ("xi", "threshold", "eta", "value", "ok"), rows, comments
 
 
-def _dio_doubled_bound(args) -> int:
+def _dio_doubled_bound(args) -> dict:
     w = diophantine.doubled_liouville_bound(args.number, args.exponent)
-    _emit_json(args, "dio doubled-bound", {"number": args.number.label, **dataclasses.asdict(w), "ok": w.ok})
-    return 0
+    return {"number": args.number.label, **dataclasses.asdict(w), "ok": w.ok}
 
 
 # -- sphere verbs ------------------------------------------------------------
 
 
-def _sphere_snapshot(args) -> int:
-    u = sphere.sphere_snapshot(*_load(args, "ua", "ualpha"), args.alpha, args.m)
-    _emit_json(args, "sphere snapshot", json_members(u))
-    return 0
+def _sphere_snapshot(args) -> dict:
+    return json_members(sphere.sphere_snapshot(*_load(args, "ua", "ualpha"), args.alpha, args.m))
 
 
-def _sphere_solve(args) -> int:
-    alpha = _time(args, "alpha")
-    rep = sphere.sphere_two_snapshot_solve(*_load(args, "f0", "falpha"), alpha, max_degree=args.max_degree)
-    _emit_json(args, "sphere solve", {"alpha": alpha, **_solve_payload(rep, "kernel_coeffs")})
-    return 0
+def _sphere_solve(args) -> dict:
+    rep = sphere.sphere_two_snapshot_solve(*_load(args, "f0", "falpha"), args.alpha, max_degree=args.max_degree)
+    return {"alpha": args.alpha, **_solve_payload(rep, "kernel_coeffs")}
 
 
-def _sphere_huygens(args) -> int:
+def _sphere_huygens(args) -> dict:
     if args.t_count < 2:
         raise ValueError("--t-count must be at least 2")
     times = [args.tmax * j / (args.t_count - 1) for j in range(args.t_count)]
     r = sphere.huygens_antipodal_check(*_load(args, "f0", "g"), times, c_count=args.c_count)
-    _emit_json(args, "sphere huygens", {"t_count": args.t_count, "c_count": args.c_count, "max_residual": r})
-    return 0
+    return {"t_count": args.t_count, "c_count": args.c_count, "max_residual": r}
 
 
-def _sphere_classify(args) -> int:
+def _sphere_classify(args) -> dict:
     cls = sphere.classify_alpha(args.number, args.n)
-    _emit_json(
-        args,
-        "sphere classify",
-        {"n": args.n, "number": args.number.label, "verdict": cls.verdict, "reason": cls.reason},
-    )
-    return 0
+    return {"n": args.n, "number": args.number.label, "verdict": cls.verdict, "reason": cls.reason}
 
 
-def _sphere_margin(args) -> int:
-    alpha = _time(args, "alpha")
-    c, passes = sphere.surjectivity_margin(alpha, args.n, args.max_degree, args.exponent)
-    _emit_json(
-        args,
-        "sphere margin",
-        {
-            "alpha": alpha,
-            "n": args.n,
-            "max_degree": args.max_degree,
-            "exponent": args.exponent,
-            "C": c,
-            "passes": passes,
-        },
-    )
-    return 0
+def _sphere_margin(args) -> dict:
+    c, passes = sphere.surjectivity_margin(args.alpha, args.n, args.max_degree, args.exponent)
+    return {
+        "alpha": args.alpha,
+        "n": args.n,
+        "max_degree": args.max_degree,
+        "exponent": args.exponent,
+        "C": c,
+        "passes": passes,
+    }
 
 
 # -- reproduce ---------------------------------------------------------------
@@ -409,16 +330,11 @@ def _reproduce(args) -> int:
     for r in results:
         print(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['details']}")
     if args.out:
-        _emit_json(args, "reproduce", {"suite": args.suite, "results": results})
+        _emit_json(args, args.group, {"suite": args.suite, "results": results})
     return 0 if all(r["passed"] for r in results) else 1
 
 
 # -- parser ------------------------------------------------------------------
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="recorded in every output header (default 0)")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
 @functools.cache  # built once per process, on the first run
@@ -435,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", dest="f0", metavar="FIELD", required=True, help="position snapshot JSON")
     p.add_argument("--velocity", dest="g", metavar="VELOCITY", required=True, help="velocity field JSON")
     p.add_argument("--t", type=float, required=True)
-    _add_common(p)
     p.set_defaults(handler=_evolve)
 
     p = wave.add_parser("snapshot", help="snapshot at time a+m(b-a) from the pair at a, b")
@@ -444,13 +359,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=1.0)
-    _add_common(p)
     p.set_defaults(handler=_wave_snapshot)
 
     p = wave.add_parser("two-solve", help="recover velocity from snapshots at 0 and 1")
     p.add_argument("--f0", required=True)
     p.add_argument("--f1", required=True)
-    _add_common(p)
     p.set_defaults(handler=_wave_two_solve)
 
     p = wave.add_parser("compat", help="three-snapshot compatibility residual")
@@ -458,16 +371,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f1", required=True)
     p.add_argument("--falpha", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    _add_common(p)
     p.set_defaults(handler=_wave_compat)
 
     p = wave.add_parser("three-solve", help="recover velocity from snapshots at 0, 1, alpha")
     p.add_argument("--f0", required=True)
     p.add_argument("--f1", required=True)
     p.add_argument("--falpha", required=True)
-    p.add_argument("--alpha", type=float, default=None, help="alpha as a double")
-    p.add_argument("--alpha-frac", type=_fraction, default=None, help="alpha as an exact rational P/Q")
-    _add_common(p)
+    either = p.add_mutually_exclusive_group(required=True)
+    either.add_argument("--alpha", type=float, help="alpha as a double")
+    either.add_argument(
+        "--alpha-frac", dest="alpha", metavar="ALPHA_FRAC", type=_fraction, help="alpha as an exact rational P/Q"
+    )
     p.set_defaults(handler=_wave_three_solve)
 
     p = wave.add_parser("rational-solve", help="recover velocity from snapshots at 0, p, q (coprime)")
@@ -476,12 +390,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fq", required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    _add_common(p)
     p.set_defaults(handler=_wave_rational_solve)
 
     p = wave.add_parser("liouville-demo", help="certified small-denominator amplification table")
     p.add_argument("--kmax", type=int, default=6)
-    _add_common(p)
     p.set_defaults(handler=_wave_liouville_demo)
 
     p = wave.add_parser("symbol", help="tabulate a multiplier symbol on a grid")
@@ -492,7 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", type=float, default=0.0)
     p.add_argument("--max", type=float, default=10.0)
     p.add_argument("--count", type=int, default=101)
-    _add_common(p)
     p.set_defaults(handler=_wave_symbol)
 
     dio = groups.add_parser("dio", help="Diophantine toolkit").add_subparsers(dest="verb", required=True)
@@ -500,37 +411,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p = dio.add_parser("cfrac", help="continued fraction of an exact rational")
     p.add_argument("--value", type=_fraction, required=True)
     p.add_argument("--max-terms", type=int, default=40)
-    _add_common(p)
     p.set_defaults(handler=_dio_cfrac)
 
     p = dio.add_parser("class", help="describe a number class spec")
     p.add_argument("--number", type=_number_spec, required=True)
-    _add_common(p)
     p.set_defaults(handler=_dio_class)
 
     p = dio.add_parser("probe-mu", help="irrationality exponent along convergents")
     p.add_argument("--number", type=_number_spec, required=True)
     p.add_argument("--depth", type=int, default=6)
-    _add_common(p)
     p.set_defaults(handler=_dio_probe_mu)
 
     p = dio.add_parser("smallden", help="certified |sin(pi(l+shift)beta)| table")
     p.add_argument("--number", type=_number_spec, required=True)
     p.add_argument("--shift", type=_fraction, default=Fraction(0))
     p.add_argument("--count", type=int, default=1000)
-    _add_common(p)
     p.set_defaults(handler=_dio_smallden)
 
     p = dio.add_parser("oddtype", help="odd-denominator margin scan for the binary factorial series")
     p.add_argument("--qmax", type=int, required=True)
-    _add_common(p)
     p.set_defaults(handler=_dio_oddtype)
 
     p = dio.add_parser("jointbound", help="joint sine lower bound sweep")
     p.add_argument("--number", type=_number_spec, default="sqrt2", help="default sqrt2")
     p.add_argument("--exponent", type=int, default=3)
     p.add_argument("--xmax", type=float, default=1e4)
-    _add_common(p)
     p.set_defaults(handler=_dio_jointbound)
 
     p = dio.add_parser("sdprobe", help="slowly-decreasing window probe of a symbol")
@@ -538,13 +443,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-const", type=float, default=4.0)
     p.add_argument("--ximax", type=float, default=1e3)
     p.add_argument("--samples", type=int, default=512)
-    _add_common(p)
     p.set_defaults(handler=_dio_sdprobe)
 
     p = dio.add_parser("doubled-bound", help="approximation bound transported to the doubled number")
     p.add_argument("--number", type=_number_spec, required=True)
     p.add_argument("--exponent", type=int, default=3)
-    _add_common(p)
     p.set_defaults(handler=_dio_doubled_bound)
 
     sph = groups.add_parser("sphere", help="waves on the round sphere").add_subparsers(dest="verb", required=True)
@@ -552,9 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sph.add_parser("evolve", help="evolve sphere Cauchy data to time t")
     p.add_argument("--f0", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--t-pi", type=_fraction, default=None, help="time as P/Q of pi")
-    _add_common(p)
+    either = p.add_mutually_exclusive_group(required=True)
+    either.add_argument("--t", type=float)
+    either.add_argument("--t-pi", dest="t", metavar="T_PI", type=_fraction, help="time as P/Q of pi")
     p.set_defaults(handler=_evolve)
 
     p = sph.add_parser("snapshot", help="snapshot at m*alpha from the pair at 0, alpha")
@@ -562,16 +465,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ualpha", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
     p.set_defaults(handler=_sphere_snapshot)
 
     p = sph.add_parser("solve", help="recover velocity from sphere snapshots at 0 and alpha")
     p.add_argument("--f0", required=True)
     p.add_argument("--falpha", required=True)
-    p.add_argument("--alpha", type=float, default=None, help="alpha in radians")
-    p.add_argument("--alpha-pi", type=_fraction, default=None, help="alpha as P/Q of pi, handled exactly")
+    either = p.add_mutually_exclusive_group(required=True)
+    either.add_argument("--alpha", type=float, help="alpha in radians")
+    either.add_argument(
+        "--alpha-pi", dest="alpha", metavar="ALPHA_PI", type=_fraction, help="alpha as P/Q of pi, handled exactly"
+    )
     p.add_argument("--max-degree", type=int, default=256)
-    _add_common(p)
     p.set_defaults(handler=_sphere_solve)
 
     p = sph.add_parser("huygens", help="antipodal focusing residual on an odd sphere")
@@ -580,33 +484,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, default=2.0 * math.pi)
     p.add_argument("--t-count", type=int, default=20)
     p.add_argument("--c-count", type=int, default=20)
-    _add_common(p)
     p.set_defaults(handler=_sphere_huygens)
 
     p = sph.add_parser("classify", help="solvability verdict for time beta*pi from the number class")
     p.add_argument("--number", type=_number_spec, required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
     p.set_defaults(handler=_sphere_classify)
 
     p = sph.add_parser("margin", help="surjectivity margin over degrees up to max-degree")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--alpha-pi", type=_fraction, default=None)
+    either = p.add_mutually_exclusive_group(required=True)
+    either.add_argument("--alpha", type=float)
+    either.add_argument("--alpha-pi", dest="alpha", metavar="ALPHA_PI", type=_fraction)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=10**4)
     p.add_argument("--exponent", type=int, default=3)
-    _add_common(p)
     p.set_defaults(handler=_sphere_margin)
 
-    p = groups.add_parser("reproduce", help="run an acceptance experiment bundle")
-    p.add_argument("suite", choices=[*experiments.ALL, "all"])
-    _add_common(p)
-    p.set_defaults(handler=_reproduce)
+    rep = groups.add_parser("reproduce", help="run an acceptance experiment bundle")
+    rep.add_argument("suite", choices=[*experiments.ALL, "all"])
+    rep.set_defaults(handler=_reproduce)
 
+    for p in itertools.chain(wave.choices.values(), dio.choices.values(), sph.choices.values(), [rep]):
+        p.add_argument("--seed", type=int, default=0, help="recorded in every output header (default 0)")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
     return top
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    """Run one verb and return its exit code.  Its handler returns a dict, emitted as JSON,
+    (columns, rows, comments), emitted as CSV, or, for `reproduce`, the exit code."""
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(1_000_000)  # certified gaps have factorial-tower digit counts
     try:
@@ -614,8 +520,16 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except _DOMAIN_ERRORS as exc:
+        payload = args.handler(args)
+        if isinstance(payload, int):
+            return payload
+        verb = f"{args.group} {args.verb}"
+        if isinstance(payload, dict):
+            _emit_json(args, verb, payload)
+        else:
+            _emit_csv(args, verb, *payload)
+        return 0
+    except _DOMAIN_ERRORS as exc:  # the emit stays inside: an unwritable --out is a domain error too
         print(f"wavesnap: error: {exc}", file=sys.stderr)
         return 1
 

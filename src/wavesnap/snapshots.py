@@ -58,7 +58,7 @@ RATIONAL_GATE_TOL = 1e-9
 
 
 class InvalidTime(ValueError):
-    """A time at which the operation is undefined (alpha in {0, 1}, a NaN alpha)."""
+    """A time at which the operation is undefined (alpha in {0, 1}, a non-finite float time)."""
 
 
 class InvalidTimes(ValueError):
@@ -383,11 +383,20 @@ def two_snapshot_solve(f0: Field, ft: Field, t: float | Fraction = 1.0) -> Solve
     Keys where sin(w t) vanishes (w > 0) lie in the kernel of S_t: data there
     either obstructs (nonzero right side) or is free (minimal-norm g = 0
     returned, key listed).  A Fraction t means t pi and finds its zeros
-    exactly; see `sine_at`."""
+    exactly; see `sine_at`.  A non-finite float t raises InvalidTime."""
     return _two_snapshot_solve(f0, ft, t, f"data at kernel frequencies of S_{as_radians(t):g} has no preimage")
 
 
+def _check_finite(t: float | Fraction, name: str = "time") -> None:
+    """Raise InvalidTime at a non-finite float time.  A Fraction is always
+    finite, and math.isfinite on a huge one overflows, so it is not tested."""
+    if not isinstance(t, Fraction) and not math.isfinite(t):
+        raise InvalidTime(f"{name} must be finite, got {t}")
+
+
 def _two_snapshot_solve(f0: Field, ft: Field, t: float | Fraction, kernel_note: str) -> SolveReport:
+    _check_finite(t)
+
     def verify(g: Field) -> tuple[float, str]:
         return max_abs_amp(subtract(ft, evolve(CauchyData(f0, g), t))), ""
 
@@ -415,8 +424,9 @@ def three_snapshot_solve(f0: Field, f1: Field, falpha: Field, alpha: float | Fra
         except IncompatibleData as exc:
             return SolveReport(STATUS_OBSTRUCTED, None, exc.residual, 0.0, (), str(exc))
     alpha = float(alpha)
-    if alpha in (0.0, 1.0) or not math.isfinite(alpha):
-        raise InvalidTime(f"alpha must be finite and differ from both snapshot times, got {alpha}")
+    _check_finite(alpha, "alpha")
+    if alpha in (0.0, 1.0):
+        raise InvalidTime(f"alpha must differ from both snapshot times, got {alpha}")
     keys, freqs, (a, b, c) = _solve_columns((f0, f1, falpha))
     equations = [_snapshot_equation(1.0, freqs, a, b), _snapshot_equation(alpha, freqs, a, c)]
     return diagonal_solve(f0, keys, freqs, equations, "data at shared kernel frequencies has no preimage")

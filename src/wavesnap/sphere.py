@@ -48,8 +48,8 @@ from .fields import (
 from .propagators import KERNEL_SIN_TOL, KERNEL_ULPS, as_radians, exact_residue, sine_at
 from .snapshots import (
     CauchyData,
-    InvalidTime,
     SolveReport,
+    _check_finite,
     _two_snapshot_solve,
     evolve,
     general_integer_snapshot,
@@ -263,10 +263,9 @@ def surjectivity_margin(
     """Best constant C with |sin(w alpha)/w| >= C (1+l)^(-exponent) up to
     max_degree, and whether it is positive.  An exact zero (rational
     multiples of pi with the divisibility hit) forces (0, False); a weight
-    (1+l)^exponent beyond the float range raises OverflowError, a NaN alpha
-    InvalidTime."""
-    if alpha != alpha:
-        raise InvalidTime(f"alpha must be a number, got {alpha!r}")
+    (1+l)^exponent beyond the float range raises OverflowError, a non-finite
+    alpha InvalidTime."""
+    _check_finite(alpha, "alpha")
     dim_Hl(n, 0)
     if not 1 <= max_degree <= 10**6:
         raise ValueError(f"max_degree must be in [1, 1e6], got {max_degree}")

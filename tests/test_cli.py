@@ -219,17 +219,31 @@ def test_sphere_margin_reads_2w_exactly_beyond_float_precision(capsys):
         assert (doc["C"] > 0) is passes, n
 
 
+def _verb_names(parser: argparse.ArgumentParser, prefix: str = "") -> set[str]:
+    """Every command the parser defines, as "group verb" or "reproduce"."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix.strip()}
+    return set().union(*(_verb_names(p, f"{prefix} {name}") for name, p in subs[0].choices.items()))
+
+
 def test_json_verbs_write_what_json_dumps_writes(wave_files, capsys):
-    """Every JSON verb run above writes the text `json.dumps(doc, indent=2)`
+    """Every verb the parser defines is run once and names itself in its
+    header.  Every JSON verb writes the text `json.dumps(doc, indent=2)`
     writes for its own parse; a field output loads back as the field written."""
     tmp, pf, pg = wave_files
     s0 = sphere_field(2, [(l, 1, 0.5**l) for l in range(4)])
     sg = sphere_field(2, [(l, 1, 1.0) for l in range(4)])
-    ps0, psg = str(tmp / "s0.json"), str(tmp / "sg.json")
+    ps0, psg, pz0, pzg = (str(tmp / f"{name}.json") for name in ("s0", "sg", "z0", "zg"))
     save_sphere_field(s0, ps0)
     save_sphere_field(sg, psg)
+    save_sphere_field(sphere_field(3, [(l, 1, 0.5**l) for l in range(4)]), pz0)  # zonal, on an odd sphere
+    save_sphere_field(sphere_field(3, [(1, 1, 1.0)]), pzg)
     f1, fa, sa = str(tmp / "f1.json"), str(tmp / "fa.json"), str(tmp / "sa.json")
     w3, sneg, s3 = str(tmp / "w3.json"), str(tmp / "sneg.json"), str(tmp / "s3.json")
+    def verb(argv):
+        return " ".join(argv[:1] if argv[0] == "reproduce" else argv[:2])
+
     runs = [
         ["wave", "evolve", "--field", pf, "--velocity", pg, "--t", "1.0", "--out", f1],
         ["wave", "evolve", "--field", pf, "--velocity", pg, "--t", "0.4", "--out", fa],
@@ -237,13 +251,18 @@ def test_json_verbs_write_what_json_dumps_writes(wave_files, capsys):
         ["wave", "two-solve", "--f0", pf, "--f1", f1],
         ["wave", "three-solve", "--f0", pf, "--f1", f1, "--falpha", fa, "--alpha-frac", "2/5"],
         ["wave", "rational-solve", "--f0", pf, "--fp", pg, "--fq", f1, "--p", "2", "--q", "3"],
+        ["wave", "compat", "--f0", pf, "--f1", f1, "--falpha", fa, "--alpha", "0.4"],
         ["dio", "cfrac", "--value", "415/93"],
         ["dio", "class", "--number", "liouville:10:3"],
+        ["dio", "probe-mu", "--number", "golden", "--depth", "4"],
         ["dio", "oddtype", "--qmax", "200"],
+        ["dio", "jointbound", "--xmax", "100"],
+        ["dio", "doubled-bound", "--number", "binary:7", "--exponent", "2"],
         ["sphere", "evolve", "--f0", ps0, "--g", psg, "--t-pi", "1/3", "--out", sa],
         ["sphere", "evolve", "--f0", ps0, "--g", psg, "--t", "-0.7", "--out", sneg],
         ["sphere", "snapshot", "--ua", ps0, "--ualpha", sneg, "--alpha", "-0.7", "--m", "3", "--out", s3],
         ["sphere", "solve", "--f0", ps0, "--falpha", sa, "--alpha-pi", "1/3"],
+        ["sphere", "huygens", "--f0", pz0, "--g", pzg, "--t-count", "3", "--c-count", "3"],
         ["sphere", "classify", "--number", "golden", "--n", "3"],
         ["sphere", "margin", "--alpha-pi", "1/2", "--n", "3", "--max-degree", "100", "--exponent", "3"],
         ["reproduce", "sdprobe"],
@@ -254,6 +273,18 @@ def test_json_verbs_write_what_json_dumps_writes(wave_files, capsys):
         with open(out, encoding="utf-8") as fh:
             text = fh.read()
         assert json.dumps(json.loads(text), indent=2) + "\n" == text, argv
+        assert json.loads(text)["verb"] == verb(argv), argv
+    csv_runs = [
+        ["wave", "liouville-demo", "--kmax", "2"],
+        ["wave", "symbol", "--kind", "S", "--count", "3"],
+        ["dio", "smallden", "--number", "2/3", "--count", "9"],
+        ["dio", "sdprobe", "--ximax", "20", "--samples", "8"],
+    ]
+    capsys.readouterr()
+    for argv in csv_runs:
+        assert cli.run(argv) == 0, argv
+        assert capsys.readouterr().out.splitlines()[1] == f"# verb: {verb(argv)}", argv
+    assert {verb(argv) for argv in runs + csv_runs} == _verb_names(cli._build_parser())
     for t, path in ((1.0, f1), (0.4, fa)):
         assert load_field(path) == evolve(CauchyData(load_field(pf), load_field(pg)), t)
     assert load_sphere_field(sa) == evolve(CauchyData(s0, sg), math.pi * (1 / 3))
@@ -331,9 +362,15 @@ def test_exit_codes(tmp_path, capsys):
         assert cli.run(argv + ["--out", str(out)]) == 1, alpha
         assert capsys.readouterr().err.startswith("wavesnap: error: alpha must be finite"), alpha
         assert not out.exists()
-    # domain error: fewer than two antipodal evaluation points
+    # domain error: a non-finite two-snapshot time, which ended in a bare "math domain error"
     z = tmp_path / "z.json"
     save_sphere_field(sphere_field(3, [(1, 1, 1.0)]), str(z))
+    for alpha in ("nan", "inf", "-inf"):
+        argv = ["sphere", "solve", "--f0", str(z), "--falpha", str(z), f"--alpha={alpha}", "--out", str(out)]
+        assert cli.run(argv) == 1, alpha
+        assert capsys.readouterr().err.startswith(f"wavesnap: error: time must be finite, got {alpha}"), alpha
+        assert not out.exists()
+    # domain error: fewer than two antipodal evaluation points
     for count in ("1", "0", "-3"):
         argv = ["sphere", "huygens", "--f0", str(z), "--g", str(z), f"--c-count={count}", "--out", str(out)]
         assert cli.run(argv) == 1, count
@@ -358,6 +395,31 @@ def test_exit_codes(tmp_path, capsys):
         assert cli.run(["dio", "class", "--number", spec]) == 2, spec
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "--number" in err and "Traceback" not in err
+
+
+def test_unwritable_out_is_a_domain_error(tmp_path, capsys):
+    # the output is written inside the domain-error handling, so a missing directory is exit 1, not a traceback
+    out = str(tmp_path / "no-such-dir" / "out")
+    json_verb, csv_verb = ["dio", "cfrac", "--value", "415/93"], ["wave", "liouville-demo", "--kmax", "2"]
+    for argv in (json_verb, csv_verb, ["reproduce", "sdprobe"]):
+        assert cli.run([*argv, "--out", out]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("wavesnap: error:") and "Traceback" not in err, argv
+
+
+def test_time_flag_pairs_are_exclusive_and_required(capsys):
+    # giving both spellings of a time used to run on one of them, giving neither was a domain error (exit 1)
+    pairs = [
+        (["sphere", "evolve", "--f0", "a.json", "--g", "b.json"], ["--t", "0.5"], ["--t-pi", "1/3"]),
+        (["sphere", "solve", "--f0", "a.json", "--falpha", "b.json"], ["--alpha", "0.5"], ["--alpha-pi", "1/3"]),
+        (["sphere", "margin", "--n", "3"], ["--alpha", "0.5"], ["--alpha-pi", "1/3"]),
+        (["wave", "three-solve", "--f0", "a.json", "--f1", "b.json", "--falpha", "c.json"],
+         ["--alpha", "0.5"], ["--alpha-frac", "1/3"]),
+    ]
+    for verb, radians, exact in pairs:
+        for argv in (verb + radians + exact, verb):
+            assert cli.run(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("usage:"), argv
 
 
 def test_help_exits_zero(capsys):

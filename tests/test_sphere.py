@@ -10,7 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 from wavesnap import diophantine as dio, experiments, sphere as sph
 from wavesnap.fields import DimensionMismatch, field, field_from_json, json_text, linear_combine
 from wavesnap.propagators import cos_at, sine_at, symbol_Psi
-from wavesnap.snapshots import STATUS_NONUNIQUE, STATUS_OBSTRUCTED, STATUS_UNIQUE, CauchyData, InvalidTime, evolve
+from wavesnap.snapshots import (
+    STATUS_NONUNIQUE,
+    STATUS_OBSTRUCTED,
+    STATUS_UNIQUE,
+    CauchyData,
+    InvalidTime,
+    evolve,
+    two_snapshot_solve,
+)
 
 import references as ref
 
@@ -308,6 +316,18 @@ def test_sphere_solve_respects_max_degree():
         sph.sphere_two_snapshot_solve(f0, f0, 0.5, max_degree=256)
 
 
+def test_two_snapshot_solves_reject_non_finite_times():
+    # an infinite time ended in a bare "math domain error", a NaN one in a NaN amplitude
+    flat = field(1, [((0.9,), 1.0), ((2.2,), 1j)])
+    on_sphere = sph.sphere_field(3, [(0, 1, 1.0), (2, 3, 0.5j)])
+    for t in (math.nan, math.inf, -math.inf):
+        for f0 in (flat, on_sphere):
+            with pytest.raises(InvalidTime, match="time must be finite"):
+                two_snapshot_solve(f0, f0, t)
+        with pytest.raises(InvalidTime, match="time must be finite"):
+            sph.sphere_two_snapshot_solve(on_sphere, on_sphere, t)
+
+
 # -- margins and classification ----------------------------------------------
 
 
@@ -343,11 +363,11 @@ def test_slow_decay_check_reads_any_iterable_once():
 
 def test_margin_rejects_nan_time():
     """Every row of a NaN time is NaN, which no constant bounds; the scan used
-    to skip them all and report C = inf as a pass."""
-    with pytest.raises(InvalidTime):
-        sph.surjectivity_margin(math.nan, 3, 100, 3)
-    with pytest.raises(ValueError):
-        sph.surjectivity_margin(math.inf, 3, 100, 3)
+    to skip them all and report C = inf as a pass.  An infinite time ended in
+    a bare "math domain error"."""
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidTime, match="alpha must be finite"):
+            sph.surjectivity_margin(alpha, 3, 100, 3)
 
 
 def test_margin_float_alpha_smoke():
