@@ -209,35 +209,46 @@ def linear_combine(coeffs: Sequence[complex], fields: Sequence[Field]) -> Field:
         raise ValueError(f"{len(coeffs)} coefficients for {len(fields)} fields")
     if not fields:
         raise ValueError("need at least one field")
-    for f in fields[1:]:
-        fields[0].check_same_basis(f)
-    keys, freqs = union_support(fields)
+    products = [list(map(complex(c).__mul__, f.amps)) for c, f in zip(coeffs, fields)]
+    keys, freqs, columns = union_columns(fields, products)
     sums = [0j] * len(keys)
-    for c, f in zip(coeffs, fields):
-        products = list(map(complex(c).__mul__, f.amps))
-        sums = list(map(operator.add, sums, aligned(f.keys, products, keys)))
+    for column in columns:
+        sums = list(map(operator.add, sums, column))
     check_finite(sums)
     return _with_amps(fields[0], keys, freqs, sums)
 
 
-def union_support(fields: Sequence[Field]) -> tuple[tuple[Any, ...], tuple[float, ...]]:
-    """The sorted union of the fields' keys and its frequency column: the
-    first field's own columns when every field has the same keys."""
+def union_columns(fields: Sequence[Field], values: Sequence[Sequence] | None = None) -> tuple[tuple, tuple, list]:
+    """The sorted union of the keys of `fields` (one basis), its frequency
+    column, and each field's amplitudes (or `values[i]`, at fields[i]'s keys)
+    there, 0j off its support.  The key and frequency columns are the first
+    field's when all share keys, else the first longest field's where it
+    holds every key.  A field lacking keys is read through a copy of one
+    0j-valued dict of the union, so only its own keys are hashed again."""
+    values = [f.amps for f in fields] if values is None else values
     first = fields[0]
+    for f in fields[1:]:
+        first.check_same_basis(f)
     if all(f.keys is first.keys or f.keys == first.keys for f in fields[1:]):
-        return first.keys, first.freqs
-    freq: dict[Any, float] = {}
+        return first.keys, first.freqs, values
+    big = max(fields, key=lambda f: len(f.keys))
+    freq = dict(zip(big.keys, big.freqs))
     for f in fields:
-        freq.update(zip(f.keys, f.freqs))
-    keys = tuple(sorted(freq))
-    return keys, tuple(map(freq.__getitem__, keys))
-
-
-def aligned(own_keys: tuple[Any, ...], values: Sequence[complex], keys: tuple[Any, ...]) -> Sequence[complex]:
-    """`values`, given at `own_keys`, read at `keys` (a superset), 0j elsewhere."""
-    if own_keys is keys or own_keys == keys:
-        return values
-    return list(map(dict(zip(own_keys, values)).get, keys, itertools.repeat(0j)))
+        if f.keys is not big.keys and f.keys != big.keys:
+            freq.update(zip(f.keys, f.freqs))
+    if len(freq) == len(big.keys):  # big holds every key, and freq has big's order
+        keys, freqs, zeros = big.keys, big.freqs, dict.fromkeys(freq, 0j)
+    else:
+        keys = tuple(sorted(freq))
+        freqs, zeros = tuple(map(freq.__getitem__, keys)), dict.fromkeys(keys, 0j)
+    out = []
+    for f, column in zip(fields, values):
+        if len(f.keys) < len(keys):  # else f holds every key of the union, in its order
+            at = zeros.copy()
+            at.update(zip(f.keys, column))
+            column = list(at.values())
+        out.append(column)
+    return keys, freqs, out
 
 
 def check_finite(amps: Sequence[complex]) -> None:
@@ -253,10 +264,7 @@ def _with_amps(like: Field, keys: tuple[Any, ...], freqs: tuple[float, ...], amp
     amps = tuple(map((0j).__add__, amps))
     if all(amps):
         return like.with_columns(keys, freqs, amps)
-    keep = [i for i, amp in enumerate(amps) if amp]
-    return like.with_columns(
-        tuple(keys[i] for i in keep), tuple(freqs[i] for i in keep), tuple(amps[i] for i in keep)
-    )
+    return like.with_columns(*(tuple(itertools.compress(c, amps)) for c in (keys, freqs, amps)))
 
 
 def subtract(a: Field, b: Field) -> Field:

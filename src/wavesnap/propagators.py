@@ -23,10 +23,12 @@ sine vanishes there, which is what every snapshot solver divides by.
 numpy array of them; the small-denominator tables and the sphere margin
 screen read their exact times through it too.
 
-`sine_over_grid` and `psi_grid` are the two ratio rules over a whole grid
-as float64 arrays.  Only the ratio branch runs in numpy, whose sin and cos
-return math.sin and math.cos bit for bit; every element inside a switch
-window goes to the scalar rule, so each branch rule is written once.
+`sine_over_column`, `sine_at_column`, `cos_column` and `psi_column` are the
+same rules over a column of frequencies in plain floats, and `sine_over_grid` and `psi_grid`
+the ratio rules over a whole grid as float64 arrays (numpy's sin and cos
+return math.sin and math.cos bit for bit).  Both run only the ratio branch
+a column at a time; every element inside a switch window goes to the scalar
+rule, so the scalar functions remain the only place each branch is written.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ SERIES_SWITCH = 1e-6  # |t lam| below this: series branch of sin(t lam)/lam
 SIN_SWITCH = 1e-6  # |sin(s lam)| below this: Chebyshev branch of Psi
 KERNEL_SIN_TOL = 1e-14  # |sin(t lam)| below this marks a kernel frequency,
 KERNEL_ULPS = 4  # as does |sin(t lam)| below this many ulp(t lam)
+CHEBYSHEV_LOOP_MAX = 1024  # U_m by the three-term loop up to this m, by doubling beyond it
 
 IDENTITY_TOL = 1e-10
 
@@ -53,11 +56,22 @@ class InvalidScale(ValueError):
 
 def chebyshev_U(m: int, x: float) -> float:
     """Chebyshev polynomial of the second kind, extended to all integer
-    indices by U_{-1} = 0 and U_{-m-2} = -U_m."""
+    indices by U_{-1} = 0 and U_{-m-2} = -U_m.  Up to CHEBYSHEV_LOOP_MAX by
+    the three-term recurrence, beyond it in O(log m) steps: (T_n, U_{n-1})
+    for n = m + 1 by binary powering, through T_{a+b} = T_a T_b - (1 - x^2)
+    U_{a-1} U_{b-1} and U_{a+b-1} = U_{a-1} T_b + T_a U_{b-1}."""
     if m == -1:
         return 0.0
     if m < -1:
         return -chebyshev_U(-m - 2, x)
+    if m > CHEBYSHEV_LOOP_MAX:
+        s2 = (1.0 - x) * (1.0 + x)  # 1 - x^2 without cancellation near x = +-1
+        t, u = 1.0, 0.0  # (T_0, U_{-1})
+        for bit in f"{m + 1:b}":
+            t, u = t * t - s2 * u * u, 2.0 * t * u
+            if bit == "1":
+                t, u = t * x - s2 * u, u * x + t
+        return u
     prev, cur = 1.0, 2.0 * x
     if m == 0:
         return prev
@@ -189,6 +203,65 @@ def psi_at(m: int, u: float, sin_u: float) -> float:
     if abs(sin_u) < SIN_SWITCH:
         return chebyshev_U(m - 1, math.cos(u))
     return math.sin(m * u) / sin_u
+
+
+def sine_over_column(t: float, ws: Sequence[float], sins: Sequence[float] | None = None) -> list[float]:
+    """`sine_over(t, w)` at each frequency in `ws` (`sins`: sin(t w) at each w,
+    if given): the ratio branch a column at a time; `sine_over` itself in the
+    series window and for a column whose sine or division fails (w = 0, t w = inf)."""
+    try:
+        out = [math.sin(t * w) / w for w in ws] if sins is None else [s / w for s, w in zip(sins, ws)]
+    except (ArithmeticError, ValueError):
+        return [sine_over(t, w) for w in ws]
+    if ws and abs(t) * min(map(abs, ws)) < SERIES_SWITCH:  # else no |t w| is below it
+        for i in [i for i, w in enumerate(ws) if -SERIES_SWITCH < t * w < SERIES_SWITCH]:
+            out[i] = sine_over(t, ws[i])
+    return out
+
+
+def sine_at_column(
+    time: float | Fraction, ws: Sequence[float], sins: Sequence[float] | None = None
+) -> tuple[list[float], list[bool]]:
+    """`sine_at(time, w)` at each frequency in `ws`: the values and the zero
+    flags.  At a float time t the values are `sine_over_column`'s, and only
+    the elements with |sin(t w)| below the kernel threshold at |t| max |w| go
+    to `sine_at` for their flag; at a Fraction time, or where a sine fails,
+    every element does."""
+    if type(time) is float or not isinstance(time, Fraction):
+        t = float(time)
+        try:
+            sins = [math.sin(t * w) for w in ws] if sins is None else sins
+        except (ArithmeticError, ValueError):
+            pass
+        else:
+            bound = kernel_threshold(abs(t) * max(map(abs, ws)) if ws else 0.0)  # no element's is larger
+            zeros = [False] * len(ws)  # t = 0 puts every element in the window
+            for i in [i for i, s in enumerate(sins) if -bound < s < bound]:
+                zeros[i] = sine_at(t, ws[i])[1]
+            return sine_over_column(t, ws, sins), zeros
+    pairs = [sine_at(time, w) for w in ws]
+    return [v for v, _ in pairs], [z for _, z in pairs]
+
+
+def cos_column(time: float | Fraction, ws: Sequence[float]) -> list[float]:
+    """`cos_at(time, w)` at each frequency in `ws`: at a float time, `cosine`'s value."""
+    if type(time) is float or not isinstance(time, Fraction):
+        t = float(time)
+        return [math.cos(t * w) for w in ws]
+    return [cos_at(time, w) for w in ws]
+
+
+def psi_column(m: int, us: Sequence[float], sins: Sequence[float]) -> list[float]:
+    """`psi_at(m, u, sin u)` over the columns `us` and `sins`: the ratio
+    branch a column at a time, the elements with |sin u| < SIN_SWITCH through
+    `psi_at`, and every element through it where a sine or division fails."""
+    try:
+        out = [math.sin(m * u) / s for u, s in zip(us, sins)]
+    except (ArithmeticError, ValueError):
+        return [psi_at(m, u, s) for u, s in zip(us, sins)]
+    for i in [i for i, s in enumerate(sins) if -SIN_SWITCH < s < SIN_SWITCH]:
+        out[i] = psi_at(m, us[i], sins[i])
+    return out
 
 
 def sine_over_grid(ts: Sequence[float], lams: Sequence[float]):

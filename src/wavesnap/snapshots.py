@@ -25,23 +25,21 @@ from .fields import (
     Field,
     MultiplierSymbol,
     _with_amps,
-    aligned,
     apply_multiplier,
     check_finite,
     linear_combine,
     max_abs_amp,
     subtract,
     symbol_values,
-    union_support,
+    union_columns,
 )
 from .propagators import (
     as_radians,
-    cos_at,
-    cosine,
-    psi_at,
+    cos_column,
+    psi_column,
     psi_grid,
-    sine_at,
-    sine_over,
+    sine_at_column,
+    sine_over_column,
     sine_over_grid,
     symbol_Psi,
     symbol_S,
@@ -109,7 +107,7 @@ class SolveReport:
 # amplitude rows over one key column as two float64 arrays, row by row.
 #
 # One time or one index at a time, `evolve` and `general_integer_snapshot`
-# apply the scalar symbol rules in plain floats, so a process that never asks
+# apply the column symbol rules in plain floats, so a process that never asks
 # for a series never loads numpy.  The grids apply the array forms of the
 # same rules, part by part in the order complex arithmetic takes them, so
 # each grid value is the scalar operator's up to the sign of a zero.
@@ -122,13 +120,11 @@ def evolve(data: CauchyData, t: float | Fraction) -> Field:
     keys; a failing or non-finite amplitude names S'_t or S_t where a symbol
     value is bad, else raises ValueError 'non-finite amplitude'."""
     u0, g = data.position, data.velocity
-    keys, freqs = union_support((u0, g))
+    keys, freqs, (x, y) = union_columns((u0, g))
     r = as_radians(t)
     try:
-        amps = [
-            cosine(r, lam) * x + sine_over(r, lam) * y
-            for lam, x, y in zip(freqs, aligned(u0.keys, u0.amps, keys), aligned(g.keys, g.amps, keys))
-        ]
+        cos, sine = cos_column(r, freqs), sine_over_column(r, freqs)
+        amps = list(map(operator.add, map(operator.mul, cos, x), map(operator.mul, sine, y)))
         check_finite(amps)
     except (ArithmeticError, ValueError):
         _name_bad_symbol((symbol_Sprime(t), symbol_S(t)), freqs)
@@ -144,10 +140,8 @@ def evolve_grid(data: CauchyData, times: Iterable[float | Fraction]) -> Grid:
 
     times = list(times)
     radians = [as_radians(t) for t in times]
-    u0, g = data.position, data.velocity
-    keys, freqs = union_support((u0, g))
-    xr, xi = _parts(aligned(u0.keys, u0.amps, keys))
-    yr, yi = _parts(aligned(g.keys, g.amps, keys))
+    keys, freqs, (x, y) = union_columns((data.position, data.velocity))
+    (xr, xi), (yr, yi) = _parts(x), _parts(y)
     with np.errstate(all="ignore"):
         cos_t = np.cos(np.reshape(radians, (-1, 1)) * np.asarray(freqs, dtype=float))
         sin_t = sine_over_grid(radians, freqs)
@@ -163,13 +157,11 @@ def general_integer_snapshot(ua: Field, ub: Field, a: float, b: float, m: int) -
     the snapshots' keys; failures are named as in `evolve`."""
     s = _step(ua, ub, a, b)
     m = int(m)  # as symbol_Psi reads its index
-    keys, freqs = union_support((ub, ua))
+    keys, freqs, (y, x) = union_columns((ub, ua))
     try:
-        amps = []
-        for lam, y, x in zip(freqs, aligned(ub.keys, ub.amps, keys), aligned(ua.keys, ua.amps, keys)):
-            u = s * lam
-            sin_u = math.sin(u)
-            amps.append(psi_at(m, u, sin_u) * y - psi_at(m - 1, u, sin_u) * x)
+        us, sins = _angles(s, freqs)
+        psi, psi1 = psi_column(m, us, sins), psi_column(m - 1, us, sins)
+        amps = list(map(operator.sub, map(operator.mul, psi, y), map(operator.mul, psi1, x)))
         check_finite(amps)
     except (ArithmeticError, ValueError):
         _name_bad_symbol((symbol_Psi(m, s), symbol_Psi(m - 1, s)), freqs)
@@ -191,9 +183,8 @@ def snapshot_grid(ua: Field, ub: Field, a: float, b: float, ms: Iterable[int]) -
     def symbols(i: int) -> tuple[MultiplierSymbol, MultiplierSymbol]:
         return symbol_Psi(ms[i], s), symbol_Psi(ms[i] - 1, s)
 
-    keys, freqs = union_support((ub, ua))
-    yr, yi = _parts(aligned(ub.keys, ub.amps, keys))
-    xr, xi = _parts(aligned(ua.keys, ua.amps, keys))
+    keys, freqs, (y, x) = union_columns((ub, ua))
+    (yr, yi), (xr, xi) = _parts(y), _parts(x)
     index = sorted({k for m in ms for k in (m, m - 1)})
     try:
         psi = psi_grid(index, s * np.asarray(freqs, dtype=float))
@@ -228,6 +219,12 @@ def grid_rows(like: Field, grid: Grid) -> list[Field]:
     amps = np.empty(re.shape, dtype=complex)
     amps.real, amps.imag = re, im
     return [_with_amps(like, keys, freqs, row) for row in amps.tolist()]
+
+
+def _angles(s: float, freqs: Sequence[float]) -> tuple[list[float], list[float]]:
+    """The columns u = s lam and sin(u) over the frequencies."""
+    us = [s * lam for lam in freqs]
+    return us, list(map(math.sin, us))
 
 
 def _parts(amps: Sequence[complex]):
@@ -304,7 +301,7 @@ def diagonal_solve(
     verify: Callable[[Field], tuple[float, str]] | None = None,
 ) -> SolveReport:
     """Solve for g, a field of like's basis, key by key over canonical `keys`
-    and `freqs`, in one pass over the columns of `equations`, taken in order.
+    and `freqs`, a column at a time over `equations`, taken in order.
 
     A key's conditioning is its gain (default 1.0) / |s| over its nonzero
     symbols.  Where every symbol is zero the key is in the kernel: g is free
@@ -315,32 +312,31 @@ def diagonal_solve(
     post-check residual and a note, held to CONSISTENCY_TOL (1 + the worst
     conditioning); without it the residual is the worst inconsistency.
     """
-    kernel, gs, failed = [], [], ""  # failed: the note on the first key over its own bound
-    obstruction = conditioning = inconsistency = 0.0
-    rows = zip(*[zip(*eq) for eq in equations])
-    for key, gain, eqs in zip(keys, itertools.repeat(1.0) if gains is None else gains, rows):
-        for first in eqs:
-            if not first[1]:
+    n, count = len(keys), len(equations)
+    gains = itertools.repeat(1.0) if gains is None else gains
+    gs, first = [0j] * n, [count] * n  # each key's g and the equation it comes from; 0j and count in the kernel
+    for e in reversed(range(count)):
+        s, zero, r = equations[e]
+        gs = [g if z else ri / si for g, z, si, ri in zip(gs, zero, s, r)]
+        first = [f if z else e for f, z in zip(first, zero)]
+    cond, inc = [0.0] * n, [0.0] * n  # each a running max over the key's equations, as max(c, t) takes it
+    for e, (s, zero, r) in enumerate(equations):
+        terms = [0.0 if z else gain / abs(si) for z, gain, si in zip(zero, gains, s)]
+        cond = [t if t > c else c for c, t in zip(cond, terms)]
+        if count > 1:  # a lone equation is the first of every key it solves
+            terms = map(abs, map(operator.sub, map(operator.mul, gs, s), r))
+            inc = [t if t > i and f != e and f != count else i for i, f, t in zip(inc, first, terms)]
+    in_kernel = [f == count for f in first]
+    kernel = tuple(itertools.compress(keys, in_kernel))
+    obstruction = max([abs(ri) for _, _, r in equations for ri in itertools.compress(r, in_kernel)], default=0.0)
+    conditioning, inconsistency = max(cond, default=0.0), max(inc, default=0.0)
+    failed = ""  # the note on the first key over its own bound; no bound is below CONSISTENCY_TOL
+    if inconsistency > CONSISTENCY_TOL:
+        for key, c, i in zip(keys, cond, inc):
+            key_tol = CONSISTENCY_TOL * (1.0 + c)
+            if i > key_tol:
+                failed = f"cross-equation inconsistency {i:.3e} at key {key} exceeds {key_tol:.3e}"
                 break
-        else:
-            kernel.append(key)
-            obstruction = max(obstruction, *(abs(r) for _, _, r in eqs))
-            gs.append(0j)
-            continue
-        g = first[2] / first[0]
-        cond = inc = 0.0
-        for e in eqs:
-            if not e[1]:
-                cond = max(cond, gain / abs(e[0]))
-            if e is not first:
-                inc = max(inc, abs(g * e[0] - e[2]))
-        key_tol = CONSISTENCY_TOL * (1.0 + cond)
-        if inc > key_tol and not failed:
-            failed = f"cross-equation inconsistency {inc:.3e} at key {key} exceeds {key_tol:.3e}"
-        conditioning = max(conditioning, cond)
-        inconsistency = max(inconsistency, inc)
-        gs.append(g)
-    kernel = tuple(kernel)
     if obstruction > OBSTRUCTION_AMP_TOL:
         return SolveReport(STATUS_OBSTRUCTED, None, obstruction, conditioning, kernel, kernel_note)
     if failed:
@@ -355,26 +351,18 @@ def diagonal_solve(
     return SolveReport(STATUS_NONUNIQUE if kernel else STATUS_UNIQUE, g, residual, conditioning, kernel, note)
 
 
-def _solve_columns(fields: Sequence[Field]) -> tuple[tuple, tuple, list]:
-    """The union of the keys of `fields` (one basis), its frequencies, and each field's amplitudes there."""
-    for f in fields[1:]:
-        fields[0].check_same_basis(f)
-    keys, freqs = union_support(fields)
-    return keys, freqs, [aligned(f.keys, f.amps, keys) for f in fields]
-
-
-def _sines(t: float | Fraction, freqs: Sequence[float]) -> tuple[Sequence[float], Sequence[bool]]:
-    """The columns of `sine_at(t, w)` over the frequencies: the values and the zero flags."""
-    return tuple(zip(*map(sine_at, itertools.repeat(t), freqs))) or ((), ())
-
-
 def _snapshot_equation(
     t: float | Fraction, freqs: Sequence[float], f0: Sequence[complex], ft: Sequence[complex]
 ) -> Equation:
     """The equation that the snapshots at 0 and t give the velocity g at each
-    frequency w: sin(w t)/w g = ft - cos(w t) f0."""
-    cos = map(cos_at, itertools.repeat(t), freqs)
-    return (*_sines(t, freqs), list(map(operator.sub, ft, map(operator.mul, cos, f0))))
+    frequency w: sin(w t)/w g = ft - cos(w t) f0, naming a failing symbol."""
+    try:
+        s, zero = sine_at_column(t, freqs)
+        cos = cos_column(t, freqs)
+    except (ArithmeticError, ValueError):
+        _name_bad_symbol((symbol_S(t), symbol_Sprime(t)), freqs)
+        raise
+    return s, zero, list(map(operator.sub, ft, map(operator.mul, cos, f0)))
 
 
 def two_snapshot_solve(f0: Field, ft: Field, t: float | Fraction = 1.0) -> SolveReport:
@@ -400,7 +388,7 @@ def _two_snapshot_solve(f0: Field, ft: Field, t: float | Fraction, kernel_note: 
     def verify(g: Field) -> tuple[float, str]:
         return max_abs_amp(subtract(ft, evolve(CauchyData(f0, g), t))), ""
 
-    keys, freqs, (a, b) = _solve_columns((f0, ft))
+    keys, freqs, (a, b) = union_columns((f0, ft))
     return diagonal_solve(f0, keys, freqs, [_snapshot_equation(t, freqs, a, b)], kernel_note, verify=verify)
 
 
@@ -427,7 +415,7 @@ def three_snapshot_solve(f0: Field, f1: Field, falpha: Field, alpha: float | Fra
     _check_finite(alpha, "alpha")
     if alpha in (0.0, 1.0):
         raise InvalidTime(f"alpha must differ from both snapshot times, got {alpha}")
-    keys, freqs, (a, b, c) = _solve_columns((f0, f1, falpha))
+    keys, freqs, (a, b, c) = union_columns((f0, f1, falpha))
     equations = [_snapshot_equation(1.0, freqs, a, b), _snapshot_equation(alpha, freqs, a, c)]
     return diagonal_solve(f0, keys, freqs, equations, "data at shared kernel frequencies has no preimage")
 
@@ -457,19 +445,16 @@ def _bezout_solve(f0: Field, fa: Field, fb: Field, p: int, q: int, unit: float) 
     pu, qu = p * unit, q * unit
     for f in (fa, fb):
         f.check_same_basis(f0)
-    keys, freqs = union_support((f0, fa, fb))
+    keys, freqs, (x, y, z) = union_columns((f0, fa, fb))
     k, l = diophantine.bezout(p, q)
-    a, b, psi_a, psi_b, sym_a, sym_b = [], [], [], [], [], []  # a, b: the windows fa - S'_{pu} f0, fb - S'_{qu} f0
     try:
-        for lam, x, y, z in zip(freqs, *(aligned(f.keys, f.amps, keys) for f in (f0, fa, fb))):
-            u, ua, ub = unit * lam, pu * lam, qu * lam
-            sin_u = math.sin(u)
-            a.append(y - math.cos(ua) * x)
-            b.append(z - math.cos(ub) * x)
-            psi_a.append(psi_at(q, u, sin_u) * a[-1])
-            psi_b.append(psi_at(p, u, sin_u) * b[-1])
-            sym_a.append(psi_at(k, ua, math.sin(ua)) * math.cos(l * q * unit * lam))
-            sym_b.append(psi_at(l, ub, math.sin(ub)) * math.cos(k * p * unit * lam))
+        (us, sin_u), (uas, sin_ua), (ubs, sin_ub) = (_angles(c, freqs) for c in (unit, pu, qu))
+        a = list(map(operator.sub, y, map(operator.mul, map(math.cos, uas), x)))  # the window fa - S'_{pu} f0
+        b = list(map(operator.sub, z, map(operator.mul, map(math.cos, ubs), x)))  # and fb - S'_{qu} f0
+        psi_a = list(map(operator.mul, psi_column(q, us, sin_u), a))
+        psi_b = list(map(operator.mul, psi_column(p, us, sin_u), b))
+        sym_a = list(map(operator.mul, psi_column(k, uas, sin_ua), cos_column(l * q * unit, freqs)))
+        sym_b = list(map(operator.mul, psi_column(l, ubs, sin_ub), cos_column(k * p * unit, freqs)))
     except (ArithmeticError, ValueError):
         symbols = (symbol_Sprime(pu), symbol_Sprime(qu), symbol_Psi(q, unit), symbol_Psi(p, unit), symbol_Psi(k, pu))
         _name_bad_symbol(symbols + (symbol_Sprime(l * q * unit), symbol_Psi(l, qu), symbol_Sprime(k * p * unit)), freqs)
@@ -482,7 +467,7 @@ def _bezout_solve(f0: Field, fa: Field, fb: Field, p: int, q: int, unit: float) 
         raise IncompatibleData(f"snapshot compatibility residual {gate:.3e} exceeds {RATIONAL_GATE_TOL:.1e}", gate)
     num = list(map(operator.add, map(operator.mul, sym_a, a), map(operator.mul, sym_b, b)))
     check_finite(num)
-    su, zero = _sines(unit, freqs)
+    su, zero = sine_at_column(unit, freqs, sin_u)  # sin(unit lam) once: u is unit lam in both
     # S_{pu} and S_{qu} vanish with S_u, so at a kernel key neither window sees
     # g and both must vanish: the larger one is the right side
     rhs = [max(x, y, key=abs) if z else n for z, n, x, y in zip(zero, num, a, b)]

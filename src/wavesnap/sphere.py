@@ -168,12 +168,6 @@ def _gegenbauer(n: int, top: int, c: float) -> list[float]:
     return out
 
 
-def gegenbauer_phi(n: int, l: int, c: float) -> float:
-    """Normalized zonal polynomial phi_l(c) = C_l^{(n-1)/2}(c) / C_l^{(n-1)/2}(1)
-    on [-1, 1], via the three-term recurrence.  phi_l(1) = 1, |phi_l| <= 1."""
-    return _gegenbauer(n, l, c)[l] / math.comb(l + n - 2, l)
-
-
 def zonal_value(f: SphereField, c: float) -> complex:
     """Value of a zonal field at polar cosine c, by one O(L) recurrence to its top degree L."""
     return _zonal_values(f, [c])[0]

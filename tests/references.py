@@ -1,8 +1,9 @@
 """Reference forms that the library's faster code is pinned against.
 
 Each is the plain per-key, per-entry or per-row form of a rule the library
-now runs a column at a time: the grid rows as fields, the row-callback solve
-loop and the solvers written on it (the Bezout solve on fields), the
+now runs a column at a time: the grid rows as fields, the union of several
+fields' keys through one dict, the row-callback solve loop and the solvers
+written on it (the Bezout solve on fields), the
 entry-by-entry field loaders, the per-q odd-type scan, the per-row CSV
 writer and the zonal sums with a recurrence restarted per degree.  Tests
 compare the library with these bit for bit.
@@ -11,6 +12,7 @@ compare the library with these bit for bit.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,12 +21,10 @@ from wavesnap.fields import (
     DimensionMismatch,
     MultiplierSymbol,
     SpectralField,
-    aligned,
     apply_multiplier,
     linear_combine,
     max_abs_amp,
     subtract,
-    union_support,
 )
 from wavesnap.propagators import as_radians, cos_at, sine_at, symbol_Psi, symbol_Sprime
 from wavesnap.snapshots import (
@@ -135,6 +135,20 @@ def field_from_json_by_entry(obj):
 
 # ---------------------------------------------------------------------------
 # the row-callback solve loop and the solvers on it
+
+
+def union_support(fields):
+    """The sorted union of the fields' keys and its frequency column, through one dict."""
+    freq = {}
+    for f in fields:
+        freq.update(zip(f.keys, f.freqs))
+    keys = tuple(sorted(freq))
+    return keys, tuple(map(freq.__getitem__, keys))
+
+
+def aligned(own_keys, values, keys):
+    """`values`, given at `own_keys`, read at `keys` (a superset), 0j elsewhere."""
+    return list(map(dict(zip(own_keys, values)).get, keys, itertools.repeat(0j)))
 
 
 def row_diagonal_solve(support, rhs, row, kernel_note, verify=None):

@@ -370,6 +370,27 @@ def test_exit_codes(tmp_path, capsys):
         assert cli.run(argv) == 1, alpha
         assert capsys.readouterr().err.startswith(f"wavesnap: error: time must be finite, got {alpha}"), alpha
         assert not out.exists()
+    # domain error: a solve time so large that S_t overflows names the symbol, as evolve does
+    for argv in (["sphere", "solve", "--f0", str(z), "--falpha", str(z)],
+                 ["wave", "three-solve", "--f0", str(pf), "--f1", str(f1), "--falpha", str(f1)]):
+        assert cli.run([*argv, "--alpha", "1e308", "--out", str(out)]) == 1, argv
+        assert capsys.readouterr().err.startswith("wavesnap: error: symbol S[1e+308] failed at lambda="), argv
+        assert not out.exists()
+    # a Psi index far past CHEBYSHEV_LOOP_MAX at a kernel radius, where Psi takes the Chebyshev branch:
+    # the snapshot and the Bezout solve finish (they ran |m| steps)
+    k3 = (3 * math.pi, 0.0)
+    kernel = CauchyData(field(2, [(k3, 1.0), ((1.0, 2.0), 0.5j)]), field(2, [(k3, 0.3)]))
+    snaps = {t: tmp_path / f"k{t}.json" for t in (0, 1, 2, 3)}
+    for t, path in snaps.items():
+        save_field(evolve(kernel, float(t)), str(path))
+    argv = ["wave", "snapshot", "--ua", str(snaps[0]), "--ub", str(snaps[1]), "--a", "0", "--b", "1"]
+    assert cli.run([*argv, "--m", str(10**23), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["verb"] == "wave snapshot"
+    argv = ["wave", "rational-solve", "--f0", str(snaps[0]), "--fp", str(snaps[2]), "--fq", str(snaps[3])]
+    assert cli.run([*argv, "--p", str(2 * 10**20), "--q", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "IncompatibleData"
+    out.unlink()
+    capsys.readouterr()
     # domain error: fewer than two antipodal evaluation points
     for count in ("1", "0", "-3"):
         argv = ["sphere", "huygens", "--f0", str(z), "--g", str(z), f"--c-count={count}", "--out", str(out)]

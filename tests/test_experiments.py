@@ -6,7 +6,7 @@ import random
 import pytest
 
 from wavesnap import experiments, snapshots
-from wavesnap.fields import apply_multiplier, field, linear_combine, max_abs_amp, subtract, union_support
+from wavesnap.fields import apply_multiplier, field, linear_combine, max_abs_amp, subtract, union_columns
 from wavesnap.propagators import symbol_Sprime
 from wavesnap.snapshots import CauchyData
 
@@ -62,7 +62,7 @@ def test_recursion_trial_matches_reference_where_rows_drop_keys():
     u0 = field(2, [((0.6, 0.8), 0.3 - 0.2j), ((1.5, -2.0), 0.7j), ((0.0, 0.0), -0.4)])
     g = field(2, [((0.6, 0.8), 0.5), ((-2.2, 0.1), 1.0 + 0.25j), ((0.0, 0.0), 0.9j)])
     data = CauchyData(u0, g)
-    keys = union_support((u0, g))[0]
+    keys = union_columns((u0, g))[0]
     a, b = 0.25, 1.1
     # the rows the residuals read drop keys: u_0 and the closed form at m = 0
     # have no velocity-only key, the general step at m = 0 is u_a

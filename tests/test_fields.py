@@ -26,7 +26,7 @@ from wavesnap.fields import (
 from wavesnap.propagators import symbol_Psi, symbol_S, symbol_Sprime
 from wavesnap.snapshots import CauchyData, evolve
 
-from references import evolve_series, field_from_json_by_entry, snapshot_series, symbol_product
+from references import aligned, evolve_series, field_from_json_by_entry, snapshot_series, symbol_product, union_support
 
 
 def test_field_merges_repeated_frequencies():
@@ -261,6 +261,24 @@ def field_cases(draw):
     )
 
 
+@given(field_cases())
+def test_union_columns_is_the_dict_union(case):
+    # shared, nested, overlapping, disjoint and empty supports: the union and
+    # every field's values there are one dict's; a field holding every key
+    # (the first longest) lends its own key and frequency tuples
+    f, g, h, _, _ = case
+    sub, empty = f.with_columns(f.keys[::2], f.freqs[::2], f.amps[::2]), f.with_columns((), (), ())
+    for fs in ((f,), (f, f), (f, g), (g, f), (f, h, g), (sub, f), (f, sub, g), (sub, sub), (empty, f), (empty,)):
+        keys, freqs, columns = fields_module.union_columns(fs)
+        assert (keys, freqs) == union_support(fs)
+        assert [list(c) for c in columns] == [aligned(x.keys, x.amps, keys) for x in fs]
+        big = max(fs, key=lambda x: len(x.keys))
+        if all(set(x.keys) <= set(big.keys) for x in fs):
+            assert keys is big.keys and freqs is big.freqs
+        values = [[complex(i, 1.0) for i in range(len(x.keys))] for x in fs]
+        assert fields_module.union_columns(fs, values)[2] == [aligned(x.keys, v, keys) for x, v in zip(fs, values)]
+
+
 @given(field_cases(), st.sampled_from(SYMBOLS), st.lists(coefficient, min_size=3, max_size=3), finite)
 def test_operators_match_rebuilt_reference(case, symbol, coeffs, t):
     f, g, h, freq, rebuild = case
@@ -423,7 +441,7 @@ def test_grids_are_the_series_rows():
     data = CauchyData(u0, g)
     times = [0.0, 1.0, Fraction(1, 3), -2.5]
     keys, freqs, re, im = snapshots.evolve_grid(data, times)
-    assert (keys, freqs) == fields_module.union_support((u0, g)) and re.shape == im.shape == (4, 4)
+    assert (keys, freqs) == fields_module.union_columns((u0, g))[:2] and re.shape == im.shape == (4, 4)
     for t, r, i in zip(times, re.tolist(), im.tolist()):
         u = evolve(data, t)
         assert [complex(x, y) for x, y in zip(r, i)] == [u.amplitude_at(k) for k in keys]

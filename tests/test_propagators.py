@@ -6,17 +6,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavesnap.propagators import (
+    CHEBYSHEV_LOOP_MAX,
     IDENTITY_TOL,
+    SERIES_SWITCH,
     InvalidScale,
     as_radians,
     chebyshev_U,
     cos_at,
+    cos_column,
     fundamental_identities_check,
     kernel_threshold,
     psi_at,
+    psi_column,
     psi_grid,
     sine_at,
+    sine_at_column,
     sine_over,
+    sine_over_column,
     sine_over_grid,
     symbol_Psi,
     symbol_S,
@@ -72,6 +78,27 @@ def test_chebyshev_U_against_trig_form():
         for theta in (0.3, 1.0, 2.5):
             want = math.sin(m * theta + theta) / math.sin(theta)
             assert abs(chebyshev_U(m, math.cos(theta)) - want) < 1e-11 * (1 + m * m)
+
+
+def mp_U(m, x):
+    """U_m(x) at 40 digits, by its trigonometric form."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        if abs(x) == 1:
+            return (m + 1) * x**m
+        theta = mpmath.acos(x)
+        return mpmath.sin((m + 1) * theta) / mpmath.sin(theta)
+
+
+def test_chebyshev_U_at_large_index_matches_mpmath():
+    # the loop up to CHEBYSHEV_LOOP_MAX, O(log m) doubling beyond it; x at and
+    # near +-1 (cos u at a kernel radius, where Psi takes this branch) and inside
+    xs = [1.0, -1.0, math.cos(1e-7), math.cos(math.pi - 9e-7), math.cos(3 * math.pi + 4e-7), 0.3, -0.77]
+    for m in (CHEBYSHEV_LOOP_MAX, CHEBYSHEV_LOOP_MAX + 1, 4097, 10**5, 10**9, 10**15, 10**23):
+        for x in xs:
+            got = chebyshev_U(m, x)
+            assert abs(got - float(mp_U(m, x))) <= 1e-11 * (m + 1), (m, x)
+            assert chebyshev_U(-m - 2, x) == -got
 
 
 def test_Psi_at_sine_zero_uses_chebyshev():
@@ -257,6 +284,98 @@ def test_grid_forms_mark_where_the_scalar_rule_raises():
         assert sine_over_grid([], [1.0]).shape == (0, 1) and psi_grid([], [1.0]).shape == (0, 1)
     with pytest.raises(OverflowError):
         psi_grid([10**400], [1.0])  # m * u reads m as a float
+
+
+# -- column forms: every element is the scalar rule's, bit for bit --------------
+
+# kernel radii k pi with |u| >= 16 at t = 1, where the 4-ulp threshold decides
+# the zero: at 1000 pi and beyond |sin u| lies above KERNEL_SIN_TOL, and from
+# 1e10 pi on above SERIES_SWITCH too
+KERNEL_RADII = [k * math.pi for k in (6, 50, 333, 10**4, 10**6, 10**10, 10**12)]
+COLUMN_RADII = GRID_RADII + KERNEL_RADII + [SERIES_SWITCH * (1 - 1e-9)]
+COLUMN_TIMES = [0.0, -0.0, 1.0, -2.5, 3e-7, 1e-300, 0.35, 1e3, 3]
+HALF_INTEGERS = [0.5, 1.0, 1.5, 3.0, 7.5, 2.0**52 + 0.5, Fraction(2**60 + 1, 2)]
+
+
+def by_element(rule, *columns):
+    """Each element of the scalar rule over the columns, floats as hex, or the exception type it raised."""
+    try:
+        return [hex_or_same(rule(*args)) for args in zip(*columns)]
+    except Exception as exc:
+        return type(exc)
+
+
+def column_form(fn, *args):
+    """A column rule's output as `by_element` writes the scalar rule's."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc)
+    return [hex_or_same(v) for v in (zip(*out) if isinstance(out, tuple) else out)]
+
+
+def hex_or_same(v):
+    if isinstance(v, tuple):
+        return tuple(map(hex_or_same, v))
+    return v.hex() if isinstance(v, float) else v
+
+
+def check_columns(t, ws, ms=()):
+    ts = [t] * len(ws)
+    assert column_form(sine_at_column, t, ws) == by_element(sine_at, ts, ws), (t, ws)
+    assert column_form(cos_column, t, ws) == by_element(cos_at, ts, ws), (t, ws)
+    if isinstance(t, Fraction):
+        return  # sine_over and psi_at take a time in radians
+    assert column_form(sine_over_column, float(t), ws) == by_element(sine_over, [float(t)] * len(ws), ws)
+    us = [float(t) * w for w in ws]
+    if not all(map(math.isfinite, us)):
+        return  # the columns that take sin(u) from their caller, where it exists
+    sins = [math.sin(u) for u in us]
+    assert column_form(sine_at_column, t, ws, sins) == by_element(sine_at, ts, ws)
+    assert column_form(sine_over_column, float(t), ws, sins) == by_element(sine_over, [float(t)] * len(ws), ws)
+    for m in ms:
+        assert column_form(psi_column, m, us, sins) == by_element(psi_at, [m] * len(us), us, sins), (m, t)
+
+
+def test_column_rules_are_the_scalar_rules():
+    # lam = 0 and t = 0, t lam on both sides of SERIES_SWITCH and |sin u| on
+    # both sides of SIN_SWITCH, kernel radii at |u| >= 16 next to small ones
+    ms = [-12, -3, -1, 0, 1, 2, 3, 40, CHEBYSHEV_LOOP_MAX + 7, 10**12]
+    for t in COLUMN_TIMES:
+        for ws in (COLUMN_RADII, COLUMN_RADII[::-1], COLUMN_RADII[1:], COLUMN_RADII[8:], []):
+            check_columns(t, ws, ms)
+    assert sine_at_column(1.0, [1000 * math.pi])[1] == [True] and abs(math.sin(1000 * math.pi)) > 1e-14
+    assert sine_at_column(1.0, [0.5, 1e10 * math.pi])[1] == [False, True] and abs(math.sin(1e10 * math.pi)) > 1e-6
+    # Fraction times: exact zeros at half-integer frequencies, and a frequency they reject
+    for beta in FRACTION_TIMES + [Fraction(0), Fraction(2, 3)]:
+        check_columns(beta, HALF_INTEGERS)
+        check_columns(beta, [1.5, math.sqrt(2.0)])
+
+
+def test_column_rules_raise_what_the_scalar_rules_raise():
+    # an infinite t lam, a Psi index beyond the float range (after window
+    # elements that the Chebyshev branch takes), a division by a zero sine
+    for ws in ([10.0], [0.0, 1e-300, 10.0], [10.0, 0.0]):
+        check_columns(1e308, ws)
+    assert column_form(sine_at_column, 1e308, [10.0]) is ValueError
+    us = [0.0, math.pi, 1.0]
+    sins = [math.sin(u) for u in us]
+    assert column_form(psi_column, 10**400, us, sins) is OverflowError
+    assert by_element(psi_at, [10**400] * 3, us, sins) is OverflowError
+    assert column_form(psi_column, 2, [math.inf, 1.0], [0.5, math.sin(1.0)]) is ValueError
+    assert column_form(psi_column, 3, [0.0, 1.0], [0.0, math.sin(1.0)]) == by_element(
+        psi_at, [3, 3], [0.0, 1.0], [0.0, math.sin(1.0)]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t=st.sampled_from([0.0, 1.0, 1.0 / 3.0, math.sqrt(2.0)]) | st.floats(min_value=-1e3, max_value=1e3),
+    ws=st.lists(st.sampled_from(COLUMN_RADII) | st.floats(min_value=0.0, max_value=1e4), max_size=25),
+    m=st.integers(min_value=-50, max_value=50) | st.integers(min_value=-(10**30), max_value=10**30),
+)
+def test_column_rules_match_the_scalar_rules_anywhere(t, ws, m):
+    check_columns(t, ws, [m])
 
 
 def test_identity_check_rejects_an_overflowing_product():

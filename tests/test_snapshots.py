@@ -438,6 +438,45 @@ def perturbed(f, key, by=1e-6):
     return linear_combine([1.0, 1.0], [f, f.with_columns((key,), (f.freqs[f.keys.index(key)],), (by,))])
 
 
+def equation_cases(rng):
+    """Hand-built equation columns over twelve keys on the line, as
+    (like, equations, gains): two equations whose first is zero at some keys,
+    kernel keys whose right sides obstruct or stay within tolerance, keys over
+    their own consistency bound next to a worse key within its larger one,
+    three equations, and one equation with gains."""
+    like = field(1, [((float(k),), 1.0) for k in range(1, 13)])
+    g = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in like.keys]
+
+    def equation(zero_at, tiny_at=(), off=None):
+        s = [0.0 if i in zero_at else rng.choice((1.0, -1.0)) * rng.uniform(0.1, 2.0) for i in range(12)]
+        for i in tiny_at:
+            s[i] = 1e-7
+        r = [si * gi for si, gi in zip(s, g)]
+        for i, by in (off or {}).items():
+            r[i] += by
+        return s, [i in zero_at for i in range(12)], r
+
+    cases = [
+        [equation({2, 5, 7}), equation({7})],
+        [equation({2, 5, 7}, off={2: 3e-3, 7: 1e-13}), equation({7}, off={7: -1e-13})],
+        [equation({2, 5, 7}, off={7: 1e-3}), equation({7})],
+        [equation({0}, tiny_at=(4,)), equation(set(), off={3: 5e-9, 4: 1e-5, 9: 7e-9})],
+        [equation({1, 3}), equation({1}), equation(set(), off={1: 2e-8, 3: 4e-9})],
+    ]
+    out = [(like, eqs, None) for eqs in cases]
+    out.append((like, [equation({6}, off={6: 1e-14})], [rng.uniform(0.0, 3.0) for _ in range(12)]))
+    return out
+
+
+def row_of(equations, gains):
+    """The row callback of `ref.row_diagonal_solve` that reads hand-built equation columns."""
+    def row(key, lam, amp):
+        i = int(key[0]) - 1
+        return tuple((s[i], z[i], r[i]) for s, z, r in equations), 1.0 if gains is None else gains[i]
+
+    return row
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_column_solvers_match_the_row_loop(seed):
@@ -509,3 +548,8 @@ def test_column_solvers_match_the_row_loop(seed):
         cases.append((snap.three_snapshot_solve, ref.three_snapshot_solve, (s0, s1, fa, Fraction(2, 3))))
     for solve, reference, args in cases:
         assert solve_outcome(solve, *args) == solve_outcome(reference, *args), (solve.__name__, args[-1])
+    # `diagonal_solve` itself on hand-built columns, the notes included
+    for like, equations, gains in equation_cases(rng):
+        got = solve_outcome(snap.diagonal_solve, like, like.keys, like.freqs, equations, "kernel", gains)
+        want = solve_outcome(ref.row_diagonal_solve, (like,), (like,), row_of(equations, gains), "kernel")
+        assert got == want, (len(equations), got[:2])
