@@ -422,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=6)
     p.set_defaults(handler=_dio_probe_mu)
 
-    p = dio.add_parser("smallden", help="certified |sin(pi(l+shift)beta)| table")
+    p = dio.add_parser("smallden", help="|sin(pi(l+shift)beta)| table with exact zero detection")
     p.add_argument("--number", type=_number_spec, required=True)
     p.add_argument("--shift", type=_fraction, default=Fraction(0))
     p.add_argument("--count", type=int, default=1000)

@@ -93,45 +93,25 @@ def recursion_trial(data: CauchyData, a: float, b: float) -> tuple[float, float,
     """One trial's worst residuals against evolution of the closed form from
     the snapshots at 0 and 1 (|m| <= 20) and of the general step from those
     at a < b (|m| <= 8), and of u_{m+2} + u_m - 2 S'_1 u_{m+1}.  They are read
-    off one evolve grid and two snapshot grids, the latter aligned to the
-    former's keys (a snapshot's key column drops keys where u_1, u_a and u_b
-    all vanish), with np.hypot on the real and imaginary differences in the
-    order complex arithmetic takes them."""
+    off one evolve grid: the snapshot grids run on its own rows at 0, 1, a
+    and b, over its keys, with np.hypot on the real and imaginary
+    differences in the order complex arithmetic takes them."""
     import numpy as np
 
     integers = [float(m) for m in range(-20, 22)]  # row m + 20 is u_m
     general = [a + m * (b - a) for m in range(-8, 9)]
-    keys, freqs, re, im = snapshots.evolve_grid(data, integers + [a, b] + general)
-    u1, ua, ub = snapshots.grid_rows(data.position, (keys, freqs, re[[21, 42, 43]], im[[21, 42, 43]]))
+    _, freqs, re, im = snapshots.evolve_grid(data, integers + [a, b] + general)
 
-    def gap(snapshot: snapshots.Grid, rows: slice) -> float:
-        """max |x - y| between a snapshot grid and the evolve rows it should equal."""
-        x_re, x_im = _on_keys(keys, snapshot)
-        return float(np.hypot(x_re - re[rows], x_im - im[rows]).max(initial=0.0))
-
-    worst_closed = gap(snapshots.snapshot_grid(data.position, u1, 0.0, 1.0, range(-20, 21)), slice(0, 41))
-    worst_general = gap(snapshots.snapshot_grid(ua, ub, a, b, range(-8, 9)), slice(44, 61))
+    worst = []  # the closed form from rows 20, 21 (u_0, u_1), the general step from rows 42, 43 (u_a, u_b)
+    for s, i, ms, rows in ((1.0, 20, range(-20, 21), slice(0, 41)), (b - a, 42, range(-8, 9), slice(44, 61))):
+        x_re, x_im = snapshots.snapshot_grid_columns(s, freqs, (re[i], im[i]), (re[i + 1], im[i + 1]), ms)
+        worst.append(float(np.hypot(x_re - re[rows], x_im - im[rows]).max(initial=0.0)))
     with np.errstate(all="ignore"):
         c = np.cos(np.asarray(freqs, dtype=float))  # S'_1
         recur = np.hypot(
             re[2:42] + re[0:40] + -2.0 * (c * re[1:41]), im[2:42] + im[0:40] + -2.0 * (c * im[1:41])
         )
-    return worst_closed, worst_general, float(recur.max(initial=0.0))
-
-
-def _on_keys(keys: tuple, grid: snapshots.Grid):
-    """A grid's real and imaginary parts read at `keys`, a superset of its
-    own keys, 0.0 elsewhere."""
-    import numpy as np
-
-    own, _, re, im = grid
-    if own is keys or own == keys:
-        return re, im
-    where = dict(zip(keys, range(len(keys))))
-    cols = np.array([where[k] for k in own], dtype=np.intp)
-    out_re, out_im = np.zeros((len(re), len(keys))), np.zeros((len(re), len(keys)))
-    out_re[:, cols], out_im[:, cols] = re, im
-    return out_re, out_im
+    return worst[0], worst[1], float(recur.max(initial=0.0))
 
 
 def identity_suite(seed: int = 0) -> dict:

@@ -78,7 +78,7 @@ class SpectralField:
         "dim",
         "modes",
         lambda key, amp: {"xi": list(key), "amp": amp},
-        lambda dim, rows: _spectral_field(dim, *json_columns(rows, "xi"), amps_from_json(rows)),
+        lambda dim, rows: _spectral_field(dim, _json_keys(rows), amps_from_json(rows)),
     )
 
     @property
@@ -349,15 +349,33 @@ def _rows(f: Field, pad: str) -> str:
     return "[" + ",".join([template % (key + (amp.real, amp.imag)) for key, amp in zip(f.keys, f.amps)]) + pad + "]"
 
 
-def json_columns(rows: Sequence[dict], *names: str) -> list[list]:
-    """The members `names` of a document's rows, one column per name."""
-    return [list(map(operator.itemgetter(name), rows)) for name in names]
+def json_typed(values: list, name: str, kind: str = "number") -> list:
+    """`values`, a document's `name` members, unless one is no JSON `kind`
+    ("number" or "integer"; a bool is neither): TypeError naming the first."""
+    types = {int, float} if kind == "number" else {int}
+    if not types.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in types)
+        raise TypeError(f"{name} {bad!r} is not a JSON {kind}")
+    return values
+
+
+def json_columns(rows: Sequence[dict], *names: str, kind: str = "") -> list[list]:
+    """The members `names` of a document's rows, one column per name, each a column of JSON `kind` if given."""
+    columns = [list(map(operator.itemgetter(name), rows)) for name in names]
+    return [json_typed(c, name, kind) for c, name in zip(columns, names)] if kind else columns
+
+
+def _json_keys(rows: Sequence[dict]) -> list:
+    """The rows' frequency vectors, every component a JSON number."""
+    (xis,) = json_columns(rows, "xi")
+    json_typed(list(itertools.chain.from_iterable(xis)), "xi component")
+    return xis
 
 
 def amps_from_json(rows: Sequence[dict]) -> list[complex]:
-    """The rows' amplitudes, each held as [re, im], converted a column at a time."""
+    """The rows' amplitudes, each held as [re, im] of JSON numbers, converted a column at a time."""
     (pairs,) = json_columns(rows, "amp")
-    re, im = (map(float, map(operator.itemgetter(i), pairs)) for i in (0, 1))
+    re, im = (json_typed(list(map(operator.itemgetter(i), pairs)), "amp part") for i in (0, 1))
     return list(map(complex, re, im))
 
 
@@ -375,7 +393,7 @@ def field_from_json(obj: Any) -> Field:
             headers = " and ".join(repr(kind.json_schema[0]) for kind in kinds)
             raise ValueError(f"a field document has exactly one of the members {headers}")
         header, name, _, read = found[0].json_schema
-        return read(int(obj[header]), obj[name])
+        return read(json_typed([obj[header]], header, "integer")[0], obj[name])
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed field document: {exc}") from exc
 

@@ -59,12 +59,15 @@ def chebyshev_U(m: int, x: float) -> float:
     indices by U_{-1} = 0 and U_{-m-2} = -U_m.  Up to CHEBYSHEV_LOOP_MAX by
     the three-term recurrence, beyond it in O(log m) steps: (T_n, U_{n-1})
     for n = m + 1 by binary powering, through T_{a+b} = T_a T_b - (1 - x^2)
-    U_{a-1} U_{b-1} and U_{a+b-1} = U_{a-1} T_b + T_a U_{b-1}."""
+    U_{a-1} U_{b-1} and U_{a+b-1} = U_{a-1} T_b + T_a U_{b-1}, or at x = +-1
+    by the exact (+-1)^m (m + 1), which overflows past the float range."""
     if m == -1:
         return 0.0
     if m < -1:
         return -chebyshev_U(-m - 2, x)
     if m > CHEBYSHEV_LOOP_MAX:
+        if x == 1.0 or x == -1.0:  # where the doubling would form 0 inf
+            return x ** (m % 2) * float(m + 1)
         s2 = (1.0 - x) * (1.0 + x)  # 1 - x^2 without cancellation near x = +-1
         t, u = 1.0, 0.0  # (T_0, U_{-1})
         for bit in f"{m + 1:b}":
@@ -94,11 +97,6 @@ def sine_over(t: float, lam: float) -> float:
     if abs(u) < SERIES_SWITCH:
         return t * (1.0 - u * u / 6.0 + u * u * u * u / 120.0)
     return math.sin(u) / lam
-
-
-def cosine(t: float, lam: float) -> float:
-    """cos(t lam): the symbol of S'_t at a time t in radians."""
-    return math.cos(t * lam)
 
 
 def kernel_threshold(u: float) -> float:
@@ -173,7 +171,7 @@ def symbol_S(t: float | Fraction) -> MultiplierSymbol:
 def symbol_Sprime(t: float | Fraction) -> MultiplierSymbol:
     """Symbol of S'_t: lam -> cos(t lam).  Entire, no singular points."""
     t = as_radians(t)
-    return MultiplierSymbol(f"S'[{t:g}]", functools.partial(cosine, t))
+    return MultiplierSymbol(f"S'[{t:g}]", functools.partial(cos_at, t))
 
 
 def symbol_Psi(m: int, s: float) -> MultiplierSymbol:
@@ -244,7 +242,7 @@ def sine_at_column(
 
 
 def cos_column(time: float | Fraction, ws: Sequence[float]) -> list[float]:
-    """`cos_at(time, w)` at each frequency in `ws`: at a float time, `cosine`'s value."""
+    """`cos_at(time, w)` at each frequency in `ws`."""
     if type(time) is float or not isinstance(time, Fraction):
         t = float(time)
         return [math.cos(t * w) for w in ws]

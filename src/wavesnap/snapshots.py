@@ -29,7 +29,6 @@ from .fields import (
     check_finite,
     linear_combine,
     max_abs_amp,
-    subtract,
     symbol_values,
     union_columns,
 )
@@ -115,12 +114,16 @@ Grid = tuple[tuple, tuple, Any, Any]
 
 
 def evolve(data: CauchyData, t: float | Fraction) -> Field:
-    """u_t = S'_t u0 + S_t g; a Fraction t means t pi.  Each amplitude is
-    cos(t lam) u0 + sin(t lam)/lam g at its key, over the union of the data's
-    keys; a failing or non-finite amplitude names S'_t or S_t where a symbol
-    value is bad, else raises ValueError 'non-finite amplitude'."""
-    u0, g = data.position, data.velocity
-    keys, freqs, (x, y) = union_columns((u0, g))
+    """u_t = S'_t u0 + S_t g: `evolve_column` over the union of the data's keys."""
+    keys, freqs, (x, y) = union_columns((data.position, data.velocity))
+    return _with_amps(data.position, keys, freqs, evolve_column(t, freqs, x, y))
+
+
+def evolve_column(t: float | Fraction, freqs: Sequence[float], x: Sequence[complex], y: Sequence[complex]) -> list:
+    """cos(t lam) x + sin(t lam)/lam y over the columns of frequencies lam,
+    positions x and velocities y; a Fraction t means t pi.  A failing or
+    non-finite amplitude names S'_t or S_t where a symbol value is bad, else
+    raises ValueError 'non-finite amplitude'."""
     r = as_radians(t)
     try:
         cos, sine = cos_column(r, freqs), sine_over_column(r, freqs)
@@ -129,7 +132,15 @@ def evolve(data: CauchyData, t: float | Fraction) -> Field:
     except (ArithmeticError, ValueError):
         _name_bad_symbol((symbol_Sprime(t), symbol_S(t)), freqs)
         raise
-    return _with_amps(u0, keys, freqs, amps)
+    return amps
+
+
+def _residual(t: float | Fraction, freqs: Sequence[float], x: Sequence, y: Sequence, target: Sequence) -> float:
+    """max |target - u_t| over one column, u_t from position x and velocity y
+    by `evolve_column`, not by the solver's symbols: the solvers' post-check."""
+    diffs = list(map(operator.sub, target, evolve_column(t, freqs, x, y)))
+    check_finite(diffs)
+    return max(map(abs, diffs), default=0.0)
 
 
 def evolve_grid(data: CauchyData, times: Iterable[float | Fraction]) -> Grid:
@@ -170,21 +181,26 @@ def general_integer_snapshot(ua: Field, ub: Field, a: float, b: float, m: int) -
 
 
 def snapshot_grid(ua: Field, ub: Field, a: float, b: float, ms: Iterable[int]) -> Grid:
-    """`general_integer_snapshot` at each m in `ms` as one grid over the union
-    of the snapshots' keys.  Every Psi column the rows need is one row of a
-    single `psi_grid` call, so u = s lam and sin(u) are computed once per key.
-    The first row that is not finite raises what `general_integer_snapshot`
-    raises at its index."""
+    """`general_integer_snapshot` at each m in `ms` as one grid over the union of the snapshots' keys."""
+    s = _step(ua, ub, a, b)
+    keys, freqs, (y, x) = union_columns((ub, ua))
+    return (keys, freqs, *snapshot_grid_columns(s, freqs, _parts(x), _parts(y), ms))
+
+
+def snapshot_grid_columns(s: float, freqs: Sequence[float], x, y, ms: Iterable[int]):
+    """`snapshot_grid`'s parts (re, im) at step s over `freqs`, from the parts
+    x = (re, im) of u_a and y of u_b as float64 arrays.  Every Psi column is a
+    row of one `psi_grid` call, so u = s lam and sin(u) are computed once per
+    key.  The first row that is not finite raises what
+    `general_integer_snapshot` raises at its index."""
     import numpy as np
 
-    s = _step(ua, ub, a, b)
     ms = list(map(int, ms))
 
     def symbols(i: int) -> tuple[MultiplierSymbol, MultiplierSymbol]:
         return symbol_Psi(ms[i], s), symbol_Psi(ms[i] - 1, s)
 
-    keys, freqs, (y, x) = union_columns((ub, ua))
-    (yr, yi), (xr, xi) = _parts(y), _parts(x)
+    (xr, xi), (yr, yi) = x, y
     index = sorted({k for m in ms for k in (m, m - 1)})
     try:
         psi = psi_grid(index, s * np.asarray(freqs, dtype=float))
@@ -199,7 +215,7 @@ def snapshot_grid(ua: Field, ub: Field, a: float, b: float, ms: Iterable[int]) -
         re = p * yr - q * xr
         im = p * yi - q * xi
     _check_rows(re, im, freqs, symbols)
-    return keys, freqs, re, im
+    return re, im
 
 
 def _step(ua: Field, ub: Field, a: float, b: float) -> float:
@@ -208,17 +224,6 @@ def _step(ua: Field, ub: Field, a: float, b: float) -> float:
         raise InvalidTimes(f"need a < b, got a={a}, b={b}")
     ub.check_same_basis(ua)
     return b - a
-
-
-def grid_rows(like: Field, grid: Grid) -> list[Field]:
-    """The rows of a grid as fields of like's basis, through `_with_amps`: they
-    share the grid's key and frequency tuples unless an amplitude vanishes."""
-    import numpy as np
-
-    keys, freqs, re, im = grid
-    amps = np.empty(re.shape, dtype=complex)
-    amps.real, amps.imag = re, im
-    return [_with_amps(like, keys, freqs, row) for row in amps.tolist()]
 
 
 def _angles(s: float, freqs: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -298,7 +303,7 @@ def diagonal_solve(
     equations: Sequence[Equation],
     kernel_note: str,
     gains: Sequence[float] | None = None,
-    verify: Callable[[Field], tuple[float, str]] | None = None,
+    verify: Callable[[list], tuple[float, str]] | None = None,
 ) -> SolveReport:
     """Solve for g, a field of like's basis, key by key over canonical `keys`
     and `freqs`, a column at a time over `equations`, taken in order.
@@ -308,8 +313,9 @@ def diagonal_solve(
     (0 is returned) and the data is Obstructed unless every right side is
     within OBSTRUCTION_AMP_TOL of 0.  Elsewhere g = r / s from the first
     nonzero equation, and the other equations must agree within
-    CONSISTENCY_TOL (1 + the key's own conditioning).  `verify(g)` gives a
-    post-check residual and a note, held to CONSISTENCY_TOL (1 + the worst
+    CONSISTENCY_TOL (1 + the key's own conditioning).  `verify(gs)`, given
+    g's amplitude column over `keys` (0j in the kernel), returns a post-check
+    residual and a note, held to CONSISTENCY_TOL (1 + the worst
     conditioning); without it the residual is the worst inconsistency.
     """
     n, count = len(keys), len(equations)
@@ -343,11 +349,11 @@ def diagonal_solve(
         return SolveReport(STATUS_OBSTRUCTED, None, inconsistency, conditioning, kernel, failed)
     tol = CONSISTENCY_TOL * (1.0 + conditioning)
     check_finite(gs)
-    g = _with_amps(like, keys, freqs, gs)  # drops the kernel keys' zeros
-    residual, note = verify(g) if verify is not None else (inconsistency, "")
+    residual, note = verify(gs) if verify is not None else (inconsistency, "")
     if residual > tol:
         note = "post-verification failed" + (": " + note if note else "")
         return SolveReport(STATUS_OBSTRUCTED, None, residual, conditioning, kernel, note)
+    g = _with_amps(like, keys, freqs, gs)  # drops the kernel keys' zeros
     return SolveReport(STATUS_NONUNIQUE if kernel else STATUS_UNIQUE, g, residual, conditioning, kernel, note)
 
 
@@ -384,12 +390,9 @@ def _check_finite(t: float | Fraction, name: str = "time") -> None:
 
 def _two_snapshot_solve(f0: Field, ft: Field, t: float | Fraction, kernel_note: str) -> SolveReport:
     _check_finite(t)
-
-    def verify(g: Field) -> tuple[float, str]:
-        return max_abs_amp(subtract(ft, evolve(CauchyData(f0, g), t))), ""
-
     keys, freqs, (a, b) = union_columns((f0, ft))
-    return diagonal_solve(f0, keys, freqs, [_snapshot_equation(t, freqs, a, b)], kernel_note, verify=verify)
+    eq = _snapshot_equation(t, freqs, a, b)
+    return diagonal_solve(f0, keys, freqs, [eq], kernel_note, verify=lambda gs: (_residual(t, freqs, a, gs, b), ""))
 
 
 def three_snapshot_solve(f0: Field, f1: Field, falpha: Field, alpha: float | Fraction) -> SolveReport:
@@ -440,7 +443,8 @@ def _bezout_solve(f0: Field, fa: Field, fb: Field, p: int, q: int, unit: float) 
     equals S_u g identically, because sin(k p x) cos(l q x) + sin(l q x) cos(k p x)
     = sin(x) for x = u lam.  One division by the symbol of S_u finishes; its
     kernel (lam in pi Z / u) is the only non-uniqueness.  The windows, the Psi
-    gate and both product symbols are columns over the keys, built in one pass.
+    gate and both product symbols are columns over the keys, built in one pass,
+    and the post-check re-evolves over the same columns.
     """
     pu, qu = p * unit, q * unit
     for f in (fa, fb):
@@ -470,14 +474,12 @@ def _bezout_solve(f0: Field, fa: Field, fb: Field, p: int, q: int, unit: float) 
     su, zero = sine_at_column(unit, freqs, sin_u)  # sin(unit lam) once: u is unit lam in both
     # S_{pu} and S_{qu} vanish with S_u, so at a kernel key neither window sees
     # g and both must vanish: the larger one is the right side
-    rhs = [max(x, y, key=abs) if z else n for z, n, x, y in zip(zero, num, a, b)]
+    rhs = [max(va, vb, key=abs) if zr else n for zr, n, va, vb in zip(zero, num, a, b)]
     gains = list(map(operator.add, map(abs, sym_a), map(abs, sym_b)))
 
-    def verify(g: Field) -> tuple[float, str]:
-        data = CauchyData(f0, g)
-        ra = max_abs_amp(subtract(fa, evolve(data, p * unit)))
-        rb = max_abs_amp(subtract(fb, evolve(data, q * unit)))
-        return max(ra, rb), f"bezout k={k}, l={l}; residual at t={p * unit:g}: {ra:.3e}, t={q * unit:g}: {rb:.3e}"
+    def verify(gs: list) -> tuple[float, str]:
+        ra, rb = _residual(pu, freqs, x, gs, y), _residual(qu, freqs, x, gs, z)
+        return max(ra, rb), f"bezout k={k}, l={l}; residual at t={pu:g}: {ra:.3e}, t={qu:g}: {rb:.3e}"
 
     note = "kernel-mode data admits no wave through all three snapshots"
     return diagonal_solve(f0, keys, freqs, [(su, zero, rhs)], note, gains, verify)

@@ -104,7 +104,7 @@ class SphereField:
         "n",
         "coeffs",
         lambda key, amp: {"l": key[0], "m": key[1], "amp": amp},
-        lambda n, rows: _sphere_field(n, *json_columns(rows, "l", "m"), amps_from_json(rows)),
+        lambda n, rows: _sphere_field(n, *json_columns(rows, "l", "m", kind="integer"), amps_from_json(rows)),
     )
 
     @property

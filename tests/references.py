@@ -21,6 +21,7 @@ from wavesnap.fields import (
     DimensionMismatch,
     MultiplierSymbol,
     SpectralField,
+    _with_amps,
     apply_multiplier,
     linear_combine,
     max_abs_amp,
@@ -40,7 +41,6 @@ from wavesnap.snapshots import (
     SolveReport,
     evolve,
     evolve_grid,
-    grid_rows,
     snapshot_grid,
 )
 from wavesnap.sphere import RequiresOddDimension, RequiresZonal, SphereField, dim_Hl, frequency
@@ -49,14 +49,21 @@ from wavesnap.sphere import RequiresOddDimension, RequiresZonal, SphereField, di
 # the grids' rows as fields
 
 
+def _grid_rows(like, grid):
+    """The rows of a grid as fields of like's basis, each amplitude folded and
+    dropped where zero as `_with_amps` does."""
+    keys, freqs, re, im = grid
+    return [_with_amps(like, keys, freqs, list(map(complex, r, i))) for r, i in zip(re.tolist(), im.tolist())]
+
+
 def evolve_series(data, times):
     """u_t for each t in `times`: the rows of `evolve_grid`."""
-    return grid_rows(data.position, evolve_grid(data, times))
+    return _grid_rows(data.position, evolve_grid(data, times))
 
 
 def snapshot_series(ua, ub, a, b, ms):
     """u at each time a + m (b - a), m in `ms`: the rows of `snapshot_grid`."""
-    return grid_rows(ub, snapshot_grid(ua, ub, a, b, ms))
+    return _grid_rows(ub, snapshot_grid(ua, ub, a, b, ms))
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +83,18 @@ def entry_columns(entries):
     return keys, tuple(map(freq.__getitem__, keys)), tuple(map(merged.__getitem__, keys))
 
 
+def _typed(v, kind, name):
+    if type(v) not in ((int, float) if kind == "number" else (int,)):
+        raise TypeError(f"{name} {v!r} is not a JSON {kind}")
+    return v
+
+
 def _clean_xi(dim, xi):
     if len(xi) != dim:
         raise DimensionMismatch(f"frequency {tuple(xi)} does not have dim {dim}")
     out = []
     for v in xi:
-        v = float(v) + 0.0
+        v = float(_typed(v, "number", "xi component")) + 0.0
         if not math.isfinite(v):
             raise ValueError(f"non-finite frequency component {v!r}")
         out.append(v)
@@ -89,7 +102,7 @@ def _clean_xi(dim, xi):
 
 
 def _amp(pair):
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(float(_typed(pair[0], "number", "amp part")), float(_typed(pair[1], "number", "amp part")))
 
 
 def _flat(dim, rows):
@@ -112,7 +125,7 @@ def _sphere(n, rows):
 
     def validated():
         for l, m, amp in entries:
-            l, m = int(l), int(m)
+            l, m = _typed(l, "integer", "l"), _typed(m, "integer", "m")
             d = dim_Hl(n, l)
             if not 1 <= m <= d:
                 raise ValueError(f"order m={m} outside [1, {d}] for degree l={l}, n={n}")
@@ -127,8 +140,8 @@ def field_from_json_by_entry(obj):
         if ("dim" in obj) == ("n" in obj):
             raise ValueError("a field document has exactly one of the members 'dim' and 'n'")
         if "dim" in obj:
-            return _flat(int(obj["dim"]), obj["modes"])
-        return _sphere(int(obj["n"]), obj["coeffs"])
+            return _flat(_typed(obj["dim"], "integer", "dim"), obj["modes"])
+        return _sphere(_typed(obj["n"], "integer", "n"), obj["coeffs"])
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed field document: {exc}") from exc
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavesnap import fields as fields_module, snapshots, sphere as sph
+from wavesnap import cli, fields as fields_module, snapshots, sphere as sph
 from wavesnap.fields import (
     DimensionMismatch,
     MultiplierSymbol,
@@ -182,6 +182,36 @@ def test_malformed_json_rejected():
     for doc in docs:
         with pytest.raises(ValueError):
             field_from_json(doc)
+
+
+def test_field_readers_take_only_json_numbers(tmp_path, capsys):
+    # each of these loaded before, read through float() or int()
+    docs = [
+        {"dim": 1, "modes": [{"xi": ["1.5"], "amp": ["1.5", "0"]}]},
+        {"dim": 1, "modes": [{"xi": [1.5], "amp": [1.5, "0"]}]},
+        {"dim": 1, "modes": [{"xi": [True], "amp": [1.5, 0.0]}]},
+        {"dim": 1, "modes": [{"xi": [1.5], "amp": [True, False]}]},
+        {"dim": 1.9, "modes": [{"xi": [1.5], "amp": [1.5, 0.0]}]},
+        {"dim": True, "modes": [{"xi": [1.5], "amp": [1.5, 0.0]}]},
+        {"n": 3, "coeffs": [{"l": "2", "m": 1, "amp": [1.0, 0.0]}]},
+        {"n": 3, "coeffs": [{"l": 2, "m": 1.0, "amp": [1.0, 0.0]}]},
+        {"n": 3, "coeffs": [{"l": 2, "m": True, "amp": [1.0, 0.0]}]},
+        {"n": 3, "coeffs": [{"l": 2, "m": 1, "amp": [1.0, True]}]},
+        {"n": 3.0, "coeffs": [{"l": 2, "m": 1, "amp": [1.0, 0.0]}]},
+    ]
+    path = tmp_path / "f.json"
+    for doc in docs:
+        with pytest.raises(ValueError, match="malformed field document"):
+            field_from_json(doc)
+        path.write_text(json.dumps(doc))
+        argv = ["wave", "evolve", "--field", str(path), "--velocity", str(path), "--t", "1"]
+        if "n" in doc:
+            argv = ["sphere", "evolve", "--f0", str(path), "--g", str(path), "--t", "1"]
+        assert cli.run(argv) == 1, doc
+        assert "malformed field document" in capsys.readouterr().err
+    # integers are JSON numbers, and an integral float is no integer degree
+    assert field_from_json({"dim": 1, "modes": [{"xi": [2], "amp": [1, -1]}]}) == field(1, [((2.0,), 1 - 1j)])
+    assert field_from_json({"n": 3, "coeffs": [{"l": 2, "m": 1, "amp": [0, 1]}]}) == sph.sphere_field(3, [(2, 1, 1j)])
 
 
 def test_atomic_write_replaces_whole_file(tmp_path):
@@ -474,18 +504,18 @@ def documents(draw):
     keys unsorted or repeated, -0.0 and integer components, zero and -0.0
     amplitudes; then possibly a wrong-length xi, a non-finite or a too large
     component, a non-finite amplitude, an order m or a degree out of range,
-    or a bad dimension."""
+    a value that is not a JSON number (or integer) or a bad dimension."""
     flat = draw(st.booleans())
     if flat:
         dim = draw(st.integers(1, 3))
         pool = draw(st.lists(st.lists(components, min_size=dim, max_size=dim), min_size=1, max_size=5))
         keys = [{"xi": list(draw(st.sampled_from(pool)))} for _ in range(draw(st.integers(0, 10)))]
-        kinds = ("length", "nonfinite", "huge", "amp", "header")
+        kinds = ("length", "nonfinite", "huge", "amp", "type", "header")
     else:
         dim = draw(st.integers(2, 4))
         lm = [(l, draw(st.integers(1, sph.dim_Hl(dim, l)))) for l in draw(st.lists(st.integers(0, 4), max_size=10))]
-        keys = [{"l": draw(st.sampled_from([l, float(l)])), "m": m} for l, m in lm]
-        kinds = ("order", "degree", "amp", "header")
+        keys = [{"l": l, "m": m} for l, m in lm]
+        kinds = ("order", "degree", "amp", "type", "header")
     rows = [{**key, "amp": [draw(amp_parts), draw(amp_parts)]} for key in keys]
     if draw(st.booleans()):  # the form json_text writes: sorted, distinct, nonzero
         rows = [row for row in rows if any(row["amp"])]
@@ -508,6 +538,15 @@ def documents(draw):
                 row["xi"] = [draw(nonfinite) if defect == "nonfinite" else 10**400] + row["xi"][1:]
             elif defect == "amp":
                 row["amp"] = [row["amp"][0], draw(nonfinite)]
+            elif defect == "type":  # at a key member or an amplitude part
+                bad = draw(st.sampled_from(["1", True, False, None, [1.0]] + ([] if flat else [1.0, 2.5])))
+                where = draw(st.sampled_from(["xi", "amp"] if flat else ["l", "m", "amp"]))
+                if where == "xi":
+                    row["xi"] = [bad] + row["xi"][1:]
+                elif where == "amp":
+                    row["amp"] = [row["amp"][0], bad]
+                else:
+                    row[where] = bad
             elif defect == "order":
                 row["m"] = draw(st.sampled_from([0, sph.dim_Hl(dim, int(row["l"])) + 1]))
             else:

@@ -101,6 +101,19 @@ def test_chebyshev_U_at_large_index_matches_mpmath():
             assert chebyshev_U(-m - 2, x) == -got
 
 
+def test_chebyshev_U_at_plus_minus_one_is_exact():
+    # U_m(+-1) = (+-1)^m (m + 1): the loop's value up to the switch, the same
+    # bits from the doubling beyond it, and an overflow, not nan, past the float range
+    for m in (CHEBYSHEV_LOOP_MAX - 1, CHEBYSHEV_LOOP_MAX, CHEBYSHEV_LOOP_MAX + 1, CHEBYSHEV_LOOP_MAX + 2, 10**6, 2**52):
+        assert chebyshev_U(m, 1.0) == float(m + 1)
+        assert chebyshev_U(m, -1.0) == (-1.0) ** (m % 2) * float(m + 1)
+    for x in (1.0, -1.0):
+        with pytest.raises(OverflowError):
+            chebyshev_U(10**400, x)
+        with pytest.raises(OverflowError):
+            chebyshev_U(-(10**400), x)
+
+
 def test_Psi_at_sine_zero_uses_chebyshev():
     # sin(pi) vanishes to double precision; value must be U_{m-1}(cos pi)
     psi = symbol_Psi(3, 1.0)

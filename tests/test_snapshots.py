@@ -1,12 +1,13 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavesnap import diophantine, snapshots as snap, sphere as sph
+from wavesnap import diophantine, fields, snapshots as snap, sphere as sph
 from wavesnap.fields import MultiplierSymbol, apply_multiplier, field, linear_combine, max_abs_amp, subtract
 from wavesnap.propagators import sine_at, symbol_Psi, symbol_Sprime
 from wavesnap.snapshots import CauchyData, evolve
@@ -553,3 +554,60 @@ def test_column_solvers_match_the_row_loop(seed):
         got = solve_outcome(snap.diagonal_solve, like, like.keys, like.freqs, equations, "kernel", gains)
         want = solve_outcome(ref.row_diagonal_solve, (like,), (like,), row_of(equations, gains), "kernel")
         assert got == want, (len(equations), got[:2])
+
+
+def solver_cases():
+    """Genuine snapshots, taken before any patch, for each solve with a
+    post-check: two snapshots, three with a Fraction alpha, the integer
+    Bezout solve and two snapshots on S^3, each with a pattern for the tail
+    of its post-check note."""
+    data = CauchyData(field(2, [((0.6, 0.8), 1.0), ((1.5, -2.0), 0.5j)]), field(2, [((0.6, 0.8), 0.3), ((-2.2, 0.1), 1.0)]))
+    f0 = data.position
+    f1, f2, f3, f23 = (evolve(data, t) for t in (1.0, 2.0, 3.0, 2.0 / 3.0))
+    on_sphere = CauchyData(sph.sphere_field(3, [(1, 2, 1.0), (2, 1, 0.5j)]), sph.sphere_field(3, [(1, 2, -0.25), (4, 3, 1.0)]))
+    k, l = diophantine.bezout(2, 3)
+    bezout = f": bezout k={k}, l={l}; residual at t={{}}: [0-9.e+-]+, t={{}}: [0-9.e+-]+"
+    return [
+        (snap.two_snapshot_solve, (f0, f1), ""),
+        (snap.three_snapshot_solve, (f0, f1, f23, Fraction(2, 3)), bezout.format("0.666667", 1)),
+        (snap.rational_reconstruct, (f0, f2, f3, 2, 3), bezout.format(2, 3)),
+        (sph.sphere_two_snapshot_solve, (on_sphere.position, evolve(on_sphere, 0.7), 0.7), ""),
+    ]
+
+
+def test_post_check_fails_on_a_perturbed_evolve(monkeypatch):
+    # the post-verification gate's negative control: evolve's column rule off by 1e-6 at one key
+    cases = solver_cases()
+    for solve, args, _ in cases:
+        assert solve(*args).status == snap.STATUS_UNIQUE
+    rule = snap.evolve_column
+
+    def nudged(t, freqs, x, y):
+        amps = rule(t, freqs, x, y)
+        amps[0] += 1e-6
+        return amps
+
+    monkeypatch.setattr(snap, "evolve_column", nudged)
+    for solve, args, tail in cases:
+        rep = solve(*args)
+        assert rep.status == snap.STATUS_OBSTRUCTED and rep.solution is None, (solve, rep)
+        assert re.fullmatch("post-verification failed" + tail, rep.note), rep.note
+        assert rep.residual > 5e-7
+
+
+def test_each_solve_takes_one_union(monkeypatch):
+    # the post-checks read the columns the solve built, with no union of their own
+    calls = []
+    union = fields.union_columns
+
+    def counted(*args):
+        calls.append(args)
+        return union(*args)
+
+    cases = solver_cases()
+    monkeypatch.setattr(fields, "union_columns", counted)
+    monkeypatch.setattr(snap, "union_columns", counted)
+    for solve, args, _ in cases:
+        calls.clear()
+        assert solve(*args).status == snap.STATUS_UNIQUE
+        assert len(calls) == 1, solve
