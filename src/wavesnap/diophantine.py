@@ -1,12 +1,17 @@
 """Exact rational arithmetic for small-denominator questions.
 
-Everything here that feeds a certified claim runs on `fractions.Fraction`
-(arbitrary precision, exact).  Floating point appears only in two places:
-final display values, and guard-banded enclosures of sines whose argument
-has already been range-reduced exactly.  Numbers whose fine arithmetic
-nature matters (rational, certified irrationality measure, factorial-series
-Liouville constructions) travel as `NumberClass` values so that downstream
-classification never has to guess from a float.
+Numbers whose fine arithmetic nature matters (rationals, quadratic
+irrationals of measure 2, factorial-series Liouville constructions) travel
+as `NumberClass` values, an exact `fractions.Fraction` with an exact error
+bound, so that downstream classification never has to guess from a float.
+
+Only results decided in exact integers are called certified: the odd-type
+margins (`odd_type_verifier` rechecks each candidate q in integers), the
+convergent bounds of a factorial series (`convergent_pair`,
+`doubled_liouville_bound`) and, through them, the `certified` flag of
+`snapshots.liouville_obstruction_demo`.  A small-denominator table detects
+its zero rows exactly, but its nonzero sines are `math.sin` floats, and the
+joint lower bound is a sampled minimum.
 """
 
 from __future__ import annotations
@@ -29,10 +34,9 @@ KIND_ODD_TYPE = "odd-type-liouville"
 FACTORIAL_DEPTH_CAP = 7  # 8! exponents already exceed 1e40000; deeper is pointless
 ODD_TYPE_WINDOW = 1e-9  # relative; odd q scoring this close to the best get the exact recheck
 JOINT_X_CAP = 1e6  # x_max max(1, |alpha|) in the joint sine bound: at most ~6e6 grid points
+JOINT_SAMPLES = 200_000  # the joint sine bound's uniform grid, besides its points near the zeros
 
-# Enclosure of pi: math.pi undershoots by about 1.22e-16.
-PI_LO = Fraction(math.pi)
-PI_HI = Fraction(math.pi) + Fraction(1, 2**52)
+PI_HI = Fraction(math.pi) + Fraction(1, 2**52)  # above pi: math.pi undershoots by about 1.22e-16
 
 
 class PrecisionExhausted(RuntimeError):
@@ -307,56 +311,6 @@ def convergent_pair(x: NumberClass, k: int) -> Convergent:
 
 
 # ---------------------------------------------------------------------------
-# exact range reduction and sine enclosures
-
-
-@dataclass(frozen=True)
-class SineInterval:
-    """Certified enclosure of |sin(pi r)| for exact rational r."""
-
-    lo: float
-    hi: float
-
-
-def exact_sine_abs(theta_over_pi: Fraction | int) -> SineInterval:
-    """|sin(pi r)| for exact rational r.
-
-    Range reduction (mod 1, fold to [0, 1/2]) is exact on Fractions, so
-    integers give the exact zero interval and half-integers exactly one.
-    Only the final sine of an argument in [0, pi/2] is floating point, and
-    it gets a guard band covering libm rounding plus the pi rounding in the
-    argument.
-    """
-    r = Fraction(theta_over_pi) % 1
-    if r > Fraction(1, 2):
-        r = 1 - r
-    if r == 0:
-        return SineInterval(0.0, 0.0)
-    if r == Fraction(1, 2):
-        return SineInterval(1.0, 1.0)
-    arg = math.pi * float(r)
-    val = math.sin(arg)
-    band = 1e-15 + 5e-16 * arg
-    return SineInterval(max(0.0, val - band), min(1.0, val + band))
-
-
-def sin_pi_enclosure(delta_lo: Fraction, delta_hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact rational enclosure of sin(pi delta) for 0 <= delta <= 1e-3,
-    where delta itself is only known to lie in [delta_lo, delta_hi].
-    Uses x - x^3/6 <= sin x <= x on rational pi bounds."""
-    delta_lo, delta_hi = Fraction(delta_lo), Fraction(delta_hi)
-    if not 0 <= delta_lo <= delta_hi:
-        raise ValueError("need 0 <= delta_lo <= delta_hi")
-    if delta_hi > Fraction(1, 1000):
-        raise ValueError("enclosure only supports delta <= 1e-3")
-    hi = PI_HI * delta_hi
-    lo = PI_LO * delta_lo * (1 - (PI_HI * delta_hi) ** 2 / 6)
-    if lo < 0:
-        lo = Fraction(0)
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
 # small-denominator tables
 
 
@@ -455,18 +409,16 @@ def slow_decay_check(rows: Iterable[tuple[int, float]], exponent: int) -> tuple[
 # joint lower bounds and slow decrease
 
 
-def joint_sine_lower_bound_check(
-    alpha: NumberClass, exponent: int, x_max: float, samples: int = 200_000
-) -> tuple[float, bool]:
+def joint_sine_lower_bound_check(alpha: NumberClass, exponent: int, x_max: float) -> tuple[float, bool]:
     """Empirical constant C = min over (0, x_max] of
     (|sin x| + |sin(alpha x)|) / x * (1+x)^exponent.
 
     Requires a certified irrationality measure: for rational or Liouville
     alpha no such positive constant exists, so those classes are rejected.
-    The grid is refined near the zeros of both sines, where the minimum
-    must occur.  The grid has about x_max (1 + |alpha|) / pi zeros, nine
-    points each, so x_max max(1, |alpha|) is capped at JOINT_X_CAP, checked
-    before any array is built.
+    The grid, JOINT_SAMPLES uniform points, is refined near the zeros of
+    both sines, where the minimum must occur.  It has about
+    x_max (1 + |alpha|) / pi zeros, nine points each, so x_max max(1, |alpha|)
+    is capped at JOINT_X_CAP, checked before any array is built.
     """
     if alpha.kind != KIND_MEASURE_BOUNDED or alpha.measure_bound is None:
         raise ValueError(f"joint lower bound needs a certified irrationality measure, got kind={alpha.kind}")
@@ -474,11 +426,11 @@ def joint_sine_lower_bound_check(
     cap = JOINT_X_CAP / max(1.0, abs(a))
     if not 0 < x_max <= cap:  # a NaN fails too
         raise ValueError(f"x_max must be in (0, {cap:g}] for alpha = {a:g}, got {x_max!r}")
-    if exponent < 0 or samples < 16:
-        raise ValueError("exponent must be >= 0, samples >= 16")
+    if exponent < 0:
+        raise ValueError("exponent must be >= 0")
     import numpy as np
 
-    xs = [np.linspace(x_max / samples, x_max, samples)]
+    xs = [np.linspace(x_max / JOINT_SAMPLES, x_max, JOINT_SAMPLES)]
     offsets = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.05, -0.05])
     for period in (math.pi, math.pi / a):
         k_max = int(x_max / period)

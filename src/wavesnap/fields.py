@@ -78,7 +78,7 @@ class SpectralField:
         "dim",
         "modes",
         lambda key, amp: {"xi": list(key), "amp": amp},
-        lambda dim, rows: _spectral_field(dim, _json_keys(rows), amps_from_json(rows)),
+        lambda dim, rows: _spectral_field(dim, *json_columns(rows, "xi"), amps_from_json(rows)),
     )
 
     @property
@@ -126,14 +126,27 @@ def lookup_amplitude(keys: Sequence[Any], amps: Sequence[complex], key: Any) -> 
     return amps[i] if i < len(keys) and keys[i] == key else 0j
 
 
+_TYPES = {"JSON number": {int, float}, "JSON integer": {int}, "number": {int, float, complex}}
+
+
+def typed(values: list, name: str, kind: str = "JSON number") -> list:
+    """`values`, a builder's or a reader's `name` column, unless one is no `kind`
+    (a bool is none; only a "number" may be complex): TypeError naming the first."""
+    if not _TYPES[kind].issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in _TYPES[kind])
+        raise TypeError(f"{name} {bad!r} is not a {kind}")
+    return values
+
+
 def _clean_keys(dim: int, xis: Sequence[Sequence[float]]) -> list[list[float]]:
     """The `dim` component columns of the frequency vectors `xis`, each
-    component read as float(v) + 0.0, so -0.0 folds into +0.0 and merging
-    and sorting agree."""
+    component an int or float read as float(v) + 0.0, so -0.0 folds into
+    +0.0 and merging and sorting agree."""
     if set(map(len, xis)) - {dim}:
         bad = next(xi for xi in xis if len(xi) != dim)
         raise DimensionMismatch(f"frequency {tuple(bad)} does not have dim {dim}")
-    flat = list(map((0.0).__add__, map(float, itertools.chain.from_iterable(xis))))
+    flat = typed(list(itertools.chain.from_iterable(xis)), "xi component")
+    flat = list(map((0.0).__add__, map(float, flat)))
     if not all(map(math.isfinite, flat)):
         bad = next(v for v in flat if not math.isfinite(v))
         raise ValueError(f"non-finite frequency component {bad!r}")
@@ -142,17 +155,18 @@ def _clean_keys(dim: int, xis: Sequence[Sequence[float]]) -> list[list[float]]:
 
 def _spectral_field(dim: int, xis: Sequence[Sequence[float]], amps: Sequence[complex]) -> SpectralField:
     """The canonical field of the parallel columns `xis` (frequency vectors)
-    and `amps` (complex amplitudes), converted a column at a time."""
-    if dim < 1:
+    and `amps` (amplitudes), converted a column at a time."""
+    if typed([dim], "dim", "JSON integer")[0] < 1:
         raise ValueError(f"dim must be a positive integer, got {dim}")
     components = _clean_keys(dim, xis)
+    typed(amps, "amplitude", "number")
     return SpectralField(dim, *canonical_columns(list(zip(*components)), list(map(math.hypot, *components)), amps))
 
 
 def field(dim: int, entries: Iterable[tuple[Sequence[float], complex]]) -> SpectralField:
     """Build a canonical field from (frequency, amplitude) pairs."""
     entries = list(entries)
-    return _spectral_field(dim, [xi for xi, _ in entries], [complex(amp) for _, amp in entries])
+    return _spectral_field(dim, [xi for xi, _ in entries], [amp for _, amp in entries])
 
 
 @dataclass(frozen=True)
@@ -349,41 +363,25 @@ def _rows(f: Field, pad: str) -> str:
     return "[" + ",".join([template % (key + (amp.real, amp.imag)) for key, amp in zip(f.keys, f.amps)]) + pad + "]"
 
 
-def json_typed(values: list, name: str, kind: str = "number") -> list:
-    """`values`, a document's `name` members, unless one is no JSON `kind`
-    ("number" or "integer"; a bool is neither): TypeError naming the first."""
-    types = {int, float} if kind == "number" else {int}
-    if not types.issuperset(map(type, values)):
-        bad = next(v for v in values if type(v) not in types)
-        raise TypeError(f"{name} {bad!r} is not a JSON {kind}")
-    return values
-
-
-def json_columns(rows: Sequence[dict], *names: str, kind: str = "") -> list[list]:
-    """The members `names` of a document's rows, one column per name, each a column of JSON `kind` if given."""
-    columns = [list(map(operator.itemgetter(name), rows)) for name in names]
-    return [json_typed(c, name, kind) for c, name in zip(columns, names)] if kind else columns
-
-
-def _json_keys(rows: Sequence[dict]) -> list:
-    """The rows' frequency vectors, every component a JSON number."""
-    (xis,) = json_columns(rows, "xi")
-    json_typed(list(itertools.chain.from_iterable(xis)), "xi component")
-    return xis
+def json_columns(rows: Sequence[dict], *names: str) -> list[list]:
+    """The members `names` of a document's rows, one column per name."""
+    return [list(map(operator.itemgetter(name), rows)) for name in names]
 
 
 def amps_from_json(rows: Sequence[dict]) -> list[complex]:
     """The rows' amplitudes, each held as [re, im] of JSON numbers, converted a column at a time."""
     (pairs,) = json_columns(rows, "amp")
-    re, im = (json_typed(list(map(operator.itemgetter(i), pairs)), "amp part") for i in (0, 1))
+    re, im = (typed(list(map(operator.itemgetter(i), pairs)), "amp part") for i in (0, 1))
+    if set(map(len, pairs)) - {2}:
+        raise TypeError(f"amp {next(pair for pair in pairs if len(pair) != 2)!r} is not an [re, im] pair")
     return list(map(complex, re, im))
 
 
 def field_from_json(obj: Any) -> Field:
     """The field a JSON document holds, the inverse of `json_text`.  The
     document's kind is the one whose `json_schema` header is a member; its
-    reader builds the field through the kind's constructor, which converts
-    each number once.  A malformed document raises ValueError."""
+    reader builds the field through the kind's builder, which checks each
+    number by `typed` and converts it once.  A malformed document raises ValueError."""
     from .sphere import SphereField  # sphere builds on this module
 
     kinds = (SpectralField, SphereField)
@@ -393,7 +391,7 @@ def field_from_json(obj: Any) -> Field:
             headers = " and ".join(repr(kind.json_schema[0]) for kind in kinds)
             raise ValueError(f"a field document has exactly one of the members {headers}")
         header, name, _, read = found[0].json_schema
-        return read(json_typed([obj[header]], header, "integer")[0], obj[name])
+        return read(obj[header], obj[name])
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed field document: {exc}") from exc
 

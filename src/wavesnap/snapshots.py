@@ -180,16 +180,10 @@ def general_integer_snapshot(ua: Field, ub: Field, a: float, b: float, m: int) -
     return _with_amps(ub, keys, freqs, amps)
 
 
-def snapshot_grid(ua: Field, ub: Field, a: float, b: float, ms: Iterable[int]) -> Grid:
-    """`general_integer_snapshot` at each m in `ms` as one grid over the union of the snapshots' keys."""
-    s = _step(ua, ub, a, b)
-    keys, freqs, (y, x) = union_columns((ub, ua))
-    return (keys, freqs, *snapshot_grid_columns(s, freqs, _parts(x), _parts(y), ms))
-
-
 def snapshot_grid_columns(s: float, freqs: Sequence[float], x, y, ms: Iterable[int]):
-    """`snapshot_grid`'s parts (re, im) at step s over `freqs`, from the parts
-    x = (re, im) of u_a and y of u_b as float64 arrays.  Every Psi column is a
+    """`general_integer_snapshot` at each m in `ms` as the parts (re, im) of
+    one grid at step s over `freqs`, from the parts x = (re, im) of u_a and
+    y of u_b as float64 arrays.  Every Psi column is a
     row of one `psi_grid` call, so u = s lam and sin(u) are computed once per
     key.  The first row that is not finite raises what
     `general_integer_snapshot` raises at its index."""

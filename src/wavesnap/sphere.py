@@ -44,6 +44,7 @@ from .fields import (
     load_field,
     lookup_amplitude,
     save_field,
+    typed,
 )
 from .propagators import KERNEL_SIN_TOL, KERNEL_ULPS, as_radians, exact_residue, sine_at
 from .snapshots import (
@@ -104,7 +105,7 @@ class SphereField:
         "n",
         "coeffs",
         lambda key, amp: {"l": key[0], "m": key[1], "amp": amp},
-        lambda n, rows: _sphere_field(n, *json_columns(rows, "l", "m", kind="integer"), amps_from_json(rows)),
+        lambda n, rows: _sphere_field(n, *json_columns(rows, "l", "m"), amps_from_json(rows)),
     )
 
     @property
@@ -134,15 +135,17 @@ class SphereField:
 
 def sphere_field(n: int, entries: Iterable[tuple[int, int, complex]]) -> SphereField:
     entries = list(entries)
-    return _sphere_field(n, [l for l, _, _ in entries], [m for _, m, _ in entries], [complex(a) for *_, a in entries])
+    return _sphere_field(n, [l for l, _, _ in entries], [m for _, m, _ in entries], [a for *_, a in entries])
 
 
-def _sphere_field(n: int, ls: Sequence[int], ms: Sequence[int], amps: Sequence[complex]) -> SphereField:
-    """The canonical field of the parallel columns of degrees, orders and
-    amplitudes, with dim_Hl and the frequency computed once per degree."""
-    if n < 2:
+def _sphere_field(n: int, ls: list[int], ms: list[int], amps: Sequence[complex]) -> SphereField:
+    """The canonical field of the parallel columns of degrees and orders
+    (ints) and amplitudes, with dim_Hl and the frequency computed once per
+    degree."""
+    if typed([n], "n", "JSON integer")[0] < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {n}")
-    ls, ms = list(map(int, ls)), list(map(int, ms))
+    ls, ms = typed(ls, "l", "JSON integer"), typed(ms, "m", "JSON integer")
+    typed(amps, "amplitude", "number")
     dims = {l: dim_Hl(n, l) for l in dict.fromkeys(ls)}
     bounds = list(map(dims.__getitem__, ls))
     if not (min(ms, default=1) >= 1 and all(map(operator.le, ms, bounds))):
@@ -168,13 +171,10 @@ def _gegenbauer(n: int, top: int, c: float) -> list[float]:
     return out
 
 
-def zonal_value(f: SphereField, c: float) -> complex:
-    """Value of a zonal field at polar cosine c, by one O(L) recurrence to its top degree L."""
-    return _zonal_values(f, [c])[0]
-
-
-def _zonal_values(f: SphereField, cs: Sequence[float]) -> list[complex]:
-    """`zonal_value` at each c in `cs`, with each key's amp sqrt(dim_Hl) and C_l(1) computed once."""
+def zonal_values(f: SphereField, cs: Sequence[float]) -> list[complex]:
+    """Values of a zonal field at the polar cosines `cs`, by one O(L)
+    recurrence per point to its top degree L, with each key's
+    amp sqrt(dim_Hl) and C_l(1) computed once."""
     if not f.is_zonal:
         raise RequiresZonal("field has coefficients outside the zonal line m = 1")
     terms = [(l, amp * math.sqrt(dim_Hl(f.n, l)), math.comb(l + f.n - 2, l)) for (l, _), amp in zip(f.keys, f.amps)]
@@ -224,7 +224,7 @@ def huygens_antipodal_check(
     cs = [math.cos(math.pi * j / (c_count - 1)) for j in range(c_count)]
     worst = 0.0
     for t in times:
-        here, there = _zonal_values(evolve(data, t), cs), _zonal_values(evolve(data, t + math.pi), [-c for c in cs])
+        here, there = zonal_values(evolve(data, t), cs), zonal_values(evolve(data, t + math.pi), [-c for c in cs])
         worst = max([worst, *(abs(y - sign * x) for x, y in zip(here, there))])
     return worst
 

@@ -7,6 +7,10 @@ written on it (the Bezout solve on fields), the
 entry-by-entry field loaders, the per-q odd-type scan, the per-row CSV
 writer and the zonal sums with a recurrence restarted per degree.  Tests
 compare the library with these bit for bit.
+
+It also keeps two sine enclosures that no library code calls, with their
+tests: |sin(pi r)| for exact rational r, guard-banded, and exact rational
+bounds on sin(pi delta) for small delta.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from wavesnap import diophantine, snapshots
@@ -26,6 +31,7 @@ from wavesnap.fields import (
     linear_combine,
     max_abs_amp,
     subtract,
+    union_columns,
 )
 from wavesnap.propagators import as_radians, cos_at, sine_at, symbol_Psi, symbol_Sprime
 from wavesnap.snapshots import (
@@ -39,9 +45,11 @@ from wavesnap.snapshots import (
     IncompatibleData,
     InvalidTime,
     SolveReport,
+    _parts,
+    _step,
     evolve,
     evolve_grid,
-    snapshot_grid,
+    snapshot_grid_columns,
 )
 from wavesnap.sphere import RequiresOddDimension, RequiresZonal, SphereField, dim_Hl, frequency
 
@@ -59,6 +67,14 @@ def _grid_rows(like, grid):
 def evolve_series(data, times):
     """u_t for each t in `times`: the rows of `evolve_grid`."""
     return _grid_rows(data.position, evolve_grid(data, times))
+
+
+def snapshot_grid(ua, ub, a, b, ms):
+    """`general_integer_snapshot` at each m in `ms` as one grid over the union
+    of the snapshots' keys, through `snapshot_grid_columns`."""
+    s = _step(ua, ub, a, b)
+    keys, freqs, (y, x) = union_columns((ub, ua))
+    return (keys, freqs, *snapshot_grid_columns(s, freqs, _parts(x), _parts(y), ms))
 
 
 def snapshot_series(ua, ub, a, b, ms):
@@ -102,7 +118,10 @@ def _clean_xi(dim, xi):
 
 
 def _amp(pair):
-    return complex(float(_typed(pair[0], "number", "amp part")), float(_typed(pair[1], "number", "amp part")))
+    amp = complex(float(_typed(pair[0], "number", "amp part")), float(_typed(pair[1], "number", "amp part")))
+    if len(pair) != 2:
+        raise TypeError(f"amp {pair!r} is not an [re, im] pair")
+    return amp
 
 
 def _flat(dim, rows):
@@ -365,3 +384,55 @@ def csv_body(columns, rows):
     """The header line and rows of `cli._emit_csv`, one `%` per row."""
     line = ",".join(["%s"] * len(columns)) + "\n"
     return ",".join(columns) + "\n" + "".join(line % tuple(row) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# sine enclosures
+
+PI_LO = Fraction(math.pi)  # below pi, and diophantine.PI_HI above it
+
+
+@dataclass(frozen=True)
+class SineInterval:
+    """Enclosure of |sin(pi r)| for exact rational r."""
+
+    lo: float
+    hi: float
+
+
+def exact_sine_abs(theta_over_pi):
+    """|sin(pi r)| for exact rational r.
+
+    Range reduction (mod 1, fold to [0, 1/2]) is exact on Fractions, so
+    integers give the exact zero interval and half-integers exactly one.
+    Only the final sine of an argument in [0, pi/2] is floating point, and
+    it gets a guard band covering libm rounding plus the pi rounding in the
+    argument.
+    """
+    r = Fraction(theta_over_pi) % 1
+    if r > Fraction(1, 2):
+        r = 1 - r
+    if r == 0:
+        return SineInterval(0.0, 0.0)
+    if r == Fraction(1, 2):
+        return SineInterval(1.0, 1.0)
+    arg = math.pi * float(r)
+    val = math.sin(arg)
+    band = 1e-15 + 5e-16 * arg
+    return SineInterval(max(0.0, val - band), min(1.0, val + band))
+
+
+def sin_pi_enclosure(delta_lo, delta_hi):
+    """Exact rational enclosure of sin(pi delta) for 0 <= delta <= 1e-3,
+    where delta itself is only known to lie in [delta_lo, delta_hi].
+    Uses x - x^3/6 <= sin x <= x on rational pi bounds."""
+    delta_lo, delta_hi = Fraction(delta_lo), Fraction(delta_hi)
+    if not 0 <= delta_lo <= delta_hi:
+        raise ValueError("need 0 <= delta_lo <= delta_hi")
+    if delta_hi > Fraction(1, 1000):
+        raise ValueError("enclosure only supports delta <= 1e-3")
+    hi = diophantine.PI_HI * delta_hi
+    lo = PI_LO * delta_lo * (1 - (diophantine.PI_HI * delta_hi) ** 2 / 6)
+    if lo < 0:
+        lo = Fraction(0)
+    return lo, hi

@@ -99,22 +99,22 @@ def test_bezout_identity_and_size(p, q):
         assert abs(k) <= q  # representative chosen small
 
 
-# -- exact sine --------------------------------------------------------------
+# -- exact sine: the enclosures in references.py -----------------------------
 
 
 def test_exact_sine_special_points():
-    assert dio.exact_sine_abs(Fraction(0)) == dio.SineInterval(0.0, 0.0)
-    assert dio.exact_sine_abs(Fraction(7)).hi == 0.0
-    half = dio.exact_sine_abs(Fraction(1, 2))
+    assert ref.exact_sine_abs(Fraction(0)) == ref.SineInterval(0.0, 0.0)
+    assert ref.exact_sine_abs(Fraction(7)).hi == 0.0
+    half = ref.exact_sine_abs(Fraction(1, 2))
     assert half.lo == half.hi == 1.0
-    third = dio.exact_sine_abs(Fraction(1, 6))
+    third = ref.exact_sine_abs(Fraction(1, 6))
     assert third.lo <= 0.5 <= third.hi
 
 
 @settings(max_examples=300)
 @given(st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=10**4))
 def test_exact_sine_encloses_high_precision(r):
-    iv = dio.exact_sine_abs(r)
+    iv = ref.exact_sine_abs(r)
     with mpmath.workdps(40):
         true = abs(mpmath.sin(mpmath.pi * mpmath.mpf(r.numerator) / r.denominator))
     assert iv.lo - 1e-30 <= float(true) <= iv.hi + 1e-30
@@ -123,18 +123,18 @@ def test_exact_sine_encloses_high_precision(r):
 
 @given(st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=999))
 def test_exact_sine_periodic_and_even(r):
-    assert dio.exact_sine_abs(r) == dio.exact_sine_abs(r + 2)
-    assert dio.exact_sine_abs(r) == dio.exact_sine_abs(-r)
+    assert ref.exact_sine_abs(r) == ref.exact_sine_abs(r + 2)
+    assert ref.exact_sine_abs(r) == ref.exact_sine_abs(-r)
 
 
 def test_sin_pi_enclosure_brackets_truth():
     lo, hi = Fraction(1, 10**7), Fraction(1, 10**7) + Fraction(1, 10**12)
-    a, b = dio.sin_pi_enclosure(lo, hi)
+    a, b = ref.sin_pi_enclosure(lo, hi)
     with mpmath.workdps(40):
         true = mpmath.sin(mpmath.pi * mpmath.mpf(1) / 10**7)
     assert float(a) <= float(true) <= float(b)
     with pytest.raises(ValueError):
-        dio.sin_pi_enclosure(Fraction(1, 2), Fraction(3, 4))  # only near zero
+        ref.sin_pi_enclosure(Fraction(1, 2), Fraction(3, 4))  # only near zero
 
 
 def nearest_integer(x):
@@ -386,7 +386,7 @@ def test_jointbound_rejects_a_nonfinite_or_oversized_x_max():
 
 
 def test_jointbound_sqrt2_positive():
-    c, passes = dio.joint_sine_lower_bound_check(dio.sqrt2_class(), 3, 500.0, samples=20000)
+    c, passes = dio.joint_sine_lower_bound_check(dio.sqrt2_class(), 3, 500.0)
     assert passes and c > 0
 
 

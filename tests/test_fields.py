@@ -26,7 +26,15 @@ from wavesnap.fields import (
 from wavesnap.propagators import symbol_Psi, symbol_S, symbol_Sprime
 from wavesnap.snapshots import CauchyData, evolve
 
-from references import aligned, evolve_series, field_from_json_by_entry, snapshot_series, symbol_product, union_support
+from references import (
+    aligned,
+    evolve_series,
+    field_from_json_by_entry,
+    snapshot_grid,
+    snapshot_series,
+    symbol_product,
+    union_support,
+)
 
 
 def test_field_merges_repeated_frequencies():
@@ -168,6 +176,9 @@ def test_malformed_json_rejected():
         *_malformed("n", 3, "coeffs", sphere_row, ["l", "m"]),
         {"n": 3, "coeffs": [{**sphere_row, "m": 5}]},  # beyond dim H_1 = 4
         {"n": 3, "coeffs": [{**sphere_row, "l": -1}]},
+        # an amplitude is a pair: three entries are as malformed as one
+        {"dim": 2, "modes": [{**flat_row, "amp": [1.0, 0.0, "junk"]}]},
+        {"n": 3, "coeffs": [{**sphere_row, "amp": [1.0, 0.0, 0.0]}]},
         # both headers, or neither
         {"dim": 2, "modes": [flat_row], "n": 3, "coeffs": [sphere_row]},
         {"dim": 2, "modes": [], "n": 3},
@@ -198,6 +209,8 @@ def test_field_readers_take_only_json_numbers(tmp_path, capsys):
         {"n": 3, "coeffs": [{"l": 2, "m": True, "amp": [1.0, 0.0]}]},
         {"n": 3, "coeffs": [{"l": 2, "m": 1, "amp": [1.0, True]}]},
         {"n": 3.0, "coeffs": [{"l": 2, "m": 1, "amp": [1.0, 0.0]}]},
+        {"dim": 1, "modes": [{"xi": [1.5], "amp": [1.5, 0.0, "junk"]}]},
+        {"n": 3, "coeffs": [{"l": 2, "m": 1, "amp": [1.0, 0.0, 0.0]}]},
     ]
     path = tmp_path / "f.json"
     for doc in docs:
@@ -212,6 +225,16 @@ def test_field_readers_take_only_json_numbers(tmp_path, capsys):
     # integers are JSON numbers, and an integral float is no integer degree
     assert field_from_json({"dim": 1, "modes": [{"xi": [2], "amp": [1, -1]}]}) == field(1, [((2.0,), 1 - 1j)])
     assert field_from_json({"n": 3, "coeffs": [{"l": 2, "m": 1, "amp": [0, 1]}]}) == sph.sphere_field(3, [(2, 1, 1j)])
+    # the constructor takes the readers' rule: xi components int or float, amplitudes int, float or
+    # complex; no bool, no str
+    assert field(1, [((2,), 1), ((0.5,), 2.0), ((-1,), 1j)]) == field(1, [((2.0,), 1 + 0j), ((0.5,), 2 + 0j), ((-1.0,), 1j)])
+    for entries in ([(("1.5",), True)], [((1.5,), True)], [((1.5,), "2")], [((True,), 1.0)], [(("1.5",), 1.0)],
+                    [((1.5,), None)], [((None,), 1.0)]):
+        with pytest.raises(TypeError, match="is not a"):
+            field(1, entries)
+    for dim in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="is not a JSON integer"):
+            field(dim, [((1.5,), 1.0)])
 
 
 def test_atomic_write_replaces_whole_file(tmp_path):
@@ -477,7 +500,7 @@ def test_grids_are_the_series_rows():
         assert [complex(x, y) for x, y in zip(r, i)] == [u.amplitude_at(k) for k in keys]
     assert re[0, keys.index((-2.2, 0.1))] == im[0, keys.index((-2.2, 0.1))] == 0.0  # u_0 has no velocity-only key
     ua, ub = evolve(data, 0.25), evolve(data, 1.0)
-    keys, freqs, re, im = snapshots.snapshot_grid(ua, ub, 0.25, 1.0, [3, -1, 3])
+    keys, freqs, re, im = snapshot_grid(ua, ub, 0.25, 1.0, [3, -1, 3])
     for m, r, i in zip([3, -1, 3], re.tolist(), im.tolist()):
         u = snapshots.general_integer_snapshot(ua, ub, 0.25, 1.0, m)
         assert [complex(x, y) for x, y in zip(r, i)] == [u.amplitude_at(k) for k in keys]

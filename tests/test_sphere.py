@@ -74,7 +74,7 @@ def test_zonal_value_single_degree():
     f = sph.sphere_field(3, [(4, 1, 2.0)])
     c = 0.37
     want = 2.0 * math.sqrt(sph.dim_Hl(3, 4)) * phi(3, 4, c)
-    assert sph.zonal_value(f, c) == pytest.approx(want)
+    assert sph.zonal_values(f, [c])[0] == pytest.approx(want)
 
 
 def test_sphere_field_merges_and_validates():
@@ -86,6 +86,15 @@ def test_sphere_field_merges_and_validates():
         sph.sphere_field(2, [(-1, 1, 1.0)])
     with pytest.raises(ValueError):
         sph.sphere_field(1, [(0, 1, 1.0)])  # n >= 2
+    # the readers' rule: l and m ints, amplitudes int, float or complex; no bool, no str
+    assert sph.sphere_field(3, [(2, 1, 1), (0, 1, 0.5)]) == sph.sphere_field(3, [(2, 1, 1 + 0j), (0, 1, 0.5 + 0j)])
+    for entries in ([(2.7, 1.9, 1.0)], [(2.0, 1, 1.0)], [(2, 1.0, 1.0)], [(True, 1, 1.0)], [(2, True, 1.0)],
+                    [("2", 1, 1.0)], [(2, 1, True)], [(2, 1, "2")], [(2, 1, None)]):
+        with pytest.raises(TypeError, match="is not a"):
+            sph.sphere_field(3, entries)
+    for n in (3.5, 3.0, True):
+        with pytest.raises(TypeError, match="is not a JSON integer"):
+            sph.sphere_field(n, [(0, 1, 1.0)])
 
 
 def test_sphere_json_roundtrip(tmp_path):
@@ -215,6 +224,11 @@ def hex_or_error(fn, *args):
     return tuple(float.hex(x) for x in (value.real, value.imag))
 
 
+def zonal_value(f, c):
+    """The field's value at one polar cosine c."""
+    return sph.zonal_values(f, [c])[0]
+
+
 ZONAL_TERMS = st.lists(
     st.tuples(st.integers(0, 60), st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)),
     max_size=8,
@@ -228,12 +242,12 @@ def test_zonal_value_matches_the_per_degree_sums(n, terms, cs):
     f = sph.sphere_field(n, [(l, 1, a) for l, a in terms])
     points = [1.0, -1.0, 0.0, -0.0, *cs]
     for c in points + [1.0 + 2**-52, -1.5, math.nan]:  # the last three are out of range
-        assert hex_or_error(sph.zonal_value, f, c) == hex_or_error(ref.zonal_value, f, c), c
+        assert hex_or_error(zonal_value, f, c) == hex_or_error(ref.zonal_value, f, c), c
     for l in {l for l, _ in terms}:
         for c in points:
             assert phi(n, l, c).hex() == ref.gegenbauer_phi(n, l, c).hex(), (l, c)
     off_zonal = sph.sphere_field(n, [(l, 1, a) for l, a in terms] + [(1, 2, 1.0)])
-    assert hex_or_error(sph.zonal_value, off_zonal, 0.5)[0] is sph.RequiresZonal
+    assert hex_or_error(zonal_value, off_zonal, 0.5)[0] is sph.RequiresZonal
     assert hex_or_error(ref.zonal_value, off_zonal, 0.5)[0] is sph.RequiresZonal
 
 
@@ -250,8 +264,8 @@ def test_zonal_errors_match_the_reference():
     z3, z2 = sph.sphere_field(3, [(2, 1, 1.0)]), sph.sphere_field(2, [(1, 1, 1.0)])
     empty, off = sph.sphere_field(3, []), sph.sphere_field(3, [(1, 2, 1.0)])
     for f, c in ((z3, 1.5), (z3, math.nan), (off, 0.5), (empty, 0.5), (empty, 7.0)):
-        assert hex_or_error(sph.zonal_value, f, c) == hex_or_error(ref.zonal_value, f, c), (f, c)
-    assert sph.zonal_value(empty, 7.0) == 0j  # an empty field is zero everywhere, without a range check
+        assert hex_or_error(zonal_value, f, c) == hex_or_error(ref.zonal_value, f, c), (f, c)
+    assert sph.zonal_values(empty, [7.0]) == [0j]  # an empty field is zero everywhere, without a range check
     for n, l, c in ((1, 3, 2.0), (1, 3, 0.5), (3, -1, 0.5), (3, -1, math.nan)):  # c is checked first, then n, then l
         assert hex_or_error(phi, n, l, c) == hex_or_error(ref.gegenbauer_phi, n, l, c), (n, l, c)
     for args in ((z2, z2, [0.5]), (off, z3, [0.5]), (z3, off, [0.5]), (z3, z3, []), (z3, empty, [0.5], 1)):
