@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import __version__, diophantine, experiments, propagators, snapshots, sphere
+from . import __version__, diophantine, experiments, snapshots, sphere
 from .fields import (
     SpectralField,
     SymbolUndefined,
@@ -140,18 +140,23 @@ def _emit_json(args: argparse.Namespace, verb: str, payload: dict) -> None:
 def _emit_csv(
     args: argparse.Namespace,
     verb: str,
-    columns: Sequence[str],
-    rows: Sequence[Sequence],
+    names: Sequence[str],
+    columns: Sequence[Sequence],
     comments: Sequence[str] = (),
 ) -> None:
+    """The CSV of one column per name; columns of unequal length, or not one per name, raise ValueError."""
     buf = io.StringIO()
     buf.write(f"# wavesnap {__version__}\n# verb: {verb}\n# seed: {args.seed}\n")
     buf.writelines(f"# {line}\n" for line in comments)
-    buf.write(",".join(columns) + "\n")
-    line = ",".join(["%s"] * len(columns)) + "\n"  # %s formats with str(), as a join of str()s would
-    cells = itertools.chain.from_iterable(rows)
-    while chunk := tuple(itertools.islice(cells, CSV_BLOCK * len(columns))):  # one % per block of rows
-        buf.write(line * (len(chunk) // len(columns)) % chunk)
+    buf.write(",".join(names) + "\n")
+    k = len(names)
+    cells = [None] * (k * len(columns[0]))
+    for j, column in zip(range(k), columns, strict=True):
+        cells[j::k] = column  # row-major; an extended slice takes only a column of its own length
+    line = ",".join(["%s"] * k) + "\n"  # %s formats with str(), as a join of str()s would
+    for i in range(0, len(cells), CSV_BLOCK * k):  # one % per block of rows
+        chunk = tuple(cells[i : i + CSV_BLOCK * k])
+        buf.write(line * (len(chunk) // k) % chunk)
     _write(args, buf.getvalue())
 
 
@@ -190,12 +195,12 @@ def _wave_rational_solve(args) -> dict:
 
 def _wave_liouville_demo(args) -> tuple:
     demo = snapshots.liouville_obstruction_demo(args.kmax)
-    rows = [(r.k, r.q, r.sin_abs, r.amplitude) for r in demo.rows]
+    columns = [[getattr(r, name) for r in demo.rows] for name in ("k", "q", "sin_abs", "amplitude")]
     comments = [
         f"alpha: base-10 factorial series, depth {args.kmax}",
         f"data_sup at step k: q_k^(1-k); certified: {demo.all_certified}",
     ]
-    return ("k", "q_k", "sin_abs", "amplitude"), rows, comments
+    return ("k", "q_k", "sin_abs", "amplitude"), columns, comments
 
 
 _SYMBOLS = {
@@ -210,11 +215,8 @@ def _wave_symbol(args) -> tuple:
     if args.count < 2:
         raise ValueError("--count must be at least 2")
     step = (args.max - args.min) / (args.count - 1)
-    rows = []
-    for i in range(args.count):
-        lam = args.min + i * step
-        rows.append((repr(lam), repr(sym(lam))))
-    return ("lam", "value"), rows, [f"symbol: {sym.label}"]
+    lams = [args.min + i * step for i in range(args.count)]
+    return ("lam", "value"), [list(map(repr, lams)), [repr(sym(lam)) for lam in lams]], [f"symbol: {sym.label}"]
 
 
 # -- dio verbs ---------------------------------------------------------------
@@ -251,7 +253,7 @@ def _dio_smallden(args) -> tuple:
         f"exact zeros at l: {list(table.zero_rows) if table.zero_rows else 'none'}",
         f"fitted lower-envelope exponent: {table.fitted_exponent}",
     ]
-    return ("l", "value"), table.rows, comments
+    return ("l", "value"), [table.degrees, table.values], comments
 
 
 def _dio_oddtype(args) -> dict:
@@ -275,9 +277,9 @@ def _dio_sdprobe(args) -> tuple:
     rep = diophantine.slowly_decreasing_probe(
         _PROBE_SYMBOLS[args.symbol](), args.a_const, args.ximax, samples=args.samples
     )
-    rows = [(repr(r.xi), repr(r.threshold), repr(r.eta), repr(r.value), r.ok) for r in rep.rows]
+    names = ("xi", "threshold", "eta", "value", "ok")  # repr of the bool ok is its str
     comments = [f"symbol: {args.symbol}, window constant A: {args.a_const}", f"all windows pass: {rep.all_pass}"]
-    return ("xi", "threshold", "eta", "value", "ok"), rows, comments
+    return names, [[repr(getattr(r, name)) for r in rep.rows] for name in names], comments
 
 
 def _dio_doubled_bound(args) -> dict:
@@ -512,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Run one verb and return its exit code.  Its handler returns a dict, emitted as JSON,
-    (columns, rows, comments), emitted as CSV, or, for `reproduce`, the exit code."""
+    (names, columns, comments), emitted as CSV, or, for `reproduce`, the exit code."""
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(1_000_000)  # certified gaps have factorial-tower digit counts
     try:

@@ -316,7 +316,7 @@ def convergent_pair(x: NumberClass, k: int) -> Convergent:
 
 @dataclass(frozen=True)
 class SmallDenominatorTable:
-    """Rows (l, |sin(pi (l + shift) beta)|) with exact zero detection.
+    """Columns of degrees l and values |sin(pi (l + shift) beta)|, with exact zero detection.
 
     `slack` bounds the extra uncertainty from beta's truncation error across
     the whole range; `fitted_exponent` is a least-squares decay exponent of
@@ -324,10 +324,15 @@ class SmallDenominatorTable:
 
     beta_label: str
     shift: Fraction
-    rows: tuple[tuple[int, float], ...]
+    degrees: tuple[int, ...]
+    values: tuple[float, ...]
     zero_rows: tuple[int, ...]
     fitted_exponent: float | None
     slack: float
+
+    @property
+    def rows(self) -> tuple[tuple[int, float], ...]:
+        return tuple(zip(self.degrees, self.values))
 
 
 def small_denominator_sequence(beta: NumberClass, shift: Fraction | int, count: int) -> SmallDenominatorTable:
@@ -358,12 +363,13 @@ def small_denominator_sequence(beta: NumberClass, shift: Fraction | int, count: 
     l = np.arange(start, count + 1)
     r, q2 = exact_residue(beta.value, 2 * l + int(2 * shift))
     r = np.minimum(r % q2, -r % q2)  # |sin(pi r / 2q)| has period 2q and mirrors about q
-    values = list(map(math.sin, (math.pi * (r / q2)).tolist()))
+    values = tuple(map(math.sin, (math.pi * (r / q2)).tolist()))
     zeros = tuple(l[r == 0].tolist())
     return SmallDenominatorTable(
         beta_label=str(beta),
         shift=shift,
-        rows=tuple(list(zip(l.tolist(), values))),  # a tuple grown from zip is rescanned by each gc pass
+        degrees=tuple(l.tolist()),
+        values=values,
         zero_rows=zeros,
         fitted_exponent=math.inf if zeros else _envelope_exponent(values[1 - start :]),
         slack=float(slack_fr),

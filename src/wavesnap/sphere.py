@@ -46,7 +46,7 @@ from .fields import (
     save_field,
     typed,
 )
-from .propagators import KERNEL_SIN_TOL, KERNEL_ULPS, as_radians, exact_residue, sine_at
+from .propagators import as_radians, exact_residue, kernel_threshold, sine_at
 from .snapshots import (
     CauchyData,
     SolveReport,
@@ -277,30 +277,37 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
 
     - rows scoring within MARGIN_WINDOW of the best score so far;
     - near-zero rows: 2q | (2l+n-1)p for exact alpha, or |sin| below twice
-      the kernel threshold for float alpha, so `sine_at` decides the zero;
+      the kernel threshold at the block's largest |w alpha| for float alpha
+      (no row's is larger), so `sine_at` decides the zero;
     - rows whose weight nears the float range, so `slow_decay_check` raises
       OverflowError on the first row that overflows, as it would in a full scan.
 
     The screen reproduces `sine_at`'s arguments bit for bit and differs
     only in np.sin and the power, each a few ulp off at most; a row left out
     scores more than MARGIN_WINDOW above a yielded one, so it can be neither the
-    minimum nor tie it, and the returned constant is the full scan's."""
+    minimum nor tie it, and the returned constant is the full scan's.
+
+    At exact alpha = p/q the residue (2l+n-1)p mod 4q, hence the sine and the
+    zero flag, has period 2q in l: one that fits in MARGIN_BLOCK rounds the
+    block down to whole periods, and later blocks reuse the first one's sines."""
     import numpy as np
 
+    periodic = isinstance(alpha, Fraction) and 2 * alpha.denominator <= MARGIN_BLOCK
+    block = MARGIN_BLOCK - MARGIN_BLOCK % (2 * alpha.denominator) if periodic else MARGIN_BLOCK
     best = math.inf
-    for lo in range(0, max_degree + 1, MARGIN_BLOCK):
-        l = np.arange(lo, min(lo + MARGIN_BLOCK, max_degree + 1))
+    for lo in range(0, max_degree + 1, block):
+        l = np.arange(lo, min(lo + block, max_degree + 1))
         w = l + 0.5 * (n - 1)  # sine_at's w = frequency(n, l), bit for bit while n < 2^52
         with np.errstate(over="ignore", invalid="ignore"):
             if isinstance(alpha, Fraction):
-                w2 = 2 * (l if n < 2**62 else l.astype(object)) + (n - 1)  # sine_at's 2w, in int64 if it fits
-                r, q2 = exact_residue(alpha, w2)
-                x = np.sin(np.pi * (r / q2).astype(float))
-                near_zero = r % q2 == 0
+                if lo == 0 or not periodic:
+                    w2 = 2 * (l if n < 2**62 else l.astype(object)) + (n - 1)  # sine_at's 2w, in int64 if it fits
+                    r, q2 = exact_residue(alpha, w2)
+                    sines, zeros = np.sin(np.pi * (r / q2).astype(float)), r % q2 == 0
+                x, near_zero = sines[: len(l)], zeros[: len(l)]
             else:
-                u = w * float(alpha)
-                x = np.sin(u)
-                near_zero = np.abs(x) < 2 * np.maximum(KERNEL_SIN_TOL, KERNEL_ULPS * np.spacing(np.abs(u)))
+                x = np.sin(w * float(alpha))
+                near_zero = np.abs(x) < 2 * kernel_threshold(abs(float(alpha)) * float(w[-1]))
             weight = (1.0 + l) ** exponent
             score = np.abs(x) / w * weight
         edge = ~(weight < 2.0**1023)  # float(1+l)**exponent overflows from 2^1024 on

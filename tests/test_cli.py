@@ -167,11 +167,19 @@ CSV_CELLS = [True, False, 0, -7, 2**70, 0.1, -0.0, 1e-300, 5e-324, math.inf, "50
 @pytest.mark.parametrize("width", [2, 4, 5])
 @pytest.mark.parametrize("nrows", [0, 1, cli.CSV_BLOCK - 1, cli.CSV_BLOCK, cli.CSV_BLOCK + 1, 2 * cli.CSV_BLOCK + 3])
 def test_block_csv_writer_matches_the_per_row_writer(capsys, width, nrows):
-    columns = tuple(f"c{j}" for j in range(width))
+    names = tuple(f"c{j}" for j in range(width))
     rows = [tuple(CSV_CELLS[(i * width + j) % len(CSV_CELLS)] for j in range(width)) for i in range(nrows)]
-    cli._emit_csv(argparse.Namespace(out=None, seed=3), "a verb", columns, rows, ["one % comment"])
+    columns = [[row[j] for row in rows] for j in range(width)]
+    cli._emit_csv(argparse.Namespace(out=None, seed=3), "a verb", names, columns, ["one % comment"])
     header = f"# wavesnap {cli.__version__}\n# verb: a verb\n# seed: 3\n# one % comment\n"
-    assert capsys.readouterr().out == header + ref.csv_body(columns, rows)
+    assert capsys.readouterr().out == header + ref.csv_body(names, rows)
+
+
+@pytest.mark.parametrize("width, lengths", [(2, (3, 2)), (2, (2, 3)), (2, (0, 1)), (3, (4, 4, 5)), (3, (4, 4)), (1, (4, 4))])
+def test_block_csv_writer_rejects_mismatched_columns(width, lengths):
+    columns = [list(range(n)) for n in lengths]
+    with pytest.raises(ValueError):
+        cli._emit_csv(argparse.Namespace(out=None, seed=3), "a verb", [f"c{j}" for j in range(width)], columns)
 
 
 @pytest.mark.parametrize("shift", ["0", "1/2"])

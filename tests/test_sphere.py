@@ -436,6 +436,11 @@ _float_times = st.one_of(
 @example(alpha=math.pi / 3, n=3, max_degree=20_000, exponent=60)  # float zero at l = 2
 @example(alpha=Fraction(7, 31), n=2, max_degree=20_000, exponent=200)  # overflow at l = 34
 @example(alpha=Fraction(1, 10**13), n=2, max_degree=20_000, exponent=3)  # 4q > 2^42: residues on Python ints
+@example(alpha=Fraction(1, 3), n=3, max_degree=20_000, exponent=3)  # period 6 does not divide MARGIN_BLOCK
+@example(alpha=Fraction(1, 2048), n=2, max_degree=20_000, exponent=3)  # period 4096, one block
+@example(alpha=Fraction(1, 2049), n=2, max_degree=20_000, exponent=3)  # period 4098, beyond one block
+@example(alpha=Fraction(-7, 31), n=2, max_degree=20_000, exponent=3)  # negative exact time
+@example(alpha=1000 * math.pi, n=3, max_degree=20_000, exponent=3)  # |w alpha| to 6.3e7: ulp threshold
 def test_margin_matches_full_scan(alpha, n, max_degree, exponent):
     got = _outcome(sph.surjectivity_margin, alpha, n, max_degree, exponent)
     assert got == _outcome(_margin_reference, alpha, n, max_degree, exponent)
@@ -469,6 +474,23 @@ def test_margin_rechecks_few_rows(monkeypatch):
         c, passes = sph.surjectivity_margin(alpha, n, 10**6, 3)
         assert passes and c > 0
         assert 0 < calls <= 2_000
+
+
+def test_margin_computes_one_residue_period(monkeypatch):
+    # at 19/10 the residues repeat every 2q = 20 degrees, so the screen
+    # reduces the first block and reuses it for all 246 blocks to degree 1e6
+    calls = 0
+    residue = sph.exact_residue
+
+    def counted(beta, w2):
+        nonlocal calls
+        calls += 1
+        return residue(beta, w2)
+
+    monkeypatch.setattr(sph, "exact_residue", counted)
+    c, passes = sph.surjectivity_margin(Fraction(19, 10), 2, 10**6, 3)
+    assert passes and c > 0
+    assert calls == 1
 
 
 def test_classification_odd_sphere():
