@@ -15,6 +15,7 @@ invariant covers the window itself at its own tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -77,7 +78,7 @@ def recursion_residuals(seed: int) -> tuple[float, float, float]:
     """The worst closed-form, general-step and three-term residuals of
     `recursion_roundtrip` over its 100 random trials."""
     rng = random.Random(seed)
-    worst = (0.0, 0.0, 0.0)
+    trials = []
     for _ in range(100):
         a = rng.uniform(0.0, 1.0)
         b = a + rng.uniform(0.3, 1.2)
@@ -85,29 +86,32 @@ def recursion_residuals(seed: int) -> tuple[float, float, float]:
         dim = rng.randint(1, 3)
         u0 = _random_field(rng, dim, rng.randint(4, 16), steps)
         g = _random_field(rng, dim, rng.randint(4, 16), steps)
-        worst = tuple(map(max, worst, recursion_trial(CauchyData(u0, g), a, b)))
-    return worst
+        trials.append((CauchyData(u0, g), a, b))
+    return recursion_trials(trials)
 
 
-def recursion_trial(data: CauchyData, a: float, b: float) -> tuple[float, float, float]:
-    """One trial's worst residuals against evolution of the closed form from
-    the snapshots at 0 and 1 (|m| <= 20) and of the general step from those
-    at a < b (|m| <= 8), and of u_{m+2} + u_m - 2 S'_1 u_{m+1}.  They are read
-    off one evolve grid: the snapshot grids run on its own rows at 0, 1, a
-    and b, over its keys, with np.hypot on the real and imaginary
-    differences in the order complex arithmetic takes them."""
+def recursion_trials(trials: list[tuple[CauchyData, float, float]]) -> tuple[float, float, float]:
+    """The worst residuals over `trials` (data, a, b) against evolution of
+    the closed form from the snapshots at 0 and 1 (|m| <= 20) and of the
+    general step from those at a < b (|m| <= 8), and of u_{m+2} + u_m -
+    2 S'_1 u_{m+1}.  They are read off one evolve grid, the trials' columns
+    side by side: the snapshot grids run on its own rows at 0, 1, a and b,
+    the general step at each key's own b - a, with np.hypot on the real and
+    imaginary differences in the order complex arithmetic takes them."""
     import numpy as np
 
     integers = [float(m) for m in range(-20, 22)]  # row m + 20 is u_m
-    general = [a + m * (b - a) for m in range(-8, 9)]
-    _, freqs, re, im = snapshots.evolve_grid(data, integers + [a, b] + general)
+    times = [integers + [a, b] + [a + m * (b - a) for m in range(-8, 9)] for _, a, b in trials]
+    keys, freqs, re, im = snapshots.evolve_grid([data for data, _, _ in trials], times)
+    lam = np.fromiter(itertools.chain.from_iterable(freqs), float)
+    steps = np.repeat([b - a for _, a, b in trials], list(map(len, keys)))
 
     worst = []  # the closed form from rows 20, 21 (u_0, u_1), the general step from rows 42, 43 (u_a, u_b)
-    for s, i, ms, rows in ((1.0, 20, range(-20, 21), slice(0, 41)), (b - a, 42, range(-8, 9), slice(44, 61))):
-        x_re, x_im = snapshots.snapshot_grid_columns(s, freqs, (re[i], im[i]), (re[i + 1], im[i + 1]), ms)
+    for s, i, ms, rows in ((1.0, 20, range(-20, 21), slice(0, 41)), (steps, 42, range(-8, 9), slice(44, 61))):
+        x_re, x_im = snapshots.snapshot_grid_columns(s, lam, (re[i], im[i]), (re[i + 1], im[i + 1]), ms)
         worst.append(float(np.hypot(x_re - re[rows], x_im - im[rows]).max(initial=0.0)))
     with np.errstate(all="ignore"):
-        c = np.cos(np.asarray(freqs, dtype=float))  # S'_1
+        c = np.cos(lam)  # S'_1
         recur = np.hypot(
             re[2:42] + re[0:40] + -2.0 * (c * re[1:41]), im[2:42] + im[0:40] + -2.0 * (c * im[1:41])
         )

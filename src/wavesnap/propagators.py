@@ -85,7 +85,7 @@ def chebyshev_U(m: int, x: float) -> float:
 
 def as_radians(time: float | Fraction) -> float:
     """A time as a float in radians: a Fraction beta is beta pi."""
-    if isinstance(time, Fraction):
+    if type(time) is not float and isinstance(time, Fraction):  # a float skips the ABC check
         return math.pi * (time.numerator / time.denominator)
     return float(time)
 
@@ -262,20 +262,27 @@ def psi_column(m: int, us: Sequence[float], sins: Sequence[float]) -> list[float
     return out
 
 
-def sine_over_grid(ts: Sequence[float], lams: Sequence[float]):
-    """`sine_over` at every time in `ts` (rows) and frequency in `lams`
-    (columns), as a float64 array.  The ratio branch sin(u)/lam runs in
+def sine_over_grid(ts, lams: Sequence[float]):
+    """`sine_over` at every frequency in `lams` (columns) and every time in
+    `ts`: one time per row, or a 2-D array of one time per element (rows x
+    columns), as a float64 array.  The ratio branch sin(u)/lam runs in
     numpy; every element with |u| < SERIES_SWITCH, t = 0 and lam = 0 among
-    them, takes `sine_over` itself.  Where the scalar rule would raise (an
-    infinite u) the element is nan."""
+    them, takes `sine_over` itself at its own time.  Where the scalar rule
+    would raise (an infinite u) the element is nan."""
     import numpy as np
 
     lam = np.asarray(lams, dtype=float)
+    t = np.asarray(ts, dtype=float)
+    if t.ndim == 1:
+        t = t.reshape(-1, 1)
     with np.errstate(all="ignore"):
-        u = np.asarray(ts, dtype=float).reshape(-1, 1) * lam
-        out = np.sin(u) / lam
-    for i, j in zip(*np.nonzero(np.abs(u) < SERIES_SWITCH)):
-        out[i, j] = sine_over(float(ts[i]), float(lam[j]))
+        u = t * lam
+        out = np.sin(u)
+        out /= lam
+    near = np.nonzero(np.abs(u) < SERIES_SWITCH)
+    del u
+    at = np.broadcast_to(t, out.shape)[near].tolist(), np.broadcast_to(lam, out.shape)[near].tolist()
+    out[near] = list(map(sine_over, *at))
     return out
 
 

@@ -102,19 +102,23 @@ class SolveReport:
         return self.kernel_modes  # the sphere's name for the kernel keys, kept for the benchmark
 
 
-# A grid: (keys, freqs, re, im), the real and imaginary parts of a series of
-# amplitude rows over one key column as two float64 arrays, row by row.
+# A grid: (keys, freqs, re, im).  Its columns are the keys of one or more
+# data, datum after datum: `keys` and `freqs` hold each datum's own key and
+# frequency columns, and re and im, the real and imaginary parts of a series
+# of amplitude rows over all of those columns, are two float64 arrays.
 #
 # One time or one index at a time, `evolve` and `general_integer_snapshot`
 # apply the column symbol rules in plain floats, so a process that never asks
 # for a series never loads numpy.  The grids apply the array forms of the
 # same rules, part by part in the order complex arithmetic takes them, so
 # each grid value is the scalar operator's up to the sign of a zero.
-Grid = tuple[tuple, tuple, Any, Any]
+Grid = tuple[tuple[tuple, ...], tuple[tuple[float, ...], ...], Any, Any]
 
 
 def evolve(data: CauchyData, t: float | Fraction) -> Field:
-    """u_t = S'_t u0 + S_t g: `evolve_column` over the union of the data's keys."""
+    """u_t = S'_t u0 + S_t g: `evolve_column` over the union of the data's
+    keys.  A non-finite float t raises InvalidTime."""
+    _check_finite(t)
     keys, freqs, (x, y) = union_columns((data.position, data.velocity))
     return _with_amps(data.position, keys, freqs, evolve_column(t, freqs, x, y))
 
@@ -143,22 +147,36 @@ def _residual(t: float | Fraction, freqs: Sequence[float], x: Sequence, y: Seque
     return max(map(abs, diffs), default=0.0)
 
 
-def evolve_grid(data: CauchyData, times: Iterable[float | Fraction]) -> Grid:
-    """`evolve` at each t in `times` as one grid over the union of the data's
-    keys, through `sine_over_grid`.  The first row that is not finite raises
-    what `evolve` raises at its time."""
+def evolve_grid(data: Sequence[CauchyData], times: Sequence[Sequence[float | Fraction]]) -> Grid:
+    """`evolve` of each datum at each time of its own row in `times` (rows
+    of one length), as one grid through `sine_over_grid`: row i holds each
+    datum's u at its i-th time over the union of its keys.  A non-finite
+    float time raises InvalidTime before any amplitude is formed; else the
+    first datum with an amplitude that is not finite raises what `evolve`
+    raises at its first such time."""
     import numpy as np
 
-    times = list(times)
-    radians = [as_radians(t) for t in times]
-    keys, freqs, (x, y) = union_columns((data.position, data.velocity))
-    (xr, xi), (yr, yi) = _parts(x), _parts(y)
+    radians = np.array([[as_radians(t) for t in row] for row in times], dtype=float)
+    if not np.isfinite(radians).all():
+        for row in times:
+            for t in row:
+                _check_finite(t)  # a Fraction far enough out reaches the symbols at an infinite time
+    unions = [union_columns((d.position, d.velocity)) for d in data]
+    keys, freqs = tuple(u[0] for u in unions), tuple(u[1] for u in unions)
+    lam = np.fromiter(itertools.chain.from_iterable(freqs), float)
+    (xr, xi), (yr, yi) = (_parts([amp for u in unions for amp in u[2][j]]) for j in (0, 1))
+    t = np.repeat(radians.T, list(map(len, keys)), axis=1)  # each element its column's time
     with np.errstate(all="ignore"):
-        cos_t = np.cos(np.reshape(radians, (-1, 1)) * np.asarray(freqs, dtype=float))
-        sin_t = sine_over_grid(radians, freqs)
-        re = cos_t * xr + sin_t * yr
-        im = cos_t * xi + sin_t * yi
-    _check_rows(re, im, freqs, lambda i: (symbol_Sprime(times[i]), symbol_S(times[i])))
+        cos_t = t * lam
+        np.cos(cos_t, out=cos_t)
+        sin_t = sine_over_grid(t, lam)
+        del t
+        re = cos_t * xr
+        re += sin_t * yr
+        im = cos_t * xi
+        im += sin_t * yi
+    del cos_t, sin_t
+    _check_rows(re, im, lambda: zip(times, freqs), lambda row, i: (symbol_Sprime(row[i]), symbol_S(row[i])))
     return keys, freqs, re, im
 
 
@@ -180,40 +198,60 @@ def general_integer_snapshot(ua: Field, ub: Field, a: float, b: float, m: int) -
     return _with_amps(ub, keys, freqs, amps)
 
 
-def snapshot_grid_columns(s: float, freqs: Sequence[float], x, y, ms: Iterable[int]):
+def snapshot_grid_columns(s, freqs: Sequence[float], x, y, ms: Iterable[int]):
     """`general_integer_snapshot` at each m in `ms` as the parts (re, im) of
-    one grid at step s over `freqs`, from the parts x = (re, im) of u_a and
-    y of u_b as float64 arrays.  Every Psi column is a
-    row of one `psi_grid` call, so u = s lam and sin(u) are computed once per
-    key.  The first row that is not finite raises what
-    `general_integer_snapshot` raises at its index."""
+    one grid over `freqs`, from the parts x = (re, im) of u_a and y of u_b as
+    float64 arrays.  The step s is a float, or a float64 column of one step
+    per key.  Every Psi column is a row of one `psi_grid` call, so u = s lam
+    and sin(u) are computed once per key.  The first row that is not finite
+    raises what `general_integer_snapshot` raises at its index; at a column
+    s, the first key holding such an amplitude raises what it raises for
+    that key alone, at the key's step and its first such index."""
     import numpy as np
 
     ms = list(map(int, ms))
 
-    def symbols(i: int) -> tuple[MultiplierSymbol, MultiplierSymbol]:
-        return symbol_Psi(ms[i], s), symbol_Psi(ms[i] - 1, s)
+    def symbols(step: float, i: int) -> tuple[MultiplierSymbol, MultiplierSymbol]:
+        return symbol_Psi(ms[i], step), symbol_Psi(ms[i] - 1, step)
 
     (xr, xi), (yr, yi) = x, y
     index = sorted({k for m in ms for k in (m, m - 1)})
+    with np.errstate(all="ignore"):
+        us = s * np.asarray(freqs, dtype=float)  # an infinite u marks its keys' Psi values bad
     try:
-        psi = psi_grid(index, s * np.asarray(freqs, dtype=float))
+        psi = psi_grid(index, us)
     except (ArithmeticError, ValueError):
-        for i in range(len(ms)):
-            _name_bad_symbol(symbols(i), freqs)
+        for step, column in _spans(s, freqs):
+            for i in range(len(ms)):
+                _name_bad_symbol(symbols(step, i), column)
         raise
     row = {k: i for i, k in enumerate(index)}
     p = psi[np.array([row[m] for m in ms], dtype=np.intp)]
     q = psi[np.array([row[m - 1] for m in ms], dtype=np.intp)]
+    del psi
     with np.errstate(all="ignore"):
-        re = p * yr - q * xr
-        im = p * yi - q * xi
-    _check_rows(re, im, freqs, symbols)
+        re = p * yr
+        re -= q * xr
+        im = p * yi
+        im -= q * xi
+    _check_rows(re, im, lambda: _spans(s, freqs), symbols)
     return re, im
 
 
+def _spans(s, freqs: Sequence[float]) -> list[tuple[float, list[float]]]:
+    """(step, frequencies as floats): the float step s over all of `freqs`,
+    or each key alone at its own step of a column s."""
+    import numpy as np
+
+    if np.ndim(s) == 0:
+        return [(float(s), list(map(float, freqs)))]
+    return [(step, [float(lam)]) for step, lam in zip(s.tolist(), freqs)]
+
+
 def _step(ua: Field, ub: Field, a: float, b: float) -> float:
-    """The step s = b - a between two snapshots at a < b over one basis."""
+    """The step s = b - a between two snapshots at finite times a < b over one basis."""
+    _check_finite(a)
+    _check_finite(b)
     if not b > a:
         raise InvalidTimes(f"need a < b, got a={a}, b={b}")
     ub.check_same_basis(ua)
@@ -240,17 +278,26 @@ def _name_bad_symbol(symbols: Iterable[MultiplierSymbol], freqs: Sequence[float]
         symbol_values(symbol, freqs)
 
 
-def _check_rows(re, im, freqs: Sequence[float], symbols: Callable[[int], Iterable[MultiplierSymbol]]) -> None:
-    """Raise at the first row of a grid that is not finite: SymbolUndefined
-    where one of the row's `symbols(i)` is bad, else ValueError 'non-finite
-    amplitude'."""
+def _check_rows(re, im, spans: Callable[[], Iterable[tuple[Any, Sequence[float]]]], symbols: Callable) -> None:
+    """Raise at the first amplitude of a grid that is not finite.  The grid's
+    columns are the frequencies of `spans()`, (arg, freqs) pairs in order,
+    asked for only then; the first span holding such an amplitude raises at
+    its first such row i: SymbolUndefined where one of `symbols(arg, i)` is
+    bad over its freqs, else ValueError 'non-finite amplitude'."""
     import numpy as np
 
-    bad = ~(np.isfinite(re).all(axis=1) & np.isfinite(im).all(axis=1))
-    if bad.any():
-        i = int(bad.argmax())
-        _name_bad_symbol(symbols(i), freqs)
-        check_finite(list(map(complex, re[i].tolist(), im[i].tolist())))
+    if np.isfinite(re).all() and np.isfinite(im).all():
+        return
+    bad = ~(np.isfinite(re) & np.isfinite(im))
+    lo = 0
+    for arg, freqs in spans():
+        hi = lo + len(freqs)
+        rows = bad[:, lo:hi].any(axis=1)
+        if rows.any():
+            i = int(rows.argmax())
+            _name_bad_symbol(symbols(arg, i), freqs)
+            check_finite(list(map(complex, re[i, lo:hi].tolist(), im[i, lo:hi].tolist())))
+        lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +308,10 @@ def compatibility_residual_general(
     fa: Field, fb: Field, fc: Field, a: float, b: float, c: float
 ) -> float:
     """Residual of S_{c-b} fa + S_{a-c} fb + S_{b-a} fc, which vanishes on
-    genuine snapshot triples at times (a, b, c)."""
+    genuine snapshot triples at times (a, b, c); a non-finite time raises
+    InvalidTime."""
+    for t in (a, b, c):
+        _check_finite(t)
     r = linear_combine(
         [1.0, 1.0, 1.0],
         [

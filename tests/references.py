@@ -65,8 +65,9 @@ def _grid_rows(like, grid):
 
 
 def evolve_series(data, times):
-    """u_t for each t in `times`: the rows of `evolve_grid`."""
-    return _grid_rows(data.position, evolve_grid(data, times))
+    """u_t for each t in `times`: the rows of `evolve_grid` on a batch of one datum."""
+    (keys,), (freqs,), re, im = evolve_grid([data], [list(times)])
+    return _grid_rows(data.position, (keys, freqs, re, im))
 
 
 def snapshot_grid(ua, ub, a, b, ms):

@@ -426,6 +426,52 @@ def test_exit_codes(tmp_path, capsys):
         assert err.startswith("usage:") and "--number" in err and "Traceback" not in err
 
 
+@pytest.fixture()
+def one_mode_files(tmp_path):
+    """A 1-mode flat field and a 1-coefficient S^3 field, and an --out path."""
+    flat, on_sphere = tmp_path / "f.json", tmp_path / "s.json"
+    save_field(field(1, [((3.0,), 1.0)]), str(flat))
+    save_sphere_field(sphere_field(3, [(1, 1, 1.0)]), str(on_sphere))
+    return str(flat), str(on_sphere), tmp_path / "out.json"
+
+
+def assert_invalid_time(capsys, argv, out, value):
+    # a non-finite time is InvalidTime, exit 1, before any symbol is evaluated
+    assert cli.run([*argv, "--out", str(out)]) == 1, argv
+    assert capsys.readouterr().err == f"wavesnap: error: time must be finite, got {value}\n", argv
+    assert not out.exists()
+
+
+def test_wave_evolve_rejects_non_finite_times(one_mode_files, capsys):
+    # was "symbol S'[inf] failed at lambda=3.0" and "symbol S'[nan] returned (nan+0j) at lambda=3.0"
+    flat, _, out = one_mode_files
+    for t in ("inf", "-inf", "nan"):
+        assert_invalid_time(capsys, ["wave", "evolve", "--field", flat, "--velocity", flat, f"--t={t}"], out, t)
+
+
+def test_sphere_evolve_rejects_non_finite_times(one_mode_files, capsys):
+    # was "symbol S'[inf] failed at lambda=2.0"
+    _, on_sphere, out = one_mode_files
+    for t in ("inf", "nan"):
+        assert_invalid_time(capsys, ["sphere", "evolve", "--f0", on_sphere, "--g", on_sphere, f"--t={t}"], out, t)
+
+
+def test_wave_snapshot_rejects_non_finite_times(one_mode_files, capsys):
+    # --b inf was "symbol Psi[2,inf] failed", --b nan "need a < b"
+    flat, _, out = one_mode_files
+    argv = ["wave", "snapshot", "--ua", flat, "--ub", flat, "--m", "2"]
+    for flags, value in ((["--b", "inf"], "inf"), (["--b", "nan"], "nan"), (["--a=-inf"], "-inf")):
+        assert_invalid_time(capsys, argv + flags, out, value)
+
+
+def test_wave_compat_rejects_non_finite_times(one_mode_files, capsys):
+    # was "symbol S[nan] returned (nan+0j)" and "symbol S[inf] failed"
+    flat, _, out = one_mode_files
+    for alpha in ("nan", "inf"):
+        argv = ["wave", "compat", "--f0", flat, "--f1", flat, "--falpha", flat, f"--alpha={alpha}"]
+        assert_invalid_time(capsys, argv, out, alpha)
+
+
 def test_unwritable_out_is_a_domain_error(tmp_path, capsys):
     # the output is written inside the domain-error handling, so a missing directory is exit 1, not a traceback
     out = str(tmp_path / "no-such-dir" / "out")

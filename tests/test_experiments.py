@@ -1,6 +1,7 @@
 """The recursion experiment's residuals, against the field-by-field loop it
 replaces, and its gate's negative controls."""
 
+import itertools
 import random
 
 import pytest
@@ -57,52 +58,72 @@ def test_recursion_residuals_match_field_reference(seed):
     assert hexes(experiments.recursion_residuals(seed)) == hexes(reference_residuals(seed))
 
 
-def test_recursion_trial_matches_reference_where_rows_drop_keys():
+def rows_drop_keys_cases():
+    """Three trials (data, a, b) whose rows drop keys, in dimensions 2 and 1."""
     # a position-only, a velocity-only, a shared and a zero-frequency key
     u0 = field(2, [((0.6, 0.8), 0.3 - 0.2j), ((1.5, -2.0), 0.7j), ((0.0, 0.0), -0.4)])
     g = field(2, [((0.6, 0.8), 0.5), ((-2.2, 0.1), 1.0 + 0.25j), ((0.0, 0.0), 0.9j)])
-    data = CauchyData(u0, g)
-    keys = union_columns((u0, g))[0]
     a, b = 0.25, 1.1
+    return [
+        (CauchyData(u0, g), a, b),
+        # a trial whose data share no key at all
+        (CauchyData(field(1, [((1.3,), 1.0)]), field(1, [((2.9,), -1j)])), a, b),
+        # a velocity-only amplitude that underflows at t = 1, a and b: u_1, u_a and u_b
+        # drop its key, so both snapshot grids are narrower than the evolve grid
+        (CauchyData(u0, field(2, [((0.6, 0.8), 0.5), ((-2.2, 0.1), 5e-324)])), a, b),
+    ]
+
+
+def test_recursion_trial_matches_reference_where_rows_drop_keys():
+    (data, a, b), _, (underflow, _, _) = trials = rows_drop_keys_cases()
+    u0, g = data.position, data.velocity
+    keys = union_columns((u0, g))[0]
     # the rows the residuals read drop keys: u_0 and the closed form at m = 0
     # have no velocity-only key, the general step at m = 0 is u_a
     assert snapshots.evolve(data, 0.0).keys == u0.keys != keys
     assert snapshots.general_integer_snapshot(u0, snapshots.evolve(data, 1.0), 0.0, 1.0, 0).keys == u0.keys
-    assert hexes(experiments.recursion_trial(data, a, b)) == hexes(reference_trial(data, a, b))
-    # and a trial whose data share no key at all
-    data = CauchyData(field(1, [((1.3,), 1.0)]), field(1, [((2.9,), -1j)]))
-    assert hexes(experiments.recursion_trial(data, a, b)) == hexes(reference_trial(data, a, b))
-    # a velocity-only amplitude that underflows at t = 1, a and b: u_1, u_a and u_b
-    # drop its key, so both snapshot grids are narrower than the evolve grid
-    data = CauchyData(u0, field(2, [((0.6, 0.8), 0.5), ((-2.2, 0.1), 5e-324)]))
-    assert snapshots.evolve(data, 1.0).keys == snapshots.evolve(data, a).keys == u0.keys
-    assert hexes(experiments.recursion_trial(data, a, b)) == hexes(reference_trial(data, a, b))
+    assert snapshots.evolve(underflow, 1.0).keys == snapshots.evolve(underflow, a).keys == u0.keys
+    for trial in trials:
+        assert hexes(experiments.recursion_trials([trial])) == hexes(reference_trial(*trial))
 
 
-def nudged(grid, row):
-    """A copy of a grid with the real part of one amplitude in `row` moved by 1e-9."""
+def test_recursion_batch_is_the_max_of_its_trials_in_any_order():
+    # dim 2 with dropped keys, dim 1 with disjoint keys and the underflowing velocity, side by side,
+    # and the same three at a step b - a of their own
+    trials = rows_drop_keys_cases()
+    trials += [(data, a + 0.125 * k, b + 0.25 * k) for k, (data, a, b) in enumerate(trials, 1)]
+    residuals = [reference_trial(*trial) for trial in trials]
+    for order in itertools.permutations(range(3)):
+        for batch in (list(order), [*order, 3, 4, 5]):
+            want = [max(column) for column in zip(*(residuals[i] for i in batch))]
+            assert hexes(experiments.recursion_trials([trials[i] for i in batch])) == hexes(want)
+
+
+def nudged(grid, row, column):
+    """A copy of a grid with the real part of one amplitude in `row` and `column` moved by 1e-9."""
     keys, freqs, re, im = grid
     re = re.copy()
-    re[row, 0] += 1e-9
+    re[row, column] += 1e-9
     return keys, freqs, re, im
 
 
 @pytest.mark.parametrize("which", ["closed-form", "general step", "three-term"])
 def test_recursion_gate_fails_on_a_perturbed_amplitude(monkeypatch, which):
+    # column 0 is the first trial's first key, column -1 the last trial's last key
     snapshot_grid_columns, evolve_grid = snapshots.snapshot_grid_columns, snapshots.evolve_grid
     residuals = experiments.recursion_residuals
 
     def nudged_snapshot_grid_columns(s, freqs, x, y, ms):
         grid = (None, None, *snapshot_grid_columns(s, freqs, x, y, ms))
         if which == ("closed-form" if len(ms) == 41 else "general step"):  # |m| <= 20 or |m| <= 8
-            grid = nudged(grid, len(grid[2]) // 2)
+            grid = nudged(grid, len(grid[2]) // 2, column)
         return grid[2:]
 
     def nudged_evolve_grid(data, times):
         grid = evolve_grid(data, times)
         if which == "three-term":
             # u_21 enters only the three-term residual at m = 19
-            grid = nudged(grid, times.index(21.0))
+            grid = nudged(grid, times[0].index(21.0), column)
         return grid
 
     seen = []
@@ -114,11 +135,13 @@ def test_recursion_gate_fails_on_a_perturbed_amplitude(monkeypatch, which):
     monkeypatch.setattr(snapshots, "snapshot_grid_columns", nudged_snapshot_grid_columns)
     monkeypatch.setattr(snapshots, "evolve_grid", nudged_evolve_grid)
     monkeypatch.setattr(experiments, "recursion_residuals", recursion_residuals)
-    r = experiments.recursion_roundtrip(seed=1)
-    assert not r["passed"], r["details"]
-    (closed, general, recur), = seen
-    assert (closed > 1e-10, general > 1e-10, recur > 1e-11) == (
-        which == "closed-form",
-        which == "general step",
-        which == "three-term",
-    )
+    for column in (0, -1):
+        r = experiments.recursion_roundtrip(seed=1)
+        assert not r["passed"], (column, r["details"])
+        closed, general, recur = seen[-1]
+        assert (closed > 1e-10, general > 1e-10, recur > 1e-11) == (
+            which == "closed-form",
+            which == "general step",
+            which == "three-term",
+        ), column
+    assert len(seen) == 2

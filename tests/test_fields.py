@@ -24,7 +24,7 @@ from wavesnap.fields import (
     write_text_atomic,
 )
 from wavesnap.propagators import symbol_Psi, symbol_S, symbol_Sprime
-from wavesnap.snapshots import CauchyData, evolve
+from wavesnap.snapshots import CauchyData, InvalidTime, evolve
 
 from references import (
     aligned,
@@ -462,8 +462,11 @@ def test_series_name_an_undefined_symbol_and_reject_an_overflow():
     f = field(1, [((0.5,), 1.5e308), ((1.0,), 1.0)])
     data = CauchyData(f, f)
     for t in (math.inf, math.nan):
-        with pytest.raises(SymbolUndefined, match=r"S'\["):
+        with pytest.raises(InvalidTime, match="time must be finite"):
             evolve_series(data, [0.0, t])
+    for t in (1e308, Fraction(10**308)):  # a finite time at which t lam is infinite
+        with pytest.raises(SymbolUndefined, match=r"S'\["):
+            evolve_series(CauchyData(f, field(1, [((3.0,), 1.0)])), [0.0, t])
     with pytest.raises(ValueError, match="non-finite amplitude"):
         evolve(data, 0.5)  # (cos(1/4) + 2 sin(1/4)) 1.5e308 overflows; the symbols are fine
     with pytest.raises(SymbolUndefined, match=r"Psi\[3,inf\]"):
@@ -479,12 +482,32 @@ def test_series_errors_raise_without_a_numpy_warning():
     f = field(1, [((0.5,), 1.5e308), ((1.0,), 1.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SymbolUndefined):
+        with pytest.raises(InvalidTime):
             evolve_series(CauchyData(f, f), [math.inf])
+        with pytest.raises(SymbolUndefined):
+            evolve_series(CauchyData(f, field(1, [((3.0,), 1.0)])), [1e308])
         with pytest.raises(ValueError, match="non-finite amplitude"):
             evolve(CauchyData(f, f), 0.5)
         with pytest.raises(SymbolUndefined):
             snapshot_series(f, f, -1e308, 1e308, [3])
+
+
+def test_evolve_grid_raises_what_evolve_raises_for_its_first_bad_datum():
+    ok = CauchyData(field(2, [((0.6, 0.8), 0.3)]), field(2, [((1.5, -2.0), 1j)]))
+    big = CauchyData(field(1, [((0.5,), 1.0)]), field(1, [((0.5,), 1e308), ((2.0,), 1.0)]))
+    late = CauchyData(field(1, [((3.0,), 1.0)]), field(1, [((3.0,), 1.0)]))
+    times = [0.0, 1.0, 3.0, 2.5]
+    evolve(big, 1.0)  # finite up to time 3, where 2 sin(3/2) 1e308 overflows
+    with pytest.raises(ValueError) as want:
+        evolve(big, 3.0)
+    # the third datum fails at its first time (pi 1e308 is infinite), after the second datum's row
+    late_times = [Fraction(10**308), 1.0, 1.0, 1.0]
+    with pytest.raises(SymbolUndefined):
+        evolve(late, late_times[0])
+    for batch, rows in (([ok, big], [times, times]), ([ok, big, late], [times, times, late_times])):
+        with pytest.raises(ValueError) as got:
+            snapshots.evolve_grid(batch, rows)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 def test_grids_are_the_series_rows():
@@ -493,7 +516,7 @@ def test_grids_are_the_series_rows():
     g = field(2, [((0.6, 0.8), 0.5), ((-2.2, 0.1), 1.0 + 0.25j)])
     data = CauchyData(u0, g)
     times = [0.0, 1.0, Fraction(1, 3), -2.5]
-    keys, freqs, re, im = snapshots.evolve_grid(data, times)
+    (keys,), (freqs,), re, im = snapshots.evolve_grid([data], [times])
     assert (keys, freqs) == fields_module.union_columns((u0, g))[:2] and re.shape == im.shape == (4, 4)
     for t, r, i in zip(times, re.tolist(), im.tolist()):
         u = evolve(data, t)
@@ -504,6 +527,33 @@ def test_grids_are_the_series_rows():
     for m, r, i in zip([3, -1, 3], re.tolist(), im.tolist()):
         u = snapshots.general_integer_snapshot(ua, ub, 0.25, 1.0, m)
         assert [complex(x, y) for x, y in zip(r, i)] == [u.amplitude_at(k) for k in keys]
+
+
+def test_snapshot_grid_columns_take_a_step_per_key():
+    import numpy as np
+
+    # two runs of keys with a step each: every run is the float-step grid over its keys, bit for bit
+    freqs = [0.5, 1.0, 2.2, 0.0, 0.7, 3.1]
+    x = (np.array([0.3, -1.0, 0.5, 0.2, 0.0, 1.5]), np.array([0.1, 0.0, -0.4, 0.0, 2.0, 0.5]))
+    y = (np.array([1.0, 0.25, 0.0, -0.6, 0.3, 0.0]), np.array([0.0, 0.5, 1.0, 0.0, -0.2, 0.1]))
+    steps = np.array([0.85, 0.85, 0.85, 1.3, 1.3, 1.3])
+    ms = [-3, 0, 1, 4, 4]
+    re, im = snapshots.snapshot_grid_columns(steps, freqs, x, y, ms)
+    for cols in (slice(0, 3), slice(3, 6)):
+        want = snapshots.snapshot_grid_columns(float(steps[cols][0]), freqs[cols], (x[0][cols], x[1][cols]),
+                                               (y[0][cols], y[1][cols]), ms)
+        assert hex_grid((re[:, cols], im[:, cols])) == hex_grid(want)
+    # a run whose step overflows names Psi at that step, as general_integer_snapshot does
+    steps[3:] = 1e308
+    with pytest.raises(SymbolUndefined, match=r"Psi\[-3,1e\+308\] failed at lambda=0.7"):
+        snapshots.snapshot_grid_columns(steps, freqs, x, y, ms)
+    ua, ub = field(1, [((0.7,), 1.0)]), field(1, [((0.7,), 1.0), ((3.1,), 1.0)])
+    with pytest.raises(SymbolUndefined, match=r"Psi\[-3,1e\+308\] failed at lambda=0.7"):
+        snapshots.general_integer_snapshot(ua, ub, 0.0, 1e308, -3)
+
+
+def hex_grid(parts):
+    return [[v.hex() for v in row] for part in parts for row in part.tolist()]
 
 
 def test_amplitude_at_bisects_with_equality_semantics():
@@ -562,8 +612,10 @@ def documents(draw):
             elif defect == "amp":
                 row["amp"] = [row["amp"][0], draw(nonfinite)]
             elif defect == "type":  # at a key member or an amplitude part
-                bad = draw(st.sampled_from(["1", True, False, None, [1.0]] + ([] if flat else [1.0, 2.5])))
                 where = draw(st.sampled_from(["xi", "amp"] if flat else ["l", "m", "amp"]))
+                # a float is a defect only as a degree or an order
+                floats = [1.0, 2.5] if where in ("l", "m") else []
+                bad = draw(st.sampled_from(["1", True, False, None, [1.0]] + floats))
                 if where == "xi":
                     row["xi"] = [bad] + row["xi"][1:]
                 elif where == "amp":

@@ -274,6 +274,26 @@ def test_sine_over_grid_is_the_scalar_rule():
     assert hex_rows(got) == hex_rows([[sine_over(t, lam) for lam in GRID_RADII] for t in ts])
 
 
+def test_sine_over_grid_takes_one_time_per_element():
+    import numpy as np
+
+    # the t = 0 row and the lam = 0 column take the series fix-up at their own time
+    ts = np.array([0.0, -0.0, 1e-7, 0.5, -1.0, 3.0, -20.0, 1e5] + [as_radians(b) for b in FRACTION_TIMES])
+    one_d = sine_over_grid(ts, GRID_RADII)
+    assert GRID_RADII[0] == 0.0
+    # a time per element that is constant along each row is the 1-D call, row by row
+    rows = np.repeat(ts.reshape(-1, 1), len(GRID_RADII), axis=1)
+    assert hex_rows(sine_over_grid(rows, GRID_RADII)) == hex_rows(one_d)
+    assert hex_rows(sine_over_grid(ts.reshape(-1, 1), GRID_RADII)) == hex_rows(one_d)
+    # each column its own times: column j is the 1-D call over that column's times at its lam
+    mixed = np.stack([np.roll(ts, j) for j in range(len(GRID_RADII))], axis=1)
+    got = sine_over_grid(mixed, GRID_RADII)
+    assert got.shape == mixed.shape
+    for j, lam in enumerate(GRID_RADII):
+        assert hex_rows(got[:, j:j + 1]) == hex_rows(sine_over_grid(mixed[:, j], [lam]))
+        assert [v.hex() for v in got[:, j].tolist()] == [sine_over(t, lam).hex() for t in mixed[:, j].tolist()]
+
+
 def test_psi_grid_is_the_scalar_rule():
     # negative and large indices; u = s lam for a few steps s, the kernel radii included
     ms = [-12, -3, -2, -1, 0, 1, 2, 3, 5, 40]
