@@ -65,9 +65,9 @@ def number_class(spec: str) -> diophantine.NumberClass:
         return diophantine.doubled(number_class(rest))
     if head == "rational":
         return diophantine.rational_number(Fraction(rest))
-    if head == "sqrt2":
+    if spec == "sqrt2":  # no parameters: "sqrt2:..." is an unknown spec
         return diophantine.sqrt2_class()
-    if head == "golden":
+    if spec == "golden":
         return diophantine.golden_class()
     if head == "binary":
         return diophantine.binary_factorial_class(int(rest))
@@ -215,8 +215,18 @@ def _wave_symbol(args) -> tuple:
     if args.count < 2:
         raise ValueError("--count must be at least 2")
     step = (args.max - args.min) / (args.count - 1)
+    time = ("--s", args.s) if args.kind == "Psi" else ("--t", args.t)
+    for flag, v in (("--min", args.min), ("--max", args.max), time, ("--max minus --min", step)):
+        if not math.isfinite(v):
+            raise ValueError(f"{flag} must be finite, got {v!r}")
     lams = [args.min + i * step for i in range(args.count)]
-    return ("lam", "value"), [list(map(repr, lams)), [repr(sym(lam)) for lam in lams]], [f"symbol: {sym.label}"]
+    try:
+        values = [repr(sym(lam)) for lam in lams]
+    except (ArithmeticError, ValueError):  # t lam, s lam or m s lam beyond the float range
+        flags = "--m or --s" if args.kind == "Psi" else "--t"
+        msg = f"{sym.label} has no finite value on the grid up to --max {args.max!r}: {flags} too large"
+        raise ValueError(msg) from None
+    return ("lam", "value"), [list(map(repr, lams)), values], [f"symbol: {sym.label}"]
 
 
 # -- dio verbs ---------------------------------------------------------------
@@ -302,6 +312,8 @@ def _sphere_solve(args) -> dict:
 def _sphere_huygens(args) -> dict:
     if args.t_count < 2:
         raise ValueError("--t-count must be at least 2")
+    if not math.isfinite(args.tmax):
+        raise ValueError(f"--tmax must be finite, got {args.tmax!r}")
     times = [args.tmax * j / (args.t_count - 1) for j in range(args.t_count)]
     r = sphere.huygens_antipodal_check(*_load(args, "f0", "g"), times, c_count=args.c_count)
     return {"t_count": args.t_count, "c_count": args.c_count, "max_residual": r}

@@ -8,10 +8,11 @@ bound, so that downstream classification never has to guess from a float.
 Only results decided in exact integers are called certified: the odd-type
 margins (`odd_type_verifier` rechecks each candidate q in integers), the
 convergent bounds of a factorial series (`convergent_pair`,
-`doubled_liouville_bound`) and, through them, the `certified` flag of
-`snapshots.liouville_obstruction_demo`.  A small-denominator table detects
-its zero rows exactly, but its nonzero sines are `math.sin` floats, and the
-joint lower bound is a sampled minimum.
+`doubled_liouville_bound`, `convergent_chain`: one big product per k) and,
+through them, the `certified` flag of `snapshots.liouville_obstruction_demo`.
+A small-denominator table detects its zero rows exactly, but its nonzero
+sines are `math.sin` floats, and the joint lower bound is a sampled minimum,
+its sines taken only where Jordan's floor lets the minimum be.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .fields import MultiplierSymbol
-from .propagators import exact_residue
+from .propagators import exact_residue, sine_floor
 
 KIND_RATIONAL = "rational"
 KIND_MEASURE_BOUNDED = "measure-bounded"
@@ -35,6 +36,7 @@ FACTORIAL_DEPTH_CAP = 7  # 8! exponents already exceed 1e40000; deeper is pointl
 ODD_TYPE_WINDOW = 1e-9  # relative; odd q scoring this close to the best get the exact recheck
 JOINT_X_CAP = 1e6  # x_max max(1, |alpha|) in the joint sine bound: at most ~6e6 grid points
 JOINT_SAMPLES = 200_000  # the joint sine bound's uniform grid, besides its points near the zeros
+JOINT_BLOCK = 16_384  # grid points the joint bound's Jordan screen scores per numpy pass
 
 PI_HI = Fraction(math.pi) + Fraction(1, 2**52)  # above pi: math.pi undershoots by about 1.22e-16
 
@@ -290,6 +292,14 @@ def convergent_pair(x: NumberClass, k: int) -> Convergent:
     residue delta_k = q_k x - p_k of the untruncated number:
     delta_lo = sum_{j > k} c_j base^(k! - j!) and delta_hi = delta_lo + q_k err,
     each over den = base^(depth! - k!) times the denominator of err."""
+    return next(convergent_chain(x, k))
+
+
+def convergent_chain(x: NumberClass, k: int) -> Iterator[Convergent]:
+    """`convergent_pair(x, j)` for j = k, k-1, ..., 1: the first from the
+    sums, each next by den_{j-1} = den_j base^(j! - (j-1)!) and lo_{j-1} =
+    lo_j + c_j den_j (hi alike).  k >= depth, or a tail vanishing at k,
+    raises PrecisionExhausted before anything is yielded."""
     if x.base is None or x.depth is None:
         raise ValueError("convergent_pair needs a factorial-series construction")
     if k < 1:
@@ -301,13 +311,16 @@ def convergent_pair(x: NumberClass, k: int) -> Convergent:
         )
     b, err = x.base, x.err
     kf, top = math.factorial(k), math.factorial(x.depth)
-    qk = b**kf
     pk = sum(c * b ** (kf - math.factorial(j)) for j, c in enumerate(x.coeffs[:k], start=1))
     tail = sum(c * b ** (top - math.factorial(j)) for j, c in enumerate(x.coeffs[k : x.depth], start=k + 1))
     if tail <= 0:
         raise PrecisionExhausted(f"all stored digits beyond k={k} vanish; residue not certified positive")
     lo = tail * err.denominator
-    return Convergent(qk, pk, lo, lo + err.numerator * b**top, b ** (top - kf) * err.denominator)
+    hi, den = lo + err.numerator * b**top, b ** (top - kf) * err.denominator
+    for j in range(k, 0, -1):
+        yield Convergent(b**kf, pk, lo, hi, den)
+        c, step, kf = x.coeffs[j - 1], kf - kf // j, kf // j  # c_j, j! - (j-1)!, (j-1)!
+        pk, lo, hi, den = pk // b**step, lo + c * den, hi + c * den, den * b**step  # c_j < b^step
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +437,9 @@ def joint_sine_lower_bound_check(alpha: NumberClass, exponent: int, x_max: float
     The grid, JOINT_SAMPLES uniform points, is refined near the zeros of
     both sines, where the minimum must occur.  It has about
     x_max (1 + |alpha|) / pi zeros, nine points each, so x_max max(1, |alpha|)
-    is capped at JOINT_X_CAP, checked before any array is built.
+    is capped at JOINT_X_CAP, checked before any array is built.  Sines are
+    taken only where the score's Jordan floor (`sine_floor` for each sine,
+    less 4 ulp) is at most the least score so far, so C is the full grid's.
     """
     if alpha.kind != KIND_MEASURE_BOUNDED or alpha.measure_bound is None:
         raise ValueError(f"joint lower bound needs a certified irrationality measure, got kind={alpha.kind}")
@@ -439,15 +454,22 @@ def joint_sine_lower_bound_check(alpha: NumberClass, exponent: int, x_max: float
     xs = [np.linspace(x_max / JOINT_SAMPLES, x_max, JOINT_SAMPLES)]
     offsets = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.05, -0.05])
     for period in (math.pi, math.pi / a):
-        k_max = int(x_max / period)
-        if k_max >= 1:
-            centers = np.arange(1, k_max + 1, dtype=float) * period
-            pts = (centers[:, None] + offsets[None, :]).ravel()
-            xs.append(pts)
+        centers = np.arange(1, int(x_max / period) + 1, dtype=float) * period  # none below one period
+        xs.append((centers[:, None] + offsets).ravel())
     x = np.concatenate(xs)
     x = x[(x > 0) & (x <= x_max)]
-    score = (np.abs(np.sin(x)) + np.abs(np.sin(a * x))) / x * (1.0 + x) ** exponent
-    c = float(score.min())
+
+    def score(at):  # the minimum score over the points `at` of the block
+        x_ = xb[at]
+        return float(((np.abs(np.sin(x_)) + np.abs(np.sin(a * x_))) / x_ * weight[at]).min(initial=math.inf))
+
+    c = math.inf
+    for lo in range(0, len(x), JOINT_BLOCK):
+        xb = x[lo : lo + JOINT_BLOCK]
+        weight = (1.0 + xb) ** exponent
+        floor = (sine_floor(xb) + sine_floor(a * xb)) / xb * weight * (1 - 2.0**-50)
+        c = min(c, score(np.argmin(floor, keepdims=True)))  # the block's lowest floor first
+        c = min(c, score(floor <= c))
     return c, c > 0.0
 
 

@@ -107,6 +107,20 @@ def kernel_threshold(u: float) -> float:
     return max(KERNEL_SIN_TOL, KERNEL_ULPS * math.ulp(u))
 
 
+def sine_floor(y):
+    """A certified lower bound on |sin y| over the float64 array `y`: Jordan's
+    |sin y| >= (2/pi) dist(y, pi Z) on d = |y - pi k|, k = rint(y / pi), less
+    (|y| + 4) 2^-49, twice what d can overstate dist by: |pi - math.pi| |k|
+    (4e-17 |y| + 1.3e-16), the roundings of math.pi k and the subtraction, and
+    a k one off near a half-period (3e-16 |y|); clamped to [0, pi/2].  It is 0
+    from |y| = 2^50 on, nan at a non-finite y (numpy warns unless silenced)."""
+    import numpy as np
+
+    d = np.abs(y - np.rint(y / math.pi) * math.pi)
+    d -= (np.abs(y) + 4.0) * 2.0**-49
+    return np.multiply(np.clip(d, 0.0, math.pi / 2, out=d), 2 / math.pi, out=d)
+
+
 def exact_residue(beta: Fraction, w2):
     """(r, 2q) = (2w p mod 4q, 2q) for the exact time beta pi, beta = p/q, and
     the doubled frequency 2w: w beta = r / 2q modulo 2, the period of sin(pi x)

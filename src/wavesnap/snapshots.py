@@ -153,9 +153,11 @@ def evolve_grid(data: Sequence[CauchyData], times: Sequence[Sequence[float | Fra
     datum's u at its i-th time over the union of its keys.  A non-finite
     float time raises InvalidTime before any amplitude is formed; else the
     first datum with an amplitude that is not finite raises what `evolve`
-    raises at its first such time."""
+    raises at its first such time.  An empty batch raises ValueError."""
     import numpy as np
 
+    if not data:
+        raise ValueError("need at least one datum")
     radians = np.array([[as_radians(t) for t in row] for row in times], dtype=float)
     if not np.isfinite(radians).all():
         for row in times:
@@ -563,9 +565,9 @@ def liouville_obstruction_demo(k_max: int) -> LiouvilleDemoReport:
     pi / (sin(pi delta_k) q_k^(k-1)) stays above 1, certified in exact
     arithmetic through sin x < x.  Display strings come from 30-digit
     arithmetic since the values leave double range around k = 5.  Rows are
-    computed from k = k_max down, so a k_max beyond the series' precision
-    raises PrecisionExhausted before any exact sum is formed, and returned
-    in ascending k.
+    computed from k = k_max down one `convergent_chain`, so a k_max beyond
+    the series' precision raises PrecisionExhausted before any exact sum is
+    formed, and returned in ascending k.
     """
     import mpmath  # only this demo needs it
 
@@ -574,8 +576,7 @@ def liouville_obstruction_demo(k_max: int) -> LiouvilleDemoReport:
     depth = diophantine.FACTORIAL_DEPTH_CAP
     alpha = diophantine.liouville_truncation(10, (1,) * depth, depth)
     rows = []
-    for k in range(k_max, 0, -1):
-        qk, _, lo, hi, den = diophantine.convergent_pair(alpha, k)
+    for k, (qk, _, lo, hi, den) in zip(range(k_max, 0, -1), diophantine.convergent_chain(alpha, k_max)):
         certified = hi * qk ** (k - 1) < den  # delta_hi q_k^(k-1) < 1
         shift = max(lo.bit_length() - 256, 0)  # mpf of a ~10^5-bit integer is slow; 256 bits are plenty
         with mpmath.workdps(30):

@@ -46,7 +46,7 @@ from .fields import (
     save_field,
     typed,
 )
-from .propagators import as_radians, exact_residue, kernel_threshold, sine_at
+from .propagators import as_radians, exact_residue, kernel_threshold, sine_at, sine_floor
 from .snapshots import (
     CauchyData,
     SolveReport,
@@ -287,6 +287,11 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
     scores more than MARGIN_WINDOW above a yielded one, so it can be neither the
     minimum nor tie it, and the returned constant is the full scan's.
 
+    At float alpha np.sin runs only on rows whose floor score (Jordan's
+    `sine_floor` / w times the block's least weight, less 4 ulp; never above
+    the score) is in that window or whose floor is below twice the kernel
+    threshold, and on blocks whose weights near the float range.
+
     At exact alpha = p/q the residue (2l+n-1)p mod 4q, hence the sine and the
     zero flag, has period 2q in l: one that fits in MARGIN_BLOCK rounds the
     block down to whole periods, and later blocks reuse the first one's sines."""
@@ -306,8 +311,14 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
                     sines, zeros = np.sin(np.pi * (r / q2).astype(float)), r % q2 == 0
                 x, near_zero = sines[: len(l)], zeros[: len(l)]
             else:
-                x = np.sin(w * float(alpha))
-                near_zero = np.abs(x) < 2 * kernel_threshold(abs(float(alpha)) * float(w[-1]))
+                y, tiny = w * float(alpha), 2 * kernel_threshold(abs(float(alpha)) * float(w[-1]))
+                if exponent * math.log2(2.0 + l[-1]) < 1022:  # no weight in the block nears the float range
+                    floor = sine_floor(y)
+                    keep = ~(floor / w * ((1.0 + lo) ** exponent * (1 - 2.0**-50)) > best * (1 + MARGIN_WINDOW))
+                    keep |= floor < tiny
+                    l, w, y = l[keep], w[keep], y[keep]
+                x = np.sin(y)
+                near_zero = np.abs(x) < tiny
             weight = (1.0 + l) ** exponent
             score = np.abs(x) / w * weight
         edge = ~(weight < 2.0**1023)  # float(1+l)**exponent overflows from 2^1024 on
@@ -315,8 +326,7 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
         if usable.any():
             best = min(best, float(score[usable].min()))
         pick = near_zero | edge | ~(score > best * (1 + MARGIN_WINDOW))  # nan scores get the recheck too
-        for k in np.flatnonzero(pick).tolist():
-            l = lo + k
+        for l in l[pick].tolist():
             w = Fraction(2 * l + n - 1, 2) if isinstance(alpha, Fraction) else frequency(n, l)  # exact for any n
             v, is_zero = sine_at(alpha, w)
             yield l, 0.0 if is_zero else abs(v)

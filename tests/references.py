@@ -5,7 +5,9 @@ now runs a column at a time: the grid rows as fields, the union of several
 fields' keys through one dict, the row-callback solve loop and the solvers
 written on it (the Bezout solve on fields), the
 entry-by-entry field loaders, the per-q odd-type scan, the per-row CSV
-writer and the zonal sums with a recurrence restarted per degree.  Tests
+writer, the zonal sums with a recurrence restarted per degree, the
+factorial-series convergents built afresh at each k, and the joint sine
+bound and the surjectivity margin with a sine at every point.  Tests
 compare the library with these bit for bit.
 
 It also keeps two sine enclosures that no library code calls, with their
@@ -385,6 +387,64 @@ def csv_body(columns, rows):
     """The header line and rows of `cli._emit_csv`, one `%` per row."""
     line = ",".join(["%s"] * len(columns)) + "\n"
     return ",".join(columns) + "\n" + "".join(line % tuple(row) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# the exact scans with every value computed: per-k convergents, the full
+# joint-bound grid and the full margin scan
+
+
+def convergent_pair(x, k):
+    """`diophantine.convergent_pair` from its sums at each k, as before the chain."""
+    if x.base is None or x.depth is None:
+        raise ValueError("convergent_pair needs a factorial-series construction")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k >= x.depth:
+        raise diophantine.PrecisionExhausted(
+            f"residue at k={k} needs series depth > {k}, have {x.depth}; "
+            f"deepening past {diophantine.FACTORIAL_DEPTH_CAP} is not supported"
+        )
+    b, err = x.base, x.err
+    kf, top = math.factorial(k), math.factorial(x.depth)
+    qk = b**kf
+    pk = sum(c * b ** (kf - math.factorial(j)) for j, c in enumerate(x.coeffs[:k], start=1))
+    tail = sum(c * b ** (top - math.factorial(j)) for j, c in enumerate(x.coeffs[k : x.depth], start=k + 1))
+    if tail <= 0:
+        raise diophantine.PrecisionExhausted(f"all stored digits beyond k={k} vanish; residue not certified positive")
+    lo = tail * err.denominator
+    return diophantine.Convergent(qk, pk, lo, lo + err.numerator * b**top, b ** (top - kf) * err.denominator)
+
+
+def joint_sine_lower_bound(alpha, exponent, x_max):
+    """C of `diophantine.joint_sine_lower_bound_check`, with both sines taken
+    at every point of its grid (its argument checks left out)."""
+    import numpy as np
+
+    a = float(alpha.value)
+    xs = [np.linspace(x_max / diophantine.JOINT_SAMPLES, x_max, diophantine.JOINT_SAMPLES)]
+    offsets = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.05, -0.05])
+    for period in (math.pi, math.pi / a):
+        k_max = int(x_max / period)
+        if k_max >= 1:
+            centers = np.arange(1, k_max + 1, dtype=float) * period
+            xs.append((centers[:, None] + offsets[None, :]).ravel())
+    x = np.concatenate(xs)
+    x = x[(x > 0) & (x <= x_max)]
+    return float(((np.abs(np.sin(x)) + np.abs(np.sin(a * x))) / x * (1.0 + x) ** exponent).min())
+
+
+def surjectivity_margin(alpha, n, max_degree, exponent):
+    """`sphere.surjectivity_margin` as the full scan: every degree through
+    `sine_at`, in increasing l."""
+
+    def rows():
+        for l in range(max_degree + 1):
+            v, is_zero = sine_at(alpha, frequency(n, l))
+            yield l, 0.0 if is_zero else abs(v)
+
+    passes, c = diophantine.slow_decay_check(rows(), exponent)
+    return c, passes
 
 
 # ---------------------------------------------------------------------------

@@ -472,6 +472,50 @@ def test_wave_compat_rejects_non_finite_times(one_mode_files, capsys):
         assert_invalid_time(capsys, argv, out, alpha)
 
 
+def assert_names_flag(capsys, argv, out, message):
+    assert cli.run([*argv, "--out", str(out)]) == 1, argv
+    assert capsys.readouterr().err == f"wavesnap: error: {message}\n", argv
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # exited 0 with nan rows
+        (["--kind", "S", "--min=nan"], "--min must be finite, got nan"),
+        (["--kind", "Psi", "--s=nan"], "--s must be finite, got nan"),
+        # exited 1 with "math domain error"
+        (["--kind", "Sprime", "--t=inf"], "--t must be finite, got inf"),
+        (["--kind", "S", "--max=inf"], "--max must be finite, got inf"),
+        (["--kind", "Psi", "--m", "0", "--s", "1e308"],
+         "Psi[0,1e+308] has no finite value on the grid up to --max 10.0: --m or --s too large"),
+        (["--kind", "Sprime", "--t", "1e308"], "S'[1e+308] has no finite value on the grid up to --max 10.0: --t too large"),
+        (["--kind", "S", "--min=-1e308", "--max=1e308"], "--max minus --min must be finite, got inf"),
+    ],
+)
+def test_wave_symbol_names_the_flag_that_is_not_finite(tmp_path, capsys, flags, message):
+    assert_names_flag(capsys, ["wave", "symbol", *flags], tmp_path / "out.csv", message)
+
+
+def test_sphere_huygens_names_a_non_finite_tmax(one_mode_files, capsys):
+    # was "time must be finite, got nan", the product inf * 0 at the first time
+    _, on_sphere, out = one_mode_files
+    for tmax in ("inf", "nan"):
+        argv = ["sphere", "huygens", "--f0", on_sphere, "--g", on_sphere, f"--tmax={tmax}"]
+        assert_names_flag(capsys, argv, out, f"--tmax must be finite, got {tmax}")
+
+
+def test_quadratic_number_specs_take_no_parameters(capsys):
+    # "sqrt2:-1" and "golden:<anything>" exited 0, the text after the colon ignored
+    for spec in ("sqrt2:-1", "sqrt2:", "golden:7", "golden:x:y", "doubled:sqrt2:3"):
+        assert cli.run(["dio", "class", "--number", spec]) == 2, spec
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "unknown number spec" in err and "Traceback" not in err, spec
+    for spec in ("sqrt2", "golden", "doubled:golden"):
+        assert cli.run(["dio", "class", "--number", spec]) == 0, spec
+    capsys.readouterr()
+
+
 def test_unwritable_out_is_a_domain_error(tmp_path, capsys):
     # the output is written inside the domain-error handling, so a missing directory is exit 1, not a traceback
     out = str(tmp_path / "no-such-dir" / "out")

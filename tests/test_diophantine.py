@@ -248,6 +248,31 @@ def test_convergent_pair_bounds_equal_the_fraction_sums(base, digits):
         assert den == base ** (math.factorial(depth + 1) - 1 + math.factorial(depth) - math.factorial(k))
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, dio.PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "base, digits",
+    [(10, (1,) * 7), (10, (9, 1, 3, 7, 2, 5, 8)), (2, (1,) * 7), (3, (2, 0, 1, 0, 2, 0, 1)), (3, (1, 2, 0, 0, 0, 0, 0))],
+)
+def test_convergent_chain_matches_the_per_k_reference(base, digits):
+    # each element of the chain from k is the convergent built afresh at its j;
+    # k >= depth, or a tail of zeros (base 3 admits 0) at k, raises before anything is yielded
+    for depth in range(1, 8):
+        x = dio.liouville_truncation(base, digits, depth)
+        for k in range(1, depth + 1):
+            first = _outcome(ref.convergent_pair, x, k)
+            assert _outcome(dio.convergent_pair, x, k) == first, (depth, k)
+            if isinstance(first, dio.Convergent):
+                assert list(dio.convergent_chain(x, k)) == [ref.convergent_pair(x, j) for j in range(k, 0, -1)]
+            else:
+                assert _outcome(lambda: list(dio.convergent_chain(x, k))) == first, (depth, k)
+
+
 # -- irrationality probes ----------------------------------------------------
 
 
@@ -300,7 +325,7 @@ def test_smallden_liouville_exact_zero_at_factorial_denominator():
     t = dio.small_denominator_sequence(x, 0, 10**6)
     assert 10**6 in t.zero_rows  # q_3 = 10^6 kills the truncated series exactly
     for m in range(1, 6):
-        passes, _ = dio.slow_decay_check(t.rows, m)
+        passes, _ = dio.slow_decay_check(zip(t.degrees, t.values), m)
         assert not passes
 
 
@@ -388,6 +413,19 @@ def test_jointbound_rejects_a_nonfinite_or_oversized_x_max():
 def test_jointbound_sqrt2_positive():
     c, passes = dio.joint_sine_lower_bound_check(dio.sqrt2_class(), 3, 500.0)
     assert passes and c > 0
+
+
+@pytest.mark.parametrize("spec", ["sqrt2", "golden", "doubled:golden"])
+def test_jointbound_matches_the_full_grid(spec):
+    # the Jordan screen takes sines only where the minimum can be: C is the full grid's, bit for bit
+    from wavesnap.cli import number_class
+
+    alpha = number_class(spec)
+    for exponent in (0, 1, 2, 3, 5):
+        for x_max in (1.0, 10.0, 1e3, 1e4):
+            c, passes = dio.joint_sine_lower_bound_check(alpha, exponent, x_max)
+            want = ref.joint_sine_lower_bound(alpha, exponent, x_max)
+            assert (c.hex(), passes) == (want.hex(), want > 0), (exponent, x_max)
 
 
 def test_slowly_decreasing_sine_passes():

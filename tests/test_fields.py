@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavesnap import cli, fields as fields_module, snapshots, sphere as sph
+from wavesnap import cli, experiments, fields as fields_module, snapshots, sphere as sph
 from wavesnap.fields import (
     DimensionMismatch,
     MultiplierSymbol,
@@ -508,6 +508,14 @@ def test_evolve_grid_raises_what_evolve_raises_for_its_first_bad_datum():
         with pytest.raises(ValueError) as got:
             snapshots.evolve_grid(batch, rows)
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_empty_batches_are_value_errors():
+    # were numpy's AxisError from np.repeat on a one-dimensional time array
+    with pytest.raises(ValueError, match="need at least one datum"):
+        snapshots.evolve_grid([], [])
+    with pytest.raises(ValueError, match="need at least one datum"):
+        experiments.recursion_trials([])
 
 
 def test_grids_are_the_series_rows():

@@ -21,6 +21,7 @@ from wavesnap.propagators import (
     psi_grid,
     sine_at,
     sine_at_column,
+    sine_floor,
     sine_over,
     sine_over_column,
     sine_over_grid,
@@ -251,6 +252,38 @@ GRID_RADII = [0.0, 5e-324, 1e-12, 3e-7, 9.9e-7, 1e-6, 1.01e-6, 2e-6, 0.5, 1.0, 2
 GRID_RADII += [k * math.pi for k in (1, 2, 3, 7, 1000)]
 GRID_RADII += [math.pi - 5e-7, math.pi + 9e-7, 2 * math.pi + 2e-6, 7 * math.pi - 1.1e-6]
 FRACTION_TIMES = [Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2)]
+
+
+def _floor_excesses(*floors):
+    """For each floor, the probe points y where floor(y) exceeds |sin y|
+    (mpmath, 200 bits): a few ulp around the float multiples of pi and of
+    pi/2 at k from 1 to ~1e15, and spread points at each scale, with their
+    negatives."""
+    import numpy as np
+
+    ks = [k * 7919 % 10**j + 1 for j in range(1, 16) for k in range(1, 16)]
+    centers = [c for k in ks for c in (k * math.pi, (k + 0.5) * math.pi)]
+    ys = [c + j * math.ulp(c) for c in centers for j in range(-3, 4)]
+    ys += [m * 10.0**e for e in range(-3, 16) for m in (1.2345, 3.3, 7.1)]
+    ys += [0.0, 5e-324, 1e-300, 0.5, math.pi / 2, 2.0**50, 1e16, 1e300]
+    y = np.array(ys + [-v for v in ys])
+    with mpmath.workprec(200):
+        sines = [abs(mpmath.sin(mpmath.mpf(v))) for v in y.tolist()]
+    return [[v for v, f, s in zip(y.tolist(), floor(y).tolist(), sines) if f > s] for floor in floors]
+
+
+def test_sine_floor_is_below_the_sine():
+    import numpy as np
+
+    # with negative controls: Jordan's bound on the float distance with no slack, and twice the floor
+    bare = lambda y: np.minimum(np.abs(y - np.rint(y / math.pi) * math.pi), math.pi / 2) * (2 / math.pi)
+    ok, no_slack, doubled = _floor_excesses(sine_floor, bare, lambda y: 2 * sine_floor(y))
+    assert ok == [] and no_slack and doubled
+    # and it is a useful floor: near 1 at the peaks, 0 only near the zeros and past 2^50
+    with np.errstate(invalid="ignore"):
+        got = sine_floor(np.array([math.pi / 2, 1e6 + math.pi / 2 - 1e6 % math.pi, 0.25, 2.0**50, math.inf, math.nan]))
+    assert got[0] > 1 - 1e-14 and got[1] > 1 - 1e-8 and 0.15 < got[2] < math.sin(0.25)
+    assert got[3] == 0.0 and np.isnan(got[4:]).all()
 
 
 def test_float_time_sine_at_is_sine_over_and_the_kernel_test():

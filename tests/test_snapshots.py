@@ -363,12 +363,13 @@ def test_liouville_demo_bounds():
 
 def reference_liouville_rows(k_max):
     """The demo's rows computed in ascending k, one row after another, each
-    delta from its bounds in lowest terms."""
+    from the convergent built afresh at its k and delta from its bounds in
+    lowest terms."""
     depth = diophantine.FACTORIAL_DEPTH_CAP
     alpha = diophantine.liouville_truncation(10, (1,) * depth, depth)
     rows = []
     for k in range(1, k_max + 1):
-        qk, _, lo, hi, den = diophantine.convergent_pair(alpha, k)
+        qk, _, lo, hi, den = ref.convergent_pair(alpha, k)
         dlo, dhi = Fraction(lo, den), Fraction(hi, den)  # in lowest terms
         with mpmath.workdps(30):
             delta = mpmath.mpf(dlo.numerator) / mpmath.mpf(dlo.denominator)
@@ -389,20 +390,23 @@ def reference_liouville_rows(k_max):
 
 
 def test_liouville_demo_deepest_row_first(monkeypatch):
-    calls = []
-    convergent_pair = diophantine.convergent_pair
+    # one chain from k_max down; its convergents are counted as the demo draws them
+    calls, drawn = [], []
+    convergent_chain = diophantine.convergent_chain
 
     def counted(x, k):
         calls.append(k)
-        return convergent_pair(x, k)
+        for c in convergent_chain(x, k):
+            drawn.append(c.q)
+            yield c
 
-    monkeypatch.setattr(diophantine, "convergent_pair", counted)
+    monkeypatch.setattr(diophantine, "convergent_chain", counted)
     with pytest.raises(diophantine.PrecisionExhausted):
         snap.liouville_obstruction_demo(7)
-    assert calls == [7]  # no exact sum for k <= 6 before the deepest row fails
+    assert (calls, drawn) == ([7], [])  # no exact sum for k <= 6 before the deepest row fails
     calls.clear()
     demo = snap.liouville_obstruction_demo(6)
-    assert calls == [6, 5, 4, 3, 2, 1]
+    assert (calls, drawn) == ([6], [10 ** math.factorial(k) for k in range(6, 0, -1)])
     monkeypatch.undo()
     assert demo.rows == reference_liouville_rows(6)
     assert [r.k for r in demo.rows] == [1, 2, 3, 4, 5, 6]

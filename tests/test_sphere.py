@@ -394,24 +394,15 @@ def test_margin_float_alpha_smoke():
     assert passes and c > 0
 
 
-def _margin_reference(alpha, n, max_degree, exponent):
-    """The full scan: every degree through sine_at, in increasing l."""
-
-    def rows():
-        for l in range(max_degree + 1):
-            v, is_zero = sine_at(alpha, sph.frequency(n, l))
-            yield l, 0.0 if is_zero else abs(v)
-
-    passes, c = dio.slow_decay_check(rows(), exponent)
-    return c, passes
-
-
 def _outcome(margin, *args):
     try:
         return margin(*args)
     except OverflowError:
         return OverflowError
 
+
+# far kernel: the first l with 30011 | w is 30010 (n = 3) or 30009 (n = 5)
+FAR_KERNEL = math.pi * 12345 / 30011
 
 _exact_times = st.builds(
     lambda q, p: Fraction(p, q), st.integers(1, 60), st.integers(-240, 240)
@@ -441,9 +432,20 @@ _float_times = st.one_of(
 @example(alpha=Fraction(1, 2049), n=2, max_degree=20_000, exponent=3)  # period 4098, beyond one block
 @example(alpha=Fraction(-7, 31), n=2, max_degree=20_000, exponent=3)  # negative exact time
 @example(alpha=1000 * math.pi, n=3, max_degree=20_000, exponent=3)  # |w alpha| to 6.3e7: ulp threshold
+# float alphas through the Jordan-floor screen
+@example(alpha=FAR_KERNEL, n=3, max_degree=40_000, exponent=0)
+@example(alpha=FAR_KERNEL, n=3, max_degree=40_000, exponent=3)
+@example(alpha=FAR_KERNEL, n=5, max_degree=40_000, exponent=5)
+@example(alpha=FAR_KERNEL, n=3, max_degree=40_000, exponent=100)  # overflow at l = 1209, before the kernel row
+@example(alpha=FAR_KERNEL, n=3, max_degree=40_000, exponent=70)  # overflow at l = 25,330, in a block screened whole
+@example(alpha=math.pi * 7 / 3001, n=2, max_degree=40_000, exponent=3)  # half-integer frequencies: no kernel row
+@example(alpha=(1 + math.sqrt(5.0)) / 2 * math.pi, n=4, max_degree=40_000, exponent=3)
+@example(alpha=1e5, n=3, max_degree=40_000, exponent=2)  # |w alpha| to 4e9: the floor's slack grows with it
+@example(alpha=-math.sqrt(3.0), n=2, max_degree=40_000, exponent=3)
+@example(alpha=1e-7, n=3, max_degree=40_000, exponent=3)  # every w alpha in the series window
 def test_margin_matches_full_scan(alpha, n, max_degree, exponent):
     got = _outcome(sph.surjectivity_margin, alpha, n, max_degree, exponent)
-    assert got == _outcome(_margin_reference, alpha, n, max_degree, exponent)
+    assert got == _outcome(ref.surjectivity_margin, alpha, n, max_degree, exponent)
 
 
 @pytest.mark.parametrize(
@@ -457,7 +459,17 @@ def test_margin_screen_absorbs_inexact_sines(monkeypatch, alpha, n, exponent):
 
     sin = np.sin
     monkeypatch.setattr(np, "sin", lambda x: sin(x) * (1 + 4e-10 * sin(1e3 * x)))
-    assert sph.surjectivity_margin(alpha, n, 200_000, exponent) == _margin_reference(alpha, n, 200_000, exponent)
+    assert sph.surjectivity_margin(alpha, n, 200_000, exponent) == ref.surjectivity_margin(alpha, n, 200_000, exponent)
+
+
+def test_margin_keeps_kernel_rows_under_a_sharper_floor(monkeypatch):
+    # a floor at |sin| / 2 still bounds |sin| below, but is positive at a float
+    # kernel row; the row's weighted floor then exceeds the best score by far,
+    # and only the near-zero rule keeps it for slow_decay_check
+    import numpy as np
+
+    monkeypatch.setattr(sph, "sine_floor", lambda y: np.abs(np.sin(y)) / 2)
+    assert sph.surjectivity_margin(FAR_KERNEL, 5, 40_000, 5) == (0.0, False)
 
 
 def test_margin_rechecks_few_rows(monkeypatch):
