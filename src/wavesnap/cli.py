@@ -160,6 +160,78 @@ def _emit_csv(
     _write(args, buf.getvalue())
 
 
+REPR_BLOCK = 8192  # floats `_float_reprs` formats per numpy pass
+
+
+def _float_reprs(values: Sequence[float]) -> list[str]:
+    """list(map(repr, values)) for a sequence of Python floats, with the text
+    of each v in [1e-4, 1), where repr writes 0.<digits>, from integer arithmetic.
+
+    Write v = m 2^e2 (53-bit m) and k = 16 - floor(log10 v), so that X = v 10^k
+    lies in [1e16, 1e17).  The reals that round to v lie between (2m -+ 1) 5^k
+    / 2^S in X units, S = 1 - k - e2: odd multiples of 2^-S, never integers,
+    so whether the ends round to v does not matter.  repr writes the fewest
+    digits that land in that interval and, of those, the nearest to v (Steele
+    and White): the multiple D of 10^j nearest X, for the largest j with a
+    multiple of 10^j in the interval.  2m 5^k < 2^103 is held in base 2^52,
+    from 26-bit split products, so int64 holds every step.  repr itself
+    writes the elements outside the window, a power of two (m = 2^52: the
+    interval is asymmetric), an exact tie, a misjudged floor(log10 v) (X out
+    of range) and a D that carries to 1e17."""
+    import numpy as np
+
+    pow10, five = 10 ** np.arange(18), 5 ** np.arange(23)
+    low26 = 2**26 - 1
+    texts, recheck = [], []
+    for i in range(0, len(values), REPR_BLOCK):
+        v = np.array(values[i : i + REPR_BLOCK], dtype=float)
+        window = (v >= 1e-4) & (v < 1.0)
+        v[~window] = 0.5
+        bits = v.view(np.int64)
+        m = (bits & (2**52 - 1)) | 2**52
+        k = 16 - np.floor(np.log10(v)).astype(np.int64)
+        s = 1 - k - ((bits >> 52) - 1075)
+        mask = (np.int64(1) << s) - 1
+        a1, a0 = m >> 25, (2 * m) & low26
+        b1, b0 = five[k] >> 26, five[k] & low26
+        t0 = a0 * b0
+        t1 = a0 * b1 + a1 * b0 + (t0 >> 26)
+        low = (t1 & low26) << 26 | t0 & low26  # 2m 5^k = top 2^52 + low
+        top = a1 * b1 + (t1 >> 26)
+        x, frac = (top << (52 - s)) | (low >> s), low & mask  # X = x + frac / 2^S, as S <= 52
+        hq, hr = five[k] >> s, five[k] & mask  # the half-width 5^k / 2^S
+        lo = x - hq + 1 - (frac < hr)  # the least integer in the interval: its ends are never integers
+        hi = x + hq + ((frac + hr) >> s)  # the greatest
+        j, more, p = np.zeros_like(x), np.arange(len(x)), 10
+        while more.size:  # a multiple of 10^(j+1) is one of 10^j too
+            more = more[hi[more] // p * p >= lo[more]]
+            j[more] += 1
+            p *= 10
+        p = pow10[j]
+        d, r = np.divmod(x, p)
+        twice = 2 * r + (frac >> (s - 1))  # (twice, rest) against (p, 0): X - d p against p / 2
+        rest = frac & (mask >> 1)
+        digits = (d + ((twice > p) | ((twice == p) & (rest > 0)))) * p
+        bad = ~window | (m == 2**52) | ((twice == p) & (rest == 0))
+        bad |= (x < 10**16) | (x >= 10**17) | (digits >= 10**17)
+        recheck += (np.flatnonzero(bad) + i).tolist()
+        # "0." and the 20 digits of v 10^20 = D 10^(20 - k) in two halves of 10, less its 20 - k + j trailing zeros
+        shift = np.clip(k, 17, 20)  # k, kept in range on the rows with a misjudged floor(log10 v)
+        head, tail = np.divmod(digits, pow10[shift - 10])
+        tail *= pow10[20 - shift]
+        text = np.empty((22, len(v)), dtype=np.uint8)
+        text[0], text[1] = ord("0"), ord(".")
+        for row in range(11, 1, -1):
+            q, q2 = head // 10, tail // 10
+            text[row], text[row + 10] = head - 10 * q + ord("0"), tail - 10 * q2 + ord("0")
+            head, tail = q, q2
+        text[2:] *= np.arange(20)[:, None] < shift - j  # NULs, which the U22 view strips
+        texts += np.ascontiguousarray(text.T, dtype=np.uint32).view("U22").ravel().tolist()
+    for r in recheck:
+        texts[r] = repr(values[r])
+    return texts
+
+
 # -- wave verbs --------------------------------------------------------------
 
 
@@ -263,7 +335,7 @@ def _dio_smallden(args) -> tuple:
         f"exact zeros at l: {list(table.zero_rows) if table.zero_rows else 'none'}",
         f"fitted lower-envelope exponent: {table.fitted_exponent}",
     ]
-    return ("l", "value"), [table.degrees, table.values], comments
+    return ("l", "value"), [table.degrees, _float_reprs(table.values)], comments
 
 
 def _dio_oddtype(args) -> dict:
@@ -325,7 +397,10 @@ def _sphere_classify(args) -> dict:
 
 
 def _sphere_margin(args) -> dict:
-    c, passes = sphere.surjectivity_margin(args.alpha, args.n, args.max_degree, args.exponent)
+    try:
+        c, passes = sphere.surjectivity_margin(args.alpha, args.n, args.max_degree, args.exponent)
+    except OverflowError as exc:
+        raise ValueError(f"--exponent {args.exponent} too large: {exc}") from None
     return {
         "alpha": args.alpha,
         "n": args.n,

@@ -408,7 +408,9 @@ def _envelope_exponent(values: Sequence[float]) -> float | None:
 def slow_decay_check(rows: Iterable[tuple[int, float]], exponent: int) -> tuple[bool, float]:
     """Whether the rows admit a bound value >= C (1+l)^(-exponent) with C > 0.
     Returns (passes, C) where C is the best constant; an exact zero row
-    forces (False, 0).  The rows are read once, so a generator serves."""
+    forces (False, 0).  The rows are read once, so a generator serves; the
+    first whose weight (1+l)^exponent leaves the float range raises
+    OverflowError naming its l."""
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
     best = math.inf
@@ -416,7 +418,10 @@ def slow_decay_check(rows: Iterable[tuple[int, float]], exponent: int) -> tuple[
     for l, v in rows:
         if v == 0.0:
             return False, 0.0
-        y = v * float(1 + l) ** exponent
+        try:
+            y = v * float(1 + l) ** exponent
+        except OverflowError:
+            raise OverflowError(f"the weight (1+l)^{exponent} leaves the float range at degree l = {l}") from None
         if y < best:
             best = y
     if l is None:
@@ -466,8 +471,11 @@ def joint_sine_lower_bound_check(alpha: NumberClass, exponent: int, x_max: float
     c = math.inf
     for lo in range(0, len(x), JOINT_BLOCK):
         xb = x[lo : lo + JOINT_BLOCK]
-        weight = (1.0 + xb) ** exponent
-        floor = (sine_floor(xb) + sine_floor(a * xb)) / xb * weight * (1 - 2.0**-50)
+        # a weight past the float range is inf: its floor and score are inf, or nan where a floor or both
+        # sines are 0, and neither lowers C (`floor <= c` is false at nan, and min(c, nan) keeps c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weight = (1.0 + xb) ** exponent
+            floor = (sine_floor(xb) + sine_floor(a * xb)) / xb * weight * (1 - 2.0**-50)
         c = min(c, score(np.argmin(floor, keepdims=True)))  # the block's lowest floor first
         c = min(c, score(floor <= c))
     return c, c > 0.0

@@ -46,12 +46,18 @@ SIN_SWITCH = 1e-6  # |sin(s lam)| below this: Chebyshev branch of Psi
 KERNEL_SIN_TOL = 1e-14  # |sin(t lam)| below this marks a kernel frequency,
 KERNEL_ULPS = 4  # as does |sin(t lam)| below this many ulp(t lam)
 CHEBYSHEV_LOOP_MAX = 1024  # U_m by the three-term loop up to this m, by doubling beyond it
+PHASE_LIMIT = 2.0**50  # |t w| from which kernel_threshold reaches 1: a float time resolves no phase
 
 IDENTITY_TOL = 1e-10
 
 
 class InvalidScale(ValueError):
     """Psi_{m,s} needs a nonzero time step s."""
+
+
+class InvalidTime(ValueError):
+    """A time at which the operation is undefined (alpha in {0, 1}, a non-finite
+    float time, a float time too large for a kernel decision)."""
 
 
 def chebyshev_U(m: int, x: float) -> float:
@@ -107,6 +113,13 @@ def kernel_threshold(u: float) -> float:
     return max(KERNEL_SIN_TOL, KERNEL_ULPS * math.ulp(u))
 
 
+def check_phase(t: float, w: float) -> None:
+    """Raise InvalidTime where |t w| >= PHASE_LIMIT: there the kernel threshold
+    reaches 1, so every frequency would count as a zero of sin(w t)."""
+    if abs(t * w) >= PHASE_LIMIT:
+        raise InvalidTime(f"time {t!r} resolves no phase at frequency {w!r}: |t w| >= 2^50 counts every sine as zero")
+
+
 def sine_floor(y):
     """A certified lower bound on |sin y| over the float64 array `y`: Jordan's
     |sin y| >= (2/pi) dist(y, pi Z) on d = |y - pi k|, k = rint(y / pi), less
@@ -154,13 +167,15 @@ def sine_at(time: float | Fraction, w: float | Fraction) -> tuple[float, bool]:
     exact where a float would round it (2w >= 2^53).  For a float t every w is
     a zero at t = 0, where S_t vanishes; elsewhere a zero is |w t| >= 1 with
     |sin(w t)| below `kernel_threshold(w t)`, so only a nonzero multiple of
-    pi counts, never a small w t where sin(w t)/w is near t."""
+    pi counts, never a small w t where sin(w t)/w is near t.  A float |w t|
+    >= PHASE_LIMIT raises InvalidTime (`check_phase`)."""
     if type(time) is not float and isinstance(time, Fraction):  # a float skips the ABC check
         r, q2 = exact_residue(time, _doubled(w))
         if r % q2 == 0:
             return 0.0, True
         return math.sin(math.pi * (r / q2)) / w, False
     t = float(time)
+    check_phase(t, w)
     u = t * w
     if abs(u) < SERIES_SWITCH:
         return sine_over(t, w), t == 0.0
@@ -238,15 +253,17 @@ def sine_at_column(
     flags.  At a float time t the values are `sine_over_column`'s, and only
     the elements with |sin(t w)| below the kernel threshold at |t| max |w| go
     to `sine_at` for their flag; at a Fraction time, or where a sine fails,
-    every element does."""
+    every element does.  A float |t| max |w| >= PHASE_LIMIT raises InvalidTime."""
     if type(time) is float or not isinstance(time, Fraction):
         t = float(time)
+        top = max(map(abs, ws), default=0.0)  # no element's |t w| is larger
+        check_phase(t, top)
         try:
             sins = [math.sin(t * w) for w in ws] if sins is None else sins
         except (ArithmeticError, ValueError):
             pass
         else:
-            bound = kernel_threshold(abs(t) * max(map(abs, ws)) if ws else 0.0)  # no element's is larger
+            bound = kernel_threshold(abs(t) * top)
             zeros = [False] * len(ws)  # t = 0 puts every element in the window
             for i in [i for i, s in enumerate(sins) if -bound < s < bound]:
                 zeros[i] = sine_at(t, ws[i])[1]

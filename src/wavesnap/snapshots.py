@@ -33,6 +33,7 @@ from .fields import (
     union_columns,
 )
 from .propagators import (
+    InvalidTime,
     as_radians,
     cos_column,
     psi_column,
@@ -52,10 +53,6 @@ STATUS_OBSTRUCTED = "Obstructed"
 OBSTRUCTION_AMP_TOL = 1e-12  # kernel-mode data above this has no preimage
 CONSISTENCY_TOL = 1e-9  # scaled by (1 + conditioning)
 RATIONAL_GATE_TOL = 1e-9
-
-
-class InvalidTime(ValueError):
-    """A time at which the operation is undefined (alpha in {0, 1}, a non-finite float time)."""
 
 
 class InvalidTimes(ValueError):

@@ -46,7 +46,7 @@ from .fields import (
     save_field,
     typed,
 )
-from .propagators import as_radians, exact_residue, kernel_threshold, sine_at, sine_floor
+from .propagators import as_radians, check_phase, exact_residue, kernel_threshold, sine_at, sine_floor
 from .snapshots import (
     CauchyData,
     SolveReport,
@@ -257,8 +257,9 @@ def surjectivity_margin(
     """Best constant C with |sin(w alpha)/w| >= C (1+l)^(-exponent) up to
     max_degree, and whether it is positive.  An exact zero (rational
     multiples of pi with the divisibility hit) forces (0, False); a weight
-    (1+l)^exponent beyond the float range raises OverflowError, a non-finite
-    alpha InvalidTime."""
+    (1+l)^exponent beyond the float range raises OverflowError naming its
+    degree, a non-finite alpha InvalidTime, and so does a float alpha with
+    |alpha| (max_degree + (n-1)/2) >= 2^50 (`check_phase`)."""
     _check_finite(alpha, "alpha")
     dim_Hl(n, 0)
     if not 1 <= max_degree <= 10**6:
@@ -297,6 +298,8 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
     block down to whole periods, and later blocks reuse the first one's sines."""
     import numpy as np
 
+    if not isinstance(alpha, Fraction):
+        check_phase(float(alpha), frequency(n, max_degree))  # the scan's largest |w alpha|
     periodic = isinstance(alpha, Fraction) and 2 * alpha.denominator <= MARGIN_BLOCK
     block = MARGIN_BLOCK - MARGIN_BLOCK % (2 * alpha.denominator) if periodic else MARGIN_BLOCK
     best = math.inf

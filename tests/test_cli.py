@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wavesnap import cli, diophantine as dio
 from wavesnap.fields import field, load_field, save_field
@@ -190,6 +192,77 @@ def test_smallden_file_matches_the_per_row_writer(tmp_path, shift):
     text = out.read_text()
     table = dio.small_denominator_sequence(dio.golden_class(), Fraction(shift), 100000)
     assert text[text.index("l,value\n") :] == ref.csv_body(("l", "value"), table.rows)
+
+
+# the fast path's window [1e-4, 1) at its edges; the powers of two in it, which go back to repr
+# (m = 2^52, an asymmetric interval); one-digit texts, which only the short-digit search finds;
+# X = v 10^17 halfway between two multiples of 10, which go back to repr (round half to even);
+# values below powers of ten, where floor(log10 v) comes out one too high; and values outside the window
+REPR_EDGES = [2.0**-e for e in range(1, 14)]
+REPR_EDGES += [1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 1.0, math.nextafter(1.0, 0.0)]
+REPR_EDGES += [d / 10 for d in range(1, 10)] + [65555 / 2**17, 65583 / 2**17, 65611 / 2**17]
+REPR_EDGES += [0.09999999999999998, 0.009999999999999995, 0.0009999999999999998]
+REPR_EDGES += [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -0.5, 1.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.floats(1e-4, 1.0, exclude_max=True), max_size=40))
+@example(REPR_EDGES)
+def test_float_reprs_are_repr(xs):
+    assert cli._float_reprs(xs) == list(map(repr, xs))
+
+
+@pytest.mark.parametrize(
+    "spec, shift, count",
+    [("golden", 0, 10**5), ("golden", Fraction(1, 2), 10**5), ("sqrt2", 0, 10**5), ("sqrt2", Fraction(1, 2), 10**5),
+     ("liouville:10:3", 0, 10**6)],
+)
+def test_float_reprs_are_repr_on_smallden_tables(spec, shift, count):
+    table = dio.small_denominator_sequence(cli.number_class(spec), shift, count)
+    assert (table.zero_rows != ()) is spec.startswith("liouville")  # exact zeros at l = 10^6
+    assert cli._float_reprs(table.values) == list(map(repr, table.values))
+
+
+def test_float_reprs_check_fails_on_other_digits():
+    # negative controls: 17 significant digits, and the fast path without its short-digit search,
+    # which writes 0.1 as 0.10000000000000001
+    xs = REPR_EDGES + list(dio.small_denominator_sequence(dio.golden_class(), 0, 1000).values)
+    assert ["%.17g" % x for x in xs] != list(map(repr, xs))
+    source = inspect.getsource(cli._float_reprs)
+    broken = source.replace("while more.size:", "while False:")
+    assert broken != source
+    namespace = dict(vars(cli))
+    exec(broken, namespace)
+    assert namespace["_float_reprs"](xs) != list(map(repr, xs))
+    assert namespace["_float_reprs"]([0.1]) == ["0.10000000000000001"]
+
+
+def test_margin_errors_name_the_exponent_and_the_time(tmp_path, capsys):
+    # were "(34, 'Numerical result out of range')" and exit 0 with C = 0 at every degree a kernel zero
+    out = tmp_path / "margin.json"
+    message = "--exponent 200 too large: the weight (1+l)^200 leaves the float range at degree l = 34"
+    assert_names_flag(capsys, ["sphere", "margin", "--alpha", "0.3", "--n", "3", "--exponent", "200"], out, message)
+    message = "time 1e+300 resolves no phase at frequency 10001.0: |t w| >= 2^50 counts every sine as zero"
+    assert_names_flag(capsys, ["sphere", "margin", "--alpha", "1e300", "--n", "3"], out, message)
+
+
+def test_jointbound_past_the_float_range_writes_no_warning(tmp_path):
+    # numpy's "overflow encountered in power" went to stderr; the points whose weight is inf never set C
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = tmp_path / "jb.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "wavesnap", "dio", "jointbound", "--exponent", "200", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        want = ref.joint_sine_lower_bound(dio.sqrt2_class(), 200, 1e4)
+    assert json.loads(out.read_text())["C"] == want
 
 
 def test_sphere_verbs_smoke(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -8,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from wavesnap.propagators import (
     CHEBYSHEV_LOOP_MAX,
     IDENTITY_TOL,
+    PHASE_LIMIT,
     SERIES_SWITCH,
     InvalidScale,
+    InvalidTime,
     as_radians,
     chebyshev_U,
     cos_at,
@@ -233,6 +236,23 @@ def test_float_time_zeros_are_nonzero_multiples_of_pi():
     assert sine_at(-1.0, 1e3 * math.pi)[1]
 
 
+def test_float_times_past_the_phase_limit_raise():
+    # from |t w| = 2^50 on the kernel threshold is 1, so every frequency would be a zero:
+    # sine_at called sin(1e300 w) = -0.82 a kernel zero at w = 1
+    assert kernel_threshold(PHASE_LIMIT) == 1.0 > abs(math.sin(1e300))
+    for t, w in ((1e300, 1.0), (-1e300, 2.5), (PHASE_LIMIT, 1.0), (1.0, PHASE_LIMIT), (math.inf, 1.0)):
+        with pytest.raises(InvalidTime, match=re.escape(f"time {t!r} resolves no phase at frequency {w!r}:")):
+            sine_at(t, w)
+        with pytest.raises(InvalidTime, match=re.escape(f"time {t!r} resolves no phase at frequency {w!r}:")):
+            sine_at_column(t, [0.0, w, w / 4])
+    below = math.nextafter(PHASE_LIMIT, 0.0)
+    assert sine_at(below, 1.0)[0] == math.sin(below)
+    assert sine_at_column(1.0, [below, 3.0])[0] == [math.sin(below) / below, math.sin(3.0) / 3.0]
+    # an exact time has no such limit, and neither has the value alone
+    assert sine_at(Fraction(1, 3), 10**30) == (math.sin(math.pi * (10**30 % 6 / 3)) / 10**30, False)
+    assert sine_over_column(1e300, [1.0]) == [math.sin(1e300)]
+
+
 def test_time_kinds_reach_their_branch():
     # a Fraction subclass is an exact time beta pi, an int a time in radians
     class Beta(Fraction):
@@ -423,7 +443,7 @@ def test_column_rules_raise_what_the_scalar_rules_raise():
     # elements that the Chebyshev branch takes), a division by a zero sine
     for ws in ([10.0], [0.0, 1e-300, 10.0], [10.0, 0.0]):
         check_columns(1e308, ws)
-    assert column_form(sine_at_column, 1e308, [10.0]) is ValueError
+    assert column_form(sine_at_column, 1e308, [10.0]) is InvalidTime  # a ValueError: |t w| is past 2^50
     us = [0.0, math.pi, 1.0]
     sins = [math.sin(u) for u in us]
     assert column_form(psi_column, 10**400, us, sins) is OverflowError

@@ -276,6 +276,18 @@ def test_three_snapshot_rejects_degenerate_alpha():
             snap.three_snapshot_solve(f, f, f, alpha)
 
 
+def test_solves_reject_times_that_resolve_no_phase():
+    # at |t w| >= 2^50 the kernel threshold reaches 1: both modes came back as kernel modes of an
+    # Obstructed solve, though sin(1e300 w) is -0.82 and 0.29 there
+    f = field(1, [((1.0,), 1.0), ((2.5,), 0.5)])
+    ft = evolve(CauchyData(f, f), 1e300)  # a value needs no kernel decision
+    with pytest.raises(snap.InvalidTime, match=re.escape("time 1e+300 resolves no phase at frequency 2.5")):
+        snap.two_snapshot_solve(f, ft, 1e300)
+    with pytest.raises(snap.InvalidTime, match="resolves no phase"):
+        snap.three_snapshot_solve(f, f, f, 2.0**49)  # sin(alpha w) at w = 2.5 is a kernel decision
+    assert snap.two_snapshot_solve(f, evolve(CauchyData(f, f), 1e14), 1e14).kernel_modes == ()
+
+
 def test_three_snapshot_float_and_fraction_paths_agree():
     data = wave(1, [((0.7,), 1.0), ((2.3,), 1j)], [((0.7,), 2.0), ((2.3,), -1.0)])
     f0, f1 = evolve(data, 0.0), evolve(data, 1.0)

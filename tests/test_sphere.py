@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -387,6 +388,27 @@ def test_margin_rejects_nan_time():
     for alpha in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidTime, match="alpha must be finite"):
             sph.surjectivity_margin(alpha, 3, 100, 3)
+
+
+def test_margin_rejects_float_times_that_resolve_no_phase():
+    # at alpha = 1e300 every degree was a kernel zero: C = 0, no pass
+    with pytest.raises(InvalidTime, match=re.escape("time 1e+300 resolves no phase at frequency 101.0")):
+        sph.surjectivity_margin(1e300, 3, 100, 3)
+    # the check is on the largest frequency scanned, 2^40 (10^4 + 1) > 2^50
+    with pytest.raises(InvalidTime, match="resolves no phase"):
+        sph.surjectivity_margin(2.0**40, 3, 10**4, 3)
+    assert sph.surjectivity_margin(2.0**40, 3, 100, 3)[0] > 0
+    assert sph.surjectivity_margin(Fraction(10**300 + 1, 3), 3, 100, 3) == (0.0, False)  # exact: no limit
+
+
+def test_margin_names_the_degree_whose_weight_overflows():
+    # float(1 + l) ** 200 overflows first at l = 34; the message was errno's "(34, 'Numerical result out of range')"
+    assert math.isfinite(34.0**200) and math.log2(35.0) * 200 > 1024
+    for alpha in (0.3, Fraction(1, 3) + Fraction(1, 10**9)):
+        with pytest.raises(OverflowError, match=r"^the weight \(1\+l\)\^200 leaves the float range at degree l = 34$"):
+            sph.surjectivity_margin(alpha, 3, 100, 200)
+    with pytest.raises(OverflowError, match="at degree l = 3$"):
+        dio.slow_decay_check([(l, 0.5) for l in range(10)], 600)
 
 
 def test_margin_float_alpha_smoke():
