@@ -344,7 +344,10 @@ def _dio_oddtype(args) -> dict:
 
 
 def _dio_jointbound(args) -> dict:
-    c, passes = diophantine.joint_sine_lower_bound_check(args.number, args.exponent, args.xmax)
+    try:
+        c, passes = diophantine.joint_sine_lower_bound_check(args.number, args.exponent, args.xmax)
+    except OverflowError as exc:
+        raise ValueError(f"--exponent {args.exponent} too large: {exc}") from None
     return {"number": args.number.label, "exponent": args.exponent, "x_max": args.xmax, "C": c, "passes": passes}
 
 

@@ -89,10 +89,6 @@ class NumberClass:
     label: str = ""
 
     @property
-    def is_exact(self) -> bool:
-        return self.err_bound is None
-
-    @property
     def err(self) -> Fraction:
         return Fraction(0) if self.err_bound is None else self.err_bound
 
@@ -261,7 +257,7 @@ def irrationality_exponent_probe(x: NumberClass, depth: int) -> tuple[MuEstimate
         if q < 2:
             continue
         gap = abs(x.value - conv)
-        if not x.is_exact and gap <= 2 * x.err:
+        if gap <= 2 * x.err:  # gap > 0, so an exact x (err 0) never raises
             raise PrecisionExhausted(
                 f"gap at q={q} is {float(gap):.3e}, within the certified error {float(x.err):.3e}"
             )
@@ -331,9 +327,8 @@ def convergent_chain(x: NumberClass, k: int) -> Iterator[Convergent]:
 class SmallDenominatorTable:
     """Columns of degrees l and values |sin(pi (l + shift) beta)|, with exact zero detection.
 
-    `slack` bounds the extra uncertainty from beta's truncation error across
-    the whole range; `fitted_exponent` is a least-squares decay exponent of
-    the lower envelope over dyadic blocks (inf when an exact zero appears)."""
+    `fitted_exponent` is a least-squares decay exponent of the lower
+    envelope over dyadic blocks (inf when an exact zero appears)."""
 
     beta_label: str
     shift: Fraction
@@ -341,7 +336,6 @@ class SmallDenominatorTable:
     values: tuple[float, ...]
     zero_rows: tuple[int, ...]
     fitted_exponent: float | None
-    slack: float
 
     @property
     def rows(self) -> tuple[tuple[int, float], ...]:
@@ -367,8 +361,7 @@ def small_denominator_sequence(beta: NumberClass, shift: Fraction | int, count: 
         raise ValueError(f"shift must be 0 or 1/2, got {shift}")
     if not 1 <= count <= 10**6:
         raise ValueError(f"count must be in [1, 1e6], got {count}")
-    slack_fr = PI_HI * (count + shift) * beta.err
-    if slack_fr > Fraction(1, 10**12):
+    if PI_HI * (count + shift) * beta.err > Fraction(1, 10**12):
         raise PrecisionExhausted(
             f"certified error {float(beta.err):.3e} cannot support {count} rows at 1e-12 resolution"
         )
@@ -385,7 +378,6 @@ def small_denominator_sequence(beta: NumberClass, shift: Fraction | int, count: 
         values=values,
         zero_rows=zeros,
         fitted_exponent=math.inf if zeros else _envelope_exponent(values[1 - start :]),
-        slack=float(slack_fr),
     )
 
 
@@ -445,6 +437,8 @@ def joint_sine_lower_bound_check(alpha: NumberClass, exponent: int, x_max: float
     is capped at JOINT_X_CAP, checked before any array is built.  Sines are
     taken only where the score's Jordan floor (`sine_floor` for each sine,
     less 4 ulp) is at most the least score so far, so C is the full grid's.
+    A grid on which every weight (1+x)^exponent leaves the float range has
+    no finite score, and raises OverflowError.
     """
     if alpha.kind != KIND_MEASURE_BOUNDED or alpha.measure_bound is None:
         raise ValueError(f"joint lower bound needs a certified irrationality measure, got kind={alpha.kind}")
@@ -478,6 +472,9 @@ def joint_sine_lower_bound_check(alpha: NumberClass, exponent: int, x_max: float
             floor = (sine_floor(xb) + sine_floor(a * xb)) / xb * weight * (1 - 2.0**-50)
         c = min(c, score(np.argmin(floor, keepdims=True)))  # the block's lowest floor first
         c = min(c, score(floor <= c))
+    if c == math.inf:
+        msg = f"the weight (1+x)^{exponent} leaves the float range at every grid point up to x = {x_max!r}"
+        raise OverflowError(msg)
     return c, c > 0.0
 
 
@@ -495,8 +492,6 @@ class SlowDecreaseRow:
 
 @dataclass(frozen=True)
 class SlowDecreaseReport:
-    a_const: float
-    xi_max: float
     rows: tuple[SlowDecreaseRow, ...]
 
     @property
@@ -542,7 +537,7 @@ def slowly_decreasing_probe(
             rows.append(SlowDecreaseRow(xi, threshold, best_eta, best_val))
         else:
             rows.append(SlowDecreaseRow(xi, threshold, None, best_val))
-    return SlowDecreaseReport(a_const, xi_max, tuple(rows))
+    return SlowDecreaseReport(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

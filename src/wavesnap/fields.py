@@ -281,14 +281,6 @@ def _with_amps(like: Field, keys: tuple[Any, ...], freqs: tuple[float, ...], amp
     return like.with_columns(*(tuple(itertools.compress(c, amps)) for c in (keys, freqs, amps)))
 
 
-def subtract(a: Field, b: Field) -> Field:
-    return linear_combine([1.0, -1.0], [a, b])
-
-
-def max_abs_amp(f: Field) -> float:
-    return max(map(abs, f.amps), default=0.0)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import MultiplierSymbol
@@ -47,8 +46,6 @@ KERNEL_SIN_TOL = 1e-14  # |sin(t lam)| below this marks a kernel frequency,
 KERNEL_ULPS = 4  # as does |sin(t lam)| below this many ulp(t lam)
 CHEBYSHEV_LOOP_MAX = 1024  # U_m by the three-term loop up to this m, by doubling beyond it
 PHASE_LIMIT = 2.0**50  # |t w| from which kernel_threshold reaches 1: a float time resolves no phase
-
-IDENTITY_TOL = 1e-10
 
 
 class InvalidScale(ValueError):
@@ -337,28 +334,12 @@ def psi_grid(ms: Sequence[int], us: Sequence[float]):
     return out
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Max absolute residuals of the defining propagator identities over a
-    grid of spectral radii."""
-
-    residuals: dict[str, float]
-    grid_size: int
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-    @property
-    def passes(self) -> bool:
-        return self.max_residual <= IDENTITY_TOL
-
-
-def fundamental_identities_check(t: float, lam_grid: list[float]) -> IdentityReport:
-    """Check the recurrences Psi_{m+2} + Psi_m = 2 cos(lam) Psi_{m+1} and
-    S_{m+2} + S_m = 2 S'_1 S_m+1 for -10 <= m <= 10, plus the shift rule
-    S_t S'_1 - S'_t S_1 = S_{t-1}, pointwise on `lam_grid`.  Each of the 23
-    Psi and S columns is one row of `psi_grid` and `sine_over_grid`.
+def fundamental_identities_check(t: float, lam_grid: list[float]) -> dict[str, float]:
+    """The max absolute residuals, by name, of the recurrences Psi_{m+2} +
+    Psi_m = 2 cos(lam) Psi_{m+1} and S_{m+2} + S_m = 2 S'_1 S_m+1 for
+    -10 <= m <= 10, and of the shift rule S_t S'_1 - S'_t S_1 = S_{t-1},
+    pointwise on `lam_grid`.  Each of the 23 Psi and S columns is one row
+    of `psi_grid` and `sine_over_grid`.
     """
     import numpy as np
 
@@ -382,4 +363,4 @@ def fundamental_identities_check(t: float, lam_grid: list[float]) -> IdentityRep
     residuals = {"snapshot_recurrence": float(r_psi), "sine_recurrence": float(r_s), "time_shift": float(r_shift)}
     if not all(map(math.isfinite, residuals.values())):
         raise ValueError(f"t lam overflows on the grid at t={t!r}")
-    return IdentityReport(residuals=residuals, grid_size=len(lam_grid))
+    return residuals

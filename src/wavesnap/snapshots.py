@@ -25,10 +25,7 @@ from .fields import (
     Field,
     MultiplierSymbol,
     _with_amps,
-    apply_multiplier,
     check_finite,
-    linear_combine,
-    max_abs_amp,
     symbol_values,
     union_columns,
 )
@@ -89,10 +86,6 @@ class SolveReport:
     conditioning: float
     kernel_modes: tuple
     note: str = ""
-
-    @property
-    def solvable(self) -> bool:
-        return self.status != STATUS_OBSTRUCTED
 
     @property
     def kernel_coeffs(self) -> tuple:
@@ -306,20 +299,28 @@ def _check_rows(re, im, spans: Callable[[], Iterable[tuple[Any, Sequence[float]]
 def compatibility_residual_general(
     fa: Field, fb: Field, fc: Field, a: float, b: float, c: float
 ) -> float:
-    """Residual of S_{c-b} fa + S_{a-c} fb + S_{b-a} fc, which vanishes on
-    genuine snapshot triples at times (a, b, c); a non-finite time raises
-    InvalidTime."""
+    """max |S_{c-b} fa + S_{a-c} fb + S_{b-a} fc|, which vanishes on genuine
+    snapshot triples at times (a, b, c); a non-finite time raises
+    InvalidTime.  Each field's products are taken on its own keys, a failing
+    or non-finite one naming its symbol, and summed from 0j over the union
+    of the keys, fields in order; a non-finite sum raises ValueError."""
     for t in (a, b, c):
         _check_finite(t)
-    r = linear_combine(
-        [1.0, 1.0, 1.0],
-        [
-            apply_multiplier(fa, symbol_S(c - b)),
-            apply_multiplier(fb, symbol_S(a - c)),
-            apply_multiplier(fc, symbol_S(b - a)),
-        ],
-    )
-    return max_abs_amp(r)
+    fields, products = (fa, fb, fc), []
+    for t, f in zip((c - b, a - c, b - a), fields):
+        try:
+            column = list(map(operator.mul, sine_over_column(as_radians(t), f.freqs), f.amps))
+            check_finite(column)
+        except (ArithmeticError, ValueError):
+            _name_bad_symbol((symbol_S(t),), f.freqs)
+            raise
+        products.append(column)
+    keys, _, columns = union_columns(fields, products)
+    sums = [0j] * len(keys)
+    for column in columns:
+        sums = list(map(operator.add, sums, column))
+    check_finite(sums)
+    return max(map(abs, sums), default=0.0)
 
 
 def _validate_pq(p: int, q: int) -> None:
@@ -536,7 +537,6 @@ def _bezout_solve(f0: Field, fa: Field, fb: Field, p: int, q: int, unit: float) 
 class LiouvilleRow:
     k: int
     q: int
-    data_sup: str  # sup norm of the k-th snapshot datum, q^(1-k)
     sin_abs: str  # |sin(pi delta_k)|, the small denominator
     amplitude: str  # pi / (sin * q^(k-1)), the velocity amplitude it forces
     amplitude_log10: float
@@ -584,7 +584,6 @@ def liouville_obstruction_demo(k_max: int) -> LiouvilleDemoReport:
                 LiouvilleRow(
                     k=k,
                     q=qk,
-                    data_sup=mpmath.nstr(mpmath.mpf(qk) ** (1 - k), 8),
                     sin_abs=mpmath.nstr(sin_val, 8),
                     amplitude=mpmath.nstr(amp, 8),
                     amplitude_log10=float(mpmath.log10(amp)),

@@ -42,7 +42,6 @@ from .fields import (
     canonical_columns,
     json_columns,
     load_field,
-    lookup_amplitude,
     save_field,
     typed,
 )
@@ -111,9 +110,6 @@ class SphereField:
     @property
     def coeffs(self) -> tuple[tuple[int, int, complex], ...]:
         return tuple((l, m, amp) for (l, m), amp in zip(self.keys, self.amps))
-
-    def amplitude_at(self, l: int, m: int) -> complex:
-        return lookup_amplitude(self.keys, self.amps, (l, m))
 
     def with_columns(self, keys: tuple, freqs: tuple, amps: tuple) -> SphereField:
         return SphereField(self.n, keys, freqs, amps)

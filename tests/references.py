@@ -6,9 +6,14 @@ fields' keys through one dict, the row-callback solve loop and the solvers
 written on it (the Bezout solve on fields), the
 entry-by-entry field loaders, the per-q odd-type scan, the per-row CSV
 writer, the zonal sums with a recurrence restarted per degree, the
-factorial-series convergents built afresh at each k, and the joint sine
-bound and the surjectivity margin with a sine at every point.  Tests
-compare the library with these bit for bit.
+factorial-series convergents built afresh at each k, the joint sine
+bound and the surjectivity margin with a sine at every point, and the
+compatibility residual on fields.  Tests compare the library with these
+bit for bit.
+
+The field operators that only tests use are here too: the difference of two
+fields, the largest amplitude of a field and a sphere field's amplitude at
+one key.
 
 It also keeps two sine enclosures that no library code calls, with their
 tests: |sin(pi r)| for exact rational r, guard-banded, and exact rational
@@ -31,11 +36,10 @@ from wavesnap.fields import (
     _with_amps,
     apply_multiplier,
     linear_combine,
-    max_abs_amp,
-    subtract,
+    lookup_amplitude,
     union_columns,
 )
-from wavesnap.propagators import as_radians, cos_at, sine_at, symbol_Psi, symbol_Sprime
+from wavesnap.propagators import as_radians, cos_at, sine_at, symbol_Psi, symbol_S, symbol_Sprime
 from wavesnap.snapshots import (
     CONSISTENCY_TOL,
     OBSTRUCTION_AMP_TOL,
@@ -54,6 +58,39 @@ from wavesnap.snapshots import (
     snapshot_grid_columns,
 )
 from wavesnap.sphere import RequiresOddDimension, RequiresZonal, SphereField, dim_Hl, frequency
+
+# ---------------------------------------------------------------------------
+# field operators for the tests
+
+
+def subtract(a, b):
+    return linear_combine([1.0, -1.0], [a, b])
+
+
+def max_abs_amp(f):
+    return max(map(abs, f.amps), default=0.0)
+
+
+def sphere_amplitude(f, l, m):
+    """The amplitude of the sphere field f at (l, m), 0j off its support."""
+    return lookup_amplitude(f.keys, f.amps, (l, m))
+
+
+def compatibility_residual_on_fields(fa, fb, fc, a, b, c):
+    """The residual of S_{c-b} fa + S_{a-c} fb + S_{b-a} fc, built as fields:
+    each field through `apply_multiplier`, the three through `linear_combine`."""
+    for t in (a, b, c):
+        snapshots._check_finite(t)
+    r = linear_combine(
+        [1.0, 1.0, 1.0],
+        [
+            apply_multiplier(fa, symbol_S(c - b)),
+            apply_multiplier(fb, symbol_S(a - c)),
+            apply_multiplier(fc, symbol_S(b - a)),
+        ],
+    )
+    return max_abs_amp(r)
+
 
 # ---------------------------------------------------------------------------
 # the grids' rows as fields

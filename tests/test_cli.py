@@ -265,6 +265,17 @@ def test_jointbound_past_the_float_range_writes_no_warning(tmp_path):
     assert json.loads(out.read_text())["C"] == want
 
 
+def test_jointbound_with_no_finite_weight_names_the_exponent(tmp_path, capsys):
+    # exited 0 with "C": "inf" and "passes": true: every weight (1+x)^N overflowed, so no score was finite
+    out = tmp_path / "jb.json"
+    argv = ["dio", "jointbound", "--exponent", "100000000", "--xmax", "10"]
+    message = "--exponent 100000000 too large: the weight (1+x)^100000000 leaves the float range"
+    message += " at every grid point up to x = 10.0"
+    assert_names_flag(capsys, argv, out, message)
+    assert cli.run(["dio", "jointbound", "--exponent", "200", "--out", str(out)]) == 0  # some weights stay finite
+    assert json.loads(out.read_text())["C"] == 41720.40438332567
+
+
 def test_sphere_verbs_smoke(tmp_path, capsys):
     f0 = sphere_field(2, [(l, 1, 0.5**l) for l in range(4)])
     g = sphere_field(2, [(l, 1, 1.0) for l in range(4)])
@@ -639,6 +650,7 @@ runs = [
     ["wave", "evolve", "--field", p["f0"], "--velocity", p["g"], "--t", "0.5"],
     ["wave", "snapshot", "--ua", p["f0"], "--ub", p["f1"], "--m", "5"],
     ["wave", "two-solve", "--f0", p["f0"], "--f1", p["f1"]],
+    ["wave", "compat", "--f0", p["f0"], "--f1", p["f1"], "--falpha", p["f2_3"], "--alpha", str(2 / 3)],
     ["wave", "three-solve", "--f0", p["f0"], "--f1", p["f1"], "--falpha", p["f2_3"], "--alpha-frac", "2/3"],
     ["wave", "rational-solve", "--f0", p["f0"], "--fp", p["f2"], "--fq", p["f3"], "--p", "2", "--q", "3"],
     ["sphere", "evolve", "--f0", p["s0"], "--g", p["sg"], "--t", "0.7"],
@@ -662,7 +674,7 @@ def test_solve_verbs_leave_numpy_unloaded(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    expected = ["[0,", "0,", "0,", "0,", "0,", "0,", "0,", "0]", "False", "False"]
+    expected = ["[0,", "0,", "0,", "0,", "0,", "0,", "0,", "0,", "0]", "False", "False"]
     assert done.stdout.split() == expected, done.stdout + done.stderr
 
 

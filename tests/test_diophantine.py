@@ -410,6 +410,12 @@ def test_jointbound_rejects_a_nonfinite_or_oversized_x_max():
                 dio.joint_sine_lower_bound_check(alpha, 3, x_max)
 
 
+def test_jointbound_without_a_finite_weight_raises():
+    # every (1+x)^N is inf: no score is finite, and C = inf read as a pass
+    with pytest.raises(OverflowError, match=r"\(1\+x\)\^100000000 leaves the float range at every grid point"):
+        dio.joint_sine_lower_bound_check(dio.sqrt2_class(), 10**8, 10.0)
+
+
 def test_jointbound_sqrt2_positive():
     c, passes = dio.joint_sine_lower_bound_check(dio.sqrt2_class(), 3, 500.0)
     assert passes and c > 0

@@ -7,11 +7,11 @@ import random
 import pytest
 
 from wavesnap import experiments, snapshots
-from wavesnap.fields import apply_multiplier, field, linear_combine, max_abs_amp, subtract, union_columns
+from wavesnap.fields import apply_multiplier, field, linear_combine, union_columns
 from wavesnap.propagators import symbol_Sprime
 from wavesnap.snapshots import CauchyData
 
-from references import evolve_series, snapshot_series
+from references import evolve_series, max_abs_amp, snapshot_series, subtract
 
 
 def reference_trial(data, a, b):

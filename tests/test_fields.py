@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wavesnap import cli, experiments, fields as fields_module, snapshots, sphere as sph
 from wavesnap.fields import (
@@ -17,9 +17,7 @@ from wavesnap.fields import (
     json_text,
     linear_combine,
     load_field,
-    max_abs_amp,
     save_field,
-    subtract,
     symbol_constant,
     write_text_atomic,
 )
@@ -28,10 +26,13 @@ from wavesnap.snapshots import CauchyData, InvalidTime, evolve
 
 from references import (
     aligned,
+    compatibility_residual_on_fields,
     evolve_series,
     field_from_json_by_entry,
+    max_abs_amp,
     snapshot_grid,
     snapshot_series,
+    subtract,
     symbol_product,
     union_support,
 )
@@ -344,6 +345,43 @@ def test_operators_match_rebuilt_reference(case, symbol, coeffs, t):
         [1.0, 1.0], [ref_apply(f, symbol_Sprime(t), freq, rebuild), ref_apply(g, symbol_S(t), freq, rebuild)], rebuild
     )
     assert_same_field(evolve(CauchyData(f, g), t), want)
+
+
+def _outcome(fn, *args):
+    """fn's value by its exact bits, or the type and message of what it raises."""
+    try:
+        return fn(*args).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# finite times in a desk range, and at the float range's edges where a phase
+# t lam, a symbol value or a product leaves it; plus inf and nan
+compat_times = finite | st.floats() | st.sampled_from([1e308, -1e308, 1.7e308, 1e300, 5e-324])
+
+
+@example(
+    (field(1, []), field(1, [((1.5,), 0.3)]), field(1, [((3.5,), 0.3 + 0.1j)]), None, None), (0.0, 1.0, 1e308)
+)
+@example(  # fa's product overflows at lam = 0 before S_{a-c} = S_{-inf} fails on fb
+    (field(1, [((0.0,), 1 - 2j)]), field(1, [((1.0,), 1.0)]), field(1, []), None, None), (-1e308, 0.0, 1e308)
+)
+@given(field_cases(), st.tuples(compat_times, compat_times, compat_times))
+def test_compatibility_residual_matches_the_field_form(case, times):
+    # the column form against the old body: S_t applied to each field by
+    # apply_multiplier and the three summed by linear_combine, on shared,
+    # overlapping, disjoint and empty supports; bit for bit, or the same error
+    f, g, h = case[:3]
+    empty = f.with_columns((), (), ())
+    for fs in ((f, g, h), (g, f, f), (f, h, empty), (empty, g, h), (empty, empty, empty)):
+        want = _outcome(compatibility_residual_on_fields, *fs, *times)
+        assert _outcome(snapshots.compatibility_residual_general, *fs, *times) == want
+
+
+def test_compatibility_residual_skips_a_time_on_an_empty_field():
+    # S at c - b = 1e308 meets no key of the empty f0, so it is never evaluated
+    f0, f1, falpha = field(1, []), field(1, [((1.5,), 0.3)]), field(1, [((3.5,), 0.3 + 0.1j)])
+    assert snapshots.compatibility_residual_general(f0, f1, falpha, 0.0, 1.0, 1e308) == 0.15221098571699948
 
 
 # -- series operators: one pass per time grid ----------------------------------

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavesnap import diophantine, fields, snapshots as snap, sphere as sph
-from wavesnap.fields import MultiplierSymbol, apply_multiplier, field, linear_combine, max_abs_amp, subtract
+from wavesnap.fields import MultiplierSymbol, apply_multiplier, field, linear_combine
 from wavesnap.propagators import sine_at, symbol_Psi, symbol_Sprime
 from wavesnap.snapshots import CauchyData, evolve
 
 import references as ref
+from references import max_abs_amp, subtract
 
 
 def kernel_modes(f, t):
@@ -91,7 +92,6 @@ def test_two_snapshot_unique_recovery():
     rep = snap.two_snapshot_solve(evolve(data, 0.0), evolve(data, 1.0))
     assert rep.status == snap.STATUS_UNIQUE
     assert abs(rep.solution.amplitude_at((lam,)) - (2 - 1j)) < 1e-12
-    assert rep.solvable
 
 
 def test_two_snapshot_kernel_mode_free_when_consistent():
@@ -145,7 +145,6 @@ def test_two_snapshot_obstructed_by_inconsistent_kernel_data():
     f1 = field(1, [((lam,), -0.9)])  # cos(pi) u0 = -u0; anything else is unreachable
     rep = snap.two_snapshot_solve(u0, f1)
     assert rep.status == snap.STATUS_OBSTRUCTED
-    assert not rep.solvable
 
 
 @pytest.mark.parametrize("k", [1e3, 1e5])
@@ -345,7 +344,6 @@ def test_rational_reconstruct_obstructed_kernel_data():
     fq = field(1, [((lam,), 0.5)])  # cos(3 pi) u0 + Psi_3(pi) * 0.5 = -1 + 1.5
     rep = snap.rational_reconstruct(u0, fp, fq, 2, 3)
     assert rep.status == snap.STATUS_OBSTRUCTED
-    assert not rep.solvable
 
 
 # -- the Liouville demonstration ---------------------------------------------
@@ -391,7 +389,6 @@ def reference_liouville_rows(k_max):
                 snap.LiouvilleRow(
                     k=k,
                     q=qk,
-                    data_sup=mpmath.nstr(mpmath.mpf(qk) ** (1 - k), 8),
                     sin_abs=mpmath.nstr(sin_val, 8),
                     amplitude=mpmath.nstr(amp, 8),
                     amplitude_log10=float(mpmath.log10(amp)),
