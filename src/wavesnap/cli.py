@@ -70,10 +70,12 @@ def number_class(spec: str) -> diophantine.NumberClass:
     if spec == "golden":
         return diophantine.golden_class()
     if head == "binary":
-        return diophantine.binary_factorial_class(int(rest))
+        depth = int(rest)
+        return diophantine.liouville_truncation(2, (1,) * depth, depth)
     if head == "oddtype":
         depth, _, coeffs = rest.partition(":")
-        return diophantine.ternary_odd_type_class(int(depth), _coeff_list(coeffs) if coeffs else None)
+        depth = int(depth)
+        return diophantine.liouville_truncation(3, _coeff_list(coeffs) if coeffs else (1,) * depth, depth)
     if head == "liouville":
         base, _, rest2 = rest.partition(":")
         depth, _, coeffs = rest2.partition(":")
@@ -248,7 +250,11 @@ def _wave_two_solve(args) -> dict:
 
 
 def _wave_compat(args) -> dict:
-    r = snapshots.compatibility_residual_general(*_load(args, "f0", "f1", "falpha"), 0.0, 1.0, args.alpha)
+    fields = _load(args, "f0", "f1", "falpha")
+    try:
+        r = snapshots.compatibility_residual_general(*fields, 0.0, 1.0, args.alpha)
+    except OverflowError as exc:
+        raise ValueError(f"--alpha {args.alpha!r}: {exc}") from None
     return {"alpha": args.alpha, "residual": r}
 
 
@@ -266,11 +272,11 @@ def _wave_rational_solve(args) -> dict:
 
 
 def _wave_liouville_demo(args) -> tuple:
-    demo = snapshots.liouville_obstruction_demo(args.kmax)
-    columns = [[getattr(r, name) for r in demo.rows] for name in ("k", "q", "sin_abs", "amplitude")]
+    rows = snapshots.liouville_obstruction_demo(args.kmax)
+    columns = [[getattr(r, name) for r in rows] for name in ("k", "q", "sin_abs", "amplitude")]
     comments = [
         f"alpha: base-10 factorial series, depth {args.kmax}",
-        f"data_sup at step k: q_k^(1-k); certified: {demo.all_certified}",
+        f"data_sup at step k: q_k^(1-k); certified: {all(r.certified for r in rows)}",
     ]
     return ("k", "q_k", "sin_abs", "amplitude"), columns, comments
 
@@ -359,12 +365,15 @@ _PROBE_SYMBOLS = {
 
 
 def _dio_sdprobe(args) -> tuple:
-    rep = diophantine.slowly_decreasing_probe(
-        _PROBE_SYMBOLS[args.symbol](), args.a_const, args.ximax, samples=args.samples
-    )
+    symbol = _PROBE_SYMBOLS[args.symbol]()
+    try:
+        rows = diophantine.slowly_decreasing_probe(symbol, args.a_const, args.ximax, samples=args.samples)
+    except ValueError as exc:
+        raise ValueError(f"--a-const {args.a_const!r}, --ximax {args.ximax!r}, --samples {args.samples}: {exc}") from None
     names = ("xi", "threshold", "eta", "value", "ok")  # repr of the bool ok is its str
-    comments = [f"symbol: {args.symbol}, window constant A: {args.a_const}", f"all windows pass: {rep.all_pass}"]
-    return names, [[repr(getattr(r, name)) for r in rep.rows] for name in names], comments
+    passes = all(r.ok for r in rows)
+    comments = [f"symbol: {args.symbol}, window constant A: {args.a_const}", f"all windows pass: {passes}"]
+    return names, [[repr(getattr(r, name)) for r in rows] for name in names], comments
 
 
 def _dio_doubled_bound(args) -> dict:

@@ -7,8 +7,8 @@ bound, so that downstream classification never has to guess from a float.
 
 Only results decided in exact integers are called certified: the odd-type
 margins (`odd_type_verifier` rechecks each candidate q in integers), the
-convergent bounds of a factorial series (`convergent_pair`,
-`doubled_liouville_bound`, `convergent_chain`: one big product per k) and,
+convergent bounds of a factorial series (`convergent_chain`: one big
+product per k, and `doubled_liouville_bound` on its first) and,
 through them, the `certified` flag of `snapshots.liouville_obstruction_demo`.
 A small-denominator table detects its zero rows exactly, but its nonzero
 sines are `math.sin` floats, and the joint lower bound is a sampled minimum,
@@ -171,18 +171,6 @@ def liouville_truncation(base: int, coeffs: Sequence[int], depth: int) -> Number
     )
 
 
-def binary_factorial_class(depth: int) -> NumberClass:
-    """sum_j 2^(-j!), the stock binary construction.  Liouville, and its odd
-    margins are large enough that twice it still classifies as solvable."""
-    return liouville_truncation(2, (1,) * depth, depth)
-
-
-def ternary_odd_type_class(depth: int, coeffs: Sequence[int] | None = None) -> NumberClass:
-    if coeffs is None:
-        coeffs = (1,) * depth
-    return liouville_truncation(3, coeffs, depth)
-
-
 def doubled(half: NumberClass) -> NumberClass:
     """The class of 2x given the class of x, keeping x as provenance."""
     if half.kind == KIND_RATIONAL:
@@ -269,11 +257,13 @@ def irrationality_exponent_probe(x: NumberClass, depth: int) -> tuple[MuEstimate
 
 
 class Convergent(NamedTuple):
-    """The convergent p / q = p_k / q_k of a factorial series, q = base^(k!),
-    and exact bounds lo / den <= delta <= hi / den on the fractional residue
-    delta = q x - p of the untruncated number, 0 < lo.  The bounds share one
-    denominator, a power of the base times the truncation error's, so they
-    are built and compared in integers, never reduced by a gcd."""
+    """The canonical convergent p / q = p_k / q_k of a factorial series,
+    q = base^(k!), and exact bounds lo / den <= delta <= hi / den on the
+    fractional residue delta = q x - p of the untruncated number:
+    delta_lo = sum_{j > k} c_j base^(k! - j!) > 0 and delta_hi = delta_lo +
+    q err.  The bounds share one denominator, den = base^(depth! - k!) times
+    the denominator of err, so they are built and compared in integers,
+    never reduced by a gcd."""
 
     q: int
     p: int
@@ -282,22 +272,13 @@ class Convergent(NamedTuple):
     den: int
 
 
-def convergent_pair(x: NumberClass, k: int) -> Convergent:
-    """For a factorial-series construction, the canonical convergent
-    p_k / q_k with q_k = base^(k!), plus exact bounds on the fractional
-    residue delta_k = q_k x - p_k of the untruncated number:
-    delta_lo = sum_{j > k} c_j base^(k! - j!) and delta_hi = delta_lo + q_k err,
-    each over den = base^(depth! - k!) times the denominator of err."""
-    return next(convergent_chain(x, k))
-
-
 def convergent_chain(x: NumberClass, k: int) -> Iterator[Convergent]:
-    """`convergent_pair(x, j)` for j = k, k-1, ..., 1: the first from the
-    sums, each next by den_{j-1} = den_j base^(j! - (j-1)!) and lo_{j-1} =
-    lo_j + c_j den_j (hi alike).  k >= depth, or a tail vanishing at k,
-    raises PrecisionExhausted before anything is yielded."""
+    """The `Convergent` of the factorial series x at j = k, k-1, ..., 1: the
+    first from the sums, each next by den_{j-1} = den_j base^(j! - (j-1)!)
+    and lo_{j-1} = lo_j + c_j den_j (hi alike).  k >= depth, or a tail
+    vanishing at k, raises PrecisionExhausted before anything is yielded."""
     if x.base is None or x.depth is None:
-        raise ValueError("convergent_pair needs a factorial-series construction")
+        raise ValueError("convergent_chain needs a factorial-series construction")
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= x.depth:
@@ -490,31 +471,29 @@ class SlowDecreaseRow:
         return self.eta is not None
 
 
-@dataclass(frozen=True)
-class SlowDecreaseReport:
-    rows: tuple[SlowDecreaseRow, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-    @property
-    def failures(self) -> tuple[float, ...]:
-        return tuple(r.xi for r in self.rows if not r.ok)
-
-
 def slowly_decreasing_probe(
     symbol: MultiplierSymbol, a_const: float, xi_max: float, samples: int = 512
-) -> SlowDecreaseReport:
+) -> tuple[SlowDecreaseRow, ...]:
     """For each sampled xi, search the window |eta - xi| <= A log(2 + xi) for
     a point with |symbol(|eta|)| >= (A + xi)^(-A).
 
     Candidates are xi itself, every half-period point (k + 1/2) pi in the
     window (where |sin| peaks), and a uniform sweep of the window.  One row
-    per sample, recording the witness or the failure.
+    per sample, recording the witness or the failure.  A non-finite A, a
+    sampled xi that is not finite, or a threshold that underflows to 0 at
+    the last xi (every window would pass) raises ValueError.  A positive
+    threshold keeps A log(A + xi) below 745, so no window holds more than
+    about a thousand candidates.
     """
     if a_const <= 0 or xi_max <= 0 or samples < 2:
         raise ValueError("need A > 0, xi_max > 0, samples >= 2")
+    if not math.isfinite(a_const):
+        raise ValueError(f"A must be finite, got {a_const!r}")
+    last = xi_max * (samples - 1) / (samples - 1)  # the largest sampled xi
+    if not math.isfinite(last):
+        raise ValueError(f"sampled xi {last!r} is not finite")
+    if (a_const + last) ** (-a_const) == 0.0:
+        raise ValueError(f"the threshold (A + xi)^(-A) underflows to 0 at xi = {last!r}")
     rows: list[SlowDecreaseRow] = []
     for i in range(samples):
         xi = xi_max * i / (samples - 1)
@@ -537,7 +516,7 @@ def slowly_decreasing_probe(
             rows.append(SlowDecreaseRow(xi, threshold, best_eta, best_val))
         else:
             rows.append(SlowDecreaseRow(xi, threshold, None, best_val))
-    return SlowDecreaseReport(tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +574,7 @@ def odd_type_verifier(qmax: int) -> OddTypeReport:
     depth = next(fits, None)
     if depth is None:
         raise PrecisionExhausted(f"no truncation within depth cap certifies qmax={qmax}")
-    beta = binary_factorial_class(depth)
+    beta = liouville_truncation(2, (1,) * depth, depth)
     assert beta.err.numerator == 1 and beta.err.denominator % beta.value.denominator == 0
     scan = _odd_type_scan(beta.value.numerator, beta.value.denominator, beta.err.denominator, qmax)
     return OddTypeReport(qmax, depth, float(beta.err), *scan)
@@ -661,7 +640,7 @@ def doubled_liouville_bound(x: NumberClass, exponent: int) -> DoubledFractionWit
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
     k = 2 * exponent
-    qk, pk, lo, hi, den = convergent_pair(x, k)
+    qk, pk, lo, hi, den = next(convergent_chain(x, k))
     # |2x - 2 pk / (2 qk)| = 2 delta / qk, delta in [lo / den, hi / den]
     gap_lo = Fraction(2 * lo, qk * den)
     gap_hi = Fraction(2 * hi, qk * den)

@@ -23,7 +23,7 @@ import operator
 import os
 import tempfile
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, NamedTuple, Protocol
 
@@ -41,8 +41,9 @@ class Field(Protocol):
     """What the generic operators need of a field kind: three parallel,
     canonical columns -- `keys` sorted and distinct, `freqs` the frequency of
     each key (at which symbols are evaluated), `amps` finite and nonzero --
-    a field over the same basis built from canonical columns, and a typed
-    error unless `other` shares the basis.  Operators trust keys taken from a
+    held as dataclass fields, so that `dataclasses.replace` builds a field
+    over the same basis from canonical columns, and a typed error unless
+    `other` shares the basis.  Operators trust keys taken from a
     canonical field and never validate them again.  `json_schema` is how the
     kind is written and read; see `json_members` and `field_from_json`."""
 
@@ -51,7 +52,6 @@ class Field(Protocol):
     amps: tuple[complex, ...]
     json_schema: tuple[str, str, Callable[[Any, list], dict], Callable[[int, list], Field]]
 
-    def with_columns(self, keys: tuple, freqs: tuple, amps: tuple) -> Field: ...
     def check_same_basis(self, other: object) -> None: ...
 
 
@@ -86,10 +86,10 @@ class SpectralField:
         return tuple(map(Mode, self.keys, self.amps))
 
     def amplitude_at(self, xi: tuple[float, ...]) -> complex:
-        return lookup_amplitude(self.keys, self.amps, tuple(xi))
-
-    def with_columns(self, keys: tuple, freqs: tuple, amps: tuple) -> SpectralField:
-        return SpectralField(self.dim, keys, freqs, amps)
+        """Amplitude at `xi` by bisection on the sorted keys, 0j off the support."""
+        xi = tuple(xi)
+        i = bisect.bisect_left(self.keys, xi)
+        return self.amps[i] if i < len(self.keys) and self.keys[i] == xi else 0j
 
     def check_same_basis(self, other: object) -> None:
         if not isinstance(other, SpectralField):
@@ -118,12 +118,6 @@ def canonical_columns(keys: Sequence[Any], freqs: Sequence[float], amps: Sequenc
         freq[key] = lam
     keys = tuple(key for key in sorted(merged) if merged[key] != 0)
     return keys, tuple(map(freq.__getitem__, keys)), tuple(map(merged.__getitem__, keys))
-
-
-def lookup_amplitude(keys: Sequence[Any], amps: Sequence[complex], key: Any) -> complex:
-    """Amplitude at `key` by bisection on the sorted keys, 0j off the support."""
-    i = bisect.bisect_left(keys, key)
-    return amps[i] if i < len(keys) and keys[i] == key else 0j
 
 
 _TYPES = {"JSON number": {int, float}, "JSON integer": {int}, "number": {int, float, complex}}
@@ -276,9 +270,9 @@ def _with_amps(like: Field, keys: tuple[Any, ...], freqs: tuple[float, ...], amp
     amplitudes folded by 0j + amp (so -0.0 reads +0.0) and zero ones dropped.
     When none drops, the result shares the key and frequency tuples."""
     amps = tuple(map((0j).__add__, amps))
-    if all(amps):
-        return like.with_columns(keys, freqs, amps)
-    return like.with_columns(*(tuple(itertools.compress(c, amps)) for c in (keys, freqs, amps)))
+    if not all(amps):
+        keys, freqs, amps = (tuple(itertools.compress(c, amps)) for c in (keys, freqs, amps))
+    return replace(like, keys=keys, freqs=freqs, amps=amps)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ modes, minimal-norm representative returned), "Obstructed" (no wave fits).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -302,8 +303,10 @@ def compatibility_residual_general(
     """max |S_{c-b} fa + S_{a-c} fb + S_{b-a} fc|, which vanishes on genuine
     snapshot triples at times (a, b, c); a non-finite time raises
     InvalidTime.  Each field's products are taken on its own keys, a failing
-    or non-finite one naming its symbol, and summed from 0j over the union
-    of the keys, fields in order; a non-finite sum raises ValueError."""
+    or non-finite symbol value raising SymbolUndefined and a finite one whose
+    product leaves the float range OverflowError, both naming the symbol;
+    they are summed from 0j over the union of the keys, fields in order, and
+    a non-finite sum raises ValueError."""
     for t in (a, b, c):
         _check_finite(t)
     fields, products = (fa, fb, fc), []
@@ -312,8 +315,11 @@ def compatibility_residual_general(
             column = list(map(operator.mul, sine_over_column(as_radians(t), f.freqs), f.amps))
             check_finite(column)
         except (ArithmeticError, ValueError):
-            _name_bad_symbol((symbol_S(t),), f.freqs)
-            raise
+            symbol = symbol_S(t)
+            _name_bad_symbol((symbol,), f.freqs)  # else each value is finite, and a product overflowed
+            lam, amp = next((lam, amp) for lam, amp in zip(f.freqs, f.amps) if not cmath.isfinite(symbol(lam) * amp))
+            msg = f"{symbol.label} times the amplitude {amp!r} at frequency {lam!r} leaves the float range"
+            raise OverflowError(msg) from None
         products.append(column)
     keys, _, columns = union_columns(fields, products)
     sums = [0j] * len(keys)
@@ -543,16 +549,7 @@ class LiouvilleRow:
     certified: bool  # exact arithmetic confirms amplitude > 1
 
 
-@dataclass(frozen=True)
-class LiouvilleDemoReport:
-    rows: tuple[LiouvilleRow, ...]
-
-    @property
-    def all_certified(self) -> bool:
-        return all(r.certified for r in self.rows)
-
-
-def liouville_obstruction_demo(k_max: int) -> LiouvilleDemoReport:
+def liouville_obstruction_demo(k_max: int) -> tuple[LiouvilleRow, ...]:
     """Velocity amplitudes forced by vanishing data along the convergents of
     the classical factorial series sum 10^(-j!).
 
@@ -590,4 +587,4 @@ def liouville_obstruction_demo(k_max: int) -> LiouvilleDemoReport:
                     certified=bool(certified),
                 )
             )
-    return LiouvilleDemoReport(tuple(reversed(rows)))
+    return tuple(reversed(rows))

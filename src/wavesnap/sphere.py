@@ -111,9 +111,6 @@ class SphereField:
     def coeffs(self) -> tuple[tuple[int, int, complex], ...]:
         return tuple((l, m, amp) for (l, m), amp in zip(self.keys, self.amps))
 
-    def with_columns(self, keys: tuple, freqs: tuple, amps: tuple) -> SphereField:
-        return SphereField(self.n, keys, freqs, amps)
-
     def check_same_basis(self, other: object) -> None:
         if not isinstance(other, SphereField):
             raise DimensionMismatch(f"cannot mix a sphere field with a {type(other).__name__}")

@@ -22,10 +22,11 @@ bounds on sin(pi delta) for small delta.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from wavesnap import diophantine, snapshots
@@ -36,7 +37,6 @@ from wavesnap.fields import (
     _with_amps,
     apply_multiplier,
     linear_combine,
-    lookup_amplitude,
     union_columns,
 )
 from wavesnap.propagators import as_radians, cos_at, sine_at, symbol_Psi, symbol_S, symbol_Sprime
@@ -73,22 +73,29 @@ def max_abs_amp(f):
 
 def sphere_amplitude(f, l, m):
     """The amplitude of the sphere field f at (l, m), 0j off its support."""
-    return lookup_amplitude(f.keys, f.amps, (l, m))
+    i = bisect.bisect_left(f.keys, (l, m))
+    return f.amps[i] if i < len(f.keys) and f.keys[i] == (l, m) else 0j
 
 
 def compatibility_residual_on_fields(fa, fb, fc, a, b, c):
     """The residual of S_{c-b} fa + S_{a-c} fb + S_{b-a} fc, built as fields:
-    each field through `apply_multiplier`, the three through `linear_combine`."""
+    each field through `apply_multiplier`, the three through `linear_combine`.
+    A product that leaves the float range, its symbol value finite, raises
+    OverflowError naming the symbol, the amplitude and the frequency."""
     for t in (a, b, c):
         snapshots._check_finite(t)
-    r = linear_combine(
-        [1.0, 1.0, 1.0],
-        [
-            apply_multiplier(fa, symbol_S(c - b)),
-            apply_multiplier(fb, symbol_S(a - c)),
-            apply_multiplier(fc, symbol_S(b - a)),
-        ],
-    )
+
+    def applied(f, t):
+        symbol = symbol_S(t)
+        try:
+            return apply_multiplier(f, symbol)
+        except ValueError:  # not SymbolUndefined: every value is finite
+            lam, amp = next((lam, amp) for lam, amp in zip(f.freqs, f.amps) if not cmath.isfinite(symbol(lam) * amp))
+            raise OverflowError(
+                f"{symbol.label} times the amplitude {amp!r} at frequency {lam!r} leaves the float range"
+            ) from None
+
+    r = linear_combine([1.0, 1.0, 1.0], [applied(fa, c - b), applied(fb, a - c), applied(fc, b - a)])
     return max_abs_amp(r)
 
 
@@ -253,7 +260,8 @@ def row_diagonal_solve(support, rhs, row, kernel_note, verify=None):
     if failures:
         return SolveReport(STATUS_OBSTRUCTED, None, inconsistency, conditioning, kernel, failures[0])
     tol = CONSISTENCY_TOL * (1.0 + conditioning)
-    g = support[0].with_columns(*entry_columns(entries))
+    keys, freqs, amps = entry_columns(entries)
+    g = replace(support[0], keys=keys, freqs=freqs, amps=amps)
     residual, note = verify(g) if verify is not None else (inconsistency, "")
     if residual > tol:
         note = "post-verification failed" + (": " + note if note else "")
@@ -432,7 +440,8 @@ def csv_body(columns, rows):
 
 
 def convergent_pair(x, k):
-    """`diophantine.convergent_pair` from its sums at each k, as before the chain."""
+    """The first `Convergent` of `diophantine.convergent_chain(x, k)`, from its
+    sums at each k, as before the chain."""
     if x.base is None or x.depth is None:
         raise ValueError("convergent_pair needs a factorial-series construction")
     if k < 1:

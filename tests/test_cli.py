@@ -44,6 +44,21 @@ def test_number_class_parser():
         cli.number_class("seven")
 
 
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_binary_and_oddtype_specs_are_factorial_series(depth):
+    # binary:D is liouville:2:D, and oddtype:D[:c1,..] is liouville:3:D[:c1,..]
+    assert cli.number_class(f"binary:{depth}") == cli.number_class(f"liouville:2:{depth}")
+    assert cli.number_class(f"oddtype:{depth}") == cli.number_class(f"liouville:3:{depth}")
+    for digits in ("2,0,1,0,2,0,1", "1,2,0,0,0,0,0"):
+        assert cli.number_class(f"oddtype:{depth}:{digits}") == cli.number_class(f"liouville:3:{depth}:{digits}")
+
+
+def test_binary_spec_takes_only_a_depth(capsys):
+    assert cli.run(["dio", "class", "--number", "binary:4:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "invalid literal for int() with base 10: '4:1'" in err
+
+
 def test_evolve_then_solve_roundtrip(wave_files):
     tmp, pf, pg = wave_files
     out1 = tmp / "f1.json"
@@ -579,6 +594,40 @@ def assert_names_flag(capsys, argv, out, message):
 )
 def test_wave_symbol_names_the_flag_that_is_not_finite(tmp_path, capsys, flags, message):
     assert_names_flag(capsys, ["wave", "symbol", *flags], tmp_path / "out.csv", message)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # exited 0 with "all windows pass: True": (A + xi)^(-A) underflowed to a threshold of 0.0
+        (["--symbol", "zero", "--a-const", "200", "--ximax", "10", "--samples", "2"],
+         "--a-const 200.0, --ximax 10.0, --samples 2: the threshold (A + xi)^(-A) underflows to 0 at xi = 10.0"),
+        # exited 1 with "cannot convert float NaN to integer"
+        (["--a-const", "nan"], "--a-const nan, --ximax 1000.0, --samples 512: A must be finite, got nan"),
+        (["--ximax", "inf"], "--a-const 4.0, --ximax inf, --samples 512: sampled xi inf is not finite"),
+        (["--ximax", "nan"], "--a-const 4.0, --ximax nan, --samples 512: sampled xi nan is not finite"),
+        (["--ximax", "1e308", "--samples", "3"], "--a-const 4.0, --ximax 1e+308, --samples 3: sampled xi inf is not finite"),
+        # never finished: a list of ~1e307 half-period points was built before the first window
+        (["--a-const", "1e308"],
+         "--a-const 1e+308, --ximax 1000.0, --samples 512: the threshold (A + xi)^(-A) underflows to 0 at xi = 1000.0"),
+    ],
+)
+def test_dio_sdprobe_names_the_flags_of_a_vacuous_or_non_finite_probe(tmp_path, capsys, flags, message):
+    assert_names_flag(capsys, ["dio", "sdprobe", *flags], tmp_path / "out.csv", message)
+
+
+def test_wave_compat_names_alpha_where_a_product_overflows(tmp_path, capsys):
+    # was the bare "non-finite amplitude (1e+308-infj)": S_{alpha-1} is 1e308 at frequency 0, times -2j overflows
+    z, big, out = tmp_path / "z.json", tmp_path / "big.json", tmp_path / "out.json"
+    save_field(field(1, [((0.0,), 1 - 2j)]), str(z))
+    argv = ["wave", "compat", "--f0", str(z), "--f1", str(z), "--falpha", str(z), "--alpha", "1e308"]
+    message = "--alpha 1e+308: S[1e+308] times the amplitude (1-2j) at frequency 0.0 leaves the float range"
+    assert_names_flag(capsys, argv, out, message)
+    # finite products whose sum overflows keep their message: 1.8e308 at frequency 0
+    save_field(field(1, [((0.0,), 1e308)]), str(big))
+    save_field(field(1, [((0.0,), -1e308)]), str(z))
+    argv = ["wave", "compat", "--f0", str(big), "--f1", str(z), "--falpha", str(big), "--alpha", "0.9"]
+    assert_names_flag(capsys, argv, out, "non-finite amplitude (inf+0j)")
 
 
 def test_sphere_huygens_names_a_non_finite_tmax(one_mode_files, capsys):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -321,7 +322,8 @@ def test_union_columns_is_the_dict_union(case):
     # every field's values there are one dict's; a field holding every key
     # (the first longest) lends its own key and frequency tuples
     f, g, h, _, _ = case
-    sub, empty = f.with_columns(f.keys[::2], f.freqs[::2], f.amps[::2]), f.with_columns((), (), ())
+    sub = dataclasses.replace(f, keys=f.keys[::2], freqs=f.freqs[::2], amps=f.amps[::2])
+    empty = dataclasses.replace(f, keys=(), freqs=(), amps=())
     for fs in ((f,), (f, f), (f, g), (g, f), (f, h, g), (sub, f), (f, sub, g), (sub, sub), (empty, f), (empty,)):
         keys, freqs, columns = fields_module.union_columns(fs)
         assert (keys, freqs) == union_support(fs)
@@ -372,7 +374,7 @@ def test_compatibility_residual_matches_the_field_form(case, times):
     # apply_multiplier and the three summed by linear_combine, on shared,
     # overlapping, disjoint and empty supports; bit for bit, or the same error
     f, g, h = case[:3]
-    empty = f.with_columns((), (), ())
+    empty = dataclasses.replace(f, keys=(), freqs=(), amps=())
     for fs in ((f, g, h), (g, f, f), (f, h, empty), (empty, g, h), (empty, empty, empty)):
         want = _outcome(compatibility_residual_on_fields, *fs, *times)
         assert _outcome(snapshots.compatibility_residual_general, *fs, *times) == want

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -350,18 +351,18 @@ def test_rational_reconstruct_obstructed_kernel_data():
 
 
 def test_liouville_demo_rows():
-    demo = snap.liouville_obstruction_demo(3)
-    assert [r.k for r in demo.rows] == [1, 2, 3]
-    assert [r.q for r in demo.rows] == [10, 100, 10**6]
-    assert demo.all_certified
-    logs = [r.amplitude_log10 for r in demo.rows]
+    rows = snap.liouville_obstruction_demo(3)
+    assert [r.k for r in rows] == [1, 2, 3]
+    assert [r.q for r in rows] == [10, 100, 10**6]
+    assert all(r.certified for r in rows)
+    logs = [r.amplitude_log10 for r in rows]
     assert logs == sorted(logs) and logs[-1] > 5  # super-polynomial growth
 
 
 def test_liouville_demo_certified_through_six():
-    demo = snap.liouville_obstruction_demo(6)
-    assert all(r.certified for r in demo.rows)
-    assert demo.rows[-1].amplitude_log10 > 700
+    rows = snap.liouville_obstruction_demo(6)
+    assert all(r.certified for r in rows)
+    assert rows[-1].amplitude_log10 > 700
 
 
 def test_liouville_demo_bounds():
@@ -414,11 +415,11 @@ def test_liouville_demo_deepest_row_first(monkeypatch):
         snap.liouville_obstruction_demo(7)
     assert (calls, drawn) == ([7], [])  # no exact sum for k <= 6 before the deepest row fails
     calls.clear()
-    demo = snap.liouville_obstruction_demo(6)
+    rows = snap.liouville_obstruction_demo(6)
     assert (calls, drawn) == ([6], [10 ** math.factorial(k) for k in range(6, 0, -1)])
     monkeypatch.undo()
-    assert demo.rows == reference_liouville_rows(6)
-    assert [r.k for r in demo.rows] == [1, 2, 3, 4, 5, 6]
+    assert rows == reference_liouville_rows(6)
+    assert [r.k for r in rows] == [1, 2, 3, 4, 5, 6]
 
 
 def solve_outcome(solve, *args):
@@ -449,7 +450,8 @@ def planted_wave(rng, keys, kernel_keys, near_keys):
 
 
 def perturbed(f, key, by=1e-6):
-    return linear_combine([1.0, 1.0], [f, f.with_columns((key,), (f.freqs[f.keys.index(key)],), (by,))])
+    bump = dataclasses.replace(f, keys=(key,), freqs=(f.freqs[f.keys.index(key)],), amps=(by,))
+    return linear_combine([1.0, 1.0], [f, bump])
 
 
 def equation_cases(rng):

@@ -548,9 +548,9 @@ def test_classification_even_sphere_rationals():
 def test_classification_even_sphere_needs_half_certificate():
     with pytest.raises(dio.Unclassifiable):
         sph.classify_alpha(dio.liouville_truncation(10, (1, 1, 1), 3), 2)
-    doubled_odd = dio.doubled(dio.ternary_odd_type_class(4))
+    doubled_odd = dio.doubled(dio.liouville_truncation(3, (1,) * 4, 4))
     assert sph.classify_alpha(doubled_odd, 2).verdict == sph.VERDICT_NOT_ALWAYS
-    doubled_binary = dio.doubled(dio.binary_factorial_class(4))
+    doubled_binary = dio.doubled(dio.liouville_truncation(2, (1,) * 4, 4))
     assert sph.classify_alpha(doubled_binary, 2).verdict == sph.VERDICT_SOLVABLE
 
 
