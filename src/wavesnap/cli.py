@@ -6,9 +6,11 @@ header naming the verb, the seed, and the tool version, and identical
 invocations produce byte-identical files.
 
 Exit codes: 0 for a completed run, including negative mathematical results
-(an Obstructed solve or rejected data is a finding, not a failure); 1 for
-domain errors (bad numbers, unreadable files, exhausted precision); 2 for
-usage errors, which print the grammar to stderr.
+(an Obstructed solve, data failing a compatibility gate included, is a
+finding, not a failure); 1 for domain errors (bad numbers, unreadable files,
+exhausted precision); 2 for usage errors, which print the grammar to stderr.
+Every solve verb emits one report shape: status (Unique, NonUniqueKernel or
+Obstructed), residual, conditioning, kernel modes, note and solution.
 """
 
 from __future__ import annotations
@@ -70,16 +72,16 @@ def number_class(spec: str) -> diophantine.NumberClass:
     if spec == "golden":
         return diophantine.golden_class()
     if head == "binary":
-        depth = int(rest)
-        return diophantine.liouville_truncation(2, (1,) * depth, depth)
+        return diophantine.liouville_truncation(2, None, int(rest))
     if head == "oddtype":
         depth, _, coeffs = rest.partition(":")
         depth = int(depth)
-        return diophantine.liouville_truncation(3, _coeff_list(coeffs) if coeffs else (1,) * depth, depth)
+        return diophantine.liouville_truncation(3, _coeff_list(coeffs) if coeffs else None, depth)
     if head == "liouville":
         base, _, rest2 = rest.partition(":")
         depth, _, coeffs = rest2.partition(":")
-        cs = _coeff_list(coeffs) if coeffs else (1,) * int(depth)
+        # bad digits, else a bad depth, are named before a bad base
+        cs, depth = (_coeff_list(coeffs), depth) if coeffs else (None, int(depth))
         return diophantine.liouville_truncation(int(base), cs, int(depth))
     try:
         return diophantine.rational_number(Fraction(spec))
@@ -264,11 +266,8 @@ def _wave_three_solve(args) -> dict:
 
 
 def _wave_rational_solve(args) -> dict:
-    try:
-        payload = _solve_payload(snapshots.rational_reconstruct(*_load(args, "f0", "fp", "fq"), args.p, args.q))
-    except snapshots.IncompatibleData as exc:
-        payload = {"status": "IncompatibleData", "residual": exc.residual, "note": str(exc), "solution": None}
-    return {"p": args.p, "q": args.q, **payload}
+    rep = snapshots.rational_reconstruct(*_load(args, "f0", "fp", "fq"), args.p, args.q)
+    return {"p": args.p, "q": args.q, **_solve_payload(rep)}
 
 
 def _wave_liouville_demo(args) -> tuple:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .fields import MultiplierSymbol
-from .propagators import exact_residue, sine_floor
+from .propagators import InvalidTime, exact_residue, sine_floor
 
 KIND_RATIONAL = "rational"
 KIND_MEASURE_BOUNDED = "measure-bounded"
@@ -43,10 +43,6 @@ PI_HI = Fraction(math.pi) + Fraction(1, 2**52)  # above pi: math.pi undershoots 
 
 class PrecisionExhausted(RuntimeError):
     """The certified error of a truncation cannot support the request."""
-
-
-class NotCoprime(ValueError):
-    """Bezout data requested for non-coprime times."""
 
 
 class InvalidCoefficient(ValueError):
@@ -137,12 +133,13 @@ def golden_class(depth: int = 45) -> NumberClass:
     return _quadratic_class(1, 1, depth, "golden")
 
 
-def liouville_truncation(base: int, coeffs: Sequence[int], depth: int) -> NumberClass:
+def liouville_truncation(base: int, coeffs: Sequence[int] | None, depth: int) -> NumberClass:
     """Truncation of sum_j c_j base^(-j!) at j = depth.
 
     Digits c_j lie in {1, ..., base-1}; base 3 additionally admits 0, which is
-    the ternary rule whose odd-denominator margins stay provably large.  The
-    discarded tail is below base^(-(depth+1)!+1), stored as the exact error.
+    the ternary rule whose odd-denominator margins stay provably large.  No
+    coeffs means every digit is 1, formed only once depth is within the cap.
+    The discarded tail is below base^(-(depth+1)!+1), stored as the exact error.
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
@@ -150,6 +147,7 @@ def liouville_truncation(base: int, coeffs: Sequence[int], depth: int) -> Number
         raise ValueError(f"depth must be >= 1, got {depth}")
     if depth > FACTORIAL_DEPTH_CAP:
         raise PrecisionExhausted(f"factorial depth {depth} exceeds cap {FACTORIAL_DEPTH_CAP}")
+    coeffs = (1,) * depth if coeffs is None else coeffs
     if len(coeffs) < depth:
         raise InvalidCoefficient(f"need {depth} digits, got {len(coeffs)}")
     lo = 0 if base == 3 else 1
@@ -509,13 +507,9 @@ def slowly_decreasing_probe(
             v = abs(symbol(abs(eta)))
             if v > best_val:
                 best_eta, best_val = eta, v
-            if v >= threshold:
-                best_eta, best_val = eta, v
+            if v >= threshold:  # the best so far was below it, so v just took its place
                 break
-        if best_val >= threshold:
-            rows.append(SlowDecreaseRow(xi, threshold, best_eta, best_val))
-        else:
-            rows.append(SlowDecreaseRow(xi, threshold, None, best_val))
+        rows.append(SlowDecreaseRow(xi, threshold, best_eta if best_val >= threshold else None, best_val))
     return tuple(rows)
 
 
@@ -530,7 +524,7 @@ def bezout(p: int, q: int) -> tuple[int, int]:
     if p < 1 or q < 1:
         raise ValueError(f"need positive integers, got ({p}, {q})")
     if math.gcd(p, q) != 1:
-        raise NotCoprime(f"gcd({p}, {q}) != 1")
+        raise InvalidTime(f"gcd({p}, {q}) != 1")
     if q == 1:
         return 0, 1
     k0 = pow(p, -1, q)
@@ -574,7 +568,7 @@ def odd_type_verifier(qmax: int) -> OddTypeReport:
     depth = next(fits, None)
     if depth is None:
         raise PrecisionExhausted(f"no truncation within depth cap certifies qmax={qmax}")
-    beta = liouville_truncation(2, (1,) * depth, depth)
+    beta = liouville_truncation(2, None, depth)
     assert beta.err.numerator == 1 and beta.err.denominator % beta.value.denominator == 0
     scan = _odd_type_scan(beta.value.numerator, beta.value.denominator, beta.err.denominator, qmax)
     return OddTypeReport(qmax, depth, float(beta.err), *scan)

@@ -48,13 +48,11 @@ CHEBYSHEV_LOOP_MAX = 1024  # U_m by the three-term loop up to this m, by doublin
 PHASE_LIMIT = 2.0**50  # |t w| from which kernel_threshold reaches 1: a float time resolves no phase
 
 
-class InvalidScale(ValueError):
-    """Psi_{m,s} needs a nonzero time step s."""
-
-
 class InvalidTime(ValueError):
-    """A time at which the operation is undefined (alpha in {0, 1}, a non-finite
-    float time, a float time too large for a kernel decision)."""
+    """Times at which the operation is undefined: alpha in {0, 1}, a
+    non-finite float time, a float time too large for a kernel decision, a
+    zero step s of Psi_{m,s}, snapshot times out of order, or integer times
+    that are not positive, distinct and coprime."""
 
 
 def chebyshev_U(m: int, x: float) -> float:
@@ -210,7 +208,7 @@ def symbol_Psi(m: int, s: float) -> MultiplierSymbol:
     m = int(m)
     s = float(s)
     if s == 0.0:
-        raise InvalidScale("Psi_{m,s} requires s != 0")
+        raise InvalidTime("Psi_{m,s} requires s != 0")
 
     def fn(lam: float) -> float:
         u = s * lam

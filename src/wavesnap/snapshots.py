@@ -53,18 +53,6 @@ CONSISTENCY_TOL = 1e-9  # scaled by (1 + conditioning)
 RATIONAL_GATE_TOL = 1e-9
 
 
-class InvalidTimes(ValueError):
-    """A time tuple violating ordering or coprimality preconditions."""
-
-
-class IncompatibleData(ValueError):
-    """Snapshot data failing a compatibility identity beyond tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 @dataclass(frozen=True)
 class CauchyData:
     """Position and velocity over one basis: flat plane waves or sphere harmonics."""
@@ -246,7 +234,7 @@ def _step(ua: Field, ub: Field, a: float, b: float) -> float:
     _check_finite(a)
     _check_finite(b)
     if not b > a:
-        raise InvalidTimes(f"need a < b, got a={a}, b={b}")
+        raise InvalidTime(f"need a < b, got a={a}, b={b}")
     ub.check_same_basis(ua)
     return b - a
 
@@ -331,11 +319,11 @@ def compatibility_residual_general(
 
 def _validate_pq(p: int, q: int) -> None:
     if not (isinstance(p, int) and isinstance(q, int)) or p < 1 or q < 1:
-        raise InvalidTimes(f"need positive integer times, got p={p!r}, q={q!r}")
+        raise InvalidTime(f"need positive integer times, got p={p!r}, q={q!r}")
     if p == q:
-        raise InvalidTimes(f"need distinct times, got p = q = {p}")
+        raise InvalidTime(f"need distinct times, got p = q = {p}")
     if math.gcd(p, q) != 1:
-        raise InvalidTimes(f"need coprime times, gcd({p}, {q}) = {math.gcd(p, q)}")
+        raise InvalidTime(f"need coprime times, gcd({p}, {q}) = {math.gcd(p, q)}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +448,7 @@ def three_snapshot_solve(f0: Field, f1: Field, falpha: Field, alpha: float | Fra
     if isinstance(alpha, Fraction):
         if alpha <= 0 or alpha == 1:
             raise InvalidTime(f"rational alpha must be positive and != 1, got {alpha}")
-        try:
-            return _bezout_solve(f0, falpha, f1, alpha.numerator, alpha.denominator, 1.0 / alpha.denominator)
-        except IncompatibleData as exc:
-            return SolveReport(STATUS_OBSTRUCTED, None, exc.residual, 0.0, (), str(exc))
+        return _bezout_solve(f0, falpha, f1, alpha.numerator, alpha.denominator, 1.0 / alpha.denominator)
     alpha = float(alpha)
     _check_finite(alpha, "alpha")
     if alpha in (0.0, 1.0):
@@ -476,7 +461,7 @@ def three_snapshot_solve(f0: Field, f1: Field, falpha: Field, alpha: float | Fra
 def rational_reconstruct(f0: Field, fp: Field, fq: Field, p: int, q: int) -> SolveReport:
     """Velocity from integer-time snapshots 0, p, q with gcd(p, q) = 1.
 
-    Gates on the Psi compatibility identity (IncompatibleData beyond 1e-9),
+    Gates on the Psi compatibility identity (Obstructed beyond 1e-9),
     then combines the two windows through a Bezout pair k p + l q = 1 and
     divides once by the symbol of S_1.  The report's residual is the
     post-check of re-evolving the solution to times p and q.
@@ -494,7 +479,9 @@ def _bezout_solve(f0: Field, fa: Field, fb: Field, p: int, q: int, unit: float) 
     = sin(x) for x = u lam.  One division by the symbol of S_u finishes; its
     kernel (lam in pi Z / u) is the only non-uniqueness.  The windows, the Psi
     gate and both product symbols are columns over the keys, built in one pass,
-    and the post-check re-evolves over the same columns.
+    and the post-check re-evolves over the same columns.  Data failing the
+    gate has no wave: an Obstructed report with the gate residual, no
+    conditioning and no kernel modes.
     """
     pu, qu = p * unit, q * unit
     for f in (fa, fb):
@@ -518,7 +505,8 @@ def _bezout_solve(f0: Field, fa: Field, fb: Field, p: int, q: int, unit: float) 
     check_finite(diffs)
     gate = max(map(abs, diffs), default=0.0)
     if gate > RATIONAL_GATE_TOL:
-        raise IncompatibleData(f"snapshot compatibility residual {gate:.3e} exceeds {RATIONAL_GATE_TOL:.1e}", gate)
+        note = f"snapshot compatibility residual {gate:.3e} exceeds {RATIONAL_GATE_TOL:.1e}"
+        return SolveReport(STATUS_OBSTRUCTED, None, gate, 0.0, (), note)
     num = list(map(operator.add, map(operator.mul, sym_a, a), map(operator.mul, sym_b, b)))
     check_finite(num)
     su, zero = sine_at_column(unit, freqs, sin_u)  # sin(unit lam) once: u is unit lam in both
@@ -568,7 +556,7 @@ def liouville_obstruction_demo(k_max: int) -> tuple[LiouvilleRow, ...]:
     if not 1 <= k_max <= 25:
         raise ValueError(f"k_max must be in [1, 25], got {k_max}")
     depth = diophantine.FACTORIAL_DEPTH_CAP
-    alpha = diophantine.liouville_truncation(10, (1,) * depth, depth)
+    alpha = diophantine.liouville_truncation(10, None, depth)
     rows = []
     for k, (qk, _, lo, hi, den) in zip(range(k_max, 0, -1), diophantine.convergent_chain(alpha, k_max)):
         certified = hi * qk ** (k - 1) < den  # delta_hi q_k^(k-1) < 1

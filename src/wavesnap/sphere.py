@@ -59,10 +59,6 @@ MARGIN_BLOCK = 4096  # degrees the margin screen scores per numpy pass
 MARGIN_WINDOW = 1e-9  # relative; rows this close to the best score get the exact recheck
 
 
-class ParamsMismatch(ValueError):
-    """Operands disagree on the sphere dimension."""
-
-
 class RequiresOddDimension(ValueError):
     """The identity checked only holds on odd-dimensional spheres."""
 
@@ -115,7 +111,7 @@ class SphereField:
         if not isinstance(other, SphereField):
             raise DimensionMismatch(f"cannot mix a sphere field with a {type(other).__name__}")
         if other.n != self.n:
-            raise ParamsMismatch(f"sphere dimensions differ: {self.n} vs {other.n}")
+            raise DimensionMismatch(f"sphere dimensions differ: {self.n} vs {other.n}")
 
     @property
     def max_degree(self) -> int:

@@ -48,7 +48,6 @@ from wavesnap.snapshots import (
     STATUS_OBSTRUCTED,
     STATUS_UNIQUE,
     CauchyData,
-    IncompatibleData,
     InvalidTime,
     SolveReport,
     _parts,
@@ -297,10 +296,7 @@ def three_snapshot_solve(f0, f1, falpha, alpha):
     if isinstance(alpha, Fraction):
         if alpha <= 0 or alpha == 1:
             raise InvalidTime(f"rational alpha must be positive and != 1, got {alpha}")
-        try:
-            return bezout_solve(f0, falpha, f1, alpha.numerator, alpha.denominator, 1.0 / alpha.denominator)
-        except IncompatibleData as exc:
-            return SolveReport(STATUS_OBSTRUCTED, None, exc.residual, 0.0, (), str(exc))
+        return bezout_solve(f0, falpha, f1, alpha.numerator, alpha.denominator, 1.0 / alpha.denominator)
     alpha = float(alpha)
     if alpha in (0.0, 1.0) or not math.isfinite(alpha):
         raise InvalidTime(f"alpha must be finite and differ from both snapshot times, got {alpha}")
@@ -334,7 +330,8 @@ def bezout_solve(f0, fa, fb, p, q, unit):
     vb = subtract(fb, apply_multiplier(f0, symbol_Sprime(q * unit)))
     gate = psi_gate_residual(va, vb, p, q, unit)
     if gate > RATIONAL_GATE_TOL:
-        raise IncompatibleData(f"snapshot compatibility residual {gate:.3e} exceeds {RATIONAL_GATE_TOL:.1e}", gate)
+        note = f"snapshot compatibility residual {gate:.3e} exceeds {RATIONAL_GATE_TOL:.1e}"
+        return SolveReport(STATUS_OBSTRUCTED, None, gate, 0.0, (), note)
     k, l = diophantine.bezout(p, q)
     sym_a = symbol_product(symbol_Psi(k, p * unit), symbol_Sprime(l * q * unit))
     sym_b = symbol_product(symbol_Psi(l, q * unit), symbol_Sprime(k * p * unit))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,24 @@ def test_binary_spec_takes_only_a_depth(capsys):
     assert cli.run(["dio", "class", "--number", "binary:4:1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "invalid literal for int() with base 10: '4:1'" in err
+
+
+def test_depth_beyond_the_cap_is_refused_before_any_digit_is_formed(capsys):
+    # the all-ones digits of a default spec are formed after the depth check:
+    # a depth of 1e7 allocated some 80 MB of digits before it was refused
+    cli.run(["dio", "class", "--number", "binary:1"])  # the parser is built once per process
+    capsys.readouterr()
+    for spec in ("binary:10000000", "oddtype:10000000", "liouville:10:10000000"):
+        tracemalloc.start()
+        try:
+            rc = cli.run(["dio", "class", "--number", spec])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2, spec
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "factorial depth 10000000 exceeds cap 7" in err, spec
+        assert peak < 2**20, (spec, peak)
 
 
 def test_evolve_then_solve_roundtrip(wave_files):
@@ -118,9 +137,31 @@ def test_rational_solve_reports_incompatible_data_with_exit_zero(tmp_path):
                   "--p", "2", "--q", "3", "--out", str(out)])
     assert rc == 0  # a rejection is a result, not a tool failure
     doc = json.loads(out.read_text())
-    assert doc["status"] == "IncompatibleData"
+    assert doc["status"] == "Obstructed"
     assert doc["residual"] > 1e-9
+    assert doc["conditioning"] == 0.0 and doc["kernel_modes"] == []
+    assert doc["note"] == f"snapshot compatibility residual {doc['residual']:.3e} exceeds 1.0e-09"
     assert doc["solution"] is None
+
+
+def test_rational_and_three_solve_report_a_failed_gate_alike(tmp_path):
+    # one finding, one payload: on data failing the Bezout gate both verbs emit the same members besides their times
+    data = CauchyData(field(1, [((0.9,), 1.0)]), field(1, [((0.9,), 1.0)]))
+    paths = {}
+    for t, bump in ((0.0, 0.0), (1.0, 0.0), (2.0, 0.5), (3.0, 0.0), (2.0 / 3.0, 0.5)):
+        paths[t] = str(tmp_path / f"{t!r}.json")
+        save_field(field(1, [*evolve(data, t).modes, ((0.9,), bump)]), paths[t])
+    rational = ["rational-solve", "--f0", paths[0.0], "--fp", paths[2.0], "--fq", paths[3.0], "--p", "2", "--q", "3"]
+    three = ["three-solve", "--f0", paths[0.0], "--f1", paths[1.0], "--falpha", paths[2.0 / 3.0], "--alpha-frac", "2/3"]
+    members = []
+    for argv in (rational, three):
+        out = tmp_path / "out.json"
+        assert cli.run(["wave", *argv, "--out", str(out)]) == 0, argv
+        doc = json.loads(out.read_text())
+        assert doc["status"] == "Obstructed" and doc["solution"] is None, argv
+        members.append([m for m in doc if m not in ("p", "q", "alpha")])
+    assert members[0] == members[1]
+    assert members[0][-6:] == ["status", "residual", "conditioning", "kernel_modes", "note", "solution"]
 
 
 def test_liouville_demo_csv_shape(tmp_path):
@@ -495,7 +536,7 @@ def test_exit_codes(tmp_path, capsys):
     assert json.loads(out.read_text())["verb"] == "wave snapshot"
     argv = ["wave", "rational-solve", "--f0", str(snaps[0]), "--fp", str(snaps[2]), "--fq", str(snaps[3])]
     assert cli.run([*argv, "--p", str(2 * 10**20), "--q", "3", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["status"] == "IncompatibleData"
+    assert json.loads(out.read_text())["status"] == "Obstructed"
     out.unlink()
     capsys.readouterr()
     # domain error: fewer than two antipodal evaluation points

@@ -10,7 +10,6 @@ from wavesnap.propagators import (
     CHEBYSHEV_LOOP_MAX,
     PHASE_LIMIT,
     SERIES_SWITCH,
-    InvalidScale,
     InvalidTime,
     as_radians,
     chebyshev_U,
@@ -137,7 +136,7 @@ def test_Psi_negative_m_is_odd():
 
 
 def test_Psi_rejects_zero_scale():
-    with pytest.raises(InvalidScale):
+    with pytest.raises(InvalidTime, match=re.escape("Psi_{m,s} requires s != 0")):
         symbol_Psi(2, 0.0)
 
 

@@ -73,9 +73,9 @@ def test_integer_snapshot_endpoints_exact():
 
 def test_general_snapshot_validates_times():
     f = field(1, [((1.0,), 1.0)])
-    with pytest.raises(snap.InvalidTimes):
+    with pytest.raises(snap.InvalidTime, match="need a < b, got a=1.0, b=1.0"):
         snap.general_integer_snapshot(f, f, 1.0, 1.0, 2)
-    with pytest.raises(snap.InvalidTimes):
+    with pytest.raises(snap.InvalidTime, match="need a < b, got a=2.0, b=1.0"):
         snap.general_integer_snapshot(f, f, 2.0, 1.0, 2)
 
 
@@ -311,8 +311,8 @@ def test_rational_reconstruct_roundtrip():
 
 def test_rational_reconstruct_validates_pair():
     f = field(1, [((1.0,), 1.0)])
-    for p, q in ((2, 4), (3, 3), (0, 3)):
-        with pytest.raises(snap.InvalidTimes):
+    for p, q, msg in ((2, 4, "need coprime times"), (3, 3, "need distinct times"), (0, 3, "need positive integer")):
+        with pytest.raises(snap.InvalidTime, match=msg):
             snap.rational_reconstruct(f, f, f, p, q)
 
 
@@ -320,9 +320,31 @@ def test_rational_reconstruct_rejects_non_wave_data():
     data = wave(1, [((0.9,), 1.0)], [((0.9,), 1.0)])
     f0 = evolve(data, 0.0)
     fp = linear_combine([1.0, 1.0], [evolve(data, 2.0), field(1, [((0.9,), 0.5)])])
-    with pytest.raises(snap.IncompatibleData) as err:
-        snap.rational_reconstruct(f0, fp, evolve(data, 3.0), 2, 3)
-    assert err.value.residual > snap.RATIONAL_GATE_TOL
+    rep = snap.rational_reconstruct(f0, fp, evolve(data, 3.0), 2, 3)
+    assert rep.status == snap.STATUS_OBSTRUCTED and rep.solution is None
+    assert rep.residual > snap.RATIONAL_GATE_TOL
+    assert rep.note == f"snapshot compatibility residual {rep.residual:.3e} exceeds 1.0e-09"
+
+
+def test_bezout_gate_failure_is_one_obstructed_report():
+    # the Bezout gate fails the same way through both solvers: snapshots at
+    # integer times (0, p, q) and at the rescaled times (0, p/q, 1)
+    data = wave(2, [((1.0, 0.5), 1.0), ((0.3, 0.1), 1j)], [((1.0, 0.5), -2.0), ((0.3, 0.1), 0.5 + 0.5j)])
+    f0, bump = evolve(data, 0.0), field(2, [((0.3, 0.1), 1e-3)])
+    for p, q in ((2, 3), (3, 5)):
+        fp, fq, f1, fa = (evolve(data, t) for t in (float(p), float(q), 1.0, p / q))
+        bad_p, bad_a = (linear_combine([1.0, 1.0], [f, bump]) for f in (fp, fa))
+        for genuine, gp, ga in ((True, fp, fa), (False, bad_p, bad_a)):
+            reports = snap.rational_reconstruct(f0, gp, fq, p, q), snap.three_snapshot_solve(f0, f1, ga, Fraction(p, q))
+            for rep in reports:
+                assert isinstance(rep, snap.SolveReport), (p, q, genuine)
+                if genuine:  # the negative control
+                    assert rep.status != snap.STATUS_OBSTRUCTED and rep.solution is not None, (p, q)
+                    continue
+                assert rep.status == snap.STATUS_OBSTRUCTED and rep.solution is None, (p, q)
+                assert rep.residual > snap.RATIONAL_GATE_TOL, (p, q)
+                assert (rep.conditioning, rep.kernel_modes) == (0.0, ()), (p, q)
+                assert rep.note == f"snapshot compatibility residual {rep.residual:.3e} exceeds 1.0e-09", (p, q)
 
 
 def test_rational_reconstruct_kernel_at_pi_modes():
@@ -428,7 +450,7 @@ def solve_outcome(solve, *args):
     try:
         rep = solve(*args)
     except Exception as exc:  # the reference must raise the same
-        return type(exc), str(exc), getattr(exc, "residual", None)
+        return type(exc), str(exc)
     sol = rep.solution
     columns = None
     if sol is not None:
@@ -557,7 +579,7 @@ def test_column_solvers_match_the_row_loop(seed):
     s0 = on_sphere.position
     s1, s2, s3, s23 = (evolve(on_sphere, t) for t in (1.0, 2.0, 3.0, 2.0 / 3.0))
     bad = perturbed(s2, (5, 30))
-    assert solve_outcome(snap.rational_reconstruct, s0, bad, s3, 2, 3)[0] is snap.IncompatibleData
+    assert solve_outcome(snap.rational_reconstruct, s0, bad, s3, 2, 3)[0] == snap.STATUS_OBSTRUCTED
     for fp in (s2, bad):
         cases.append((snap.rational_reconstruct, ref.rational_reconstruct, (s0, fp, s3, 2, 3)))
     for fa in (s23, perturbed(s23, (5, 30))):
