@@ -27,7 +27,8 @@ from typing import Sequence
 
 from . import __version__, diophantine, experiments, snapshots, sphere
 from .fields import (
-    SpectralField,
+    BASES,
+    Field,
     SymbolUndefined,
     json_members,
     json_text,
@@ -99,19 +100,16 @@ def _number_spec(text: str) -> diophantine.NumberClass:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-_KINDS = {"wave": SpectralField, "sphere": sphere.SphereField}
-
-
 def _load(args: argparse.Namespace, *names: str) -> list:
-    """The fields in the files that args' `names` give, each of the kind its
-    verb group reads."""
-    kind = _KINDS[args.group]
+    """The fields in the files that args' `names` give, each over a basis
+    that its verb group reads."""
     loaded = []
     for name in names:
         path = getattr(args, name)
         f = load_field(path)
-        if not isinstance(f, kind):
-            raise ValueError(f"{path} holds a {type(f).__name__}; {args.group} verbs read a {kind.__name__}")
+        if f.basis.group != args.group:
+            want = next(kind.noun for kind in BASES if kind.group == args.group)
+            raise ValueError(f"{path} holds a {f.basis.noun}; {args.group} verbs read a {want}")
         loaded.append(f)
     return loaded
 
@@ -119,12 +117,12 @@ def _load(args: argparse.Namespace, *names: str) -> list:
 # -- serialization ----------------------------------------------------------
 
 
-def _solve_payload(rep: snapshots.SolveReport, kernel_name: str = "kernel_modes") -> dict:
+def _solve_payload(rep: snapshots.SolveReport, f0: Field) -> dict:
     return {
         "status": rep.status,
         "residual": rep.residual,
         "conditioning": rep.conditioning,
-        kernel_name: [list(key) for key in rep.kernel_modes],
+        f0.basis.kernel: [list(key) for key in rep.kernel_modes],
         "note": rep.note,
         "solution": rep.solution,
     }
@@ -248,7 +246,8 @@ def _wave_snapshot(args) -> dict:
 
 
 def _wave_two_solve(args) -> dict:
-    return _solve_payload(snapshots.two_snapshot_solve(*_load(args, "f0", "f1")))
+    f0, f1 = _load(args, "f0", "f1")
+    return _solve_payload(snapshots.two_snapshot_solve(f0, f1), f0)
 
 
 def _wave_compat(args) -> dict:
@@ -261,13 +260,15 @@ def _wave_compat(args) -> dict:
 
 
 def _wave_three_solve(args) -> dict:
-    rep = snapshots.three_snapshot_solve(*_load(args, "f0", "f1", "falpha"), args.alpha)
-    return {"alpha": args.alpha, **_solve_payload(rep)}
+    fields = _load(args, "f0", "f1", "falpha")
+    rep = snapshots.three_snapshot_solve(*fields, args.alpha)
+    return {"alpha": args.alpha, **_solve_payload(rep, fields[0])}
 
 
 def _wave_rational_solve(args) -> dict:
-    rep = snapshots.rational_reconstruct(*_load(args, "f0", "fp", "fq"), args.p, args.q)
-    return {"p": args.p, "q": args.q, **_solve_payload(rep)}
+    fields = _load(args, "f0", "fp", "fq")
+    rep = snapshots.rational_reconstruct(*fields, args.p, args.q)
+    return {"p": args.p, "q": args.q, **_solve_payload(rep, fields[0])}
 
 
 def _wave_liouville_demo(args) -> tuple:
@@ -388,8 +389,9 @@ def _sphere_snapshot(args) -> dict:
 
 
 def _sphere_solve(args) -> dict:
-    rep = sphere.sphere_two_snapshot_solve(*_load(args, "f0", "falpha"), args.alpha, max_degree=args.max_degree)
-    return {"alpha": args.alpha, **_solve_payload(rep, "kernel_coeffs")}
+    f0, falpha = _load(args, "f0", "falpha")
+    rep = sphere.sphere_two_snapshot_solve(f0, falpha, args.alpha, max_degree=args.max_degree)
+    return {"alpha": args.alpha, **_solve_payload(rep, f0)}
 
 
 def _sphere_huygens(args) -> dict:

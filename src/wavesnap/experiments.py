@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 
 from . import diophantine, propagators, snapshots, sphere
-from .fields import Field, SpectralField, field, union_columns
+from .fields import Field, field, symbol_constant, union_columns
 from .propagators import as_radians, symbol_S
 from .snapshots import CauchyData, evolve
 
@@ -41,7 +41,7 @@ def _random_field(
     count: int,
     steps: tuple[float, ...],
     lam_max: float = 4.0,
-) -> SpectralField:
+) -> Field:
     entries = []
     for _ in range(count):
         lam = _guarded_radius(rng, steps, lam_max)
@@ -223,20 +223,18 @@ def liouville_demo_certified(seed: int = 0) -> dict:
     """The factorial-series time drives the reconstruction amplification
     above 1 against snapshot data of sup norm q_k^(1-k), certified in exact
     arithmetic for k <= 6; k = 7 exhausts the supported precision."""
-    rows = snapshots.liouville_obstruction_demo(6)
-    ok = all(r.certified and r.amplitude_log10 > 0 for r in rows)
+    top = 6
+    rows = snapshots.liouville_obstruction_demo(top)
+    failed = [str(r.k) for r in rows if not (r.certified and r.amplitude_log10 > 0)]
     try:
-        snapshots.liouville_obstruction_demo(7)
+        snapshots.liouville_obstruction_demo(top + 1)
         raised = False
     except diophantine.PrecisionExhausted:
         raised = True
-    ok = ok and raised
     amps = ", ".join(f"k={r.k}: {r.amplitude}" for r in rows[:4])
-    return _result(
-        "liouville",
-        ok,
-        f"amplifications {amps}, ... all certified > 1 up to k=6; k=7 raises PrecisionExhausted",
-    )
+    certified = f"not certified > 1 at k={', '.join(failed)}" if failed else f"all certified > 1 up to k={top}"
+    beyond = f"k={top + 1} {'raises' if raised else 'does not raise'} PrecisionExhausted"
+    return _result("liouville", raised and not failed, f"amplifications {amps}, ... {certified}; {beyond}")
 
 
 def rational_reconstruction_suite(seed: int = 0) -> dict:
@@ -398,15 +396,13 @@ def slow_decrease_suite(seed: int = 0) -> dict:
     |eta - xi| <= 4 log(2 + xi) holds a point with |symbol| >= (4 + xi)^(-4),
     across xi up to 1e3.  The zero symbol fails everywhere, as it must."""
     rows = diophantine.slowly_decreasing_probe(symbol_S(1.0), 4.0, 1e3, samples=512)
-    from .fields import symbol_constant
-
     zero = diophantine.slowly_decreasing_probe(symbol_constant(0.0), 4.0, 50.0, samples=32)
-    ok = all(r.ok for r in rows) and not any(r.ok for r in zero)
-    return _result(
-        "sdprobe",
-        ok,
-        f"sine symbol: {len(rows)} windows, all witnessed; zero symbol: all {len(zero)} fail",
-    )
+    missed = [f"{r.xi:.6g}" for r in rows if not r.ok]
+    witnessed = sum(r.ok for r in zero)
+    sine = f"{len(missed)} unwitnessed, at xi = {', '.join(missed)}" if missed else "all witnessed"
+    zeros = f"{witnessed} of {len(zero)} witnessed" if witnessed else f"all {len(zero)} fail"
+    details = f"sine symbol: {len(rows)} windows, {sine}; zero symbol: {zeros}"
+    return _result("sdprobe", not missed and not witnessed, details)
 
 
 ALL = {

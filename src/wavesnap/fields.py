@@ -1,15 +1,19 @@
 """Band-limited spectral fields and the multiplier operators that act on them.
 
-A field is a sparse vector over a basis with a known frequency per key (the
-`Field` interface).  Here the basis is the plane waves exp(i xi . x), keyed
-by xi with frequency lambda = |xi|; `wavesnap.sphere` supplies the spherical
-harmonics.  Every operator in this package is a multiplier, so it acts
-diagonally: the amplitude at each key is multiplied by a symbol value at that
-key's frequency.  Keeping fields as explicit columns of keys, frequencies and
-amplitudes makes each operator identity checkable mode by mode, with no
-discretization error beyond the symbol evaluations themselves.  A multiplier
-never moves a key, so its result shares the key and frequency columns of its
-input, and keys that come out of a canonical field are never validated again.
+A field is a sparse vector over a basis with a known frequency per key:
+`Field(basis, keys, freqs, amps)`, where the basis is one of `BASES`, the
+table of field kinds.  `Flat(dim)` is the plane waves exp(i xi . x), keyed
+by xi with frequency |xi|; `Sphere(n)` is the spherical harmonics of
+`wavesnap.sphere`.  A basis owns what differs between the kinds: key checks
+and frequencies (`columns`), the file layout (`header`, the name of its one
+field, and `rows` of `row(key, amp)`, key `members` first), the text for a
+same-kind mismatch, the solve reports' `kernel` member, the CLI verb `group`
+and its `noun`.  Every operator is a multiplier, so it acts diagonally: the
+amplitude at each key is multiplied by a symbol value at that key's
+frequency, with no discretization error beyond the symbol evaluations.  A
+multiplier never moves a key, so its result shares the basis and the key and
+frequency columns of its input, and keys taken from a canonical field are
+never validated again.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import tempfile
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, NamedTuple, Protocol
+from typing import Any, NamedTuple
 
 
 class DimensionMismatch(ValueError):
@@ -37,22 +41,89 @@ class SymbolUndefined(RuntimeError):
     singularity, which is a programming error rather than bad data."""
 
 
-class Field(Protocol):
-    """What the generic operators need of a field kind: three parallel,
-    canonical columns -- `keys` sorted and distinct, `freqs` the frequency of
-    each key (at which symbols are evaluated), `amps` finite and nonzero --
-    held as dataclass fields, so that `dataclasses.replace` builds a field
-    over the same basis from canonical columns, and a typed error unless
-    `other` shares the basis.  Operators trust keys taken from a
-    canonical field and never validate them again.  `json_schema` is how the
-    kind is written and read; see `json_members` and `field_from_json`."""
+@dataclass(frozen=True)
+class Flat:
+    """Plane waves on R^dim: keys xi, tuples of dim floats, with frequency |xi|."""
 
-    keys: tuple[Any, ...]
-    freqs: tuple[float, ...]
-    amps: tuple[complex, ...]
-    json_schema: tuple[str, str, Callable[[Any, list], dict], Callable[[int, list], Field]]
+    dim: int
+    header, rows, members = "dim", "modes", ("xi",)  # a file's header member, its list of rows, a row's key members
+    kernel, group, noun = "kernel_modes", "wave", "flat field"  # a solve report's kernel member, the CLI group, a name
+    mismatch = "mixed dimensions {0.dim} and {1.dim}"
 
-    def check_same_basis(self, other: object) -> None: ...
+    def __post_init__(self) -> None:
+        if typed([self.dim], "dim", "JSON integer")[0] < 1:
+            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+
+    def columns(self, xis: Sequence[Sequence[float]]) -> tuple[list, list[float]]:
+        """The keys and frequencies of the frequency vectors `xis`, each
+        component an int or float read as float(v) + 0.0, so -0.0 folds into
+        +0.0 and merging and sorting agree."""
+        dim = self.dim
+        if set(map(len, xis)) - {dim}:
+            bad = next(xi for xi in xis if len(xi) != dim)
+            raise DimensionMismatch(f"frequency {tuple(bad)} does not have dim {dim}")
+        flat = typed(list(itertools.chain.from_iterable(xis)), "xi component")
+        flat = list(map((0.0).__add__, map(float, flat)))
+        if not all(map(math.isfinite, flat)):
+            bad = next(v for v in flat if not math.isfinite(v))
+            raise ValueError(f"non-finite frequency component {bad!r}")
+        components = [flat[j::dim] for j in range(dim)]
+        return list(zip(*components)), list(map(math.hypot, *components))
+
+    def row(self, key: tuple, amp: Any) -> dict:
+        return {"xi": list(key), "amp": amp}
+
+
+@dataclass(frozen=True)
+class Sphere:
+    """Spherical harmonics on the n-sphere: keys (l, m), ints with
+    1 <= m <= dim_Hl(n, l), with frequency l + (n-1)/2."""
+
+    n: int
+    header, rows, members = "n", "coeffs", ("l", "m")
+    kernel, group, noun = "kernel_coeffs", "sphere", "sphere field"
+    mismatch = "sphere dimensions differ: {0.n} vs {1.n}"
+
+    def __post_init__(self) -> None:
+        if typed([self.n], "n", "JSON integer")[0] < 2:
+            raise ValueError(f"sphere dimension must be >= 2, got {self.n}")
+
+    def columns(self, ls: list[int], ms: list[int]) -> tuple[list, list[float]]:
+        """The keys and frequencies of the columns of degrees and orders,
+        with dim_Hl and the frequency computed once per degree."""
+        n = self.n
+        ls, ms = typed(ls, "l", "JSON integer"), typed(ms, "m", "JSON integer")
+        dims = {l: dim_Hl(n, l) for l in dict.fromkeys(ls)}
+        bounds = list(map(dims.__getitem__, ls))
+        if not (min(ms, default=1) >= 1 and all(map(operator.le, ms, bounds))):
+            m, d, l = next((m, d, l) for m, d, l in zip(ms, bounds, ls) if not 1 <= m <= d)
+            raise ValueError(f"order m={m} outside [1, {d}] for degree l={l}, n={n}")
+        freq = {l: frequency(n, l) for l in dims}
+        return list(zip(ls, ms)), list(map(freq.__getitem__, ls))
+
+    def row(self, key: tuple, amp: Any) -> dict:
+        return {"l": key[0], "m": key[1], "amp": amp}
+
+
+BASES = (Flat, Sphere)
+
+
+def dim_Hl(n: int, l: int) -> int:
+    """Dimension of the degree-l harmonic space on the n-sphere."""
+    if n < 2:
+        raise ValueError(f"sphere dimension must be >= 2, got {n}")
+    if l < 0:
+        raise ValueError(f"degree must be >= 0, got {l}")
+    if l == 0:
+        return 1
+    num = (2 * l + n - 1) * math.comb(l + n - 2, l)
+    assert num % (n - 1) == 0
+    return num // (n - 1)
+
+
+def frequency(n: int, l: int) -> float:
+    """The shifted frequency w = l + (n-1)/2; integer iff n is odd."""
+    return l + 0.5 * (n - 1)
 
 
 class Mode(NamedTuple):
@@ -65,25 +136,26 @@ class Mode(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SpectralField:
-    """Canonical finite mode sum as parallel columns: frequency vectors `keys`
-    (sorted, distinct, -0.0 folded to +0.0), their radii `freqs` and the
-    amplitudes `amps` (finite, nonzero).  Construct through `field`."""
+class Field:
+    """Canonical finite sum over `basis`, one of `BASES`, as parallel columns:
+    `keys` (tuples, sorted, distinct), their frequencies `freqs` (at which
+    symbols are evaluated) and the amplitudes `amps` (finite, nonzero).
+    Construct through `from_columns`, `field` or `sphere.sphere_field`;
+    operators build a field over the same basis object from canonical
+    columns with `dataclasses.replace`."""
 
-    dim: int
-    keys: tuple[tuple[float, ...], ...]
+    basis: Any  # an instance of a class in BASES
+    keys: tuple[tuple, ...]
     freqs: tuple[float, ...]
     amps: tuple[complex, ...]
-    json_schema = (
-        "dim",
-        "modes",
-        lambda key, amp: {"xi": list(key), "amp": amp},
-        lambda dim, rows: _spectral_field(dim, *json_columns(rows, "xi"), amps_from_json(rows)),
-    )
 
     @property
     def modes(self) -> tuple[Mode, ...]:
         return tuple(map(Mode, self.keys, self.amps))
+
+    @property
+    def coeffs(self) -> tuple[tuple[int, int, complex], ...]:
+        return tuple((l, m, amp) for (l, m), amp in zip(self.keys, self.amps))
 
     def amplitude_at(self, xi: tuple[float, ...]) -> complex:
         """Amplitude at `xi` by bisection on the sorted keys, 0j off the support."""
@@ -91,11 +163,11 @@ class SpectralField:
         i = bisect.bisect_left(self.keys, xi)
         return self.amps[i] if i < len(self.keys) and self.keys[i] == xi else 0j
 
-    def check_same_basis(self, other: object) -> None:
-        if not isinstance(other, SpectralField):
-            raise DimensionMismatch(f"cannot mix a flat field with a {type(other).__name__}")
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"mixed dimensions {self.dim} and {other.dim}")
+    def check_same_basis(self, other: Field) -> None:
+        a, b = self.basis, other.basis
+        if a is not b and a != b:
+            same_kind = type(a) is type(b)
+            raise DimensionMismatch(a.mismatch.format(a, b) if same_kind else f"cannot mix a {a.noun} with a {b.noun}")
 
 
 Columns = tuple[tuple[Any, ...], tuple[float, ...], tuple[complex, ...]]
@@ -132,35 +204,18 @@ def typed(values: list, name: str, kind: str = "JSON number") -> list:
     return values
 
 
-def _clean_keys(dim: int, xis: Sequence[Sequence[float]]) -> list[list[float]]:
-    """The `dim` component columns of the frequency vectors `xis`, each
-    component an int or float read as float(v) + 0.0, so -0.0 folds into
-    +0.0 and merging and sorting agree."""
-    if set(map(len, xis)) - {dim}:
-        bad = next(xi for xi in xis if len(xi) != dim)
-        raise DimensionMismatch(f"frequency {tuple(bad)} does not have dim {dim}")
-    flat = typed(list(itertools.chain.from_iterable(xis)), "xi component")
-    flat = list(map((0.0).__add__, map(float, flat)))
-    if not all(map(math.isfinite, flat)):
-        bad = next(v for v in flat if not math.isfinite(v))
-        raise ValueError(f"non-finite frequency component {bad!r}")
-    return [flat[j::dim] for j in range(dim)]
-
-
-def _spectral_field(dim: int, xis: Sequence[Sequence[float]], amps: Sequence[complex]) -> SpectralField:
-    """The canonical field of the parallel columns `xis` (frequency vectors)
-    and `amps` (amplitudes), converted a column at a time."""
-    if typed([dim], "dim", "JSON integer")[0] < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim}")
-    components = _clean_keys(dim, xis)
+def from_columns(basis: Any, key_columns: Sequence[list], amps: Sequence[complex]) -> Field:
+    """The canonical field over `basis` of its key members' columns, as
+    `basis.columns` reads them, and the amplitudes, converted a column at a time."""
+    keys, freqs = basis.columns(*key_columns)
     typed(amps, "amplitude", "number")
-    return SpectralField(dim, *canonical_columns(list(zip(*components)), list(map(math.hypot, *components)), amps))
+    return Field(basis, *canonical_columns(keys, freqs, amps))
 
 
-def field(dim: int, entries: Iterable[tuple[Sequence[float], complex]]) -> SpectralField:
-    """Build a canonical field from (frequency, amplitude) pairs."""
+def field(dim: int, entries: Iterable[tuple[Sequence[float], complex]]) -> Field:
+    """Build a canonical flat field from (frequency, amplitude) pairs."""
     entries = list(entries)
-    return _spectral_field(dim, [xi for xi, _ in entries], [amp for _, amp in entries])
+    return from_columns(Flat(dim), [[xi for xi, _ in entries]], [amp for _, amp in entries])
 
 
 @dataclass(frozen=True)
@@ -288,12 +343,12 @@ class _Rows:
 
 
 def json_members(f: Field) -> dict:
-    """A field's JSON members, as its kind's `json_schema` (header, name, row,
-    reader) says: the attribute `header`, then under `name` one
-    `row(key, [re, im])` per key, the key's numbers first.  The rows are left
-    for `json_text` to write straight from the columns."""
-    header, name = f.json_schema[:2]
-    return {header: getattr(f, header), name: _Rows(f)}
+    """A field's JSON members, as its basis says: its `header` and the value
+    of that field of the basis, then under `rows` one `row(key, [re, im])`
+    per key, the key's numbers first.  The rows are left for `json_text` to
+    write straight from the columns."""
+    basis = f.basis
+    return {basis.header: getattr(basis, basis.header), basis.rows: _Rows(f)}
 
 
 def json_text(obj: Any) -> str:
@@ -327,7 +382,7 @@ def _encode(obj: Any, pad: str) -> str:
         return "[" + inner + json.dumps(obj.real) + "," + inner + json.dumps(obj.imag) + pad + "]"
     if isinstance(obj, _Rows):
         return _rows(obj.field, pad)
-    if hasattr(obj, "json_schema"):
+    if isinstance(obj, Field):
         return _encode(json_members(obj), pad)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -344,7 +399,7 @@ def _rows(f: Field, pad: str) -> str:
     if not f.keys:
         return "[]"
     inner = pad + "  "
-    row = _encode(f.json_schema[2]((_SLOT,) * len(f.keys[0]), [_SLOT, _SLOT]), inner)
+    row = _encode(f.basis.row((_SLOT,) * len(f.keys[0]), [_SLOT, _SLOT]), inner)
     template = inner + row.replace("%", "%%").replace(_string(_SLOT), "%r")
     return "[" + ",".join([template % (key + (amp.real, amp.imag)) for key, amp in zip(f.keys, f.amps)]) + pad + "]"
 
@@ -365,19 +420,19 @@ def amps_from_json(rows: Sequence[dict]) -> list[complex]:
 
 def field_from_json(obj: Any) -> Field:
     """The field a JSON document holds, the inverse of `json_text`.  The
-    document's kind is the one whose `json_schema` header is a member; its
-    reader builds the field through the kind's builder, which checks each
-    number by `typed` and converts it once.  A malformed document raises ValueError."""
-    from .sphere import SphereField  # sphere builds on this module
-
-    kinds = (SpectralField, SphereField)
+    document's basis is the one of `BASES` whose header is a member; its
+    key members' columns and the amplitudes are read, then `from_columns`
+    checks each number by `typed` and converts it once.  A malformed
+    document raises ValueError."""
     try:
-        found = [kind for kind in kinds if kind.json_schema[0] in obj]
+        found = [kind for kind in BASES if kind.header in obj]
         if len(found) != 1:
-            headers = " and ".join(repr(kind.json_schema[0]) for kind in kinds)
+            headers = " and ".join(repr(kind.header) for kind in BASES)
             raise ValueError(f"a field document has exactly one of the members {headers}")
-        header, name, _, read = found[0].json_schema
-        return read(obj[header], obj[name])
+        (kind,) = found
+        rows = obj[kind.rows]
+        columns, amps = json_columns(rows, *kind.members), amps_from_json(rows)
+        return from_columns(kind(obj[kind.header]), columns, amps)
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed field document: {exc}") from exc
 

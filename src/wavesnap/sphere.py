@@ -10,19 +10,19 @@ a time, here as everywhere (`wavesnap.propagators.sine_at`), is either a
 float (generic time) or an exact Fraction beta meaning beta * pi
 (arithmetically pinned time).
 
-A field is a sparse vector over a basis with a known frequency per key, as
-in `wavesnap.fields`: here the basis is an orthonormal Y_{l,m},
-m = 1 .. dim_Hl(n, l), keyed by (l, m) with frequency w = l + (n-1)/2, and
-m = 1 the zonal direction: Y_{l,1} = sqrt(d_l) phi_l for the normalized
-Gegenbauer zonal polynomial phi_l.  `SphereField` has the same interface as
-`SpectralField`, so evolution, snapshots, the solvers of
-`wavesnap.snapshots` and the field files of `wavesnap.fields` serve both.
+A sphere field is a `wavesnap.fields.Field` over the basis `Sphere(n)`:
+an orthonormal Y_{l,m}, m = 1 .. dim_Hl(n, l), keyed by (l, m) with
+frequency w = l + (n-1)/2, and m = 1 the zonal direction: Y_{l,1} =
+sqrt(d_l) phi_l for the normalized Gegenbauer zonal polynomial phi_l.
+Evolution, snapshots, the solvers of `wavesnap.snapshots` and the field
+files of `wavesnap.fields` serve it as they serve flat fields; this module
+adds what only the sphere has: zonal evaluation, the antipodal identity,
+the degree cap of the solve, the margins and the classification of times.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,15 +36,7 @@ from .diophantine import (
     Unclassifiable,
     slow_decay_check,
 )
-from .fields import (
-    DimensionMismatch,
-    amps_from_json,
-    canonical_columns,
-    json_columns,
-    load_field,
-    save_field,
-    typed,
-)
+from .fields import Field, Sphere, dim_Hl, frequency, from_columns, load_field, save_field
 from .propagators import as_radians, check_phase, exact_residue, kernel_threshold, sine_at, sine_floor
 from .snapshots import (
     CauchyData,
@@ -67,81 +59,10 @@ class RequiresZonal(ValueError):
     """Pointwise evaluation is implemented for zonal fields only."""
 
 
-def dim_Hl(n: int, l: int) -> int:
-    """Dimension of the degree-l harmonic space on the n-sphere."""
-    if n < 2:
-        raise ValueError(f"sphere dimension must be >= 2, got {n}")
-    if l < 0:
-        raise ValueError(f"degree must be >= 0, got {l}")
-    if l == 0:
-        return 1
-    num = (2 * l + n - 1) * math.comb(l + n - 2, l)
-    assert num % (n - 1) == 0
-    return num // (n - 1)
-
-
-def frequency(n: int, l: int) -> float:
-    """The shifted frequency w = l + (n-1)/2; integer iff n is odd."""
-    return l + 0.5 * (n - 1)
-
-
-@dataclass(frozen=True)
-class SphereField:
-    """Canonical coefficients as parallel columns: keys (l, m) with
-    1 <= m <= dim_Hl(n, l) (sorted, distinct), their frequencies
-    l + (n-1)/2 and the amplitudes (finite, nonzero).  Construct through
-    `sphere_field`."""
-
-    n: int
-    keys: tuple[tuple[int, int], ...]
-    freqs: tuple[float, ...]
-    amps: tuple[complex, ...]
-    json_schema = (
-        "n",
-        "coeffs",
-        lambda key, amp: {"l": key[0], "m": key[1], "amp": amp},
-        lambda n, rows: _sphere_field(n, *json_columns(rows, "l", "m"), amps_from_json(rows)),
-    )
-
-    @property
-    def coeffs(self) -> tuple[tuple[int, int, complex], ...]:
-        return tuple((l, m, amp) for (l, m), amp in zip(self.keys, self.amps))
-
-    def check_same_basis(self, other: object) -> None:
-        if not isinstance(other, SphereField):
-            raise DimensionMismatch(f"cannot mix a sphere field with a {type(other).__name__}")
-        if other.n != self.n:
-            raise DimensionMismatch(f"sphere dimensions differ: {self.n} vs {other.n}")
-
-    @property
-    def max_degree(self) -> int:
-        return self.keys[-1][0] if self.keys else 0
-
-    @property
-    def is_zonal(self) -> bool:
-        return all(m == 1 for _, m in self.keys)
-
-
-def sphere_field(n: int, entries: Iterable[tuple[int, int, complex]]) -> SphereField:
+def sphere_field(n: int, entries: Iterable[tuple[int, int, complex]]) -> Field:
+    """Build a canonical sphere field from (l, m, amplitude) triples."""
     entries = list(entries)
-    return _sphere_field(n, [l for l, _, _ in entries], [m for _, m, _ in entries], [a for *_, a in entries])
-
-
-def _sphere_field(n: int, ls: list[int], ms: list[int], amps: Sequence[complex]) -> SphereField:
-    """The canonical field of the parallel columns of degrees and orders
-    (ints) and amplitudes, with dim_Hl and the frequency computed once per
-    degree."""
-    if typed([n], "n", "JSON integer")[0] < 2:
-        raise ValueError(f"sphere dimension must be >= 2, got {n}")
-    ls, ms = typed(ls, "l", "JSON integer"), typed(ms, "m", "JSON integer")
-    typed(amps, "amplitude", "number")
-    dims = {l: dim_Hl(n, l) for l in dict.fromkeys(ls)}
-    bounds = list(map(dims.__getitem__, ls))
-    if not (min(ms, default=1) >= 1 and all(map(operator.le, ms, bounds))):
-        m, d, l = next((m, d, l) for m, d, l in zip(ms, bounds, ls) if not 1 <= m <= d)
-        raise ValueError(f"order m={m} outside [1, {d}] for degree l={l}, n={n}")
-    freq = {l: frequency(n, l) for l in dims}
-    return SphereField(n, *canonical_columns(list(zip(ls, ms)), list(map(freq.__getitem__, ls)), amps))
+    return from_columns(Sphere(n), [[l for l, _, _ in entries], [m for _, m, _ in entries]], [a for *_, a in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +81,17 @@ def _gegenbauer(n: int, top: int, c: float) -> list[float]:
     return out
 
 
-def zonal_values(f: SphereField, cs: Sequence[float]) -> list[complex]:
-    """Values of a zonal field at the polar cosines `cs`, by one O(L)
+def zonal_values(f: Field, cs: Sequence[float]) -> list[complex]:
+    """Values of a zonal sphere field at the polar cosines `cs`, by one O(L)
     recurrence per point to its top degree L, with each key's
     amp sqrt(dim_Hl) and C_l(1) computed once."""
-    if not f.is_zonal:
+    if any(m != 1 for _, m in f.keys):
         raise RequiresZonal("field has coefficients outside the zonal line m = 1")
-    terms = [(l, amp * math.sqrt(dim_Hl(f.n, l)), math.comb(l + f.n - 2, l)) for (l, _), amp in zip(f.keys, f.amps)]
+    n = f.basis.n
+    terms = [(l, amp * math.sqrt(dim_Hl(n, l)), math.comb(l + n - 2, l)) for (l, _), amp in zip(f.keys, f.amps)]
     values = [0j] * len(cs)
     for i, c in enumerate(cs if terms else ()):
-        C = _gegenbauer(f.n, f.max_degree, c)
+        C = _gegenbauer(n, terms[-1][0], c)
         for l, weight, norm in terms:
             values[i] += weight * (C[l] / norm)
     return values
@@ -179,11 +101,11 @@ def zonal_values(f: SphereField, cs: Sequence[float]) -> list[complex]:
 # evolution and snapshots
 
 
-def sphere_evolve(f0: SphereField, g: SphereField, t: float) -> SphereField:
+def sphere_evolve(f0: Field, g: Field, t: float) -> Field:
     return evolve(CauchyData(f0, g), t)  # kept under this name for the benchmark
 
 
-def sphere_snapshot(u0: SphereField, ualpha: SphereField, alpha: float | Fraction, m: int) -> SphereField:
+def sphere_snapshot(u0: Field, ualpha: Field, alpha: float | Fraction, m: int) -> Field:
     """Snapshot at time m alpha from the pair at times 0 and alpha != 0; a
     negative alpha reads the pair as (alpha, 0), the snapshot as step 1 - m."""
     alpha = as_radians(alpha)
@@ -193,17 +115,17 @@ def sphere_snapshot(u0: SphereField, ualpha: SphereField, alpha: float | Fractio
 
 
 def huygens_antipodal_check(
-    f0: SphereField, g: SphereField, times: Sequence[float], c_count: int = 20
+    f0: Field, g: Field, times: Sequence[float], c_count: int = 20
 ) -> float:
     """Max residual of u(-x, t + pi) = (-1)^((n-1)/2) u(x, t) over c_count >= 2
     zonal evaluation points and the given times.  Odd n only; this is the clean
     Huygens statement the shifted equation satisfies.  Each evolved field
     costs one O(L) recurrence per point, L its top degree."""
     data = CauchyData(f0, g)
-    n = f0.n
+    n = f0.basis.n
     if n % 2 == 0:
         raise RequiresOddDimension(f"antipodal identity needs odd n, got {n}")
-    if not (f0.is_zonal and g.is_zonal):
+    if any(m != 1 for _, m in f0.keys + g.keys):
         raise RequiresZonal("pointwise check runs on zonal data")
     if not times:
         raise ValueError("need at least one time")
@@ -223,8 +145,8 @@ def huygens_antipodal_check(
 
 
 def sphere_two_snapshot_solve(
-    f0: SphereField,
-    falpha: SphereField,
+    f0: Field,
+    falpha: Field,
     alpha: float | Fraction,
     max_degree: int = 256,
 ) -> SolveReport:
@@ -234,7 +156,7 @@ def sphere_two_snapshot_solve(
     Fraction alpha (meaning alpha pi) gets exact zero detection, so rational
     multiples of pi report their kernel exactly.  Data on a zero Schur
     constant either obstructs or is free, as in the flat case."""
-    top = max(f0.max_degree, falpha.max_degree)
+    top = max([f.keys[-1][0] for f in (f0, falpha) if f.keys], default=0)
     if top > max_degree:
         raise ValueError(f"data degree {top} exceeds max_degree {max_degree}")
     return _two_snapshot_solve(f0, falpha, alpha, "data on zero Schur constants has no preimage")

@@ -12,8 +12,8 @@ compatibility residual on fields.  Tests compare the library with these
 bit for bit.
 
 The field operators that only tests use are here too: the difference of two
-fields, the largest amplitude of a field and a sphere field's amplitude at
-one key.
+fields, the largest amplitude of a field, and a sphere field's amplitude at
+one key, its top degree and whether it is zonal.
 
 It also keeps two sine enclosures that no library code calls, with their
 tests: |sin(pi r)| for exact rational r, guard-banded, and exact rational
@@ -32,8 +32,10 @@ from fractions import Fraction
 from wavesnap import diophantine, snapshots
 from wavesnap.fields import (
     DimensionMismatch,
+    Field,
+    Flat,
     MultiplierSymbol,
-    SpectralField,
+    Sphere,
     _with_amps,
     apply_multiplier,
     linear_combine,
@@ -56,7 +58,7 @@ from wavesnap.snapshots import (
     evolve_grid,
     snapshot_grid_columns,
 )
-from wavesnap.sphere import RequiresOddDimension, RequiresZonal, SphereField, dim_Hl, frequency
+from wavesnap.sphere import RequiresOddDimension, RequiresZonal, dim_Hl, frequency
 
 # ---------------------------------------------------------------------------
 # field operators for the tests
@@ -68,6 +70,16 @@ def subtract(a, b):
 
 def max_abs_amp(f):
     return max(map(abs, f.amps), default=0.0)
+
+
+def max_degree_of(f):
+    """The top degree of the sphere field f, 0 when it is empty."""
+    return f.keys[-1][0] if f.keys else 0
+
+
+def is_zonal(f):
+    """Whether every key of the sphere field f is on the zonal line m = 1."""
+    return all(m == 1 for _, m in f.keys)
 
 
 def sphere_amplitude(f, l, m):
@@ -180,7 +192,7 @@ def _flat(dim, rows):
             key = _clean_xi(dim, xi)
             yield key, math.hypot(*key), complex(amp)
 
-    return SpectralField(dim, *entry_columns(validated()))
+    return Field(Flat(dim), *entry_columns(validated()))
 
 
 def _sphere(n, rows):
@@ -196,7 +208,7 @@ def _sphere(n, rows):
                 raise ValueError(f"order m={m} outside [1, {d}] for degree l={l}, n={n}")
             yield (l, m), frequency(n, l), complex(amp)
 
-    return SphereField(n, *entry_columns(validated()))
+    return Field(Sphere(n), *entry_columns(validated()))
 
 
 def field_from_json_by_entry(obj):
@@ -286,7 +298,7 @@ def two_snapshot_solve(f0, ft, t=1.0, kernel_note=None):
 
 
 def sphere_two_snapshot_solve(f0, falpha, alpha, max_degree=256):
-    top = max(f0.max_degree, falpha.max_degree)
+    top = max(max_degree_of(f0), max_degree_of(falpha))
     if top > max_degree:
         raise ValueError(f"data degree {top} exceeds max_degree {max_degree}")
     return two_snapshot_solve(f0, falpha, alpha, "data on zero Schur constants has no preimage")
@@ -374,21 +386,21 @@ def gegenbauer_phi(n, l, c):
 
 def zonal_value(f, c):
     """sum amp sqrt(dim_Hl) phi_l(c) over the keys, each phi_l on its own."""
-    if not f.is_zonal:
+    if not is_zonal(f):
         raise RequiresZonal("field has coefficients outside the zonal line m = 1")
     total = 0j
     for (l, _), amp in zip(f.keys, f.amps):
-        total += amp * math.sqrt(dim_Hl(f.n, l)) * gegenbauer_phi(f.n, l, c)
+        total += amp * math.sqrt(dim_Hl(f.basis.n, l)) * gegenbauer_phi(f.basis.n, l, c)
     return total
 
 
 def huygens_antipodal_check(f0, g, times, c_count=20):
     """`sphere.huygens_antipodal_check` with one `zonal_value` per point and field."""
     data = CauchyData(f0, g)
-    n = f0.n
+    n = f0.basis.n
     if n % 2 == 0:
         raise RequiresOddDimension(f"antipodal identity needs odd n, got {n}")
-    if not (f0.is_zonal and g.is_zonal):
+    if not (is_zonal(f0) and is_zonal(g)):
         raise RequiresZonal("pointwise check runs on zonal data")
     if not times:
         raise ValueError("need at least one time")

@@ -1,5 +1,6 @@
 """The library holds only code that the CLI, the experiments or the benchmark
-call or read: no name or member in `src/wavesnap` is there for the tests alone."""
+call or read: no name or member in `src/wavesnap` is there for the tests alone.
+It lists the field kinds once, in `fields.BASES`, and no code asks a field's kind."""
 
 import ast
 import pathlib
@@ -135,3 +136,74 @@ def test_unread_members_flags_an_unread_field_and_property():
     # emitted whole through dataclasses.asdict, the class's fields need no reader, its properties still do
     whole = READER.replace("return {", "return dataclasses.asdict(rep), {")
     assert unread_members(library, [ast.parse(whole)]) == ["Report.unshown"]
+
+
+BASIS_NAMES = {"Flat", "Sphere"}
+
+
+def kind_tests(trees):
+    """Where the `trees` say which field kinds there are, sorted as (line, code):
+    - a basis class named outside its own class body, the `BASES` table and
+      a construction `Flat(...)` or `Sphere(...)`, imports aside;
+    - an isinstance that tests a field's basis, or tests against a basis class or `BASES`."""
+    found = []
+    for tree in trees:
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+        def inside(node, allowed):
+            while node in parent:
+                node = parent[node]
+                if allowed(node):
+                    return True
+            return False
+
+        for node in ast.walk(tree):
+            name = _name(node)
+            if name in BASIS_NAMES and isinstance(node, (ast.Name, ast.Attribute)):
+                construction = isinstance(parent.get(node), ast.Call) and parent[node].func is node
+                own_class = inside(node, lambda n: isinstance(n, ast.ClassDef) and n.name == name)
+                table = inside(node, lambda n: isinstance(n, ast.Assign) and [_name(t) for t in n.targets] == ["BASES"])
+                if not (construction or own_class or table):
+                    found.append((node.lineno, ast.unparse(parent.get(node, node))))
+            elif isinstance(node, ast.Call) and _name(node.func) == "isinstance":
+                spelled = {_name(n) for arg in node.args for n in ast.walk(arg)}
+                if spelled & (BASIS_NAMES | {"basis", "BASES"}):
+                    found.append((node.lineno, ast.unparse(node)))
+    return sorted(set(found))
+
+
+def test_field_kinds_are_listed_once():
+    library = _trees("src/wavesnap/*.py")
+    assert kind_tests(library) == []
+
+
+KINDS = """
+from .fields import Flat, Sphere
+
+
+@dataclass(frozen=True)
+class Flat:
+    dim: int
+
+    def same(self, other):
+        return isinstance(other, Flat)
+
+
+BASES = (Flat, Sphere)
+
+
+def build(dim, n):
+    return Flat(dim), Sphere(n), fields.Flat(dim)
+
+
+def kind(f):
+    if isinstance(f.basis, Sphere) or isinstance(f, Field):
+        return {"wave": Flat}
+    return f.basis is fields.Sphere or isinstance(f.basis, BASES)
+"""
+
+
+def test_kind_tests_flag_a_second_list_of_kinds():
+    # negative control: the class's own name in its body, the table, constructions and imports pass;
+    # a kind named anywhere else, and each isinstance on a basis, even in the class body, are flagged
+    assert [line for line, _ in kind_tests([ast.parse(KINDS)])] == [10, 21, 22, 23, 23]

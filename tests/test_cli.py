@@ -550,13 +550,17 @@ def test_exit_codes(tmp_path, capsys):
         assert cli.run(["dio", "jointbound", "--xmax", xmax]) == 1, xmax
         err = capsys.readouterr().err
         assert err.startswith("wavesnap: error: x_max must be in") and "Warning" not in err, err
-    # domain error: a field file of the other kind
+    # domain error: a field file of the other kind, named by the kinds of its basis and of the verb group
     s0 = tmp_path / "s0.json"
     save_sphere_field(sphere_field(3, [(1, 1, 1.0)]), str(s0))
-    for argv in (["wave", "two-solve", "--f0", str(s0), "--f1", str(s0)],
-                 ["sphere", "solve", "--f0", str(pf), "--falpha", str(pf), "--alpha", "0.5"]):
+    for argv, message in (
+        (["wave", "two-solve", "--f0", str(s0), "--f1", str(s0)],
+         f"{s0} holds a sphere field; wave verbs read a flat field"),
+        (["sphere", "solve", "--f0", str(pf), "--falpha", str(pf), "--alpha", "0.5"],
+         f"{pf} holds a flat field; sphere verbs read a sphere field"),
+    ):
         assert cli.run(argv) == 1, argv
-        assert "wavesnap: error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"wavesnap: error: {message}\n"
     # usage error: malformed fraction
     assert cli.run(["dio", "cfrac", "--value", "abc"]) == 2
     # usage error: number specs beyond the stored precision, or with a zero denominator

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wavesnap.fields import SpectralField, field, field_from_json, json_members, json_text, save_field
-from wavesnap.sphere import SphereField, dim_Hl, save_sphere_field, sphere_field
+from wavesnap.fields import Field, Flat, field, field_from_json, json_members, json_text, save_field
+from wavesnap.sphere import dim_Hl, save_sphere_field, sphere_field
 
 
 def _jsonable(obj):
@@ -32,24 +32,22 @@ def _jsonable(obj):
 
 def _old_field_to_json(f):
     return {
-        "dim": f.dim,
+        "dim": f.basis.dim,
         "modes": [{"xi": list(xi), "amp": [amp.real, amp.imag]} for xi, amp in zip(f.keys, f.amps)],
     }
 
 
 def _old_sphere_field_to_json(f):
     return {
-        "n": f.n,
+        "n": f.basis.n,
         "coeffs": [{"l": l, "m": m, "amp": [amp.real, amp.imag]} for (l, m), amp in zip(f.keys, f.amps)],
     }
 
 
 def _old_form(obj):
     """The payload as the CLI built it before: fields replaced by their dicts."""
-    if isinstance(obj, SpectralField):
-        return _old_field_to_json(obj)
-    if isinstance(obj, SphereField):
-        return _old_sphere_field_to_json(obj)
+    if isinstance(obj, Field):
+        return _old_field_to_json(obj) if isinstance(obj.basis, Flat) else _old_sphere_field_to_json(obj)
     if isinstance(obj, dict):
         return {k: _old_form(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -157,7 +155,7 @@ def test_field_document_matches_old_encoder(f):
     """A field at the top of a document (`wave evolve`, `sphere evolve`): the
     header members, then the field's members."""
     head = {"tool": "wavesnap", "version": "0.1.0", "verb": "wave evolve", "seed": 0}
-    old = _old_field_to_json(f) if isinstance(f, SpectralField) else _old_sphere_field_to_json(f)
+    old = _old_field_to_json(f) if isinstance(f.basis, Flat) else _old_sphere_field_to_json(f)
     assert json_text({**head, **json_members(f)}) == json.dumps(_jsonable({**head, **old}), indent=2) + "\n"
     assert json_text(f) == json.dumps(old, indent=2) + "\n"
     assert field_from_json(old) == f

@@ -1,13 +1,15 @@
 """The recursion experiment's residuals, against the field-by-field loop it
-replaces, and its gate's negative controls."""
+replaces, and the negative controls of the experiments' gates: each makes
+its gate fail and name the failing check, without an exception."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from wavesnap import experiments, snapshots
-from wavesnap.fields import apply_multiplier, field, linear_combine, union_columns
+from wavesnap import diophantine, experiments, propagators, snapshots
+from wavesnap.fields import MultiplierSymbol, apply_multiplier, field, linear_combine, union_columns
 from wavesnap.propagators import symbol_Sprime
 from wavesnap.snapshots import CauchyData
 
@@ -145,3 +147,74 @@ def test_recursion_gate_fails_on_a_perturbed_amplitude(monkeypatch, which):
             which == "three-term",
         ), column
     assert len(seen) == 2
+
+
+def value(details, label):
+    """The number that follows `label`, and a colon if there is one, in an experiment's details."""
+    return float(details.split(label)[1].lstrip(":").split()[0].rstrip(";,"))
+
+
+def test_identities_gate_fails_on_a_perturbed_psi(monkeypatch):
+    psi_grid = propagators.psi_grid
+    monkeypatch.setattr(propagators, "psi_grid", lambda ms, us: psi_grid(ms, us) * (1 + 1e-9))
+    r = experiments.identity_suite(seed=0)
+    assert r["passed"] is False
+    assert value(r["details"], "product rule") > 1e-10
+    assert value(r["details"], "snapshot-pair symmetry") > 1e-10
+
+
+def test_rational_gate_fails_on_a_nudged_solution(monkeypatch):
+    solve = snapshots.rational_reconstruct
+
+    def nudged_solve(*args):
+        rep = solve(*args)
+        if rep.solution is None:  # the violating data, rejected
+            return rep
+        amps = (rep.solution.amps[0] + 1e-6, *rep.solution.amps[1:])
+        return dataclasses.replace(rep, solution=dataclasses.replace(rep.solution, amps=amps))
+
+    monkeypatch.setattr(snapshots, "rational_reconstruct", nudged_solve)
+    r = experiments.rational_reconstruction_suite(seed=0)
+    assert r["passed"] is False
+    assert value(r["details"], "worst err/tol") > 1.0
+    # the other two checks still pass: the post-check is the solver's own, before the nudge
+    assert value(r["details"], "post-verified residual") <= 1e-9
+    assert r["details"].endswith("violating data rejected: True")
+
+
+def banded_sine(t):
+    """The sine symbol S_t, set to zero for lam in [100, 200]."""
+    sine = propagators.symbol_S(t)
+    return MultiplierSymbol(sine.label, lambda lam: 0.0 if 100.0 <= lam <= 200.0 else sine.fn(lam))
+
+
+def test_sdprobe_gate_fails_on_a_zero_band_and_names_its_windows(monkeypatch):
+    monkeypatch.setattr(experiments, "symbol_S", banded_sine)
+    r = experiments.slow_decrease_suite(seed=0)
+    assert r["passed"] is False
+    rows = diophantine.slowly_decreasing_probe(banded_sine(1.0), 4.0, 1e3, samples=512)
+    missed = [f"{row.xi:.6g}" for row in rows if not row.ok]
+    assert missed and all(100.0 < float(xi) < 200.0 for xi in missed)
+    want = f"sine symbol: 512 windows, {len(missed)} unwitnessed, at xi = {', '.join(missed)}; zero symbol: all 32 fail"
+    assert r["details"] == want
+    assert "all witnessed" not in r["details"]
+
+
+@pytest.mark.parametrize("defect", ["uncertified", "no exhaustion"])
+def test_liouville_gate_names_what_failed(monkeypatch, defect):
+    demo = snapshots.liouville_obstruction_demo
+
+    def broken_demo(k_max):
+        if k_max == 7 and defect == "no exhaustion":
+            return demo(6)
+        rows = demo(k_max)
+        return tuple(dataclasses.replace(row, certified=False) if row.k == 3 and defect == "uncertified" else row
+                     for row in rows)
+
+    monkeypatch.setattr(snapshots, "liouville_obstruction_demo", broken_demo)
+    r = experiments.liouville_demo_certified()
+    assert r["passed"] is False
+    if defect == "uncertified":
+        assert "not certified > 1 at k=3; k=7 raises PrecisionExhausted" in r["details"]
+    else:
+        assert "all certified > 1 up to k=6; k=7 does not raise PrecisionExhausted" in r["details"]

@@ -83,7 +83,7 @@ finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 )
 def test_canonicalize_idempotent(entries):
     f = field(2, [(xi, amp) for xi, amp in entries])
-    assert field(f.dim, f.modes) == f
+    assert field(f.basis.dim, f.modes) == f
     assert list(f.keys) == sorted(set(f.keys))
     assert f.freqs == tuple(math.hypot(*xi) for xi in f.keys)
     assert all(f.amps)
@@ -91,8 +91,8 @@ def test_canonicalize_idempotent(entries):
 
 def evaluate(f, x):
     """The plane-wave sum of a flat field at the point x."""
-    if len(x) != f.dim:
-        raise DimensionMismatch(f"point of length {len(x)} in dim {f.dim}")
+    if len(x) != f.basis.dim:
+        raise DimensionMismatch(f"point of length {len(x)} in dim {f.basis.dim}")
     total = 0j
     for xi, amp in zip(f.keys, f.amps):
         phase = sum(a * b for a, b in zip(xi, x))
@@ -447,7 +447,7 @@ def test_multipliers_and_shared_combine_trust_canonical_keys(monkeypatch):
     flat = field(2, [((0.0, 1.0), 1.0), ((3.0, 4.0), 2j), ((-1.0, 0.5), 0.5)])
     on_sphere = sph.sphere_field(3, [(0, 1, 1.0), (2, 5, 1j), (4, 3, -2.0)])
     calls = {"clean": 0, "dim": 0}
-    clean, dim_Hl = fields_module._clean_keys, sph.dim_Hl
+    clean, dim_Hl = fields_module.Flat.columns, fields_module.dim_Hl
 
     def counted_clean(*args):
         calls["clean"] += 1
@@ -457,8 +457,8 @@ def test_multipliers_and_shared_combine_trust_canonical_keys(monkeypatch):
         calls["dim"] += 1
         return dim_Hl(*args)
 
-    monkeypatch.setattr(fields_module, "_clean_keys", counted_clean)
-    monkeypatch.setattr(sph, "dim_Hl", counted_dim)
+    monkeypatch.setattr(fields_module.Flat, "columns", counted_clean)
+    monkeypatch.setattr(fields_module, "dim_Hl", counted_dim)
     for f in (flat, on_sphere):
         g = apply_multiplier(f, symbol_S(0.3))
         h = linear_combine([1.0, -2.0, 0.5j], [f, g, f])
@@ -698,3 +698,63 @@ def test_column_loader_matches_the_entry_reference(case):
     if not defects and "modes" in doc:  # the constructor reads the same columns
         entries = [(row["xi"], complex(*row["amp"])) for row in doc["modes"]]
         assert load_outcome(lambda d: field(d["dim"], entries), doc) == want
+
+
+@dataclasses.dataclass(frozen=True)
+class Radial:
+    """A basis that the library does not know, in the shape of radial fields
+    on hyperbolic n-space: keys (lam,) with lam > 0 and frequency lam."""
+
+    hn: int
+    header, rows, members, kernel, group, noun = "hn", "radial", ("lam",), "kernel_lams", "hyp", "radial field"
+    mismatch = "hyperbolic dimensions differ: {0.hn} vs {1.hn}"
+
+    def columns(self, lams):
+        lams = list(map(float, fields_module.typed(lams, "lam")))
+        if not all(0 < lam < math.inf for lam in lams):
+            raise ValueError("lam must be positive and finite")
+        return [(lam,) for lam in lams], lams
+
+    def row(self, key, amp):
+        return {"lam": key[0], "amp": amp}
+
+
+def radial(entries, hn=3):
+    return fields_module.from_columns(Radial(hn), [[lam for lam, _ in entries]], [amp for _, amp in entries])
+
+
+def test_a_third_basis_runs_through_the_operators_the_solver_and_the_files(monkeypatch):
+    f0 = radial([(0.7, 1.0), (math.pi, 0.5j), (2.5, -0.25)])
+    g = radial([(0.7, 0.5), (math.pi, 1.0), (4.0, 1j)])
+    data = CauchyData(f0, g)
+    u = evolve(data, 1.3)
+    assert u.basis is f0.basis
+    for (lam,), amp in zip(u.keys, u.amps):
+        want = math.cos(1.3 * lam) * f0.amplitude_at((lam,)) + math.sin(1.3 * lam) / lam * g.amplitude_at((lam,))
+        assert abs(amp - want) < 1e-15
+    # lam = pi is a kernel key of S_1: its velocity is free, and no integer-time snapshot sees it
+    f1 = evolve(data, 1.0)
+    rep = snapshots.two_snapshot_solve(f0, f1)
+    assert rep.status == snapshots.STATUS_NONUNIQUE and rep.kernel_modes == ((math.pi,),)
+    assert max_abs_amp(subtract(rep.solution, radial([(0.7, 0.5), (4.0, 1j)]))) < 1e-12
+    assert cli._solve_payload(rep, f0)["kernel_lams"] == [[math.pi]]
+    for m in (-2, 0, 3, 5):
+        want = evolve(data, float(m))
+        assert max_abs_amp(subtract(evolve(CauchyData(f0, rep.solution), float(m)), want)) < 1e-12
+        assert max_abs_amp(subtract(snapshots.general_integer_snapshot(f0, f1, 0.0, 1.0, m), want)) < 1e-12
+    # the same-kind and the cross-kind mismatch come from the basis
+    with pytest.raises(DimensionMismatch, match="hyperbolic dimensions differ: 3 vs 2"):
+        CauchyData(f0, radial([(1.0, 1.0)], hn=2))
+    with pytest.raises(DimensionMismatch, match="cannot mix a radial field with a flat field"):
+        linear_combine([1.0, 1.0], [f0, field(1, [((1.0,), 1.0)])])
+    # the files: json_text writes what the basis says, and field_from_json reads it once BASES lists it
+    text = json_text(u)
+    doc = json.loads(text)
+    assert list(doc) == ["hn", "radial"] and doc["radial"][0] == {"lam": 0.7, "amp": [u.amps[0].real, u.amps[0].imag]}
+    with pytest.raises(ValueError, match="exactly one of the members 'dim' and 'n'"):
+        field_from_json(doc)
+    monkeypatch.setattr(fields_module, "BASES", (*fields_module.BASES, Radial))
+    assert field_from_json(json.loads(text)) == u
+    assert field_from_json(json.loads(json_text(field(2, [((1.0, 2.0), 1j)])))) == field(2, [((1.0, 2.0), 1j)])
+    with pytest.raises(ValueError, match="malformed field document: lam 'x' is not a JSON number"):
+        field_from_json({"hn": 3, "radial": [{"lam": "x", "amp": [1.0, 0.0]}]})

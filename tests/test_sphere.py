@@ -187,6 +187,11 @@ def test_mixed_bases_rejected():
             CauchyData(a, b)
     with pytest.raises(DimensionMismatch, match="sphere dimensions differ: 2 vs 3"):
         sph.sphere_two_snapshot_solve(s2, s3, 0.5)
+    # the cross-kind text names both kinds
+    with pytest.raises(DimensionMismatch, match="^cannot mix a flat field with a sphere field$"):
+        CauchyData(flat, s2)
+    with pytest.raises(DimensionMismatch, match="^cannot mix a sphere field with a flat field$"):
+        CauchyData(s2, flat)
 
 
 def test_huygens_needs_odd_sphere_and_zonal_data():
