@@ -16,7 +16,10 @@ files: per workload and seed, the median and the quartiles (inclusive
 method) of each side for every end-to-end metric, the number of pairs in
 which the change reads lower, each request's median time in reference-loop
 units, and whether the per-request output digests (`request_sha256`) match
-between the trees.  An existing --out file is
+between the trees.  A metric's `claim_met` is true when the change reads
+lower in at least nine tenths of the pairs (ties count for neither) and its
+median is lower than the parent's by more than the distance between the
+parent's quartiles.  An existing --out file is
 updated: other workloads' entries and its notes are kept.  Seed 1 is stored
 under the workload's name, any other seed under "<workload>-seed<S>".
 """
@@ -69,7 +72,7 @@ def quartiles(values: list[float]) -> list[float]:
     if len(values) < 2:
         return [values[0], values[0]]
     q = statistics.quantiles(values, n=4, method="inclusive")
-    return [round(q[0], 4), round(q[2], 4)]
+    return [q[0], q[2]]
 
 
 def summarize(seed: int, runs: list[tuple[dict, dict]]) -> dict:
@@ -78,13 +81,15 @@ def summarize(seed: int, runs: list[tuple[dict, dict]]) -> dict:
         parent = [p["metrics"][m] for p, _ in runs]
         change = [c["metrics"][m] for _, c in runs]
         pm, cm = statistics.median(parent), statistics.median(change)
+        (p1, p3), lower = quartiles(parent), sum(c < p for p, c in zip(parent, change))
         metrics[m] = {
             "parent_median": round(pm, 4),
             "change_median": round(cm, 4),
-            "parent_quartiles": quartiles(parent),
-            "change_quartiles": quartiles(change),
+            "parent_quartiles": [round(p1, 4), round(p3, 4)],
+            "change_quartiles": [round(q, 4) for q in quartiles(change)],
             "change_over_parent": round(cm / pm, 4),
-            "change_lower_in_pairs": sum(c < p for p, c in zip(parent, change)),
+            "change_lower_in_pairs": lower,
+            "claim_met": lower >= 0.9 * len(runs) and pm - cm > p3 - p1,
             "parent_runs": [round(v, 4) for v in parent],
             "change_runs": [round(v, 4) for v in change],
         }
@@ -142,7 +147,8 @@ def main(argv: list[str] | None = None) -> int:
         "description": "bench/run.py --trace 0, alternating parent/change pairs (even-numbered pairs parent "
                        "first, counting from 0), written by scripts/bench_pairs.py. Medians and quartiles "
                        "(inclusive method) of each side; change_lower_in_pairs = pairs where the change reads "
-                       "lower; request_sha256_match = every run of both trees gave the same output digests.",
+                       "lower; claim_met = lower in >= 9/10 of the pairs and the medians further apart than the "
+                       "parent's quartiles; request_sha256_match = every run of both trees gave the same output digests.",
         "command": "python3 bench/run.py --workload W --seed S --seconds T --trace 0",
         "parent_commit": commit_of(trees["parent"]),
         "change_commit": commit_of(trees["change"]) or "the commit that adds this file",

@@ -143,50 +143,67 @@ def _emit_csv(
     args: argparse.Namespace,
     verb: str,
     names: Sequence[str],
-    columns: Sequence[Sequence],
+    columns: Sequence[Sequence] | str,
     comments: Sequence[str] = (),
 ) -> None:
-    """The CSV of one column per name; columns of unequal length, or not one per name, raise ValueError."""
+    """The CSV of one column per name, or of the rows' lines when `columns` is
+    their text (`_repr_rows`); columns of unequal length, or not one per name,
+    raise ValueError."""
     buf = io.StringIO()
     buf.write(f"# wavesnap {__version__}\n# verb: {verb}\n# seed: {args.seed}\n")
     buf.writelines(f"# {line}\n" for line in comments)
     buf.write(",".join(names) + "\n")
-    k = len(names)
-    cells = [None] * (k * len(columns[0]))
-    for j, column in zip(range(k), columns, strict=True):
-        cells[j::k] = column  # row-major; an extended slice takes only a column of its own length
-    line = ",".join(["%s"] * k) + "\n"  # %s formats with str(), as a join of str()s would
-    for i in range(0, len(cells), CSV_BLOCK * k):  # one % per block of rows
-        chunk = tuple(cells[i : i + CSV_BLOCK * k])
-        buf.write(line * (len(chunk) // k) % chunk)
+    if isinstance(columns, str):
+        buf.write(columns)
+    else:
+        k = len(names)
+        cells = [None] * (k * len(columns[0]))
+        for j, column in zip(range(k), columns, strict=True):
+            cells[j::k] = column  # row-major; an extended slice takes only a column of its own length
+        line = ",".join(["%s"] * k) + "\n"  # %s formats with str(), as a join of str()s would
+        for i in range(0, len(cells), CSV_BLOCK * k):  # one % per block of rows
+            chunk = tuple(cells[i : i + CSV_BLOCK * k])
+            buf.write(line * (len(chunk) // k) % chunk)
     _write(args, buf.getvalue())
 
 
-REPR_BLOCK = 8192  # floats `_float_reprs` formats per numpy pass
+REPR_BLOCK = 8192  # rows `_repr_rows` writes per numpy pass
 
 
-def _float_reprs(values: Sequence[float]) -> list[str]:
-    """list(map(repr, values)) for a sequence of Python floats, with the text
-    of each v in [1e-4, 1), where repr writes 0.<digits>, from integer arithmetic.
+def _repr_rows(degrees: Sequence[int], values: Sequence[float]) -> str:
+    """The CSV lines f"{l},{v!r}\\n" of the rows (l, v) of `degrees`, ints in
+    [0, 10^8), and `values`, Python floats, a block of REPR_BLOCK rows at a time.
 
-    Write v = m 2^e2 (53-bit m) and k = 16 - floor(log10 v), so that X = v 10^k
-    lies in [1e16, 1e17).  The reals that round to v lie between (2m -+ 1) 5^k
-    / 2^S in X units, S = 1 - k - e2: odd multiples of 2^-S, never integers,
-    so whether the ends round to v does not matter.  repr writes the fewest
-    digits that land in that interval and, of those, the nearest to v (Steele
-    and White): the multiple D of 10^j nearest X, for the largest j with a
-    multiple of 10^j in the interval.  2m 5^k < 2^103 is held in base 2^52,
-    from 26-bit split products, so int64 holds every step.  repr itself
-    writes the elements outside the window, a power of two (m = 2^52: the
-    interval is asymmetric), an exact tie, a misjudged floor(log10 v) (X out
+    Each block is one uint32 matrix of four-byte quads, a row of 36 bytes per
+    line: the degree's eight digits (quads 0-1), NUL and "," (bytes 8-9), the
+    value's text (24 bytes from 10, room for repr's longest) and "\\n" (byte 35).
+    Digits come four at a time from a table of "0000".."9999"; NULs stand in
+    front of the degree's leading digit and after the value's last one, and
+    one compaction drops them before the block's text is decoded.
+
+    The text of each v in [1e-4, 1), where repr writes 0.<digits>, comes from
+    integer arithmetic.  Write v = m 2^e2 (53-bit m) and k = 16 - floor(log10 v),
+    so that X = v 10^k lies in [1e16, 1e17).  The reals that round to v lie
+    between (2m -+ 1) 5^k / 2^S in X units, S = 1 - k - e2: odd multiples of
+    2^-S, never integers, so whether the ends round to v does not matter.  repr
+    writes the fewest digits that land in that interval and, of those, the
+    nearest to v (Steele and White): the multiple D of 10^j nearest X, for the
+    largest j with a multiple of 10^j in the interval.  2m 5^k < 2^103 is held
+    in base 2^52, from 26-bit split products, so int64 holds every step.  repr
+    itself writes the elements outside the window, a power of two (m = 2^52:
+    the interval is asymmetric), an exact tie, a misjudged floor(log10 v) (X out
     of range) and a D that carries to 1e17."""
     import numpy as np
 
     pow10, five = 10 ** np.arange(18), 5 ** np.arange(23)
     low26 = 2**26 - 1
-    texts, recheck = [], []
+    quads = (np.arange(10**4)[:, None] // pow10[3::-1] % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    first = (np.arange(4) < np.arange(5)[:, None]).astype(np.uint8) * 255  # row c keeps a quad's first c bytes
+    first, last = first.view(np.uint32).ravel(), first[:, ::-1].copy().view(np.uint32).ravel()  # last: its last c
+    blocks = []
     for i in range(0, len(values), REPR_BLOCK):
-        v = np.array(values[i : i + REPR_BLOCK], dtype=float)
+        v = np.fromiter(values[i : i + REPR_BLOCK], dtype=float)
+        degree = np.fromiter(degrees[i : i + REPR_BLOCK], dtype=np.int64)
         window = (v >= 1e-4) & (v < 1.0)
         v[~window] = 0.5
         bits = v.view(np.int64)
@@ -216,22 +233,27 @@ def _float_reprs(values: Sequence[float]) -> list[str]:
         digits = (d + ((twice > p) | ((twice == p) & (rest > 0)))) * p
         bad = ~window | (m == 2**52) | ((twice == p) & (rest == 0))
         bad |= (x < 10**16) | (x >= 10**17) | (digits >= 10**17)
-        recheck += (np.flatnonzero(bad) + i).tolist()
-        # "0." and the 20 digits of v 10^20 = D 10^(20 - k) in two halves of 10, less its 20 - k + j trailing zeros
+        text = np.zeros((len(v), 9), dtype=np.uint32)
+        text[:, 0], text[:, 1] = quads[degree // 10**4], quads[degree % 10**4]
+        width = np.searchsorted(pow10[1:8], degree, side="right") + 1  # the degree's digits
+        text[:, 0] &= last[np.clip(width - 4, 0, 4)]
+        text[:, 1] &= last[np.minimum(width, 4)]
+        # "0." and the 20 digits of v 10^20 = D 10^(20 - k), in quads 3-7, less its 20 - k + j trailing zeros
         shift = np.clip(k, 17, 20)  # k, kept in range on the rows with a misjudged floor(log10 v)
-        head, tail = np.divmod(digits, pow10[shift - 10])
+        head, tail = np.divmod(digits, pow10[shift - 8])  # v 10^20 = head 10^12 + tail
         tail *= pow10[20 - shift]
-        text = np.empty((22, len(v)), dtype=np.uint8)
-        text[0], text[1] = ord("0"), ord(".")
-        for row in range(11, 1, -1):
-            q, q2 = head // 10, tail // 10
-            text[row], text[row + 10] = head - 10 * q + ord("0"), tail - 10 * q2 + ord("0")
-            head, tail = q, q2
-        text[2:] *= np.arange(20)[:, None] < shift - j  # NULs, which the U22 view strips
-        texts += np.ascontiguousarray(text.T, dtype=np.uint32).view("U22").ravel().tolist()
-    for r in recheck:
-        texts[r] = repr(values[r])
-    return texts
+        groups = (head // 10**4, head % 10**4, tail // 10**8, tail // 10**4 % 10**4, tail % 10**4)
+        for quad, group in enumerate(groups):
+            text[:, 3 + quad] = quads[group] & first[np.clip(shift - j - 4 * quad, 0, 4)]
+        chars = text.view(np.uint8)
+        chars[:, 9:12] = np.frombuffer(b",0.", dtype=np.uint8)
+        chars[:, 35] = ord("\n")
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            texts = np.array([repr(values[i + r]) for r in rows.tolist()], dtype="S24")
+            chars[rows, 10:34] = texts.view(np.uint8).reshape(-1, 24)
+        blocks.append(chars.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(blocks)
 
 
 # -- wave verbs --------------------------------------------------------------
@@ -341,7 +363,7 @@ def _dio_smallden(args) -> tuple:
         f"exact zeros at l: {list(table.zero_rows) if table.zero_rows else 'none'}",
         f"fitted lower-envelope exponent: {table.fitted_exponent}",
     ]
-    return ("l", "value"), [table.degrees, _float_reprs(table.values)], comments
+    return ("l", "value"), _repr_rows(table.degrees, table.values), comments
 
 
 def _dio_oddtype(args) -> dict:

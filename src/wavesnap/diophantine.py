@@ -497,11 +497,13 @@ def slowly_decreasing_probe(
         xi = xi_max * i / (samples - 1)
         window = a_const * math.log(2.0 + xi)
         threshold = (a_const + xi) ** (-a_const)
-        cands = [xi]
         k_lo = math.ceil((xi - window) / math.pi - 0.5)
         k_hi = math.floor((xi + window) / math.pi - 0.5)
-        cands.extend((k + 0.5) * math.pi for k in range(k_lo, k_hi + 1))
-        cands.extend(xi - window + 2.0 * window * j / 32 for j in range(33))
+        cands = itertools.chain(  # built as the loop reads them: it usually stops at the first
+            (xi,),
+            ((k + 0.5) * math.pi for k in range(k_lo, k_hi + 1)),
+            (xi - window + 2.0 * window * j / 32 for j in range(33)),
+        )
         best_eta, best_val = None, 0.0
         for eta in cands:
             v = abs(symbol(abs(eta)))

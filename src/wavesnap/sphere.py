@@ -47,7 +47,7 @@ from .snapshots import (
     general_integer_snapshot,
 )
 
-MARGIN_BLOCK = 4096  # degrees the margin screen scores per numpy pass
+MARGIN_BLOCK = 8192  # degrees the margin screen scores per numpy pass
 MARGIN_WINDOW = 1e-9  # relative; rows this close to the best score get the exact recheck
 
 
@@ -206,7 +206,8 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
 
     At exact alpha = p/q the residue (2l+n-1)p mod 4q, hence the sine and the
     zero flag, has period 2q in l: one that fits in MARGIN_BLOCK rounds the
-    block down to whole periods, and later blocks reuse the first one's sines."""
+    block down to whole periods (8192 -> 8180 degrees at q = 10), and later
+    blocks reuse the first one's sines."""
     import numpy as np
 
     if not isinstance(alpha, Fraction):

@@ -503,6 +503,34 @@ def surjectivity_margin(alpha, n, max_degree, exponent):
 
 
 # ---------------------------------------------------------------------------
+# the slowly-decreasing probe with each window's candidates built before its loop
+
+
+def slowly_decreasing_probe(symbol, a_const, xi_max, samples):
+    """The rows of `diophantine.slowly_decreasing_probe` on valid arguments, from a
+    list of every candidate in each window (xi, the half-period points, the sweep)."""
+    rows = []
+    for i in range(samples):
+        xi = xi_max * i / (samples - 1)
+        window = a_const * math.log(2.0 + xi)
+        threshold = (a_const + xi) ** (-a_const)
+        cands = [xi]
+        k_lo = math.ceil((xi - window) / math.pi - 0.5)
+        k_hi = math.floor((xi + window) / math.pi - 0.5)
+        cands.extend((k + 0.5) * math.pi for k in range(k_lo, k_hi + 1))
+        cands.extend(xi - window + 2.0 * window * j / 32 for j in range(33))
+        best_eta, best_val = None, 0.0
+        for eta in cands:
+            v = abs(symbol(abs(eta)))
+            if v > best_val:
+                best_eta, best_val = eta, v
+            if v >= threshold:
+                break
+        rows.append(diophantine.SlowDecreaseRow(xi, threshold, best_eta if best_val >= threshold else None, best_val))
+    return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
 # sine enclosures
 
 PI_LO = Fraction(math.pi)  # below pi, and diophantine.PI_HI above it

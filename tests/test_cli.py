@@ -250,6 +250,27 @@ def test_smallden_file_matches_the_per_row_writer(tmp_path, shift):
     assert text[text.index("l,value\n") :] == ref.csv_body(("l", "value"), table.rows)
 
 
+@pytest.mark.parametrize(
+    "number, shift, count",
+    [("golden", "1/2", 1), ("golden", "0", 1), ("golden", "1/2", 101), ("rational:2/3", "0", 10),
+     ("rational:2/3", "1/2", 10)],
+)
+def test_smallden_edge_files_match_the_per_row_writer(tmp_path, number, shift, count):
+    # the row l = 0 at shift 1/2, --count 1, degrees of one to three digits, and exact zeros
+    # (l = 3, 6, 9 at shift 0; l = 1, 4, 7, 10 at shift 1/2)
+    out = tmp_path / "sd.csv"
+    assert cli.run(["dio", "smallden", "--number", number, "--shift", shift, "--count", str(count), "--out", str(out)]) == 0
+    text = out.read_text()
+    table = dio.small_denominator_sequence(cli.number_class(number), Fraction(shift), count)
+    assert (0.0 in table.values) is number.startswith("rational")
+    assert text[text.index("l,value\n") :] == ref.csv_body(("l", "value"), table.rows)
+
+
+def repr_lines(degrees, values):
+    """`cli._repr_rows` under the header line, to compare with `ref.csv_body`."""
+    return "l,value\n" + cli._repr_rows(degrees, values)
+
+
 # the fast path's window [1e-4, 1) at its edges; the powers of two in it, which go back to repr
 # (m = 2^52, an asymmetric interval); one-digit texts, which only the short-digit search finds;
 # X = v 10^17 halfway between two multiples of 10, which go back to repr (round half to even);
@@ -259,13 +280,31 @@ REPR_EDGES += [1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 1.0, 
 REPR_EDGES += [d / 10 for d in range(1, 10)] + [65555 / 2**17, 65583 / 2**17, 65611 / 2**17]
 REPR_EDGES += [0.09999999999999998, 0.009999999999999995, 0.0009999999999999998]
 REPR_EDGES += [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -0.5, 1.5]
+REPR_EDGES += [-1.7976931348623157e308, -2.2250738585072014e-308]  # repr's longest texts, 24 characters
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats() | st.floats(1e-4, 1.0, exclude_max=True), max_size=40))
-@example(REPR_EDGES)
-def test_float_reprs_are_repr(xs):
-    assert cli._float_reprs(xs) == list(map(repr, xs))
+@given(
+    xs=st.lists(st.floats() | st.floats(1e-4, 1.0, exclude_max=True), max_size=40),
+    first=st.integers(0, 10**8 - 41),
+)
+@example(xs=REPR_EDGES, first=0)
+@example(xs=REPR_EDGES, first=10**8 - len(REPR_EDGES))
+def test_float_reprs_are_repr(xs, first):
+    degrees = range(first, first + len(xs))
+    assert repr_lines(degrees, xs) == ref.csv_body(("l", "value"), zip(degrees, xs))
+
+
+def test_repr_rows_write_every_degree_width():
+    # the first and last degree of each width from one digit to eight, next to values of each
+    # text length, in one block and across blocks
+    degrees = [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10**4, 10**5, 10**6, 10**7 - 1, 10**7, 10**8 - 1]
+    values = [REPR_EDGES[i % len(REPR_EDGES)] for i in range(len(degrees))]
+    assert repr_lines(degrees, values) == ref.csv_body(("l", "value"), zip(degrees, values))
+    degrees = [(i * 7919) ** 2 % 10**8 for i in range(2 * cli.REPR_BLOCK + 5)]
+    values = [REPR_EDGES[i % len(REPR_EDGES)] / (1 + i % 3) for i in range(len(degrees))]
+    assert repr_lines(degrees, values) == ref.csv_body(("l", "value"), zip(degrees, values))
+    assert cli._repr_rows([], []) == ""
 
 
 @pytest.mark.parametrize(
@@ -276,21 +315,23 @@ def test_float_reprs_are_repr(xs):
 def test_float_reprs_are_repr_on_smallden_tables(spec, shift, count):
     table = dio.small_denominator_sequence(cli.number_class(spec), shift, count)
     assert (table.zero_rows != ()) is spec.startswith("liouville")  # exact zeros at l = 10^6
-    assert cli._float_reprs(table.values) == list(map(repr, table.values))
+    assert repr_lines(table.degrees, table.values) == ref.csv_body(("l", "value"), table.rows)
 
 
 def test_float_reprs_check_fails_on_other_digits():
     # negative controls: 17 significant digits, and the fast path without its short-digit search,
     # which writes 0.1 as 0.10000000000000001
     xs = REPR_EDGES + list(dio.small_denominator_sequence(dio.golden_class(), 0, 1000).values)
-    assert ["%.17g" % x for x in xs] != list(map(repr, xs))
-    source = inspect.getsource(cli._float_reprs)
+    degrees = range(len(xs))
+    want = ref.csv_body(("l", "value"), zip(degrees, xs))
+    assert ref.csv_body(("l", "value"), zip(degrees, ["%.17g" % x for x in xs])) != want
+    source = inspect.getsource(cli._repr_rows)
     broken = source.replace("while more.size:", "while False:")
     assert broken != source
     namespace = dict(vars(cli))
     exec(broken, namespace)
-    assert namespace["_float_reprs"](xs) != list(map(repr, xs))
-    assert namespace["_float_reprs"]([0.1]) == ["0.10000000000000001"]
+    assert "l,value\n" + namespace["_repr_rows"](degrees, xs) != want
+    assert namespace["_repr_rows"]([0], [0.1]) == "0,0.10000000000000001\n"
 
 
 def test_margin_errors_name_the_exponent_and_the_time(tmp_path, capsys):

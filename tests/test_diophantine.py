@@ -442,6 +442,17 @@ def test_slowly_decreasing_sine_passes():
     assert all(r.ok for r in rows)
 
 
+@pytest.mark.parametrize("a_const, xi_max, samples", [(4.0, 20.0, 512), (4.0, 1e3, 512), (0.5, 1e3, 64), (9.0, 50.0, 16)])
+def test_slowly_decreasing_probe_matches_the_eager_candidates(a_const, xi_max, samples):
+    # the candidates are built as the loop reads them; every row is the one the full list gives
+    from wavesnap.fields import symbol_constant
+    from wavesnap.propagators import symbol_S, symbol_Sprime
+
+    for symbol in (symbol_S(1.0), symbol_Sprime(1.0), symbol_constant(0.0), symbol_S(0.01)):
+        rows = dio.slowly_decreasing_probe(symbol, a_const, xi_max, samples=samples)
+        assert rows == ref.slowly_decreasing_probe(symbol, a_const, xi_max, samples)
+
+
 def test_slowly_decreasing_zero_fails():
     from wavesnap.fields import symbol_constant
 

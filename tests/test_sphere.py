@@ -449,15 +449,18 @@ _float_times = st.one_of(
     exponent=st.sampled_from([0, 1, 2, 3, 4, 60, 200]),
 )
 @example(alpha=math.sqrt(2.0) * math.pi, n=3, max_degree=20_000, exponent=1)  # weight 1 up to rounding
-@example(alpha=Fraction(1, 3), n=2, max_degree=20_000, exponent=1)  # periodic sines: ties across blocks
+# at 40,000 degrees an exact alpha spans five blocks of MARGIN_BLOCK = 8192
+@example(alpha=Fraction(1, 3), n=2, max_degree=40_000, exponent=1)  # periodic sines: ties across blocks
 @example(alpha=Fraction(2, 3), n=2, max_degree=20_000, exponent=60)  # exact zero at l = 1, weight 2^60
 @example(alpha=math.pi / 3, n=3, max_degree=20_000, exponent=60)  # float zero at l = 2
 @example(alpha=Fraction(7, 31), n=2, max_degree=20_000, exponent=200)  # overflow at l = 34
-@example(alpha=Fraction(1, 10**13), n=2, max_degree=20_000, exponent=3)  # 4q > 2^42: residues on Python ints
-@example(alpha=Fraction(1, 3), n=3, max_degree=20_000, exponent=3)  # period 6 does not divide MARGIN_BLOCK
-@example(alpha=Fraction(1, 2048), n=2, max_degree=20_000, exponent=3)  # period 4096, one block
-@example(alpha=Fraction(1, 2049), n=2, max_degree=20_000, exponent=3)  # period 4098, beyond one block
-@example(alpha=Fraction(-7, 31), n=2, max_degree=20_000, exponent=3)  # negative exact time
+@example(alpha=Fraction(1, 10**13), n=2, max_degree=40_000, exponent=3)  # 4q > 2^42: residues on Python ints
+@example(alpha=Fraction(1, 3), n=3, max_degree=40_000, exponent=3)  # period 6 does not divide MARGIN_BLOCK
+@example(alpha=Fraction(1, 2048), n=2, max_degree=40_000, exponent=3)  # period 4096, two to a block
+@example(alpha=Fraction(1, 2049), n=2, max_degree=40_000, exponent=3)  # period 4098, one to a block
+@example(alpha=Fraction(1, 4096), n=2, max_degree=40_000, exponent=3)  # period 8192, exactly one block
+@example(alpha=Fraction(1, 4097), n=2, max_degree=40_000, exponent=3)  # period 8194, just beyond one block
+@example(alpha=Fraction(-7, 31), n=2, max_degree=40_000, exponent=3)  # negative exact time
 @example(alpha=1000 * math.pi, n=3, max_degree=20_000, exponent=3)  # |w alpha| to 6.3e7: ulp threshold
 # float alphas through the Jordan-floor screen
 @example(alpha=FAR_KERNEL, n=3, max_degree=40_000, exponent=0)
