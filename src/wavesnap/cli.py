@@ -171,8 +171,9 @@ REPR_BLOCK = 8192  # rows `_repr_rows` writes per numpy pass
 
 
 def _repr_rows(degrees: Sequence[int], values: Sequence[float]) -> str:
-    """The CSV lines f"{l},{v!r}\\n" of the rows (l, v) of `degrees`, ints in
-    [0, 10^8), and `values`, Python floats, a block of REPR_BLOCK rows at a time.
+    """The CSV lines f"{l},{float(v)!r}\\n" of the rows (l, v) of `degrees`, ints
+    in [0, 10^8), and `values`, floats, a block of REPR_BLOCK rows at a time;
+    either may be a sequence or a numpy array.
 
     Each block is one uint32 matrix of four-byte quads, a row of 36 bytes per
     line: the degree's eight digits (quads 0-1), NUL and "," (bytes 8-9), the
@@ -202,8 +203,8 @@ def _repr_rows(degrees: Sequence[int], values: Sequence[float]) -> str:
     first, last = first.view(np.uint32).ravel(), first[:, ::-1].copy().view(np.uint32).ravel()  # last: its last c
     blocks = []
     for i in range(0, len(values), REPR_BLOCK):
-        v = np.fromiter(values[i : i + REPR_BLOCK], dtype=float)
-        degree = np.fromiter(degrees[i : i + REPR_BLOCK], dtype=np.int64)
+        v = np.array(values[i : i + REPR_BLOCK], dtype=float)  # a copy: the rows outside the window are overwritten
+        degree = np.asarray(degrees[i : i + REPR_BLOCK], dtype=np.int64)
         window = (v >= 1e-4) & (v < 1.0)
         v[~window] = 0.5
         bits = v.view(np.int64)
@@ -250,7 +251,7 @@ def _repr_rows(degrees: Sequence[int], values: Sequence[float]) -> str:
         chars[:, 35] = ord("\n")
         rows = np.flatnonzero(bad)
         if rows.size:
-            texts = np.array([repr(values[i + r]) for r in rows.tolist()], dtype="S24")
+            texts = np.array([repr(float(values[i + r])) for r in rows.tolist()], dtype="S24")
             chars[rows, 10:34] = texts.view(np.uint8).reshape(-1, 24)
         blocks.append(chars.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(blocks)

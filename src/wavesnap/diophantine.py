@@ -11,7 +11,7 @@ convergent bounds of a factorial series (`convergent_chain`: one big
 product per k, and `doubled_liouville_bound` on its first) and,
 through them, the `certified` flag of `snapshots.liouville_obstruction_demo`.
 A small-denominator table detects its zero rows exactly, but its nonzero
-sines are `math.sin` floats, and the joint lower bound is a sampled minimum,
+sines are float64 sines, and the joint lower bound is a sampled minimum,
 its sines taken only where Jordan's floor lets the minimum be.
 """
 
@@ -22,10 +22,13 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .fields import MultiplierSymbol
 from .propagators import InvalidTime, exact_residue, sine_floor
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KIND_RATIONAL = "rational"
 KIND_MEASURE_BOUNDED = "measure-bounded"
@@ -302,23 +305,26 @@ def convergent_chain(x: NumberClass, k: int) -> Iterator[Convergent]:
 # small-denominator tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmallDenominatorTable:
     """Columns of degrees l and values |sin(pi (l + shift) beta)|, with exact zero detection.
 
-    `fitted_exponent` is a least-squares decay exponent of the lower
-    envelope over dyadic blocks (inf when an exact zero appears)."""
+    `degrees` is an int64 and `values` a float64 numpy array (numpy's sin,
+    math.sin bit for bit), both read-only, so tables compare by identity;
+    `rows` pairs them as Python ints and floats.  `fitted_exponent` is a
+    least-squares decay exponent of the lower envelope over dyadic blocks
+    (inf when an exact zero appears)."""
 
     beta_label: str
     shift: Fraction
-    degrees: tuple[int, ...]
-    values: tuple[float, ...]
+    degrees: np.ndarray
+    values: np.ndarray
     zero_rows: tuple[int, ...]
     fitted_exponent: float | None
 
     @property
     def rows(self) -> tuple[tuple[int, float], ...]:
-        return tuple(zip(self.degrees, self.values))
+        return tuple(zip(self.degrees.tolist(), self.values.tolist()))
 
 
 def small_denominator_sequence(beta: NumberClass, shift: Fraction | int, count: int) -> SmallDenominatorTable:
@@ -330,7 +336,7 @@ def small_denominator_sequence(beta: NumberClass, shift: Fraction | int, count: 
     by pi (count + shift), could move any row by more than 1e-12.
 
     Each row reduces (l + shift) beta exactly to the residue r / 2q of
-    `exact_residue`, folds r into [0, q] and takes math.sin of pi r / 2q;
+    `exact_residue`, folds r into [0, q] and takes np.sin of pi r / 2q;
     the row is an exact zero iff r = 0.
     """
     import numpy as np
@@ -345,27 +351,31 @@ def small_denominator_sequence(beta: NumberClass, shift: Fraction | int, count: 
             f"certified error {float(beta.err):.3e} cannot support {count} rows at 1e-12 resolution"
         )
     start = 1 if shift == 0 else 0
-    l = np.arange(start, count + 1)
+    l = np.arange(start, count + 1, dtype=np.int64)
     r, q2 = exact_residue(beta.value, 2 * l + int(2 * shift))
     r = np.minimum(r % q2, -r % q2)  # |sin(pi r / 2q)| has period 2q and mirrors about q
-    values = tuple(map(math.sin, (math.pi * (r / q2)).tolist()))
+    values = np.sin(np.asarray(math.pi * (r / q2), dtype=float))  # r / q2 is Python floats when r holds Python ints
+    l.setflags(write=False)
+    values.setflags(write=False)
     zeros = tuple(l[r == 0].tolist())
     return SmallDenominatorTable(
         beta_label=str(beta),
         shift=shift,
-        degrees=tuple(l.tolist()),
+        degrees=l,
         values=values,
         zero_rows=zeros,
         fitted_exponent=math.inf if zeros else _envelope_exponent(values[1 - start :]),
     )
 
 
-def _envelope_exponent(values: Sequence[float]) -> float | None:
-    """Least-squares decay exponent of the minima of `values`, the rows
-    l = 1, 2, ... in order, over the dyadic blocks [2^j, 2^(j+1))."""
+def _envelope_exponent(values) -> float | None:
+    """Least-squares decay exponent of the minima of `values`, a float64 array
+    of the rows l = 1, 2, ... in order, over the dyadic blocks [2^j, 2^(j+1))."""
+    import numpy as np
+
     if len(values) < 2:
         return None
-    mins = [min(values[2**j - 1 : 2 ** (j + 1) - 1]) for j in range(len(values).bit_length())]
+    mins = np.minimum.reduceat(values, 2 ** np.arange(len(values).bit_length()) - 1).tolist()
     xs = [j * math.log(2.0) for j in range(len(mins))]
     ys = [math.log(v) for v in mins]
     n = len(xs)

@@ -240,6 +240,17 @@ def test_block_csv_writer_rejects_mismatched_columns(width, lengths):
         cli._emit_csv(argparse.Namespace(out=None, seed=3), "a verb", [f"c{j}" for j in range(width)], columns)
 
 
+def assert_same_text(got, want):
+    """got == want.  On a mismatch name the first differing line and show both,
+    as pytest's diff of two multi-megabyte texts takes minutes."""
+    if got == want:
+        return
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    x, y = (lines[i] if i < len(lines) else "<end of text>" for lines in (a, b))
+    pytest.fail(f"texts differ first at line {i + 1}: got {x!r}, want {y!r}", pytrace=False)
+
+
 @pytest.mark.parametrize("shift", ["0", "1/2"])
 def test_smallden_file_matches_the_per_row_writer(tmp_path, shift):
     out = tmp_path / "sd.csv"
@@ -247,7 +258,7 @@ def test_smallden_file_matches_the_per_row_writer(tmp_path, shift):
     assert cli.run(argv) == 0
     text = out.read_text()
     table = dio.small_denominator_sequence(dio.golden_class(), Fraction(shift), 100000)
-    assert text[text.index("l,value\n") :] == ref.csv_body(("l", "value"), table.rows)
+    assert_same_text(text[text.index("l,value\n") :], ref.csv_body(("l", "value"), table.rows))
 
 
 @pytest.mark.parametrize(
@@ -263,7 +274,7 @@ def test_smallden_edge_files_match_the_per_row_writer(tmp_path, number, shift, c
     text = out.read_text()
     table = dio.small_denominator_sequence(cli.number_class(number), Fraction(shift), count)
     assert (0.0 in table.values) is number.startswith("rational")
-    assert text[text.index("l,value\n") :] == ref.csv_body(("l", "value"), table.rows)
+    assert_same_text(text[text.index("l,value\n") :], ref.csv_body(("l", "value"), table.rows))
 
 
 def repr_lines(degrees, values):
@@ -300,11 +311,26 @@ def test_repr_rows_write_every_degree_width():
     # text length, in one block and across blocks
     degrees = [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10**4, 10**5, 10**6, 10**7 - 1, 10**7, 10**8 - 1]
     values = [REPR_EDGES[i % len(REPR_EDGES)] for i in range(len(degrees))]
-    assert repr_lines(degrees, values) == ref.csv_body(("l", "value"), zip(degrees, values))
+    assert_same_text(repr_lines(degrees, values), ref.csv_body(("l", "value"), zip(degrees, values)))
     degrees = [(i * 7919) ** 2 % 10**8 for i in range(2 * cli.REPR_BLOCK + 5)]
     values = [REPR_EDGES[i % len(REPR_EDGES)] / (1 + i % 3) for i in range(len(degrees))]
-    assert repr_lines(degrees, values) == ref.csv_body(("l", "value"), zip(degrees, values))
+    assert_same_text(repr_lines(degrees, values), ref.csv_body(("l", "value"), zip(degrees, values)))
     assert cli._repr_rows([], []) == ""
+
+
+def test_repr_rows_read_arrays_as_lists():
+    # numpy 2 writes repr(np.float64(0.0)) as "np.float64(0.0)": the rows that go back to repr
+    # (zeros, nan, infinities, subnormals, powers of two, ties) must write repr(float(v)); a
+    # read-only array, as the table's columns are, is read and never written
+    import numpy as np
+
+    degrees = range(len(REPR_EDGES))
+    want = ref.csv_body(("l", "value"), zip(degrees, REPR_EDGES))
+    column, values = np.array(degrees), np.array(REPR_EDGES)
+    column.setflags(write=False)
+    values.setflags(write=False)
+    assert_same_text(repr_lines(degrees, REPR_EDGES), want)
+    assert_same_text(repr_lines(column, values), want)
 
 
 @pytest.mark.parametrize(
@@ -315,7 +341,7 @@ def test_repr_rows_write_every_degree_width():
 def test_float_reprs_are_repr_on_smallden_tables(spec, shift, count):
     table = dio.small_denominator_sequence(cli.number_class(spec), shift, count)
     assert (table.zero_rows != ()) is spec.startswith("liouville")  # exact zeros at l = 10^6
-    assert repr_lines(table.degrees, table.values) == ref.csv_body(("l", "value"), table.rows)
+    assert_same_text(repr_lines(table.degrees, table.values), ref.csv_body(("l", "value"), table.rows))
 
 
 def test_float_reprs_check_fails_on_other_digits():

@@ -374,6 +374,14 @@ def smallden_by_loop(beta, shift, count):
 @example(p=123456789123, q=10**13 + 7, shift=Fraction(1, 2), count=300)  # int64 residues
 @example(p=-(10**17) - 3, q=10**18 - 1, shift=Fraction(0), count=200)  # Python ints: 4q > 2^53
 @example(p=3, q=2**51 - 1, shift=Fraction(1, 2), count=1000)  # Python ints: 2w 4q >= 2^63
+# a golden-ratio convergent at the dyadic block edges of fitted_exponent: l up to 1023 ends on a
+# full block [512, 1024), and 1024 and 1025 are one and two rows into the next
+@example(p=165580141, q=102334155, shift=Fraction(0), count=1023)
+@example(p=165580141, q=102334155, shift=Fraction(0), count=1024)
+@example(p=165580141, q=102334155, shift=Fraction(0), count=1025)
+@example(p=165580141, q=102334155, shift=Fraction(1, 2), count=1023)
+@example(p=165580141, q=102334155, shift=Fraction(1, 2), count=1024)
+@example(p=165580141, q=102334155, shift=Fraction(1, 2), count=1025)
 def test_smallden_matches_per_row_loop(p, q, shift, count):
     beta = Fraction(p, q)
     t = dio.small_denominator_sequence(dio.rational_number(beta), shift, count)
@@ -382,6 +390,17 @@ def test_smallden_matches_per_row_loop(p, q, shift, count):
     assert [(l, v.hex()) for l, v in t.rows] == [(l, v.hex()) for l, v in rows]
     assert all(type(l) is int and type(v) is float for l, v in t.rows)
     assert t.fitted_exponent == exponent
+
+
+def test_smallden_columns_are_read_only():
+    for beta, zero in ((Fraction(2, 3), True), (Fraction(165580141, 102334155), False)):
+        t = dio.small_denominator_sequence(dio.rational_number(beta), 0, 30)
+        assert (t.degrees.dtype, t.values.dtype) == ("int64", "float64")
+        for column in (t.degrees, t.values):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        assert (0.0 in t.values) is zero and len(t.rows) == 30
+    assert t != dio.small_denominator_sequence(dio.rational_number(beta), 0, 30)  # identity, not an array truth value
 
 
 def test_smallden_row_values_match_float_sine():
