@@ -5,11 +5,16 @@ Usage (from any directory):
     python3 scripts/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
         --workload exactscan --seed 1 --pairs 10 --seconds 25 --out BENCH_12.json
 
-Each pair runs `python3 bench/run.py --workload W --seed S --seconds T --trace 0`
-once in each tree, the parent first on even-numbered pairs (counting from 0)
-and the change first on odd ones.  Every run starts in the same bytecode
-state: PYTHONDONTWRITEBYTECODE=1, and no __pycache__ under src/ or bench/,
-so each process compiles the package from source.
+Both trees are first copied into one temporary directory, as parent/ and
+change/, leaving out .git, every __pycache__, bench/results and bench/.work,
+and each run happens in its copy: the set-up time and the peak memory move
+with the length of the checkout's path, so both sides get paths of one
+length.  Each pair runs
+`python3 bench/run.py --workload W --seed S --seconds T --trace 0` once in
+each copy, the parent first on even-numbered pairs (counting from 0) and the
+change first on odd ones.  Every run starts in the same bytecode state:
+PYTHONDONTWRITEBYTECODE=1 in copies that hold no __pycache__, so each process
+compiles the package from source.
 
 The summary goes into --out, in the shape of the earlier BENCH_<pr>.json
 files: per workload and seed, the median and the quartiles (inclusive
@@ -34,20 +39,24 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 METRICS = ("pass_ref", "setup_s", "peak_rss_mb")
+LEFT_OUT = {".git", "bench/results", "bench/.work"}  # paths from the tree's root; and every __pycache__
 
 
-def clear_bytecode(tree: Path) -> None:
-    for top in ("src", "bench"):
-        for cache in (tree / top).rglob("__pycache__"):
-            shutil.rmtree(cache, ignore_errors=True)
+def copy_tree(tree: Path, dest: Path) -> None:
+    """Copy `tree` to `dest`, leaving out LEFT_OUT and bytecode caches."""
+    def ignore(directory: str, names: list[str]) -> set[str]:
+        here = Path(directory).relative_to(tree)
+        return {n for n in names if n == "__pycache__" or (here / n).as_posix() in LEFT_OUT}
+
+    shutil.copytree(tree, dest, ignore=ignore)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in `tree`: its metrics, pass seconds and output digests."""
-    clear_bytecode(tree)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
@@ -135,17 +144,22 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{tree} has no bench/run.py")
 
     runs = []
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {side: run_once(trees[side], args.workload, args.seed, args.seconds) for side in order}
-        runs.append((pair["parent"], pair["change"]))
-        p, c = (pair[s]["metrics"]["pass_ref"] for s in ("parent", "change"))
-        print(f"{args.workload} seed {args.seed} pair {i}: pass_ref parent {p:.4f} change {c:.4f}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = {side: Path(tmp) / side for side in trees}
+        for side, tree in trees.items():
+            copy_tree(tree, copies[side])
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {side: run_once(copies[side], args.workload, args.seed, args.seconds) for side in order}
+            runs.append((pair["parent"], pair["change"]))
+            p, c = (pair[s]["metrics"]["pass_ref"] for s in ("parent", "change"))
+            print(f"{args.workload} seed {args.seed} pair {i}: pass_ref parent {p:.4f} change {c:.4f}", flush=True)
 
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     doc.update({
         "description": "bench/run.py --trace 0, alternating parent/change pairs (even-numbered pairs parent "
-                       "first, counting from 0), written by scripts/bench_pairs.py. Medians and quartiles "
+                       "first, counting from 0), each tree run from a copy under one temporary directory (parent/ "
+                       "and change/), written by scripts/bench_pairs.py. Medians and quartiles "
                        "(inclusive method) of each side; change_lower_in_pairs = pairs where the change reads "
                        "lower; claim_met = lower in >= 9/10 of the pairs and the medians further apart than the "
                        "parent's quartiles; request_sha256_match = every run of both trees gave the same output digests.",

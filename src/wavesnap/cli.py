@@ -23,9 +23,9 @@ import itertools
 import math
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import __version__, diophantine, experiments, snapshots, sphere
+from . import __version__, snapshots, sphere
 from .fields import (
     BASES,
     Field,
@@ -36,11 +36,18 @@ from .fields import (
     symbol_constant,
     write_text_atomic,
 )
-from .propagators import symbol_Psi, symbol_S, symbol_Sprime
+from .propagators import PrecisionExhausted, symbol_Psi, symbol_S, symbol_Sprime
+
+if TYPE_CHECKING:
+    from . import diophantine
 
 CSV_BLOCK = 1024  # rows formatted per % in CSV output
 # ArithmeticError: ZeroDivisionError, and OverflowError from results beyond the float range
-_DOMAIN_ERRORS = (ValueError, OSError, KeyError, ArithmeticError, diophantine.PrecisionExhausted, SymbolUndefined)
+_DOMAIN_ERRORS = (ValueError, OSError, KeyError, ArithmeticError, PrecisionExhausted, SymbolUndefined)
+# the names of `experiments.ALL`, held here so that building the parser imports no experiment
+SUITES = (
+    "recursion", "identities", "three-snapshot", "liouville", "rational", "oddtype", "jointbound", "sphere", "sdprobe"
+)
 
 
 # -- parsing helpers --------------------------------------------------------
@@ -63,11 +70,17 @@ def number_class(spec: str) -> diophantine.NumberClass:
     rational:P/Q (or a bare P/Q), sqrt2, golden, liouville:BASE:DEPTH[:c1,..],
     binary:DEPTH, oddtype:DEPTH[:c1,..], doubled:<spec>.
     """
+    from . import diophantine
+
     head, _, rest = spec.partition(":")
     if head == "doubled":
         return diophantine.doubled(number_class(rest))
     if head == "rational":
-        return diophantine.rational_number(Fraction(rest))
+        try:
+            value = Fraction(rest)
+        except ZeroDivisionError:
+            raise ValueError(f"number spec {spec!r} has a zero denominator") from None
+        return diophantine.rational_number(value)
     if spec == "sqrt2":  # no parameters: "sqrt2:..." is an unknown spec
         return diophantine.sqrt2_class()
     if spec == "golden":
@@ -96,7 +109,7 @@ def number_class(spec: str) -> diophantine.NumberClass:
 def _number_spec(text: str) -> diophantine.NumberClass:
     try:
         return number_class(text)
-    except (ValueError, ZeroDivisionError, diophantine.PrecisionExhausted) as exc:
+    except (ValueError, ZeroDivisionError, PrecisionExhausted) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
@@ -334,6 +347,8 @@ def _wave_symbol(args) -> tuple:
 
 
 def _dio_cfrac(args) -> dict:
+    from . import diophantine
+
     cf = diophantine.continued_fraction(args.value, args.max_terms)
     return {"value": args.value, "partial_quotients": list(cf.partial_quotients), "convergents": list(cf.convergents)}
 
@@ -353,11 +368,15 @@ def _dio_class(args) -> dict:
 
 
 def _dio_probe_mu(args) -> dict:
+    from . import diophantine
+
     rows = diophantine.irrationality_exponent_probe(args.number, args.depth)
     return {"number": args.number.label, "rows": [{"index": r.index, "q": r.q, "mu": r.mu} for r in rows]}
 
 
 def _dio_smallden(args) -> tuple:
+    from . import diophantine
+
     table = diophantine.small_denominator_sequence(args.number, args.shift, args.count)
     comments = [
         f"beta: {table.beta_label}, shift: {table.shift}",
@@ -368,11 +387,15 @@ def _dio_smallden(args) -> tuple:
 
 
 def _dio_oddtype(args) -> dict:
+    from . import diophantine
+
     rep = diophantine.odd_type_verifier(args.qmax)
     return {**dataclasses.asdict(rep), "passes": rep.passes}
 
 
 def _dio_jointbound(args) -> dict:
+    from . import diophantine
+
     try:
         c, passes = diophantine.joint_sine_lower_bound_check(args.number, args.exponent, args.xmax)
     except OverflowError as exc:
@@ -388,6 +411,8 @@ _PROBE_SYMBOLS = {
 
 
 def _dio_sdprobe(args) -> tuple:
+    from . import diophantine
+
     symbol = _PROBE_SYMBOLS[args.symbol]()
     try:
         rows = diophantine.slowly_decreasing_probe(symbol, args.a_const, args.ximax, samples=args.samples)
@@ -400,6 +425,8 @@ def _dio_sdprobe(args) -> tuple:
 
 
 def _dio_doubled_bound(args) -> dict:
+    from . import diophantine
+
     w = diophantine.doubled_liouville_bound(args.number, args.exponent)
     return {"number": args.number.label, **dataclasses.asdict(w), "ok": w.ok}
 
@@ -451,6 +478,8 @@ def _sphere_margin(args) -> dict:
 
 
 def _reproduce(args) -> int:
+    from . import experiments
+
     results = experiments.run([args.suite], seed=args.seed)
     for r in results:
         print(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['details']}")
@@ -626,7 +655,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_sphere_margin)
 
     rep = groups.add_parser("reproduce", help="run an acceptance experiment bundle")
-    rep.add_argument("suite", choices=[*experiments.ALL, "all"])
+    rep.add_argument("suite", choices=[*SUITES, "all"])
     rep.set_defaults(handler=_reproduce)
 
     for p in itertools.chain(wave.choices.values(), dio.choices.values(), sph.choices.values(), [rep]):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .fields import MultiplierSymbol
-from .propagators import InvalidTime, exact_residue, sine_floor
+from .propagators import PrecisionExhausted, exact_residue, sine_floor
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,10 +42,6 @@ JOINT_SAMPLES = 200_000  # the joint sine bound's uniform grid, besides its poin
 JOINT_BLOCK = 16_384  # grid points the joint bound's Jordan screen scores per numpy pass
 
 PI_HI = Fraction(math.pi) + Fraction(1, 2**52)  # above pi: math.pi undershoots by about 1.22e-16
-
-
-class PrecisionExhausted(RuntimeError):
-    """The certified error of a truncation cannot support the request."""
 
 
 class InvalidCoefficient(ValueError):
@@ -526,25 +522,7 @@ def slowly_decreasing_probe(
 
 
 # ---------------------------------------------------------------------------
-# Bezout data and odd-denominator margins
-
-
-def bezout(p: int, q: int) -> tuple[int, int]:
-    """The pair (k, l) with k p + l q = 1 and minimal |k| <= q, |l| <= p;
-    on a tie the positive k wins."""
-    p, q = int(p), int(q)
-    if p < 1 or q < 1:
-        raise ValueError(f"need positive integers, got ({p}, {q})")
-    if math.gcd(p, q) != 1:
-        raise InvalidTime(f"gcd({p}, {q}) != 1")
-    if q == 1:
-        return 0, 1
-    k0 = pow(p, -1, q)
-    k = k0 if abs(k0) <= abs(k0 - q) else k0 - q
-    if abs(k0) == abs(k0 - q):
-        k = max(k0, k0 - q)
-    l = (1 - k * p) // q
-    return k, l
+# odd-denominator margins
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,10 @@ class InvalidTime(ValueError):
     that are not positive, distinct and coprime."""
 
 
+class PrecisionExhausted(RuntimeError):
+    """The certified error of a truncation cannot support the request."""
+
+
 def chebyshev_U(m: int, x: float) -> float:
     """Chebyshev polynomial of the second kind, extended to all integer
     indices by U_{-1} = 0 and U_{-m-2} = -U_m.  Up to CHEBYSHEV_LOOP_MAX by

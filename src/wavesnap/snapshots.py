@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from . import diophantine
 from .fields import (
     Field,
     MultiplierSymbol,
@@ -470,6 +469,24 @@ def rational_reconstruct(f0: Field, fp: Field, fq: Field, p: int, q: int) -> Sol
     return _bezout_solve(f0, fp, fq, p, q, 1.0)
 
 
+def bezout(p: int, q: int) -> tuple[int, int]:
+    """The pair (k, l) with k p + l q = 1 and minimal |k| <= q, |l| <= p;
+    on a tie the positive k wins."""
+    p, q = int(p), int(q)
+    if p < 1 or q < 1:
+        raise ValueError(f"need positive integers, got ({p}, {q})")
+    if math.gcd(p, q) != 1:
+        raise InvalidTime(f"gcd({p}, {q}) != 1")
+    if q == 1:
+        return 0, 1
+    k0 = pow(p, -1, q)
+    k = k0 if abs(k0) <= abs(k0 - q) else k0 - q
+    if abs(k0) == abs(k0 - q):
+        k = max(k0, k0 - q)
+    l = (1 - k * p) // q
+    return k, l
+
+
 def _bezout_solve(f0: Field, fa: Field, fb: Field, p: int, q: int, unit: float) -> SolveReport:
     """Solve for g from snapshots at times (0, p*unit, q*unit), gcd(p, q) = 1.
 
@@ -487,7 +504,7 @@ def _bezout_solve(f0: Field, fa: Field, fb: Field, p: int, q: int, unit: float) 
     for f in (fa, fb):
         f.check_same_basis(f0)
     keys, freqs, (x, y, z) = union_columns((f0, fa, fb))
-    k, l = diophantine.bezout(p, q)
+    k, l = bezout(p, q)
     try:
         (us, sin_u), (uas, sin_ua), (ubs, sin_ub) = (_angles(c, freqs) for c in (unit, pu, qu))
         a = list(map(operator.sub, y, map(operator.mul, map(math.cos, uas), x)))  # the window fa - S'_{pu} f0
@@ -552,6 +569,8 @@ def liouville_obstruction_demo(k_max: int) -> tuple[LiouvilleRow, ...]:
     formed, and returned in ascending k.
     """
     import mpmath  # only this demo needs it
+
+    from . import diophantine
 
     if not 1 <= k_max <= 25:
         raise ValueError(f"k_max must be in [1, 25], got {k_max}")

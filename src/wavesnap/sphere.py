@@ -26,16 +26,8 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .diophantine import (
-    KIND_LIOUVILLE,
-    KIND_MEASURE_BOUNDED,
-    KIND_ODD_TYPE,
-    KIND_RATIONAL,
-    NumberClass,
-    Unclassifiable,
-    slow_decay_check,
-)
 from .fields import Field, Sphere, dim_Hl, frequency, from_columns, load_field, save_field
 from .propagators import as_radians, check_phase, exact_residue, kernel_threshold, sine_at, sine_floor
 from .snapshots import (
@@ -46,6 +38,9 @@ from .snapshots import (
     evolve,
     general_integer_snapshot,
 )
+
+if TYPE_CHECKING:
+    from .diophantine import NumberClass
 
 MARGIN_BLOCK = 8192  # degrees the margin screen scores per numpy pass
 MARGIN_WINDOW = 1e-9  # relative; rows this close to the best score get the exact recheck
@@ -171,6 +166,8 @@ def surjectivity_margin(
     (1+l)^exponent beyond the float range raises OverflowError naming its
     degree, a non-finite alpha InvalidTime, and so does a float alpha with
     |alpha| (max_degree + (n-1)/2) >= 2^50 (`check_phase`)."""
+    from .diophantine import slow_decay_check
+
     _check_finite(alpha, "alpha")
     dim_Hl(n, 0)
     if not 1 <= max_degree <= 10**6:
@@ -277,6 +274,8 @@ def classify_alpha(beta: NumberClass, n: int) -> Classification:
     exactly when beta/2 is of odd type, so a certificate about beta/2 must
     ride along in `beta.half`.
     """
+    from .diophantine import KIND_LIOUVILLE, KIND_MEASURE_BOUNDED, KIND_ODD_TYPE, KIND_RATIONAL, Unclassifiable
+
     dim_Hl(n, 0)  # validates n
     if beta.value <= 0:
         raise ValueError(f"beta must be positive, got {beta.value}")

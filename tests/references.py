@@ -344,7 +344,7 @@ def bezout_solve(f0, fa, fb, p, q, unit):
     if gate > RATIONAL_GATE_TOL:
         note = f"snapshot compatibility residual {gate:.3e} exceeds {RATIONAL_GATE_TOL:.1e}"
         return SolveReport(STATUS_OBSTRUCTED, None, gate, 0.0, (), note)
-    k, l = diophantine.bezout(p, q)
+    k, l = snapshots.bezout(p, q)
     sym_a = symbol_product(symbol_Psi(k, p * unit), symbol_Sprime(l * q * unit))
     sym_b = symbol_product(symbol_Psi(l, q * unit), symbol_Sprime(k * p * unit))
     num = linear_combine([1.0, 1.0], [apply_multiplier(va, sym_a), apply_multiplier(vb, sym_b)])

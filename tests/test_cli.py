@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wavesnap import cli, diophantine as dio
+from wavesnap import cli, diophantine as dio, experiments
 from wavesnap.fields import field, load_field, save_field
 from wavesnap.snapshots import CauchyData, evolve, general_integer_snapshot
 from wavesnap.sphere import load_sphere_field, save_sphere_field, sphere_field, sphere_snapshot
@@ -516,6 +516,20 @@ def test_reproduce_suite(capsys):
     assert out.startswith("PASS sdprobe:")
 
 
+def test_suite_names_are_the_experiments(capsys, monkeypatch):
+    # the parser lists the suites without importing the experiments, so its copy of their names
+    # is pinned here, and the texts that show them keep their bytes
+    assert cli.SUITES == tuple(experiments.ALL)
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    choices = "{recursion,identities,three-snapshot,liouville,rational,oddtype,jointbound,sphere,sdprobe,all}"
+    usage = f"usage: wavesnap reproduce [-h] [--seed SEED] [--out OUT]\n{' ' * 26}{choices}\n"
+    assert cli.run(["reproduce", "--help"]) == 0
+    assert capsys.readouterr().out.startswith(usage + f"\npositional arguments:\n  {choices}\n\n")
+    assert cli.run(["reproduce", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage + "wavesnap reproduce: error: argument suite: invalid choice: 'nosuch'"), err
+
+
 def test_module_entry_point_runs_from_checkout():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -635,6 +649,7 @@ def test_exit_codes(tmp_path, capsys):
         assert cli.run(["dio", "class", "--number", spec]) == 2, spec
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "--number" in err and "Traceback" not in err
+    assert err.endswith("error: argument --number: number spec 'rational:1/0' has a zero denominator\n"), err
 
 
 @pytest.fixture()
@@ -786,9 +801,27 @@ def test_time_flag_pairs_are_exclusive_and_required(capsys):
             assert capsys.readouterr().err.startswith("usage:"), argv
 
 
-def test_help_exits_zero(capsys):
+TOP_HELP = """usage: wavesnap [-h] [--version] {wave,dio,sphere,reproduce} ...
+
+Command-line front end.
+
+positional arguments:
+  {wave,dio,sphere,reproduce}
+    wave                Euclidean evolution, snapshots, and solvers
+    dio                 Diophantine toolkit
+    sphere              waves on the round sphere
+    reproduce           run an acceptance experiment bundle
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+
+def test_help_exits_zero(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
     assert cli.run(["--help"]) == 0
-    assert "wave" in capsys.readouterr().out
+    assert capsys.readouterr().out == TOP_HELP
 
 
 SOLVE_VERBS_WITHOUT_NUMPY = r"""
@@ -819,13 +852,18 @@ runs = [
     ["sphere", "solve", "--f0", p["s0"], "--falpha", p["salpha"], "--alpha", "0.7"],
 ]
 codes = [cli.run(argv + ["--out", os.path.join(d, "out.json")]) for argv in runs]
-print(codes, "numpy" in sys.modules, "mpmath" in sys.modules)
+print(codes, *(name in sys.modules for name in ("numpy", "mpmath", "wavesnap.diophantine", "wavesnap.experiments")))
+code = cli.run(["dio", "cfrac", "--value", "355/113", "--out", os.path.join(d, "out.json")])
+print(code, *(name in sys.modules for name in ("wavesnap.diophantine", "wavesnap.experiments")))
 """
 
 
 def test_solve_verbs_leave_numpy_unloaded(tmp_path):
     # the field verbs run in plain floats: numpy's import would add ~10 MB to their
-    # peak memory, and mpmath's (needed by the Liouville demo alone) a few more
+    # peak memory, and mpmath's (needed by the Liouville demo alone) a few more;
+    # nor do they run the Diophantine toolkit or the experiments, each compiled
+    # from source at every cold start where no bytecode is written, and a dio verb
+    # runs no experiment
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     done = subprocess.run(
         [sys.executable, "-c", SOLVE_VERBS_WITHOUT_NUMPY, str(tmp_path)],
@@ -835,7 +873,8 @@ def test_solve_verbs_leave_numpy_unloaded(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    expected = ["[0,", "0,", "0,", "0,", "0,", "0,", "0,", "0,", "0]", "False", "False"]
+    expected = ["[0,", "0,", "0,", "0,", "0,", "0,", "0,", "0,", "0]", "False", "False", "False", "False"]
+    expected += ["0", "True", "False"]
     assert done.stdout.split() == expected, done.stdout + done.stderr
 
 

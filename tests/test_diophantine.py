@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wavesnap import diophantine as dio
-from wavesnap.propagators import InvalidTime
 
 import references as ref
 
@@ -75,29 +74,6 @@ def test_cfrac_golden_is_fibonacci():
     fib = [1, 1, 2, 3, 5, 8, 13, 21]
     got = [c.denominator for c in cf.convergents[:8]]
     assert got == fib
-
-
-# -- bezout ------------------------------------------------------------------
-
-
-def test_bezout_table():
-    assert dio.bezout(2, 3) == (-1, 1)
-    assert dio.bezout(1, 2) == (1, 0)
-    assert dio.bezout(5, 7) == (3, -2)
-    assert dio.bezout(3, 1) == (0, 1)
-    assert dio.bezout(1, 1) == (0, 1)
-
-
-@given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=500))
-def test_bezout_identity_and_size(p, q):
-    if math.gcd(p, q) != 1:
-        with pytest.raises(InvalidTime, match=rf"^gcd\({p}, {q}\) != 1$"):
-            dio.bezout(p, q)
-        return
-    k, l = dio.bezout(p, q)
-    assert k * p + l * q == 1
-    if q > 1:
-        assert abs(k) <= q  # representative chosen small
 
 
 # -- exact sine: the enclosures in references.py -----------------------------

@@ -326,6 +326,29 @@ def test_rational_reconstruct_rejects_non_wave_data():
     assert rep.note == f"snapshot compatibility residual {rep.residual:.3e} exceeds 1.0e-09"
 
 
+# -- bezout ------------------------------------------------------------------
+
+
+def test_bezout_table():
+    assert snap.bezout(2, 3) == (-1, 1)
+    assert snap.bezout(1, 2) == (1, 0)
+    assert snap.bezout(5, 7) == (3, -2)
+    assert snap.bezout(3, 1) == (0, 1)
+    assert snap.bezout(1, 1) == (0, 1)
+
+
+@given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=500))
+def test_bezout_identity_and_size(p, q):
+    if math.gcd(p, q) != 1:
+        with pytest.raises(snap.InvalidTime, match=rf"^gcd\({p}, {q}\) != 1$"):
+            snap.bezout(p, q)
+        return
+    k, l = snap.bezout(p, q)
+    assert k * p + l * q == 1
+    if q > 1:
+        assert abs(k) <= q  # representative chosen small
+
+
 def test_bezout_gate_failure_is_one_obstructed_report():
     # the Bezout gate fails the same way through both solvers: snapshots at
     # integer times (0, p, q) and at the rescaled times (0, p/q, 1)
@@ -602,7 +625,7 @@ def solver_cases():
     f0 = data.position
     f1, f2, f3, f23 = (evolve(data, t) for t in (1.0, 2.0, 3.0, 2.0 / 3.0))
     on_sphere = CauchyData(sph.sphere_field(3, [(1, 2, 1.0), (2, 1, 0.5j)]), sph.sphere_field(3, [(1, 2, -0.25), (4, 3, 1.0)]))
-    k, l = diophantine.bezout(2, 3)
+    k, l = snap.bezout(2, 3)
     bezout = f": bezout k={k}, l={l}; residual at t={{}}: [0-9.e+-]+, t={{}}: [0-9.e+-]+"
     return [
         (snap.two_snapshot_solve, (f0, f1), ""),
