@@ -41,7 +41,6 @@ from .propagators import PrecisionExhausted, symbol_Psi, symbol_S, symbol_Sprime
 if TYPE_CHECKING:
     from . import diophantine
 
-CSV_BLOCK = 1024  # rows formatted per % in CSV output
 # ArithmeticError: ZeroDivisionError, and OverflowError from results beyond the float range
 _DOMAIN_ERRORS = (ValueError, OSError, KeyError, ArithmeticError, PrecisionExhausted, SymbolUndefined)
 # the names of `experiments.ALL`, held here so that building the parser imports no experiment
@@ -75,12 +74,6 @@ def number_class(spec: str) -> diophantine.NumberClass:
     head, _, rest = spec.partition(":")
     if head == "doubled":
         return diophantine.doubled(number_class(rest))
-    if head == "rational":
-        try:
-            value = Fraction(rest)
-        except ZeroDivisionError:
-            raise ValueError(f"number spec {spec!r} has a zero denominator") from None
-        return diophantine.rational_number(value)
     if spec == "sqrt2":  # no parameters: "sqrt2:..." is an unknown spec
         return diophantine.sqrt2_class()
     if spec == "golden":
@@ -97,9 +90,13 @@ def number_class(spec: str) -> diophantine.NumberClass:
         # bad digits, else a bad depth, are named before a bad base
         cs, depth = (_coeff_list(coeffs), depth) if coeffs else (None, int(depth))
         return diophantine.liouville_truncation(int(base), cs, int(depth))
-    try:
-        return diophantine.rational_number(Fraction(spec))
-    except (ValueError, ZeroDivisionError):
+    try:  # rational:P/Q, or a bare P/Q
+        return diophantine.rational_number(Fraction(rest if head == "rational" else spec))
+    except ZeroDivisionError:
+        raise ValueError(f"number spec {spec!r} has a zero denominator") from None
+    except ValueError:
+        if head == "rational":
+            raise
         raise ValueError(
             f"unknown number spec {spec!r}: use P/Q, rational:P/Q, sqrt2, golden, "
             "liouville:BASE:DEPTH[:c1,..], binary:DEPTH, oddtype:DEPTH[:c1,..], or doubled:<spec>"
@@ -159,9 +156,9 @@ def _emit_csv(
     columns: Sequence[Sequence] | str,
     comments: Sequence[str] = (),
 ) -> None:
-    """The CSV of one column per name, or of the rows' lines when `columns` is
-    their text (`_repr_rows`); columns of unequal length, or not one per name,
-    raise ValueError."""
+    """The CSV of one column per name, each cell its str(), or of the rows'
+    lines when `columns` is their text (`_repr_rows`); columns of unequal
+    length, or not one per name, raise ValueError."""
     buf = io.StringIO()
     buf.write(f"# wavesnap {__version__}\n# verb: {verb}\n# seed: {args.seed}\n")
     buf.writelines(f"# {line}\n" for line in comments)
@@ -169,14 +166,9 @@ def _emit_csv(
     if isinstance(columns, str):
         buf.write(columns)
     else:
-        k = len(names)
-        cells = [None] * (k * len(columns[0]))
-        for j, column in zip(range(k), columns, strict=True):
-            cells[j::k] = column  # row-major; an extended slice takes only a column of its own length
-        line = ",".join(["%s"] * k) + "\n"  # %s formats with str(), as a join of str()s would
-        for i in range(0, len(cells), CSV_BLOCK * k):  # one % per block of rows
-            chunk = tuple(cells[i : i + CSV_BLOCK * k])
-            buf.write(line * (len(chunk) // k) % chunk)
+        if len(columns) != len(names):
+            raise ValueError(f"{len(columns)} columns for {len(names)} names")
+        buf.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns, strict=True))
     _write(args, buf.getvalue())
 
 

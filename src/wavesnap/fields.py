@@ -7,13 +7,13 @@ by xi with frequency |xi|; `Sphere(n)` is the spherical harmonics of
 `wavesnap.sphere`.  A basis owns what differs between the kinds: key checks
 and frequencies (`columns`), the file layout (`header`, the name of its one
 field, and `rows` of `row(key, amp)`, key `members` first), the text for a
-same-kind mismatch, the solve reports' `kernel` member, the CLI verb `group`
-and its `noun`.  Every operator is a multiplier, so it acts diagonally: the
-amplitude at each key is multiplied by a symbol value at that key's
-frequency, with no discretization error beyond the symbol evaluations.  A
-multiplier never moves a key, so its result shares the basis and the key and
-frequency columns of its input, and keys taken from a canonical field are
-never validated again.
+same-kind mismatch, the solve reports' `kernel` member and `kernel_note`,
+the CLI verb `group` and its `noun`.  Every operator is a multiplier, so it
+acts diagonally: the amplitude at each key is multiplied by a symbol value
+at that key's frequency, with no discretization error beyond the symbol
+evaluations.  A multiplier never moves a key, so its result shares the basis
+and the key and frequency columns of its input, and keys taken from a
+canonical field are never validated again.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ class Flat:
     header, rows, members = "dim", "modes", ("xi",)  # a file's header member, its list of rows, a row's key members
     kernel, group, noun = "kernel_modes", "wave", "flat field"  # a solve report's kernel member, the CLI group, a name
     mismatch = "mixed dimensions {0.dim} and {1.dim}"
+    kernel_note = "data at kernel frequencies of S_{t:g} has no preimage"  # an Obstructed solve's note at time t
 
     def __post_init__(self) -> None:
         if typed([self.dim], "dim", "JSON integer")[0] < 1:
@@ -83,6 +84,7 @@ class Sphere:
     header, rows, members = "n", "coeffs", ("l", "m")
     kernel, group, noun = "kernel_coeffs", "sphere", "sphere field"
     mismatch = "sphere dimensions differ: {0.n} vs {1.n}"
+    kernel_note = "data on zero Schur constants has no preimage"
 
     def __post_init__(self) -> None:
         if typed([self.n], "n", "JSON integer")[0] < 2:

@@ -85,11 +85,13 @@ class SolveReport:
 # frequency columns, and re and im, the real and imaginary parts of a series
 # of amplitude rows over all of those columns, are two float64 arrays.
 #
-# One time or one index at a time, `evolve` and `general_integer_snapshot`
+# One time or one index at a time, `evolve_column` and `snapshot_column`
 # apply the column symbol rules in plain floats, so a process that never asks
 # for a series never loads numpy.  The grids apply the array forms of the
 # same rules, part by part in the order complex arithmetic takes them, so
-# each grid value is the scalar operator's up to the sign of a zero.
+# each grid value is the scalar operator's up to the sign of a zero.  A grid
+# holding a value that is not finite runs the column rule again, through
+# `evolve` or `snapshot_column`, and raises what the first failing call raises.
 Grid = tuple[tuple[tuple, ...], tuple[tuple[float, ...], ...], Any, Any]
 
 
@@ -129,9 +131,10 @@ def evolve_grid(data: Sequence[CauchyData], times: Sequence[Sequence[float | Fra
     """`evolve` of each datum at each time of its own row in `times` (rows
     of one length), as one grid through `sine_over_grid`: row i holds each
     datum's u at its i-th time over the union of its keys.  A non-finite
-    float time raises InvalidTime before any amplitude is formed; else the
-    first datum with an amplitude that is not finite raises what `evolve`
-    raises at its first such time.  An empty batch raises ValueError."""
+    float time raises InvalidTime before any amplitude is formed; a grid
+    with an amplitude that is not finite runs `evolve` datum by datum and
+    time by time, so it raises what the first such call raises.  An empty
+    batch raises ValueError."""
     import numpy as np
 
     if not data:
@@ -156,17 +159,26 @@ def evolve_grid(data: Sequence[CauchyData], times: Sequence[Sequence[float | Fra
         im = cos_t * xi
         im += sin_t * yi
     del cos_t, sin_t
-    _check_rows(re, im, lambda: zip(times, freqs), lambda row, i: (symbol_Sprime(row[i]), symbol_S(row[i])))
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        for datum, row in zip(data, times):
+            for t in row:
+                evolve(datum, t)  # each grid value is evolve's, so one of these raises
     return keys, freqs, re, im
 
 
 def general_integer_snapshot(ua: Field, ub: Field, a: float, b: float, m: int) -> Field:
-    """u at time a + m (b - a), from the snapshots at a < b.  Each amplitude
-    is Psi_{m,s} ub - Psi_{m-1,s} ua at its key, s = b - a, over the union of
-    the snapshots' keys; failures are named as in `evolve`."""
+    """u at time a + m (b - a), from the snapshots at a < b: `snapshot_column`
+    at the step s = b - a over the union of the snapshots' keys."""
     s = _step(ua, ub, a, b)
-    m = int(m)  # as symbol_Psi reads its index
     keys, freqs, (y, x) = union_columns((ub, ua))
+    return _with_amps(ub, keys, freqs, snapshot_column(s, freqs, x, y, int(m)))  # int, as symbol_Psi reads m
+
+
+def snapshot_column(s: float, freqs: Sequence[float], x: Sequence[complex], y: Sequence[complex], m: int) -> list:
+    """Psi_{m,s} y - Psi_{m-1,s} x over the columns of frequencies, u_a = x
+    and u_b = y, with u = s lam and sin(u) taken once for both Psi columns.
+    A failing or non-finite amplitude names Psi_m, else Psi_{m-1}, where a
+    symbol value is bad, else raises ValueError 'non-finite amplitude'."""
     try:
         us, sins = _angles(s, freqs)
         psi, psi1 = psi_column(m, us, sins), psi_column(m - 1, us, sins)
@@ -175,57 +187,48 @@ def general_integer_snapshot(ua: Field, ub: Field, a: float, b: float, m: int) -
     except (ArithmeticError, ValueError):
         _name_bad_symbol((symbol_Psi(m, s), symbol_Psi(m - 1, s)), freqs)
         raise
-    return _with_amps(ub, keys, freqs, amps)
+    return amps
 
 
 def snapshot_grid_columns(s, freqs: Sequence[float], x, y, ms: Iterable[int]):
-    """`general_integer_snapshot` at each m in `ms` as the parts (re, im) of
-    one grid over `freqs`, from the parts x = (re, im) of u_a and y of u_b as
-    float64 arrays.  The step s is a float, or a float64 column of one step
-    per key.  Every Psi column is a row of one `psi_grid` call, so u = s lam
-    and sin(u) are computed once per key.  The first row that is not finite
-    raises what `general_integer_snapshot` raises at its index; at a column
-    s, the first key holding such an amplitude raises what it raises for
-    that key alone, at the key's step and its first such index."""
+    """`snapshot_column` at each m in `ms` as the parts (re, im) of one grid
+    over `freqs`, from the parts x = (re, im) of u_a and y of u_b as float64
+    arrays.  The step s is a float, or a float64 column of one step per key.
+    Every Psi column is a row of one `psi_grid` call, so u = s lam and
+    sin(u) are computed once per key.  A grid that fails or holds an
+    amplitude that is not finite runs `snapshot_column` over all keys at a
+    float s, or each key alone at its own step of a column s, at each m in
+    turn, so it raises what the first such call raises (else its own error)."""
     import numpy as np
 
     ms = list(map(int, ms))
-
-    def symbols(step: float, i: int) -> tuple[MultiplierSymbol, MultiplierSymbol]:
-        return symbol_Psi(ms[i], step), symbol_Psi(ms[i] - 1, step)
-
     (xr, xi), (yr, yi) = x, y
     index = sorted({k for m in ms for k in (m, m - 1)})
     with np.errstate(all="ignore"):
         us = s * np.asarray(freqs, dtype=float)  # an infinite u marks its keys' Psi values bad
     try:
         psi = psi_grid(index, us)
+        row = {k: i for i, k in enumerate(index)}
+        p = psi[np.array([row[m] for m in ms], dtype=np.intp)]
+        q = psi[np.array([row[m - 1] for m in ms], dtype=np.intp)]
+        del psi
+        with np.errstate(all="ignore"):
+            re = p * yr
+            re -= q * xr
+            im = p * yi
+            im -= q * xi
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ValueError("non-finite amplitude in a snapshot grid")
     except (ArithmeticError, ValueError):
-        for step, column in _spans(s, freqs):
-            for i in range(len(ms)):
-                _name_bad_symbol(symbols(step, i), column)
+        lam = np.asarray(freqs, dtype=float).tolist()
+        xs, ys = list(map(complex, xr.tolist(), xi.tolist())), list(map(complex, yr.tolist(), yi.tolist()))
+        whole = np.ndim(s) == 0  # all keys at a float s, else each key alone at its own step
+        runs = [(float(s), slice(None))] if whole else [(step, slice(j, j + 1)) for j, step in enumerate(s.tolist())]
+        for step, cols in runs:
+            for m in ms:
+                snapshot_column(step, lam[cols], xs[cols], ys[cols], m)
         raise
-    row = {k: i for i, k in enumerate(index)}
-    p = psi[np.array([row[m] for m in ms], dtype=np.intp)]
-    q = psi[np.array([row[m - 1] for m in ms], dtype=np.intp)]
-    del psi
-    with np.errstate(all="ignore"):
-        re = p * yr
-        re -= q * xr
-        im = p * yi
-        im -= q * xi
-    _check_rows(re, im, lambda: _spans(s, freqs), symbols)
     return re, im
-
-
-def _spans(s, freqs: Sequence[float]) -> list[tuple[float, list[float]]]:
-    """(step, frequencies as floats): the float step s over all of `freqs`,
-    or each key alone at its own step of a column s."""
-    import numpy as np
-
-    if np.ndim(s) == 0:
-        return [(float(s), list(map(float, freqs)))]
-    return [(step, [float(lam)]) for step, lam in zip(s.tolist(), freqs)]
 
 
 def _step(ua: Field, ub: Field, a: float, b: float) -> float:
@@ -256,28 +259,6 @@ def _name_bad_symbol(symbols: Iterable[MultiplierSymbol], freqs: Sequence[float]
     """SymbolUndefined from `symbol_values` at the first bad symbol value."""
     for symbol in symbols:
         symbol_values(symbol, freqs)
-
-
-def _check_rows(re, im, spans: Callable[[], Iterable[tuple[Any, Sequence[float]]]], symbols: Callable) -> None:
-    """Raise at the first amplitude of a grid that is not finite.  The grid's
-    columns are the frequencies of `spans()`, (arg, freqs) pairs in order,
-    asked for only then; the first span holding such an amplitude raises at
-    its first such row i: SymbolUndefined where one of `symbols(arg, i)` is
-    bad over its freqs, else ValueError 'non-finite amplitude'."""
-    import numpy as np
-
-    if np.isfinite(re).all() and np.isfinite(im).all():
-        return
-    bad = ~(np.isfinite(re) & np.isfinite(im))
-    lo = 0
-    for arg, freqs in spans():
-        hi = lo + len(freqs)
-        rows = bad[:, lo:hi].any(axis=1)
-        if rows.any():
-            i = int(rows.argmax())
-            _name_bad_symbol(symbols(arg, i), freqs)
-            check_finite(list(map(complex, re[i, lo:hi].tolist(), im[i, lo:hi].tolist())))
-        lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +394,14 @@ def two_snapshot_solve(f0: Field, ft: Field, t: float | Fraction = 1.0) -> Solve
 
     Keys where sin(w t) vanishes (w > 0) lie in the kernel of S_t: data there
     either obstructs (nonzero right side) or is free (minimal-norm g = 0
-    returned, key listed).  A Fraction t means t pi and finds its zeros
-    exactly; see `sine_at`.  A non-finite float t raises InvalidTime."""
-    return _two_snapshot_solve(f0, ft, t, f"data at kernel frequencies of S_{as_radians(t):g} has no preimage")
+    returned, key listed), and an Obstructed report's note is the basis's
+    `kernel_note` at t in radians.  A Fraction t means t pi and finds its
+    zeros exactly; see `sine_at`.  A non-finite float t raises InvalidTime."""
+    note = f0.basis.kernel_note.format(t=as_radians(t))
+    _check_finite(t)
+    keys, freqs, (a, b) = union_columns((f0, ft))
+    eq = _snapshot_equation(t, freqs, a, b)
+    return diagonal_solve(f0, keys, freqs, [eq], note, verify=lambda gs: (_residual(t, freqs, a, gs, b), ""))
 
 
 def _check_finite(t: float | Fraction, name: str = "time") -> None:
@@ -423,13 +409,6 @@ def _check_finite(t: float | Fraction, name: str = "time") -> None:
     finite, and math.isfinite on a huge one overflows, so it is not tested."""
     if not isinstance(t, Fraction) and not math.isfinite(t):
         raise InvalidTime(f"{name} must be finite, got {t}")
-
-
-def _two_snapshot_solve(f0: Field, ft: Field, t: float | Fraction, kernel_note: str) -> SolveReport:
-    _check_finite(t)
-    keys, freqs, (a, b) = union_columns((f0, ft))
-    eq = _snapshot_equation(t, freqs, a, b)
-    return diagonal_solve(f0, keys, freqs, [eq], kernel_note, verify=lambda gs: (_residual(t, freqs, a, gs, b), ""))
 
 
 def three_snapshot_solve(f0: Field, f1: Field, falpha: Field, alpha: float | Fraction) -> SolveReport:

@@ -34,9 +34,9 @@ from .snapshots import (
     CauchyData,
     SolveReport,
     _check_finite,
-    _two_snapshot_solve,
     evolve,
     general_integer_snapshot,
+    two_snapshot_solve,
 )
 
 if TYPE_CHECKING:
@@ -154,7 +154,7 @@ def sphere_two_snapshot_solve(
     top = max([f.keys[-1][0] for f in (f0, falpha) if f.keys], default=0)
     if top > max_degree:
         raise ValueError(f"data degree {top} exceeds max_degree {max_degree}")
-    return _two_snapshot_solve(f0, falpha, alpha, "data on zero Schur constants has no preimage")
+    return two_snapshot_solve(f0, falpha, alpha)
 
 
 def surjectivity_margin(

@@ -223,7 +223,7 @@ CSV_CELLS = [True, False, 0, -7, 2**70, 0.1, -0.0, 1e-300, 5e-324, math.inf, "50
 
 
 @pytest.mark.parametrize("width", [2, 4, 5])
-@pytest.mark.parametrize("nrows", [0, 1, cli.CSV_BLOCK - 1, cli.CSV_BLOCK, cli.CSV_BLOCK + 1, 2 * cli.CSV_BLOCK + 3])
+@pytest.mark.parametrize("nrows", [0, 1, 1023, 1024, 1025, 2051])
 def test_block_csv_writer_matches_the_per_row_writer(capsys, width, nrows):
     names = tuple(f"c{j}" for j in range(width))
     rows = [tuple(CSV_CELLS[(i * width + j) % len(CSV_CELLS)] for j in range(width)) for i in range(nrows)]
@@ -645,11 +645,12 @@ def test_exit_codes(tmp_path, capsys):
     # usage error: malformed fraction
     assert cli.run(["dio", "cfrac", "--value", "abc"]) == 2
     # usage error: number specs beyond the stored precision, or with a zero denominator
-    for spec in ("liouville:10:9", "oddtype:8", "rational:1/0"):
+    for spec in ("liouville:10:9", "oddtype:8", "rational:1/0", "1/0", "3/0"):
         assert cli.run(["dio", "class", "--number", spec]) == 2, spec
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "--number" in err and "Traceback" not in err
-    assert err.endswith("error: argument --number: number spec 'rational:1/0' has a zero denominator\n"), err
+        if spec.endswith("/0"):
+            assert err.endswith(f"error: argument --number: number spec {spec!r} has a zero denominator\n"), err
 
 
 @pytest.fixture()

@@ -604,6 +604,84 @@ def hex_grid(parts):
     return [[v.hex() for v in row] for part in parts for row in part.tolist()]
 
 
+def raised(f, *args):
+    """(type, text) of what f(*args) raises, else None."""
+    try:
+        f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+nonzero = st.one_of(st.floats(-2, -0.1), st.floats(0.1, 2))
+
+
+@st.composite
+def planted_batches(draw):
+    """Cauchy data over 1-3 keys at radii in [0.1, 1.5], a row of times in
+    [-3, 3] per datum, a Psi step per datum and a row of indices, and one or
+    two overflows, each planted at a random datum, key and row: a velocity
+    amplitude near 1e308, a time at which t lam is infinite (1e308 at a key
+    moved to radius 2-4, or 10^308 pi), or a step of 1e308, at which m u
+    overflows for |m| >= 2.  The float step is the last planted datum's."""
+    n, width, rows = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    radii = [draw(st.lists(st.floats(0.1, 1.5), min_size=width, max_size=width, unique=True)) for _ in range(n)]
+    amps = [[[complex(draw(nonzero), draw(st.floats(-2, 2))) for _ in range(width)] for _ in "xy"] for _ in range(n)]
+    times = [draw(st.lists(st.floats(-3, 3), min_size=rows, max_size=rows)) for _ in range(n)]
+    ms = draw(st.lists(st.integers(-6, 6), min_size=rows, max_size=rows))
+    steps = [draw(st.floats(0.3, 2.0)) for _ in range(n)]
+    for _ in range(draw(st.integers(1, 2))):
+        d, k, i = draw(st.integers(0, n - 1)), draw(st.integers(0, width - 1)), draw(st.integers(0, rows - 1))
+        kind = draw(st.sampled_from(["amplitude", "time", "step"]))
+        if kind == "amplitude":  # sin(t lam)/lam > 1.3 at t in [2, 3], lam in [0.1, 0.5]: the velocity term overflows
+            radii[d][k], times[d][i] = draw(st.floats(0.1, 0.5)), draw(st.floats(2.0, 3.0))
+            amps[d][1][k] = draw(st.floats(1.4e308, 1.79e308)) * draw(st.sampled_from([1, -1, 1j, -1j]))
+        elif kind == "time":
+            radii[d][k] = draw(st.floats(2.0, 4.0))
+            times[d][i] = draw(st.sampled_from([1e308, Fraction(10**308)]))
+        else:
+            steps[d] = 1e308
+            ms[i] = draw(st.sampled_from([-4, -1, 2, 5]))
+    data = [CauchyData(*(field(1, [((r,), a) for r, a in zip(radii[j], amps[j][part])]) for part in (0, 1)))
+            for j in range(n)]
+    return data, times, ms, steps, d
+
+
+FIRST_DATUM_LATE = (  # the first datum overflows at its second time, the second datum at its first
+    [CauchyData(field(1, [((0.5,), 1.0)]), field(1, [((0.5,), 1.4e308)])),
+     CauchyData(field(1, [((3.0,), 1.0)]), field(1, [((3.0,), 1.0)]))],
+    [[0.0, 2.5], [1e308, 0.0]], [0, 0], [1.0, 1.0], 0,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(planted_batches())
+@example(FIRST_DATUM_LATE)
+def test_grids_raise_what_the_first_failing_column_rule_raises(batch):
+    import warnings
+
+    import numpy as np
+
+    data, times, ms, steps, d = batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # evolve_grid: evolve datum by datum, then time by time
+        want = next(filter(None, (raised(evolve, datum, t) for datum, row in zip(data, times) for t in row)), None)
+        assert raised(snapshots.evolve_grid, data, times) == want
+        # snapshot_grid_columns from u_a = the positions and u_b = the velocities over all the data's keys:
+        # snapshot_column over all keys at a float step, or key by key at a column step, then m by m
+        unions = [fields_module.union_columns((datum.position, datum.velocity)) for datum in data]
+        lam = [w for u in unions for w in u[1]]
+        xs, ys = ([amp for u in unions for amp in u[2][j]] for j in (0, 1))
+        parts = [(np.array([z.real for z in c]), np.array([z.imag for z in c])) for c in (xs, ys)]
+        column = np.repeat(steps, [len(u[0]) for u in unions])
+        per_key = [(float(v), slice(j, j + 1)) for j, v in enumerate(column)]
+        for s, runs in ((steps[d], [(steps[d], slice(None))]), (column, per_key)):
+            calls = ((step, lam[cols], xs[cols], ys[cols], m) for step, cols in runs for m in ms)
+            want = next(filter(None, (raised(snapshots.snapshot_column, *args) for args in calls)), None)
+            assert raised(snapshots.snapshot_grid_columns, s, lam, *parts, ms) == want
+
+
 def test_amplitude_at_bisects_with_equality_semantics():
     f = field(2, [((0.0, 1.0), 2.0), ((-3.0, 0.0), 1j), ((5.0, 5.0), -1.0)])
     assert f.amplitude_at((-0.0, 1.0)) == 2.0
@@ -708,6 +786,7 @@ class Radial:
     hn: int
     header, rows, members, kernel, group, noun = "hn", "radial", ("lam",), "kernel_lams", "hyp", "radial field"
     mismatch = "hyperbolic dimensions differ: {0.hn} vs {1.hn}"
+    kernel_note = "data on zero radial symbols of S_{t:g} has no preimage"
 
     def columns(self, lams):
         lams = list(map(float, fields_module.typed(lams, "lam")))

@@ -335,6 +335,16 @@ def test_sphere_solve_obstructed_at_exact_zero():
     assert rep.status == STATUS_OBSTRUCTED
 
 
+def test_two_snapshot_solve_takes_its_kernel_note_from_the_basis():
+    # the sphere's wording with or without the sphere's degree cap, and the flat wording at its time
+    f0, falpha = sph.sphere_field(3, [(2, 1, 1.0)]), sph.sphere_field(3, [(2, 1, 0.3)])
+    for solve in (two_snapshot_solve, sph.sphere_two_snapshot_solve):
+        rep = solve(f0, falpha, Fraction(1, 1))
+        assert rep.status == STATUS_OBSTRUCTED and rep.note == "data on zero Schur constants has no preimage"
+    rep = two_snapshot_solve(field(1, [((math.pi,), 1.0)]), field(1, [((math.pi,), 0.3)]))
+    assert rep.status == STATUS_OBSTRUCTED and rep.note == "data at kernel frequencies of S_1 has no preimage"
+
+
 def test_sphere_solve_respects_max_degree():
     f0 = sph.sphere_field(2, [(300, 1, 1.0)])
     with pytest.raises(ValueError):
