@@ -5,6 +5,11 @@ or CSV written atomically (temp file, then rename).  Every output carries a
 header naming the verb, the seed, and the tool version, and identical
 invocations produce byte-identical files.
 
+A verb is one row of `VERBS`: its help, its handler, its field-file flags and
+its other flags, from which one loop builds its parser.  `run` loads the
+fields in the row's files, each over a basis of the verb group's kind, before
+the handler runs, and passes them to it after the parsed arguments.
+
 Exit codes: 0 for a completed run, including negative mathematical results
 (an Obstructed solve, data failing a compatibility gate included, is a
 finding, not a failure); 1 for domain errors (bad numbers, unreadable files,
@@ -19,7 +24,6 @@ import argparse
 import dataclasses
 import functools
 import io
-import itertools
 import math
 import sys
 from fractions import Fraction
@@ -36,7 +40,7 @@ from .fields import (
     symbol_constant,
     write_text_atomic,
 )
-from .propagators import PrecisionExhausted, symbol_Psi, symbol_S, symbol_Sprime
+from .propagators import PrecisionExhausted, as_radians, symbol_Psi, symbol_S, symbol_Sprime
 
 if TYPE_CHECKING:
     from . import diophantine
@@ -57,6 +61,26 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"expected a rational like 3/4, got {text!r}") from exc
+
+
+def _pi_time(text: str) -> Fraction:
+    """An exact time P/Q of pi whose radians, which the sphere verbs take, are in the float range."""
+    beta = _fraction(text)
+    try:
+        as_radians(beta)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"time {text} pi leaves the float range") from None
+    return beta
+
+
+def _ratio_time(text: str) -> Fraction:
+    """An exact time P/Q whose P and step 1/Q, which the Bezout solve takes as floats, are in the float range."""
+    alpha = _fraction(text)
+    try:
+        alpha.numerator * (1.0 / alpha.denominator)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"time {text} leaves the float range: its P or Q is past 1.8e308") from None
+    return alpha
 
 
 def _coeff_list(text: str) -> tuple[int, ...]:
@@ -110,11 +134,20 @@ def _number_spec(text: str) -> diophantine.NumberClass:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _load(args: argparse.Namespace, *names: str) -> list:
-    """The fields in the files that args' `names` give, each over a basis
-    that its verb group reads."""
+COUNT_MAX = 10**5  # the most points or rows a size flag may ask for, each a Python object or more
+
+
+def _check_count(flag: str, count: int) -> None:
+    """A size flag's bound from above, checked before anything of that size is built."""
+    if count > COUNT_MAX:
+        raise ValueError(f"{flag} must be at most {COUNT_MAX}, got {count}")
+
+
+def _load(args: argparse.Namespace) -> list:
+    """The fields in the files of the verb's field-file flags, each over a
+    basis that its verb group reads."""
     loaded = []
-    for name in names:
+    for name in args.files:
         path = getattr(args, name)
         f = load_field(path)
         if f.basis.group != args.group:
@@ -265,21 +298,19 @@ def _repr_rows(degrees: Sequence[int], values: Sequence[float]) -> str:
 # -- wave verbs --------------------------------------------------------------
 
 
-def _evolve(args) -> dict:
-    return json_members(snapshots.evolve(snapshots.CauchyData(*_load(args, "f0", "g")), args.t))
+def _evolve(args, f0: Field, g: Field) -> dict:
+    return json_members(snapshots.evolve(snapshots.CauchyData(f0, g), args.t))
 
 
-def _wave_snapshot(args) -> dict:
-    return json_members(snapshots.general_integer_snapshot(*_load(args, "ua", "ub"), args.a, args.b, args.m))
+def _wave_snapshot(args, ua: Field, ub: Field) -> dict:
+    return json_members(snapshots.general_integer_snapshot(ua, ub, args.a, args.b, args.m))
 
 
-def _wave_two_solve(args) -> dict:
-    f0, f1 = _load(args, "f0", "f1")
+def _wave_two_solve(args, f0: Field, f1: Field) -> dict:
     return _solve_payload(snapshots.two_snapshot_solve(f0, f1), f0)
 
 
-def _wave_compat(args) -> dict:
-    fields = _load(args, "f0", "f1", "falpha")
+def _wave_compat(args, *fields: Field) -> dict:
     try:
         r = snapshots.compatibility_residual_general(*fields, 0.0, 1.0, args.alpha)
     except OverflowError as exc:
@@ -287,14 +318,12 @@ def _wave_compat(args) -> dict:
     return {"alpha": args.alpha, "residual": r}
 
 
-def _wave_three_solve(args) -> dict:
-    fields = _load(args, "f0", "f1", "falpha")
+def _wave_three_solve(args, *fields: Field) -> dict:
     rep = snapshots.three_snapshot_solve(*fields, args.alpha)
     return {"alpha": args.alpha, **_solve_payload(rep, fields[0])}
 
 
-def _wave_rational_solve(args) -> dict:
-    fields = _load(args, "f0", "fp", "fq")
+def _wave_rational_solve(args, *fields: Field) -> dict:
     rep = snapshots.rational_reconstruct(*fields, args.p, args.q)
     return {"p": args.p, "q": args.q, **_solve_payload(rep, fields[0])}
 
@@ -320,6 +349,7 @@ def _wave_symbol(args) -> tuple:
     sym = _SYMBOLS[args.kind](args)
     if args.count < 2:
         raise ValueError("--count must be at least 2")
+    _check_count("--count", args.count)
     step = (args.max - args.min) / (args.count - 1)
     time = ("--s", args.s) if args.kind == "Psi" else ("--t", args.t)
     for flag, v in (("--min", args.min), ("--max", args.max), time, ("--max minus --min", step)):
@@ -405,6 +435,7 @@ _PROBE_SYMBOLS = {
 def _dio_sdprobe(args) -> tuple:
     from . import diophantine
 
+    _check_count("--samples", args.samples)
     symbol = _PROBE_SYMBOLS[args.symbol]()
     try:
         rows = diophantine.slowly_decreasing_probe(symbol, args.a_const, args.ximax, samples=args.samples)
@@ -426,23 +457,24 @@ def _dio_doubled_bound(args) -> dict:
 # -- sphere verbs ------------------------------------------------------------
 
 
-def _sphere_snapshot(args) -> dict:
-    return json_members(sphere.sphere_snapshot(*_load(args, "ua", "ualpha"), args.alpha, args.m))
+def _sphere_snapshot(args, ua: Field, ualpha: Field) -> dict:
+    return json_members(sphere.sphere_snapshot(ua, ualpha, args.alpha, args.m))
 
 
-def _sphere_solve(args) -> dict:
-    f0, falpha = _load(args, "f0", "falpha")
+def _sphere_solve(args, f0: Field, falpha: Field) -> dict:
     rep = sphere.sphere_two_snapshot_solve(f0, falpha, args.alpha, max_degree=args.max_degree)
     return {"alpha": args.alpha, **_solve_payload(rep, f0)}
 
 
-def _sphere_huygens(args) -> dict:
+def _sphere_huygens(args, f0: Field, g: Field) -> dict:
+    _check_count("--t-count", args.t_count)
+    _check_count("--c-count", args.c_count)
     if args.t_count < 2:
         raise ValueError("--t-count must be at least 2")
     if not math.isfinite(args.tmax):
         raise ValueError(f"--tmax must be finite, got {args.tmax!r}")
     times = [args.tmax * j / (args.t_count - 1) for j in range(args.t_count)]
-    r = sphere.huygens_antipodal_check(*_load(args, "f0", "g"), times, c_count=args.c_count)
+    r = sphere.huygens_antipodal_check(f0, g, times, c_count=args.c_count)
     return {"t_count": args.t_count, "c_count": args.c_count, "max_residual": r}
 
 
@@ -480,179 +512,127 @@ def _reproduce(args) -> int:
     return 0 if all(r["passed"] for r in results) else 1
 
 
-# -- parser ------------------------------------------------------------------
+# -- the verb table ----------------------------------------------------------
+
+# A verb row is (help, handler, field-file flags, flags).  A flag is its spelling and its `add_argument` keywords;
+# a flag with a default and no type reads values of the default's type.  A pair of spellings is a float/exact time
+# (`_time_pair`), its keywords a help text for each spelling and the exact one's type.  A field-file flag, required,
+# is a spelling or a flag; `run` loads the fields in the row's files and passes them to the handler after the args.
+# A group is (help, {verb: row}), or a verb row of its own when it has no verbs.
+_INT, _FLOAT, _NUMBER = ({"type": kind, "required": True} for kind in (int, float, _number_spec))
+VERBS = {
+    "wave": ("Euclidean evolution, snapshots, and solvers", {
+        "evolve": ("evolve Cauchy data to time t", _evolve,
+                   [("--field", {"help": "position snapshot JSON"}), ("--velocity", {"help": "velocity field JSON"})],
+                   [("--t", _FLOAT)]),
+        "snapshot": ("snapshot at time a+m(b-a) from the pair at a, b", _wave_snapshot, ["--ua", "--ub"],
+                     [("--m", _INT), ("--a", {"default": 0.0}), ("--b", {"default": 1.0})]),
+        "two-solve": ("recover velocity from snapshots at 0 and 1", _wave_two_solve, ["--f0", "--f1"], []),
+        "compat": ("three-snapshot compatibility residual", _wave_compat, ["--f0", "--f1", "--falpha"],
+                   [("--alpha", _FLOAT)]),
+        "three-solve": ("recover velocity from snapshots at 0, 1, alpha", _wave_three_solve,
+                        ["--f0", "--f1", "--falpha"],
+                        [(("--alpha", "--alpha-frac"),
+                          {"help": ("alpha as a double", "alpha as an exact rational P/Q"), "type": _ratio_time})]),
+        "rational-solve": ("recover velocity from snapshots at 0, p, q (coprime)", _wave_rational_solve,
+                           ["--f0", "--fp", "--fq"], [("--p", _INT), ("--q", _INT)]),
+        "liouville-demo": ("certified small-denominator amplification table", _wave_liouville_demo, [],
+                           [("--kmax", {"default": 6})]),
+        "symbol": ("tabulate a multiplier symbol on a grid", _wave_symbol, [], [
+            ("--kind", {"choices": sorted(_SYMBOLS), "required": True}),
+            ("--t", {"default": 1.0, "help": "time for S / Sprime"}),
+            ("--m", {"default": 2, "help": "index for Psi"}),
+            ("--s", {"default": 1.0, "help": "step for Psi"}),
+            ("--min", {"default": 0.0}),
+            ("--max", {"default": 10.0}),
+            ("--count", {"default": 101}),
+        ]),
+    }),
+    "dio": ("Diophantine toolkit", {
+        "cfrac": ("continued fraction of an exact rational", _dio_cfrac, [],
+                  [("--value", {"type": _fraction, "required": True}), ("--max-terms", {"default": 40})]),
+        "class": ("describe a number class spec", _dio_class, [], [("--number", _NUMBER)]),
+        "probe-mu": ("irrationality exponent along convergents", _dio_probe_mu, [],
+                     [("--number", _NUMBER), ("--depth", {"default": 6})]),
+        "smallden": ("|sin(pi(l+shift)beta)| table with exact zero detection", _dio_smallden, [],
+                     [("--number", _NUMBER), ("--shift", {"type": _fraction, "default": Fraction(0)}),
+                      ("--count", {"default": 1000})]),
+        "oddtype": ("odd-denominator margin scan for the binary factorial series", _dio_oddtype, [],
+                    [("--qmax", _INT)]),
+        "jointbound": ("joint sine lower bound sweep", _dio_jointbound, [], [
+            ("--number", {"type": _number_spec, "default": "sqrt2", "help": "default sqrt2"}),
+            ("--exponent", {"default": 3}),
+            ("--xmax", {"default": 1e4}),
+        ]),
+        "sdprobe": ("slowly-decreasing window probe of a symbol", _dio_sdprobe, [], [
+            ("--symbol", {"choices": sorted(_PROBE_SYMBOLS), "default": "sine"}),
+            ("--a-const", {"default": 4.0}),
+            ("--ximax", {"default": 1e3}),
+            ("--samples", {"default": 512}),
+        ]),
+        "doubled-bound": ("approximation bound transported to the doubled number", _dio_doubled_bound, [],
+                          [("--number", _NUMBER), ("--exponent", {"default": 3})]),
+    }),
+    "sphere": ("waves on the round sphere", {
+        "evolve": ("evolve sphere Cauchy data to time t", _evolve, ["--f0", "--g"],
+                   [(("--t", "--t-pi"), {"help": (None, "time as P/Q of pi"), "type": _pi_time})]),
+        "snapshot": ("snapshot at m*alpha from the pair at 0, alpha", _sphere_snapshot, ["--ua", "--ualpha"],
+                     [("--alpha", _FLOAT), ("--m", _INT)]),
+        "solve": ("recover velocity from sphere snapshots at 0 and alpha", _sphere_solve, ["--f0", "--falpha"],
+                  [(("--alpha", "--alpha-pi"),
+                    {"help": ("alpha in radians", "alpha as P/Q of pi, handled exactly"), "type": _pi_time}),
+                   ("--max-degree", {"default": 256})]),
+        "huygens": ("antipodal focusing residual on an odd sphere", _sphere_huygens, ["--f0", "--g"],
+                    [("--tmax", {"default": 2.0 * math.pi}), ("--t-count", {"default": 20}),
+                     ("--c-count", {"default": 20})]),
+        "classify": ("solvability verdict for time beta*pi from the number class", _sphere_classify, [],
+                     [("--number", _NUMBER), ("--n", _INT)]),
+        "margin": ("surjectivity margin over degrees up to max-degree", _sphere_margin, [],
+                   [(("--alpha", "--alpha-pi"), {}), ("--n", _INT), ("--max-degree", {"default": 10**4}),
+                    ("--exponent", {"default": 3})]),
+    }),
+    "reproduce": ("run an acceptance experiment bundle", _reproduce, [], [("suite", {"choices": [*SUITES, "all"]})]),
+}
+
+
+def _time_pair(parser: argparse.ArgumentParser, spellings: tuple[str, str], help=(None, None), type=_fraction) -> None:
+    """One of the two spellings of a time, required: the first reads a float, the second a rational P/Q by
+    `type`, and both set the first one's destination."""
+    radians, exact = spellings
+    either = parser.add_mutually_exclusive_group(required=True)
+    either.add_argument(radians, type=float, help=help[0])
+    either.add_argument(exact, dest=radians[2:], metavar=exact[2:].upper().replace("-", "_"), type=type, help=help[1])
+
+
+def _add_verb(parser: argparse.ArgumentParser, handler, files, flags) -> None:
+    """Give `parser` a verb row's field-file flags, its flags, --seed and --out."""
+    names = []
+    for flag in files:
+        spelling, kw = (flag, {}) if isinstance(flag, str) else flag
+        names.append(parser.add_argument(spelling, required=True, **kw).dest)
+    for spelling, kw in flags:
+        if isinstance(spelling, tuple):
+            _time_pair(parser, spelling, **kw)
+        else:
+            parser.add_argument(spelling, **({"type": type(kw["default"]), **kw} if "default" in kw else kw))
+    parser.add_argument("--seed", type=int, default=0, help="recorded in every output header (default 0)")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.set_defaults(handler=handler, files=names)
 
 
 @functools.cache  # built once per process, on the first run
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="wavesnap", description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version=f"wavesnap {__version__}")
-    groups = top.add_subparsers(dest="group", required=True, metavar="{wave,dio,sphere,reproduce}")
-
-    wave = groups.add_parser("wave", help="Euclidean evolution, snapshots, and solvers").add_subparsers(
-        dest="verb", required=True
-    )
-
-    p = wave.add_parser("evolve", help="evolve Cauchy data to time t")
-    p.add_argument("--field", dest="f0", metavar="FIELD", required=True, help="position snapshot JSON")
-    p.add_argument("--velocity", dest="g", metavar="VELOCITY", required=True, help="velocity field JSON")
-    p.add_argument("--t", type=float, required=True)
-    p.set_defaults(handler=_evolve)
-
-    p = wave.add_parser("snapshot", help="snapshot at time a+m(b-a) from the pair at a, b")
-    p.add_argument("--ua", required=True)
-    p.add_argument("--ub", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.set_defaults(handler=_wave_snapshot)
-
-    p = wave.add_parser("two-solve", help="recover velocity from snapshots at 0 and 1")
-    p.add_argument("--f0", required=True)
-    p.add_argument("--f1", required=True)
-    p.set_defaults(handler=_wave_two_solve)
-
-    p = wave.add_parser("compat", help="three-snapshot compatibility residual")
-    p.add_argument("--f0", required=True)
-    p.add_argument("--f1", required=True)
-    p.add_argument("--falpha", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(handler=_wave_compat)
-
-    p = wave.add_parser("three-solve", help="recover velocity from snapshots at 0, 1, alpha")
-    p.add_argument("--f0", required=True)
-    p.add_argument("--f1", required=True)
-    p.add_argument("--falpha", required=True)
-    either = p.add_mutually_exclusive_group(required=True)
-    either.add_argument("--alpha", type=float, help="alpha as a double")
-    either.add_argument(
-        "--alpha-frac", dest="alpha", metavar="ALPHA_FRAC", type=_fraction, help="alpha as an exact rational P/Q"
-    )
-    p.set_defaults(handler=_wave_three_solve)
-
-    p = wave.add_parser("rational-solve", help="recover velocity from snapshots at 0, p, q (coprime)")
-    p.add_argument("--f0", required=True)
-    p.add_argument("--fp", required=True)
-    p.add_argument("--fq", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.set_defaults(handler=_wave_rational_solve)
-
-    p = wave.add_parser("liouville-demo", help="certified small-denominator amplification table")
-    p.add_argument("--kmax", type=int, default=6)
-    p.set_defaults(handler=_wave_liouville_demo)
-
-    p = wave.add_parser("symbol", help="tabulate a multiplier symbol on a grid")
-    p.add_argument("--kind", choices=sorted(_SYMBOLS), required=True)
-    p.add_argument("--t", type=float, default=1.0, help="time for S / Sprime")
-    p.add_argument("--m", type=int, default=2, help="index for Psi")
-    p.add_argument("--s", type=float, default=1.0, help="step for Psi")
-    p.add_argument("--min", type=float, default=0.0)
-    p.add_argument("--max", type=float, default=10.0)
-    p.add_argument("--count", type=int, default=101)
-    p.set_defaults(handler=_wave_symbol)
-
-    dio = groups.add_parser("dio", help="Diophantine toolkit").add_subparsers(dest="verb", required=True)
-
-    p = dio.add_parser("cfrac", help="continued fraction of an exact rational")
-    p.add_argument("--value", type=_fraction, required=True)
-    p.add_argument("--max-terms", type=int, default=40)
-    p.set_defaults(handler=_dio_cfrac)
-
-    p = dio.add_parser("class", help="describe a number class spec")
-    p.add_argument("--number", type=_number_spec, required=True)
-    p.set_defaults(handler=_dio_class)
-
-    p = dio.add_parser("probe-mu", help="irrationality exponent along convergents")
-    p.add_argument("--number", type=_number_spec, required=True)
-    p.add_argument("--depth", type=int, default=6)
-    p.set_defaults(handler=_dio_probe_mu)
-
-    p = dio.add_parser("smallden", help="|sin(pi(l+shift)beta)| table with exact zero detection")
-    p.add_argument("--number", type=_number_spec, required=True)
-    p.add_argument("--shift", type=_fraction, default=Fraction(0))
-    p.add_argument("--count", type=int, default=1000)
-    p.set_defaults(handler=_dio_smallden)
-
-    p = dio.add_parser("oddtype", help="odd-denominator margin scan for the binary factorial series")
-    p.add_argument("--qmax", type=int, required=True)
-    p.set_defaults(handler=_dio_oddtype)
-
-    p = dio.add_parser("jointbound", help="joint sine lower bound sweep")
-    p.add_argument("--number", type=_number_spec, default="sqrt2", help="default sqrt2")
-    p.add_argument("--exponent", type=int, default=3)
-    p.add_argument("--xmax", type=float, default=1e4)
-    p.set_defaults(handler=_dio_jointbound)
-
-    p = dio.add_parser("sdprobe", help="slowly-decreasing window probe of a symbol")
-    p.add_argument("--symbol", choices=sorted(_PROBE_SYMBOLS), default="sine")
-    p.add_argument("--a-const", type=float, default=4.0)
-    p.add_argument("--ximax", type=float, default=1e3)
-    p.add_argument("--samples", type=int, default=512)
-    p.set_defaults(handler=_dio_sdprobe)
-
-    p = dio.add_parser("doubled-bound", help="approximation bound transported to the doubled number")
-    p.add_argument("--number", type=_number_spec, required=True)
-    p.add_argument("--exponent", type=int, default=3)
-    p.set_defaults(handler=_dio_doubled_bound)
-
-    sph = groups.add_parser("sphere", help="waves on the round sphere").add_subparsers(dest="verb", required=True)
-
-    p = sph.add_parser("evolve", help="evolve sphere Cauchy data to time t")
-    p.add_argument("--f0", required=True)
-    p.add_argument("--g", required=True)
-    either = p.add_mutually_exclusive_group(required=True)
-    either.add_argument("--t", type=float)
-    either.add_argument("--t-pi", dest="t", metavar="T_PI", type=_fraction, help="time as P/Q of pi")
-    p.set_defaults(handler=_evolve)
-
-    p = sph.add_parser("snapshot", help="snapshot at m*alpha from the pair at 0, alpha")
-    p.add_argument("--ua", required=True)
-    p.add_argument("--ualpha", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(handler=_sphere_snapshot)
-
-    p = sph.add_parser("solve", help="recover velocity from sphere snapshots at 0 and alpha")
-    p.add_argument("--f0", required=True)
-    p.add_argument("--falpha", required=True)
-    either = p.add_mutually_exclusive_group(required=True)
-    either.add_argument("--alpha", type=float, help="alpha in radians")
-    either.add_argument(
-        "--alpha-pi", dest="alpha", metavar="ALPHA_PI", type=_fraction, help="alpha as P/Q of pi, handled exactly"
-    )
-    p.add_argument("--max-degree", type=int, default=256)
-    p.set_defaults(handler=_sphere_solve)
-
-    p = sph.add_parser("huygens", help="antipodal focusing residual on an odd sphere")
-    p.add_argument("--f0", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--tmax", type=float, default=2.0 * math.pi)
-    p.add_argument("--t-count", type=int, default=20)
-    p.add_argument("--c-count", type=int, default=20)
-    p.set_defaults(handler=_sphere_huygens)
-
-    p = sph.add_parser("classify", help="solvability verdict for time beta*pi from the number class")
-    p.add_argument("--number", type=_number_spec, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_sphere_classify)
-
-    p = sph.add_parser("margin", help="surjectivity margin over degrees up to max-degree")
-    either = p.add_mutually_exclusive_group(required=True)
-    either.add_argument("--alpha", type=float)
-    either.add_argument("--alpha-pi", dest="alpha", metavar="ALPHA_PI", type=_fraction)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=10**4)
-    p.add_argument("--exponent", type=int, default=3)
-    p.set_defaults(handler=_sphere_margin)
-
-    rep = groups.add_parser("reproduce", help="run an acceptance experiment bundle")
-    rep.add_argument("suite", choices=[*SUITES, "all"])
-    rep.set_defaults(handler=_reproduce)
-
-    for p in itertools.chain(wave.choices.values(), dio.choices.values(), sph.choices.values(), [rep]):
-        p.add_argument("--seed", type=int, default=0, help="recorded in every output header (default 0)")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+    groups = top.add_subparsers(dest="group", required=True, metavar="{" + ",".join(VERBS) + "}")
+    for group, (text, *rest) in VERBS.items():
+        parser = groups.add_parser(group, help=text)
+        if not isinstance(rest[0], dict):  # a group without verbs: its row follows its help
+            _add_verb(parser, *rest)
+            continue
+        verbs = parser.add_subparsers(dest="verb", required=True)
+        for verb, (verb_text, *row) in rest[0].items():
+            _add_verb(verbs.add_parser(verb, help=verb_text), *row)
     return top
 
 
@@ -666,7 +646,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = args.handler(args)
+        payload = args.handler(args, *_load(args))
         if isinstance(payload, int):
             return payload
         verb = f"{args.group} {args.verb}"

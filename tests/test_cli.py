@@ -434,16 +434,19 @@ def test_sphere_margin_reads_2w_exactly_beyond_float_precision(capsys):
         assert (doc["C"] > 0) is passes, n
 
 
-def _verb_names(parser: argparse.ArgumentParser, prefix: str = "") -> set[str]:
-    """Every command the parser defines, as "group verb" or "reproduce"."""
-    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subs:
-        return {prefix.strip()}
-    return set().union(*(_verb_names(p, f"{prefix} {name}") for name, p in subs[0].choices.items()))
+def _verb_rows():
+    """(command, group, row) for every verb row of `cli.VERBS`: the command is "group verb", or the
+    group alone for a group without verbs, and the row is (handler, field-file flags, flags)."""
+    for group, (_, *rest) in cli.VERBS.items():
+        if not isinstance(rest[0], dict):
+            yield group, group, rest
+            continue
+        for verb, (_, *row) in rest[0].items():
+            yield f"{group} {verb}", group, row
 
 
 def test_json_verbs_write_what_json_dumps_writes(wave_files, capsys):
-    """Every verb the parser defines is run once and names itself in its
+    """Every verb of `cli.VERBS` is run once and names itself in its
     header.  Every JSON verb writes the text `json.dumps(doc, indent=2)`
     writes for its own parse; a field output loads back as the field written."""
     tmp, pf, pg = wave_files
@@ -499,7 +502,7 @@ def test_json_verbs_write_what_json_dumps_writes(wave_files, capsys):
     for argv in csv_runs:
         assert cli.run(argv) == 0, argv
         assert capsys.readouterr().out.splitlines()[1] == f"# verb: {verb(argv)}", argv
-    assert {verb(argv) for argv in runs + csv_runs} == _verb_names(cli._build_parser())
+    assert {verb(argv) for argv in runs + csv_runs} == {command for command, _, _ in _verb_rows()}
     for t, path in ((1.0, f1), (0.4, fa)):
         assert load_field(path) == evolve(CauchyData(load_field(pf), load_field(pg)), t)
     assert load_sphere_field(sa) == evolve(CauchyData(s0, sg), math.pi * (1 / 3))
@@ -800,6 +803,77 @@ def test_time_flag_pairs_are_exclusive_and_required(capsys):
         for argv in (verb + radians + exact, verb):
             assert cli.run(argv) == 2, argv
             assert capsys.readouterr().err.startswith("usage:"), argv
+
+
+def test_exact_times_past_the_float_range_name_their_flag(one_mode_files, capsys):
+    # were a bare "integer division result too large for a float" (as_radians) or "int too large to convert
+    # to float" (the Bezout solve's P times its step 1/Q), exit 1, naming neither the flag nor the time
+    flat, on_sphere, out = one_mode_files
+    huge = f"{10**400}/1"
+    pi_time = f"time {huge} pi leaves the float range"
+    for argv, message in (
+        (["sphere", "evolve", "--f0", on_sphere, "--g", on_sphere, "--t-pi", huge], f"--t-pi: {pi_time}"),
+        (["sphere", "solve", "--f0", on_sphere, "--falpha", on_sphere, "--alpha-pi", huge], f"--alpha-pi: {pi_time}"),
+        (["wave", "three-solve", "--f0", flat, "--f1", flat, "--falpha", flat, "--alpha-frac", huge],
+         f"--alpha-frac: time {huge} leaves the float range: its P or Q is past 1.8e308"),
+    ):
+        assert cli.run([*argv, "--out", str(out)]) == 2, argv[:2]
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and err.endswith(f" error: argument {message}\n"), err
+        assert not out.exists()
+    # the margin scan reads the same time exactly, and keeps its output
+    assert cli.run(["sphere", "margin", "--alpha-pi", huge, "--n", "3", "--max-degree", "100"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["alpha"], doc["max_degree"]) == (huge, 100)
+
+
+def test_size_flags_are_bounded_from_above(one_mode_files, capsys):
+    # each built a list of its length first: 10^9 asked for tens of GB
+    _, on_sphere, out = one_mode_files
+    over = str(cli.COUNT_MAX + 1)
+    huygens = ["sphere", "huygens", "--f0", on_sphere, "--g", on_sphere]
+    for argv, flag in (
+        (["wave", "symbol", "--kind", "S", "--count", over], "--count"),
+        (["dio", "sdprobe", "--samples", over], "--samples"),
+        (huygens + ["--t-count", over], "--t-count"),
+        (huygens + ["--c-count", over], "--c-count"),
+    ):
+        assert_names_flag(capsys, argv, out, f"{flag} must be at most {cli.COUNT_MAX}, got {over}")
+
+
+def test_every_field_verb_checks_the_kind_of_every_file(tmp_path, capsys):
+    """For each verb row with field-file flags, a file of the other kind at
+    each flag in turn is exit 1, named by its kind and the verb group's; the
+    rows come from `cli.VERBS`, so a row added later is covered unlisted."""
+    flat, on_sphere = str(tmp_path / "flat.json"), str(tmp_path / "sphere.json")
+    save_field(field(1, [((3.0,), 1.0)]), flat)
+    save_sphere_field(sphere_field(3, [(1, 1, 1.0)]), on_sphere)
+    kinds = {
+        "wave": (flat, on_sphere, "sphere field", "flat field"),
+        "sphere": (on_sphere, flat, "flat field", "sphere field"),
+    }
+    values = {int: "2", float: "0.5"}  # the files are read before any other flag's value is used
+    checked = set()
+    for command, group, (_, files, flags) in _verb_rows():
+        if not files:
+            continue
+        right, wrong, holds, reads = kinds[group]
+        required = []
+        for spelling, kw in flags:
+            if isinstance(spelling, tuple):  # a float/exact time pair: its float spelling
+                required += [spelling[0], "0.5"]
+            elif kw.get("required"):
+                required += [spelling, values[kw["type"]]]
+        spellings = [flag if isinstance(flag, str) else flag[0] for flag in files]
+        for odd in spellings:
+            argv = [*command.split(), *required]
+            for spelling in spellings:
+                argv += [spelling, wrong if spelling == odd else right]
+            assert cli.run(argv) == 1, argv
+            message = f"{wrong} holds a {holds}; {group} verbs read a {reads}"
+            assert capsys.readouterr().err == f"wavesnap: error: {message}\n", argv
+            checked.add(command)
+    assert {command.split()[0] for command in checked} == set(kinds), checked
 
 
 TOP_HELP = """usage: wavesnap [-h] [--version] {wave,dio,sphere,reproduce} ...
