@@ -67,9 +67,11 @@ def _pi_time(text: str) -> Fraction:
     """An exact time P/Q of pi whose radians, which the sphere verbs take, are in the float range."""
     beta = _fraction(text)
     try:
-        as_radians(beta)
+        finite = math.isfinite(as_radians(beta))  # P/Q past the float range raises, pi P/Q past it is inf
     except OverflowError:
-        raise argparse.ArgumentTypeError(f"time {text} pi leaves the float range") from None
+        finite = False
+    if not finite:
+        raise argparse.ArgumentTypeError(f"time {text} pi leaves the float range")
     return beta
 
 

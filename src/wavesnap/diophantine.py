@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .fields import MultiplierSymbol
-from .propagators import PrecisionExhausted, exact_residue, sine_floor
+from .propagators import PrecisionExhausted, exact_residue, residue_sines, sine_floor
 
 if TYPE_CHECKING:
     import numpy as np
@@ -332,8 +332,9 @@ def small_denominator_sequence(beta: NumberClass, shift: Fraction | int, count: 
     by pi (count + shift), could move any row by more than 1e-12.
 
     Each row reduces (l + shift) beta exactly to the residue r / 2q of
-    `exact_residue`, folds r into [0, q] and takes np.sin of pi r / 2q;
-    the row is an exact zero iff r = 0.
+    `exact_residue`, folds r into [0, q] and takes np.sin of pi r / 2q
+    (`residue_sines`); the row is an exact zero iff r = 0, and a nonzero
+    sine that underflows to 0.0 raises InvalidTime.
     """
     import numpy as np
 
@@ -350,10 +351,10 @@ def small_denominator_sequence(beta: NumberClass, shift: Fraction | int, count: 
     l = np.arange(start, count + 1, dtype=np.int64)
     r, q2 = exact_residue(beta.value, 2 * l + int(2 * shift))
     r = np.minimum(r % q2, -r % q2)  # |sin(pi r / 2q)| has period 2q and mirrors about q
-    values = np.sin(np.asarray(math.pi * (r / q2), dtype=float))  # r / q2 is Python floats when r holds Python ints
+    values, zeros = residue_sines(beta.value, r, q2)
     l.setflags(write=False)
     values.setflags(write=False)
-    zeros = tuple(l[r == 0].tolist())
+    zeros = tuple(l[zeros].tolist())
     return SmallDenominatorTable(
         beta_label=str(beta),
         shift=shift,

@@ -2,7 +2,13 @@
 
 Each function runs one headline claim end to end and returns a small dict:
 {"name", "passed", "details"}.  Random inputs are drawn from a seeded
-generator, so a run is reproducible given its seed.
+generator, so a run is reproducible given its seed: a flat Cauchy pair by
+`_random_data` (the position, then the velocity), a sphere pair by
+`_random_sphere_data` over given (l, m) keys, every random amplitude by
+`_amp`.  A solve is judged against the true velocity by `_judge` alone, the
+one reader of a report's solution (an Obstructed solve has none: err/tol
+inf).  A suite of several checks lists them as (passed, text) pairs, and
+`_checked` ANDs the verdicts and joins the texts with "; ".
 
 Random spectra are guarded: frequencies whose radius lands within a thin
 window of a resonance (|sin(s lam)| < 5e-3 for a time step s the experiment
@@ -35,21 +41,30 @@ def _guarded_radius(rng: random.Random, steps: tuple[float, ...], lam_max: float
             return lam
 
 
-def _random_field(
-    rng: random.Random,
-    dim: int,
-    count: int,
-    steps: tuple[float, ...],
-    lam_max: float = 4.0,
-) -> Field:
+def _amp(rng: random.Random) -> complex:
+    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+def _random_field(rng: random.Random, dim: int, count: int, steps: tuple[float, ...]) -> Field:
     entries = []
     for _ in range(count):
-        lam = _guarded_radius(rng, steps, lam_max)
+        lam = _guarded_radius(rng, steps, 4.0)
         direction = [rng.gauss(0.0, 1.0) for _ in range(dim)]
         norm = math.hypot(*direction)
         xi = tuple(lam * d / norm for d in direction)
-        entries.append((xi, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
+        entries.append((xi, _amp(rng)))
     return field(dim, entries)
+
+
+def _random_data(rng: random.Random, dim: int, count: int | tuple[int, int], steps: tuple[float, ...]) -> CauchyData:
+    """Flat Cauchy data of `count` guarded modes a field, or of rng.randint(*count) drawn before each field's modes."""
+    u0, g = (_random_field(rng, dim, count if isinstance(count, int) else rng.randint(*count), steps) for _ in range(2))
+    return CauchyData(u0, g)
+
+
+def _random_sphere_data(rng: random.Random, n: int, keys: list[tuple[int, int]]) -> CauchyData:
+    """Cauchy data on S^n with an `_amp` at each (l, m) of `keys`, the position's drawn first."""
+    return CauchyData(*(sphere.sphere_field(n, [(l, m, _amp(rng)) for l, m in keys]) for _ in range(2)))
 
 
 def _max_diff(a: Field, b: Field) -> float:
@@ -58,8 +73,22 @@ def _max_diff(a: Field, b: Field) -> float:
     return max(map(abs, map(complex.__sub__, xs, ys)), default=0.0)
 
 
+def _judge(rep: snapshots.SolveReport, truth: Field) -> tuple[float, float]:
+    """(err, err/tol) of a solve against the true velocity: err = max |g - truth|,
+    inf where the report has no solution, and tol = 1e-9 (1 + conditioning)."""
+    if rep.solution is None:
+        return math.inf, math.inf
+    err = _max_diff(rep.solution, truth)
+    return err, err / (1e-9 * (1.0 + rep.conditioning))
+
+
 def _result(name: str, passed: bool, details: str) -> dict:
     return {"name": name, "passed": bool(passed), "details": details}
+
+
+def _checked(name: str, checks: list[tuple[bool, str]]) -> dict:
+    """The result of a list of (passed, text) checks: passed if every one is, the texts joined by "; "."""
+    return _result(name, all(passed for passed, _ in checks), "; ".join(text for _, text in checks))
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +99,11 @@ def recursion_roundtrip(seed: int = 0) -> dict:
     evolution for |m| <= 20 (tolerance 1e-10), and consecutive snapshots
     satisfy u_{m+2} + u_m = 2 S'_1 u_{m+1} (tolerance 1e-11)."""
     worst_closed, worst_general, worst_recur = recursion_residuals(seed)
-    passed = worst_closed <= 1e-10 and worst_general <= 1e-10 and worst_recur <= 1e-11
-    return _result(
-        "recursion",
-        passed,
-        f"closed-form vs evolve: {worst_closed:.2e} (tol 1e-10); "
-        f"general step: {worst_general:.2e} (tol 1e-10); "
-        f"three-term recursion: {worst_recur:.2e} (tol 1e-11)",
-    )
+    return _checked("recursion", [
+        (worst_closed <= 1e-10, f"closed-form vs evolve: {worst_closed:.2e} (tol 1e-10)"),
+        (worst_general <= 1e-10, f"general step: {worst_general:.2e} (tol 1e-10)"),
+        (worst_recur <= 1e-11, f"three-term recursion: {worst_recur:.2e} (tol 1e-11)"),
+    ])
 
 
 def recursion_residuals(seed: int) -> tuple[float, float, float]:
@@ -88,11 +114,7 @@ def recursion_residuals(seed: int) -> tuple[float, float, float]:
     for _ in range(100):
         a = rng.uniform(0.0, 1.0)
         b = a + rng.uniform(0.3, 1.2)
-        steps = (1.0, b - a)
-        dim = rng.randint(1, 3)
-        u0 = _random_field(rng, dim, rng.randint(4, 16), steps)
-        g = _random_field(rng, dim, rng.randint(4, 16), steps)
-        trials.append((CauchyData(u0, g), a, b))
+        trials.append((_random_data(rng, rng.randint(1, 3), (4, 16), (1.0, b - a)), a, b))
     return recursion_trials(trials)
 
 
@@ -167,56 +189,38 @@ def three_snapshot_suite(seed: int = 0) -> dict:
     mode at radius 3 pi: NonUniqueKernel, free mode listed, the rest
     recovered.  Inconsistent data: Obstructed."""
     rng = random.Random(seed)
-    checks: list[str] = []
-    ok = True
-
+    checks = []
     for alpha in (math.sqrt(2.0), 1.2 + 0.6 * rng.random()):
-        worst_ratio = 0.0
+        worst_ratio, unique = 0.0, True
         for _ in range(25):
-            steps = (1.0, alpha)
-            u0 = _random_field(rng, 2, 5, steps)
-            g = _random_field(rng, 2, 5, steps)
-            data = CauchyData(u0, g)
-            rep = snapshots.three_snapshot_solve(u0, evolve(data, 1.0), evolve(data, alpha), alpha)
-            tol = 1e-9 * (1.0 + rep.conditioning)
-            err = _max_diff(rep.solution, g) if rep.solution is not None else math.inf
-            worst_ratio = max(worst_ratio, err / tol)
-            if rep.status != snapshots.STATUS_UNIQUE:
-                ok = False
-        checks.append(f"alpha={alpha:.6f}: worst err/tol {worst_ratio:.2e}")
-        ok = ok and worst_ratio <= 1.0
+            data = _random_data(rng, 2, 5, (1.0, alpha))
+            rep = snapshots.three_snapshot_solve(data.position, evolve(data, 1.0), evolve(data, alpha), alpha)
+            worst_ratio = max(worst_ratio, _judge(rep, data.velocity)[1])
+            unique = unique and rep.status == snapshots.STATUS_UNIQUE
+        checks.append((unique and worst_ratio <= 1.0, f"alpha={alpha:.6f}: worst err/tol {worst_ratio:.2e}"))
 
     xi_k = (3.0 * math.pi, 0.0)
-    u0 = field(2, [*_random_field(rng, 2, 4, (1.0, 2.0 / 3.0)).modes, (xi_k, 0.4)])
-    g = field(2, [*_random_field(rng, 2, 4, (1.0, 2.0 / 3.0)).modes, (xi_k, -0.7j)])
+    free = _random_data(rng, 2, 4, (1.0, 2.0 / 3.0))
+    u0 = field(2, [*free.position.modes, (xi_k, 0.4)])
+    g = field(2, [*free.velocity.modes, (xi_k, -0.7j)])
     data = CauchyData(u0, g)
     rep = snapshots.three_snapshot_solve(u0, evolve(data, 1.0), evolve(data, 2.0 / 3.0), Fraction(2, 3))
-    kernel_ok = rep.status == snapshots.STATUS_NONUNIQUE and xi_k in rep.kernel_modes
-    off_kernel = _max_diff(rep.solution, field(2, [(m.xi, m.amp) for m in g.modes if m.xi != xi_k]))
-    kernel_ok = kernel_ok and off_kernel <= 1e-9 * (1.0 + rep.conditioning)
-    checks.append(f"rational 2/3 kernel: status={rep.status}, off-kernel err {off_kernel:.2e}")
-    ok = ok and kernel_ok
+    off_kernel, ratio = _judge(rep, field(2, [(m.xi, m.amp) for m in g.modes if m.xi != xi_k]))
+    kernel_ok = rep.status == snapshots.STATUS_NONUNIQUE and xi_k in rep.kernel_modes and ratio <= 1.0
+    checks.append((kernel_ok, f"rational 2/3 kernel: status={rep.status}, off-kernel err {off_kernel:.2e}"))
 
-    f1 = evolve(data, 1.0)
     falpha_bad = field(2, [*evolve(data, 0.77).modes, ((1.0, 0.5), 1e-4)])
-    rep_bad = snapshots.three_snapshot_solve(u0, f1, falpha_bad, 0.77)
-    checks.append(f"perturbed data: status={rep_bad.status}")
-    ok = ok and rep_bad.status == snapshots.STATUS_OBSTRUCTED
+    rep_bad = snapshots.three_snapshot_solve(u0, evolve(data, 1.0), falpha_bad, 0.77)
+    checks.append((rep_bad.status == snapshots.STATUS_OBSTRUCTED, f"perturbed data: status={rep_bad.status}"))
 
     worst_compat = 0.0
     for _ in range(10):
         alpha = 0.3 + rng.random()
-        u0 = _random_field(rng, 1, 5, (1.0, alpha))
-        g = _random_field(rng, 1, 5, (1.0, alpha))
-        data = CauchyData(u0, g)
-        worst_compat = max(
-            worst_compat,
-            snapshots.compatibility_residual_general(u0, evolve(data, 1.0), evolve(data, alpha), 0.0, 1.0, alpha),
-        )
-    checks.append(f"compatibility residual on genuine triples: {worst_compat:.2e} (tol 1e-12)")
-    ok = ok and worst_compat <= 1e-12
-
-    return _result("three-snapshot", ok, "; ".join(checks))
+        data = _random_data(rng, 1, 5, (1.0, alpha))
+        triple = (data.position, evolve(data, 1.0), evolve(data, alpha))
+        worst_compat = max(worst_compat, snapshots.compatibility_residual_general(*triple, 0.0, 1.0, alpha))
+    checks.append((worst_compat <= 1e-12, f"compatibility residual on genuine triples: {worst_compat:.2e} (tol 1e-12)"))
+    return _checked("three-snapshot", checks)
 
 
 def liouville_demo_certified(seed: int = 0) -> dict:
@@ -243,39 +247,26 @@ def rational_reconstruction_suite(seed: int = 0) -> dict:
     the compatibility identity is rejected."""
     rng = random.Random(seed)
     pairs = ((1, 2), (2, 3), (3, 5), (5, 7))
-    worst_resid = 0.0
-    worst_ratio = 0.0
-    ok = True
+    worst_resid, worst_ratio, unique = 0.0, 0.0, True
     for trial in range(50):
         p, q = pairs[trial % len(pairs)]
-        steps = (1.0, float(p), float(q), p / q)
-        u0 = _random_field(rng, 2, 5, steps)
-        g = _random_field(rng, 2, 5, steps)
-        data = CauchyData(u0, g)
-        fp, fq = evolve(data, float(p)), evolve(data, float(q))
-        rep = snapshots.rational_reconstruct(u0, fp, fq, p, q)
-        if rep.status != snapshots.STATUS_UNIQUE:
-            ok = False
+        data = _random_data(rng, 2, 5, (1.0, float(p), float(q), p / q))
+        u0, g = data.position, data.velocity
+        rep = snapshots.rational_reconstruct(u0, evolve(data, float(p)), evolve(data, float(q)), p, q)
+        unique = unique and rep.status == snapshots.STATUS_UNIQUE
         worst_resid = max(worst_resid, rep.residual)
-        err = _max_diff(rep.solution, g) if rep.solution is not None else math.inf
-        worst_ratio = max(worst_ratio, err / (1e-9 * (1.0 + rep.conditioning)))
         rep3 = snapshots.three_snapshot_solve(u0, evolve(data, 1.0), evolve(data, p / q), Fraction(p, q))
-        err3 = _max_diff(rep3.solution, g) if rep3.solution is not None else math.inf
-        worst_ratio = max(worst_ratio, err3 / (1e-9 * (1.0 + rep3.conditioning)))
-    ok = ok and worst_resid <= 1e-9 and worst_ratio <= 1.0
+        worst_ratio = max(worst_ratio, _judge(rep, g)[1], _judge(rep3, g)[1])
 
-    u0 = _random_field(rng, 1, 3, (1.0, 2.0, 3.0))
-    g = _random_field(rng, 1, 3, (1.0, 2.0, 3.0))
-    data = CauchyData(u0, g)
+    data = _random_data(rng, 1, 3, (1.0, 2.0, 3.0))
     fp = field(1, [*evolve(data, 2.0).modes, ((1.0,), 1.0)])
-    rejected = snapshots.rational_reconstruct(u0, fp, evolve(data, 3.0), 2, 3).status == snapshots.STATUS_OBSTRUCTED
-    ok = ok and rejected
-    return _result(
-        "rational",
-        ok,
-        f"post-verified residual {worst_resid:.2e} (tol 1e-9); worst err/tol {worst_ratio:.2e}; "
-        f"violating data rejected: {rejected}",
-    )
+    rep = snapshots.rational_reconstruct(data.position, fp, evolve(data, 3.0), 2, 3)
+    rejected = rep.status == snapshots.STATUS_OBSTRUCTED
+    return _checked("rational", [
+        (worst_resid <= 1e-9, f"post-verified residual {worst_resid:.2e} (tol 1e-9)"),
+        (unique and worst_ratio <= 1.0, f"worst err/tol {worst_ratio:.2e}"),
+        (rejected, f"violating data rejected: {rejected}"),
+    ])
 
 
 def odd_type_margins(seed: int = 0) -> dict:
@@ -303,9 +294,6 @@ def sphere_suite(seed: int = 0) -> dict:
     identity on odd spheres, solver round trips, and the Liouville
     conditioning blow-up."""
     rng = random.Random(seed)
-    checks: list[str] = []
-    ok = True
-
     golden = diophantine.golden_class()
     liou10 = diophantine.liouville_truncation(10, None, 4)
     # sum_j 2^(-j!) is Liouville, but its odd margins are large enough that twice it is solvable
@@ -330,8 +318,7 @@ def sphere_suite(seed: int = 0) -> dict:
         bad.append(("liouville-no-half", 2, "Unclassifiable", "no exception"))
     except diophantine.Unclassifiable:
         pass
-    checks.append(f"classification: {len(expected) + 1 - len(bad)}/{len(expected) + 1} cells")
-    ok = ok and not bad
+    checks = [(not bad, f"classification: {len(expected) + 1 - len(bad)}/{len(expected) + 1} cells")]
 
     margin_cases = [
         (Fraction(1, 3), 2, 3, True),
@@ -340,55 +327,38 @@ def sphere_suite(seed: int = 0) -> dict:
         (Fraction(1, 2), 3, 3, False),
         (Fraction(2, 5), 2, 3, False),
     ]
-    margin_ok = True
-    for alpha, n, expo, want in margin_cases:
-        c, passes = sphere.surjectivity_margin(alpha, n, 10**4, expo)
-        margin_ok = margin_ok and passes == want and (c > 0) == want
-    checks.append(f"margins at degree 1e4: {'all as classified' if margin_ok else 'MISMATCH'}")
-    ok = ok and margin_ok
+    margins = [(*sphere.surjectivity_margin(alpha, n, 10**4, expo), want) for alpha, n, expo, want in margin_cases]
+    margin_ok = all(passes == want and (c > 0) == want for c, passes, want in margins)
+    checks.append((margin_ok, f"margins at degree 1e4: {'all as classified' if margin_ok else 'MISMATCH'}"))
 
     worst_period = 0.0
     for n, period in ((3, 2.0 * math.pi), (2, 4.0 * math.pi)):
-        f0 = sphere.sphere_field(n, [(l, 1, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for l in range(12)])
-        g = sphere.sphere_field(n, [(l, 1, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for l in range(12)])
+        data = _random_sphere_data(rng, n, [(l, 1) for l in range(12)])
         for t in (0.0, 0.35, 1.7, 5.0):
-            u = evolve(CauchyData(f0, g), t)
-            v = evolve(CauchyData(f0, g), t + period)
-            worst_period = max(worst_period, _max_diff(u, v))
-    checks.append(f"period 2pi (n=3) / 4pi (n=2): {worst_period:.2e} (tol 1e-10)")
-    ok = ok and worst_period <= 1e-10
+            worst_period = max(worst_period, _max_diff(evolve(data, t), evolve(data, t + period)))
+    checks.append((worst_period <= 1e-10, f"period 2pi (n=3) / 4pi (n=2): {worst_period:.2e} (tol 1e-10)"))
 
     worst_huygens = 0.0
     times = [2.0 * math.pi * j / 19 for j in range(20)]
     for n in (3, 5):
-        f0 = sphere.sphere_field(n, [(l, 1, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for l in range(10)])
-        g = sphere.sphere_field(n, [(l, 1, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for l in range(10)])
-        worst_huygens = max(worst_huygens, sphere.huygens_antipodal_check(f0, g, times))
-    checks.append(f"antipodal residual: {worst_huygens:.2e} (tol 1e-10)")
-    ok = ok and worst_huygens <= 1e-10
+        data = _random_sphere_data(rng, n, [(l, 1) for l in range(10)])
+        worst_huygens = max(worst_huygens, sphere.huygens_antipodal_check(data.position, data.velocity, times))
+    checks.append((worst_huygens <= 1e-10, f"antipodal residual: {worst_huygens:.2e} (tol 1e-10)"))
 
-    worst_solve = 0.0
+    worst_solve, unique = 0.0, True
     for n, alpha in ((2, math.pi / 3), (3, 0.7)):
-        entries = [(l, m, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for l in range(8) for m in (1, sphere.dim_Hl(n, l))]
-        f0 = sphere.sphere_field(n, entries)
-        entries = [(l, m, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for l in range(8) for m in (1, sphere.dim_Hl(n, l))]
-        g = sphere.sphere_field(n, entries)
-        rep = sphere.sphere_two_snapshot_solve(f0, evolve(CauchyData(f0, g), alpha), alpha)
-        err = _max_diff(rep.solution, g)
-        if rep.status != snapshots.STATUS_UNIQUE:
-            ok = False
-        worst_solve = max(worst_solve, err / (1e-9 * (1.0 + rep.conditioning)))
-    checks.append(f"solver round trip err/tol: {worst_solve:.2e}")
-    ok = ok and worst_solve <= 1.0
+        data = _random_sphere_data(rng, n, [(l, m) for l in range(8) for m in (1, sphere.dim_Hl(n, l))])
+        rep = sphere.sphere_two_snapshot_solve(data.position, evolve(data, alpha), alpha)
+        unique = unique and rep.status == snapshots.STATUS_UNIQUE
+        worst_solve = max(worst_solve, _judge(rep, data.velocity)[1])
+    checks.append((unique and worst_solve <= 1.0, f"solver round trip err/tol: {worst_solve:.2e}"))
 
     beta_l = Fraction(110001, 10**6)  # the depth-3 factorial series, exactly
     f0 = sphere.sphere_field(3, [(99, 1, 1.0)])
     fa = evolve(CauchyData(f0, sphere.sphere_field(3, [(99, 1, 0.5)])), beta_l)
     rep = sphere.sphere_two_snapshot_solve(f0, fa, beta_l, max_degree=256)
-    checks.append(f"conditioning at the q=100 convergent degree: {rep.conditioning:.3e}")
-    ok = ok and rep.conditioning >= 1e5
-
-    return _result("sphere", ok, "; ".join(checks))
+    checks.append((rep.conditioning >= 1e5, f"conditioning at the q=100 convergent degree: {rep.conditioning:.3e}"))
+    return _checked("sphere", checks)
 
 
 def slow_decrease_suite(seed: int = 0) -> dict:

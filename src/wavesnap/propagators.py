@@ -50,9 +50,10 @@ PHASE_LIMIT = 2.0**50  # |t w| from which kernel_threshold reaches 1: a float ti
 
 class InvalidTime(ValueError):
     """Times at which the operation is undefined: alpha in {0, 1}, a
-    non-finite float time, a float time too large for a kernel decision, a
-    zero step s of Psi_{m,s}, snapshot times out of order, or integer times
-    that are not positive, distinct and coprime."""
+    non-finite float time, a float time too large for a kernel decision, an
+    exact time at which a nonzero sine underflows to 0.0, a zero step s of
+    Psi_{m,s}, snapshot times out of order, or integer times that are not
+    positive, distinct and coprime."""
 
 
 class PrecisionExhausted(RuntimeError):
@@ -150,6 +151,24 @@ def exact_residue(beta: Fraction, w2):
     return w2 * (p % m) % m, 2 * q
 
 
+def _underflow(beta: Fraction) -> InvalidTime:
+    """The error of an exact time beta pi at which a nonzero sine, or the symbol sin(w t)/w, reads as 0.0."""
+    return InvalidTime(f"time {beta} pi: a nonzero sine underflows to 0.0, which would read as an exact zero")
+
+
+def residue_sines(beta: Fraction, r, q2):
+    """(sin(pi r / q2), r = 0 mod q2) over the integer numpy array `r` of
+    residues `exact_residue(beta, ...)` returned with q2: the sines as
+    float64 and the exact zeros.  A nonzero residue whose sine underflows to
+    0.0 raises InvalidTime naming beta."""
+    import numpy as np
+
+    sines, zeros = np.sin(np.pi * np.asarray(r / q2, dtype=float)), r % q2 == 0
+    if ((sines == 0.0) & ~zeros).any():
+        raise _underflow(beta)
+    return sines, zeros
+
+
 def _doubled(w: float | Fraction) -> int:
     """2w for a positive half-integer frequency w, the frequencies an exact time accepts."""
     w2 = 2 * w
@@ -167,12 +186,16 @@ def sine_at(time: float | Fraction, w: float | Fraction) -> tuple[float, bool]:
     a zero at t = 0, where S_t vanishes; elsewhere a zero is |w t| >= 1 with
     |sin(w t)| below `kernel_threshold(w t)`, so only a nonzero multiple of
     pi counts, never a small w t where sin(w t)/w is near t.  A float |w t|
-    >= PHASE_LIMIT raises InvalidTime (`check_phase`)."""
+    >= PHASE_LIMIT raises InvalidTime (`check_phase`), and so does a Fraction
+    t whose nonzero sin(w t)/w underflows to 0.0."""
     if type(time) is not float and isinstance(time, Fraction):  # a float skips the ABC check
         r, q2 = exact_residue(time, _doubled(w))
         if r % q2 == 0:
             return 0.0, True
-        return math.sin(math.pi * (r / q2)) / w, False
+        v = math.sin(math.pi * (r / q2)) / w
+        if v == 0.0:
+            raise _underflow(time)
+        return v, False
     t = float(time)
     check_phase(t, w)
     u = t * w

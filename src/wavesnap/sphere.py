@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .fields import Field, Sphere, dim_Hl, frequency, from_columns, load_field, save_field
-from .propagators import as_radians, check_phase, exact_residue, kernel_threshold, sine_at, sine_floor
+from .propagators import as_radians, check_phase, exact_residue, kernel_threshold, residue_sines, sine_at, sine_floor
 from .snapshots import (
     CauchyData,
     SolveReport,
@@ -165,7 +165,8 @@ def surjectivity_margin(
     multiples of pi with the divisibility hit) forces (0, False); a weight
     (1+l)^exponent beyond the float range raises OverflowError naming its
     degree, a non-finite alpha InvalidTime, and so does a float alpha with
-    |alpha| (max_degree + (n-1)/2) >= 2^50 (`check_phase`)."""
+    |alpha| (max_degree + (n-1)/2) >= 2^50 (`check_phase`) or an exact one
+    at which a nonzero sine underflows to 0.0 (`residue_sines`, `sine_at`)."""
     from .diophantine import slow_decay_check
 
     _check_finite(alpha, "alpha")
@@ -219,8 +220,7 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
             if isinstance(alpha, Fraction):
                 if lo == 0 or not periodic:
                     w2 = 2 * (l if n < 2**62 else l.astype(object)) + (n - 1)  # sine_at's 2w, in int64 if it fits
-                    r, q2 = exact_residue(alpha, w2)
-                    sines, zeros = np.sin(np.pi * (r / q2).astype(float)), r % q2 == 0
+                    sines, zeros = residue_sines(alpha, *exact_residue(alpha, w2))
                 x, near_zero = sines[: len(l)], zeros[: len(l)]
             else:
                 y, tiny = w * float(alpha), 2 * kernel_threshold(abs(float(alpha)) * float(w[-1]))

@@ -807,16 +807,20 @@ def test_time_flag_pairs_are_exclusive_and_required(capsys):
 
 def test_exact_times_past_the_float_range_name_their_flag(one_mode_files, capsys):
     # were a bare "integer division result too large for a float" (as_radians) or "int too large to convert
-    # to float" (the Bezout solve's P times its step 1/Q), exit 1, naming neither the flag nor the time
+    # to float" (the Bezout solve's P times its step 1/Q), exit 1, naming neither the flag nor the time;
+    # pi 10^308 is inf without an exception: evolve was "symbol S'[inf] failed at lambda=1.0", exit 1,
+    # and solve an Obstructed report, exit 0
     flat, on_sphere, out = one_mode_files
     huge = f"{10**400}/1"
-    pi_time = f"time {huge} pi leaves the float range"
-    for argv, message in (
-        (["sphere", "evolve", "--f0", on_sphere, "--g", on_sphere, "--t-pi", huge], f"--t-pi: {pi_time}"),
-        (["sphere", "solve", "--f0", on_sphere, "--falpha", on_sphere, "--alpha-pi", huge], f"--alpha-pi: {pi_time}"),
-        (["wave", "three-solve", "--f0", flat, "--f1", flat, "--falpha", flat, "--alpha-frac", huge],
-         f"--alpha-frac: time {huge} leaves the float range: its P or Q is past 1.8e308"),
-    ):
+    cases = [
+        (["sphere", verb, "--f0", on_sphere, files, on_sphere, flag, time],
+         f"{flag}: time {time} pi leaves the float range")
+        for time in (huge, f"{10**308}/1")
+        for verb, files, flag in (("evolve", "--g", "--t-pi"), ("solve", "--falpha", "--alpha-pi"))
+    ]
+    cases.append((["wave", "three-solve", "--f0", flat, "--f1", flat, "--falpha", flat, "--alpha-frac", huge],
+                  f"--alpha-frac: time {huge} leaves the float range: its P or Q is past 1.8e308"))
+    for argv, message in cases:
         assert cli.run([*argv, "--out", str(out)]) == 2, argv[:2]
         err = capsys.readouterr().err
         assert err.startswith("usage:") and err.endswith(f" error: argument {message}\n"), err
@@ -825,6 +829,25 @@ def test_exact_times_past_the_float_range_name_their_flag(one_mode_files, capsys
     assert cli.run(["sphere", "margin", "--alpha-pi", huge, "--n", "3", "--max-degree", "100"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["alpha"], doc["max_degree"]) == (huge, 100)
+
+
+def test_an_exact_sine_that_underflows_is_an_invalid_time(one_mode_files, capsys):
+    # sin(pi/10^400) is nonzero but 0.0 as a float: the solve was "complex division by zero", the margin
+    # a false exact zero (C = 0.0, exit 0) and smallden "math domain error"
+    _, on_sphere, out = one_mode_files
+    tiny = f"1/{10**400}"
+    message = f"time {tiny} pi: a nonzero sine underflows to 0.0, which would read as an exact zero"
+    for argv in (
+        ["sphere", "solve", "--f0", on_sphere, "--falpha", on_sphere, "--alpha-pi", tiny],
+        ["sphere", "margin", f"--alpha-pi={tiny}", "--n", "3", "--max-degree", "100"],
+        ["dio", "smallden", "--number", f"rational:{tiny}", "--count", "10"],
+    ):
+        assert_names_flag(capsys, argv, out, message)
+    # a subnormal sine is no zero, and evolving to the tiny time takes no sine of it
+    assert cli.run(["sphere", "margin", f"--alpha-pi=1/{10**320}", "--n", "3", "--max-degree", "100"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["C"], doc["passes"]) == (3.142e-320, True)
+    assert cli.run(["sphere", "evolve", "--f0", on_sphere, "--g", on_sphere, "--t-pi", tiny, "--out", str(out)]) == 0
 
 
 def test_size_flags_are_bounded_from_above(one_mode_files, capsys):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from wavesnap import diophantine, experiments, propagators, snapshots
+from wavesnap import diophantine, experiments, propagators, snapshots, sphere
 from wavesnap.fields import MultiplierSymbol, apply_multiplier, field, linear_combine, union_columns
 from wavesnap.propagators import symbol_Sprime
 from wavesnap.snapshots import CauchyData
@@ -218,3 +218,38 @@ def test_liouville_gate_names_what_failed(monkeypatch, defect):
         assert "not certified > 1 at k=3; k=7 raises PrecisionExhausted" in r["details"]
     else:
         assert "all certified > 1 up to k=6; k=7 does not raise PrecisionExhausted" in r["details"]
+
+
+def obstructed(solve):
+    """`solve`, its reports made Obstructed: no solution, the rest as the solver gave it."""
+    return lambda *args, **kwargs: dataclasses.replace(
+        solve(*args, **kwargs), status=snapshots.STATUS_OBSTRUCTED, solution=None
+    )
+
+
+@pytest.mark.parametrize(
+    "suite, module, solver, failing",
+    [
+        ("three_snapshot_suite", snapshots, "three_snapshot_solve",
+         ["alpha=1.414214: worst err/tol inf", "status=Obstructed, off-kernel err inf"]),
+        ("sphere_suite", sphere, "sphere_two_snapshot_solve", ["solver round trip err/tol: inf"]),
+    ],
+    ids=["three-snapshot", "sphere"],
+)
+def test_an_obstructed_solve_fails_its_gate_without_raising(monkeypatch, suite, module, solver, failing):
+    # both suites read the solution of each report they judge: an Obstructed one ended in AttributeError
+    monkeypatch.setattr(module, solver, obstructed(getattr(module, solver)))
+    r = getattr(experiments, suite)(seed=1)
+    assert r["passed"] is False
+    for check in failing:
+        assert check in r["details"], r["details"]
+
+
+def test_oddtype_gate_fails_on_the_ternary_series(monkeypatch):
+    # sum 3^(-j!) has an odd q = 3^6 = 729 at margin ratio 1.0, not above q^(-3); the base-10 series
+    # would not do as a control: its least ratio is 7604.3, at q = 91
+    truncation = diophantine.liouville_truncation
+    monkeypatch.setattr(diophantine, "liouville_truncation", lambda base, coeffs, depth: truncation(3, coeffs, depth))
+    r = experiments.odd_type_margins()
+    assert r["passed"] is False
+    assert r["details"].endswith("min margin ratio 1.0 at q=729; violations: 1"), r["details"]
