@@ -203,14 +203,14 @@ def continued_fraction(x: Fraction | int, max_terms: int) -> ContinuedFraction:
         raise ValueError("max_terms must be >= 1")
 
     def quotients(r: Fraction) -> Iterator[int]:
-        while True:
+        for _ in range(max_terms):  # any int; the expansion ends by itself
             a = r.numerator // r.denominator
             yield a
             if r == a:
                 return
             r = 1 / (r - a)
 
-    quots = tuple(itertools.islice(quotients(Fraction(x)), max_terms))
+    quots = tuple(quotients(Fraction(x)))
     return ContinuedFraction(quots, tuple(Fraction(p, q) for p, q in _convergents(quots)))
 
 

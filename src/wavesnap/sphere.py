@@ -205,7 +205,16 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
     At exact alpha = p/q the residue (2l+n-1)p mod 4q, hence the sine and the
     zero flag, has period 2q in l: one that fits in MARGIN_BLOCK rounds the
     block down to whole periods (8192 -> 8180 degrees at q = 10), and later
-    blocks reuse the first one's sines."""
+    blocks reuse the first one's sines.  Such a later block [lo, hi] is
+    skipped before any numpy work when no weight in it nears the float range
+    and its floor score, m / w(hi) (1+lo)^exponent less the pow and rounding
+    slack (m the first block's least |sine|), is above the window: a
+    correctly rounded quotient or product never falls as its operands grow,
+    so no row of the block scores below the floor, none could be yielded,
+    and the best score stays.  At exponent 0 the floor stays under the first
+    block's scores; a first block with an exact zero is never left, as
+    `slow_decay_check` stops at that row.  A skip does not end the scan: a
+    later block may reach the float range, and its overflow must raise."""
     import numpy as np
 
     if not isinstance(alpha, Fraction):
@@ -214,19 +223,25 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
     block = MARGIN_BLOCK - MARGIN_BLOCK % (2 * alpha.denominator) if periodic else MARGIN_BLOCK
     best = math.inf
     for lo in range(0, max_degree + 1, block):
-        l = np.arange(lo, min(lo + block, max_degree + 1))
+        hi = min(lo + block, max_degree + 1) - 1
+        # the block's least weight, less the pow and rounding slack; None once a weight nears the float range
+        lift = (1.0 + lo) ** exponent * (1 - 2.0**-50) if exponent * math.log2(2.0 + hi) < 1022 else None
+        if lo and periodic and lift is not None and least / (hi + 0.5 * (n - 1)) * lift > best * (1 + MARGIN_WINDOW):
+            continue
+        l = np.arange(lo, hi + 1)
         w = l + 0.5 * (n - 1)  # sine_at's w = frequency(n, l), bit for bit while n < 2^52
         with np.errstate(over="ignore", invalid="ignore"):
             if isinstance(alpha, Fraction):
                 if lo == 0 or not periodic:
                     w2 = 2 * (l if n < 2**62 else l.astype(object)) + (n - 1)  # sine_at's 2w, in int64 if it fits
                     sines, zeros = residue_sines(alpha, *exact_residue(alpha, w2))
+                    least = float(np.abs(sines).min())
                 x, near_zero = sines[: len(l)], zeros[: len(l)]
             else:
                 y, tiny = w * float(alpha), 2 * kernel_threshold(abs(float(alpha)) * float(w[-1]))
-                if exponent * math.log2(2.0 + l[-1]) < 1022:  # no weight in the block nears the float range
+                if lift is not None:  # no weight in the block nears the float range
                     floor = sine_floor(y)
-                    keep = ~(floor / w * ((1.0 + lo) ** exponent * (1 - 2.0**-50)) > best * (1 + MARGIN_WINDOW))
+                    keep = ~(floor / w * lift > best * (1 + MARGIN_WINDOW))
                     keep |= floor < tiny
                     l, w, y = l[keep], w[keep], y[keep]
                 x = np.sin(y)

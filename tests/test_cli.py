@@ -210,6 +210,16 @@ def test_dio_verbs_smoke(tmp_path, capsys):
     assert any("exact zeros at l: [3, 6, 9]" in ln for ln in lines)
 
 
+def test_term_counts_beyond_sys_maxsize_read_as_large_ones(capsys):
+    # were exit 1: "Stop argument for islice() must be None or an integer: 0 <= x <= sys.maxsize."
+    for argv, flag in ((["dio", "cfrac", "--value", "1/3"], "--max-terms"),
+                       (["dio", "probe-mu", "--number", "golden"], "--depth")):
+        assert cli.run([*argv, flag, "1000"]) == 0
+        want = capsys.readouterr()
+        assert cli.run([*argv, flag, str(10**20)]) == 0
+        assert capsys.readouterr() == want
+
+
 def test_smallden_csv_values_parse_back(tmp_path):
     out = tmp_path / "sd.csv"
     assert cli.run(["dio", "smallden", "--number", "golden", "--count", "500", "--out", str(out)]) == 0

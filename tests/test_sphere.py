@@ -469,8 +469,14 @@ _float_times = st.one_of(
 @example(alpha=Fraction(1, 2048), n=2, max_degree=40_000, exponent=3)  # period 4096, two to a block
 @example(alpha=Fraction(1, 2049), n=2, max_degree=40_000, exponent=3)  # period 4098, one to a block
 @example(alpha=Fraction(1, 4096), n=2, max_degree=40_000, exponent=3)  # period 8192, exactly one block
+@example(alpha=Fraction(1, 4096), n=4, max_degree=40_000, exponent=3)  # one period a block; skips from the third
 @example(alpha=Fraction(1, 4097), n=2, max_degree=40_000, exponent=3)  # period 8194, just beyond one block
 @example(alpha=Fraction(-7, 31), n=2, max_degree=40_000, exponent=3)  # negative exact time
+# the skip of periodic blocks: at exponent 1 the weight 1+l barely outgrows w (n = 2) or is w (n = 3)
+@example(alpha=Fraction(19, 10), n=2, max_degree=40_000, exponent=1)
+@example(alpha=Fraction(19, 10), n=3, max_degree=40_000, exponent=1)
+@example(alpha=Fraction(19, 10), n=2, max_degree=20_000, exponent=60)
+@example(alpha=Fraction(19, 10), n=2, max_degree=40_000, exponent=70)  # overflow at l = 25,330, after a skipped block
 @example(alpha=1000 * math.pi, n=3, max_degree=20_000, exponent=3)  # |w alpha| to 6.3e7: ulp threshold
 # float alphas through the Jordan-floor screen
 @example(alpha=FAR_KERNEL, n=3, max_degree=40_000, exponent=0)
@@ -530,7 +536,7 @@ def test_margin_rechecks_few_rows(monkeypatch):
 
 def test_margin_computes_one_residue_period(monkeypatch):
     # at 19/10 the residues repeat every 2q = 20 degrees, so the screen
-    # reduces the first block and reuses it for all 246 blocks to degree 1e6
+    # reduces only the first of the 123 blocks of 8,180 degrees to degree 1e6
     calls = 0
     residue = sph.exact_residue
 
@@ -543,6 +549,29 @@ def test_margin_computes_one_residue_period(monkeypatch):
     c, passes = sph.surjectivity_margin(Fraction(19, 10), 2, 10**6, 3)
     assert passes and c > 0
     assert calls == 1
+
+
+def test_margin_skips_the_blocks_its_first_period_rules_out(monkeypatch):
+    # at 19/10 the first block's least sine over a later block's largest w,
+    # times that block's least weight, clears the best score from the second
+    # block on at exponent 3, so only the first of the 123 blocks reaches
+    # numpy; at exponent 0 that floor stays under the best and every block does
+    import numpy as np
+
+    calls = 0
+    arange = np.arange
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", counted)
+    for exponent, blocks in ((3, 1), (0, 123)):
+        calls = 0
+        c, passes = sph.surjectivity_margin(Fraction(19, 10), 2, 10**6, exponent)
+        assert passes and c > 0
+        assert calls == blocks
 
 
 def test_classification_odd_sphere():
