@@ -460,11 +460,11 @@ def _dio_doubled_bound(args) -> dict:
 
 
 def _sphere_snapshot(args, ua: Field, ualpha: Field) -> dict:
-    return json_members(sphere.sphere_snapshot(ua, ualpha, args.alpha, args.m))
+    return json_members(snapshots.general_integer_snapshot(ua, ualpha, 0.0, args.alpha, args.m))
 
 
 def _sphere_solve(args, f0: Field, falpha: Field) -> dict:
-    rep = sphere.sphere_two_snapshot_solve(f0, falpha, args.alpha, max_degree=args.max_degree)
+    rep = snapshots.two_snapshot_solve(f0, falpha, args.alpha)
     return {"alpha": args.alpha, **_solve_payload(rep, f0)}
 
 
@@ -582,8 +582,7 @@ VERBS = {
                      [("--alpha", _FLOAT), ("--m", _INT)]),
         "solve": ("recover velocity from sphere snapshots at 0 and alpha", _sphere_solve, ["--f0", "--falpha"],
                   [(("--alpha", "--alpha-pi"),
-                    {"help": ("alpha in radians", "alpha as P/Q of pi, handled exactly"), "type": _pi_time}),
-                   ("--max-degree", {"default": 256})]),
+                    {"help": ("alpha in radians", "alpha as P/Q of pi, handled exactly"), "type": _pi_time})]),
         "huygens": ("antipodal focusing residual on an odd sphere", _sphere_huygens, ["--f0", "--g"],
                     [("--tmax", {"default": 2.0 * math.pi}), ("--t-count", {"default": 20}),
                      ("--c-count", {"default": 20})]),

@@ -348,7 +348,7 @@ def sphere_suite(seed: int = 0) -> dict:
     worst_solve, unique = 0.0, True
     for n, alpha in ((2, math.pi / 3), (3, 0.7)):
         data = _random_sphere_data(rng, n, [(l, m) for l in range(8) for m in (1, sphere.dim_Hl(n, l))])
-        rep = sphere.sphere_two_snapshot_solve(data.position, evolve(data, alpha), alpha)
+        rep = snapshots.two_snapshot_solve(data.position, evolve(data, alpha), alpha)
         unique = unique and rep.status == snapshots.STATUS_UNIQUE
         worst_solve = max(worst_solve, _judge(rep, data.velocity)[1])
     checks.append((unique and worst_solve <= 1.0, f"solver round trip err/tol: {worst_solve:.2e}"))
@@ -356,7 +356,7 @@ def sphere_suite(seed: int = 0) -> dict:
     beta_l = Fraction(110001, 10**6)  # the depth-3 factorial series, exactly
     f0 = sphere.sphere_field(3, [(99, 1, 1.0)])
     fa = evolve(CauchyData(f0, sphere.sphere_field(3, [(99, 1, 0.5)])), beta_l)
-    rep = sphere.sphere_two_snapshot_solve(f0, fa, beta_l, max_degree=256)
+    rep = snapshots.two_snapshot_solve(f0, fa, beta_l)
     checks.append((rep.conditioning >= 1e5, f"conditioning at the q=100 convergent degree: {rep.conditioning:.3e}"))
     return _checked("sphere", checks)
 

@@ -92,7 +92,8 @@ class Sphere:
 
     def columns(self, ls: list[int], ms: list[int]) -> tuple[list, list[float]]:
         """The keys and frequencies of the columns of degrees and orders,
-        with dim_Hl and the frequency computed once per degree."""
+        with dim_Hl and the frequency computed once per degree; a frequency
+        that a float does not hold exactly (from about l = 2^52) raises."""
         n = self.n
         ls, ms = typed(ls, "l", "JSON integer"), typed(ms, "m", "JSON integer")
         dims = {l: dim_Hl(n, l) for l in dict.fromkeys(ls)}
@@ -101,6 +102,9 @@ class Sphere:
             m, d, l = next((m, d, l) for m, d, l in zip(ms, bounds, ls) if not 1 <= m <= d)
             raise ValueError(f"order m={m} outside [1, {d}] for degree l={l}, n={n}")
         freq = {l: frequency(n, l) for l in dims}
+        inexact = next((l for l, w in freq.items() if 2 * w != 2 * l + n - 1), None)  # an exact time reads 2w
+        if inexact is not None:
+            raise ValueError(f"frequency of degree l={inexact}, n={n} is not exact in a float")
         return list(zip(ls, ms)), list(map(freq.__getitem__, ls))
 
     def row(self, key: tuple, amp: Any) -> dict:

@@ -52,7 +52,7 @@ class InvalidTime(ValueError):
     """Times at which the operation is undefined: alpha in {0, 1}, a
     non-finite float time, a float time too large for a kernel decision, an
     exact time at which a nonzero sine underflows to 0.0, a zero step s of
-    Psi_{m,s}, snapshot times out of order, or integer times that are not
+    Psi_{m,s}, equal snapshot times, or integer times that are not
     positive, distinct and coprime."""
 
 

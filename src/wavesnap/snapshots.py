@@ -167,9 +167,10 @@ def evolve_grid(data: Sequence[CauchyData], times: Sequence[Sequence[float | Fra
 
 
 def general_integer_snapshot(ua: Field, ub: Field, a: float, b: float, m: int) -> Field:
-    """u at time a + m (b - a), from the snapshots at a < b: `snapshot_column`
-    at the step s = b - a over the union of the snapshots' keys."""
-    s = _step(ua, ub, a, b)
+    """u at time a + m (b - a), from the snapshots at a != b in either order
+    (Psi_{m,s} is even in s): `snapshot_column` at the step s = b - a over
+    the union of the snapshots' keys."""
+    s = _step(a, b)
     keys, freqs, (y, x) = union_columns((ub, ua))
     return _with_amps(ub, keys, freqs, snapshot_column(s, freqs, x, y, int(m)))  # int, as symbol_Psi reads m
 
@@ -231,13 +232,12 @@ def snapshot_grid_columns(s, freqs: Sequence[float], x, y, ms: Iterable[int]):
     return re, im
 
 
-def _step(ua: Field, ub: Field, a: float, b: float) -> float:
-    """The step s = b - a between two snapshots at finite times a < b over one basis."""
+def _step(a: float, b: float) -> float:
+    """The step s = b - a between two snapshots at finite times a != b."""
     _check_finite(a)
     _check_finite(b)
-    if not b > a:
-        raise InvalidTime(f"need a < b, got a={a}, b={b}")
-    ub.check_same_basis(ua)
+    if a == b:
+        raise InvalidTime(f"need a != b, got a = b = {a}")
     return b - a
 
 
@@ -326,11 +326,11 @@ def diagonal_solve(
     """Solve for g, a field of like's basis, key by key over canonical `keys`
     and `freqs`, a column at a time over `equations`, taken in order.
 
-    A key's conditioning is its gain (default 1.0) / |s| over its nonzero
-    symbols.  Where every symbol is zero the key is in the kernel: g is free
-    (0 is returned) and the data is Obstructed unless every right side is
-    within OBSTRUCTION_AMP_TOL of 0.  Elsewhere g = r / s from the first
-    nonzero equation, and the other equations must agree within
+    Where every symbol is zero the key is in the kernel: g is free (0 is
+    returned) and the data is Obstructed unless every right side is within
+    OBSTRUCTION_AMP_TOL of 0.  Elsewhere g = r / s from the equation with the
+    largest |s| (the first on ties), the key's conditioning is its gain
+    (default 1.0) / that |s|, and the other equations must agree within
     CONSISTENCY_TOL (1 + the key's own conditioning).  `verify(gs)`, given
     g's amplitude column over `keys` (0j in the kernel), returns a post-check
     residual and a note, held to CONSISTENCY_TOL (1 + the worst
@@ -338,19 +338,21 @@ def diagonal_solve(
     """
     n, count = len(keys), len(equations)
     gains = itertools.repeat(1.0) if gains is None else gains
-    gs, first = [0j] * n, [count] * n  # each key's g and the equation it comes from; 0j and count in the kernel
-    for e in reversed(range(count)):
-        s, zero, r = equations[e]
-        gs = [g if z else ri / si for g, z, si, ri in zip(gs, zero, s, r)]
-        first = [f if z else e for f, z in zip(first, zero)]
-    cond, inc = [0.0] * n, [0.0] * n  # each a running max over the key's equations, as max(c, t) takes it
+    # each key's g, the equation it comes from and that equation's |s|; 0j, count and -1.0 in the kernel
+    gs, best, size = [0j] * n, [count] * n, [-1.0] * n
     for e, (s, zero, r) in enumerate(equations):
-        terms = [0.0 if z else gain / abs(si) for z, gain, si in zip(zero, gains, s)]
-        cond = [t if t > c else c for c, t in zip(cond, terms)]
-        if count > 1:  # a lone equation is the first of every key it solves
+        mags = [-1.0 if z else abs(si) for z, si in zip(zero, s)]
+        take = list(map(operator.gt, mags, size))
+        gs = [ri / si if t else g for g, t, si, ri in zip(gs, take, s, r)]
+        best = [e if t else b for b, t in zip(best, take)]
+        size = list(map(max, size, mags))
+    cond = [0.0 if b == count else gain / m for b, gain, m in zip(best, gains, size)]
+    inc = [0.0] * n  # a running max over the key's other equations, as max(i, t) takes it
+    if count > 1:  # a lone equation is the best of every key it solves
+        for e, (s, _, r) in enumerate(equations):
             terms = map(abs, map(operator.sub, map(operator.mul, gs, s), r))
-            inc = [t if t > i and f != e and f != count else i for i, f, t in zip(inc, first, terms)]
-    in_kernel = [f == count for f in first]
+            inc = [t if t > i and b != e and b != count else i for i, b, t in zip(inc, best, terms)]
+    in_kernel = [b == count for b in best]
     kernel = tuple(itertools.compress(keys, in_kernel))
     obstruction = max([abs(ri) for _, _, r in equations for ri in itertools.compress(r, in_kernel)], default=0.0)
     conditioning, inconsistency = max(cond, default=0.0), max(inc, default=0.0)
@@ -419,9 +421,9 @@ def three_snapshot_solve(f0: Field, f1: Field, falpha: Field, alpha: float | Fra
     shared kernel exactly; its compatibility gate failing comes back as an
     Obstructed report.  Here, unlike elsewhere, a Fraction is the time p/q
     itself, not p/q of pi, so it never reaches `sine_at`.  Generic float
-    alpha is solved mode by mode: the time-1 equation where sin(lam) is
-    usable, the time-alpha equation otherwise, the unused equation
-    cross-checked at 1e-9 (1 + conditioning).
+    alpha is solved mode by mode from whichever of the time-1 and time-alpha
+    equations has the larger |sin(t lam)/lam| (time 1 on a tie), the other
+    cross-checked at 1e-9 (1 + that mode's conditioning).
     """
     if isinstance(alpha, Fraction):
         if alpha <= 0 or alpha == 1:

@@ -17,7 +17,7 @@ sqrt(d_l) phi_l for the normalized Gegenbauer zonal polynomial phi_l.
 Evolution, snapshots, the solvers of `wavesnap.snapshots` and the field
 files of `wavesnap.fields` serve it as they serve flat fields; this module
 adds what only the sphere has: zonal evaluation, the antipodal identity,
-the degree cap of the solve, the margins and the classification of times.
+the margins and the classification of times.
 """
 
 from __future__ import annotations
@@ -29,15 +29,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .fields import Field, Sphere, dim_Hl, frequency, from_columns, load_field, save_field
-from .propagators import as_radians, check_phase, exact_residue, kernel_threshold, residue_sines, sine_at, sine_floor
-from .snapshots import (
-    CauchyData,
-    SolveReport,
-    _check_finite,
-    evolve,
-    general_integer_snapshot,
-    two_snapshot_solve,
-)
+from .propagators import check_phase, exact_residue, kernel_threshold, residue_sines, sine_at, sine_floor
+from .snapshots import CauchyData, _check_finite, evolve, two_snapshot_solve
 
 if TYPE_CHECKING:
     from .diophantine import NumberClass
@@ -93,20 +86,14 @@ def zonal_values(f: Field, cs: Sequence[float]) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
-# evolution and snapshots
+# evolution and the antipodal identity
 
 
 def sphere_evolve(f0: Field, g: Field, t: float) -> Field:
     return evolve(CauchyData(f0, g), t)  # kept under this name for the benchmark
 
 
-def sphere_snapshot(u0: Field, ualpha: Field, alpha: float | Fraction, m: int) -> Field:
-    """Snapshot at time m alpha from the pair at times 0 and alpha != 0; a
-    negative alpha reads the pair as (alpha, 0), the snapshot as step 1 - m."""
-    alpha = as_radians(alpha)
-    if alpha > 0:
-        return general_integer_snapshot(u0, ualpha, 0.0, alpha, m)
-    return general_integer_snapshot(ualpha, u0, alpha, 0.0, 1 - m)
+sphere_two_snapshot_solve = two_snapshot_solve  # kept under this name for the benchmark
 
 
 def huygens_antipodal_check(
@@ -133,28 +120,6 @@ def huygens_antipodal_check(
         here, there = zonal_values(evolve(data, t), cs), zonal_values(evolve(data, t + math.pi), [-c for c in cs])
         worst = max([worst, *(abs(y - sign * x) for x, y in zip(here, there))])
     return worst
-
-
-# ---------------------------------------------------------------------------
-# the two-snapshot problem on the sphere
-
-
-def sphere_two_snapshot_solve(
-    f0: Field,
-    falpha: Field,
-    alpha: float | Fraction,
-    max_degree: int = 256,
-) -> SolveReport:
-    """`two_snapshot_solve` on sphere data of degree at most max_degree:
-    g_{l,m} = (falpha_{l,m} - cos(w alpha) f0_{l,m}) / (sin(w alpha)/w).
-
-    Fraction alpha (meaning alpha pi) gets exact zero detection, so rational
-    multiples of pi report their kernel exactly.  Data on a zero Schur
-    constant either obstructs or is free, as in the flat case."""
-    top = max([f.keys[-1][0] for f in (f0, falpha) if f.keys], default=0)
-    if top > max_degree:
-        raise ValueError(f"data degree {top} exceeds max_degree {max_degree}")
-    return two_snapshot_solve(f0, falpha, alpha)
 
 
 def surjectivity_margin(

@@ -13,7 +13,7 @@ bit for bit.
 
 The field operators that only tests use are here too: the difference of two
 fields, the largest amplitude of a field, and a sphere field's amplitude at
-one key, its top degree and whether it is zonal.
+one key and whether it is zonal.
 
 It also keeps two sine enclosures that no library code calls, with their
 tests: |sin(pi r)| for exact rational r, guard-banded, and exact rational
@@ -72,11 +72,6 @@ def max_abs_amp(f):
     return max(map(abs, f.amps), default=0.0)
 
 
-def max_degree_of(f):
-    """The top degree of the sphere field f, 0 when it is empty."""
-    return f.keys[-1][0] if f.keys else 0
-
-
 def is_zonal(f):
     """Whether every key of the sphere field f is on the zonal line m = 1."""
     return all(m == 1 for _, m in f.keys)
@@ -130,7 +125,7 @@ def evolve_series(data, times):
 def snapshot_grid(ua, ub, a, b, ms):
     """`general_integer_snapshot` at each m in `ms` as one grid over the union
     of the snapshots' keys, through `snapshot_grid_columns`."""
-    s = _step(ua, ub, a, b)
+    s = _step(a, b)
     keys, freqs, (y, x) = union_columns((ub, ua))
     return (keys, freqs, *snapshot_grid_columns(s, freqs, _parts(x), _parts(y), ms))
 
@@ -243,7 +238,9 @@ def aligned(own_keys, values, keys):
 
 def row_diagonal_solve(support, rhs, row, kernel_note, verify=None):
     """Solve for g key by key over the union of the keys of `support`;
-    `row(key, lam, *amps)` returns the key's (s, zero, r) equations and a gain."""
+    `row(key, lam, *amps)` returns the key's (s, zero, r) equations and a gain.
+    Each key's g comes from its nonzero equation with the largest |s|, the
+    first on ties, and its conditioning is the gain over that |s|."""
     for f in support[1:]:
         support[0].check_same_basis(f)
     keys, freqs = union_support(support)
@@ -251,13 +248,14 @@ def row_diagonal_solve(support, rhs, row, kernel_note, verify=None):
     obstruction = conditioning = inconsistency = 0.0
     for key, lam, *amps in zip(keys, freqs, *(aligned(f.keys, f.amps, keys) for f in rhs)):
         eqs, gain = row(key, lam, *amps)
-        i = next((i for i, (_, zero, _) in enumerate(eqs) if not zero), None)
-        if i is None:
+        live = [i for i, (_, zero, _) in enumerate(eqs) if not zero]
+        if not live:
             kernel.append(key)
             obstruction = max(obstruction, *(abs(r) for _, _, r in eqs))
             continue
+        i = max(live, key=lambda i: abs(eqs[i][0]))  # max keeps the first of equal |s|
         g = eqs[i][2] / eqs[i][0]
-        cond = max((gain / abs(s) for s, zero, _ in eqs if not zero), default=0.0)
+        cond = gain / abs(eqs[i][0])
         inc = max((abs(g * s - r) for j, (s, _, r) in enumerate(eqs) if j != i), default=0.0)
         key_tol = CONSISTENCY_TOL * (1.0 + cond)
         if inc > key_tol:
@@ -297,10 +295,7 @@ def two_snapshot_solve(f0, ft, t=1.0, kernel_note=None):
     )
 
 
-def sphere_two_snapshot_solve(f0, falpha, alpha, max_degree=256):
-    top = max(max_degree_of(f0), max_degree_of(falpha))
-    if top > max_degree:
-        raise ValueError(f"data degree {top} exceeds max_degree {max_degree}")
+def sphere_two_snapshot_solve(f0, falpha, alpha):
     return two_snapshot_solve(f0, falpha, alpha, "data on zero Schur constants has no preimage")
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from wavesnap import cli, diophantine as dio, experiments
 from wavesnap.fields import field, load_field, save_field
 from wavesnap.snapshots import CauchyData, evolve, general_integer_snapshot
-from wavesnap.sphere import load_sphere_field, save_sphere_field, sphere_field, sphere_snapshot
+from wavesnap.sphere import load_sphere_field, save_sphere_field, sphere_field
 
 import references as ref
 
@@ -517,10 +517,10 @@ def test_json_verbs_write_what_json_dumps_writes(wave_files, capsys):
         assert load_field(path) == evolve(CauchyData(load_field(pf), load_field(pg)), t)
     assert load_sphere_field(sa) == evolve(CauchyData(s0, sg), math.pi * (1 / 3))
     assert load_field(w3) == general_integer_snapshot(load_field(pf), load_field(f1), 0.0, 1.0, 3)
-    assert load_sphere_field(s3) == sphere_snapshot(s0, load_sphere_field(sneg), -0.7, 3)
+    assert load_sphere_field(s3) == general_integer_snapshot(s0, load_sphere_field(sneg), 0.0, -0.7, 3)
     capsys.readouterr()
-    assert cli.run(["wave", "snapshot", "--ua", pf, "--ub", f1, "--m", "3", "--a", "2", "--b", "1"]) == 1
-    assert capsys.readouterr().err.startswith("wavesnap: error: need a < b")
+    assert cli.run(["wave", "snapshot", "--ua", pf, "--ub", f1, "--m", "3", "--a", "1", "--b", "1"]) == 1
+    assert capsys.readouterr().err.startswith("wavesnap: error: need a != b")
 
 
 def test_reproduce_suite(capsys):
@@ -572,7 +572,9 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.run(["no-such-group"]) == 2
     assert cli.run(["wave", "no-such-verb"]) == 2
     assert cli.run(["reproduce", "no-such-suite"]) == 2
-    capsys.readouterr()
+    # the sphere solve's degree cap is gone, and so is its flag
+    assert cli.run(["sphere", "solve", "--f0", "a.json", "--falpha", "b.json", "--alpha", "0.7", "--max-degree", "10"]) == 2
+    assert "unrecognized arguments: --max-degree 10" in capsys.readouterr().err
     # domain error: unreadable input
     rc = cli.run(["wave", "two-solve", "--f0", str(tmp_path / "missing.json"), "--f1", str(tmp_path / "missing.json")])
     assert rc == 1
@@ -697,11 +699,42 @@ def test_sphere_evolve_rejects_non_finite_times(one_mode_files, capsys):
 
 
 def test_wave_snapshot_rejects_non_finite_times(one_mode_files, capsys):
-    # --b inf was "symbol Psi[2,inf] failed", --b nan "need a < b"
+    # --b inf was "symbol Psi[2,inf] failed", and --b nan failed the order check a < b, which is gone
     flat, _, out = one_mode_files
     argv = ["wave", "snapshot", "--ua", flat, "--ub", flat, "--m", "2"]
     for flags, value in ((["--b", "inf"], "inf"), (["--b", "nan"], "nan"), (["--a=-inf"], "-inf")):
         assert_invalid_time(capsys, argv + flags, out, value)
+
+
+def test_wave_snapshot_takes_its_pair_in_either_order(wave_files, capsys):
+    # a > b was "need a < b", exit 1; only a = b is refused now
+    tmp, pf, pg = wave_files
+    data = CauchyData(load_field(pf), load_field(pg))
+    ua, ub, out = str(tmp / "ua.json"), str(tmp / "ub.json"), str(tmp / "out.json")
+    save_field(evolve(data, 1.15), ua)
+    save_field(evolve(data, 0.3), ub)
+    assert cli.run(["wave", "snapshot", "--ua", ua, "--ub", ub, "--a", "1.15", "--b", "0.3", "--m", "3", "--out", out]) == 0
+    got, want = load_field(out), evolve(data, 1.15 + 3 * (0.3 - 1.15))
+    assert got.keys == want.keys
+    assert max(abs(x - y) for x, y in zip(got.amps, want.amps)) < 1e-12
+    capsys.readouterr()
+    assert cli.run(["wave", "snapshot", "--ua", ua, "--ub", ua, "--a", "1", "--b", "1", "--m", "3"]) == 1
+    assert capsys.readouterr().err == "wavesnap: error: need a != b, got a = b = 1.0\n"
+
+
+def test_sphere_verbs_reject_a_degree_whose_frequency_no_float_holds(one_mode_files, capsys):
+    # at n = 2 and l = 2^52 the float frequency is 2^52, not 2^52 + 1/2: an exact time read it as a zero
+    _, on_sphere, out = one_mode_files
+    with open(on_sphere, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["n"], doc["coeffs"][0]["l"] = 2, 2**52
+    huge = str(out.parent / "huge.json")
+    with open(huge, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert cli.run(["sphere", "evolve", "--f0", huge, "--g", huge, "--t-pi", "1/2", "--out", str(out)]) == 1
+    assert f"degree l={2**52}, n=2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_wave_compat_rejects_non_finite_times(one_mode_files, capsys):

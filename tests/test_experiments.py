@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from wavesnap import diophantine, experiments, propagators, snapshots, sphere
+from wavesnap import diophantine, experiments, propagators, snapshots
 from wavesnap.fields import MultiplierSymbol, apply_multiplier, field, linear_combine, union_columns
 from wavesnap.propagators import symbol_Sprime
 from wavesnap.snapshots import CauchyData
@@ -232,7 +232,7 @@ def obstructed(solve):
     [
         ("three_snapshot_suite", snapshots, "three_snapshot_solve",
          ["alpha=1.414214: worst err/tol inf", "status=Obstructed, off-kernel err inf"]),
-        ("sphere_suite", sphere, "sphere_two_snapshot_solve", ["solver round trip err/tol: inf"]),
+        ("sphere_suite", snapshots, "two_snapshot_solve", ["solver round trip err/tol: inf"]),
     ],
     ids=["three-snapshot", "sphere"],
 )

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import random
@@ -73,10 +74,37 @@ def test_integer_snapshot_endpoints_exact():
 
 def test_general_snapshot_validates_times():
     f = field(1, [((1.0,), 1.0)])
-    with pytest.raises(snap.InvalidTime, match="need a < b, got a=1.0, b=1.0"):
+    with pytest.raises(snap.InvalidTime, match="need a != b, got a = b = 1.0"):
         snap.general_integer_snapshot(f, f, 1.0, 1.0, 2)
-    with pytest.raises(snap.InvalidTime, match="need a < b, got a=2.0, b=1.0"):
-        snap.general_integer_snapshot(f, f, 2.0, 1.0, 2)
+    # a > b was "need a < b, got a=2.0, b=1.0"; the pair is read in either order
+    g = field(1, [((1.0,), 0.5j)])
+    assert snap.general_integer_snapshot(f, g, 2.0, 1.0, 2) == snap.general_integer_snapshot(g, f, 1.0, 2.0, -1)
+
+
+@st.composite
+def snapshot_pairs(draw):
+    """Two fields over one basis: flat of dimension 1-3, or a sphere of n 2-5."""
+    amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        entry = st.tuples(st.tuples(*[st.floats(-20.0, 20.0)] * dim), amp)
+        return tuple(field(dim, draw(st.lists(entry, max_size=6, unique_by=lambda e: e[0]))) for _ in range(2))
+    n = draw(st.integers(2, 5))
+    lm = st.integers(0, 30).flatmap(lambda l: st.tuples(st.just(l), st.integers(1, sph.dim_Hl(n, l))))
+    entry = st.tuples(lm, amp).map(lambda e: (*e[0], e[1]))
+    return tuple(sph.sphere_field(n, draw(st.lists(entry, max_size=6, unique_by=lambda e: e[:2]))) for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(snapshot_pairs(), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.integers(-25, 25))
+def test_snapshot_reads_its_pair_in_either_order(pair, a, b, m):
+    # u at a + m (b - a) is u at b + (1 - m)(a - b): the step changes sign, and Psi_{m,s} is even in s
+    ua, ub = pair
+    if a == b:
+        with pytest.raises(snap.InvalidTime, match=re.escape(f"need a != b, got a = b = {a}")):
+            snap.general_integer_snapshot(ua, ub, a, b, m)
+        return
+    assert snap.general_integer_snapshot(ua, ub, a, b, m) == snap.general_integer_snapshot(ub, ua, b, a, 1 - m)
 
 
 def test_cauchy_data_checks_dimensions():
@@ -254,10 +282,11 @@ def test_three_snapshot_obstructed_on_fabricated_data():
 
 def test_three_snapshot_holds_each_mode_to_its_own_conditioning():
     # a third snapshot off by 1e-3 at one well-conditioned mode obstructs, and
-    # one near-kernel mode elsewhere (conditioning ~3e12) must not hide it
+    # one near-kernel mode elsewhere (sin(lam) ~ 2e-12) must not hide it
     alpha = math.sqrt(2.0)
     plain = [((0.7,), 1.0), ((1.9,), 0.5j), ((3.4,), -0.8)]
-    near = ((2 * math.pi * (1 - 3e-13),), 0.3)
+    lam = 2 * math.pi * (1 - 3e-13)
+    near = ((lam,), 0.3)
     for modes in (plain, plain + [near]):
         data = wave(1, modes, [(k, 0.2 - 0.1j * i) for i, (k, _) in enumerate(modes)])
         fa = perturbed(evolve(data, alpha), (1.9,), 1e-3)
@@ -265,7 +294,78 @@ def test_three_snapshot_holds_each_mode_to_its_own_conditioning():
         assert rep.status == snap.STATUS_OBSTRUCTED and rep.solution is None
         assert "at key (1.9,)" in rep.note
         assert rep.residual == pytest.approx(1e-3)
-    assert rep.conditioning > 1e12  # still the worst over all modes
+    # the near-kernel mode is solved from its time-alpha equation, so it no longer sets the
+    # conditioning at lam / |sin(lam)| ~ 3e12 (the first-equation rule's reading)
+    assert rep.conditioning == pytest.approx(lam / abs(math.sin(alpha * lam)))
+    assert rep.conditioning < 20.0
+
+
+ORACLE_K = 4  # worst ratios read 0.70 (three-solve) and 0.19 (two-solve) over thousands of draws
+
+
+def oracle_snapshots(lam, alpha, u0, g):
+    """The one-mode wave (u0, g) at radius lam at times 0, 1 and alpha, each
+    amplitude taken at 50 digits and rounded once, and the problem's own
+    condition numbers lam / max |sin(t lam)|, at 50 digits: over t in
+    (1, alpha) for three snapshots, at t = 1 for two."""
+    with mpmath.workdps(50):
+        w = mpmath.mpf(lam)
+        cs = [(mpmath.cos(t * w), mpmath.sin(t * w)) for t in (mpmath.mpf(1), mpmath.mpf(alpha))]
+        amps = [complex(c * mpmath.mpc(u0) + s / w * mpmath.mpc(g)) for c, s in cs]
+        (_, s1), (_, sa) = cs
+        kappas = float(w / max(abs(s1), abs(sa))), float(w / abs(s1))
+    return [field(1, [((lam,), a)]) for a in (u0, *amps)], kappas
+
+
+def oracle_ratio(rep, lam, g, kappa, phase):
+    """|g_float - g| over the forward-error scale 2^-53 kappa (1 + max |t lam|) (1 + |g|)."""
+    return abs(rep.solution.amplitude_at((lam,)) - g) / (2.0**-53 * kappa * (1.0 + phase) * (1.0 + abs(g)))
+
+
+def assert_held_to_kappa(rep, lam, g, kappa, phase):
+    if rep.status == snap.STATUS_OBSTRUCTED:
+        return
+    assert oracle_ratio(rep, lam, g, kappa, phase) <= ORACLE_K, (rep, lam, kappa)
+    assert rep.conditioning >= kappa / ORACLE_K, (rep, lam, kappa)  # pessimistic at most, never optimistic
+
+
+AMPS = st.builds(cmath.rect, st.floats(0.1, 1.0), st.floats(-math.pi, math.pi))
+
+
+# a radius within 1e-14 to 1e-4 (relative) of k pi or of k pi / alpha, k <= 4, and its Cauchy data
+NEAR_KERNEL = st.tuples(
+    st.integers(1, 4), st.booleans(), st.floats(-14.0, -4.0), st.sampled_from((-1.0, 1.0)), AMPS, AMPS
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.just(math.sqrt(2.0)), st.floats(1.2, 1.8, exclude_min=True, exclude_max=True)),
+    st.lists(NEAR_KERNEL, min_size=1, max_size=6),
+)
+def test_float_solves_hold_to_the_problems_condition_number(alpha, draws):
+    # each draw a one-mode solve, so each report's conditioning is its own mode's; the phase
+    # factor 1 + max |t lam| covers the rounding of t lam itself
+    for k, over_alpha, digits, sign, u0, g in draws:
+        lam = k * math.pi / (alpha if over_alpha else 1.0) * (1.0 + sign * 10.0**digits)
+        (f0, f1, fa), (kappa3, kappa2) = oracle_snapshots(lam, alpha, u0, g)
+        assert_held_to_kappa(snap.three_snapshot_solve(f0, f1, fa, alpha), lam, g, kappa3, alpha * lam)
+        if not over_alpha:
+            assert_held_to_kappa(snap.two_snapshot_solve(f0, f1), lam, g, kappa2, lam)
+
+
+def test_the_time_one_equation_alone_fails_the_three_snapshot_oracle():
+    # the oracle's negative control: at lam = pi + 1e-13 the time-1 equation divides by
+    # sin(lam) ~ 1e-13, the old first-equation rule's choice, and misses the bound ~2e11-fold
+    alpha, lam, u0, g = math.sqrt(2.0), math.pi + 1e-13, 0.6 - 0.3j, 0.8 + 0.1j
+    (f0, f1, fa), (kappa, _) = oracle_snapshots(lam, alpha, u0, g)
+    assert kappa < 4.0
+    alone = snap.two_snapshot_solve(f0, f1)
+    assert alone.status == snap.STATUS_UNIQUE
+    assert oracle_ratio(alone, lam, g, kappa, alpha * lam) > 1e9
+    rep = snap.three_snapshot_solve(f0, f1, fa, alpha)
+    assert rep.status == snap.STATUS_UNIQUE
+    assert_held_to_kappa(rep, lam, g, kappa, alpha * lam)
 
 
 def test_three_snapshot_rejects_degenerate_alpha():

@@ -18,6 +18,7 @@ from wavesnap.snapshots import (
     CauchyData,
     InvalidTime,
     evolve,
+    general_integer_snapshot,
     two_snapshot_solve,
 )
 
@@ -162,7 +163,7 @@ def test_sphere_evolve_mode_closed_form():
 
 
 def test_sphere_snapshot_matches_direct_evolution():
-    # a negative alpha puts the snapshot pair at (alpha, 0)
+    # a negative alpha puts the second snapshot of the pair before the first
     for n, alpha in ((2, 0.41), (3, -0.45)):
         data = CauchyData(
             sph.sphere_field(n, [(l, 1, 0.7**l) for l in range(6)]),
@@ -170,7 +171,7 @@ def test_sphere_snapshot_matches_direct_evolution():
         )
         ua = evolve(data, alpha)
         for m in (-3, 0, 1, 2, 5):
-            via = sph.sphere_snapshot(data.position, ua, alpha, m)
+            via = general_integer_snapshot(data.position, ua, 0.0, alpha, m)
             direct = evolve(data, m * alpha)
             worst = max(abs(ref.sphere_amplitude(via, l, 1) - ref.sphere_amplitude(direct, l, 1)) for l in range(6))
             assert worst < 1e-12
@@ -322,7 +323,7 @@ def test_sphere_solve_float_kernel_at_high_degree():
     f0 = sph.sphere_field(3, [(999, 1, 1.0), (3, 2, 0.5)])
     g = sph.sphere_field(3, [(999, 1, 4.0), (3, 2, 1j)])
     assert sine_at(math.pi, sph.frequency(3, 999))[1]
-    rep = sph.sphere_two_snapshot_solve(f0, evolve(CauchyData(f0, g), math.pi), math.pi, max_degree=1000)
+    rep = sph.sphere_two_snapshot_solve(f0, evolve(CauchyData(f0, g), math.pi), math.pi)
     assert rep.status == STATUS_NONUNIQUE
     assert rep.kernel_coeffs == ((3, 2), (999, 1))
 
@@ -336,19 +337,34 @@ def test_sphere_solve_obstructed_at_exact_zero():
 
 
 def test_two_snapshot_solve_takes_its_kernel_note_from_the_basis():
-    # the sphere's wording with or without the sphere's degree cap, and the flat wording at its time
+    # the sphere's wording on sphere data, and the flat wording at its time
     f0, falpha = sph.sphere_field(3, [(2, 1, 1.0)]), sph.sphere_field(3, [(2, 1, 0.3)])
-    for solve in (two_snapshot_solve, sph.sphere_two_snapshot_solve):
-        rep = solve(f0, falpha, Fraction(1, 1))
-        assert rep.status == STATUS_OBSTRUCTED and rep.note == "data on zero Schur constants has no preimage"
+    rep = two_snapshot_solve(f0, falpha, Fraction(1, 1))
+    assert rep.status == STATUS_OBSTRUCTED and rep.note == "data on zero Schur constants has no preimage"
     rep = two_snapshot_solve(field(1, [((math.pi,), 1.0)]), field(1, [((math.pi,), 0.3)]))
     assert rep.status == STATUS_OBSTRUCTED and rep.note == "data at kernel frequencies of S_1 has no preimage"
 
 
-def test_sphere_solve_respects_max_degree():
-    f0 = sph.sphere_field(2, [(300, 1, 1.0)])
-    with pytest.raises(ValueError):
-        sph.sphere_two_snapshot_solve(f0, f0, 0.5, max_degree=256)
+def test_sphere_solve_takes_data_above_degree_256():
+    # was "data degree 300 exceeds max_degree 256", a cap that stood for no limit of the solve;
+    # the sphere's name is now the benchmark's alias of the one solve
+    assert sph.sphere_two_snapshot_solve is two_snapshot_solve
+    f0 = sph.sphere_field(2, [(300, 1, 1.0), (2, 3, 0.5j)])
+    g = sph.sphere_field(2, [(300, 1, -0.25), (7, 1, 1.0)])
+    rep = two_snapshot_solve(f0, evolve(CauchyData(f0, g), 0.7), 0.7)
+    assert rep.status == STATUS_UNIQUE
+    assert rep.solution.keys == g.keys
+    assert max(abs(x - y) for x, y in zip(rep.solution.amps, g.amps)) <= 1e-9 * (1 + rep.conditioning)
+
+
+def test_sphere_fields_hold_only_degrees_whose_frequency_is_a_float():
+    # 2w is read as 2l + n - 1 at an exact time: at n = 2, l = 2^52 the float w is 2^52, where
+    # sin(w pi/2) read as an exact zero, though the true sine is 1.6e-16
+    for n, top in ((2, 2**52), (3, 2**53)):
+        with pytest.raises(ValueError, match=f"^frequency of degree l={top}, n={n} is not exact in a float$"):
+            sph.sphere_field(n, [(top, 1, 1.0)])
+        below = top - 1 if n == 2 else top - 2
+        assert sph.sphere_field(n, [(below, 1, 1.0)]).freqs == (below + (n - 1) / 2,)
 
 
 def test_two_snapshot_solves_reject_non_finite_times():
