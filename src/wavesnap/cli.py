@@ -25,6 +25,7 @@ import dataclasses
 import functools
 import io
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -606,7 +607,10 @@ def _time_pair(parser: argparse.ArgumentParser, spellings: tuple[str, str], help
 
 
 def _add_verb(parser: argparse.ArgumentParser, handler, files, flags) -> None:
-    """Give `parser` a verb row's field-file flags, its flags, --seed and --out."""
+    """Give `parser` a verb row's field-file flags, its flags, --seed and --out.  A word that starts
+    with - and a digit, or with -. and a digit, is a value (-1e-07, -7/31), not an option: argparse's
+    own matcher takes only -5 and -.5.  It is a private attribute, so a test runs each form."""
+    parser._negative_number_matcher = re.compile(r"^-\.?\d")
     names = []
     for flag in files:
         spelling, kw = (flag, {}) if isinstance(flag, str) else flag

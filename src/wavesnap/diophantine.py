@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .fields import MultiplierSymbol
-from .propagators import PrecisionExhausted, exact_residue, residue_sines, sine_floor
+from .propagators import RECHECK_WINDOW, PrecisionExhausted, exact_residue, residue_sines, sine_floor
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,7 +36,6 @@ KIND_LIOUVILLE = "liouville"
 KIND_ODD_TYPE = "odd-type-liouville"
 
 FACTORIAL_DEPTH_CAP = 7  # 8! exponents already exceed 1e40000; deeper is pointless
-ODD_TYPE_WINDOW = 1e-9  # relative; odd q scoring this close to the best get the exact recheck
 JOINT_X_CAP = 1e6  # x_max max(1, |alpha|) in the joint sine bound: at most ~6e6 grid points
 JOINT_SAMPLES = 200_000  # the joint sine bound's uniform grid, besides its points near the zeros
 JOINT_BLOCK = 16_384  # grid points the joint bound's Jordan screen scores per numpy pass
@@ -574,9 +573,9 @@ def _odd_type_scan(big_n: int, d: int, t: int, qmax: int) -> tuple[int, float, i
     numpy picks the rows, exact integers decide them.  r, m and q^3 are exact
     in int64 (Python ints past 2^63); the float score m q^3/d is a few ulp
     from m q^3/d, which exceeds num / t by q^4/t <= qmax^4/t.  Rows scoring at
-    most (1 + ODD_TYPE_WINDOW) max(best, 1) + 2 qmax^4/t get the recheck, in
+    most (1 + RECHECK_WINDOW) max(best, 1) + 2 qmax^4/t get the recheck, in
     ascending q with its strict `<`.  Any other row's num / t exceeds 1 and
-    exceeds the best-scoring row's by a relative ODD_TYPE_WINDOW/2 (or is
+    exceeds the best-scoring row's by a relative RECHECK_WINDOW/2 (or is
     positive where that is <= 0), so it is no violation and its float ratio
     can neither be the minimum nor tie it: the result is the full loop's."""
     import numpy as np
@@ -586,7 +585,7 @@ def _odd_type_scan(big_n: int, d: int, t: int, qmax: int) -> tuple[int, float, i
         q = q.astype(object)
     r = q * (big_n % d) % d
     score = np.minimum(r, d - r).astype(float) * (q * q * q).astype(float) / d
-    cut = (1 + ODD_TYPE_WINDOW) * max(float(score.min(initial=math.inf)), 1.0) + 2 * qmax**4 / t
+    cut = (1 + RECHECK_WINDOW) * max(float(score.min(initial=math.inf)), 1.0) + 2 * qmax**4 / t
     min_ratio, worst_q, violations = math.inf, 0, []
     rows = q[score <= cut].tolist()  # ascending, as Python ints
     for q in rows:

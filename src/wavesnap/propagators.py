@@ -44,8 +44,8 @@ SERIES_SWITCH = 1e-6  # |t lam| below this: series branch of sin(t lam)/lam
 SIN_SWITCH = 1e-6  # |sin(s lam)| below this: Chebyshev branch of Psi
 KERNEL_SIN_TOL = 1e-14  # |sin(t lam)| below this marks a kernel frequency,
 KERNEL_ULPS = 4  # as does |sin(t lam)| below this many ulp(t lam)
-CHEBYSHEV_LOOP_MAX = 1024  # U_m by the three-term loop up to this m, by doubling beyond it
 PHASE_LIMIT = 2.0**50  # |t w| from which kernel_threshold reaches 1: a float time resolves no phase
+RECHECK_WINDOW = 1e-9  # relative; screened rows this close to the best score get the exact recheck
 
 
 class InvalidTime(ValueError):
@@ -62,31 +62,23 @@ class PrecisionExhausted(RuntimeError):
 
 def chebyshev_U(m: int, x: float) -> float:
     """Chebyshev polynomial of the second kind, extended to all integer
-    indices by U_{-1} = 0 and U_{-m-2} = -U_m.  Up to CHEBYSHEV_LOOP_MAX by
-    the three-term recurrence, beyond it in O(log m) steps: (T_n, U_{n-1})
-    for n = m + 1 by binary powering, through T_{a+b} = T_a T_b - (1 - x^2)
-    U_{a-1} U_{b-1} and U_{a+b-1} = U_{a-1} T_b + T_a U_{b-1}, or at x = +-1
-    by the exact (+-1)^m (m + 1), which overflows past the float range."""
+    indices by U_{-1} = 0 and U_{-m-2} = -U_m.  In O(log m) steps: (T_n,
+    U_{n-1}) for n = m + 1 by binary powering, through T_{a+b} = T_a T_b -
+    (1 - x^2) U_{a-1} U_{b-1} and U_{a+b-1} = U_{a-1} T_b + T_a U_{b-1}, or at
+    x = +-1 by the exact (+-1)^m (m + 1), which overflows past the float range."""
     if m == -1:
         return 0.0
     if m < -1:
         return -chebyshev_U(-m - 2, x)
-    if m > CHEBYSHEV_LOOP_MAX:
-        if x == 1.0 or x == -1.0:  # where the doubling would form 0 inf
-            return x ** (m % 2) * float(m + 1)
-        s2 = (1.0 - x) * (1.0 + x)  # 1 - x^2 without cancellation near x = +-1
-        t, u = 1.0, 0.0  # (T_0, U_{-1})
-        for bit in f"{m + 1:b}":
-            t, u = t * t - s2 * u * u, 2.0 * t * u
-            if bit == "1":
-                t, u = t * x - s2 * u, u * x + t
-        return u
-    prev, cur = 1.0, 2.0 * x
-    if m == 0:
-        return prev
-    for _ in range(m - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
+    if x == 1.0 or x == -1.0:  # where the doubling would form 0 inf
+        return x ** (m % 2) * float(m + 1)
+    s2 = (1.0 - x) * (1.0 + x)  # 1 - x^2 without cancellation near x = +-1
+    t, u = 1.0, 0.0  # (T_0, U_{-1})
+    for bit in f"{m + 1:b}":
+        t, u = t * t - s2 * u * u, 2.0 * t * u
+        if bit == "1":
+            t, u = t * x - s2 * u, u * x + t
+    return u
 
 
 def as_radians(time: float | Fraction) -> float:
@@ -274,22 +266,19 @@ def sine_at_column(
     """`sine_at(time, w)` at each frequency in `ws`: the values and the zero
     flags.  At a float time t the values are `sine_over_column`'s, and only
     the elements with |sin(t w)| below the kernel threshold at |t| max |w| go
-    to `sine_at` for their flag; at a Fraction time, or where a sine fails,
-    every element does.  A float |t| max |w| >= PHASE_LIMIT raises InvalidTime."""
+    to `sine_at` for their flag; at a Fraction time every element does.  A
+    float |t| max |w| >= PHASE_LIMIT raises InvalidTime, so every sine taken
+    is of a finite |t w| < 2^50."""
     if type(time) is float or not isinstance(time, Fraction):
         t = float(time)
         top = max(map(abs, ws), default=0.0)  # no element's |t w| is larger
         check_phase(t, top)
-        try:
-            sins = [math.sin(t * w) for w in ws] if sins is None else sins
-        except (ArithmeticError, ValueError):
-            pass
-        else:
-            bound = kernel_threshold(abs(t) * top)
-            zeros = [False] * len(ws)  # t = 0 puts every element in the window
-            for i in [i for i, s in enumerate(sins) if -bound < s < bound]:
-                zeros[i] = sine_at(t, ws[i])[1]
-            return sine_over_column(t, ws, sins), zeros
+        sins = [math.sin(t * w) for w in ws] if sins is None else sins
+        bound = kernel_threshold(abs(t) * top)
+        zeros = [False] * len(ws)  # t = 0 puts every element in the window
+        for i in [i for i, s in enumerate(sins) if -bound < s < bound]:
+            zeros[i] = sine_at(t, ws[i])[1]
+        return sine_over_column(t, ws, sins), zeros
     pairs = [sine_at(time, w) for w in ws]
     return [v for v, _ in pairs], [z for _, z in pairs]
 

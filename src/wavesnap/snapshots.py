@@ -482,8 +482,6 @@ def _bezout_solve(f0: Field, fa: Field, fb: Field, p: int, q: int, unit: float) 
     conditioning and no kernel modes.
     """
     pu, qu = p * unit, q * unit
-    for f in (fa, fb):
-        f.check_same_basis(f0)
     keys, freqs, (x, y, z) = union_columns((f0, fa, fb))
     k, l = bezout(p, q)
     try:

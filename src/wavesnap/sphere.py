@@ -29,14 +29,13 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .fields import Field, Sphere, dim_Hl, frequency, from_columns, load_field, save_field
-from .propagators import check_phase, exact_residue, kernel_threshold, residue_sines, sine_at, sine_floor
+from .propagators import RECHECK_WINDOW, check_phase, exact_residue, kernel_threshold, residue_sines, sine_at, sine_floor
 from .snapshots import CauchyData, _check_finite, evolve, two_snapshot_solve
 
 if TYPE_CHECKING:
     from .diophantine import NumberClass
 
 MARGIN_BLOCK = 8192  # degrees the margin screen scores per numpy pass
-MARGIN_WINDOW = 1e-9  # relative; rows this close to the best score get the exact recheck
 
 
 class RequiresOddDimension(ValueError):
@@ -150,7 +149,7 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
     kinds of row are yielded, each recomputed by `sine_at` (at the exact
     w = (2l + n - 1)/2 for exact alpha, which a float rounds once n >= 2^53):
 
-    - rows scoring within MARGIN_WINDOW of the best score so far;
+    - rows scoring within RECHECK_WINDOW of the best score so far;
     - near-zero rows: 2q | (2l+n-1)p for exact alpha, or |sin| below twice
       the kernel threshold at the block's largest |w alpha| for float alpha
       (no row's is larger), so `sine_at` decides the zero;
@@ -159,7 +158,7 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
 
     The screen reproduces `sine_at`'s arguments bit for bit and differs
     only in np.sin and the power, each a few ulp off at most; a row left out
-    scores more than MARGIN_WINDOW above a yielded one, so it can be neither the
+    scores more than RECHECK_WINDOW above a yielded one, so it can be neither the
     minimum nor tie it, and the returned constant is the full scan's.
 
     At float alpha np.sin runs only on rows whose floor score (Jordan's
@@ -191,7 +190,7 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
         hi = min(lo + block, max_degree + 1) - 1
         # the block's least weight, less the pow and rounding slack; None once a weight nears the float range
         lift = (1.0 + lo) ** exponent * (1 - 2.0**-50) if exponent * math.log2(2.0 + hi) < 1022 else None
-        if lo and periodic and lift is not None and least / (hi + 0.5 * (n - 1)) * lift > best * (1 + MARGIN_WINDOW):
+        if lo and periodic and lift is not None and least / (hi + 0.5 * (n - 1)) * lift > best * (1 + RECHECK_WINDOW):
             continue
         l = np.arange(lo, hi + 1)
         w = l + 0.5 * (n - 1)  # sine_at's w = frequency(n, l), bit for bit while n < 2^52
@@ -206,7 +205,7 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
                 y, tiny = w * float(alpha), 2 * kernel_threshold(abs(float(alpha)) * float(w[-1]))
                 if lift is not None:  # no weight in the block nears the float range
                     floor = sine_floor(y)
-                    keep = ~(floor / w * lift > best * (1 + MARGIN_WINDOW))
+                    keep = ~(floor / w * lift > best * (1 + RECHECK_WINDOW))
                     keep |= floor < tiny
                     l, w, y = l[keep], w[keep], y[keep]
                 x = np.sin(y)
@@ -217,7 +216,7 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
         usable = ~(near_zero | edge)
         if usable.any():
             best = min(best, float(score[usable].min()))
-        pick = near_zero | edge | ~(score > best * (1 + MARGIN_WINDOW))  # nan scores get the recheck too
+        pick = near_zero | edge | ~(score > best * (1 + RECHECK_WINDOW))  # nan scores get the recheck too
         for l in l[pick].tolist():
             w = Fraction(2 * l + n - 1, 2) if isinstance(alpha, Fraction) else frequency(n, l)  # exact for any n
             v, is_zero = sine_at(alpha, w)

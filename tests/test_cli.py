@@ -620,8 +620,8 @@ def test_exit_codes(tmp_path, capsys):
         assert cli.run([*argv, "--alpha", "1e308", "--out", str(out)]) == 1, argv
         assert capsys.readouterr().err.startswith("wavesnap: error: symbol S[1e+308] failed at lambda="), argv
         assert not out.exists()
-    # a Psi index far past CHEBYSHEV_LOOP_MAX at a kernel radius, where Psi takes the Chebyshev branch:
-    # the snapshot and the Bezout solve finish (they ran |m| steps)
+    # a Psi index of 10^23 at a kernel radius, where Psi takes the Chebyshev branch:
+    # the snapshot and the Bezout solve finish (U_m takes O(log m) steps, not |m|)
     k3 = (3 * math.pi, 0.0)
     kernel = CauchyData(field(2, [(k3, 1.0), ((1.0, 2.0), 0.5j)]), field(2, [(k3, 0.3)]))
     snaps = {t: tmp_path / f"k{t}.json" for t in (0, 1, 2, 3)}
@@ -831,6 +831,83 @@ def test_unwritable_out_is_a_domain_error(tmp_path, capsys):
         assert cli.run([*argv, "--out", out]) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("wavesnap: error:") and "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        # the Bezout solve names the symbol that failed: S'_{p} at p = 10^306 + 1 overflows at lambda = 1000
+        (["wave", "rational-solve", "--f0", "k.json", "--fp", "k.json", "--fq", "k.json", "--p", str(10**306 + 1),
+          "--q", "3"], 1, "wavesnap: error: symbol S'[1e+306] failed at lambda=1000.0"),
+        # an --out naming a directory: the temp file beside it is removed
+        (["dio", "cfrac", "--value", "1/3", "--out", "adir"], 1,
+         "wavesnap: error: [Errno 21] Is a directory: '.tmp-*~' -> 'adir'"),
+        (["sphere", "classify", "--number", "sqrt2", "--n", "2"], 0,
+         "finite irrationality measure rules out odd-type behavior of beta/2"),
+        (["dio", "class", "--number", "liouville:10:0"], 2,
+         "wavesnap dio class: error: argument --number: depth must be >= 1, got 0"),
+        (["dio", "class", "--number", "liouville:10:3:1,1"], 2,
+         "wavesnap dio class: error: argument --number: need 3 digits, got 2"),
+        (["dio", "class", "--number", "rational:abc"], 2,
+         "wavesnap dio class: error: argument --number: Invalid literal for Fraction: 'abc'"),
+        (["dio", "cfrac", "--value", "1/3", "--max-terms", "0"], 1, "wavesnap: error: max_terms must be >= 1"),
+        (["dio", "probe-mu", "--number", "golden", "--depth", "0"], 1, "wavesnap: error: depth must be >= 1"),
+        (["dio", "smallden", "--number", "golden", "--shift", "1/3"], 1,
+         "wavesnap: error: shift must be 0 or 1/2, got 1/3"),
+        (["dio", "smallden", "--number", "golden", "--count", "0"], 1,
+         "wavesnap: error: count must be in [1, 1e6], got 0"),
+        (["sphere", "margin", "--alpha", "0.7", "--n", "3", "--exponent", "-1"], 1,
+         "wavesnap: error: exponent must be >= 0"),
+        (["sphere", "margin", "--alpha", "0.7", "--n", "3", "--max-degree", "0"], 1,
+         "wavesnap: error: max_degree must be in [1, 1e6], got 0"),
+        (["dio", "jointbound", "--exponent", "-1"], 1, "wavesnap: error: exponent must be >= 0"),
+        (["dio", "sdprobe", "--a-const", "0"], 1,
+         "wavesnap: error: --a-const 0.0, --ximax 1000.0, --samples 512: need A > 0, xi_max > 0, samples >= 2"),
+        (["dio", "oddtype", "--qmax", "10"], 1, "wavesnap: error: qmax must be in [65, 1e5], got 10"),
+        (["dio", "doubled-bound", "--number", "golden"], 1,
+         "wavesnap: error: doubled bound needs a factorial-series construction"),
+        (["dio", "doubled-bound", "--number", "oddtype:3", "--exponent", "0"], 1,
+         "wavesnap: error: exponent must be >= 1"),
+        (["sphere", "classify", "--number=-1/2", "--n", "2"], 1, "wavesnap: error: beta must be positive, got -1/2"),
+        (["wave", "symbol", "--kind", "S", "--count", "1"], 1, "wavesnap: error: --count must be at least 2"),
+    ],
+)
+def test_error_exits_name_their_cause(tmp_path, capsys, monkeypatch, argv, code, line):
+    monkeypatch.chdir(tmp_path)
+    save_field(field(1, [((1000.0,), 1.0)]), "k.json")
+    os.mkdir("adir")
+    assert cli.run(argv) == code
+    got = capsys.readouterr()
+    if code == 0:
+        doc = json.loads(got.out)
+        assert (doc["verdict"], doc["reason"], got.err) == ("UniqueAndSolvable", line, "")
+    else:
+        assert re.sub(r"'[^']*\.tmp-\w+~'", "'.tmp-*~'", got.err.splitlines()[-1]) == line
+    assert sorted(os.listdir()) == ["adir", "k.json"] and os.listdir("adir") == []
+
+
+def test_negative_values_in_any_spelling_reach_their_flag(one_mode_files, capsys):
+    # argparse alone read -1e-07 and -7/31 as options: "expected one argument", exit 2, where --flag=-1e-07 ran
+    flat, on_sphere, out = one_mode_files
+    runs = [
+        (["sphere", "snapshot", "--ua", on_sphere, "--ualpha", on_sphere, "--m", "3"], "--alpha", "-1e-07"),
+        (["wave", "evolve", "--field", flat, "--velocity", flat], "--t", "-2.5e3"),
+        (["sphere", "margin", "--n", "3", "--max-degree", "50"], "--alpha-pi", "-7/31"),
+        (["dio", "cfrac"], "--value", "-355/113"),
+        (["dio", "cfrac"], "--value", "-.5"),
+    ]
+    for argv, flag, value in runs:
+        assert cli.run([*argv, f"{flag}={value}", "--out", str(out)]) == 0, (flag, value)
+        want = out.read_bytes()
+        out.unlink()
+        assert cli.run([*argv, flag, value, "--out", str(out)]) == 0, (flag, value)
+        assert out.read_bytes() == want, (flag, value)
+        out.unlink()
+    assert capsys.readouterr().err == ""
+    # a word that starts with - and a letter is still an option: -inf needs its = form
+    argv = ["sphere", "snapshot", "--ua", on_sphere, "--ualpha", on_sphere, "--m", "3", "--alpha", "-inf"]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.endswith("error: argument --alpha: expected one argument\n")
 
 
 def test_time_flag_pairs_are_exclusive_and_required(capsys):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from wavesnap import diophantine, experiments, propagators, snapshots
+from wavesnap import diophantine, experiments, propagators, snapshots, sphere
 from wavesnap.fields import MultiplierSymbol, apply_multiplier, field, linear_combine, union_columns
 from wavesnap.propagators import symbol_Sprime
 from wavesnap.snapshots import CauchyData
@@ -253,3 +253,31 @@ def test_oddtype_gate_fails_on_the_ternary_series(monkeypatch):
     r = experiments.odd_type_margins()
     assert r["passed"] is False
     assert r["details"].endswith("min margin ratio 1.0 at q=729; violations: 1"), r["details"]
+
+
+classify_alpha = sphere.classify_alpha
+
+
+def solvable_everywhere(beta, n):
+    return sphere.Classification(sphere.VERDICT_SOLVABLE, "patched: every time solvable")
+
+
+def classify_without_raising(beta, n):
+    """`sphere.classify_alpha`, returning a verdict where it would raise Unclassifiable."""
+    try:
+        return classify_alpha(beta, n)
+    except diophantine.Unclassifiable:
+        return sphere.Classification(sphere.VERDICT_NOT_ALWAYS, "patched: no certificate about beta/2 needed")
+
+
+@pytest.mark.parametrize(
+    "patched, cells", [(solvable_everywhere, "4/9"), (classify_without_raising, "8/9")], ids=["solvable", "no-raise"]
+)
+def test_sphere_classification_gate_fails_on_a_wrong_verdict(monkeypatch, patched, cells):
+    # every cell called solvable fails the four that are not, and the Liouville time at n = 2,
+    # which has no certificate about beta/2, must raise rather than get a verdict
+    monkeypatch.setattr(sphere, "classify_alpha", patched)
+    r = experiments.sphere_suite(seed=0)
+    assert r["passed"] is False
+    assert r["details"].startswith(f"classification: {cells} cells;"), r["details"]
+    assert "margins at degree 1e4: all as classified" in r["details"]

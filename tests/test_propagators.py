@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavesnap.propagators import (
-    CHEBYSHEV_LOOP_MAX,
     PHASE_LIMIT,
     SERIES_SWITCH,
     InvalidTime,
@@ -93,10 +92,10 @@ def mp_U(m, x):
 
 
 def test_chebyshev_U_at_large_index_matches_mpmath():
-    # the loop up to CHEBYSHEV_LOOP_MAX, O(log m) doubling beyond it; x at and
-    # near +-1 (cos u at a kernel radius, where Psi takes this branch) and inside
+    # O(log m) doubling at every index; x at and near +-1 (cos u at a kernel
+    # radius, where Psi takes this branch) and inside
     xs = [1.0, -1.0, math.cos(1e-7), math.cos(math.pi - 9e-7), math.cos(3 * math.pi + 4e-7), 0.3, -0.77]
-    for m in (CHEBYSHEV_LOOP_MAX, CHEBYSHEV_LOOP_MAX + 1, 4097, 10**5, 10**9, 10**15, 10**23):
+    for m in (1024, 1025, 4097, 10**5, 10**9, 10**15, 10**23):
         for x in xs:
             got = chebyshev_U(m, x)
             assert abs(got - float(mp_U(m, x))) <= 1e-11 * (m + 1), (m, x)
@@ -104,9 +103,9 @@ def test_chebyshev_U_at_large_index_matches_mpmath():
 
 
 def test_chebyshev_U_at_plus_minus_one_is_exact():
-    # U_m(+-1) = (+-1)^m (m + 1): the loop's value up to the switch, the same
-    # bits from the doubling beyond it, and an overflow, not nan, past the float range
-    for m in (CHEBYSHEV_LOOP_MAX - 1, CHEBYSHEV_LOOP_MAX, CHEBYSHEV_LOOP_MAX + 1, CHEBYSHEV_LOOP_MAX + 2, 10**6, 2**52):
+    # U_m(+-1) = (+-1)^m (m + 1), exactly at every index, and an overflow,
+    # not nan, past the float range
+    for m in (0, 1, 2, 1023, 1024, 1025, 1026, 10**6, 2**52):
         assert chebyshev_U(m, 1.0) == float(m + 1)
         assert chebyshev_U(m, -1.0) == (-1.0) ** (m % 2) * float(m + 1)
     for x in (1.0, -1.0):
@@ -114,6 +113,20 @@ def test_chebyshev_U_at_plus_minus_one_is_exact():
             chebyshev_U(10**400, x)
         with pytest.raises(OverflowError):
             chebyshev_U(-(10**400), x)
+
+
+def test_chebyshev_U_near_plus_minus_one_is_accurate_at_every_index():
+    # x = cos u with u within SIN_SWITCH of k pi, where Psi takes this branch:
+    # within 1e-14 relative of U_m at that float x for every m up to 1,100
+    for k in range(4):
+        for d in (-9.9e-7, -3e-7, -2e-8, 6e-8, 4e-7, 9.9e-7):
+            x = math.cos(k * math.pi + d)
+            with mpmath.workdps(40):
+                theta = mpmath.acos(mpmath.mpf(x))
+                sin_theta = mpmath.sin(theta)
+                for m in range(1101):
+                    want = float(mpmath.sin((m + 1) * theta) / sin_theta)  # mp_U, with theta taken once
+                    assert abs(chebyshev_U(m, x) - want) <= 1e-14 * max(abs(want), 1.0), (m, k, d)
 
 
 def test_Psi_at_sine_zero_uses_chebyshev():
@@ -424,7 +437,7 @@ def check_columns(t, ws, ms=()):
 def test_column_rules_are_the_scalar_rules():
     # lam = 0 and t = 0, t lam on both sides of SERIES_SWITCH and |sin u| on
     # both sides of SIN_SWITCH, kernel radii at |u| >= 16 next to small ones
-    ms = [-12, -3, -1, 0, 1, 2, 3, 40, CHEBYSHEV_LOOP_MAX + 7, 10**12]
+    ms = [-12, -3, -1, 0, 1, 2, 3, 40, 1031, 10**12]
     for t in COLUMN_TIMES:
         for ws in (COLUMN_RADII, COLUMN_RADII[::-1], COLUMN_RADII[1:], COLUMN_RADII[8:], []):
             check_columns(t, ws, ms)

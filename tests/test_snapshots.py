@@ -397,6 +397,20 @@ def test_three_snapshot_float_and_fraction_paths_agree():
     assert max_abs_amp(subtract(g_float, g_frac)) < 1e-10
 
 
+def test_three_snapshot_solves_name_f0s_dimension_first():
+    # the float, Bezout and (p, q) paths read one mismatch text, f0's dimension first
+    one, two = field(1, [((1.0,), 1.0)]), field(2, [((1.0, 0.0), 1.0)])
+    solves = (
+        lambda fa, fb: snap.three_snapshot_solve(one, fa, fb, 0.4),
+        lambda fa, fb: snap.three_snapshot_solve(one, fa, fb, Fraction(2, 3)),
+        lambda fa, fb: snap.rational_reconstruct(one, fa, fb, 2, 3),
+    )
+    for solve in solves:
+        for fa, fb in ((two, one), (one, two)):
+            with pytest.raises(fields.DimensionMismatch, match="^mixed dimensions 1 and 2$"):
+                solve(fa, fb)
+
+
 # -- rational reconstruction -------------------------------------------------
 
 
