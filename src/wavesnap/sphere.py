@@ -166,41 +166,40 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
     the score) is in that window or whose floor is below twice the kernel
     threshold, and on blocks whose weights near the float range.
 
-    At exact alpha = p/q the residue (2l+n-1)p mod 4q, hence the sine and the
-    zero flag, has period 2q in l: one that fits in MARGIN_BLOCK rounds the
-    block down to whole periods (8192 -> 8180 degrees at q = 10), and later
-    blocks reuse the first one's sines.  Such a later block [lo, hi] is
-    skipped before any numpy work when no weight in it nears the float range
-    and its floor score, m / w(hi) (1+lo)^exponent less the pow and rounding
-    slack (m the first block's least |sine|), is above the window: a
-    correctly rounded quotient or product never falls as its operands grow,
-    so no row of the block scores below the floor, none could be yielded,
-    and the best score stays.  At exponent 0 the floor stays under the first
-    block's scores; a first block with an exact zero is never left, as
-    `slow_decay_check` stops at that row.  A skip does not end the scan: a
-    later block may reach the float range, and its overflow must raise."""
+    At exact alpha = p/q the sine and the zero flag have period 2q in l, and
+    the weight (1+l)^exponent / w is monotone in l (its log's slope has the
+    sign of (exponent-1) l + exponent rho - 1, rho = (n-1)/2), so a residue
+    class scores least at its first or last degree: the screen scores the
+    first and last period, and the three degrees around the first weight
+    past the float range.  At odd n, w runs through the integers from rho,
+    so when the degrees outrun the first period an exact zero there decides.
+    At even n, neighbours in a class differ by ~q / l^2 relative, far above
+    the score's rounding at l <= 1e6, so the floats keep the real order; at
+    l ~ 1e7-1e8, n = 2, exponent 1 the gap is an ulp, so the cap stays."""
     import numpy as np
 
-    if not isinstance(alpha, Fraction):
+    end = max_degree + 1
+    if isinstance(alpha, Fraction):
+        first = min(2 * alpha.denominator, end)
+        last = max(first, end - 2 * alpha.denominator)
+        spans = [(0, first), (last, end)]
+        if exponent * math.log2(2.0 + max_degree) >= 1022:  # pow's rounding leaves the first overflow within 1
+            top = math.ceil(2.0 ** (1024 / exponent))  # 1 + l there: degrees top - 2 .. top
+            spans.append((max(top - 2, first), min(top + 1, last)))
+    else:
         check_phase(float(alpha), frequency(n, max_degree))  # the scan's largest |w alpha|
-    periodic = isinstance(alpha, Fraction) and 2 * alpha.denominator <= MARGIN_BLOCK
-    block = MARGIN_BLOCK - MARGIN_BLOCK % (2 * alpha.denominator) if periodic else MARGIN_BLOCK
+        spans = [(0, end)]
     best = math.inf
-    for lo in range(0, max_degree + 1, block):
-        hi = min(lo + block, max_degree + 1) - 1
+    for lo, stop in [(lo, stop) for start, stop in sorted(spans) for lo in range(start, stop, MARGIN_BLOCK)]:
+        hi = min(lo + MARGIN_BLOCK, stop) - 1
         # the block's least weight, less the pow and rounding slack; None once a weight nears the float range
         lift = (1.0 + lo) ** exponent * (1 - 2.0**-50) if exponent * math.log2(2.0 + hi) < 1022 else None
-        if lo and periodic and lift is not None and least / (hi + 0.5 * (n - 1)) * lift > best * (1 + RECHECK_WINDOW):
-            continue
         l = np.arange(lo, hi + 1)
         w = l + 0.5 * (n - 1)  # sine_at's w = frequency(n, l), bit for bit while n < 2^52
         with np.errstate(over="ignore", invalid="ignore"):
             if isinstance(alpha, Fraction):
-                if lo == 0 or not periodic:
-                    w2 = 2 * (l if n < 2**62 else l.astype(object)) + (n - 1)  # sine_at's 2w, in int64 if it fits
-                    sines, zeros = residue_sines(alpha, *exact_residue(alpha, w2))
-                    least = float(np.abs(sines).min())
-                x, near_zero = sines[: len(l)], zeros[: len(l)]
+                w2 = 2 * (l if n < 2**62 else l.astype(object)) + (n - 1)  # sine_at's 2w, in int64 if it fits
+                x, near_zero = residue_sines(alpha, *exact_residue(alpha, w2))
             else:
                 y, tiny = w * float(alpha), 2 * kernel_threshold(abs(float(alpha)) * float(w[-1]))
                 if lift is not None:  # no weight in the block nears the float range

@@ -317,16 +317,16 @@ def oracle_snapshots(lam, alpha, u0, g):
     return [field(1, [((lam,), a)]) for a in (u0, *amps)], kappas
 
 
-def oracle_ratio(rep, lam, g, kappa, phase):
-    """|g_float - g| over the forward-error scale 2^-53 kappa (1 + max |t lam|) (1 + |g|)."""
-    return abs(rep.solution.amplitude_at((lam,)) - g) / (2.0**-53 * kappa * (1.0 + phase) * (1.0 + abs(g)))
+def oracle_ratio(rep, key, g, kappa, phase):
+    """|g_float - g| at `key` over the forward-error scale 2^-53 kappa (1 + max |t lam|) (1 + |g|)."""
+    return abs(rep.solution.amplitude_at(key) - g) / (2.0**-53 * kappa * (1.0 + phase) * (1.0 + abs(g)))
 
 
-def assert_held_to_kappa(rep, lam, g, kappa, phase):
+def assert_held_to_kappa(rep, key, g, kappa, phase):
     if rep.status == snap.STATUS_OBSTRUCTED:
         return
-    assert oracle_ratio(rep, lam, g, kappa, phase) <= ORACLE_K, (rep, lam, kappa)
-    assert rep.conditioning >= kappa / ORACLE_K, (rep, lam, kappa)  # pessimistic at most, never optimistic
+    assert oracle_ratio(rep, key, g, kappa, phase) <= ORACLE_K, (rep, key, kappa)
+    assert rep.conditioning >= kappa / ORACLE_K, (rep, key, kappa)  # pessimistic at most, never optimistic
 
 
 AMPS = st.builds(cmath.rect, st.floats(0.1, 1.0), st.floats(-math.pi, math.pi))
@@ -349,9 +349,32 @@ def test_float_solves_hold_to_the_problems_condition_number(alpha, draws):
     for k, over_alpha, digits, sign, u0, g in draws:
         lam = k * math.pi / (alpha if over_alpha else 1.0) * (1.0 + sign * 10.0**digits)
         (f0, f1, fa), (kappa3, kappa2) = oracle_snapshots(lam, alpha, u0, g)
-        assert_held_to_kappa(snap.three_snapshot_solve(f0, f1, fa, alpha), lam, g, kappa3, alpha * lam)
+        assert_held_to_kappa(snap.three_snapshot_solve(f0, f1, fa, alpha), (lam,), g, kappa3, alpha * lam)
         if not over_alpha:
-            assert_held_to_kappa(snap.two_snapshot_solve(f0, f1), lam, g, kappa2, lam)
+            assert_held_to_kappa(snap.two_snapshot_solve(f0, f1), (lam,), g, kappa2, lam)
+
+
+# one sphere key (l, 1) on S^n and a time within 1e-14 to 1e-4 (relative) of k pi / w, k <= 6, and its Cauchy data
+NEAR_SPHERE_KERNEL = st.tuples(
+    st.integers(2, 5), st.integers(0, 60), st.integers(1, 6), st.floats(-14.0, -4.0), st.sampled_from((-1.0, 1.0)),
+    AMPS, AMPS,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(NEAR_SPHERE_KERNEL, min_size=1, max_size=6))
+def test_sphere_two_solve_holds_to_the_problems_condition_number(draws):
+    # the float two-snapshot solve at time alpha on one-key sphere data, against the time-alpha
+    # amplitude and kappa = w / |sin(alpha w)| at 50 digits
+    for n, l, k, digits, sign, u0, g in draws:
+        w = l + (n - 1) / 2
+        alpha = k * math.pi / w * (1.0 + sign * 10.0**digits)
+        with mpmath.workdps(50):
+            phase = mpmath.mpf(alpha) * w
+            amp = complex(mpmath.cos(phase) * mpmath.mpc(u0) + mpmath.sin(phase) / w * mpmath.mpc(g))
+            kappa = float(w / abs(mpmath.sin(phase)))
+        f0, fa = sph.sphere_field(n, [(l, 1, u0)]), sph.sphere_field(n, [(l, 1, amp)])
+        assert_held_to_kappa(snap.two_snapshot_solve(f0, fa, alpha), (l, 1), g, kappa, alpha * w)
 
 
 def test_the_time_one_equation_alone_fails_the_three_snapshot_oracle():
@@ -362,10 +385,10 @@ def test_the_time_one_equation_alone_fails_the_three_snapshot_oracle():
     assert kappa < 4.0
     alone = snap.two_snapshot_solve(f0, f1)
     assert alone.status == snap.STATUS_UNIQUE
-    assert oracle_ratio(alone, lam, g, kappa, alpha * lam) > 1e9
+    assert oracle_ratio(alone, (lam,), g, kappa, alpha * lam) > 1e9
     rep = snap.three_snapshot_solve(f0, f1, fa, alpha)
     assert rep.status == snap.STATUS_UNIQUE
-    assert_held_to_kappa(rep, lam, g, kappa, alpha * lam)
+    assert_held_to_kappa(rep, (lam,), g, kappa, alpha * lam)
 
 
 def test_three_snapshot_rejects_degenerate_alpha():

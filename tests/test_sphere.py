@@ -475,24 +475,28 @@ _float_times = st.one_of(
     exponent=st.sampled_from([0, 1, 2, 3, 4, 60, 200]),
 )
 @example(alpha=math.sqrt(2.0) * math.pi, n=3, max_degree=20_000, exponent=1)  # weight 1 up to rounding
-# at 40,000 degrees an exact alpha spans five blocks of MARGIN_BLOCK = 8192
-@example(alpha=Fraction(1, 3), n=2, max_degree=40_000, exponent=1)  # periodic sines: ties across blocks
+# at 40,000 degrees a float alpha spans five blocks of MARGIN_BLOCK = 8192, an exact one its first and last period
+@example(alpha=Fraction(1, 3), n=2, max_degree=40_000, exponent=1)  # periodic sines: ties across the periods
 @example(alpha=Fraction(2, 3), n=2, max_degree=20_000, exponent=60)  # exact zero at l = 1, weight 2^60
 @example(alpha=math.pi / 3, n=3, max_degree=20_000, exponent=60)  # float zero at l = 2
 @example(alpha=Fraction(7, 31), n=2, max_degree=20_000, exponent=200)  # overflow at l = 34
 @example(alpha=Fraction(1, 10**13), n=2, max_degree=40_000, exponent=3)  # 4q > 2^42: residues on Python ints
-@example(alpha=Fraction(1, 3), n=3, max_degree=40_000, exponent=3)  # period 6 does not divide MARGIN_BLOCK
-@example(alpha=Fraction(1, 2048), n=2, max_degree=40_000, exponent=3)  # period 4096, two to a block
-@example(alpha=Fraction(1, 2049), n=2, max_degree=40_000, exponent=3)  # period 4098, one to a block
+@example(alpha=Fraction(1, 3), n=3, max_degree=40_000, exponent=3)  # period 6 does not divide the 40,001 degrees
+@example(alpha=Fraction(1, 2048), n=2, max_degree=40_000, exponent=3)  # period 4096, half a block
+@example(alpha=Fraction(1, 2049), n=2, max_degree=40_000, exponent=3)  # period 4098, just over half a block
 @example(alpha=Fraction(1, 4096), n=2, max_degree=40_000, exponent=3)  # period 8192, exactly one block
-@example(alpha=Fraction(1, 4096), n=4, max_degree=40_000, exponent=3)  # one period a block; skips from the third
-@example(alpha=Fraction(1, 4097), n=2, max_degree=40_000, exponent=3)  # period 8194, just beyond one block
+@example(alpha=Fraction(1, 4096), n=4, max_degree=40_000, exponent=3)  # one period a block
+@example(alpha=Fraction(1, 4097), n=2, max_degree=40_000, exponent=3)  # period 8194: two blocks a period
 @example(alpha=Fraction(-7, 31), n=2, max_degree=40_000, exponent=3)  # negative exact time
-# the skip of periodic blocks: at exponent 1 the weight 1+l barely outgrows w (n = 2) or is w (n = 3)
+# first and last periods: at exponent 1 the weight 1+l barely outgrows w (n = 2) or is w (n = 3)
+@example(alpha=Fraction(19, 10), n=2, max_degree=40_000, exponent=0)  # the minimum sits in the last period
 @example(alpha=Fraction(19, 10), n=2, max_degree=40_000, exponent=1)
 @example(alpha=Fraction(19, 10), n=3, max_degree=40_000, exponent=1)
 @example(alpha=Fraction(19, 10), n=2, max_degree=20_000, exponent=60)
-@example(alpha=Fraction(19, 10), n=2, max_degree=40_000, exponent=70)  # overflow at l = 25,330, after a skipped block
+@example(alpha=Fraction(19, 10), n=2, max_degree=40_000, exponent=70)  # overflow at l = 25,330, between the periods
+@example(alpha=Fraction(1, 30011), n=2, max_degree=20_000, exponent=3)  # the first period covers every degree
+@example(alpha=Fraction(1, 4999), n=3, max_degree=20_000, exponent=200)  # overflow at l = 34, before the zero at 4998
+@example(alpha=Fraction(7, 31), n=3, max_degree=20_000, exponent=200)  # the zero at l = 30 comes before the overflow
 @example(alpha=1000 * math.pi, n=3, max_degree=20_000, exponent=3)  # |w alpha| to 6.3e7: ulp threshold
 # float alphas through the Jordan-floor screen
 @example(alpha=FAR_KERNEL, n=3, max_degree=40_000, exponent=0)
@@ -550,44 +554,26 @@ def test_margin_rechecks_few_rows(monkeypatch):
         assert 0 < calls <= 2_000
 
 
-def test_margin_computes_one_residue_period(monkeypatch):
-    # at 19/10 the residues repeat every 2q = 20 degrees, so the screen
-    # reduces only the first of the 123 blocks of 8,180 degrees to degree 1e6
-    calls = 0
+def test_exact_margin_scores_at_most_two_periods(monkeypatch):
+    # the residues repeat every 2q degrees and each class scores least at its
+    # first or last degree, so the screen scores the first and the last
+    # period (and three degrees where a weight leaves the float range): 40
+    # degrees at 19/10, 16,388 at 1/4097, where the whole scan is 1e6
+    degrees = 0
     residue = sph.exact_residue
 
     def counted(beta, w2):
-        nonlocal calls
-        calls += 1
+        nonlocal degrees
+        degrees += len(w2)
         return residue(beta, w2)
 
     monkeypatch.setattr(sph, "exact_residue", counted)
-    c, passes = sph.surjectivity_margin(Fraction(19, 10), 2, 10**6, 3)
-    assert passes and c > 0
-    assert calls == 1
-
-
-def test_margin_skips_the_blocks_its_first_period_rules_out(monkeypatch):
-    # at 19/10 the first block's least sine over a later block's largest w,
-    # times that block's least weight, clears the best score from the second
-    # block on at exponent 3, so only the first of the 123 blocks reaches
-    # numpy; at exponent 0 that floor stays under the best and every block does
-    import numpy as np
-
-    calls = 0
-    arange = np.arange
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return arange(*args, **kwargs)
-
-    monkeypatch.setattr(np, "arange", counted)
-    for exponent, blocks in ((3, 1), (0, 123)):
-        calls = 0
-        c, passes = sph.surjectivity_margin(Fraction(19, 10), 2, 10**6, exponent)
+    cases = [(Fraction(19, 10), exponent) for exponent in range(4)] + [(Fraction(1, 4097), 0), (Fraction(1, 4097), 3)]
+    for alpha, exponent in cases:
+        degrees = 0
+        c, passes = sph.surjectivity_margin(alpha, 2, 10**6, exponent)
         assert passes and c > 0
-        assert calls == blocks
+        assert 0 < degrees <= 2 * min(2 * alpha.denominator, 10**6 + 1) + 3
 
 
 def test_classification_odd_sphere():
