@@ -554,6 +554,46 @@ def test_margin_rechecks_few_rows(monkeypatch):
         assert 0 < calls <= 2_000
 
 
+def test_margin_computes_one_residue_period(monkeypatch):
+    # at 19/10 the residues repeat every 2q = 20 degrees (40 in 2w = 2l + 1),
+    # so each of the two spans, the first and the last period, reduces one
+    # period of 2w: 20 degrees, one to each class, where the scan is 1e6
+    spans = []
+    residue = sph.exact_residue
+
+    def counted(beta, w2):
+        spans.append(sorted(int(v) % 40 for v in w2))
+        return residue(beta, w2)
+
+    monkeypatch.setattr(sph, "exact_residue", counted)
+    c, passes = sph.surjectivity_margin(Fraction(19, 10), 2, 10**6, 3)
+    assert passes and c > 0
+    assert spans == [list(range(1, 40, 2))] * 2
+
+
+def test_margin_skips_the_blocks_its_first_period_rules_out(monkeypatch):
+    # each residue class scores least at its first or last degree, so at
+    # 19/10 the first period rules out every block of degrees before the
+    # last period: two blocks reach numpy at every exponent, of the 123
+    # blocks of 8,180 degrees a full scan to degree 1e6 spans
+    import numpy as np
+
+    calls = 0
+    arange = np.arange
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", counted)
+    for exponent in range(4):
+        calls = 0
+        c, passes = sph.surjectivity_margin(Fraction(19, 10), 2, 10**6, exponent)
+        assert passes and c > 0
+        assert calls == 2
+
+
 def test_exact_margin_scores_at_most_two_periods(monkeypatch):
     # the residues repeat every 2q degrees and each class scores least at its
     # first or last degree, so the screen scores the first and the last
