@@ -72,6 +72,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "correct": summary["correct"] and record["fail_share"] == 0,
         "metrics": {m: summary["metrics"][m]["value"] for m in METRICS},
         "pass_s": record["pass_s"],
+        "reference_s": statistics.median(r for p in record["pass_log"][1:] for r in p["reference_s"]),
         "request_ref": dict(zip(record["request_sha256"], map(statistics.median, zip(*per_pass)))),
         "request_sha256": record["request_sha256"],
     }
@@ -111,6 +112,10 @@ def summarize(seed: int, runs: list[tuple[dict, dict]]) -> dict:
         "pass_s_median": {
             "parent": round(statistics.median(p["pass_s"] for p, _ in runs), 4),
             "change": round(statistics.median(c["pass_s"] for _, c in runs), 4),
+        },
+        "reference_s_median": {
+            "parent": round(statistics.median(p["reference_s"] for p, _ in runs), 5),
+            "change": round(statistics.median(c["reference_s"] for _, c in runs), 5),
         },
         "request_ref_median": {
             name: {side: round(statistics.median(r[i]["request_ref"][name] for r in runs), 4)

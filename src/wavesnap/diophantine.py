@@ -36,7 +36,7 @@ KIND_LIOUVILLE = "liouville"
 KIND_ODD_TYPE = "odd-type-liouville"
 
 FACTORIAL_DEPTH_CAP = 7  # 8! exponents already exceed 1e40000; deeper is pointless
-JOINT_X_CAP = 1e6  # x_max max(1, |alpha|) in the joint sine bound: at most ~6e6 grid points
+JOINT_X_CAP = 1e6  # x_max max(1, |alpha|) in the joint sine bound: ~6e6 grid points, about 0.1 s
 JOINT_SAMPLES = 200_000  # the joint sine bound's uniform grid, besides its points near the zeros
 JOINT_BLOCK = 16_384  # grid points the joint bound's Jordan screen scores per numpy pass
 
@@ -417,11 +417,13 @@ def joint_sine_lower_bound_check(alpha: NumberClass, exponent: int, x_max: float
     Requires a certified irrationality measure: for rational or Liouville
     alpha no such positive constant exists, so those classes are rejected.
     The grid, JOINT_SAMPLES uniform points, is refined near the zeros of
-    both sines, where the minimum must occur.  It has about
-    x_max (1 + |alpha|) / pi zeros, nine points each, so x_max max(1, |alpha|)
-    is capped at JOINT_X_CAP, checked before any array is built.  Sines are
-    taken only where the score's Jordan floor (`sine_floor` for each sine,
-    less 4 ulp) is at most the least score so far, so C is the full grid's.
+    both sines, where the minimum must occur.  It is built and scored
+    JOINT_BLOCK points at a time, so its memory does not grow with x_max.
+    It has about x_max (1 + |alpha|) / pi zeros, nine points each, so the
+    time does: x_max max(1, |alpha|) is capped at JOINT_X_CAP, where it
+    takes about 0.1 s.  Sines are taken only where the score's Jordan floor
+    (`sine_floor` for each sine, less 4 ulp) is at most the least score so
+    far, so C is the full grid's, a minimum over the same points.
     A grid on which every weight (1+x)^exponent leaves the float range has
     no finite score, and raises OverflowError.
     """
@@ -435,21 +437,35 @@ def joint_sine_lower_bound_check(alpha: NumberClass, exponent: int, x_max: float
         raise ValueError("exponent must be >= 0")
     import numpy as np
 
-    xs = [np.linspace(x_max / JOINT_SAMPLES, x_max, JOINT_SAMPLES)]
+    # the uniform family is np.linspace(start, x_max, JOINT_SAMPLES), element for element
+    start = x_max / JOINT_SAMPLES
+    delta = x_max - start
+    step = delta / (JOINT_SAMPLES - 1)
     offsets = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.05, -0.05])
-    for period in (math.pi, math.pi / a):
-        centers = np.arange(1, int(x_max / period) + 1, dtype=float) * period  # none below one period
-        xs.append((centers[:, None] + offsets).ravel())
-    x = np.concatenate(xs)
-    x = x[(x > 0) & (x <= x_max)]
+    per_block = JOINT_BLOCK // len(offsets)
+
+    def blocks():  # the grid, at most JOINT_BLOCK points at a time
+        for lo in range(0, JOINT_SAMPLES, JOINT_BLOCK):
+            i = np.arange(lo, min(lo + JOINT_BLOCK, JOINT_SAMPLES), dtype=float)
+            xb = (i / (JOINT_SAMPLES - 1) * delta if step == 0 else i * step) + start  # linspace's subnormal rule
+            if lo + JOINT_BLOCK >= JOINT_SAMPLES:
+                xb[-1] = x_max
+            yield xb
+        for period in (math.pi, math.pi / a):
+            k_max = int(x_max / period)  # none below one period
+            for lo in range(1, k_max + 1, per_block):
+                centers = np.arange(lo, min(lo + per_block, k_max + 1), dtype=float) * period
+                yield (centers[:, None] + offsets).ravel()
 
     def score(at):  # the minimum score over the points `at` of the block
         x_ = xb[at]
         return float(((np.abs(np.sin(x_)) + np.abs(np.sin(a * x_))) / x_ * weight[at]).min(initial=math.inf))
 
     c = math.inf
-    for lo in range(0, len(x), JOINT_BLOCK):
-        xb = x[lo : lo + JOINT_BLOCK]
+    for xb in blocks():
+        xb = xb[(xb > 0) & (xb <= x_max)]
+        if not len(xb):  # a subnormal x_max rounds whole blocks of the uniform family to 0
+            continue
         # a weight past the float range is inf: its floor and score are inf, or nan where a floor or both
         # sines are 0, and neither lowers C (`floor <= c` is false at nan, and min(c, nan) keeps c)
         with np.errstate(over="ignore", invalid="ignore"):

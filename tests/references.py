@@ -481,7 +481,8 @@ def joint_sine_lower_bound(alpha, exponent, x_max):
             xs.append((centers[:, None] + offsets[None, :]).ravel())
     x = np.concatenate(xs)
     x = x[(x > 0) & (x <= x_max)]
-    return float(((np.abs(np.sin(x)) + np.abs(np.sin(a * x))) / x * (1.0 + x) ** exponent).min())
+    with np.errstate(over="ignore"):  # a weight past the float range is inf, and sets no minimum
+        return float(((np.abs(np.sin(x)) + np.abs(np.sin(a * x))) / x * (1.0 + x) ** exponent).min())
 
 
 def surjectivity_margin(alpha, n, max_degree, exponent):

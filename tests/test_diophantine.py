@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -419,15 +420,42 @@ def test_jointbound_sqrt2_positive():
 
 @pytest.mark.parametrize("spec", ["sqrt2", "golden", "doubled:golden"])
 def test_jointbound_matches_the_full_grid(spec):
-    # the Jordan screen takes sines only where the minimum can be: C is the full grid's, bit for bit
+    # the Jordan screen takes sines only where the minimum can be, one block of the grid at a time:
+    # C is the full grid's, bit for bit
     from wavesnap.cli import number_class
 
     alpha = number_class(spec)
-    for exponent in (0, 1, 2, 3, 5):
-        for x_max in (1.0, 10.0, 1e3, 1e4):
-            c, passes = dio.joint_sine_lower_bound_check(alpha, exponent, x_max)
-            want = ref.joint_sine_lower_bound(alpha, exponent, x_max)
-            assert (c.hex(), passes) == (want.hex(), want > 0), (exponent, x_max)
+    a = abs(float(alpha.value))
+    periods = (math.pi, math.pi / a)
+    centers = dio.JOINT_BLOCK // 9  # the zeros a refined block holds, nine points each
+    # at 1e4 each family fills a block and ends in a partial one (the uniform family always does)
+    cases = [(exponent, x_max) for exponent in (0, 1, 2, 3, 5) for x_max in (1.0, 10.0, 1e3, 1e4)]
+    cases += [(3, 2 * centers * period + 1e-9) for period in periods]  # a family that ends on a block edge
+    cases += [
+        (3, sum(periods) / 2),  # between the two periods: one refined family is empty
+        (3, min(periods) / 2),  # below both: each is
+        (0, 0.8826035386091325),  # linspace's last point is x_max, not start + (JOINT_SAMPLES - 1) step
+        (0, 1e-319),  # a step that underflows to 0, where linspace divides i by JOINT_SAMPLES - 1 first
+        (3, 5e-324),  # and its first blocks all round to 0, so they are empty
+        (100, 1e4),  # (1+x)^100 leaves the float range past x ~ 1208, in the second uniform block
+        (3, dio.JOINT_X_CAP / max(1.0, a)),  # the cap
+    ]
+    for exponent, x_max in cases:
+        c, passes = dio.joint_sine_lower_bound_check(alpha, exponent, x_max)
+        want = ref.joint_sine_lower_bound(alpha, exponent, x_max)
+        assert (c.hex(), passes) == (want.hex(), want > 0), (exponent, x_max)
+
+
+def test_joint_bound_streams():
+    alpha = dio.sqrt2_class()
+    tracemalloc.start()
+    try:
+        c, passes = dio.joint_sine_lower_bound_check(alpha, 3, dio.JOINT_X_CAP / math.sqrt(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert passes and c > 0
+    assert peak < 2_000_000  # the whole grid, ~6e6 points, took ~130 MB
 
 
 def test_slowly_decreasing_sine_passes():

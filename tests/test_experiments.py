@@ -5,6 +5,7 @@ its gate fail and name the failing check, without an exception."""
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -58,6 +59,16 @@ def hexes(values):
 @pytest.mark.parametrize("seed", range(4))
 def test_recursion_residuals_match_field_reference(seed):
     assert hexes(experiments.recursion_residuals(seed)) == hexes(reference_residuals(seed))
+
+
+def test_recursion_streams():
+    tracemalloc.start()
+    try:
+        experiments.recursion_residuals(1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000  # one evolve grid for all 100 trials took ~6 MB
 
 
 def rows_drop_keys_cases():
