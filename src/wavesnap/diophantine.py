@@ -446,9 +446,10 @@ def joint_sine_lower_bound_check(alpha: NumberClass, exponent: int, x_max: float
 
     def blocks():  # the grid, at most JOINT_BLOCK points at a time
         for lo in range(0, JOINT_SAMPLES, JOINT_BLOCK):
-            i = np.arange(lo, min(lo + JOINT_BLOCK, JOINT_SAMPLES), dtype=float)
+            hi = min(lo + JOINT_BLOCK, JOINT_SAMPLES)
+            i = np.arange(lo, hi, dtype=float)
             xb = (i / (JOINT_SAMPLES - 1) * delta if step == 0 else i * step) + start  # linspace's subnormal rule
-            if lo + JOINT_BLOCK >= JOINT_SAMPLES:
+            if hi == JOINT_SAMPLES:
                 xb[-1] = x_max
             yield xb
         for period in (math.pi, math.pi / a):
