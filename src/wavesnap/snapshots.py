@@ -13,6 +13,7 @@ modes, minimal-norm representative returned), "Obstructed" (no wave fits).
 from __future__ import annotations
 
 import cmath
+import decimal
 import itertools
 import math
 import operator
@@ -533,6 +534,24 @@ class LiouvilleRow:
     certified: bool  # exact arithmetic confirms amplitude > 1
 
 
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _nstr8(x: decimal.Decimal) -> str:
+    """A positive x to 8 significant digits, rounded half up, as mpmath.nstr(x, 8)
+    prints it: fixed point while the leading digit's exponent is in (-5, 8),
+    d.ddde+N otherwise, trailing zeros stripped down to .0."""
+    to8 = decimal.Context(prec=8, rounding=decimal.ROUND_HALF_UP, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    rounded = to8.plus(x)
+    digits, e = "".join(map(str, rounded.as_tuple().digits)).ljust(8, "0"), rounded.adjusted()
+    if -5 < e < 8:
+        digits, split, suffix = "0" * -e + digits, max(e, 0) + 1, ""
+    else:
+        split, suffix = 1, f"e{e:+d}"
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    return (text + "0" if text.endswith(".") else text) + suffix
+
+
 def liouville_obstruction_demo(k_max: int) -> tuple[LiouvilleRow, ...]:
     """Velocity amplitudes forced by vanishing data along the convergents of
     the classical factorial series sum 10^(-j!).
@@ -541,36 +560,42 @@ def liouville_obstruction_demo(k_max: int) -> tuple[LiouvilleRow, ...]:
     sin(pi q_k alpha) = +-sin(pi delta_k), and delta_k ~ q_k^(-k).  Even
     against data of sup norm q_k^(1-k) the recovered amplitude
     pi / (sin(pi delta_k) q_k^(k-1)) stays above 1, certified in exact
-    arithmetic through sin x < x.  Display strings come from 30-digit
-    arithmetic since the values leave double range around k = 5.  Rows are
-    computed from k = k_max down one `convergent_chain`, so a k_max beyond
-    the series' precision raises PrecisionExhausted before any exact sum is
-    formed, and returned in ascending k.
+    arithmetic through sin x < x.  Display strings come from a private
+    50-digit `decimal` context, with sin(pi delta_k) as a Taylor series
+    (pi delta_k is at most about pi/10), since the values leave double range
+    around k = 5.  Rows are computed from k = k_max down one
+    `convergent_chain`, so a k_max beyond the series' precision raises
+    PrecisionExhausted before any exact sum is formed, and returned in
+    ascending k.
     """
-    import mpmath  # only this demo needs it
-
     from . import diophantine
 
     if not 1 <= k_max <= 25:
         raise ValueError(f"k_max must be in [1, 25], got {k_max}")
     depth = diophantine.FACTORIAL_DEPTH_CAP
     alpha = diophantine.liouville_truncation(10, None, depth)
+    ctx = decimal.Context(prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
     rows = []
     for k, (qk, _, lo, hi, den) in zip(range(k_max, 0, -1), diophantine.convergent_chain(alpha, k_max)):
         certified = hi * qk ** (k - 1) < den  # delta_hi q_k^(k-1) < 1
-        shift = max(lo.bit_length() - 256, 0)  # mpf of a ~10^5-bit integer is slow; 256 bits are plenty
-        with mpmath.workdps(30):
-            delta = mpmath.mpf(lo >> shift) / mpmath.mpf(den >> shift)
-            sin_val = mpmath.sin(mpmath.pi * delta)
-            amp = mpmath.pi / (sin_val * mpmath.mpf(qk) ** (k - 1))
-            rows.append(
-                LiouvilleRow(
-                    k=k,
-                    q=qk,
-                    sin_abs=mpmath.nstr(sin_val, 8),
-                    amplitude=mpmath.nstr(amp, 8),
-                    amplitude_log10=float(mpmath.log10(amp)),
-                    certified=bool(certified),
-                )
+        shift = max(lo.bit_length() - 256, 0)  # converting a ~10^5-bit integer is slow; 256 bits are plenty
+        x = ctx.multiply(_PI, ctx.divide(decimal.Decimal(lo >> shift), decimal.Decimal(den >> shift)))
+        x2, term, sin_val, n = ctx.multiply(x, x), x, x, 1
+        while True:  # x - x^3/3! + x^5/5! - ..., until a term no longer moves the sum
+            term = ctx.divide(ctx.multiply(term, x2), -(n + 1) * (n + 2))
+            n, total = n + 2, ctx.add(sin_val, term)
+            if total == sin_val:
+                break
+            sin_val = total
+        amp = ctx.divide(_PI, ctx.multiply(sin_val, ctx.power(decimal.Decimal(qk), k - 1)))
+        rows.append(
+            LiouvilleRow(
+                k=k,
+                q=qk,
+                sin_abs=_nstr8(sin_val),
+                amplitude=_nstr8(amp),
+                amplitude_log10=float(ctx.log10(amp)),
+                certified=bool(certified),
             )
+        )
     return tuple(reversed(rows))

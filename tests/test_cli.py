@@ -166,7 +166,7 @@ def test_rational_and_three_solve_report_a_failed_gate_alike(tmp_path):
 
 def test_liouville_demo_csv_shape(tmp_path):
     out = tmp_path / "demo.csv"
-    assert cli.run(["wave", "liouville-demo", "--kmax", "3", "--out", str(out)]) == 0
+    assert cli.run(["wave", "liouville-demo", "--kmax", "6", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     header = [ln for ln in lines if ln.startswith("#")]
     assert header[0] == "# wavesnap 0.1.0"
@@ -174,8 +174,14 @@ def test_liouville_demo_csv_shape(tmp_path):
     assert any("seed: 0" in ln for ln in header)
     body = [ln for ln in lines if not ln.startswith("#")]
     assert body[0] == "k,q_k,sin_abs,amplitude"
-    assert body[1].startswith("1,10,")
-    assert body[3].startswith("3,1000000,")
+    # every row the demo can print (k = 7 raises), as mpmath.nstr(x, 8) wrote them; q_k = 10^(k!)
+    values = [("0.30904687", "10.165425"), ("0.00031415926", "100.0"), ("3.1415927e-18", "1000000.0"),
+              ("3.1415927e-96", "1.0e+24"), ("3.1415927e-600", "1.0e+120"), ("3.1415927e-4320", "1.0e+720")]
+    assert body[1:] == [f"{k},{10 ** math.factorial(k)},{s},{a}" for k, (s, a) in enumerate(values, 1)]
+    assert cli.run(["reproduce", "liouville", "--out", str(tmp_path / "liouville.json")]) == 0
+    details = json.loads((tmp_path / "liouville.json").read_text())["results"][0]["details"]
+    assert details == ("amplifications k=1: 10.165425, k=2: 100.0, k=3: 1000000.0, k=4: 1.0e+24, ... "
+                       "all certified > 1 up to k=6; k=7 raises PrecisionExhausted")
 
 
 def test_symbol_table(tmp_path):
@@ -1078,7 +1084,7 @@ print(code, *(name in sys.modules for name in ("wavesnap.diophantine", "wavesnap
 
 def test_solve_verbs_leave_numpy_unloaded(tmp_path):
     # the field verbs run in plain floats: numpy's import would add ~10 MB to their
-    # peak memory, and mpmath's (needed by the Liouville demo alone) a few more;
+    # peak memory, and mpmath's (which no verb needs) a few more;
     # nor do they run the Diophantine toolkit or the experiments, each compiled
     # from source at every cold start where no bytecode is written, and a dio verb
     # runs no experiment
@@ -1094,6 +1100,41 @@ def test_solve_verbs_leave_numpy_unloaded(tmp_path):
     expected = ["[0,", "0,", "0,", "0,", "0,", "0,", "0,", "0,", "0]", "False", "False", "False", "False"]
     expected += ["0", "True", "False"]
     assert done.stdout.split() == expected, done.stdout + done.stderr
+
+
+NO_VERB_LOADS_MPMATH = r"""
+import os, sys
+from wavesnap import cli
+
+out = os.path.join(sys.argv[1], "out")
+runs = [
+    ["reproduce", "all", "--seed", "1"],
+    ["wave", "liouville-demo", "--kmax", "6"],
+    ["dio", "oddtype", "--qmax", "200"],
+    ["dio", "smallden", "--number", "golden", "--count", "100"],
+    ["dio", "jointbound", "--xmax", "100"],
+    ["sphere", "classify", "--number", "sqrt2", "--n", "2"],
+    ["sphere", "margin", "--alpha-pi", "19/10", "--n", "2", "--max-degree", "1000"],
+]
+codes = [cli.run(argv + ["--out", out]) for argv in runs]
+print(codes, "mpmath" in sys.modules)
+"""
+
+
+def test_no_verb_loads_mpmath(tmp_path):
+    # the Liouville demo computes its display strings with the standard library's
+    # decimal, which fractions loads anyway: importing mpmath would add about 3.7 MB
+    # to the peak memory of `reproduce all` and a few MB to the dio and sphere scans
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", NO_VERB_LOADS_MPMATH, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] False", done.stdout + done.stderr
 
 
 EACH_MODULE_ALONE = r"""

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import decimal
 import math
 import random
 import re
@@ -602,6 +603,22 @@ def test_liouville_demo_deepest_row_first(monkeypatch):
     monkeypatch.undo()
     assert rows == reference_liouville_rows(6)
     assert [r.k for r in rows] == [1, 2, 3, 4, 5, 6]
+
+
+def test_nstr8_matches_mpmath_away_from_ties():
+    # the demo's display formatter against mpmath.nstr(x, 8): carries into a new
+    # leading digit, both edges of the fixed-point range, and the demo's exponents.
+    # mpmath rounds through a binary value, so mantissas within a thousandth of an
+    # eighth-digit unit of a rounding tie are left out
+    rng = random.Random(38)
+    values = ["9.999999951", "99999999.6", "0.0000999999996", "0.00001", "12345678", "123456789", "1e720"]
+    for e in [*range(-20, 5), -4330, -4320, 710, 720]:
+        mantissas = (rng.randrange(10**11, 10**12) for _ in range(40))
+        values += [f"{m}e{e}" for m in mantissas if not 4990 <= m % 10**4 <= 5010]
+    for v in values:
+        with mpmath.workdps(30):
+            want = mpmath.nstr(mpmath.mpf(v), 8)
+        assert snap._nstr8(decimal.Decimal(v)) == want, v
 
 
 def solve_outcome(solve, *args):
