@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from . import __version__, snapshots, sphere
+from . import __version__, snapshots
 from .fields import (
     BASES,
     Field,
@@ -470,6 +470,8 @@ def _sphere_solve(args, f0: Field, falpha: Field) -> dict:
 
 
 def _sphere_huygens(args, f0: Field, g: Field) -> dict:
+    from . import sphere
+
     _check_count("--t-count", args.t_count)
     _check_count("--c-count", args.c_count)
     if args.t_count < 2:
@@ -482,11 +484,15 @@ def _sphere_huygens(args, f0: Field, g: Field) -> dict:
 
 
 def _sphere_classify(args) -> dict:
+    from . import sphere
+
     cls = sphere.classify_alpha(args.number, args.n)
     return {"n": args.n, "number": args.number.label, "verdict": cls.verdict, "reason": cls.reason}
 
 
 def _sphere_margin(args) -> dict:
+    from . import sphere
+
     try:
         c, passes = sphere.surjectivity_margin(args.alpha, args.n, args.max_degree, args.exponent)
     except OverflowError as exc:

@@ -28,7 +28,9 @@ same rules over a column of frequencies in plain floats, and `sine_over_grid` an
 the ratio rules over a whole grid as float64 arrays (numpy's sin and cos
 return math.sin and math.cos bit for bit).  Both run only the ratio branch
 a column at a time; every element inside a switch window goes to the scalar
-rule, so the scalar functions remain the only place each branch is written.
+rule, so the scalar functions remain the only place each branch is written,
+but for `sine_over_grid`, which writes `sine_over`'s three-term series once
+more, in numpy and in the same operation order.
 """
 
 from __future__ import annotations
@@ -307,9 +309,10 @@ def psi_column(m: int, us: Sequence[float], sins: Sequence[float]) -> list[float
 def sine_over_grid(ts, lams: Sequence[float]):
     """`sine_over` at every frequency in `lams` (columns) and every time in
     `ts`: one time per row, or a 2-D array of one time per element (rows x
-    columns), as a float64 array.  The ratio branch sin(u)/lam runs in
-    numpy; every element with |u| < SERIES_SWITCH, t = 0 and lam = 0 among
-    them, takes `sine_over` itself at its own time.  Where the scalar rule
+    columns), as a float64 array.  Both branches run in numpy: sin(u)/lam,
+    and on every element with |u| < SERIES_SWITCH, t = 0 and lam = 0 among
+    them, `sine_over`'s series at its own time, operation for operation, so
+    each value is the scalar rule's bit for bit.  Where the scalar rule
     would raise (an infinite u) the element is nan."""
     import numpy as np
 
@@ -321,10 +324,9 @@ def sine_over_grid(ts, lams: Sequence[float]):
         u = t * lam
         out = np.sin(u)
         out /= lam
-    near = np.nonzero(np.abs(u) < SERIES_SWITCH)
-    del u
-    at = np.broadcast_to(t, out.shape)[near].tolist(), np.broadcast_to(lam, out.shape)[near].tolist()
-    out[near] = list(map(sine_over, *at))
+        near = np.abs(u) < SERIES_SWITCH
+        u, t = u[near], np.broadcast_to(t, out.shape)[near]
+        out[near] = t * (1.0 - u * u / 6.0 + u * u * u * u / 120.0)
     return out
 
 
@@ -355,26 +357,37 @@ def fundamental_identities_check(t: float, lam_grid: list[float]) -> dict[str, f
     pointwise on `lam_grid`.  Each of the 23 Psi and S columns is one row
     of `psi_grid` and `sine_over_grid`.
     """
+    return _identity_residuals([t], lam_grid)[0]
+
+
+def _identity_residuals(ts: Sequence[float], lam_grid: list[float]) -> list[dict[str, float]]:
+    """`fundamental_identities_check` at each time of `ts` on one grid: the
+    two recurrences, which no time enters, once, and the shift rule per time.
+    The grid is checked first, then every time."""
     import numpy as np
 
     if not lam_grid:
         raise ValueError("empty grid")
     if any(lam < 0 or not math.isfinite(lam) for lam in lam_grid):
         raise ValueError("grid entries must be finite and >= 0")
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    for t in ts:
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t!r}")
 
     lam = np.array(lam_grid, dtype=float)
     ms = range(-10, 13)
+    out = []
     with np.errstate(all="ignore"):
         two_cos = 2.0 * np.cos(lam)
-        s_t, s_t1, s_1 = sine_over_grid([float(t), t - 1.0, 1.0], lam)
-        r_shift = np.abs(s_t * np.cos(lam) - np.cos(float(t) * lam) * s_1 - s_t1).max()
         r_psi, r_s = (
             np.abs(v[2:] + v[:-2] - two_cos * v[1:-1]).max()
             for v in (psi_grid(ms, lam), sine_over_grid([float(m) for m in ms], lam))
         )
-    residuals = {"snapshot_recurrence": float(r_psi), "sine_recurrence": float(r_s), "time_shift": float(r_shift)}
-    if not all(map(math.isfinite, residuals.values())):
-        raise ValueError(f"t lam overflows on the grid at t={t!r}")
-    return residuals
+        for t in ts:
+            s_t, s_t1, s_1 = sine_over_grid([float(t), t - 1.0, 1.0], lam)
+            r_shift = np.abs(s_t * np.cos(lam) - np.cos(float(t) * lam) * s_1 - s_t1).max()
+            residuals = {"snapshot_recurrence": float(r_psi), "sine_recurrence": float(r_s), "time_shift": float(r_shift)}
+            if not all(map(math.isfinite, residuals.values())):
+                raise ValueError(f"t lam overflows on the grid at t={t!r}")
+            out.append(residuals)
+    return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import decimal
+import functools
 import itertools
 import math
 import operator
@@ -63,6 +64,12 @@ class CauchyData:
     def __post_init__(self) -> None:
         self.position.check_same_basis(self.velocity)
 
+    @functools.cached_property
+    def union(self) -> tuple[tuple, tuple, list]:
+        """`union_columns` of (position, velocity), computed once for every
+        time the pair is evolved at; not a field, so no part of eq, hash or repr."""
+        return union_columns((self.position, self.velocity))
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -100,7 +107,7 @@ def evolve(data: CauchyData, t: float | Fraction) -> Field:
     """u_t = S'_t u0 + S_t g: `evolve_column` over the union of the data's
     keys.  A non-finite float t raises InvalidTime."""
     _check_finite(t)
-    keys, freqs, (x, y) = union_columns((data.position, data.velocity))
+    keys, freqs, (x, y) = data.union
     return _with_amps(data.position, keys, freqs, evolve_column(t, freqs, x, y))
 
 
@@ -145,7 +152,7 @@ def evolve_grid(data: Sequence[CauchyData], times: Sequence[Sequence[float | Fra
         for row in times:
             for t in row:
                 _check_finite(t)  # a Fraction far enough out reaches the symbols at an infinite time
-    unions = [union_columns((d.position, d.velocity)) for d in data]
+    unions = [d.union for d in data]
     keys, freqs = tuple(u[0] for u in unions), tuple(u[1] for u in unions)
     lam = np.fromiter(itertools.chain.from_iterable(freqs), float)
     (xr, xi), (yr, yi) = (_parts([amp for u in unions for amp in u[2][j]]) for j in (0, 1))

@@ -7,9 +7,9 @@ written on it (the Bezout solve on fields), the
 entry-by-entry field loaders, the per-q odd-type scan, the per-row CSV
 writer, the zonal sums with a recurrence restarted per degree, the
 factorial-series convergents built afresh at each k, the joint sine
-bound and the surjectivity margin with a sine at every point, and the
-compatibility residual on fields.  Tests compare the library with these
-bit for bit.
+bound and the surjectivity margin with a sine at every point, the
+compatibility residual on fields, and the experiments' random draws
+through `rng.uniform`.  Tests compare the library with these bit for bit.
 
 The field operators that only tests use are here too: the difference of two
 fields, the largest amplitude of a field, and a sphere field's amplitude at
@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from wavesnap import diophantine, snapshots
+from wavesnap.experiments import GUARD_SIN
 from wavesnap.fields import (
     DimensionMismatch,
     Field,
@@ -38,6 +39,7 @@ from wavesnap.fields import (
     Sphere,
     _with_amps,
     apply_multiplier,
+    field,
     linear_combine,
     union_columns,
 )
@@ -524,6 +526,36 @@ def slowly_decreasing_probe(symbol, a_const, xi_max, samples):
                 break
         rows.append(diophantine.SlowDecreaseRow(xi, threshold, best_eta if best_val >= threshold else None, best_val))
     return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# the experiments' random draws through rng.uniform and all()
+
+
+def guarded_radius(rng, steps, lam_max):
+    """`experiments._guarded_radius`: a uniform radius in [0.1, lam_max),
+    drawn again while |sin(s lam)| < GUARD_SIN for a step s."""
+    while True:
+        lam = rng.uniform(0.1, lam_max)
+        if all(abs(math.sin(s * lam)) >= GUARD_SIN for s in steps):
+            return lam
+
+
+def random_amp(rng):
+    """`experiments._amp`: uniform real and imaginary parts in [-1, 1)."""
+    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+def random_field(rng, dim, count, steps):
+    """`experiments._random_field`: per mode a guarded radius, a Gaussian direction, an amplitude."""
+    entries = []
+    for _ in range(count):
+        lam = guarded_radius(rng, steps, 4.0)
+        direction = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+        norm = math.hypot(*direction)
+        xi = tuple(lam * d / norm for d in direction)
+        entries.append((xi, random_amp(rng)))
+    return field(dim, entries)
 
 
 # ---------------------------------------------------------------------------

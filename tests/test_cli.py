@@ -1049,7 +1049,7 @@ def test_help_exits_zero(capsys, monkeypatch):
 
 
 SOLVE_VERBS_WITHOUT_NUMPY = r"""
-import math, os, sys
+import json, math, os, sys
 from wavesnap import cli
 from wavesnap.fields import field, save_field
 from wavesnap.snapshots import CauchyData, evolve
@@ -1079,6 +1079,20 @@ codes = [cli.run(argv + ["--out", os.path.join(d, "out.json")]) for argv in runs
 print(codes, *(name in sys.modules for name in ("numpy", "mpmath", "wavesnap.diophantine", "wavesnap.experiments")))
 code = cli.run(["dio", "cfrac", "--value", "355/113", "--out", os.path.join(d, "out.json")])
 print(code, *(name in sys.modules for name in ("wavesnap.diophantine", "wavesnap.experiments")))
+with open(os.path.join(d, "runs.json"), "w") as out:
+    json.dump(runs, out)
+"""
+
+# the wave verbs of the run above, on its files, in a process of their own
+WAVE_VERBS_WITHOUT_SPHERE = r"""
+import json, os, sys
+from wavesnap import cli
+
+d = sys.argv[1]
+with open(os.path.join(d, "runs.json")) as runs:
+    runs = [argv for argv in json.load(runs) if argv[0] == "wave"]
+codes = [cli.run(argv + ["--out", os.path.join(d, "out.json")]) for argv in runs]
+print(codes, "wavesnap.sphere" in sys.modules)
 """
 
 
@@ -1087,19 +1101,23 @@ def test_solve_verbs_leave_numpy_unloaded(tmp_path):
     # peak memory, and mpmath's (which no verb needs) a few more;
     # nor do they run the Diophantine toolkit or the experiments, each compiled
     # from source at every cold start where no bytecode is written, and a dio verb
-    # runs no experiment
+    # runs no experiment; the wave verbs alone do not compile the sphere module either
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    done = subprocess.run(
-        [sys.executable, "-c", SOLVE_VERBS_WITHOUT_NUMPY, str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+    outputs = []
+    for script in (SOLVE_VERBS_WITHOUT_NUMPY, WAVE_VERBS_WITHOUT_SPHERE):
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
     expected = ["[0,", "0,", "0,", "0,", "0,", "0,", "0,", "0,", "0]", "False", "False", "False", "False"]
     expected += ["0", "True", "False"]
-    assert done.stdout.split() == expected, done.stdout + done.stderr
+    assert outputs[0] == expected, outputs
+    assert outputs[1] == ["[0,", "0,", "0,", "0,", "0,", "0]", "False"], outputs
 
 
 NO_VERB_LOADS_MPMATH = r"""

@@ -4,6 +4,7 @@ its gate fail and name the failing check, without an exception."""
 
 import dataclasses
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -14,7 +15,7 @@ from wavesnap.fields import MultiplierSymbol, apply_multiplier, field, linear_co
 from wavesnap.propagators import symbol_Sprime
 from wavesnap.snapshots import CauchyData
 
-from references import evolve_series, max_abs_amp, snapshot_series, subtract
+from references import evolve_series, guarded_radius, max_abs_amp, random_amp, random_field, snapshot_series, subtract
 
 
 def reference_trial(data, a, b):
@@ -69,6 +70,30 @@ def test_recursion_streams():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000  # one evolve grid for all 100 trials took ~6 MB
+
+
+# the step tuples the experiments guard their radii with: recursion's (1, b - a), three-snapshot's
+# (1, alpha), rational's (1, p, q, p/q) and (1, 2, 3), and the identity grid's (1,)
+DRAW_STEPS = [(1.0, 0.45), (1.0, 1.2), (1.0, math.sqrt(2.0)), (1.0, 2.0 / 3.0), (1.0, 0.77), (1.0, 2.0, 3.0), (1.0,)]
+DRAW_STEPS += [(1.0, float(p), float(q), p / q) for p, q in ((1, 2), (2, 3), (3, 5), (5, 7))]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_draws_are_the_uniform_ones(seed):
+    # a + (b - a) rng.random() is rng.uniform's own formula: the same floats, and the generator
+    # left in the same state; fails too if a later Python changes uniform
+    for steps in DRAW_STEPS:
+        for lam_max in (4.0, 50.0):
+            rng, twin = random.Random(seed), random.Random(seed)
+            got = [experiments._guarded_radius(rng, steps, lam_max).hex() for _ in range(10)]
+            assert got == [guarded_radius(twin, steps, lam_max).hex() for _ in range(10)], (steps, lam_max)
+            assert rng.getstate() == twin.getstate()
+        for dim in (1, 2, 3):
+            rng, twin = random.Random(seed), random.Random(seed)
+            assert repr(experiments._random_field(rng, dim, 6, steps)) == repr(random_field(twin, dim, 6, steps))
+            assert rng.getstate() == twin.getstate()
+    rng, twin = random.Random(seed), random.Random(seed)
+    assert [repr(experiments._amp(rng)) for _ in range(10)] == [repr(random_amp(twin)) for _ in range(10)]
 
 
 def rows_drop_keys_cases():
@@ -172,6 +197,18 @@ def test_identities_gate_fails_on_a_perturbed_psi(monkeypatch):
     assert r["passed"] is False
     assert value(r["details"], "product rule") > 1e-10
     assert value(r["details"], "snapshot-pair symmetry") > 1e-10
+
+
+def test_identity_suite_runs_the_recurrences_once(monkeypatch):
+    # the Psi and S recurrences take no time: one 23-row psi_grid for the three alphas, not one per alpha
+    rows = []
+    psi_grid = propagators.psi_grid
+    monkeypatch.setattr(propagators, "psi_grid", lambda ms, us: rows.append(len(ms)) or psi_grid(ms, us))
+    assert experiments.identity_suite(seed=0)["passed"]
+    assert rows.count(23) == 1
+    grid = [experiments._guarded_radius(random.Random(2), (1.0,), 50.0) for _ in range(50)]
+    times = (0.3, math.sqrt(2.0), 2.5)
+    assert propagators._identity_residuals(times, grid) == [propagators.fundamental_identities_check(t, grid) for t in times]
 
 
 def test_rational_gate_fails_on_a_nudged_solution(monkeypatch):

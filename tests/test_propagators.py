@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavesnap import propagators
 from wavesnap.propagators import (
     PHASE_LIMIT,
     SERIES_SWITCH,
@@ -330,12 +331,26 @@ def hex_rows(values):
     return [[float(v).hex() for v in row] for row in values]
 
 
-def test_sine_over_grid_is_the_scalar_rule():
-    # t = 0 and lam = 0 sit in the series window, as do t lam below 1e-6
+def test_sine_over_grid_is_the_scalar_rule(monkeypatch):
+    import numpy as np
+
+    # t = 0 and lam = 0 sit in the series window, as do t lam below 1e-6; the grid writes the
+    # series itself, so no element calls the scalar rule
+    monkeypatch.setattr(propagators, "sine_over", lambda t, lam: pytest.fail("a scalar sine_over call"))
     ts = [0.0, -0.0, 1e-7, 0.5, 1.0, -1.0, 3.0, -20.0, 1e5] + [as_radians(b) for b in FRACTION_TIMES]
     got = sine_over_grid(ts, GRID_RADII)
     assert got.shape == (len(ts), len(GRID_RADII))
     assert hex_rows(got) == hex_rows([[sine_over(t, lam) for lam in GRID_RADII] for t in ts])
+    # t lam just below, at and just above +-SERIES_SWITCH, -0.0 for t and for lam, and a subnormal t lam
+    edge = [math.nextafter(SERIES_SWITCH, 0.0), SERIES_SWITCH, math.nextafter(SERIES_SWITCH, 1.0)]
+    lams = [-0.0, 0.0, 1e-300, *edge, *(-x for x in edge)]
+    ts = [-0.0, 0.0, 1.0, -1.0, 1e-10, -1e-10, 5e-324, math.nextafter(1.0, 2.0)]
+    assert 0.0 < abs(1e-10 * 1e-300) < 2.0**-1022
+    assert hex_rows(sine_over_grid(ts, lams)) == hex_rows([[sine_over(t, lam) for lam in lams] for t in ts])
+    # a 2-D grid, one time per element
+    per_element = np.array([[ts[(i + j) % len(ts)] for j in range(len(lams))] for i in range(len(ts))])
+    want = [[sine_over(t, lam) for t, lam in zip(row, lams)] for row in per_element.tolist()]
+    assert hex_rows(sine_over_grid(per_element, lams)) == hex_rows(want)
 
 
 def test_sine_over_grid_takes_one_time_per_element():

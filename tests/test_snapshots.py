@@ -48,6 +48,21 @@ def test_evolve_zero_frequency_moves_linearly():
     assert abs(evolve(data, 3.0).amplitude_at((0.0, 0.0)) - 7.0) < 1e-15
 
 
+def test_a_cauchy_pair_forms_its_key_union_once(monkeypatch):
+    # evolve reads the pair's cached union: one union_columns call for five times; the cache is no
+    # part of the pair's eq, hash or repr
+    calls = []
+    union_columns = snap.union_columns
+    monkeypatch.setattr(snap, "union_columns", lambda *args: calls.append(args) or union_columns(*args))
+    modes = [((0.6, 0.8), 1.0), ((1.5, -2.0), 0.5j)], [((0.6, 0.8), 0.5), ((-2.2, 0.1), 1.0 + 0.25j)]
+    data, times = wave(2, *modes), (0.0, 0.3, 1.0, -2.5, 7.0)
+    got = [repr(evolve(data, t)) for t in times]
+    assert len(calls) == 1
+    assert got == [repr(evolve(wave(2, *modes), t)) for t in times] and len(calls) == 1 + len(times)
+    twin = wave(2, *modes)
+    assert data == twin and hash(data) == hash(twin) and repr(data) == repr(twin)
+
+
 def wave_residual(data, t, h):
     """Max-amplitude residual of the centered second time difference of the
     evolved field against its Laplacian."""

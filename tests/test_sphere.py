@@ -76,7 +76,7 @@ def test_zonal_value_single_degree():
     f = sph.sphere_field(3, [(4, 1, 2.0)])
     c = 0.37
     want = 2.0 * math.sqrt(sph.dim_Hl(3, 4)) * phi(3, 4, c)
-    assert sph.zonal_values(f, [c])[0] == pytest.approx(want)
+    assert sph.zonal_values(f, sph.zonal_table([f], [c]))[0] == pytest.approx(want)
 
 
 def test_sphere_field_merges_and_validates():
@@ -232,8 +232,8 @@ def hex_or_error(fn, *args):
 
 
 def zonal_value(f, c):
-    """The field's value at one polar cosine c."""
-    return sph.zonal_values(f, [c])[0]
+    """The field's value at one polar cosine c, through a one-point table."""
+    return sph.zonal_values(f, sph.zonal_table([f], [c]))[0]
 
 
 ZONAL_TERMS = st.lists(
@@ -272,12 +272,29 @@ def test_zonal_errors_match_the_reference():
     empty, off = sph.sphere_field(3, []), sph.sphere_field(3, [(1, 2, 1.0)])
     for f, c in ((z3, 1.5), (z3, math.nan), (off, 0.5), (empty, 0.5), (empty, 7.0)):
         assert hex_or_error(zonal_value, f, c) == hex_or_error(ref.zonal_value, f, c), (f, c)
-    assert sph.zonal_values(empty, [7.0]) == [0j]  # an empty field is zero everywhere, without a range check
+    assert sph.zonal_values(empty, sph.zonal_table([empty], [7.0])) == [0j]  # zero everywhere, without a range check
     for n, l, c in ((1, 3, 2.0), (1, 3, 0.5), (3, -1, 0.5), (3, -1, math.nan)):  # c is checked first, then n, then l
         assert hex_or_error(phi, n, l, c) == hex_or_error(ref.gegenbauer_phi, n, l, c), (n, l, c)
     for args in ((z2, z2, [0.5]), (off, z3, [0.5]), (z3, off, [0.5]), (z3, z3, []), (z3, empty, [0.5], 1)):
         got = hex_or_error(sph.huygens_antipodal_check, *args)
         assert got == hex_or_error(ref.huygens_antipodal_check, *args) and isinstance(got[0], type), args
+
+
+@pytest.mark.parametrize("time_count", [2, 15])
+def test_huygens_check_runs_one_recurrence_per_point_and_point_set(monkeypatch, time_count):
+    # the tables for cs and -cs serve every time: at most 2 c_count recurrences, not 2 c_count per time
+    calls = []
+    gegenbauer = sph._gegenbauer
+    monkeypatch.setattr(sph, "_gegenbauer", lambda *args: calls.append(args) or gegenbauer(*args))
+    f0 = sph.sphere_field(3, [(l, 1, 0.6**l) for l in range(8)])
+    g = sph.sphere_field(3, [(l, 1, -(0.4**l)) for l in (0, 3, 9)])
+    times = [0.1 + 0.3 * k for k in range(time_count)]
+    assert sph.huygens_antipodal_check(f0, g, times, 5) < 1e-11
+    assert len(calls) == 2 * 5 and {top for _, top, _ in calls} == {9}
+    calls.clear()  # the tables come after the first evolve, so a bad time raises before any recurrence
+    with pytest.raises(ValueError, match="time must be finite, got inf"):
+        sph.huygens_antipodal_check(f0, g, [math.inf, 0.5], 5)
+    assert not calls
 
 
 def test_antipodal_gate_fails_on_a_late_snapshot(monkeypatch):
