@@ -195,22 +195,37 @@ class ContinuedFraction:
     convergents: tuple[Fraction, ...]
 
 
+def _quotients(x: Fraction) -> Iterator[int]:
+    """The partial quotients of x, by Euclid's algorithm on its numerator and
+    denominator: a = floor(p / q), then p / q becomes q / (p - a q), until the
+    remainder is 0."""
+    p, q = x.numerator, x.denominator
+    while q:
+        a, r = divmod(p, q)
+        yield a
+        p, q = q, r
+
+
+def _expansion(quots: Sequence[int]) -> ContinuedFraction:
+    return ContinuedFraction(tuple(quots), tuple(Fraction(p, q) for p, q in _convergents(quots)))
+
+
 def continued_fraction(x: Fraction | int, max_terms: int) -> ContinuedFraction:
     """Partial quotients and convergents of x, at most `max_terms` of them.
     Rational input terminates exactly."""
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
+    return _expansion([a for _, a in zip(range(max_terms), _quotients(Fraction(x)))])  # any int max_terms
 
-    def quotients(r: Fraction) -> Iterator[int]:
-        for _ in range(max_terms):  # any int; the expansion ends by itself
-            a = r.numerator // r.denominator
-            yield a
-            if r == a:
-                return
-            r = 1 / (r - a)
 
-    quots = tuple(quotients(Fraction(x)))
-    return ContinuedFraction(quots, tuple(Fraction(p, q) for p, q in _convergents(quots)))
+def shared_continued_fraction(x: Fraction, y: Fraction) -> ContinuedFraction:
+    """The partial quotients, and their convergents, that every number between
+    x and y shares: the common prefix of `continued_fraction` of x and of y,
+    up to the first quotient where they differ or the last of an expansion
+    that ends.  The numbers whose expansion starts with a given prefix form
+    an interval, so a number between two that share a prefix shares it too."""
+    pairs = itertools.takewhile(lambda ab: ab[0] == ab[1], zip(_quotients(x), _quotients(y)))
+    return _expansion([a for a, _ in pairs])
 
 
 @dataclass(frozen=True)
@@ -268,6 +283,15 @@ class Convergent(NamedTuple):
     den: int
 
 
+def depth_exhausted(k: int, depth: int) -> PrecisionExhausted:
+    """The error for a convergent at k >= depth, which a series truncated at
+    `depth` cannot certify."""
+    return PrecisionExhausted(
+        f"residue at k={k} needs series depth > {k}, have {depth}; "
+        f"deepening past {FACTORIAL_DEPTH_CAP} is not supported"
+    )
+
+
 def convergent_chain(x: NumberClass, k: int) -> Iterator[Convergent]:
     """The `Convergent` of the factorial series x at j = k, k-1, ..., 1: the
     first from the sums, each next by den_{j-1} = den_j base^(j! - (j-1)!)
@@ -278,10 +302,7 @@ def convergent_chain(x: NumberClass, k: int) -> Iterator[Convergent]:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= x.depth:
-        raise PrecisionExhausted(
-            f"residue at k={k} needs series depth > {k}, have {x.depth}; "
-            f"deepening past {FACTORIAL_DEPTH_CAP} is not supported"
-        )
+        raise depth_exhausted(k, x.depth)
     b, err = x.base, x.err
     kf, top = math.factorial(k), math.factorial(x.depth)
     pk = sum(c * b ** (kf - math.factorial(j)) for j, c in enumerate(x.coeffs[:k], start=1))

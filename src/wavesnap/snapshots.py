@@ -570,16 +570,18 @@ def liouville_obstruction_demo(k_max: int) -> tuple[LiouvilleRow, ...]:
     arithmetic through sin x < x.  Display strings come from a private
     50-digit `decimal` context, with sin(pi delta_k) as a Taylor series
     (pi delta_k is at most about pi/10), since the values leave double range
-    around k = 5.  Rows are computed from k = k_max down one
-    `convergent_chain`, so a k_max beyond the series' precision raises
-    PrecisionExhausted before any exact sum is formed, and returned in
-    ascending k.
+    around k = 5.  A k_max beyond the series' precision (k_max >=
+    FACTORIAL_DEPTH_CAP) raises PrecisionExhausted before the series is
+    built; rows are computed from k = k_max down one `convergent_chain` and
+    returned in ascending k.
     """
     from . import diophantine
 
     if not 1 <= k_max <= 25:
         raise ValueError(f"k_max must be in [1, 25], got {k_max}")
     depth = diophantine.FACTORIAL_DEPTH_CAP
+    if k_max >= depth:  # before the truncation, whose exact sum alone takes milliseconds
+        raise diophantine.depth_exhausted(k_max, depth)
     alpha = diophantine.liouville_truncation(10, None, depth)
     ctx = decimal.Context(prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
     rows = []

@@ -177,7 +177,14 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
     At float alpha np.sin runs only on rows whose floor score (Jordan's
     `sine_floor` / w times the block's least weight, less 4 ulp; never above
     the score) is in that window or whose floor is below twice the kernel
-    threshold, and on blocks whose weights near the float range.
+    threshold, and on blocks whose weights near the float range.  Each block
+    after the first is bounded whole before it is scored, by a floor no row's
+    `sine_floor` is below (`_convergent_floors`, at the block's largest w).
+    Where that floor / w times the least weight is above the window and the
+    floor is not below twice the kernel threshold, the screen would keep no
+    row, so the block is skipped.  Convergents too short to bound it (a huge
+    |alpha|, or alpha near a rational multiple of pi) give floor 0, and the
+    block is scored.
 
     At exact alpha = p/q the sine and the zero flag have period 2q in l, and
     the weight (1+l)^exponent / w is monotone in l (its log's slope has the
@@ -202,19 +209,31 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
     else:
         check_phase(float(alpha), frequency(n, max_degree))  # the scan's largest |w alpha|
         spans = [(0, end)]
-    best = math.inf
+    exact, best, floors = isinstance(alpha, Fraction), math.inf, None
     for lo, stop in [(lo, stop) for start, stop in sorted(spans) for lo in range(start, stop, MARGIN_BLOCK)]:
         hi = min(lo + MARGIN_BLOCK, stop) - 1
         # the block's least weight, less the pow and rounding slack; None once a weight nears the float range
         lift = (1.0 + lo) ** exponent * (1 - 2.0**-50) if exponent * math.log2(2.0 + hi) < 1022 else None
+        if not exact:
+            w_top = frequency(n, hi)  # the block's largest w
+            y_top = abs(float(alpha)) * w_top  # and its largest |w alpha|
+            tiny = 2 * kernel_threshold(y_top)
+            if lo and lift is not None:  # a block after the first, every row through the floor screen
+                floors = _convergent_floors(float(alpha)) if floors is None else floors
+                while floors and floors[-1][0] <= 2 * w_top:
+                    floors.pop()  # w grows from block to block: a floor too short here is short for the rest
+                # no row's sine_floor is below this (`_convergent_floors`), nor its floor score below bound / w_top lift
+                bound = floors[-1][1] - (y_top + 4) * 2.0**-48 if floors else 0.0
+                if bound >= tiny and bound / w_top * lift > best * (1 + RECHECK_WINDOW):
+                    continue  # so the screen below would keep no row
         l = np.arange(lo, hi + 1)
         w = l + 0.5 * (n - 1)  # sine_at's w = frequency(n, l), bit for bit while n < 2^52
         with np.errstate(over="ignore", invalid="ignore"):
-            if isinstance(alpha, Fraction):
+            if exact:
                 w2 = 2 * (l if n < 2**62 else l.astype(object)) + (n - 1)  # sine_at's 2w, in int64 if it fits
                 x, near_zero = residue_sines(alpha, *exact_residue(alpha, w2))
             else:
-                y, tiny = w * float(alpha), 2 * kernel_threshold(abs(float(alpha)) * float(w[-1]))
+                y = w * float(alpha)
                 if lift is not None:  # no weight in the block nears the float range
                     floor = sine_floor(y)
                     keep = ~(floor / w * lift > best * (1 + RECHECK_WINDOW))
@@ -230,9 +249,32 @@ def _margin_rows(alpha: float | Fraction, n: int, max_degree: int, exponent: int
             best = min(best, float(score[usable].min()))
         pick = near_zero | edge | ~(score > best * (1 + RECHECK_WINDOW))  # nan scores get the recheck too
         for l in l[pick].tolist():
-            w = Fraction(2 * l + n - 1, 2) if isinstance(alpha, Fraction) else frequency(n, l)  # exact for any n
+            w = Fraction(2 * l + n - 1, 2) if exact else frequency(n, l)  # exact for any n
             v, is_zero = sine_at(alpha, w)
             yield l, 0.0 if is_zero else abs(v)
+
+
+def _convergent_floors(alpha: float) -> list[tuple[int, float]]:
+    """Floors on |sin(w alpha)| at k = 2w = 1, 2, ...: pairs (q_{j+1}, f_j),
+    f_j = 2 / (q_j + q_{j+1}) (1 - 2^-50), one for each consecutive pair of
+    convergent denominators shared by every gamma in [|alpha| / (2 PI_HI),
+    |alpha| / (2 math.pi)] (`diophantine.shared_continued_fraction`), so by
+    gamma = |alpha| / 2 pi; in decreasing q_{j+1}.
+
+    dist(w alpha, pi Z) = pi ||k gamma||, and for 0 < k < q_{j+1} the
+    best-approximation lemma (Khinchin, Continued Fractions, Thms 16-17) gives
+    ||k gamma|| >= |q_j gamma - p_j| > 1 / (q_j + q_{j+1}), so Jordan's |sin|
+    >= 2 / (q_j + q_{j+1}); the least j with q_{j+1} > k gives the largest
+    floor.  At the float y = w alpha, |y| <= y_top, `sine_floor` reads at
+    least (1 - 2^-51) times that, less (y_top + 4) 2^-49: its slack
+    (|y| + 4) 2^-49, the rounding of y and its own, all scaled by 2 / pi.  So
+    f_j - (y_top + 4) 2^-48, the 2^-50 and the doubled slack also covering
+    the roundings of that expression, is below every such `sine_floor`."""
+    from .diophantine import PI_HI, shared_continued_fraction
+
+    gamma = Fraction(abs(alpha)) / 2
+    qs = [c.denominator for c in shared_continued_fraction(gamma / PI_HI, gamma / Fraction(math.pi)).convergents]
+    return [(r, 2 / (q + r) * (1 - 2.0**-50)) for q, r in zip(qs, qs[1:])][::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,30 @@ def test_liouville_demo_csv_shape(tmp_path):
                        "all certified > 1 up to k=6; k=7 raises PrecisionExhausted")
 
 
+def test_liouville_demo_refuses_a_deep_kmax_before_building_the_series(monkeypatch, capsys, tmp_path):
+    # the depth-7 truncation is a sum over 10^(7!)-sized terms; a k_max it cannot certify no longer builds it
+    calls = 0
+    truncation = dio.liouville_truncation
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return truncation(*args)
+
+    monkeypatch.setattr(dio, "liouville_truncation", counted)
+    for kmax in (7, 25):
+        out = tmp_path / "demo.csv"
+        assert cli.run(["wave", "liouville-demo", "--kmax", str(kmax), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"wavesnap: error: residue at k={kmax} needs series depth > {kmax}, have 7; "
+            "deepening past 7 is not supported\n"
+        )
+        assert not out.exists()
+    assert calls == 0
+    assert cli.run(["wave", "liouville-demo", "--kmax", "6", "--out", str(tmp_path / "demo.csv")]) == 0
+    assert calls == 1
+
+
 def test_symbol_table(tmp_path):
     out = tmp_path / "tab.csv"
     rc = cli.run(["wave", "symbol", "--kind", "Psi", "--m", "3", "--s", "1.0",

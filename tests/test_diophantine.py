@@ -70,6 +70,32 @@ def test_convergent_recurrence_matches_loops(depth):
         assert (cf.partial_quotients, cf.convergents) == cfrac_by_loop(value, depth)
 
 
+def common_prefix(x, y):
+    """Reference: the quotients the two full expansions share, up to the first that differs."""
+    a, b = dio.continued_fraction(x, 10**4).partial_quotients, dio.continued_fraction(y, 10**4).partial_quotients
+    n = next((i for i, (s, t) in enumerate(zip(a, b)) if s != t), min(len(a), len(b)))
+    return a[:n]
+
+
+@example(Fraction(1, 2), Fraction(45, 100))  # [0; 2] ends where [0; 2, 4, 2] goes on: both share [0; 2]
+@example(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**9))  # [0; 3] against [0; 2, 1, ...]: only 0
+@example(Fraction(415, 93), Fraction(415, 93))  # equal ends: the whole expansion
+@example(dio.PI_HI / 2, Fraction(math.pi) / 2)  # gamma at alpha = pi, either side of pi / 2
+@given(
+    st.fractions(min_value=Fraction(0), max_value=Fraction(50), max_denominator=10**12),
+    st.fractions(min_value=Fraction(-1, 10**6), max_value=Fraction(1, 10**6), max_denominator=10**9),
+)
+def test_shared_continued_fraction_is_the_common_prefix(x, step):
+    y = x + step
+    cf = dio.shared_continued_fraction(x, y)
+    assert cf.partial_quotients == common_prefix(x, y)
+    full = dio.continued_fraction(x, 10**4)
+    assert cf.convergents == full.convergents[: len(cf.partial_quotients)]
+    # a number between the two shares the prefix: the numbers that share one form an interval
+    mid = dio.continued_fraction((x + y) / 2, 10**4).partial_quotients
+    assert mid[: len(cf.partial_quotients)] == cf.partial_quotients
+
+
 def test_cfrac_golden_is_fibonacci():
     cf = dio.continued_fraction(dio.golden_class().value, 12)
     fib = [1, 1, 2, 3, 5, 8, 13, 21]

@@ -611,7 +611,7 @@ def test_liouville_demo_deepest_row_first(monkeypatch):
     monkeypatch.setattr(diophantine, "convergent_chain", counted)
     with pytest.raises(diophantine.PrecisionExhausted):
         snap.liouville_obstruction_demo(7)
-    assert (calls, drawn) == ([7], [])  # no exact sum for k <= 6 before the deepest row fails
+    assert (calls, drawn) == ([], [])  # k_max = 7 is refused before the series, let alone a chain, is built
     calls.clear()
     rows = snap.liouville_obstruction_demo(6)
     assert (calls, drawn) == ([6], [10 ** math.factorial(k) for k in range(6, 0, -1)])

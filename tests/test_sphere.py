@@ -465,10 +465,12 @@ def test_margin_float_alpha_smoke():
 
 
 def _outcome(margin, *args):
+    """repr(C) and passes, or the exception's type and text."""
     try:
-        return margin(*args)
-    except OverflowError:
-        return OverflowError
+        c, passes = margin(*args)
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    return repr(c), passes
 
 
 # far kernel: the first l with 30011 | w is 30010 (n = 3) or 30009 (n = 5)
@@ -586,6 +588,80 @@ def test_margin_computes_one_residue_period(monkeypatch):
     c, passes = sph.surjectivity_margin(Fraction(19, 10), 2, 10**6, 3)
     assert passes and c > 0
     assert spans == [list(range(1, 40, 2))] * 2
+
+
+GOLDEN_PI = (1 + math.sqrt(5.0)) / 2 * math.pi  # 5.0832036923152595: gamma = golden / 2 = [0; 1, 4, 4, ...]
+
+_block_floor_times = st.one_of(
+    st.floats(-30.0, 30.0).filter(lambda a: abs(a) > 1e-3),
+    st.floats(1e-9, 1e-3),
+    st.builds(
+        lambda p, q, rel: math.pi * p / q * (1 + rel),
+        st.integers(-40, 40).filter(bool),
+        st.integers(1, 40),
+        st.sampled_from([0.0, 1e-12, 1e-7]),
+    ),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    alpha=_block_floor_times,
+    n=st.integers(2, 9),
+    max_degree=st.integers(1, 10**6),
+    exponent=st.sampled_from([0, 1, 2, 3, 60, 200]),
+)
+# blocks after the first are bounded by the convergents of gamma = |alpha| / 2 pi, and skipped when the
+# bound rules them out: sqrt(2) pi skips them all at exponent 3, golden pi 12 of 24 at exponent 2
+@example(alpha=math.sqrt(2.0) * math.pi, n=3, max_degree=10**6, exponent=3)
+@example(alpha=GOLDEN_PI, n=2, max_degree=200_000, exponent=2)
+@example(alpha=-math.sqrt(2.0) * math.pi, n=3, max_degree=200_000, exponent=3)  # negative time
+@example(alpha=1e-7, n=4, max_degree=200_000, exponent=3)  # gamma = [0; 62831853, ...]: one floor for every block
+@example(alpha=math.pi * 7 / 31 * (1 + 1e-12), n=3, max_degree=200_000, exponent=3)  # prefix stops at q = 62
+@example(alpha=math.pi * 7 / 31, n=2, max_degree=200_000, exponent=3)  # half-integer w: 7/62 never a zero
+# huge |alpha|: the shared prefix stops at q = 94,483, and a float kernel row in the ninth block sets C = 0
+@example(alpha=2.0**20, n=3, max_degree=10**6, exponent=3)
+@example(alpha=math.sqrt(3.0), n=5, max_degree=200_000, exponent=60)  # overflow at l = 137,270; blocks 2-16 skipped
+@example(alpha=0.3, n=3, max_degree=100, exponent=200)  # overflow at l = 34, in the only block
+def test_float_margin_block_floor_matches_full_scan(alpha, n, max_degree, exponent):
+    got = _outcome(sph.surjectivity_margin, alpha, n, max_degree, exponent)
+    assert got == _outcome(ref.surjectivity_margin, alpha, n, max_degree, exponent)
+
+
+def test_float_margin_scores_one_block_at_sqrt2_pi(monkeypatch):
+    # gamma = sqrt(2) / 2 = [0; 1, 2, 2, ...]: for 2w below a shared q_{j+1}, |sin(w alpha)| is at least
+    # 2 / (q_j + q_{j+1}), which puts every later block's floor score above the first block's best;
+    # a full scan to degree 1e6 scores 123 blocks of 8,192 degrees
+    import numpy as np
+
+    calls = 0
+    arange = np.arange
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", counted)
+    c, passes = sph.surjectivity_margin(math.sqrt(2.0) * math.pi, 3, 10**6, 3)
+    assert passes and c > 0
+    assert calls <= 2
+
+
+def test_float_margin_block_floor_negative_control(monkeypatch):
+    # convergents whose recurrence starts from q_{-1} = 1, not 0, read q_1 = a_1 + 1 and inflate every
+    # later q: the floors rise, and at golden pi a block that holds the minimum is skipped
+    def off_by_one(quotients):
+        p2, p1, q2, q1 = 0, 1, 1, 1
+        for a in quotients:
+            p2, p1 = p1, a * p1 + p2
+            q2, q1 = q1, a * q1 + q2
+            yield p1, q1
+
+    full = ref.surjectivity_margin(GOLDEN_PI, 2, 10**6, 2)
+    assert sph.surjectivity_margin(GOLDEN_PI, 2, 10**6, 2) == full == (0.3512046582850267, True)
+    monkeypatch.setattr(dio, "_convergents", off_by_one)
+    assert sph.surjectivity_margin(GOLDEN_PI, 2, 10**6, 2) != full
 
 
 def test_margin_skips_the_blocks_its_first_period_rules_out(monkeypatch):
