@@ -20,8 +20,8 @@ The summary goes into --out, in the shape of the earlier BENCH_<pr>.json
 files: per workload and seed, the median and the quartiles (inclusive
 method) of each side for every end-to-end metric, the number of pairs in
 which the change reads lower, each request's median time in reference-loop
-units, and whether the per-request output digests (`request_sha256`) match
-between the trees.  A metric's `claim_met` is true when the change reads
+units, whether the per-request output digests (`request_sha256`) match
+between the trees, and the names of the requests whose digests differ.  A metric's `claim_met` is true when the change reads
 lower in at least nine tenths of the pairs (ties count for neither) and its
 median is lower than the parent's by more than the distance between the
 parent's quartiles.  An existing --out file is
@@ -123,6 +123,9 @@ def summarize(seed: int, runs: list[tuple[dict, dict]]) -> dict:
             for name in runs[0][0]["request_ref"]
         },
         "request_sha256_match": len(digests["parent"]) == 1 and digests["parent"] == digests["change"],
+        "request_sha256_differs": sorted({name for p, c in runs for name in p["request_sha256"].keys()
+                                          | c["request_sha256"].keys()
+                                          if p["request_sha256"].get(name) != c["request_sha256"].get(name)}),
         "all_runs_correct": all(p["correct"] and c["correct"] for p, c in runs),
     }
 
@@ -167,7 +170,9 @@ def main(argv: list[str] | None = None) -> int:
                        "and change/), written by scripts/bench_pairs.py. Medians and quartiles "
                        "(inclusive method) of each side; change_lower_in_pairs = pairs where the change reads "
                        "lower; claim_met = lower in >= 9/10 of the pairs and the medians further apart than the "
-                       "parent's quartiles; request_sha256_match = every run of both trees gave the same output digests.",
+                       "parent's quartiles; request_sha256_match = every run of both trees gave the same output "
+                       "digests; request_sha256_differs = the requests whose digests differ between the trees in "
+                       "some pair.",
         "command": "python3 bench/run.py --workload W --seed S --seconds T --trace 0",
         "parent_commit": commit_of(trees["parent"]),
         "change_commit": commit_of(trees["change"]) or "the commit that adds this file",

@@ -55,10 +55,11 @@ TABLE = [
     *(("out", f"wave liouville-demo --kmax {kmax}") for kmax in range(1, 7)),
     *(("out", f"dio jointbound --number {number} --exponent {exponent} --xmax {xmax}")
       for number in ("sqrt2", "golden") for exponent in (0, 2, 3, 5) for xmax in ("10", "1e3", "1e4")),
-    # the joint bound's grid streams in blocks: x_max near the cap (7e5 of 707,107 at sqrt2, 6e5 of 618,034 at
-    # golden), and 11435.4, where the pi family's 3,640 zeros fill two blocks of 1,820 exactly
+    # the joint bound's witness range near the cap (7e5 of 707,107 at sqrt2, 6e5 of 618,034 at golden), and
+    # 11435.4; a class with no partial-quotient bound, its upper side witnessed at a convergent
     *(("out", f"dio jointbound --number {number} --exponent {exponent} --xmax {xmax}")
       for exponent in (0, 3) for number, xmax in (("sqrt2", "7e5"), ("golden", "6e5"), ("sqrt2", "11435.4"))),
+    *(("out", f"dio jointbound --number doubled:golden --exponent {exponent} --xmax 1e4") for exponent in (1, 2)),
     *(("out", f"sphere margin --alpha {alpha} --n {n} --max-degree {degree}")
       for alpha in FLOAT_ALPHAS[:4] for n in (2, 3, 5) for degree in DEGREES),
     # the float margin's continued-fraction block floor at exponents 0-2 as well, and at a negative time and at
@@ -147,6 +148,9 @@ TABLE = [
     # the last period
     ("err", "sphere margin --alpha-pi=7/31 --n 2 --max-degree 1000000 --exponent 200"),
     ("err", "sphere margin --alpha-pi=19/10 --n 2 --max-degree 40000 --exponent 70"),
+    # the joint bound refuses a rational class, and an exponent whose exact weights pass its bit cap
+    ("err", "dio jointbound --number rational:3/2"),
+    ("err", "dio jointbound --exponent 100000000 --xmax 10"),
     # a Liouville demo deeper than the series' depth cap (7) is refused, and one past 25 by the range check
     *(("err", f"wave liouville-demo --kmax {kmax}") for kmax in (7, 25, 26)),
     # a file of the other kind: the message names the two kinds, so only the exit codes are compared

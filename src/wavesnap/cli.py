@@ -386,6 +386,7 @@ def _dio_class(args) -> dict:
         "value": x.value,
         "err_bound": x.err_bound,
         "measure_bound": x.measure_bound,
+        "quotient_bound": x.quotient_bound,
         "base": x.base,
         "depth": x.depth,
         "half": x.half.label if x.half is not None else None,
@@ -422,10 +423,11 @@ def _dio_jointbound(args) -> dict:
     from . import diophantine
 
     try:
-        c, passes = diophantine.joint_sine_lower_bound_check(args.number, args.exponent, args.xmax)
+        b = diophantine.joint_sine_lower_bound_check(args.number, args.exponent, args.xmax)
     except OverflowError as exc:
         raise ValueError(f"--exponent {args.exponent} too large: {exc}") from None
-    return {"number": args.number.label, "exponent": args.exponent, "x_max": args.xmax, "C": c, "passes": passes}
+    return {"number": args.number.label, "exponent": args.exponent, "x_max": args.xmax,
+            "C": b.c, "passes": b.passes, "certificate": b.certificate, "upper": b.c_upper, "witness_q": b.witness}
 
 
 _PROBE_SYMBOLS = {
@@ -568,10 +570,10 @@ VERBS = {
                       ("--count", {"default": 1000})]),
         "oddtype": ("odd-denominator margin scan for the binary factorial series", _dio_oddtype, [],
                     [("--qmax", _INT)]),
-        "jointbound": ("joint sine lower bound sweep", _dio_jointbound, [], [
+        "jointbound": ("joint sine bound: certified lower C, witnessed upper", _dio_jointbound, [], [
             ("--number", {"type": _number_spec, "default": "sqrt2", "help": "default sqrt2"}),
             ("--exponent", {"default": 3}),
-            ("--xmax", {"default": 1e4}),
+            ("--xmax", {"default": 1e4, "help": "upper-side witnesses x = q pi up to XMAX"}),
         ]),
         "sdprobe": ("slowly-decreasing window probe of a symbol", _dio_sdprobe, [], [
             ("--symbol", {"choices": sorted(_PROBE_SYMBOLS), "default": "sine"}),

@@ -10,13 +10,16 @@ margins (`odd_type_verifier` rechecks each candidate q in integers), the
 convergent bounds of a factorial series (`convergent_chain`: one big
 product per k, and `doubled_liouville_bound` on its first) and,
 through them, the `certified` flag of `snapshots.liouville_obstruction_demo`.
-A small-denominator table detects its zero rows exactly, but its nonzero
-sines are float64 sines, and the joint lower bound is a sampled minimum,
-its sines taken only where Jordan's floor lets the minimum be.
+So is the joint sine bound's bracket (`joint_sine_lower_bound_check`): its
+lower side from the best-approximation lemma (`convergent_floor`) and a
+partial-quotient bound, its upper side from the convergents, both exact
+`Fraction`s.  A small-denominator table detects its zero rows exactly, but
+its nonzero sines are float64 sines.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
@@ -25,7 +28,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .fields import MultiplierSymbol
-from .propagators import RECHECK_WINDOW, PrecisionExhausted, exact_residue, residue_sines, sine_floor
+from .propagators import RECHECK_WINDOW, PrecisionExhausted, exact_residue, residue_sines
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,9 +39,8 @@ KIND_LIOUVILLE = "liouville"
 KIND_ODD_TYPE = "odd-type-liouville"
 
 FACTORIAL_DEPTH_CAP = 7  # 8! exponents already exceed 1e40000; deeper is pointless
-JOINT_X_CAP = 1e6  # x_max max(1, |alpha|) in the joint sine bound: ~6e6 grid points, about 0.1 s
-JOINT_SAMPLES = 200_000  # the joint sine bound's uniform grid, besides its points near the zeros
-JOINT_BLOCK = 16_384  # grid points the joint bound's Jordan screen scores per numpy pass
+JOINT_X_CAP = 1e6  # x_max max(1, |alpha|) in the joint sine bound: the range its upper side's witnesses come from
+JOINT_WEIGHT_BITS = 2**16  # the joint sine bound's exact weights (1+x)^N, x <= x_max, stay below this many bits
 
 PI_HI = Fraction(math.pi) + Fraction(1, 2**52)  # above pi: math.pi undershoots by about 1.22e-16
 
@@ -67,6 +69,8 @@ class NumberClass:
       liouville          factorial-series construction sum c_j base^(-j!)
       odd-type-liouville ternary factorial series, odd-denominator margins
 
+    `quotient_bound` is A where every partial quotient a_i, i >= 1, of |x| is
+    at most A (None: no such bound is certified).
     For factorial series, `base`, `coeffs` and `depth` record the truncated
     construction.  `half` optionally carries the class of value/2, which is
     what the even-dimensional sphere classification consumes.
@@ -76,6 +80,7 @@ class NumberClass:
     value: Fraction
     err_bound: Fraction | None = None
     measure_bound: float | None = None
+    quotient_bound: int | None = None
     base: int | None = None
     coeffs: tuple[int, ...] = ()
     depth: int | None = None
@@ -117,6 +122,7 @@ def _quadratic_class(a0: int, a: int, depth: int, label: str) -> NumberClass:
         Fraction(p, q),
         err_bound=Fraction(1, q * q),
         measure_bound=2.0,
+        quotient_bound=a,
         label=label,
     )
 
@@ -193,6 +199,7 @@ def doubled(half: NumberClass) -> NumberClass:
 class ContinuedFraction:
     partial_quotients: tuple[int, ...]
     convergents: tuple[Fraction, ...]
+    denominators: tuple[int, ...]  # of the convergents, nondecreasing
 
 
 def _quotients(x: Fraction) -> Iterator[int]:
@@ -207,7 +214,8 @@ def _quotients(x: Fraction) -> Iterator[int]:
 
 
 def _expansion(quots: Sequence[int]) -> ContinuedFraction:
-    return ContinuedFraction(tuple(quots), tuple(Fraction(p, q) for p, q in _convergents(quots)))
+    pairs = list(_convergents(quots))
+    return ContinuedFraction(tuple(quots), tuple(Fraction(p, q) for p, q in pairs), tuple(q for _, q in pairs))
 
 
 def continued_fraction(x: Fraction | int, max_terms: int) -> ContinuedFraction:
@@ -226,6 +234,19 @@ def shared_continued_fraction(x: Fraction, y: Fraction) -> ContinuedFraction:
     an interval, so a number between two that share a prefix shares it too."""
     pairs = itertools.takewhile(lambda ab: ab[0] == ab[1], zip(_quotients(x), _quotients(y)))
     return _expansion([a for a, _ in pairs])
+
+
+def convergent_floor(cf: ContinuedFraction, k: int) -> Fraction | None:
+    """The best-approximation lemma (Khinchin, Continued Fractions, Thms 16-17;
+    Hardy & Wright, ch. X): for every gamma whose expansion starts with the
+    partial quotients of `cf`, and 0 < k < q_{j+1}, ||k gamma|| >= |q_j gamma
+    - p_j| > 1 / (q_j + q_{j+1}).  Returns that floor at the least such j,
+    the largest, or None for k past the prefix's last denominator."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    qs = cf.denominators
+    j = bisect.bisect_right(qs, k, 1)  # the least j >= 1 with q_j > k
+    return Fraction(1, qs[j - 1] + qs[j]) if j < len(qs) else None
 
 
 @dataclass(frozen=True)
@@ -431,22 +452,55 @@ def slow_decay_check(rows: Iterable[tuple[int, float]], exponent: int) -> tuple[
 # joint lower bounds and slow decrease
 
 
-def joint_sine_lower_bound_check(alpha: NumberClass, exponent: int, x_max: float) -> tuple[float, bool]:
-    """Empirical constant C = min over (0, x_max] of
-    (|sin x| + |sin(alpha x)|) / x * (1+x)^exponent.
+@dataclass(frozen=True)
+class JointBound:
+    """inf over x > 0 of (|sin x| + |sin(alpha x)|) (1+x)^N / x is in [lower,
+    upper], both exact: `lower` certified (0 where `certificate` says "none"),
+    `upper` the score's bound at x = witness pi, or at x -> 0+ (witness None)."""
 
-    Requires a certified irrationality measure: for rational or Liouville
-    alpha no such positive constant exists, so those classes are rejected.
-    The grid, JOINT_SAMPLES uniform points, is refined near the zeros of
-    both sines, where the minimum must occur.  It is built and scored
-    JOINT_BLOCK points at a time, so its memory does not grow with x_max.
-    It has about x_max (1 + |alpha|) / pi zeros, nine points each, so the
-    time does: x_max max(1, |alpha|) is capped at JOINT_X_CAP, where it
-    takes about 0.1 s.  Sines are taken only where the score's Jordan floor
-    (`sine_floor` for each sine, less 4 ulp) is at most the least score so
-    far, so C is the full grid's, a minimum over the same points.
-    A grid on which every weight (1+x)^exponent leaves the float range has
-    no finite score, and raises OverflowError.
+    lower: Fraction
+    upper: Fraction
+    witness: int | None
+    certificate: str
+
+    @property
+    def passes(self) -> bool:
+        return self.lower > 0
+
+    @property
+    def c(self) -> float:  # lower, rounded down
+        f = float(self.lower)
+        return math.nextafter(f, -math.inf) if f > self.lower else f
+
+    @property
+    def c_upper(self) -> float:  # upper, rounded up
+        f = float(self.upper)
+        return math.nextafter(f, math.inf) if f < self.upper else f
+
+
+def joint_sine_lower_bound_check(alpha: NumberClass, exponent: int, x_max: float) -> JointBound:
+    """The `JointBound` of alpha at N = exponent, from its continued fraction.
+
+    Lower side, with A = alpha.quotient_bound and M = max(1, |alpha|): on
+    (0, pi/2] Jordan's |sin x| >= 2x/pi gives 2/pi.  For x > pi/2 take
+    k = round(x/pi) >= 1, so |x - k pi| <= pi/2: Jordan on both sines gives
+    |sin x| + |sin(alpha x)| >= 2 ||k alpha|| / M, and `convergent_floor`
+    with q_j <= k, q_{j+1} <= (A+1) q_j gives ||k alpha|| > 1/((A+2) k).  At
+    N >= 2, (1+x)^N / x grows from x = 1 on, and with y = (k - 1/2) pi,
+    (1+y)^N / (k y) >= pi (1+y)^(N-2) >= pi (1 + pi/2)^(N-2).  So x > pi/2
+    scores at least 2 pi (1 + pi/2)^(N-2) / ((A+2) M), a power formed a
+    factor at a time and only until it passes 2/pi.  With no A there is no
+    certificate, nor at N < 2, where no C > 0 exists: by Dirichlet's
+    theorem ||k alpha|| < 1/k infinitely often.
+
+    Upper side: the x -> 0+ limit 1 + |alpha|, and at x = q pi for each
+    convergent p/q of alpha.value with q pi <= x_max, sin x = 0 and
+    |sin(alpha x)| <= pi |q alpha - p|.  pi enters through Fraction(math.pi)
+    < pi < PI_HI, and alpha through value and err.
+
+    Rational and Liouville classes are rejected, x_max max(1, |alpha|) is
+    capped at JOINT_X_CAP, and an exponent whose exact weight (1+x)^N up to
+    x_max would pass JOINT_WEIGHT_BITS bits raises OverflowError first.
     """
     if alpha.kind != KIND_MEASURE_BOUNDED or alpha.measure_bound is None:
         raise ValueError(f"joint lower bound needs a certified irrationality measure, got kind={alpha.kind}")
@@ -456,49 +510,32 @@ def joint_sine_lower_bound_check(alpha: NumberClass, exponent: int, x_max: float
         raise ValueError(f"x_max must be in (0, {cap:g}] for alpha = {a:g}, got {x_max!r}")
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
-    import numpy as np
-
-    # the uniform family is np.linspace(start, x_max, JOINT_SAMPLES), element for element
-    start = x_max / JOINT_SAMPLES
-    delta = x_max - start
-    step = delta / (JOINT_SAMPLES - 1)
-    offsets = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.05, -0.05])
-    per_block = JOINT_BLOCK // len(offsets)
-
-    def blocks():  # the grid, at most JOINT_BLOCK points at a time
-        for lo in range(0, JOINT_SAMPLES, JOINT_BLOCK):
-            hi = min(lo + JOINT_BLOCK, JOINT_SAMPLES)
-            i = np.arange(lo, hi, dtype=float)
-            xb = (i / (JOINT_SAMPLES - 1) * delta if step == 0 else i * step) + start  # linspace's subnormal rule
-            if hi == JOINT_SAMPLES:
-                xb[-1] = x_max
-            yield xb
-        for period in (math.pi, math.pi / a):
-            k_max = int(x_max / period)  # none below one period
-            for lo in range(1, k_max + 1, per_block):
-                centers = np.arange(lo, min(lo + per_block, k_max + 1), dtype=float) * period
-                yield (centers[:, None] + offsets).ravel()
-
-    def score(at):  # the minimum score over the points `at` of the block
-        x_ = xb[at]
-        return float(((np.abs(np.sin(x_)) + np.abs(np.sin(a * x_))) / x_ * weight[at]).min(initial=math.inf))
-
-    c = math.inf
-    for xb in blocks():
-        xb = xb[(xb > 0) & (xb <= x_max)]
-        if not len(xb):  # a subnormal x_max rounds whole blocks of the uniform family to 0
-            continue
-        # a weight past the float range is inf: its floor and score are inf, or nan where a floor or both
-        # sines are 0, and neither lowers C (`floor <= c` is false at nan, and min(c, nan) keeps c)
-        with np.errstate(over="ignore", invalid="ignore"):
-            weight = (1.0 + xb) ** exponent
-            floor = (sine_floor(xb) + sine_floor(a * xb)) / xb * weight * (1 - 2.0**-50)
-        c = min(c, score(np.argmin(floor, keepdims=True)))  # the block's lowest floor first
-        c = min(c, score(floor <= c))
-    if c == math.inf:
-        msg = f"the weight (1+x)^{exponent} leaves the float range at every grid point up to x = {x_max!r}"
-        raise OverflowError(msg)
-    return c, c > 0.0
+    bits = exponent * (1 + int(x_max)).bit_length()
+    if bits > JOINT_WEIGHT_BITS:
+        raise OverflowError(f"the exact weight (1+x)^{exponent} up to x = {x_max!r} needs up to {bits} bits, "
+                            f"past the cap of {JOINT_WEIGHT_BITS}")
+    v, err, pi_lo = abs(alpha.value), alpha.err, Fraction(math.pi)
+    if exponent < 2:
+        lower, certificate = Fraction(0), f"none: exponent {exponent} < 2"
+    elif alpha.quotient_bound is None:
+        lower, certificate = Fraction(0), "none: no partial-quotient bound"
+    else:
+        lower = 2 / PI_HI
+        beyond = 2 * pi_lo / ((alpha.quotient_bound + 2) * max(1, v + err))
+        for _ in range(exponent - 2):
+            if beyond >= lower:
+                break
+            beyond *= 1 + pi_lo / 2
+        lower = min(lower, beyond)
+        certificate = f"partial quotients <= {alpha.quotient_bound}"
+    upper, witness = 1 + v + err, None
+    for p, q in _convergents(_quotients(v)):
+        if q * PI_HI > x_max:
+            break
+        at_q = PI_HI * (abs(q * v - p) + q * err) * (1 + q * PI_HI) ** exponent / (q * pi_lo)
+        if at_q < upper:
+            upper, witness = at_q, q
+    return JointBound(lower, upper, witness, certificate)
 
 
 @dataclass(frozen=True)

@@ -295,10 +295,16 @@ def odd_type_margins(seed: int = 0) -> dict:
 
 
 def joint_lower_bound(seed: int = 0) -> dict:
-    """(|sin x| + |sin(sqrt2 x)|) (1+x)^3 / x stays above a positive constant
-    on (0, 1e4], with the grid refined near both families of sine zeros."""
-    c, passes = diophantine.joint_sine_lower_bound_check(diophantine.sqrt2_class(), 3, 1e4)
-    return _result("jointbound", passes and c > 0, f"C = {c:.6g} > 0 over (0, 1e4], exponent 3")
+    """(|sin x| + |sin(sqrt2 x)|) (1+x)^3 / x stays above a certified C > 0
+    for every x > 0, from the partial-quotient bound of sqrt2, and C is below
+    the upper side witnessed at x -> 0+ or at a convergent q pi <= 1e4."""
+    b = diophantine.joint_sine_lower_bound_check(diophantine.sqrt2_class(), 3, 1e4)
+    at = "x -> 0+" if b.witness is None else f"x = {b.witness} pi"
+    return _checked("jointbound", [
+        (b.passes, f"certified C = {b.c:.6g} for every x > 0, exponent 3 ({b.certificate})" if b.passes
+         else f"no certified C > 0 ({b.certificate})"),
+        (b.lower <= b.upper, f"witnessed upper {b.c_upper:.6g} at {at}"),
+    ])
 
 
 def sphere_suite(seed: int = 0) -> dict:

@@ -259,22 +259,25 @@ def _convergent_floors(alpha: float) -> list[tuple[int, float]]:
     f_j = 2 / (q_j + q_{j+1}) (1 - 2^-50), one for each consecutive pair of
     convergent denominators shared by every gamma in [|alpha| / (2 PI_HI),
     |alpha| / (2 math.pi)] (`diophantine.shared_continued_fraction`), so by
-    gamma = |alpha| / 2 pi; in decreasing q_{j+1}.
+    gamma = |alpha| / 2 pi; in decreasing q_{j+1}, leaving out q_{j+1} = 1,
+    which bounds no k.
 
-    dist(w alpha, pi Z) = pi ||k gamma||, and for 0 < k < q_{j+1} the
-    best-approximation lemma (Khinchin, Continued Fractions, Thms 16-17) gives
-    ||k gamma|| >= |q_j gamma - p_j| > 1 / (q_j + q_{j+1}), so Jordan's |sin|
-    >= 2 / (q_j + q_{j+1}); the least j with q_{j+1} > k gives the largest
-    floor.  At the float y = w alpha, |y| <= y_top, `sine_floor` reads at
-    least (1 - 2^-51) times that, less (y_top + 4) 2^-49: its slack
-    (|y| + 4) 2^-49, the rounding of y and its own, all scaled by 2 / pi.  So
-    f_j - (y_top + 4) 2^-48, the 2^-50 and the doubled slack also covering
-    the roundings of that expression, is below every such `sine_floor`."""
-    from .diophantine import PI_HI, shared_continued_fraction
+    dist(w alpha, pi Z) = pi ||k gamma||, and for 0 < k < q_{j+1}
+    `diophantine.convergent_floor` (read at k = q_{j+1} - 1 >= q_j, where it
+    is this j's) gives ||k gamma|| > 1 / (q_j + q_{j+1}), so Jordan's |sin|
+    >= 2 / (q_j + q_{j+1}).  At the float y = w alpha, |y| <= y_top,
+    `sine_floor` reads at least (1 - 2^-51) times that, less (y_top + 4)
+    2^-49: its slack (|y| + 4) 2^-49, the rounding of y and its own, all
+    scaled by 2 / pi.  So f_j - (y_top + 4) 2^-48, the 2^-50 and the doubled
+    slack also covering the roundings of that expression, is below every
+    such `sine_floor`."""
+    from .diophantine import PI_HI, convergent_floor, shared_continued_fraction
 
     gamma = Fraction(abs(alpha)) / 2
-    qs = [c.denominator for c in shared_continued_fraction(gamma / PI_HI, gamma / Fraction(math.pi)).convergents]
-    return [(r, 2 / (q + r) * (1 - 2.0**-50)) for q, r in zip(qs, qs[1:])][::-1]
+    cf = shared_continued_fraction(gamma / PI_HI, gamma / Fraction(math.pi))
+    qs = [q for q in cf.denominators if q > 1]
+    floors = [convergent_floor(cf, r - 1) for r in qs]  # 1 / (q_j + r): 2 numerator / denominator rounds once
+    return [(r, 2 * f.numerator / f.denominator * (1 - 2.0**-50)) for r, f in zip(qs, floors)][::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ written on it (the Bezout solve on fields), the
 entry-by-entry field loaders, the per-q odd-type scan, the per-row CSV
 writer, the zonal sums with a recurrence restarted per degree, the
 factorial-series convergents built afresh at each k, the joint sine
-bound and the surjectivity margin with a sine at every point, the
+bound's sampled grid (streamed behind a Jordan screen, and with a sine at
+every point, the grid the exact bracket's lower side is held below), the
+surjectivity margin with a sine at every point, the
 compatibility residual on fields, and the experiments' random draws
 through `rng.uniform`.  Tests compare the library with these bit for bit.
 
@@ -442,7 +444,11 @@ def csv_body(columns, rows):
 
 # ---------------------------------------------------------------------------
 # the exact scans with every value computed: per-k convergents, the full
-# joint-bound grid and the full margin scan
+# joint-bound grid and the full margin scan; and the joint bound's sampled
+# grid streamed behind a Jordan screen
+
+JOINT_SAMPLES = 200_000  # the joint sine bound's uniform grid, besides its points near the zeros
+JOINT_BLOCK = 16_384  # grid points the joint bound's Jordan screen scores per numpy pass
 
 
 def convergent_pair(x, k):
@@ -468,13 +474,14 @@ def convergent_pair(x, k):
     return diophantine.Convergent(qk, pk, lo, lo + err.numerator * b**top, b ** (top - kf) * err.denominator)
 
 
-def joint_sine_lower_bound(alpha, exponent, x_max):
-    """C of `diophantine.joint_sine_lower_bound_check`, with both sines taken
-    at every point of its grid (its argument checks left out)."""
+def joint_sine_grid(alpha, exponent, x_max):
+    """The points x of the joint sine bound's sampled grid in (0, x_max], and
+    the score (|sin x| + |sin(alpha x)|) / x (1+x)^N at each, a sine at every
+    point: JOINT_SAMPLES uniform points and nine near each zero of either sine."""
     import numpy as np
 
     a = float(alpha.value)
-    xs = [np.linspace(x_max / diophantine.JOINT_SAMPLES, x_max, diophantine.JOINT_SAMPLES)]
+    xs = [np.linspace(x_max / JOINT_SAMPLES, x_max, JOINT_SAMPLES)]
     offsets = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.05, -0.05])
     for period in (math.pi, math.pi / a):
         k_max = int(x_max / period)
@@ -484,7 +491,86 @@ def joint_sine_lower_bound(alpha, exponent, x_max):
     x = np.concatenate(xs)
     x = x[(x > 0) & (x <= x_max)]
     with np.errstate(over="ignore"):  # a weight past the float range is inf, and sets no minimum
-        return float(((np.abs(np.sin(x)) + np.abs(np.sin(a * x))) / x * (1.0 + x) ** exponent).min())
+        return x, (np.abs(np.sin(x)) + np.abs(np.sin(a * x))) / x * (1.0 + x) ** exponent
+
+
+def joint_sine_lower_bound(alpha, exponent, x_max):
+    """C of `joint_sine_grid_check`, the least score of the whole grid (its
+    argument checks left out)."""
+    return float(joint_sine_grid(alpha, exponent, x_max)[1].min())
+
+
+def joint_sine_grid_check(alpha, exponent, x_max):
+    """A sampled joint sine bound beside `diophantine.joint_sine_lower_bound_check`'s
+    exact bracket: (C, C > 0) with C = min over (0, x_max] of
+    (|sin x| + |sin(alpha x)|) / x * (1+x)^exponent.
+
+    Requires a certified irrationality measure: for rational or Liouville
+    alpha no such positive constant exists, so those classes are rejected.
+    The grid, JOINT_SAMPLES uniform points, is refined near the zeros of
+    both sines, where the minimum must occur.  It is built and scored
+    JOINT_BLOCK points at a time, so its memory does not grow with x_max.
+    It has about x_max (1 + |alpha|) / pi zeros, nine points each, so the
+    time does: x_max max(1, |alpha|) is capped at diophantine.JOINT_X_CAP, where it
+    takes about 0.1 s.  Sines are taken only where the score's Jordan floor
+    (`sine_floor` for each sine, less 4 ulp) is at most the least score so
+    far, so C is the full grid's, a minimum over the same points.
+    A grid on which every weight (1+x)^exponent leaves the float range has
+    no finite score, and raises OverflowError.
+    """
+    if alpha.kind != diophantine.KIND_MEASURE_BOUNDED or alpha.measure_bound is None:
+        raise ValueError(f"joint lower bound needs a certified irrationality measure, got kind={alpha.kind}")
+    a = float(alpha.value)
+    cap = diophantine.JOINT_X_CAP / max(1.0, abs(a))
+    if not 0 < x_max <= cap:  # a NaN fails too
+        raise ValueError(f"x_max must be in (0, {cap:g}] for alpha = {a:g}, got {x_max!r}")
+    if exponent < 0:
+        raise ValueError("exponent must be >= 0")
+    import numpy as np
+
+    from wavesnap.propagators import sine_floor
+
+    # the uniform family is np.linspace(start, x_max, JOINT_SAMPLES), element for element
+    start = x_max / JOINT_SAMPLES
+    delta = x_max - start
+    step = delta / (JOINT_SAMPLES - 1)
+    offsets = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.05, -0.05])
+    per_block = JOINT_BLOCK // len(offsets)
+
+    def blocks():  # the grid, at most JOINT_BLOCK points at a time
+        for lo in range(0, JOINT_SAMPLES, JOINT_BLOCK):
+            hi = min(lo + JOINT_BLOCK, JOINT_SAMPLES)
+            i = np.arange(lo, hi, dtype=float)
+            xb = (i / (JOINT_SAMPLES - 1) * delta if step == 0 else i * step) + start  # linspace's subnormal rule
+            if hi == JOINT_SAMPLES:
+                xb[-1] = x_max
+            yield xb
+        for period in (math.pi, math.pi / a):
+            k_max = int(x_max / period)  # none below one period
+            for lo in range(1, k_max + 1, per_block):
+                centers = np.arange(lo, min(lo + per_block, k_max + 1), dtype=float) * period
+                yield (centers[:, None] + offsets).ravel()
+
+    def score(at):  # the minimum score over the points `at` of the block
+        x_ = xb[at]
+        return float(((np.abs(np.sin(x_)) + np.abs(np.sin(a * x_))) / x_ * weight[at]).min(initial=math.inf))
+
+    c = math.inf
+    for xb in blocks():
+        xb = xb[(xb > 0) & (xb <= x_max)]
+        if not len(xb):  # a subnormal x_max rounds whole blocks of the uniform family to 0
+            continue
+        # a weight past the float range is inf: its floor and score are inf, or nan where a floor or both
+        # sines are 0, and neither lowers C (`floor <= c` is false at nan, and min(c, nan) keeps c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weight = (1.0 + xb) ** exponent
+            floor = (sine_floor(xb) + sine_floor(a * xb)) / xb * weight * (1 - 2.0**-50)
+        c = min(c, score(np.argmin(floor, keepdims=True)))  # the block's lowest floor first
+        c = min(c, score(floor <= c))
+    if c == math.inf:
+        msg = f"the weight (1+x)^{exponent} leaves the float range at every grid point up to x = {x_max!r}"
+        raise OverflowError(msg)
+    return c, c > 0.0
 
 
 def surjectivity_margin(alpha, n, max_degree, exponent):

@@ -425,18 +425,26 @@ def test_jointbound_past_the_float_range_writes_no_warning(tmp_path):
 
     with np.errstate(over="ignore"):
         want = ref.joint_sine_lower_bound(dio.sqrt2_class(), 200, 1e4)
-    assert json.loads(out.read_text())["C"] == want
+    assert ref.joint_sine_grid_check(dio.sqrt2_class(), 200, 1e4)[0] == want  # the sampled grid wrote no warning
+    doc = json.loads(out.read_text())
+    assert doc["C"] == dio.joint_sine_lower_bound_check(dio.sqrt2_class(), 200, 1e4).c <= want
 
 
 def test_jointbound_with_no_finite_weight_names_the_exponent(tmp_path, capsys):
     # exited 0 with "C": "inf" and "passes": true: every weight (1+x)^N overflowed, so no score was finite
     out = tmp_path / "jb.json"
     argv = ["dio", "jointbound", "--exponent", "100000000", "--xmax", "10"]
-    message = "--exponent 100000000 too large: the weight (1+x)^100000000 leaves the float range"
-    message += " at every grid point up to x = 10.0"
+    message = "--exponent 100000000 too large: the exact weight (1+x)^100000000 up to x = 10.0 needs up to"
+    message += " 400000000 bits, past the cap of 65536"
     assert_names_flag(capsys, argv, out, message)
-    assert cli.run(["dio", "jointbound", "--exponent", "200", "--out", str(out)]) == 0  # some weights stay finite
-    assert json.loads(out.read_text())["C"] == 41720.40438332567
+    with pytest.raises(OverflowError, match=r"the weight \(1\+x\)\^100000000 leaves the float range at every grid"
+                                            r" point up to x = 10.0"):
+        ref.joint_sine_grid_check(dio.sqrt2_class(), 10**8, 10.0)  # the sampled grid's reason
+    assert cli.run(["dio", "jointbound", "--exponent", "200", "--out", str(out)]) == 0  # its weights stay in the cap
+    assert ref.joint_sine_grid_check(dio.sqrt2_class(), 200, 1e4)[0] == 41720.40438332567
+    doc = json.loads(out.read_text())
+    assert (doc["C"], doc["passes"], doc["upper"], doc["witness_q"]) == (0.6366197723675813, True,
+                                                                         2.4142135623730954, None)
 
 
 def test_sphere_verbs_smoke(tmp_path, capsys):
@@ -1103,6 +1111,8 @@ codes = [cli.run(argv + ["--out", os.path.join(d, "out.json")]) for argv in runs
 print(codes, *(name in sys.modules for name in ("numpy", "mpmath", "wavesnap.diophantine", "wavesnap.experiments")))
 code = cli.run(["dio", "cfrac", "--value", "355/113", "--out", os.path.join(d, "out.json")])
 print(code, *(name in sys.modules for name in ("wavesnap.diophantine", "wavesnap.experiments")))
+code = cli.run(["dio", "jointbound", "--out", os.path.join(d, "out.json")])  # the bracket is exact: no numpy
+print(code, *(name in sys.modules for name in ("numpy", "wavesnap.experiments")))
 with open(os.path.join(d, "runs.json"), "w") as out:
     json.dump(runs, out)
 """
@@ -1125,7 +1135,8 @@ def test_solve_verbs_leave_numpy_unloaded(tmp_path):
     # peak memory, and mpmath's (which no verb needs) a few more;
     # nor do they run the Diophantine toolkit or the experiments, each compiled
     # from source at every cold start where no bytecode is written, and a dio verb
-    # runs no experiment; the wave verbs alone do not compile the sphere module either
+    # runs no experiment; the wave verbs alone do not compile the sphere module either;
+    # dio jointbound's bracket is exact Fractions, so it loads no numpy
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     outputs = []
     for script in (SOLVE_VERBS_WITHOUT_NUMPY, WAVE_VERBS_WITHOUT_SPHERE):
@@ -1139,7 +1150,7 @@ def test_solve_verbs_leave_numpy_unloaded(tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout.split())
     expected = ["[0,", "0,", "0,", "0,", "0,", "0,", "0,", "0,", "0]", "False", "False", "False", "False"]
-    expected += ["0", "True", "False"]
+    expected += ["0", "True", "False", "0", "False", "False"]
     assert outputs[0] == expected, outputs
     assert outputs[1] == ["[0,", "0,", "0,", "0,", "0,", "0]", "False"], outputs
 

@@ -418,42 +418,52 @@ def test_smallden_row_values_match_float_sine():
 
 
 def test_jointbound_requires_measure_bounded():
-    with pytest.raises(ValueError):
-        dio.joint_sine_lower_bound_check(dio.liouville_truncation(10, (1,) * 4, 4), 3, 100.0)
+    for check in (dio.joint_sine_lower_bound_check, ref.joint_sine_grid_check):
+        with pytest.raises(ValueError):
+            check(dio.liouville_truncation(10, (1,) * 4, 4), 3, 100.0)
 
 
 def test_jointbound_rejects_a_nonfinite_or_oversized_x_max():
-    # checked before any array is built: no grid of x_max / pi points, no numpy warning
+    # checked before anything is built: no grid of x_max / pi points, no numpy warning
     root2, doubled_root2 = dio.sqrt2_class(), dio.doubled(dio.doubled(dio.sqrt2_class()))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for alpha, x_max in ((root2, math.inf), (root2, math.nan), (root2, -1.0), (root2, 0.0), (root2, 1e300),
                              (root2, dio.JOINT_X_CAP / math.sqrt(2.0) * 1.01), (doubled_root2, dio.JOINT_X_CAP / 5)):
-            with pytest.raises(ValueError, match="x_max must be in"):
-                dio.joint_sine_lower_bound_check(alpha, 3, x_max)
+            for check in (dio.joint_sine_lower_bound_check, ref.joint_sine_grid_check):
+                with pytest.raises(ValueError, match="x_max must be in"):
+                    check(alpha, 3, x_max)
 
 
 def test_jointbound_without_a_finite_weight_raises():
-    # every (1+x)^N is inf: no score is finite, and C = inf read as a pass
+    # the sampled grid: every (1+x)^N is inf, no score is finite, and C = inf read as a pass
     with pytest.raises(OverflowError, match=r"\(1\+x\)\^100000000 leaves the float range at every grid point"):
+        ref.joint_sine_grid_check(dio.sqrt2_class(), 10**8, 10.0)
+    # the bracket: its exact weights would take 4e8 bits, and no power is formed
+    with pytest.raises(OverflowError, match=r"\(1\+x\)\^100000000 up to x = 10.0 needs up to 400000000 bits"):
         dio.joint_sine_lower_bound_check(dio.sqrt2_class(), 10**8, 10.0)
+    with pytest.raises(OverflowError, match="past the cap of 65536"):
+        dio.joint_sine_lower_bound_check(dio.sqrt2_class(), 10**400, 1e-300)
+    b = dio.joint_sine_lower_bound_check(dio.sqrt2_class(), 2**16, 0.5)  # at the cap
+    assert b.lower == 2 / dio.PI_HI and b.witness is None
 
 
 def test_jointbound_sqrt2_positive():
-    c, passes = dio.joint_sine_lower_bound_check(dio.sqrt2_class(), 3, 500.0)
-    assert passes and c > 0
+    b = dio.joint_sine_lower_bound_check(dio.sqrt2_class(), 3, 500.0)
+    for c, passes in (ref.joint_sine_grid_check(dio.sqrt2_class(), 3, 500.0), (b.c, b.passes)):
+        assert passes and c > 0
 
 
 @pytest.mark.parametrize("spec", ["sqrt2", "golden", "doubled:golden"])
 def test_jointbound_matches_the_full_grid(spec):
-    # the Jordan screen takes sines only where the minimum can be, one block of the grid at a time:
-    # C is the full grid's, bit for bit
+    # the sampled grid's Jordan screen takes sines only where the minimum can be, one block of the grid at a
+    # time: C is the full grid's, bit for bit
     from wavesnap.cli import number_class
 
     alpha = number_class(spec)
     a = abs(float(alpha.value))
     periods = (math.pi, math.pi / a)
-    centers = dio.JOINT_BLOCK // 9  # the zeros a refined block holds, nine points each
+    centers = ref.JOINT_BLOCK // 9  # the zeros a refined block holds, nine points each
     # at 1e4 each family fills a block and ends in a partial one (the uniform family always does)
     cases = [(exponent, x_max) for exponent in (0, 1, 2, 3, 5) for x_max in (1.0, 10.0, 1e3, 1e4)]
     cases += [(3, 2 * centers * period + 1e-9) for period in periods]  # a family that ends on a block edge
@@ -467,21 +477,103 @@ def test_jointbound_matches_the_full_grid(spec):
         (3, dio.JOINT_X_CAP / max(1.0, a)),  # the cap
     ]
     for exponent, x_max in cases:
-        c, passes = dio.joint_sine_lower_bound_check(alpha, exponent, x_max)
+        c, passes = ref.joint_sine_grid_check(alpha, exponent, x_max)
         want = ref.joint_sine_lower_bound(alpha, exponent, x_max)
         assert (c.hex(), passes) == (want.hex(), want > 0), (exponent, x_max)
+        b = dio.joint_sine_lower_bound_check(alpha, exponent, x_max)
+        assert b.c <= b.lower <= b.upper <= b.c_upper and b.c <= c, (exponent, x_max)
 
 
 def test_joint_bound_streams():
     alpha = dio.sqrt2_class()
     tracemalloc.start()
     try:
-        c, passes = dio.joint_sine_lower_bound_check(alpha, 3, dio.JOINT_X_CAP / math.sqrt(2))
+        c, passes = ref.joint_sine_grid_check(alpha, 3, dio.JOINT_X_CAP / math.sqrt(2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert passes and c > 0
     assert peak < 2_000_000  # the whole grid, ~6e6 points, took ~130 MB
+
+
+MP_ALPHA = {"sqrt2": lambda: mpmath.sqrt(2), "golden": lambda: (1 + mpmath.sqrt(5)) / 2}
+
+
+def check_joint_bracket(alpha, true_alpha, exponent, x_max):
+    """The bracket of `joint_sine_lower_bound_check` holds: lower <= the full sampled grid's least score,
+    lower <= upper, and upper >= the score at its witness x = q pi, or >= the x -> 0+ limit 1 + |alpha|,
+    evaluated at 50 digits with the true alpha."""
+    b = dio.joint_sine_lower_bound_check(alpha, exponent, x_max)
+    x, scores = ref.joint_sine_grid(alpha, exponent, x_max)
+    i = int(scores.argmin())
+    assert b.lower <= scores[i], f"the grid's score {scores[i]!r} at x = {x[i]!r} undercuts lower {float(b.lower)!r}"
+    assert b.lower <= b.upper, (b.lower, b.upper)
+    with mpmath.workdps(50):
+        if b.witness is None:
+            at = 1 + abs(true_alpha)
+        else:
+            xq = b.witness * mpmath.pi
+            at = (abs(mpmath.sin(xq)) + abs(mpmath.sin(true_alpha * xq))) * (1 + xq) ** exponent / xq
+        assert at <= mpmath.mpf(b.upper.numerator) / b.upper.denominator, (b.witness, at, b.upper)
+    assert b.c <= b.lower and b.upper <= b.c_upper
+    return b
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["sqrt2", "golden"]), st.integers(25, 60), st.sampled_from([0, 1, 2, 3, 5]),
+       st.floats(1.0, 1e4))
+@example("sqrt2", 40, 3, 1e4)  # the benchmark's call
+@example("golden", 45, 1, 1e4)  # exponent 1: the upper side witnessed at a convergent
+def test_joint_bracket_holds(name, depth, exponent, x_max):
+    alpha = dio.sqrt2_class(depth) if name == "sqrt2" else dio.golden_class(depth)
+    with mpmath.workdps(50):
+        true_alpha = MP_ALPHA[name]()
+    b = check_joint_bracket(alpha, true_alpha, exponent, x_max)
+    assert b.passes == (exponent >= 2)
+    if exponent < 2 and x_max > 3 * math.pi:  # a convergent witness beats the x -> 0+ limit
+        assert b.witness is not None
+
+
+def test_joint_bracket_catches_a_false_quotient_bound():
+    # 3/2 claiming every partial quotient <= 1: the lemma's floor is false for it, the lower side reads 2/pi,
+    # and the sampled grid's points near x = 2 pi, where both sines vanish, score far below that
+    liar = dio.NumberClass(dio.KIND_MEASURE_BOUNDED, Fraction(3, 2), measure_bound=2, quotient_bound=1)
+    with pytest.raises(AssertionError, match="undercuts lower"):
+        check_joint_bracket(liar, mpmath.mpf(3) / 2, 2, 10.0)
+    b = dio.joint_sine_lower_bound_check(liar, 2, 10.0)
+    x, scores = ref.joint_sine_grid(liar, 2, 10.0)
+    near = abs(x - 2 * math.pi) < 0.1
+    assert near.any() and float(scores[near].min()) < b.lower == 2 / dio.PI_HI
+    assert (b.upper, b.witness) == (0, 2)  # the upper side sees it too: the score is 0 at x = 2 pi
+
+
+def test_convergent_floor_is_the_lemma():
+    cf = dio.continued_fraction(dio.sqrt2_class().value, 8)  # q = 1, 2, 5, 12, 29, 70, 169, 408
+    assert [dio.convergent_floor(cf, k) for k in (1, 2, 4, 5, 11, 12, 407)] == [
+        Fraction(1, 3), Fraction(1, 7), Fraction(1, 7), Fraction(1, 17), Fraction(1, 17), Fraction(1, 41),
+        Fraction(1, 169 + 408)]
+    assert dio.convergent_floor(cf, 408) is None
+    golden = dio.continued_fraction(dio.golden_class().value, 5)  # q = 1, 1, 2, 3, 5: q_0 = q_1 bounds no k
+    assert [dio.convergent_floor(golden, k) for k in (1, 2, 4, 5)] == [Fraction(1, 3), Fraction(1, 5),
+                                                                       Fraction(1, 8), None]
+    assert dio.convergent_floor(dio.continued_fraction(Fraction(7), 3), 1) is None  # one convergent: no pair
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        dio.convergent_floor(cf, 0)
+    # the floor holds for sqrt2 itself at every k below the prefix's end
+    with mpmath.workdps(40):
+        root2 = mpmath.sqrt(2)
+        for k in range(1, 408):
+            dist = abs(k * root2 - mpmath.nint(k * root2))
+            floor = dio.convergent_floor(cf, k)
+            assert dist > mpmath.mpf(floor.numerator) / floor.denominator, k
+
+
+def test_number_classes_carry_their_quotient_bound():
+    assert (dio.golden_class().quotient_bound, dio.sqrt2_class(7).quotient_bound) == (1, 2)
+    relabelled = dio.NumberClass(dio.KIND_MEASURE_BOUNDED, Fraction(3, 2), measure_bound=2)
+    for x in (dio.doubled(dio.golden_class()), dio.rational_number(Fraction(3, 2)),
+              dio.liouville_truncation(2, None, 4), relabelled):
+        assert x.quotient_bound is None
 
 
 def test_slowly_decreasing_sine_passes():

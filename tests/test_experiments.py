@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -301,6 +302,27 @@ def test_oddtype_gate_fails_on_the_ternary_series(monkeypatch):
     r = experiments.odd_type_margins()
     assert r["passed"] is False
     assert r["details"].endswith("min margin ratio 1.0 at q=729; violations: 1"), r["details"]
+
+
+def test_jointbound_gate_fails_on_a_relabelled_rational(monkeypatch):
+    # 3/2 passed as measure-bounded has no partial-quotient bound, so no certificate; the sampled grid read
+    # C = 5.2e-15 > 0 for it and passed
+    monkeypatch.setattr(diophantine, "sqrt2_class", lambda: diophantine.NumberClass(
+        diophantine.KIND_MEASURE_BOUNDED, Fraction(3, 2), measure_bound=2))
+    r = experiments.joint_lower_bound()
+    assert r["passed"] is False
+    assert r["details"] == "no certified C > 0 (none: no partial-quotient bound); witnessed upper 0 at x = 2 pi"
+
+
+def test_jointbound_gate_fails_on_golden_at_exponent_1(monkeypatch):
+    # by Dirichlet's theorem ||k alpha|| < 1/k infinitely often: no C > 0 exists at exponent 1
+    check = diophantine.joint_sine_lower_bound_check
+    monkeypatch.setattr(diophantine, "joint_sine_lower_bound_check",
+                        lambda alpha, exponent, x_max: check(diophantine.golden_class(), 1, x_max))
+    r = experiments.joint_lower_bound()
+    assert r["passed"] is False
+    assert r["details"].startswith("no certified C > 0 (none: exponent 1 < 2); witnessed upper 0.000543"), r
+    assert r["details"].endswith(" at x = 2584 pi"), r
 
 
 classify_alpha = sphere.classify_alpha
